@@ -31,12 +31,11 @@ def leaf_gt_labels(crag, ground_truth):
     leaves map to 0.
     """
     gt = np.asarray(ground_truth)
-    labels = {}
-    for leaf in crag.leaves():
-        coords = sorted(crag.pixels_of(leaf))
-        vals = gt[[r for r, _ in coords], [c for _, c in coords]]
-        labels[leaf] = int(np.argmax(np.bincount(vals)))
-    return labels
+    leaf_labels = crag.leaf_labels()
+    return {
+        leaf: int(np.argmax(np.bincount(gt[leaf_labels == leaf])))
+        for leaf in crag.leaves()
+    }
 
 
 def best_effort(crag, ground_truth, mode="full"):

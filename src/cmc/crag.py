@@ -3,14 +3,18 @@
 A Crag holds a pool of candidate regions (leaves carry pixels, inner
 nodes derive theirs as the union of their children), adjacency edges
 between disjoint touching candidates, and a subset forest recording
-which candidates are unions of which.  The module also provides
-conflict-clique enumeration, validation of binary assignments against
-the overlap / incidence / path constraint families, and JSON
+which candidates are unions of which.  Pixel-level consumers read the
+leaves through one label image, `Crag.leaf_labels()`.  The module also
+provides conflict-clique enumeration, validation of binary assignments
+against the overlap / incidence / path constraint families, and JSON
 (de)serialization.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from collections import deque
+
+import numpy as np
 
 from .errors import (
     AdjacencyBetweenOverlapping,
@@ -29,7 +33,10 @@ class Candidate:
 
     Exactly one of `pixels` / `children` is populated: leaves store a
     frozenset of (row, col) pairs, inner nodes store the ids of their
-    children and derive pixels lazily through the owning Crag.
+    children and derive pixels lazily through the owning Crag.  Ids are
+    non-negative.  The owning Crag's `leaf_labels()` image holds each
+    leaf's id on its pixels; an inner node's pixels are those whose
+    label is one of `Crag.leaves_under(id)`.
     """
 
     id: int
@@ -104,8 +111,16 @@ def objective_value(f, g, y, m):
     return total
 
 
+UNCOVERED = -1  # leaf_labels() value of pixels no leaf covers; never an id
+
+
 class Crag:
-    """Immutable after construction; build via build_crag()."""
+    """Immutable after construction; build via build_crag().
+
+    `leaf_labels()` is the pixel representation: an int64 (height, width)
+    image of leaf ids, UNCOVERED where no leaf lies (leaves need not
+    cover the image).  It is built on first use and cached.
+    """
 
     def __init__(self, candidates, adjacency, subset, width, height):
         self.candidates = dict(candidates)  # id -> Candidate
@@ -113,8 +128,10 @@ class Crag:
         self.subset = dict(subset)  # child id -> parent id
         self.width = int(width)
         self.height = int(height)
+        self._edges = frozenset(self.adjacency)
         self._pixel_cache = {}
         self._leaves_under = {}
+        self._leaf_labels = None
 
     def __eq__(self, other):
         if not isinstance(other, Crag):
@@ -135,6 +152,10 @@ class Crag:
 
     def ids(self):
         return sorted(self.candidates)
+
+    def has_edge(self, edge):
+        """Whether the canonical (sorted) pair `edge` is an adjacency edge."""
+        return edge in self._edges
 
     def leaves(self):
         return sorted(i for i, c in self.candidates.items() if not c.children)
@@ -185,22 +206,19 @@ class Crag:
     def size_of(self, cid):
         return len(self.pixels_of(cid))
 
-
-def interface_pairs(pixels_a, pixels_b):
-    """All 4-neighbor pixel pairs (p in a, q in b), sorted for determinism.
-
-    Iterates the smaller set.  Empty result means the regions do not
-    touch (or overlap exactly, which callers rule out separately).
-    """
-    if len(pixels_a) > len(pixels_b):
-        return [(p, q) for q, p in interface_pairs(pixels_b, pixels_a)]
-    pairs = []
-    for (r, c) in pixels_a:
-        for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if q in pixels_b:
-                pairs.append(((r, c), q))
-    pairs.sort()
-    return pairs
+    def leaf_labels(self):
+        """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
+        if self._leaf_labels is None:
+            labels = np.full((self.height, self.width), UNCOVERED, dtype=np.int64)
+            for leaf in self.leaves():
+                pixels = self.candidates[leaf].pixels
+                coords = np.fromiter(
+                    itertools.chain.from_iterable(pixels), np.int64, 2 * len(pixels)
+                )
+                labels[coords[0::2], coords[1::2]] = leaf
+            labels.flags.writeable = False
+            self._leaf_labels = labels
+        return self._leaf_labels
 
 
 def regions_touch(pixels_a, pixels_b):
@@ -229,6 +247,8 @@ def build_crag(candidates, adjacency, subset, width, height):
     for cand in candidates:
         if cand.id in cand_map:
             raise CmcError(f"duplicate candidate id {cand.id}")
+        if cand.id < 0:
+            raise CmcError(f"candidate id {cand.id} is negative")
         if cand.level < 0:
             raise CmcError(f"candidate {cand.id} has negative level")
         if cand.children and cand.pixels is not None:

@@ -5,6 +5,17 @@ tangent angle histogram, and intensity statistics of the raw image and
 the boundary map over all pixels and over contour pixels.  Per edge:
 contact area, interface intensity statistics, and the symmetric
 combinators (|u-v|, min, max, u+v) of the endpoint node features.
+
+Pixels come from the Crag's leaf label image: a candidate is a boolean
+mask over its bounding box, looked up by leaf id.  All pixel statistics
+are taken in row-major pixel order; interface values are taken in the
+order of their (pixel in the smaller region, pixel in the larger region)
+pairs, sorted row-major, with the edge's first candidate counting as
+the smaller one on equal sizes.  Releases before the label image summed
+contour pixels in hash-set order, so the contour moments (sum, mean,
+var, skew and kurt of raw_contour and boundary_contour, and the edge
+combinators built from them) changed by at most 1e-12 relative; every
+other value is unchanged.
 """
 
 import math
@@ -12,9 +23,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .crag import edge_from_str, edge_key, edge_to_str
-from .errors import DegenerateInput, EmptyRegion, NotAnEdge
-from .hierarchy import interface_intensities
+from .crag import UNCOVERED, edge_from_str, edge_key, edge_to_str
+from .errors import DegenerateInput, DimensionMismatch, EmptyRegion, NotAnEdge
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,6 +32,9 @@ _QUANTILES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
 # Moore neighborhood, clockwise starting north (rows grow downward)
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+_CROSS = ndimage.generate_binary_structure(2, 1)
+_SQUARE = ndimage.generate_binary_structure(2, 2)
 
 
 def _stat_names(prefix):
@@ -68,8 +81,9 @@ def _stats_block(values):
     return np.concatenate([[total, mean, var, skew, kurt], hist, quant])
 
 
-def _trace_contour(pixels):
-    """Moore boundary walk, one full cycle of pixels (may repeat pixels).
+def _trace_contour(mask):
+    """Moore boundary walk over a 2-d boolean mask, one full cycle of
+    (row, col) positions in the mask (may repeat pixels).
 
     The walk over (pixel, backtrack) states is eventually periodic; one
     period is returned, which for compact blobs is the classic closed
@@ -77,47 +91,48 @@ def _trace_contour(pixels):
     shapes the start pixel is only ever re-entered from directions other
     than the initial backtrack.)
     """
-    start = min(pixels)
-    back0 = (start[0], start[1] - 1)  # row-major first pixel: west is outside
+    # flat positions in the mask padded by one False pixel per side, so
+    # every neighbor of a mask pixel is a valid position
+    width = mask.shape[1] + 2
+    padded = np.pad(mask, 1)
+    inside = padded.ravel().tolist()
+    moore = [dr * width + dc for dr, dc in _MOORE]
+    direction = {off: k for k, off in enumerate(moore)}
+    start = int(np.flatnonzero(padded)[0])
+    back0 = start - 1  # row-major first pixel: west is outside
     seen = {}
     seq = []
     cur, back = start, back0
     while (cur, back) not in seen:
         seen[(cur, back)] = len(seq)
         seq.append(cur)
-        idx = _MOORE.index((back[0] - cur[0], back[1] - cur[1]))
+        idx = direction[back - cur]
         nxt = None
         for k in range(1, 9):
-            off = _MOORE[(idx + k) % 8]
-            q = (cur[0] + off[0], cur[1] + off[1])
-            if q in pixels:
-                prev = _MOORE[(idx + k - 1) % 8]
-                nxt, nback = q, (cur[0] + prev[0], cur[1] + prev[1])
+            q = cur + moore[(idx + k) % 8]
+            if inside[q]:
+                nxt, nback = q, cur + moore[(idx + k - 1) % 8]
                 break
         if nxt is None:
-            return seq
+            break
         cur, back = nxt, nback
-    return seq[seen[(cur, back)]:]
+    else:
+        seq = seq[seen[(cur, back)]:]
+    return [(p // width - 1, p % width - 1) for p in seq]
 
 
-def _angle_histogram(pixels):
+def _angle_histogram(mask):
     """16-bin histogram of contour displacement angles over [0, 2pi).
 
     All-zero for single pixels and for regions that are not one
     8-connected component (no unambiguous contour to walk).
     """
-    if len(pixels) < 2:
+    if np.count_nonzero(mask) < 2:
         return np.zeros(16)
-    rows = [p[0] for p in pixels]
-    cols = [p[1] for p in pixels]
-    r0, c0 = min(rows), min(cols)
-    mask = np.zeros((max(rows) - r0 + 1, max(cols) - c0 + 1), dtype=bool)
-    for (r, c) in pixels:
-        mask[r - r0, c - c0] = True
-    _, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    _, n = ndimage.label(mask, structure=_SQUARE)
     if n != 1:
         return np.zeros(16)
-    contour = _trace_contour(pixels)
+    contour = _trace_contour(mask)
     if len(contour) < 2:
         return np.zeros(16)
     hist = np.zeros(16)
@@ -128,74 +143,133 @@ def _angle_histogram(pixels):
     return hist
 
 
-def _contour_pixels(pixels):
-    """Pixels with at least one 4-neighbor outside the region."""
-    out = []
-    for (r, c) in pixels:
-        if (
-            (r - 1, c) not in pixels
-            or (r + 1, c) not in pixels
-            or (r, c - 1) not in pixels
-            or (r, c + 1) not in pixels
-        ):
-            out.append((r, c))
-    return out
+def _check_unit_range(values, name):
+    # written so that NaN fails too
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DegenerateInput(
+            f"{name} values non-finite or outside [0, 1] under a candidate"
+        )
 
 
-def _values_at(image, coords):
-    arr = image[[p[0] for p in coords], [p[1] for p in coords]]
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise DegenerateInput("image values outside [0, 1] under candidate")
-    return arr
+def _node_kernel(mask, origin, raw, boundary):
+    """147-entry feature vector of the pixels set in a box mask.
+
+    `origin` is the image position of the box's top-left pixel; `raw`
+    and `boundary` are the same box of the two images.
+    """
+    padded = np.pad(mask, 1)
+    size = float(np.count_nonzero(mask))
+    # 4-neighbor pixel sides between the region and the rest
+    perimeter = np.count_nonzero(padded[:, 1:] != padded[:, :-1])
+    perimeter += np.count_nonzero(padded[1:, :] != padded[:-1, :])
+    circularity = 4.0 * math.pi * size / (perimeter * perimeter)
+
+    if size == 1.0:
+        eccentricity = 0.0
+    else:
+        rows, cols = np.nonzero(mask)
+        coords = np.column_stack((rows + origin[0], cols + origin[1]))
+        cov = np.cov(coords.astype(np.float64).T, bias=True)
+        lo, hi = np.linalg.eigvalsh(cov)
+        eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi) if hi > 0.0 else 0.0
+
+    angles = _angle_histogram(mask)
+
+    contour = mask & ~ndimage.binary_erosion(mask, _CROSS)
+    blocks = [
+        _stats_block(image[pixels])
+        for image in (raw, boundary)
+        for pixels in (mask, contour)
+    ]
+    return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
 
 
 def node_features(pixels, raw, boundary):
     """147-entry feature vector for one candidate's pixel set."""
     if not pixels:
         raise EmptyRegion()
-    pixels = frozenset(map(tuple, pixels))
+    coords = np.array([tuple(p) for p in pixels], dtype=np.int64).reshape(-1, 2)
     raw = np.asarray(raw, dtype=np.float64)
     boundary = np.asarray(boundary, dtype=np.float64)
-
-    size = float(len(pixels))
-
-    perimeter = 0
-    for (r, c) in pixels:
-        for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if q not in pixels:
-                perimeter += 1
-    circularity = 4.0 * math.pi * size / (perimeter * perimeter)
-
-    coords = np.array(sorted(pixels), dtype=np.float64)
-    if len(pixels) == 1:
-        eccentricity = 0.0
-    else:
-        cov = np.cov(coords.T, bias=True)
-        lo, hi = np.linalg.eigvalsh(cov)
-        eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi) if hi > 0.0 else 0.0
-
-    angles = _angle_histogram(pixels)
-
-    ordered = sorted(pixels)
-    contour = _contour_pixels(pixels)
-    blocks = []
-    for image in (raw, boundary):
-        for coords_list in (ordered, contour):
-            blocks.append(_stats_block(_values_at(image, coords_list)))
-    return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
+    (r0, c0), (r1, c1) = coords.min(axis=0), coords.max(axis=0) + 1
+    box = np.s_[r0:r1, c0:c1]
+    mask = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    mask[coords[:, 0] - r0, coords[:, 1] - c0] = True
+    if r0 < 0 or c0 < 0 or any(im[box].shape != mask.shape for im in (raw, boundary)):
+        raise DegenerateInput("candidate pixels outside the image")
+    _check_unit_range(raw[box][mask], "raw")
+    _check_unit_range(boundary[box][mask], "boundary")
+    return _node_kernel(mask, (r0, c0), raw[box], boundary[box])
 
 
-def edge_features(edge, crag, raw, boundary, node_feats):
-    """592-entry feature vector for one adjacency edge."""
-    edge = edge_key(*edge)
-    if edge not in set(crag.adjacency):
-        raise NotAnEdge(edge)
-    i, j = edge
-    vals = np.array(
-        interface_intensities(crag.pixels_of(i), crag.pixels_of(j), boundary)
-    )
+def _checked_images(labels, raw, boundary):
+    """raw and boundary as float64, checked over every pixel a leaf covers.
+
+    Every candidate is a union of leaves, so this is the range check
+    of every candidate at once.
+    """
+    covered = labels != UNCOVERED
+    images = []
+    for name, image in (("raw", raw), ("boundary", boundary)):
+        image = np.asarray(image, dtype=np.float64)
+        if image.shape != labels.shape:
+            raise DimensionMismatch(labels.shape, image.shape)
+        _check_unit_range(image[covered], name)
+        images.append(image)
+    return images
+
+
+def _lookup(leaves, n):
+    """Boolean table over leaf ids, True on `leaves`.
+
+    Indexing it with the leaf label image masks the candidate.  Its
+    last slot lies past every leaf id and stays False; UNCOVERED (-1)
+    indexes it.
+    """
+    lut = np.zeros(n, dtype=bool)
+    lut[list(leaves)] = True
+    return lut
+
+
+def _leaf_pairs(labels, boundary):
+    """Every 4-neighbor pixel pair across two different leaves.
+
+    Returns arrays (leaf_p, leaf_q, p, q, value): p is the upper or left
+    pixel as a flat index, q its neighbor, value max(boundary[p],
+    boundary[q]).
+    """
+    flat = np.arange(labels.size).reshape(labels.shape)
+    parts = []
+    for sl_p, sl_q in (
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[:-1, :], np.s_[1:, :]),
+    ):
+        lp, lq = labels[sl_p], labels[sl_q]
+        cross = (lp != lq) & (lp != UNCOVERED) & (lq != UNCOVERED)
+        value = np.maximum(boundary[sl_p], boundary[sl_q])
+        parts.append(
+            (lp[cross], lq[cross], flat[sl_p][cross], flat[sl_q][cross], value[cross])
+        )
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def _edge_kernel(pairs, lut_i, lut_j, i_smaller, u, v):
+    """592-entry feature vector of the edge between two candidates.
+
+    lut_i / lut_j are the candidates' leaf lookups, u / v their node
+    features; i_smaller says whether candidate i has at most as many
+    pixels as j.
+    """
+    leaf_p, leaf_q, p, q, value = pairs
+    ij = lut_i[leaf_p] & lut_j[leaf_q]
+    ji = lut_j[leaf_p] & lut_i[leaf_q]
+    in_i = np.concatenate([p[ij], q[ji]])
+    in_j = np.concatenate([q[ij], p[ji]])
+    # pairs sorted by (pixel in the smaller region, pixel in the larger)
+    order = np.lexsort((in_j, in_i) if i_smaller else (in_i, in_j))
+    vals = np.concatenate([value[ij], value[ji]])[order]
     _, mean, var, skew, _ = _moments(vals)
-    u, v = np.asarray(node_feats[i]), np.asarray(node_feats[j])
+    u, v = np.asarray(u), np.asarray(v)
     combo = np.empty(4 * len(u))
     combo[0::4] = np.abs(u - v)
     combo[1::4] = np.minimum(u, v)
@@ -204,14 +278,42 @@ def edge_features(edge, crag, raw, boundary, node_feats):
     return np.concatenate([[float(len(vals)), mean, var, skew], combo])
 
 
+def edge_features(edge, crag, raw, boundary, node_feats):
+    """592-entry feature vector for one adjacency edge."""
+    edge = edge_key(*edge)
+    if not crag.has_edge(edge):
+        raise NotAnEdge(edge)
+    labels = crag.leaf_labels()
+    _, boundary = _checked_images(labels, raw, boundary)
+    i, j = edge
+    n = max(crag.leaves()) + 2
+    lut_i = _lookup(crag.leaves_under(i), n)
+    lut_j = _lookup(crag.leaves_under(j), n)
+    i_smaller = np.count_nonzero(lut_i[labels]) <= np.count_nonzero(lut_j[labels])
+    pairs = _leaf_pairs(labels, boundary)
+    return _edge_kernel(pairs, lut_i, lut_j, i_smaller, node_feats[i], node_feats[j])
+
+
 def compute_features(crag, raw, boundary):
     """Feature vectors for every candidate and adjacency edge of a Crag."""
-    node_feats = {
-        cid: node_features(crag.pixels_of(cid), raw, boundary) for cid in crag.ids()
-    }
-    edge_feats = {
-        e: edge_features(e, crag, raw, boundary, node_feats) for e in crag.adjacency
-    }
+    labels = crag.leaf_labels()
+    raw, boundary = _checked_images(labels, raw, boundary)
+    leaf_boxes = ndimage.find_objects(labels + 1)  # leaf id k -> leaf_boxes[k]
+    node_feats, luts = {}, {}
+    for cid in crag.ids():
+        leaves = crag.leaves_under(cid)
+        luts[cid] = _lookup(leaves, len(leaf_boxes) + 1)
+        rows, cols = zip(*(leaf_boxes[k] for k in leaves))
+        r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
+        box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
+        mask = luts[cid][labels[box]]
+        node_feats[cid] = _node_kernel(mask, (r0, c0), raw[box], boundary[box])
+    pairs = _leaf_pairs(labels, boundary)
+    edge_feats = {}
+    for i, j in crag.adjacency:
+        u, v = node_feats[i], node_feats[j]
+        # entry 0 is the size
+        edge_feats[(i, j)] = _edge_kernel(pairs, luts[i], luts[j], u[0] <= v[0], u, v)
     return node_feats, edge_feats
 
 

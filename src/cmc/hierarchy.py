@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .crag import Candidate, build_crag, interface_pairs
-from .errors import DegenerateInput, DimensionMismatch, NoSeeds, NotAdjacent
+from .crag import Candidate, build_crag
+from .errors import DegenerateInput, DimensionMismatch, NoSeeds
 
 
 def _check_boundary(boundary):
@@ -58,30 +58,6 @@ def seeded_watershed(boundary, seed_threshold):
     return labels
 
 
-def interface_intensities(pixels_a, pixels_b, boundary):
-    """max(boundary[p], boundary[q]) for each 4-neighbor pair across the interface."""
-    boundary = np.asarray(boundary, dtype=np.float64)
-    return [
-        max(float(boundary[p]), float(boundary[q]))
-        for p, q in interface_pairs(pixels_a, pixels_b)
-    ]
-
-
-def merge_score(region_a, region_b, boundary):
-    """min(|a|, |b|) times the median interface intensity.
-
-    Median of an even-length list is the mean of the two central
-    values.  Raises NotAdjacent when the regions share no 4-neighbor
-    pixel pair.
-    """
-    a = frozenset(map(tuple, region_a))
-    b = frozenset(map(tuple, region_b))
-    vals = interface_intensities(a, b, boundary)
-    if not vals:
-        raise NotAdjacent()
-    return min(len(a), len(b)) * float(np.median(vals))
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     child_a: int
@@ -105,6 +81,9 @@ def _pair(a, b):
 def build_merge_tree(superpixels, boundary):
     """Greedy agglomeration: always merge the lowest-score adjacent pair.
 
+    A pair's score is min(|a|, |b|) times the median of max(boundary[p],
+    boundary[q]) over its 4-neighbor pixel pairs (p in a, q in b); the
+    median of an even count is the mean of the two central values.
     Scores of edges incident to the freshly merged region are
     recomputed (sizes change and interfaces concatenate); ties pick the
     smallest (min_id, max_id) pair.  New ids continue above the largest

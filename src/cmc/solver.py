@@ -424,18 +424,16 @@ def extract_segmentation(crag, solution):
             if a != b:
                 group[max(a, b)] = min(a, b)
 
-    components = {}
+    # component root + 1 per leaf id; the extra last slot (indexed by
+    # UNCOVERED) and unselected leaves stay 0
+    leaf_labels = crag.leaf_labels()
+    root_of_leaf = np.zeros(max(crag.leaves()) + 2, dtype=np.int64)
     for i in selected:
-        components.setdefault(find(i), []).append(i)
-    keyed = []
-    for members in components.values():
-        first_pixel = min(min(crag.pixels_of(i)) for i in members)
-        keyed.append((first_pixel, members))
-    keyed.sort()
-
-    labels = np.zeros((crag.height, crag.width), dtype=np.int64)
-    for label, (_, members) in enumerate(keyed, start=1):
-        for cid in members:
-            for (r, c) in crag.pixels_of(cid):
-                labels[r, c] = label
-    return labels
+        root_of_leaf[list(crag.leaves_under(i))] = find(i) + 1
+    roots = root_of_leaf[leaf_labels].ravel()
+    # number components by their first pixel in row-major order
+    found, first = np.unique(roots, return_index=True)
+    found, first = found[found > 0], first[found > 0]
+    relabel = np.zeros(int(found.max(initial=0)) + 1, dtype=np.int64)
+    relabel[found[np.argsort(first)]] = np.arange(1, len(found) + 1)
+    return relabel[roots].reshape(leaf_labels.shape)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cmc.crag import (
+    UNCOVERED,
     Candidate,
     Solution,
     _decode_pixels,
@@ -15,7 +16,6 @@ from cmc.crag import (
     edge_from_str,
     edge_key,
     edge_to_str,
-    interface_pairs,
     objective_value,
     regions_touch,
     shortest_selected_path,
@@ -32,7 +32,8 @@ from cmc.errors import (
     OverlappingLeaves,
     SubsetNotForest,
 )
-from util import quad_crag, random_crag, zero_solution
+from cmc.features import edge_feature_names, edge_features
+from util import quad_crag, random_crag, random_sparse_crag, zero_solution
 
 
 def test_edge_key_canonical():
@@ -69,6 +70,12 @@ def test_duplicate_id_rejected():
     ]
     with pytest.raises(CmcError):
         build_crag(cands, [], [], 2, 1)
+
+
+def test_negative_id_rejected():
+    # negative ids would collide with the UNCOVERED label
+    with pytest.raises(CmcError):
+        build_crag([Candidate(-1, 0, pixels=frozenset([(0, 0)]))], [], [], 1, 1)
 
 
 def test_negative_level_rejected():
@@ -282,12 +289,26 @@ def test_shortest_selected_path():
 
 
 def test_interface_pairs_and_touch():
+    """Two 2x1 columns share two 4-neighbor pairs, ((0,0),(0,1)) and
+    ((1,0),(1,1)); the edge features see exactly those pairs."""
     a = {(0, 0), (1, 0)}
     b = {(0, 1), (1, 1)}
-    pairs = interface_pairs(a, b)
-    assert pairs == [((0, 0), (0, 1)), ((1, 0), (1, 1))]
-    # swapping argument order swaps the pair orientation
-    assert interface_pairs(b, a) == [((0, 1), (0, 0)), ((1, 1), (1, 0))]
+    crag = build_crag(
+        [Candidate(1, 0, pixels=frozenset(a)), Candidate(2, 0, pixels=frozenset(b))],
+        [(1, 2)], [], 2, 2,
+    )
+    boundary = np.array([[0.1, 0.5], [0.3, 0.2]])
+    nf = {1: np.zeros(147), 2: np.zeros(147)}
+    f = edge_features((1, 2), crag, np.zeros((2, 2)), boundary, nf)
+    names = edge_feature_names()
+    # pair maxima 0.5 and 0.3
+    assert f[names.index("contact_area")] == 2.0
+    assert f[names.index("interface_mean")] == pytest.approx(0.4)
+    assert f[names.index("interface_var")] == pytest.approx(0.01)
+    assert f[names.index("interface_skew")] == pytest.approx(0.0, abs=1e-12)
+    # swapping the argument order leaves the interface unchanged
+    swapped = edge_features((2, 1), crag, np.zeros((2, 2)), boundary, nf)
+    assert np.array_equal(swapped, f)
     assert regions_touch(a, b)
     assert not regions_touch(a, {(0, 2)})
     assert not regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
@@ -325,6 +346,32 @@ def test_crag_json_roundtrip():
     for crag in crags:
         blob = json.dumps(crag_to_json(crag), sort_keys=True)
         assert crag_from_json(json.loads(blob)) == crag
+
+
+def test_leaf_labels_quad_and_uncovered():
+    crag = quad_crag()
+    labels = crag.leaf_labels()
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [[1, 1, 2, 2], [1, 3, 3, 2], [1, 3, 3, 4], [4, 4, 4, 4]]
+    assert not labels.flags.writeable
+    assert crag.leaf_labels() is labels
+    crag = build_crag([Candidate(1, 0, pixels=frozenset([(0, 1)]))], [], [], 3, 1)
+    assert crag.leaf_labels().tolist() == [[UNCOVERED, 1, UNCOVERED]]
+
+
+def test_leaf_labels_json_roundtrip():
+    rng = np.random.default_rng(23)
+    crags = [quad_crag()] + [random_sparse_crag(rng) for _ in range(20)]
+    assert any((c.leaf_labels() == UNCOVERED).any() for c in crags)
+    for crag in crags:
+        labels = crag.leaf_labels()
+        assert labels.shape == (crag.height, crag.width)
+        for leaf in crag.leaves():
+            assert {tuple(p) for p in np.argwhere(labels == leaf).tolist()} == (
+                crag.pixels_of(leaf)
+            )
+        back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
+        assert np.array_equal(back.leaf_labels(), labels)
 
 
 def test_solution_json_roundtrip():

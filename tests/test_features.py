@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from cmc.errors import DegenerateInput, EmptyRegion, NotAnEdge
+from cmc.crag import Candidate, build_crag
+from cmc.errors import DegenerateInput, DimensionMismatch, EmptyRegion, NotAnEdge
 from cmc.features import (
     _angle_histogram,
-    _contour_pixels,
+    _moments,
+    _stats_block,
     _trace_contour,
     compute_features,
     edge_feature_names,
@@ -18,7 +20,7 @@ from cmc.features import (
     node_features,
 )
 
-from util import quad_crag
+from util import quad_crag, random_sparse_crag
 
 NODE_NAMES = node_feature_names()
 EDGE_NAMES = edge_feature_names()
@@ -30,6 +32,137 @@ def idx(name):
 
 def flat_images(h=16, w=16, value=0.0):
     return np.full((h, w), value), np.full((h, w), value)
+
+
+# ---------------------------------------------------------------------------
+# per-pixel reference: the frozenset implementation the label-image kernel
+# replaced, kept as the oracle it must reproduce
+
+_MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+_NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def to_mask(pixels):
+    """Box mask of a pixel set, and the image position of its corner."""
+    rows = [r for r, _ in pixels]
+    cols = [c for _, c in pixels]
+    r0, c0 = min(rows), min(cols)
+    mask = np.zeros((max(rows) - r0 + 1, max(cols) - c0 + 1), dtype=bool)
+    for (r, c) in pixels:
+        mask[r - r0, c - c0] = True
+    return mask, (r0, c0)
+
+
+def ref_trace_contour(pixels):
+    """Moore walk over a pixel set; one period of the (pixel, backtrack) walk."""
+    start = min(pixels)
+    seen = {}
+    seq = []
+    cur, back = start, (start[0], start[1] - 1)
+    while (cur, back) not in seen:
+        seen[(cur, back)] = len(seq)
+        seq.append(cur)
+        idx = _MOORE.index((back[0] - cur[0], back[1] - cur[1]))
+        nxt = None
+        for k in range(1, 9):
+            off = _MOORE[(idx + k) % 8]
+            q = (cur[0] + off[0], cur[1] + off[1])
+            if q in pixels:
+                prev = _MOORE[(idx + k - 1) % 8]
+                nxt, nback = q, (cur[0] + prev[0], cur[1] + prev[1])
+                break
+        if nxt is None:
+            return seq
+        cur, back = nxt, nback
+    return seq[seen[(cur, back)]:]
+
+
+def ref_angle_histogram(pixels):
+    hist = np.zeros(16)
+    if len(pixels) < 2:
+        return hist
+    # one 8-connected component, by flood fill
+    todo, reached = [min(pixels)], {min(pixels)}
+    while todo:
+        r, c = todo.pop()
+        for dr, dc in _MOORE:
+            q = (r + dr, c + dc)
+            if q in pixels and q not in reached:
+                reached.add(q)
+                todo.append(q)
+    if len(reached) != len(pixels):
+        return hist
+    contour = ref_trace_contour(pixels)
+    if len(contour) < 2:
+        return hist
+    closed = contour + [contour[0]]
+    for (ra, ca), (rb, cb) in zip(closed, closed[1:]):
+        angle = math.atan2(rb - ra, cb - ca) % (2.0 * math.pi)
+        hist[int(angle / (2.0 * math.pi / 16)) % 16] += 1.0
+    return hist
+
+
+def ref_contour_pixels(pixels):
+    """Pixels with a 4-neighbor outside the set, in set iteration order."""
+    return [
+        (r, c)
+        for (r, c) in pixels
+        if any((r + dr, c + dc) not in pixels for dr, dc in _NEIGHBORS4)
+    ]
+
+
+def ref_node_features(pixels, raw, boundary):
+    pixels = frozenset(pixels)
+    size = float(len(pixels))
+    perimeter = sum(
+        (r + dr, c + dc) not in pixels for (r, c) in pixels for dr, dc in _NEIGHBORS4
+    )
+    circularity = 4.0 * math.pi * size / (perimeter * perimeter)
+    ordered = sorted(pixels)
+    eccentricity = 0.0
+    if len(pixels) > 1:
+        lo, hi = np.linalg.eigvalsh(
+            np.cov(np.array(ordered, dtype=np.float64).T, bias=True)
+        )
+        if hi > 0.0:
+            eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi)
+    contour = ref_contour_pixels(pixels)
+    blocks = [
+        _stats_block(np.array([image[p] for p in coords]))
+        for image in (raw, boundary)
+        for coords in (ordered, contour)
+    ]
+    return np.concatenate(
+        [[size, circularity, eccentricity], ref_angle_histogram(pixels)] + blocks
+    )
+
+
+def ref_edge_features(pixels_i, pixels_j, boundary, u, v):
+    """Interface pairs sorted by (pixel of the smaller region, pixel of
+    the larger), ties going to i; values max(boundary[p], boundary[q])."""
+    small, large = (
+        (pixels_i, pixels_j) if len(pixels_i) <= len(pixels_j) else (pixels_j, pixels_i)
+    )
+    pairs = sorted(
+        ((r, c), (r + dr, c + dc))
+        for (r, c) in small
+        for dr, dc in _NEIGHBORS4
+        if (r + dr, c + dc) in large
+    )
+    vals = np.array([max(float(boundary[p]), float(boundary[q])) for p, q in pairs])
+    _, mean, var, skew, _ = _moments(vals)
+    combo = np.stack([np.abs(u - v), np.minimum(u, v), np.maximum(u, v), u + v], axis=1)
+    return np.concatenate([[float(len(vals)), mean, var, skew], combo.ravel()])
+
+
+# node entries whose order of summation changed (contour pixels used to be
+# summed in hash-set order, now row-major), and the edge entries built from them
+CONTOUR_MOMENTS = [
+    NODE_NAMES.index(f"{image}_contour_{stat}")
+    for image in ("raw", "boundary")
+    for stat in ("sum", "mean", "var", "skew", "kurt")
+]
+CONTOUR_COMBOS = [4 + 4 * k + d for k in CONTOUR_MOMENTS for d in range(4)]
 
 
 def test_schema_lengths_and_uniqueness():
@@ -102,21 +235,22 @@ def test_line_eccentricity_one():
 
 def test_contour_trace_domino():
     # one full cycle of the boundary walk: two pixels, east then west
-    tr = _trace_contour(frozenset({(0, 0), (0, 1)}))
+    tr = _trace_contour(to_mask({(0, 0), (0, 1)})[0])
     assert sorted(tr) == [(0, 0), (0, 1)]
     assert len(tr) == 2
 
 
 def test_contour_trace_square_ring():
     sq = frozenset((r, c) for r in range(3) for c in range(3))
-    tr = _trace_contour(sq)
+    tr = _trace_contour(to_mask(sq)[0])
     assert len(tr) == 8
     assert set(tr) == sq - {(1, 1)}
 
 
 def test_angle_histogram_oracles():
     def bins(pixels):
-        h = _angle_histogram(frozenset(pixels))
+        h = _angle_histogram(to_mask(pixels)[0])
+        assert np.array_equal(h, ref_angle_histogram(frozenset(pixels)))
         return {b: h[b] for b in np.nonzero(h)[0].tolist()}
 
     assert bins({(0, 0), (0, 1)}) == {0: 1.0, 8: 1.0}
@@ -129,16 +263,20 @@ def test_angle_histogram_oracles():
 
 
 def test_angle_histogram_degenerate_regions():
-    assert not _angle_histogram(frozenset({(4, 4)})).any()
+    assert not _angle_histogram(to_mask({(4, 4)})[0]).any()
     # two 8-disconnected pixels: no single contour
-    assert not _angle_histogram(frozenset({(0, 0), (0, 2)})).any()
-    assert not _angle_histogram(frozenset({(0, 0), (2, 2), (4, 0)})).any()
+    assert not _angle_histogram(to_mask({(0, 0), (0, 2)})[0]).any()
+    assert not _angle_histogram(to_mask({(0, 0), (2, 2), (4, 0)})[0]).any()
 
 
 def test_angle_histogram_translation_exact():
     blob = frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)})
     moved = frozenset((r + 7, c + 5) for (r, c) in blob)
-    assert np.array_equal(_angle_histogram(blob), _angle_histogram(moved))
+    raw, boundary = flat_images()
+    angles = np.s_[3:19]
+    hist = node_features(blob, raw, boundary)[angles]
+    assert hist.any()
+    assert np.array_equal(hist, node_features(moved, raw, boundary)[angles])
 
 
 def test_intensity_histograms_sum_to_pixel_counts():
@@ -147,7 +285,7 @@ def test_intensity_histograms_sum_to_pixel_counts():
     boundary = rng.random((12, 12))
     blob = {(2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (3, 4)}
     f = node_features(blob, raw, boundary)
-    n_contour = len(_contour_pixels(frozenset(blob)))
+    n_contour = len(ref_contour_pixels(frozenset(blob)))
     for prefix, total in (
         ("raw_all", len(blob)),
         ("boundary_all", len(blob)),
@@ -316,3 +454,115 @@ def test_random_blob_properties():
         assert f[idx("raw_all_sum")] == pytest.approx(
             sum(raw[r, c] for (r, c) in blob)
         )
+
+
+def sparse_instances(seed, count):
+    """Random sparse CRAGs with random images; uncovered pixels hold NaN."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        crag = random_sparse_crag(rng)
+        raw = rng.random((crag.height, crag.width))
+        boundary = rng.random((crag.height, crag.width))
+        uncovered = crag.leaf_labels() < 0
+        raw[uncovered] = np.nan
+        boundary[uncovered] = np.nan
+        yield crag, raw, boundary
+
+
+def test_trace_contour_matches_reference():
+    for crag, _, _ in sparse_instances(31, 40):
+        for cid in crag.ids():
+            pixels = crag.pixels_of(cid)
+            mask, (r0, c0) = to_mask(pixels)
+            got = [(r + r0, c + c0) for r, c in _trace_contour(mask)]
+            assert got == ref_trace_contour(pixels)
+
+
+def test_compute_features_matches_per_pixel_reference():
+    """Label-image kernel against the frozenset reference: bit-identical
+    except the contour moments, whose summation order changed."""
+    other = np.ones(len(NODE_NAMES), dtype=bool)
+    other[CONTOUR_MOMENTS] = False
+    edge_other = np.ones(len(EDGE_NAMES), dtype=bool)
+    edge_other[CONTOUR_COMBOS] = False
+    seen = {"uncovered": 0, "disconnected": 0, "edges": 0}
+    for crag, raw, boundary in sparse_instances(37, 60):
+        seen["uncovered"] += int((crag.leaf_labels() < 0).any())
+        nf, ef = compute_features(crag, raw, boundary)
+        ref = {
+            cid: ref_node_features(crag.pixels_of(cid), raw, boundary)
+            for cid in crag.ids()
+        }
+        for cid in crag.ids():
+            angles = ref[cid][3:19]
+            seen["disconnected"] += len(crag.pixels_of(cid)) > 1 and not angles.any()
+            assert np.array_equal(nf[cid][other], ref[cid][other])
+            assert np.allclose(
+                nf[cid][CONTOUR_MOMENTS],
+                ref[cid][CONTOUR_MOMENTS],
+                rtol=1e-12,
+                atol=1e-12,
+            )
+        for i, j in crag.adjacency:
+            want = ref_edge_features(
+                crag.pixels_of(i), crag.pixels_of(j), boundary, ref[i], ref[j]
+            )
+            got = ef[(i, j)]
+            seen["edges"] += 1
+            assert np.array_equal(got[edge_other], want[edge_other])
+            # |u - v| cancels, so bound the error by the operands' size
+            scale = np.repeat(np.abs(ref[i]) + np.abs(ref[j]), 4)[
+                np.array(CONTOUR_COMBOS) - 4
+            ]
+            err = np.abs(got[CONTOUR_COMBOS] - want[CONTOUR_COMBOS])
+            assert np.all(err <= 1e-12 * (1.0 + scale))
+    # the instances exercise what the kernel must get right
+    assert seen["uncovered"] > 30 and seen["disconnected"] > 10 and seen["edges"] > 200
+
+
+def test_adaptors_share_the_kernel():
+    for crag, raw, boundary in sparse_instances(43, 15):
+        nf, ef = compute_features(crag, raw, boundary)
+        for cid in crag.ids():
+            got = node_features(crag.pixels_of(cid), raw, boundary)
+            assert np.array_equal(got, nf[cid])
+        for edge in crag.adjacency:
+            got = edge_features(edge, crag, raw, boundary, nf)
+            assert np.array_equal(got, ef[edge])
+
+
+def test_non_finite_image_rejected():
+    crag = quad_crag()
+    half = np.full((4, 4), 0.5)
+    raw = half.copy()
+    raw[1, 2] = np.nan
+    with pytest.raises(DegenerateInput):
+        compute_features(crag, raw, half)
+    with pytest.raises(DegenerateInput):
+        node_features({(1, 2)}, raw, half)
+    for bad in (np.inf, -np.inf):
+        boundary = half.copy()
+        boundary[3, 0] = bad
+        with pytest.raises(DegenerateInput):
+            compute_features(crag, half, boundary)
+        with pytest.raises(DegenerateInput):
+            edge_features((1, 4), crag, half, boundary, {1: half, 4: half})
+    # pixels no leaf covers are not looked at
+    leaf = Candidate(1, 0, pixels=frozenset({(0, 0), (0, 1)}))
+    crag = build_crag([leaf], [], [], 3, 1)
+    raw = np.array([[0.5, 0.5, np.nan]])
+    nf, _ = compute_features(crag, raw, np.array([[0.5, 0.5, np.inf]]))
+    assert np.isfinite(nf[1]).all()
+
+
+def test_image_shape_must_match_crag():
+    crag = quad_crag()
+    with pytest.raises(DimensionMismatch):
+        compute_features(crag, np.zeros((5, 4)), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatch):
+        compute_features(crag, np.zeros((4, 4)), np.zeros((4, 3)))
+    raw, boundary = flat_images(4, 4)
+    with pytest.raises(DegenerateInput):
+        node_features({(3, 3), (3, 4)}, raw, boundary)
+    with pytest.raises(DegenerateInput):
+        node_features({(-1, 0)}, raw, boundary)

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from cmc.errors import DegenerateInput, NoSeeds, NotAdjacent
-from cmc.hierarchy import (
-    build_merge_tree,
-    extract_candidates,
-    interface_intensities,
-    merge_score,
-    seeded_watershed,
-)
+from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
+
+from util import brute_merge_score
 
 
 def strip_tree():
@@ -79,40 +75,49 @@ def test_watershed_rejects_bad_boundary():
 
 
 # ---------------------------------------------------------------------------
-# merge score
+# merge score, read off the score of build_merge_tree's events
+
+
+def event_tuples(superpixels, boundary):
+    tree = build_merge_tree(np.array(superpixels), np.array(boundary, dtype=float))
+    return [(e.child_a, e.child_b, e.score) for e in tree.events]
 
 
 def test_merge_score_formula():
-    # |a|=3, |b|=5, interface intensities {0.2, 0.4, 0.6} -> 3 * 0.4
+    # |a|=3, |b|=6, interface intensities {0.2, 0.4, 0.6} -> 3 * 0.4,
+    # whichever region carries the smaller id
     boundary = np.zeros((3, 3))
     boundary[0] = [0.2, 0.4, 0.6]
-    a = [(0, 0), (0, 1), (0, 2)]
-    b = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
-    assert merge_score(a, b, boundary) == pytest.approx(3 * 0.4)
+    for small, big in ((1, 2), (2, 1)):
+        superpixels = [[small] * 3, [big] * 3, [big] * 3]
+        [(_, _, score)] = event_tuples(superpixels, boundary)
+        assert score == pytest.approx(3 * 0.4)
 
 
 def test_merge_score_even_median():
     # |a|=|b|=2, intensities {0.1, 0.3} -> 2 * 0.2
     boundary = np.array([[0.1, 0.1], [0.3, 0.3]])
-    a = [(0, 0), (1, 0)]
-    b = [(0, 1), (1, 1)]
-    assert merge_score(a, b, boundary) == pytest.approx(2 * 0.2)
+    [(_, _, score)] = event_tuples([[1, 2], [1, 2]], boundary)
+    assert score == pytest.approx(2 * 0.2)
 
 
 def test_merge_score_zero_boundary():
-    boundary = np.zeros((1, 4))
-    assert merge_score([(0, 0), (0, 1)], [(0, 2)], boundary) == 0.0
+    events = event_tuples([[1, 1, 2, 3]], np.zeros((1, 4)))
+    assert events[0] == (1, 2, 0.0)
 
 
 def test_merge_score_not_adjacent():
-    boundary = np.zeros((1, 4))
+    # 1 and 2 never touch: no event merges them directly
+    events = event_tuples([[1, 3, 2]], np.zeros((1, 3)))
+    assert (1, 2) not in [(a, b) for a, b, _ in events]
+    assert events[0][:2] in ((1, 3), (2, 3))
     with pytest.raises(NotAdjacent):
-        merge_score([(0, 0)], [(0, 2)], boundary)
+        brute_merge_score([(0, 0)], [(0, 2)], np.zeros((1, 3)))
 
 
 def test_interface_intensities_max_of_pair():
-    boundary = np.array([[0.2, 0.7]])
-    assert interface_intensities([(0, 0)], [(0, 1)], boundary) == [0.7]
+    # the single interface value is max(0.2, 0.7), and min(|a|, |b|) = 1
+    assert event_tuples([[1, 2]], [[0.2, 0.7]]) == [(1, 2, 0.7)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,9 @@ def test_replay_each_merge_is_minimal():
         for i_pos, a in enumerate(live):
             for b in live[i_pos + 1:]:
                 try:
-                    scores[(a, b)] = merge_score(regions[a], regions[b], boundary)
+                    scores[(a, b)] = brute_merge_score(
+                        regions[a], regions[b], boundary
+                    )
                 except NotAdjacent:
                     pass
         best = min(scores.items(), key=lambda kv: (kv[1], kv[0]))

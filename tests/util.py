@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from cmc.costmodel import CostTable
+from cmc.errors import NotAdjacent
 from cmc.crag import (
     Candidate,
     Solution,
@@ -129,20 +130,7 @@ def random_crag(rng, budget=26):
     cells = [(r, c) for r in range(h) for c in range(w)]
     n_leaves = min(int(rng.integers(2, 6)), len(cells))
 
-    seed_idx = rng.choice(len(cells), size=n_leaves, replace=False)
-    owner = {cells[k]: lab for lab, k in enumerate(seed_idx, start=1)}
-    remaining = [p for p in cells if p not in owner]
-    while remaining:
-        grow = [
-            (p, owner[q])
-            for p in remaining
-            for q in _neighbors4(p)
-            if q in owner
-        ]
-        p, lab = grow[int(rng.integers(len(grow)))]
-        owner[p] = lab
-        remaining.remove(p)
-
+    owner = _grow_leaves(rng, cells, n_leaves)
     pixels = {lab: set() for lab in range(1, n_leaves + 1)}
     for p, lab in owner.items():
         pixels[lab].add(p)
@@ -188,12 +176,88 @@ def random_crag(rng, budget=26):
     return build_crag(candidates, valid[:keep], subset, w, h)
 
 
+def _grow_leaves(rng, cells, n_leaves):
+    """Multi-source random growth: pixel -> leaf label 1..n_leaves."""
+    seed_idx = rng.choice(len(cells), size=n_leaves, replace=False)
+    owner = {cells[k]: lab for lab, k in enumerate(seed_idx, start=1)}
+    remaining = [p for p in cells if p not in owner]
+    while remaining:
+        grow = [
+            (p, owner[q])
+            for p in remaining
+            for q in _neighbors4(p)
+            if q in owner
+        ]
+        p, lab = grow[int(rng.integers(len(grow)))]
+        owner[p] = lab
+        remaining.remove(p)
+    return owner
+
+
+def random_sparse_crag(rng):
+    """Random CRAG for pixel-level checks, not for the solver oracle.
+
+    Leaves are grown on a 3-9 px grid, then about a fifth of the pixels
+    are left uncovered, so leaves become non-convex and may fall apart.
+    Random root pairs merge whether or not they touch (multi-component
+    candidates, unbounded depth), and the adjacency holds every
+    disjoint touching pair.
+    """
+    h, w = (int(v) for v in rng.integers(3, 10, size=2))
+    cells = [(r, c) for r in range(h) for c in range(w)]
+    owner = _grow_leaves(rng, cells, int(rng.integers(2, 8)))
+    pixels = {}
+    for p, lab in sorted(owner.items()):
+        if rng.random() >= 0.2 or not pixels:
+            pixels.setdefault(lab, set()).add(p)
+    candidates = [
+        Candidate(lab, 0, pixels=frozenset(pix)) for lab, pix in sorted(pixels.items())
+    ]
+    roots = sorted(pixels)
+    level = dict.fromkeys(roots, 0)
+    subset = []
+    next_id = max(roots) + 1
+    for _ in range(int(rng.integers(0, len(roots)))):
+        a, b = (roots.pop(int(rng.integers(len(roots)))) for _ in range(2))
+        level[next_id] = 1 + max(level[a], level[b])
+        candidates.append(
+            Candidate(next_id, level[next_id], children=tuple(sorted((a, b))))
+        )
+        subset += [(a, next_id), (b, next_id)]
+        roots.append(next_id)
+        next_id += 1
+    crag0 = build_crag(candidates, [], subset, w, h)
+    adjacency = [
+        (i, j)
+        for i, j in itertools.combinations(crag0.ids(), 2)
+        if crag0.pixels_of(i).isdisjoint(crag0.pixels_of(j))
+        and _touch(crag0.pixels_of(i), crag0.pixels_of(j))
+    ]
+    return build_crag(candidates, adjacency, subset, w, h)
+
+
 def _touch(pa, pb):
     for p in pa:
         for q in _neighbors4(p):
             if q in pb:
                 return True
     return False
+
+
+def brute_merge_score(region_a, region_b, boundary):
+    """Merge score from scratch: min(|a|, |b|) times the median of
+    max(boundary[p], boundary[q]) over every 4-neighbor pair p in a,
+    q in b.  Raises NotAdjacent when no such pair exists."""
+    a, b = set(region_a), set(region_b)
+    vals = [
+        max(float(boundary[p]), float(boundary[q]))
+        for p in a
+        for q in _neighbors4(p)
+        if q in b
+    ]
+    if not vals:
+        raise NotAdjacent()
+    return min(len(a), len(b)) * float(np.median(vals))
 
 
 def random_costs(rng, crag):
