@@ -22,6 +22,7 @@ from .pipeline import (
     PipelineConfig,
     build_graph,
     config_from_json,
+    dump_json,
     model_from_json,
     model_to_json,
     run_pipeline,
@@ -38,12 +39,6 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _dump_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_build_crag(args):
     boundary = read_probability(args.boundary)
     superpixels = read_labels(args.superpixels) if args.superpixels else None
@@ -53,7 +48,7 @@ def _cmd_build_crag(args):
         score_threshold=args.score_threshold,
     )
     crag = build_graph(boundary, config, superpixels=superpixels)
-    _dump_json(args.out, crag_to_json(crag))
+    dump_json(args.out, crag_to_json(crag))
     return 0
 
 
@@ -62,7 +57,7 @@ def _cmd_features(args):
     raw = read_probability(args.raw)
     boundary = read_probability(args.boundary)
     node_feats, edge_feats = compute_features(crag, raw, boundary)
-    _dump_json(args.out, features_to_json(node_feats, edge_feats))
+    dump_json(args.out, features_to_json(node_feats, edge_feats))
     return 0
 
 
@@ -76,7 +71,7 @@ def _cmd_train(args):
         gt = read_labels(gt_path)
         instances.append((crag, node_feats, edge_feats, gt))
     model = train_from_instances(instances, args.n_trees, args.rng_seed)
-    _dump_json(args.out, model_to_json(model))
+    dump_json(args.out, model_to_json(model))
     return 0
 
 
@@ -87,7 +82,7 @@ def _cmd_costs(args):
     costs = predict_costs(
         model["node_forest"], model["edge_forest"], crag, node_feats, edge_feats
     )
-    _dump_json(args.out, costs_to_json(costs))
+    dump_json(args.out, costs_to_json(costs))
     return 0
 
 
@@ -97,7 +92,7 @@ def _cmd_solve(args):
     solution = solve(
         crag, costs, mode=MODE_NAMES[args.mode], time_limit=args.time_limit
     )
-    _dump_json(args.out, solution_to_json(solution))
+    dump_json(args.out, solution_to_json(solution))
     if args.seg:
         write_labels(args.seg, extract_segmentation(crag, solution))
     print(
@@ -113,7 +108,7 @@ def _cmd_eval(args):
     metrics = segmentation_metrics(
         pred, gt, ignore_background=args.ignore_background
     )
-    _dump_json(args.out, metrics)
+    dump_json(args.out, metrics)
     for key in sorted(metrics):
         print(f"{key} {metrics[key]:.6f}")
     return 0
@@ -123,7 +118,7 @@ def _cmd_best_effort(args):
     crag = crag_from_json(_load_json(args.crag))
     gt = read_labels(args.gt)
     solution = best_effort(crag, gt, mode=MODE_NAMES[args.mode])
-    _dump_json(args.out, solution_to_json(solution))
+    dump_json(args.out, solution_to_json(solution))
     return 0
 
 

@@ -117,12 +117,13 @@ UNCOVERED = -1  # leaf_labels() value of pixels no leaf covers; never an id
 class Crag:
     """Immutable after construction; build via build_crag().
 
-    `leaf_labels()` is the pixel representation: an int64 (height, width)
-    image of leaf ids, UNCOVERED where no leaf lies (leaves need not
-    cover the image).  It is built on first use and cached.
+    `leaf_labels()` is the pixel representation: a read-only int64
+    (height, width) image of leaf ids, UNCOVERED where no leaf lies
+    (leaves need not cover the image).  build_crag paints it while it
+    checks the leaves, and hands it to the Crag it returns.
     """
 
-    def __init__(self, candidates, adjacency, subset, width, height):
+    def __init__(self, candidates, adjacency, subset, width, height, leaf_labels):
         self.candidates = dict(candidates)  # id -> Candidate
         self.adjacency = tuple(sorted(adjacency))
         self.subset = dict(subset)  # child id -> parent id
@@ -131,7 +132,7 @@ class Crag:
         self._edges = frozenset(self.adjacency)
         self._pixel_cache = {}
         self._leaves_under = {}
-        self._leaf_labels = None
+        self._leaf_labels = leaf_labels
 
     def __eq__(self, other):
         if not isinstance(other, Crag):
@@ -178,16 +179,7 @@ class Crag:
     def leaves_under(self, cid):
         """Sorted leaf ids of the subtree rooted at cid (cid itself if leaf)."""
         if cid not in self._leaves_under:
-            found = []
-            stack = [cid]
-            while stack:
-                node = stack.pop()
-                kids = self.candidates[node].children
-                if kids:
-                    stack.extend(kids)
-                else:
-                    found.append(node)
-            self._leaves_under[cid] = tuple(sorted(found))
+            self._leaves_under[cid] = _leaves_under(self.candidates, cid)
         return self._leaves_under[cid]
 
     def pixels_of(self, cid):
@@ -208,32 +200,68 @@ class Crag:
 
     def leaf_labels(self):
         """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
-        if self._leaf_labels is None:
-            labels = np.full((self.height, self.width), UNCOVERED, dtype=np.int64)
-            for leaf in self.leaves():
-                pixels = self.candidates[leaf].pixels
-                coords = np.fromiter(
-                    itertools.chain.from_iterable(pixels), np.int64, 2 * len(pixels)
-                )
-                labels[coords[0::2], coords[1::2]] = leaf
-            labels.flags.writeable = False
-            self._leaf_labels = labels
         return self._leaf_labels
 
 
-def regions_touch(pixels_a, pixels_b):
-    """Whether any 4-neighbor pixel pair crosses between the two sets."""
-    if len(pixels_a) > len(pixels_b):
-        pixels_a, pixels_b = pixels_b, pixels_a
-    for (r, c) in pixels_a:
-        if (
-            (r - 1, c) in pixels_b
-            or (r + 1, c) in pixels_b
-            or (r, c - 1) in pixels_b
-            or (r, c + 1) in pixels_b
-        ):
-            return True
-    return False
+def _leaves_under(candidates, cid):
+    """Sorted leaf ids of the subtree rooted at cid in an id -> Candidate map."""
+    found = []
+    stack = [cid]
+    while stack:
+        node = stack.pop()
+        kids = candidates[node].children
+        if kids:
+            stack.extend(kids)
+        else:
+            found.append(node)
+    return tuple(sorted(found))
+
+
+def _paint_leaves(cand_map, width, height):
+    """The leaf label image, checking that leaves lie in bounds and are disjoint.
+
+    Leaves are painted one at a time in sorted id order; the first leaf
+    with a pixel outside the image raises LeavesDoNotCoverImage, the
+    first to land on an already painted pixel raises OverlappingLeaves
+    naming it and that pixel's owner.
+    """
+    labels = np.full(height * width, UNCOVERED, dtype=np.int64)
+    for cid in sorted(i for i, c in cand_map.items() if not c.children):
+        pixels = cand_map[cid].pixels
+        coords = np.fromiter(
+            itertools.chain.from_iterable(pixels), np.int64, 2 * len(pixels)
+        )
+        rows, cols = coords[0::2], coords[1::2]
+        outside = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise LeavesDoNotCoverImage(
+                f"pixel ({rows[k]}, {cols[k]}) of leaf {cid} outside {height}x{width}"
+            )
+        flat = rows * width + cols
+        owners = labels[flat]
+        taken = owners != UNCOVERED
+        if taken.any():
+            raise OverlappingLeaves(int(owners[np.argmax(taken)]), cid)
+        labels[flat] = cid
+    labels = labels.reshape(height, width)
+    labels.flags.writeable = False
+    return labels
+
+
+def _touching_leaves(labels):
+    """leaf id -> set of leaf ids it shares a 4-neighbor pixel pair with."""
+    touching = {}
+    for la, lb in (
+        (labels[:, :-1], labels[:, 1:]),
+        (labels[:-1, :], labels[1:, :]),
+    ):
+        cross = (la != lb) & (la != UNCOVERED) & (lb != UNCOVERED)
+        pairs = np.unique(np.stack([la[cross], lb[cross]]), axis=1)
+        for a, b in zip(*pairs.tolist()):
+            touching.setdefault(a, set()).add(b)
+            touching.setdefault(b, set()).add(a)
+    return touching
 
 
 def build_crag(candidates, adjacency, subset, width, height):
@@ -241,7 +269,11 @@ def build_crag(candidates, adjacency, subset, width, height):
 
     Checks: unique ids, children/subset consistency, the subset relation
     is a forest, leaves carry in-bounds pairwise-disjoint pixels, every
-    adjacency edge joins two disjoint touching candidates.
+    adjacency edge joins two disjoint touching candidates.  The leaf
+    check paints the label image that becomes the Crag's leaf_labels();
+    edges are then checked on leaves: two candidates overlap iff their
+    leaf sets intersect (leaves are non-empty and disjoint), and touch
+    iff some leaf of one touches some leaf of the other.
     """
     cand_map = {}
     for cand in candidates:
@@ -294,20 +326,10 @@ def build_crag(candidates, adjacency, subset, width, height):
             node = subset.get(node)
         safe.update(trail)
 
-    crag = Crag(cand_map, (), subset, width, height)
+    labels = _paint_leaves(cand_map, width, height)
+    touching = _touching_leaves(labels)
 
-    # leaves: in bounds, pairwise disjoint
-    owner = {}
-    for cid in crag.leaves():
-        for (r, c) in cand_map[cid].pixels:
-            if not (0 <= r < height and 0 <= c < width):
-                raise LeavesDoNotCoverImage(
-                    f"pixel ({r}, {c}) of leaf {cid} outside {height}x{width}"
-                )
-            if (r, c) in owner:
-                raise OverlappingLeaves(owner[(r, c)], cid)
-            owner[(r, c)] = cid
-
+    under = {}
     edges = set()
     for i, j in adjacency:
         i, j = int(i), int(j)
@@ -315,14 +337,16 @@ def build_crag(candidates, adjacency, subset, width, height):
             raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
         if i == j:
             raise AdjacencyBetweenOverlapping(i, j)
-        pa, pb = crag.pixels_of(i), crag.pixels_of(j)
-        if not pa.isdisjoint(pb):
+        for k in (i, j):
+            if k not in under:
+                under[k] = frozenset(_leaves_under(cand_map, k))
+        if not under[i].isdisjoint(under[j]):
             raise AdjacencyBetweenOverlapping(i, j)
-        if not regions_touch(pa, pb):
+        if not any(b in under[j] for a in under[i] for b in touching.get(a, ())):
             raise NotAdjacent()
         edges.add(edge_key(i, j))
 
-    return Crag(cand_map, edges, subset, width, height)
+    return Crag(cand_map, edges, subset, width, height, labels)
 
 
 def conflict_cliques(crag):

@@ -24,28 +24,48 @@ class ContingencyTable:
 
 def contingency_table(pred, gt, ignore_background=False):
     """Joint label counts; optionally restricted to gt-foreground pixels."""
+    table = _full_table(pred, gt)
+    return _foreground(table) if ignore_background else table
+
+
+def _full_table(pred, gt):
+    """Counts over all pixels, in ascending (gt_label, pred_label) order.
+
+    Each pixel's pair is one integer key gt_rank * n_pred + pred_rank,
+    where the ranks index the sorted distinct labels (np.unique
+    inverses), so any int64 labels work and sorted keys are sorted pairs.
+    """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DimensionMismatch(gt.shape, pred.shape)
-    g = gt.ravel().astype(np.int64)
-    p = pred.ravel().astype(np.int64)
-    if ignore_background:
-        keep = g != 0
-        g = g[keep]
-        p = p[keep]
-    if g.size == 0:
+    if gt.size == 0:
         raise EmptyOverlap()
-    pairs, counts = np.unique(np.stack([g, p], axis=1), axis=0, return_counts=True)
+    gu, gi = np.unique(gt.ravel().astype(np.int64), return_inverse=True)
+    pu, pi = np.unique(pred.ravel().astype(np.int64), return_inverse=True)
+    keys, counts = np.unique(gi * len(pu) + pi, return_counts=True)
+    return _table(
+        gu[keys // len(pu)].tolist(), pu[keys % len(pu)].tolist(), counts.tolist()
+    )
+
+
+def _foreground(table):
+    """The table restricted to pixels whose gt label is not 0."""
+    kept = [(gl, pl, n) for (gl, pl), n in table.counts.items() if gl != 0]
+    if not kept:
+        raise EmptyOverlap()
+    return _table(*zip(*kept))
+
+
+def _table(gt_labels, pred_labels, counts):
     table = {}
     gt_marginals = {}
     pred_marginals = {}
-    for (gl, pl), n in zip(pairs, counts):
-        gl, pl, n = int(gl), int(pl), int(n)
+    for gl, pl, n in zip(gt_labels, pred_labels, counts):
         table[(gl, pl)] = n
         gt_marginals[gl] = gt_marginals.get(gl, 0) + n
         pred_marginals[pl] = pred_marginals.get(pl, 0) + n
-    return ContingencyTable(table, gt_marginals, pred_marginals, int(g.size))
+    return ContingencyTable(table, gt_marginals, pred_marginals, sum(counts))
 
 
 def voi(pred, gt, ignore_background=False):
@@ -55,7 +75,10 @@ def voi(pred, gt, ignore_background=False):
     H(gt | pred) under-segmentation.  Sums use fsum, so the split of one
     orientation equals the merge of the swapped orientation exactly.
     """
-    t = contingency_table(pred, gt, ignore_background)
+    return _voi(contingency_table(pred, gt, ignore_background))
+
+
+def _voi(t):
     n = t.total
     split_terms = []
     merge_terms = []
@@ -70,7 +93,10 @@ def voi(pred, gt, ignore_background=False):
 
 def rand_index(pred, gt, ignore_background=False):
     """Fraction of unordered pixel pairs classified the same way by both."""
-    t = contingency_table(pred, gt, ignore_background)
+    return _rand_index(contingency_table(pred, gt, ignore_background))
+
+
+def _rand_index(t):
     n = t.total
     if n < 2:
         raise DegenerateInput("need at least 2 pixels to form a pair")
@@ -88,7 +114,10 @@ def detection_score(pred, gt):
     side has objects and the other has none, the empty side's ratio is
     0; when both are empty, all three scores are 1.
     """
-    t = contingency_table(pred, gt, ignore_background=False)
+    return _detection_score(contingency_table(pred, gt))
+
+
+def _detection_score(t):
     n_gt = sum(1 for l in t.gt_marginals if l != 0)
     n_pred = sum(1 for l in t.pred_marginals if l != 0)
 
@@ -127,10 +156,16 @@ def detection_score(pred, gt):
 
 
 def segmentation_metrics(pred, gt, ignore_background=False):
-    """All measures in one flat dict (the shape written by the CLI)."""
-    split, merge, total = voi(pred, gt, ignore_background)
-    rand = rand_index(pred, gt, ignore_background)
-    precision, recall, f_score = detection_score(pred, gt)
+    """All measures in one flat dict (the shape written by the CLI).
+
+    One table over all pixels serves detection; VOI and Rand read it, or
+    its gt-foreground part when ignore_background is set.
+    """
+    full = _full_table(pred, gt)
+    t = _foreground(full) if ignore_background else full
+    split, merge, total = _voi(t)
+    rand = _rand_index(t)
+    precision, recall, f_score = _detection_score(full)
     return {
         "voi_split": split,
         "voi_merge": merge,

@@ -8,7 +8,6 @@ budget and wires up the candidate region adjacency graph.
 """
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,26 +35,59 @@ def seeded_watershed(boundary, seed_threshold):
     Remaining pixels are claimed in priority order of their boundary
     value; ties fall back to insertion order (FIFO), so the result is
     deterministic.  Labels are 1..K with no background.
+
+    The queue holds one integer per pushed pixel, rank * (h*w) + push
+    index, where rank orders the distinct boundary values (np.unique, so
+    -0.0 and 0.0 share a rank) and the push index counts pushes: seeds
+    first in row-major order, then each pixel as it is claimed.  Keys
+    are distinct and sort like (value, push index), so pixels pop in
+    the same FIFO tie order as a heap of (value, counter) tuples.  A
+    seed whose in-image neighbours are all seeds would claim nothing
+    when popped, so it is never pushed; it still uses up its push index.
+    Neighbours are visited up, down, left, right.
     """
     boundary = _check_boundary(boundary)
     seeds, n_seeds = ndimage.label(boundary < seed_threshold)
     if n_seeds == 0:
         raise NoSeeds(seed_threshold)
-    labels = seeds.astype(np.int64)
-    h, w = labels.shape
-    counter = itertools.count()
-    heap = []
-    rs, cs = np.nonzero(labels)
-    for r, c in zip(rs.tolist(), cs.tolist()):
-        heapq.heappush(heap, (boundary[r, c], next(counter), r, c))
+    h, w = seeds.shape
+    n = h * w
+    # flat images padded by one pixel, so neighbours need no bounds test;
+    # the padding carries label -1 and is never claimed
+    stride = w + 2
+    padded = np.full((h + 2, stride), -1, dtype=np.int64)
+    padded[1:-1, 1:-1] = seeds
+    _, rank = np.unique(boundary, return_inverse=True)
+    key_base = np.zeros((h + 2, stride), dtype=np.int64)
+    key_base[1:-1, 1:-1] = rank.reshape(h, w) * n
+    seeded = padded != 0
+    interior = (
+        seeded[1:-1, 1:-1]
+        & seeded[:-2, 1:-1]
+        & seeded[2:, 1:-1]
+        & seeded[1:-1, :-2]
+        & seeded[1:-1, 2:]
+    )
+
+    labels = padded.ravel().tolist()
+    base = key_base.ravel().tolist()
+    # order[k] is the padded flat index of the pixel with push index k
+    flat = np.flatnonzero(seeds)
+    order = (flat + stride + 1 + 2 * (flat // w)).tolist()
+    pushed = np.flatnonzero(~interior.ravel()[flat]).tolist()
+    heap = [base[order[k]] + k for k in pushed]
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
-        _, _, r, c = heapq.heappop(heap)
-        lab = labels[r, c]
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and labels[nr, nc] == 0:
-                labels[nr, nc] = lab
-                heapq.heappush(heap, (boundary[nr, nc], next(counter), nr, nc))
-    return labels
+        p = order[heappop(heap) % n]
+        lab = labels[p]
+        for q in (p - stride, p + stride, p - 1, p + 1):
+            if labels[q] == 0:
+                labels[q] = lab
+                heappush(heap, base[q] + len(order))
+                order.append(q)
+    labels = np.array(labels, dtype=np.int64).reshape(h + 2, stride)
+    return labels[1:-1, 1:-1].copy()
 
 
 @dataclass(frozen=True)
@@ -245,10 +277,13 @@ def extract_candidates(tree, max_merges, score_threshold=None):
             sub_pairs.append((n, p))
             restricted_children[p].append(n)
 
+    # one stable sort groups each leaf's flat indices, in row-major order
+    flat = np.argsort(sp, axis=None, kind="stable")
+    starts = np.searchsorted(sp.ravel()[flat], leaf_ids)
     leaf_pixels = {}
-    for lid in leaf_ids:
-        rs, cs = np.nonzero(sp == lid)
-        leaf_pixels[lid] = frozenset(zip(rs.tolist(), cs.tolist()))
+    for lid, indices in zip(leaf_ids, np.split(flat, starts[1:])):
+        rows, cols = np.divmod(indices, w)
+        leaf_pixels[lid] = frozenset(zip(rows.tolist(), cols.tolist()))
 
     cands = []
     for n in sorted(inc):

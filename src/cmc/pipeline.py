@@ -20,7 +20,7 @@ from .costmodel import (
     train_forest,
 )
 from .crag import crag_to_json, solution_to_json
-from .errors import CmcError, StageFailure
+from .errors import CmcError, SingleClass, StageFailure
 from .evaluate import segmentation_metrics
 from .features import compute_features, features_to_json
 from .hierarchy import build_merge_tree, extract_candidates, seeded_watershed
@@ -82,7 +82,9 @@ def train_from_instances(instances, n_trees, rng_seed):
     """Forests from per-image (crag, node_feats, edge_feats, gt) tuples.
 
     Supervision comes from the best-effort assignment on each candidate
-    graph; samples are pooled across all images.
+    graph; samples are pooled across all images.  Graphs without edges
+    add no edge samples; with no edge sample at all the edge forest has
+    no class to learn, and the train-edges stage raises SingleClass.
     """
     node_x, node_y, edge_x, edge_y = [], [], [], []
     for k, (crag, node_feats, edge_feats, gt) in enumerate(instances):
@@ -99,6 +101,8 @@ def train_from_instances(instances, n_trees, rng_seed):
             (np.concatenate(node_x), np.concatenate(node_y)), n_trees, rng_seed
         )
     with _stage("train-edges"):
+        if not edge_x:
+            raise SingleClass()
         edge_forest = train_forest(
             (np.concatenate(edge_x), np.concatenate(edge_y)),
             n_trees,
@@ -132,7 +136,8 @@ def model_from_json(obj):
     }
 
 
-def _dump_json(path, obj):
+def dump_json(path, obj):
+    """Write obj as sorted, 2-space indented JSON plus a final newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -143,7 +148,8 @@ def run_pipeline(config, boundary, raw, gt=None, model=None, save_dir=None):
 
     With a model, ground truth is only used for metrics; without one,
     ground truth is required and a model is trained on this image
-    alone.  save_dir persists every intermediate product.
+    alone (train_from_instances on this one graph).  save_dir persists
+    every intermediate product.
     """
     if model is None and gt is None:
         raise CmcError("need either a trained model or ground truth")
@@ -151,17 +157,9 @@ def run_pipeline(config, boundary, raw, gt=None, model=None, save_dir=None):
     with _stage("features"):
         node_feats, edge_feats = compute_features(crag, raw, boundary)
     if model is None:
-        with _stage("train"):
-            target = best_effort(crag, gt, mode="full")
-            (nx, ny), (ex, ey) = label_instances(
-                crag, target, node_feats, edge_feats
-            )
-            model = {
-                "node_forest": train_forest((nx, ny), config.n_trees, config.rng_seed),
-                "edge_forest": train_forest(
-                    (ex, ey), config.n_trees, config.rng_seed + config.n_trees
-                ),
-            }
+        model = train_from_instances(
+            [(crag, node_feats, edge_feats, gt)], config.n_trees, config.rng_seed
+        )
     with _stage("costs"):
         costs = predict_costs(
             model["node_forest"], model["edge_forest"], crag, node_feats, edge_feats
@@ -178,14 +176,14 @@ def run_pipeline(config, boundary, raw, gt=None, model=None, save_dir=None):
             )
     if save_dir is not None:
         with _stage("persist"):
-            _dump_json(f"{save_dir}/crag.json", crag_to_json(crag))
-            _dump_json(
+            dump_json(f"{save_dir}/crag.json", crag_to_json(crag))
+            dump_json(
                 f"{save_dir}/features.json",
                 features_to_json(node_feats, edge_feats),
             )
-            _dump_json(f"{save_dir}/costs.json", costs_to_json(costs))
-            _dump_json(f"{save_dir}/solution.json", solution_to_json(solution))
+            dump_json(f"{save_dir}/costs.json", costs_to_json(costs))
+            dump_json(f"{save_dir}/solution.json", solution_to_json(solution))
             write_labels(f"{save_dir}/segmentation.pgm", segmentation)
             if metrics is not None:
-                _dump_json(f"{save_dir}/metrics.json", metrics)
+                dump_json(f"{save_dir}/metrics.json", metrics)
     return solution, segmentation, metrics

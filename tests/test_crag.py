@@ -1,4 +1,7 @@
+import itertools
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from cmc.crag import (
     edge_key,
     edge_to_str,
     objective_value,
-    regions_touch,
     shortest_selected_path,
     solution_from_json,
     solution_to_json,
@@ -33,7 +35,14 @@ from cmc.errors import (
     SubsetNotForest,
 )
 from cmc.features import edge_feature_names, edge_features
-from util import quad_crag, random_crag, random_sparse_crag, zero_solution
+from util import (
+    quad_crag,
+    random_crag,
+    random_sparse_crag,
+    ref_check_leaves_and_edges,
+    ref_regions_touch,
+    zero_solution,
+)
 
 
 def test_edge_key_canonical():
@@ -309,9 +318,27 @@ def test_interface_pairs_and_touch():
     # swapping the argument order leaves the interface unchanged
     swapped = edge_features((2, 1), crag, np.zeros((2, 2)), boundary, nf)
     assert np.array_equal(swapped, f)
-    assert regions_touch(a, b)
-    assert not regions_touch(a, {(0, 2)})
-    assert not regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
+    # touching is a 4-neighbor pixel pair: the reference and build_crag's
+    # accept / NotAdjacent agree
+    assert ref_regions_touch(a, b)  # build_crag accepted (1, 2) above
+    assert not ref_regions_touch(a, {(0, 2)})
+    with pytest.raises(NotAdjacent):
+        build_crag(
+            [
+                Candidate(1, 0, pixels=frozenset(a)),
+                Candidate(2, 0, pixels=frozenset({(0, 2)})),
+            ],
+            [(1, 2)], [], 3, 2,
+        )
+    assert not ref_regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
+    with pytest.raises(NotAdjacent):
+        build_crag(
+            [
+                Candidate(1, 0, pixels=frozenset({(0, 0)})),
+                Candidate(2, 0, pixels=frozenset({(1, 1)})),
+            ],
+            [(1, 2)], [], 2, 2,
+        )
 
 
 def test_objective_value():
@@ -372,6 +399,90 @@ def test_leaf_labels_json_roundtrip():
             )
         back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
         assert np.array_equal(back.leaf_labels(), labels)
+
+
+def one_fault_variants(rng, crag):
+    """(fault, candidates, adjacency): the crag's own lists, then copies
+    with one fault each where the crag allows it."""
+    cands = {i: crag.candidates[i] for i in crag.ids()}
+    adjacency = list(crag.adjacency)
+    leaves = crag.leaves()
+    yield "none", list(cands.values()), adjacency
+
+    def with_pixel(leaf, pixel):
+        changed = dict(cands)
+        changed[leaf] = replace(cands[leaf], pixels=cands[leaf].pixels | {pixel})
+        return list(changed.values())
+
+    def with_edge(edge):
+        changed = list(adjacency)
+        changed.insert(int(rng.integers(len(changed) + 1)), edge)
+        return changed
+
+    if len(leaves) > 1:
+        a, b = (int(v) for v in rng.choice(leaves, size=2, replace=False))
+        shared = sorted(cands[b].pixels)[int(rng.integers(len(cands[b].pixels)))]
+        yield "duplicate pixel", with_pixel(a, shared), adjacency
+    h, w = crag.height, crag.width
+    r, c = int(rng.integers(h)), int(rng.integers(w))
+    outside = [(-1, c), (h, c), (r, -1), (r, w)][int(rng.integers(4))]
+    leaf = leaves[int(rng.integers(len(leaves)))]
+    yield "outside pixel", with_pixel(leaf, outside), adjacency
+    apart = [
+        (i, j)
+        for i, j in itertools.combinations(crag.ids(), 2)
+        if crag.pixels_of(i).isdisjoint(crag.pixels_of(j))
+        and not ref_regions_touch(crag.pixels_of(i), crag.pixels_of(j))
+    ]
+    if apart:
+        yield "non-touching edge", list(cands.values()), with_edge(
+            apart[int(rng.integers(len(apart)))]
+        )
+    if crag.subset:
+        pair = sorted(crag.subset.items())[int(rng.integers(len(crag.subset)))]
+        yield "child-parent edge", list(cands.values()), with_edge(
+            pair if rng.random() < 0.5 else pair[::-1]
+        )
+
+
+def test_build_crag_matches_pixel_set_reference():
+    """Label-image validation raises what the per-pixel checks raise and
+    paints the same leaf_labels(); OverlappingLeaves names two leaves
+    that share a pixel."""
+    rng = np.random.default_rng(44)
+    crags = [quad_crag()]
+    crags += [random_crag(rng) for _ in range(60)]
+    crags += [random_sparse_crag(rng) for _ in range(60)]
+    outcomes = Counter()
+    for crag in crags:
+        subset = sorted(crag.subset.items())
+        for fault, cands, adjacency in one_fault_variants(rng, crag):
+            size = (crag.width, crag.height)
+            try:
+                want = ref_check_leaves_and_edges(cands, adjacency, *size)
+            except CmcError as exc:
+                with pytest.raises(CmcError) as got:
+                    build_crag(cands, adjacency, subset, *size)
+                assert type(got.value) is type(exc), fault
+                if isinstance(exc, OverlappingLeaves):
+                    pixels = {c.id: c.pixels for c in cands}
+                    a, b = got.value.ids
+                    assert a != b and not pixels[a].isdisjoint(pixels[b])
+                outcomes[fault, type(exc).__name__] += 1
+                continue
+            labels = build_crag(cands, adjacency, subset, *size).leaf_labels()
+            assert labels.dtype == want.dtype and np.array_equal(labels, want), fault
+            assert not labels.flags.writeable
+            outcomes[fault, "accepted"] += 1
+    # every variant got the fault's own outcome, and each fault was tried
+    assert set(outcomes) == {
+        ("none", "accepted"),
+        ("duplicate pixel", "OverlappingLeaves"),
+        ("outside pixel", "LeavesDoNotCoverImage"),
+        ("non-touching edge", "NotAdjacent"),
+        ("child-parent edge", "AdjacencyBetweenOverlapping"),
+    }
+    assert min(outcomes.values()) > 50
 
 
 def test_solution_json_roundtrip():

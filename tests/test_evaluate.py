@@ -170,3 +170,53 @@ def test_segmentation_metrics_dict():
     assert (out["precision"], out["recall"], out["f_score"]) == detection_score(
         pred, gt
     )
+
+
+def ref_contingency_table(pred, gt, ignore_background=False):
+    """Joint counts from np.unique over stacked (gt, pred) rows."""
+    g = np.asarray(gt).ravel().astype(np.int64)
+    p = np.asarray(pred).ravel().astype(np.int64)
+    if ignore_background:
+        g, p = g[g != 0], p[g != 0]
+    pairs, counts = np.unique(np.stack([g, p], axis=1), axis=0, return_counts=True)
+    table, gt_marginals, pred_marginals = {}, {}, {}
+    for (gl, pl), n in zip(pairs.tolist(), counts.tolist()):
+        table[(gl, pl)] = n
+        gt_marginals[gl] = gt_marginals.get(gl, 0) + n
+        pred_marginals[pl] = pred_marginals.get(pl, 0) + n
+    return table, gt_marginals, pred_marginals, int(g.size)
+
+
+def test_contingency_table_matches_stacked_rows_reference():
+    """Same counts, marginals and dict order as the row-wise table, also
+    for negative and huge labels and with the background left out; the
+    metrics dict equals the three public measures."""
+    rng = np.random.default_rng(10)
+    for k in range(60):
+        shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
+        pred = random_labels(rng, shape, n_labels=int(rng.integers(1, 6)))
+        gt = random_labels(rng, shape, n_labels=int(rng.integers(1, 6)))
+        if k % 3 == 1:
+            pred = pred * 2**40 - 7
+        if k % 3 == 2:
+            gt = np.where(gt == 2, -(2**50), gt)
+            pred = pred.astype(np.uint16) + 60000
+        for ignore in (False, True):
+            if ignore and not gt.any():
+                continue
+            t = contingency_table(pred, gt, ignore)
+            counts, gm, pm, total = ref_contingency_table(pred, gt, ignore)
+            assert list(t.counts.items()) == list(counts.items())
+            assert list(t.gt_marginals.items()) == list(gm.items())
+            assert list(t.pred_marginals.items()) == list(pm.items())
+            assert t.total == total
+            if total < 2:
+                continue
+            out = segmentation_metrics(pred, gt, ignore_background=ignore)
+            assert (out["voi_split"], out["voi_merge"], out["voi"]) == voi(
+                pred, gt, ignore
+            )
+            assert out["rand"] == rand_index(pred, gt, ignore)
+            assert (out["precision"], out["recall"], out["f_score"]) == (
+                detection_score(pred, gt)
+            )

@@ -3,8 +3,9 @@ import pytest
 
 from cmc.errors import DegenerateInput, NoSeeds, NotAdjacent
 from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
+from cmc.synth import generate_synthetic
 
-from util import brute_merge_score
+from util import brute_merge_score, ref_seeded_watershed
 
 
 def strip_tree():
@@ -72,6 +73,68 @@ def test_watershed_rejects_bad_boundary():
         seeded_watershed(np.full((2, 2), np.nan), 0.5)
     with pytest.raises(DegenerateInput):
         seeded_watershed(np.zeros(4), 0.5)
+
+
+def assert_same_flood(boundary, seed_threshold):
+    got = seeded_watershed(boundary, seed_threshold)
+    want = ref_seeded_watershed(boundary, seed_threshold)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_watershed_matches_reference_on_plateaus():
+    """Boundaries quantized to 1/4 and 1/255 make ties common; the
+    integer-key flood must pop them in the same FIFO order."""
+    rng = np.random.default_rng(41)
+    for k in range(300):
+        h, w = (int(v) for v in rng.integers(1, 24, size=2))
+        q = (4, 255)[k % 2]
+        boundary = np.round(rng.random((h, w)) * q) / q
+        boundary.flat[int(rng.integers(boundary.size))] = 0.0  # at least one seed
+        assert_same_flood(boundary, float(rng.choice([0.1, 0.3, 0.5, 0.7])))
+
+
+def test_watershed_matches_reference_on_thin_and_degenerate_shapes():
+    rng = np.random.default_rng(42)
+    for shape in [(1, 1), (1, 2), (2, 1), (1, 17), (17, 1), (1, 64), (64, 1)]:
+        for _ in range(10):
+            boundary = np.round(rng.random(shape) * 4) / 4
+            boundary.flat[int(rng.integers(boundary.size))] = 0.0
+            assert_same_flood(boundary, 0.5)
+    # every pixel a seed: one push index per pixel, nothing to claim
+    for shape in [(1, 1), (3, 5), (6, 6)]:
+        boundary = np.round(rng.random(shape) * 4) / 4
+        assert_same_flood(boundary, 1.5)
+        assert_same_flood(np.zeros(shape), 0.5)
+    # a single seed floods everything
+    for shape in [(1, 1), (1, 9), (9, 1), (7, 11)]:
+        boundary = 0.5 + np.round(rng.random(shape) * 2) / 4
+        boundary.flat[int(rng.integers(boundary.size))] = 0.0
+        labels = seeded_watershed(boundary, 0.5)
+        assert_same_flood(boundary, 0.5)
+        assert np.all(labels == 1)
+
+
+def test_watershed_signed_zero_ties_stay_fifo():
+    """-0.0 == 0.0: the seed pushed first pops first and claims the gap."""
+    assert_same_flood(np.array([[0.0, 1.0, -0.0]]), 0.5)
+    assert seeded_watershed(np.array([[0.0, 1.0, -0.0]]), 0.5).tolist() == [[1, 1, 2]]
+    assert seeded_watershed(np.array([[-0.0, 1.0, 0.0]]), 0.5).tolist() == [[1, 1, 2]]
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        boundary = np.round(rng.random((h, w)) * 2) / 2
+        zeros = boundary == 0.0
+        boundary[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        if (boundary < 0.5).any():
+            assert_same_flood(boundary, 0.5)
+
+
+@pytest.mark.parametrize("size,n_cells,seed", [(128, 3, 1), (256, 8, 2)])
+def test_watershed_matches_reference_on_synthetic(size, n_cells, seed):
+    _, boundary, _ = generate_synthetic(1, n_cells, 1.0, seed, image_size=size)[0]
+    for threshold in (0.3, 0.5, 0.7):
+        assert_same_flood(boundary, threshold)
 
 
 # ---------------------------------------------------------------------------

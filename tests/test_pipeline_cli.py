@@ -5,11 +5,18 @@ import pytest
 
 from cmc.cli import main
 from cmc.costmodel import CostTable, costs_to_json
-from cmc.crag import crag_from_json, crag_to_json, validate_solution
-from cmc.errors import CmcError, StageFailure
+from cmc.crag import (
+    Candidate,
+    build_crag,
+    crag_from_json,
+    crag_to_json,
+    validate_solution,
+)
+from cmc.errors import CmcError, SingleClass, StageFailure
 from cmc.evaluate import segmentation_metrics
+from cmc.features import compute_features, features_to_json
 from cmc.hierarchy import seeded_watershed
-from cmc.pgm import read_labels
+from cmc.pgm import read_labels, write_labels
 from cmc.pipeline import (
     PipelineConfig,
     build_graph,
@@ -18,6 +25,7 @@ from cmc.pipeline import (
     model_from_json,
     model_to_json,
     run_pipeline,
+    train_from_instances,
     train_model,
 )
 from cmc.synth import generate_synthetic
@@ -96,6 +104,50 @@ def test_train_model_and_json_roundtrip():
     b = run_pipeline(cfg, boundary, raw, gt=gt, model=back)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+
+def edgeless_instance():
+    """Two leaves that do not touch: both node classes, no edge at all."""
+    crag = build_crag(
+        [
+            Candidate(1, 0, pixels=frozenset([(0, 0)])),
+            Candidate(2, 0, pixels=frozenset([(0, 2)])),
+        ],
+        [], [], 3, 1,
+    )
+    node_feats, edge_feats = compute_features(crag, np.zeros((1, 3)), np.zeros((1, 3)))
+    return crag, node_feats, edge_feats, np.array([[1, 0, 0]])
+
+
+def test_train_without_edges_is_single_class():
+    with pytest.raises(StageFailure) as info:
+        train_from_instances([edgeless_instance()], 5, 0)
+    assert info.value.stage == "train-edges"
+    assert isinstance(info.value.cause, SingleClass)
+
+
+def test_cli_train_without_edges_fails_by_name(tmp_path, capsys):
+    crag, node_feats, edge_feats, gt = edgeless_instance()
+    (tmp_path / "crag.json").write_text(json.dumps(crag_to_json(crag)))
+    (tmp_path / "features.json").write_text(
+        json.dumps(features_to_json(node_feats, edge_feats))
+    )
+    write_labels(str(tmp_path / "gt.pgm"), gt)
+    out = tmp_path / "model.json"
+    code = main(
+        [
+            "train",
+            "--crag", str(tmp_path / "crag.json"),
+            "--features", str(tmp_path / "features.json"),
+            "--gt", str(tmp_path / "gt.pgm"),
+            "--n-trees", "5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "train-edges: training samples contain only one class" in err
+    assert not out.exists()
 
 
 def test_run_pipeline_persists_intermediates(tmp_path):

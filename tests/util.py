@@ -1,5 +1,6 @@
-"""Shared test helpers: a small hand-built CRAG, random instances, and a
-literal enumeration oracle used to cross-check the solver.
+"""Shared test helpers: a small hand-built CRAG, random instances, a
+literal enumeration oracle used to cross-check the solver, and plain
+per-pixel references for the array-based watershed and CRAG checks.
 
 The random generator keeps instances inside the brute-force budget
 (candidates + edges <= 26) so every instance can be checked against the
@@ -7,13 +8,22 @@ exhaustive oracle.  Costs are drawn as exact binary fractions k/1024 so
 objective comparisons need no tolerance.
 """
 
+import heapq
 import itertools
 
 import numpy as np
+from scipy import ndimage
 
 from cmc.costmodel import CostTable
-from cmc.errors import NotAdjacent
+from cmc.errors import (
+    AdjacencyBetweenOverlapping,
+    CmcError,
+    LeavesDoNotCoverImage,
+    NotAdjacent,
+    OverlappingLeaves,
+)
 from cmc.crag import (
+    UNCOVERED,
     Candidate,
     Solution,
     build_crag,
@@ -149,7 +159,7 @@ def random_crag(rng, budget=26):
             (a, b)
             for a, b in itertools.combinations(sorted(roots), 2)
             if max(level[a], level[b]) + 1 <= 3
-            and _touch(roots[a], roots[b])
+            and ref_regions_touch(roots[a], roots[b])
         ]
         if not pairs:
             break
@@ -167,7 +177,7 @@ def random_crag(rng, budget=26):
     valid = []
     for i, j in itertools.combinations(crag0.ids(), 2):
         pa, pb = crag0.pixels_of(i), crag0.pixels_of(j)
-        if pa.isdisjoint(pb) and _touch(pa, pb):
+        if pa.isdisjoint(pb) and ref_regions_touch(pa, pb):
             valid.append((i, j))
     rng.shuffle(valid)
     keep = min(len(valid), budget - len(candidates))
@@ -231,12 +241,13 @@ def random_sparse_crag(rng):
         (i, j)
         for i, j in itertools.combinations(crag0.ids(), 2)
         if crag0.pixels_of(i).isdisjoint(crag0.pixels_of(j))
-        and _touch(crag0.pixels_of(i), crag0.pixels_of(j))
+        and ref_regions_touch(crag0.pixels_of(i), crag0.pixels_of(j))
     ]
     return build_crag(candidates, adjacency, subset, w, h)
 
 
-def _touch(pa, pb):
+def ref_regions_touch(pa, pb):
+    """Whether any 4-neighbor pixel pair crosses between the two sets."""
     for p in pa:
         for q in _neighbors4(p):
             if q in pb:
@@ -258,6 +269,79 @@ def brute_merge_score(region_a, region_b, boundary):
     if not vals:
         raise NotAdjacent()
     return min(len(a), len(b)) * float(np.median(vals))
+
+
+# ---------------------------------------------------------------------------
+# per-pixel references for the array-based front end
+
+
+def ref_seeded_watershed(boundary, seed_threshold):
+    """Heap flood over (value, counter, row, col) tuples.
+
+    Seeds are pushed in row-major order, claimed pixels as they are
+    claimed; ties pop in push order.  Neighbours: up, down, left, right.
+    Assumes a valid boundary map with at least one seed.
+    """
+    boundary = np.asarray(boundary, dtype=np.float64)
+    seeds, _ = ndimage.label(boundary < seed_threshold)
+    labels = seeds.astype(np.int64)
+    h, w = labels.shape
+    counter = itertools.count()
+    heap = []
+    rs, cs = np.nonzero(labels)
+    for r, c in zip(rs.tolist(), cs.tolist()):
+        heapq.heappush(heap, (boundary[r, c], next(counter), r, c))
+    while heap:
+        _, _, r, c = heapq.heappop(heap)
+        lab = labels[r, c]
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < h and 0 <= nc < w and labels[nr, nc] == 0:
+                labels[nr, nc] = lab
+                heapq.heappush(heap, (boundary[nr, nc], next(counter), nr, nc))
+    return labels
+
+
+def ref_check_leaves_and_edges(candidates, adjacency, width, height):
+    """build_crag's leaf and edge checks, done on pixel sets.
+
+    Leaves in sorted id order, pixels one at a time: a pixel outside
+    the image raises LeavesDoNotCoverImage, a pixel already owned raises
+    OverlappingLeaves.  Each edge, in the given order: an unknown id
+    raises CmcError, a self-loop or a shared pixel between the two
+    candidates' pixel unions raises AdjacencyBetweenOverlapping, no
+    4-neighbor pair between them raises NotAdjacent.  Assumes the id and
+    subset checks pass.  Returns the leaf label image.
+    """
+    cand_map = {c.id: c for c in candidates}
+
+    def pixels_of(cid):
+        cand = cand_map[cid]
+        if not cand.children:
+            return cand.pixels
+        return frozenset().union(*(pixels_of(k) for k in cand.children))
+
+    owner = {}
+    for cid in sorted(i for i, c in cand_map.items() if not c.children):
+        for (r, c) in cand_map[cid].pixels:
+            if not (0 <= r < height and 0 <= c < width):
+                raise LeavesDoNotCoverImage(f"pixel ({r}, {c}) of leaf {cid}")
+            if (r, c) in owner:
+                raise OverlappingLeaves(owner[(r, c)], cid)
+            owner[(r, c)] = cid
+    for i, j in adjacency:
+        if i not in cand_map or j not in cand_map:
+            raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
+        if i == j:
+            raise AdjacencyBetweenOverlapping(i, j)
+        pa, pb = pixels_of(i), pixels_of(j)
+        if not pa.isdisjoint(pb):
+            raise AdjacencyBetweenOverlapping(i, j)
+        if not ref_regions_touch(pa, pb):
+            raise NotAdjacent()
+    labels = np.full((height, width), UNCOVERED, dtype=np.int64)
+    for (r, c), cid in owner.items():
+        labels[r, c] = cid
+    return labels
 
 
 def random_costs(rng, crag):
