@@ -36,7 +36,10 @@ MODE_NAMES = {"full": "full", "mt": "merge_tree_only", "mc": "leaf_multicut_only
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CmcError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _cmd_build_crag(args):

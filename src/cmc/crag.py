@@ -1,16 +1,15 @@
 """Candidate region adjacency graph.
 
-A Crag holds a pool of candidate regions (leaves carry pixels, inner
-nodes derive theirs as the union of their children), adjacency edges
-between disjoint touching candidates, and a subset forest recording
-which candidates are unions of which.  Pixel-level consumers read the
-leaves through one label image, `Crag.leaf_labels()`.  The module also
-provides conflict-clique enumeration, validation of binary assignments
-against the overlap / incidence / path constraint families, and JSON
-(de)serialization.
+A Crag holds a pool of candidate regions, adjacency edges between
+disjoint touching candidates, and a subset forest recording which
+candidates are unions of which.  Its pixels live in one label image,
+`Crag.leaf_labels()`: each pixel holds the id of the leaf (superpixel)
+covering it, and an inner node covers the pixels of its leaves.  The
+module also provides conflict-clique enumeration, validation of binary
+assignments against the overlap / incidence / path constraint families,
+and JSON (de)serialization, which run-length encodes each leaf.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from collections import deque
 
@@ -29,20 +28,16 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Candidate:
-    """One region: a superpixel (level 0, carries pixels) or a merge result.
+    """One region: a superpixel (a leaf, no children) or a merge result.
 
-    Exactly one of `pixels` / `children` is populated: leaves store a
-    frozenset of (row, col) pairs, inner nodes store the ids of their
-    children and derive pixels lazily through the owning Crag.  Ids are
-    non-negative.  The owning Crag's `leaf_labels()` image holds each
-    leaf's id on its pixels; an inner node's pixels are those whose
-    label is one of `Crag.leaves_under(id)`.
+    Ids are non-negative.  A leaf's pixels are those where the owning
+    Crag's `leaf_labels()` image holds its id; an inner node's pixels are
+    those whose label is one of `Crag.leaves_under(id)`.
     """
 
     id: int
     level: int
     children: tuple = ()
-    pixels: frozenset = None
 
 
 @dataclass(frozen=True)
@@ -119,18 +114,15 @@ class Crag:
 
     `leaf_labels()` is the pixel representation: a read-only int64
     (height, width) image of leaf ids, UNCOVERED where no leaf lies
-    (leaves need not cover the image).  build_crag paints it while it
-    checks the leaves, and hands it to the Crag it returns.
+    (leaves need not cover the image).
     """
 
-    def __init__(self, candidates, adjacency, subset, width, height, leaf_labels):
+    def __init__(self, candidates, adjacency, subset, leaf_labels):
         self.candidates = dict(candidates)  # id -> Candidate
         self.adjacency = tuple(sorted(adjacency))
         self.subset = dict(subset)  # child id -> parent id
-        self.width = int(width)
-        self.height = int(height)
+        self.height, self.width = leaf_labels.shape
         self._edges = frozenset(self.adjacency)
-        self._pixel_cache = {}
         self._leaves_under = {}
         self._leaf_labels = leaf_labels
 
@@ -141,8 +133,7 @@ class Crag:
             self.candidates == other.candidates
             and self.adjacency == other.adjacency
             and self.subset == other.subset
-            and self.width == other.width
-            and self.height == other.height
+            and np.array_equal(self._leaf_labels, other._leaf_labels)
         )
 
     def __repr__(self):
@@ -182,22 +173,6 @@ class Crag:
             self._leaves_under[cid] = _leaves_under(self.candidates, cid)
         return self._leaves_under[cid]
 
-    def pixels_of(self, cid):
-        """Pixel set of a candidate; inner nodes union their leaves."""
-        if cid not in self._pixel_cache:
-            cand = self.candidates[cid]
-            if cand.pixels is not None:
-                self._pixel_cache[cid] = cand.pixels
-            else:
-                acc = set()
-                for leaf in self.leaves_under(cid):
-                    acc |= self.candidates[leaf].pixels
-                self._pixel_cache[cid] = frozenset(acc)
-        return self._pixel_cache[cid]
-
-    def size_of(self, cid):
-        return len(self.pixels_of(cid))
-
     def leaf_labels(self):
         """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
         return self._leaf_labels
@@ -217,38 +192,6 @@ def _leaves_under(candidates, cid):
     return tuple(sorted(found))
 
 
-def _paint_leaves(cand_map, width, height):
-    """The leaf label image, checking that leaves lie in bounds and are disjoint.
-
-    Leaves are painted one at a time in sorted id order; the first leaf
-    with a pixel outside the image raises LeavesDoNotCoverImage, the
-    first to land on an already painted pixel raises OverlappingLeaves
-    naming it and that pixel's owner.
-    """
-    labels = np.full(height * width, UNCOVERED, dtype=np.int64)
-    for cid in sorted(i for i, c in cand_map.items() if not c.children):
-        pixels = cand_map[cid].pixels
-        coords = np.fromiter(
-            itertools.chain.from_iterable(pixels), np.int64, 2 * len(pixels)
-        )
-        rows, cols = coords[0::2], coords[1::2]
-        outside = (rows < 0) | (rows >= height) | (cols < 0) | (cols >= width)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise LeavesDoNotCoverImage(
-                f"pixel ({rows[k]}, {cols[k]}) of leaf {cid} outside {height}x{width}"
-            )
-        flat = rows * width + cols
-        owners = labels[flat]
-        taken = owners != UNCOVERED
-        if taken.any():
-            raise OverlappingLeaves(int(owners[np.argmax(taken)]), cid)
-        labels[flat] = cid
-    labels = labels.reshape(height, width)
-    labels.flags.writeable = False
-    return labels
-
-
 def _touching_leaves(labels):
     """leaf id -> set of leaf ids it shares a 4-neighbor pixel pair with."""
     touching = {}
@@ -264,17 +207,25 @@ def _touching_leaves(labels):
     return touching
 
 
-def build_crag(candidates, adjacency, subset, width, height):
+def build_crag(candidates, adjacency, subset, leaf_labels):
     """Validating constructor for Crag.
 
-    Checks: unique ids, children/subset consistency, the subset relation
-    is a forest, leaves carry in-bounds pairwise-disjoint pixels, every
-    adjacency edge joins two disjoint touching candidates.  The leaf
-    check paints the label image that becomes the Crag's leaf_labels();
-    edges are then checked on leaves: two candidates overlap iff their
-    leaf sets intersect (leaves are non-empty and disjoint), and touch
-    iff some leaf of one touches some leaf of the other.
+    `leaf_labels` is the 2-d integer image of leaf ids (UNCOVERED where
+    no leaf lies); it fixes the Crag's height and width, and a read-only
+    int64 copy becomes its leaf_labels().  Checks: unique non-negative
+    ids, children/subset consistency, the subset relation is a forest,
+    every label is a leaf id or UNCOVERED and every leaf has a pixel,
+    every adjacency edge joins two disjoint touching candidates.  Edges
+    are checked on leaves: two candidates overlap iff their leaf sets
+    intersect (leaves are non-empty and disjoint), and touch iff some
+    leaf of one touches some leaf of the other.
     """
+    labels = np.asarray(leaf_labels)
+    if labels.ndim != 2 or labels.dtype.kind not in "iu":
+        raise CmcError(
+            f"leaf label image must be a 2-d integer array, got "
+            f"{labels.ndim}-d {labels.dtype}"
+        )
     cand_map = {}
     for cand in candidates:
         if cand.id in cand_map:
@@ -283,10 +234,6 @@ def build_crag(candidates, adjacency, subset, width, height):
             raise CmcError(f"candidate id {cand.id} is negative")
         if cand.level < 0:
             raise CmcError(f"candidate {cand.id} has negative level")
-        if cand.children and cand.pixels is not None:
-            raise CmcError(f"candidate {cand.id} carries both children and pixels")
-        if not cand.children and not cand.pixels:
-            raise LeavesDoNotCoverImage(f"leaf candidate {cand.id} has no pixels")
         cand_map[cand.id] = cand
 
     raw_pairs = [(int(c), int(p)) for c, p in subset]
@@ -326,7 +273,16 @@ def build_crag(candidates, adjacency, subset, width, height):
             node = subset.get(node)
         safe.update(trail)
 
-    labels = _paint_leaves(cand_map, width, height)
+    leaf_ids = {i for i, c in cand_map.items() if not c.children}
+    present = set(np.unique(labels).tolist()) - {UNCOVERED}
+    if present - leaf_ids:
+        raise LeavesDoNotCoverImage(f"label {min(present - leaf_ids)} is not a leaf id")
+    if leaf_ids - present:
+        raise LeavesDoNotCoverImage(
+            f"leaf candidate {min(leaf_ids - present)} has no pixels"
+        )
+    labels = labels.astype(np.int64)
+    labels.flags.writeable = False
     touching = _touching_leaves(labels)
 
     under = {}
@@ -346,7 +302,7 @@ def build_crag(candidates, adjacency, subset, width, height):
             raise NotAdjacent()
         edges.add(edge_key(i, j))
 
-    return Crag(cand_map, edges, subset, width, height, labels)
+    return Crag(cand_map, edges, subset, labels)
 
 
 def conflict_cliques(crag):
@@ -441,35 +397,27 @@ def validate_solution(crag, solution):
 # JSON serialization
 
 
-def _encode_pixels(pixels):
-    """Run-length encode a pixel set row by row; col_end is exclusive."""
-    rows = {}
-    for (r, c) in pixels:
-        rows.setdefault(r, []).append(c)
-    runs = []
-    for r in sorted(rows):
-        cols = sorted(rows[r])
-        start = prev = cols[0]
-        for c in cols[1:]:
-            if c == prev + 1:
-                prev = c
-                continue
-            runs.append({"row": r, "col_start": start, "col_end": prev + 1})
-            start = prev = c
-        runs.append({"row": r, "col_start": start, "col_end": prev + 1})
+def _leaf_runs(labels):
+    """leaf id -> its runs, each one row long, in row-major order; col_end exclusive."""
+    width = labels.shape[1]
+    starts = np.ones(labels.shape, dtype=bool)
+    starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
+    rows, cols = np.nonzero(starts)
+    ends = np.append(cols[1:], width)
+    ends[np.append(rows[1:] != rows[:-1], True)] = width
+    runs = {}
+    for leaf, row, start, end in zip(
+        labels[rows, cols].tolist(), rows.tolist(), cols.tolist(), ends.tolist()
+    ):
+        if leaf != UNCOVERED:
+            runs.setdefault(leaf, []).append(
+                {"row": row, "col_start": start, "col_end": end}
+            )
     return runs
 
 
-def _decode_pixels(runs):
-    pixels = set()
-    for run in runs:
-        r = run["row"]
-        for c in range(run["col_start"], run["col_end"]):
-            pixels.add((r, c))
-    return frozenset(pixels)
-
-
 def crag_to_json(crag):
+    runs = _leaf_runs(crag.leaf_labels())
     cands = []
     for cid in crag.ids():
         cand = crag.candidates[cid]
@@ -477,7 +425,7 @@ def crag_to_json(crag):
         if cand.children:
             entry["children"] = sorted(cand.children)
         else:
-            entry["pixels"] = _encode_pixels(cand.pixels)
+            entry["pixels"] = runs[cid]
         cands.append(entry)
     return {
         "width": crag.width,
@@ -488,23 +436,71 @@ def crag_to_json(crag):
     }
 
 
+def _checked(value, kind, where):
+    """value if it is a JSON kind (list, or int: 64-bit, not bool), else CmcError."""
+    if (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (kind is not int or -(2**63) <= value < 2**63)
+    ):
+        return value
+    raise CmcError(f"crag.json: {where} is not a valid {kind.__name__}: {value!r}")
+
+
+def _member(obj, key, kind, where):
+    """obj[key], checked by _checked; CmcError when obj is no object or lacks key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise CmcError(f"crag.json: {where} has no {key!r}")
+    return _checked(obj[key], kind, f"{key} of {where}")
+
+
+def _id_pairs(obj, key):
+    pairs = _member(obj, key, list, "crag")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise CmcError(f"crag.json: an entry of {key} is not a pair")
+    return [tuple(_checked(v, int, key) for v in p) for p in pairs]
+
+
 def crag_from_json(obj):
+    """Crag from its JSON form; malformed input raises CmcError.
+
+    Leaf runs are painted straight into the label image: a run outside
+    the image raises LeavesDoNotCoverImage, a run over pixels already
+    painted raises OverlappingLeaves naming their owner and the new leaf.
+    """
+    height, width = (_member(obj, k, int, "crag") for k in ("height", "width"))
+    if height < 0 or width < 0:
+        raise CmcError(f"crag.json: negative image size {height}x{width}")
+    labels = np.full((height, width), UNCOVERED, dtype=np.int64)
     candidates = []
-    for entry in obj["candidates"]:
+    for entry in _member(obj, "candidates", list, "crag"):
+        cid = _member(entry, "id", int, "candidate")
+        where = f"candidate {cid}"
+        level = _member(entry, "level", int, where)
         if "children" in entry:
-            cand = Candidate(
-                int(entry["id"]), int(entry["level"]), tuple(entry["children"])
+            kids = _member(entry, "children", list, where)
+            kids = tuple(_checked(k, int, f"child of {where}") for k in kids)
+            candidates.append(Candidate(cid, level, kids))
+            continue
+        for run in _member(entry, "pixels", list, where):
+            row, start, end = (
+                _member(run, k, int, f"run of {where}")
+                for k in ("row", "col_start", "col_end")
             )
-        else:
-            cand = Candidate(
-                int(entry["id"]),
-                int(entry["level"]),
-                (),
-                _decode_pixels(entry["pixels"]),
-            )
-        candidates.append(cand)
+            if start >= end:
+                raise CmcError(f"crag.json: empty run {start}:{end} of {where}")
+            if not (0 <= row < height and 0 <= start and end <= width):
+                raise LeavesDoNotCoverImage(
+                    f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
+                )
+            segment = labels[row, start:end]
+            taken = segment != UNCOVERED
+            if taken.any():
+                raise OverlappingLeaves(int(segment[taken.argmax()]), cid)
+            segment[:] = cid
+        candidates.append(Candidate(cid, level))
     return build_crag(
-        candidates, obj["adjacency"], obj["subset"], obj["width"], obj["height"]
+        candidates, _id_pairs(obj, "adjacency"), _id_pairs(obj, "subset"), labels
     )
 
 

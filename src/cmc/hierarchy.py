@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .crag import Candidate, build_crag
-from .errors import DegenerateInput, DimensionMismatch, NoSeeds
+from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 
 
 def _check_boundary(boundary):
@@ -198,9 +198,12 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     nodes then re-attach to their nearest surviving ancestor, which
     keeps every inner node the exact disjoint union of its children.
     Adjacency edges join every disjoint touching pair across all levels.
+    The superpixel array becomes the Crag's leaf label image, so every
+    superpixel stays a candidate and max_merges must be >= 0.
     """
+    if max_merges is not None and max_merges < 0:
+        raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
     sp = np.asarray(tree.superpixels)
-    h, w = sp.shape
     leaf_ids = [int(i) for i in np.unique(sp)]
 
     level = {i: 0 for i in leaf_ids}
@@ -277,19 +280,8 @@ def extract_candidates(tree, max_merges, score_threshold=None):
             sub_pairs.append((n, p))
             restricted_children[p].append(n)
 
-    # one stable sort groups each leaf's flat indices, in row-major order
-    flat = np.argsort(sp, axis=None, kind="stable")
-    starts = np.searchsorted(sp.ravel()[flat], leaf_ids)
-    leaf_pixels = {}
-    for lid, indices in zip(leaf_ids, np.split(flat, starts[1:])):
-        rows, cols = np.divmod(indices, w)
-        leaf_pixels[lid] = frozenset(zip(rows.tolist(), cols.tolist()))
-
-    cands = []
-    for n in sorted(inc):
-        kids = tuple(sorted(restricted_children[n]))
-        if kids:
-            cands.append(Candidate(n, level[n], kids))
-        else:
-            cands.append(Candidate(n, level[n], (), leaf_pixels[n]))
-    return build_crag(cands, sorted(edges), sub_pairs, w, h)
+    cands = [
+        Candidate(n, level[n], tuple(sorted(restricted_children[n])))
+        for n in sorted(inc)
+    ]
+    return build_crag(cands, sorted(edges), sub_pairs, sp)

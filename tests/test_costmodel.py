@@ -27,7 +27,7 @@ from cmc.errors import (
 from cmc.crag import validate_solution
 from cmc.features import compute_features
 
-from util import quad_crag, quad_gt, random_crag, random_gt
+from util import pixels_of, quad_crag, quad_gt, random_crag, random_gt
 
 
 def separable_samples(n=20, dim=5, noise=0.0, seed=0):
@@ -76,7 +76,7 @@ def test_best_effort_distinct_leaf_labels():
     crag = quad_crag()
     gt = np.zeros((4, 4), dtype=np.int64)
     for leaf in crag.leaves():
-        for (r, c) in crag.pixels_of(leaf):
+        for (r, c) in pixels_of(crag, leaf):
             gt[r, c] = leaf
     sol = best_effort(crag, gt)
     assert {i for i, v in sol.y.items() if v} == {1, 2, 3, 4}

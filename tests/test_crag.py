@@ -1,7 +1,6 @@
 import itertools
 import json
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +9,6 @@ from cmc.crag import (
     UNCOVERED,
     Candidate,
     Solution,
-    _decode_pixels,
-    _encode_pixels,
     build_crag,
     conflict_cliques,
     crag_from_json,
@@ -34,12 +31,19 @@ from cmc.errors import (
     OverlappingLeaves,
     SubsetNotForest,
 )
+from cmc import cli
 from cmc.features import edge_feature_names, edge_features
+from cmc.pipeline import PipelineConfig, build_graph
+from cmc.synth import generate_synthetic
 from util import (
+    leaf_image,
+    pixels_of,
     quad_crag,
     random_crag,
     random_sparse_crag,
     ref_check_leaves_and_edges,
+    ref_crag_json,
+    ref_decode_pixels,
     ref_regions_touch,
     zero_solution,
 )
@@ -61,116 +65,135 @@ def test_quad_structure():
     assert crag.leaves_under(6) == (3, 4)
     assert crag.leaves_under(7) == (1, 2, 3, 4)
     assert len(crag.adjacency) == 11
-    assert crag.size_of(7) == 16
-    assert crag.pixels_of(5) == crag.pixels_of(1) | crag.pixels_of(2)
+    assert len(pixels_of(crag, 7)) == 16
+    assert pixels_of(crag, 5) == pixels_of(crag, 1) | pixels_of(crag, 2)
 
 
 def test_single_leaf_whole_image():
     pixels = frozenset((r, c) for r in range(3) for c in range(3))
-    crag = build_crag([Candidate(1, 0, pixels=pixels)], [], [], 3, 3)
+    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 3, 3))
     assert crag.ids() == [1]
     assert conflict_cliques(crag) == [frozenset([1])]
 
 
 def test_duplicate_id_rejected():
-    cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(1, 0, pixels=frozenset([(0, 1)])),
-    ]
+    cands = [Candidate(1, 0), Candidate(1, 0)]
     with pytest.raises(CmcError):
-        build_crag(cands, [], [], 2, 1)
+        build_crag(cands, [], [], leaf_image({1: [(0, 0), (0, 1)]}, 2, 1))
 
 
 def test_negative_id_rejected():
     # negative ids would collide with the UNCOVERED label
     with pytest.raises(CmcError):
-        build_crag([Candidate(-1, 0, pixels=frozenset([(0, 0)]))], [], [], 1, 1)
+        build_crag([Candidate(-1, 0)], [], [], leaf_image({-1: [(0, 0)]}, 1, 1))
 
 
 def test_negative_level_rejected():
     with pytest.raises(CmcError):
-        build_crag([Candidate(1, -1, pixels=frozenset([(0, 0)]))], [], [], 1, 1)
+        build_crag([Candidate(1, -1)], [], [], leaf_image({1: [(0, 0)]}, 1, 1))
 
 
 def test_children_and_pixels_rejected():
-    cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(2, 1, children=(1,), pixels=frozenset([(0, 1)])),
-    ]
+    # an inner node's id painted into the label image
+    cands = [Candidate(1, 0), Candidate(2, 1, children=(1,))]
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
     with pytest.raises(CmcError):
-        build_crag(cands, [], [(1, 2)], 2, 1)
+        build_crag(cands, [], [(1, 2)], labels)
 
 
 def test_pixelless_leaf_rejected():
     with pytest.raises(LeavesDoNotCoverImage):
-        build_crag([Candidate(1, 0)], [], [], 1, 1)
+        build_crag([Candidate(1, 0)], [], [], leaf_image({}, 1, 1))
+
+
+def test_leaf_label_image_checked():
+    """A 2-d integer image of leaf ids and UNCOVERED; the Crag keeps a
+    read-only int64 copy."""
+    cands = [Candidate(1, 0)]
+    with pytest.raises(LeavesDoNotCoverImage):  # 9 is not a leaf id
+        build_crag(cands, [], [], np.array([[1, 9]]))
+    with pytest.raises(CmcError):
+        build_crag(cands, [], [], np.array([1, UNCOVERED]))
+    with pytest.raises(CmcError):
+        build_crag(cands, [], [], np.array([[1.0]]))
+    with pytest.raises(CmcError):
+        build_crag(cands, [], [], np.array([[True]]))
+    image = np.array([[1, 1]], dtype=np.uint8)
+    labels = build_crag(cands, [], [], image).leaf_labels()
+    image[0, 0] = 2
+    assert labels.dtype == np.int64 and labels.tolist() == [[1, 1]]
+    assert not labels.flags.writeable
 
 
 def test_unknown_subset_id_rejected():
     with pytest.raises(CmcError):
-        build_crag(
-            [Candidate(1, 0, pixels=frozenset([(0, 0)]))], [], [(1, 9)], 1, 1
-        )
+        build_crag([Candidate(1, 0)], [], [(1, 9)], leaf_image({1: [(0, 0)]}, 1, 1))
 
 
 def test_two_parents_rejected():
     cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(2, 0, pixels=frozenset([(0, 1)])),
-        Candidate(3, 0, pixels=frozenset([(0, 2)])),
+        Candidate(1, 0),
+        Candidate(2, 0),
+        Candidate(3, 0),
         Candidate(4, 1, children=(1, 2)),
         Candidate(5, 1, children=(1, 3)),
     ]
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 2)]}, 3, 1)
     with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 4), (2, 4), (1, 5), (3, 5)], 3, 1)
+        build_crag(cands, [], [(1, 4), (2, 4), (1, 5), (3, 5)], labels)
 
 
 def test_children_subset_mismatch_rejected():
     cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(2, 0, pixels=frozenset([(0, 1)])),
+        Candidate(1, 0),
+        Candidate(2, 0),
         Candidate(3, 1, children=(1,)),  # subset says children are {1, 2}
     ]
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
     with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 3), (2, 3)], 2, 1)
+        build_crag(cands, [], [(1, 3), (2, 3)], labels)
 
 
 def test_cycle_rejected():
     cands = [Candidate(1, 1, children=(2,)), Candidate(2, 1, children=(1,))]
     with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 2), (2, 1)], 1, 1)
+        build_crag(cands, [], [(1, 2), (2, 1)], leaf_image({}, 1, 1))
 
 
 def test_out_of_bounds_pixel_rejected():
-    with pytest.raises(LeavesDoNotCoverImage):
-        build_crag([Candidate(1, 0, pixels=frozenset([(0, 5)]))], [], [], 2, 2)
+    """A crag.json run that leaves the 2x2 image, in each direction."""
+    for pixel in [(0, 5), (0, 2), (2, 0), (-1, 0), (0, -1)]:
+        obj = ref_crag_json({1: [pixel]}, [Candidate(1, 0)], [], [], 2, 2)
+        with pytest.raises(LeavesDoNotCoverImage):
+            crag_from_json(obj)
 
 
 def test_overlapping_leaves_rejected():
-    cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0), (0, 1)])),
-        Candidate(2, 0, pixels=frozenset([(0, 1)])),
-    ]
-    with pytest.raises(OverlappingLeaves):
-        build_crag(cands, [], [], 2, 1)
+    """Runs (0, 0:2) of leaf 1 and (0, 1:2) of leaf 2 share pixel (0, 1)."""
+    pixels = {1: [(0, 0), (0, 1)], 2: [(0, 1)]}
+    obj = ref_crag_json(pixels, [Candidate(1, 0), Candidate(2, 0)], [], [], 2, 1)
+    with pytest.raises(OverlappingLeaves) as got:
+        crag_from_json(obj)
+    assert got.value.ids == (1, 2)
 
 
 def test_bad_adjacency_rejected():
     base = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(2, 0, pixels=frozenset([(0, 1)])),
-        Candidate(3, 0, pixels=frozenset([(0, 3)])),
+        Candidate(1, 0),
+        Candidate(2, 0),
+        Candidate(3, 0),
         Candidate(4, 1, children=(1, 2)),
     ]
     subset = [(1, 4), (2, 4)]
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 3)]}, 4, 1)
     with pytest.raises(CmcError):
-        build_crag(base, [(1, 9)], subset, 4, 1)
+        build_crag(base, [(1, 9)], subset, labels)
     with pytest.raises(AdjacencyBetweenOverlapping):
-        build_crag(base, [(1, 1)], subset, 4, 1)
+        build_crag(base, [(1, 1)], subset, labels)
     with pytest.raises(AdjacencyBetweenOverlapping):
-        build_crag(base, [(1, 4)], subset, 4, 1)  # parent overlaps child
+        build_crag(base, [(1, 4)], subset, labels)  # parent overlaps child
     with pytest.raises(NotAdjacent):
-        build_crag(base, [(1, 3)], subset, 4, 1)  # gap at (0, 2)
+        build_crag(base, [(1, 3)], subset, labels)  # gap at (0, 2)
 
 
 def test_conflict_cliques_quad():
@@ -185,8 +208,9 @@ def test_conflict_cliques_quad():
 
 
 def test_conflict_cliques_flat():
-    cands = [Candidate(i, 0, pixels=frozenset([(0, i - 1)])) for i in (1, 2, 3)]
-    crag = build_crag(cands, [], [], 3, 1)
+    cands = [Candidate(i, 0) for i in (1, 2, 3)]
+    labels = leaf_image({i: [(0, i - 1)] for i in (1, 2, 3)}, 3, 1)
+    crag = build_crag(cands, [], [], labels)
     assert conflict_cliques(crag) == [
         frozenset([1]),
         frozenset([2]),
@@ -197,12 +221,13 @@ def test_conflict_cliques_flat():
 def test_conflict_cliques_chain_with_lone_leaf():
     # chain 1 -> 3 -> 4 plus a parentless leaf 2
     cands = [
-        Candidate(1, 0, pixels=frozenset([(0, 0)])),
-        Candidate(2, 0, pixels=frozenset([(0, 1)])),
+        Candidate(1, 0),
+        Candidate(2, 0),
         Candidate(3, 1, children=(1,)),
         Candidate(4, 2, children=(3,)),
     ]
-    crag = build_crag(cands, [], [(1, 3), (3, 4)], 2, 1)
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
+    crag = build_crag(cands, [], [(1, 3), (3, 4)], labels)
     assert set(conflict_cliques(crag)) == {frozenset([1, 3, 4]), frozenset([2])}
 
 
@@ -218,7 +243,7 @@ def test_clique_properties_random():
             assert clique in chains
             for a in clique:
                 for b in clique:
-                    assert not crag.pixels_of(a).isdisjoint(crag.pixels_of(b))
+                    assert not pixels_of(crag, a).isdisjoint(pixels_of(crag, b))
         assert set().union(*cliques) == set(crag.ids())
 
 
@@ -302,10 +327,8 @@ def test_interface_pairs_and_touch():
     ((1,0),(1,1)); the edge features see exactly those pairs."""
     a = {(0, 0), (1, 0)}
     b = {(0, 1), (1, 1)}
-    crag = build_crag(
-        [Candidate(1, 0, pixels=frozenset(a)), Candidate(2, 0, pixels=frozenset(b))],
-        [(1, 2)], [], 2, 2,
-    )
+    leaves = [Candidate(1, 0), Candidate(2, 0)]
+    crag = build_crag(leaves, [(1, 2)], [], leaf_image({1: a, 2: b}, 2, 2))
     boundary = np.array([[0.1, 0.5], [0.3, 0.2]])
     nf = {1: np.zeros(147), 2: np.zeros(147)}
     f = edge_features((1, 2), crag, np.zeros((2, 2)), boundary, nf)
@@ -323,22 +346,10 @@ def test_interface_pairs_and_touch():
     assert ref_regions_touch(a, b)  # build_crag accepted (1, 2) above
     assert not ref_regions_touch(a, {(0, 2)})
     with pytest.raises(NotAdjacent):
-        build_crag(
-            [
-                Candidate(1, 0, pixels=frozenset(a)),
-                Candidate(2, 0, pixels=frozenset({(0, 2)})),
-            ],
-            [(1, 2)], [], 3, 2,
-        )
+        build_crag(leaves, [(1, 2)], [], leaf_image({1: a, 2: {(0, 2)}}, 3, 2))
     assert not ref_regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
     with pytest.raises(NotAdjacent):
-        build_crag(
-            [
-                Candidate(1, 0, pixels=frozenset({(0, 0)})),
-                Candidate(2, 0, pixels=frozenset({(1, 1)})),
-            ],
-            [(1, 2)], [], 2, 2,
-        )
+        build_crag(leaves, [(1, 2)], [], leaf_image({1: {(0, 0)}, 2: {(1, 1)}}, 2, 2))
 
 
 def test_objective_value():
@@ -349,17 +360,22 @@ def test_objective_value():
 
 
 def test_rle_roundtrip_random():
+    """A one-leaf crag survives crag_to_json / crag_from_json pixel for pixel."""
     rng = np.random.default_rng(3)
     for _ in range(50):
         pixels = frozenset(
             (int(r), int(c))
             for r, c in rng.integers(0, 9, size=(rng.integers(1, 30), 2))
         )
-        assert _decode_pixels(_encode_pixels(pixels)) == pixels
+        crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 9, 9))
+        back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
+        assert pixels_of(back, 1) == pixels
 
 
 def test_rle_is_compact():
-    runs = _encode_pixels({(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)})
+    pixels = {(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)}
+    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 5, 2))
+    runs = crag_to_json(crag)["candidates"][0]["pixels"]
     assert runs == [
         {"row": 0, "col_start": 0, "col_end": 3},
         {"row": 0, "col_start": 4, "col_end": 5},
@@ -373,6 +389,13 @@ def test_crag_json_roundtrip():
     for crag in crags:
         blob = json.dumps(crag_to_json(crag), sort_keys=True)
         assert crag_from_json(json.loads(blob)) == crag
+    # equality sees the pixels: pixel (1, 1) moves from leaf 3 to leaf 1
+    quad = quad_crag()
+    labels = quad.leaf_labels().copy()
+    labels[1, 1] = 1
+    parts = (quad.candidates.values(), quad.adjacency, quad.subset.items())
+    moved = build_crag(*parts, labels)
+    assert moved != quad and moved.candidates == quad.candidates
 
 
 def test_leaf_labels_quad_and_uncovered():
@@ -382,7 +405,7 @@ def test_leaf_labels_quad_and_uncovered():
     assert labels.tolist() == [[1, 1, 2, 2], [1, 3, 3, 2], [1, 3, 3, 4], [4, 4, 4, 4]]
     assert not labels.flags.writeable
     assert crag.leaf_labels() is labels
-    crag = build_crag([Candidate(1, 0, pixels=frozenset([(0, 1)]))], [], [], 3, 1)
+    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: [(0, 1)]}, 3, 1))
     assert crag.leaf_labels().tolist() == [[UNCOVERED, 1, UNCOVERED]]
 
 
@@ -393,26 +416,100 @@ def test_leaf_labels_json_roundtrip():
     for crag in crags:
         labels = crag.leaf_labels()
         assert labels.shape == (crag.height, crag.width)
-        for leaf in crag.leaves():
-            assert {tuple(p) for p in np.argwhere(labels == leaf).tolist()} == (
-                crag.pixels_of(leaf)
-            )
-        back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
+        obj = crag_to_json(crag)
+        leaves = [e for e in obj["candidates"] if "pixels" in e]
+        assert [e["id"] for e in leaves] == crag.leaves()
+        for entry in leaves:
+            assert ref_decode_pixels(entry["pixels"]) == {
+                tuple(p) for p in np.argwhere(labels == entry["id"]).tolist()
+            }
+        back = crag_from_json(json.loads(json.dumps(obj)))
         assert np.array_equal(back.leaf_labels(), labels)
 
 
+def test_crag_to_json_matches_reference_encoder():
+    """crag_to_json splits label-image rows into the same runs, in the
+    same order, as the per-leaf pixel-set encoder, on quad_crag, 60
+    random sparse graphs and 6 synthetic graphs at 256 px."""
+    rng = np.random.default_rng(29)
+    crags = [quad_crag()] + [random_sparse_crag(rng) for _ in range(60)]
+    for seed in (1, 2, 3):
+        for noise in (0.1, 1.0):
+            boundary = generate_synthetic(1, 12, noise, seed, image_size=256)[0][1]
+            crags.append(build_graph(boundary, PipelineConfig()))
+    for crag in crags:
+        pixels = {leaf: pixels_of(crag, leaf) for leaf in crag.leaves()}
+        want = ref_crag_json(
+            pixels,
+            crag.candidates.values(),
+            crag.adjacency,
+            crag.subset.items(),
+            crag.width,
+            crag.height,
+        )
+        assert crag_to_json(crag) == want
+
+
+def _edited(edit):
+    def text(obj):
+        edit(obj)
+        return json.dumps(obj)
+
+    return text
+
+
+# quad_crag's crag.json, broken one way each; candidates[0] is leaf 1,
+# whose first run is {"row": 0, "col_start": 0, "col_end": 2}
+MALFORMED_CRAG_JSON = {
+    "missing width": _edited(lambda obj: obj.pop("width")),
+    "float col_end": _edited(
+        lambda obj: obj["candidates"][0]["pixels"][0].update(col_end=2.0)
+    ),
+    "3-element adjacency entry": _edited(lambda obj: obj["adjacency"][0].append(7)),
+    "negative width": _edited(lambda obj: obj.update(width=-4)),
+    "col_start == col_end": _edited(
+        lambda obj: obj["candidates"][0]["pixels"].append(
+            {"row": 3, "col_start": 2, "col_end": 2}
+        )
+    ),
+    "col_start > col_end": _edited(
+        lambda obj: obj["candidates"][0]["pixels"].append(
+            {"row": 3, "col_start": 3, "col_end": 1}
+        )
+    ),
+    "string row": _edited(
+        lambda obj: obj["candidates"][0]["pixels"][0].update(row="0")
+    ),
+    "boolean id": _edited(lambda obj: obj["candidates"][0].update(id=True)),
+    "invalid JSON text": lambda obj: json.dumps(obj)[:-1],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CRAG_JSON))
+def test_malformed_crag_json_rejected(case, tmp_path, capsys):
+    """Malformed crag.json raises CmcError; cmc solve exits 1 naming it."""
+    path = tmp_path / "crag.json"
+    path.write_text(MALFORMED_CRAG_JSON[case](crag_to_json(quad_crag())))
+    with pytest.raises(CmcError):
+        crag_from_json(cli._load_json(path))
+    out = tmp_path / "solution.json"
+    argv = ["solve", "--crag", path, "--costs", tmp_path / "costs.json", "--out", out]
+    assert cli.main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "crag.json" in err
+    assert not out.exists()
+
+
 def one_fault_variants(rng, crag):
-    """(fault, candidates, adjacency): the crag's own lists, then copies
-    with one fault each where the crag allows it."""
-    cands = {i: crag.candidates[i] for i in crag.ids()}
+    """(fault, leaf pixels, adjacency): the crag's own, then copies with
+    one fault each where the crag allows it."""
+    pixels = {leaf: pixels_of(crag, leaf) for leaf in crag.leaves()}
     adjacency = list(crag.adjacency)
     leaves = crag.leaves()
-    yield "none", list(cands.values()), adjacency
+    yield "none", pixels, adjacency
 
     def with_pixel(leaf, pixel):
-        changed = dict(cands)
-        changed[leaf] = replace(cands[leaf], pixels=cands[leaf].pixels | {pixel})
-        return list(changed.values())
+        return {**pixels, leaf: pixels[leaf] | {pixel}}
 
     def with_edge(edge):
         changed = list(adjacency)
@@ -421,56 +518,58 @@ def one_fault_variants(rng, crag):
 
     if len(leaves) > 1:
         a, b = (int(v) for v in rng.choice(leaves, size=2, replace=False))
-        shared = sorted(cands[b].pixels)[int(rng.integers(len(cands[b].pixels)))]
+        shared = sorted(pixels[b])[int(rng.integers(len(pixels[b])))]
         yield "duplicate pixel", with_pixel(a, shared), adjacency
     h, w = crag.height, crag.width
     r, c = int(rng.integers(h)), int(rng.integers(w))
     outside = [(-1, c), (h, c), (r, -1), (r, w)][int(rng.integers(4))]
     leaf = leaves[int(rng.integers(len(leaves)))]
     yield "outside pixel", with_pixel(leaf, outside), adjacency
+    region = {i: pixels_of(crag, i) for i in crag.ids()}
     apart = [
         (i, j)
         for i, j in itertools.combinations(crag.ids(), 2)
-        if crag.pixels_of(i).isdisjoint(crag.pixels_of(j))
-        and not ref_regions_touch(crag.pixels_of(i), crag.pixels_of(j))
+        if region[i].isdisjoint(region[j])
+        and not ref_regions_touch(region[i], region[j])
     ]
     if apart:
-        yield "non-touching edge", list(cands.values()), with_edge(
+        yield "non-touching edge", pixels, with_edge(
             apart[int(rng.integers(len(apart)))]
         )
     if crag.subset:
         pair = sorted(crag.subset.items())[int(rng.integers(len(crag.subset)))]
-        yield "child-parent edge", list(cands.values()), with_edge(
+        yield "child-parent edge", pixels, with_edge(
             pair if rng.random() < 0.5 else pair[::-1]
         )
 
 
 def test_build_crag_matches_pixel_set_reference():
-    """Label-image validation raises what the per-pixel checks raise and
-    paints the same leaf_labels(); OverlappingLeaves names two leaves
-    that share a pixel."""
+    """crag_from_json (run painting, then build_crag's checks on the label
+    image) raises what the per-pixel checks raise and paints the same
+    leaf_labels(); OverlappingLeaves names two leaves that share a pixel."""
     rng = np.random.default_rng(44)
     crags = [quad_crag()]
     crags += [random_crag(rng) for _ in range(60)]
     crags += [random_sparse_crag(rng) for _ in range(60)]
     outcomes = Counter()
     for crag in crags:
+        cands = [crag.candidates[i] for i in crag.ids()]
         subset = sorted(crag.subset.items())
-        for fault, cands, adjacency in one_fault_variants(rng, crag):
+        for fault, pixels, adjacency in one_fault_variants(rng, crag):
             size = (crag.width, crag.height)
+            obj = ref_crag_json(pixels, cands, adjacency, subset, *size)
             try:
-                want = ref_check_leaves_and_edges(cands, adjacency, *size)
+                want = ref_check_leaves_and_edges(pixels, cands, adjacency, *size)
             except CmcError as exc:
                 with pytest.raises(CmcError) as got:
-                    build_crag(cands, adjacency, subset, *size)
+                    crag_from_json(obj)
                 assert type(got.value) is type(exc), fault
                 if isinstance(exc, OverlappingLeaves):
-                    pixels = {c.id: c.pixels for c in cands}
                     a, b = got.value.ids
                     assert a != b and not pixels[a].isdisjoint(pixels[b])
                 outcomes[fault, type(exc).__name__] += 1
                 continue
-            labels = build_crag(cands, adjacency, subset, *size).leaf_labels()
+            labels = crag_from_json(obj).leaf_labels()
             assert labels.dtype == want.dtype and np.array_equal(labels, want), fault
             assert not labels.flags.writeable
             outcomes[fault, "accepted"] += 1

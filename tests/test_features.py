@@ -20,7 +20,7 @@ from cmc.features import (
     node_features,
 )
 
-from util import quad_crag, random_sparse_crag
+from util import leaf_image, pixels_of, quad_crag, random_sparse_crag
 
 NODE_NAMES = node_feature_names()
 EDGE_NAMES = edge_feature_names()
@@ -342,11 +342,9 @@ def test_node_features_deterministic():
 
 def test_interface_stats_oracle():
     """Two stacked strips, three interface pairs with intensities .2/.4/.6."""
-    from cmc.crag import Candidate, build_crag
-
-    a = Candidate(1, 0, pixels=frozenset({(0, 0), (0, 1), (0, 2)}))
-    b = Candidate(2, 0, pixels=frozenset({(1, 0), (1, 1), (1, 2)}))
-    crag = build_crag([a, b], [(1, 2)], [], 3, 2)
+    leaves = [Candidate(1, 0), Candidate(2, 0)]
+    pixels = {1: {(0, 0), (0, 1), (0, 2)}, 2: {(1, 0), (1, 1), (1, 2)}}
+    crag = build_crag(leaves, [(1, 2)], [], leaf_image(pixels, 3, 2))
     boundary = np.array([[0.2, 0.4, 0.6], [0.0, 0.0, 0.0]])
     raw = np.zeros((2, 3))
     nf, ef = compute_features(crag, raw, boundary)
@@ -472,7 +470,7 @@ def sparse_instances(seed, count):
 def test_trace_contour_matches_reference():
     for crag, _, _ in sparse_instances(31, 40):
         for cid in crag.ids():
-            pixels = crag.pixels_of(cid)
+            pixels = pixels_of(crag, cid)
             mask, (r0, c0) = to_mask(pixels)
             got = [(r + r0, c + c0) for r, c in _trace_contour(mask)]
             assert got == ref_trace_contour(pixels)
@@ -490,12 +488,12 @@ def test_compute_features_matches_per_pixel_reference():
         seen["uncovered"] += int((crag.leaf_labels() < 0).any())
         nf, ef = compute_features(crag, raw, boundary)
         ref = {
-            cid: ref_node_features(crag.pixels_of(cid), raw, boundary)
+            cid: ref_node_features(pixels_of(crag, cid), raw, boundary)
             for cid in crag.ids()
         }
         for cid in crag.ids():
             angles = ref[cid][3:19]
-            seen["disconnected"] += len(crag.pixels_of(cid)) > 1 and not angles.any()
+            seen["disconnected"] += len(pixels_of(crag, cid)) > 1 and not angles.any()
             assert np.array_equal(nf[cid][other], ref[cid][other])
             assert np.allclose(
                 nf[cid][CONTOUR_MOMENTS],
@@ -505,7 +503,7 @@ def test_compute_features_matches_per_pixel_reference():
             )
         for i, j in crag.adjacency:
             want = ref_edge_features(
-                crag.pixels_of(i), crag.pixels_of(j), boundary, ref[i], ref[j]
+                pixels_of(crag, i), pixels_of(crag, j), boundary, ref[i], ref[j]
             )
             got = ef[(i, j)]
             seen["edges"] += 1
@@ -524,7 +522,7 @@ def test_adaptors_share_the_kernel():
     for crag, raw, boundary in sparse_instances(43, 15):
         nf, ef = compute_features(crag, raw, boundary)
         for cid in crag.ids():
-            got = node_features(crag.pixels_of(cid), raw, boundary)
+            got = node_features(pixels_of(crag, cid), raw, boundary)
             assert np.array_equal(got, nf[cid])
         for edge in crag.adjacency:
             got = edge_features(edge, crag, raw, boundary, nf)
@@ -548,8 +546,8 @@ def test_non_finite_image_rejected():
         with pytest.raises(DegenerateInput):
             edge_features((1, 4), crag, half, boundary, {1: half, 4: half})
     # pixels no leaf covers are not looked at
-    leaf = Candidate(1, 0, pixels=frozenset({(0, 0), (0, 1)}))
-    crag = build_crag([leaf], [], [], 3, 1)
+    leaf = leaf_image({1: {(0, 0), (0, 1)}}, 3, 1)
+    crag = build_crag([Candidate(1, 0)], [], [], leaf)
     raw = np.array([[0.5, 0.5, np.nan]])
     nf, _ = compute_features(crag, raw, np.array([[0.5, 0.5, np.inf]]))
     assert np.isfinite(nf[1]).all()

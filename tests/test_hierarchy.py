@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cmc.errors import DegenerateInput, NoSeeds, NotAdjacent
+from cmc.errors import CmcError, DegenerateInput, NoSeeds, NotAdjacent
 from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from cmc.synth import generate_synthetic
 
-from util import brute_merge_score, ref_seeded_watershed
+from util import brute_merge_score, pixels_of, ref_seeded_watershed
 
 
 def strip_tree():
@@ -326,8 +326,15 @@ def test_extract_reattaches_across_dropped_nodes():
     assert crag.ids() == [1, 2, 3, 5]
     assert crag.parent(1) == 5 and crag.parent(2) == 5 and crag.parent(3) == 5
     assert crag.candidates[5].children == (1, 2, 3)
-    assert crag.pixels_of(5) == frozenset((0, c) for c in range(6))
+    assert pixels_of(crag, 5) == frozenset((0, c) for c in range(6))
     assert set(crag.adjacency) == {(1, 2), (2, 3)}
+
+
+def test_extract_negative_max_merges_rejected():
+    """Every superpixel is a leaf, so no level cap may drop the leaves."""
+    tree, _ = strip_tree()
+    with pytest.raises(CmcError):
+        extract_candidates(tree, -1)
 
 
 def test_extract_max_merges_zero_on_random():

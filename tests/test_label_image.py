@@ -8,7 +8,7 @@ from cmc.costmodel import leaf_gt_labels
 from cmc.crag import Solution, validate_solution
 from cmc.solver import extract_segmentation
 
-from util import random_sparse_crag
+from util import pixels_of, random_sparse_crag
 
 
 def ref_segmentation(crag, solution):
@@ -22,13 +22,13 @@ def ref_segmentation(crag, solution):
                 group[k] = joined
     components = {id(g): g for g in group.values()}.values()
     keyed = sorted(
-        (min(min(crag.pixels_of(i)) for i in members), sorted(members))
+        (min(min(pixels_of(crag, i)) for i in members), sorted(members))
         for members in components
     )
     labels = np.zeros((crag.height, crag.width), dtype=np.int64)
     for label, (_, members) in enumerate(keyed, start=1):
         for cid in members:
-            for (r, c) in crag.pixels_of(cid):
+            for (r, c) in pixels_of(crag, cid):
                 labels[r, c] = label
     return labels
 
@@ -38,9 +38,9 @@ def random_feasible_solution(rng, crag):
     taken = set()
     y = dict.fromkeys(crag.ids(), 0)
     for cid in rng.permutation(crag.ids()).tolist():
-        if rng.random() < 0.7 and taken.isdisjoint(crag.pixels_of(cid)):
+        if rng.random() < 0.7 and taken.isdisjoint(pixels_of(crag, cid)):
             y[cid] = 1
-            taken |= crag.pixels_of(cid)
+            taken |= pixels_of(crag, cid)
     group = {cid: int(rng.integers(3)) for cid in crag.ids()}
     m = {
         (i, j): int(bool(y[i] and y[j] and group[i] == group[j]))
@@ -69,7 +69,7 @@ def test_leaf_gt_labels_matches_reference():
         crag = random_sparse_crag(rng)
         gt = rng.integers(0, 3, size=(crag.height, crag.width))
         want = {
-            leaf: int(np.argmax(np.bincount([gt[p] for p in crag.pixels_of(leaf)])))
+            leaf: int(np.argmax(np.bincount([gt[p] for p in pixels_of(crag, leaf)])))
             for leaf in crag.leaves()
         }
         assert leaf_gt_labels(crag, gt) == want

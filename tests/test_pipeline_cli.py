@@ -16,7 +16,7 @@ from cmc.errors import CmcError, SingleClass, StageFailure
 from cmc.evaluate import segmentation_metrics
 from cmc.features import compute_features, features_to_json
 from cmc.hierarchy import seeded_watershed
-from cmc.pgm import read_labels, write_labels
+from cmc.pgm import read_labels, write_labels, write_probability
 from cmc.pipeline import (
     PipelineConfig,
     build_graph,
@@ -30,7 +30,7 @@ from cmc.pipeline import (
 )
 from cmc.synth import generate_synthetic
 
-from util import pixel_grid_crag
+from util import leaf_image, pixel_grid_crag
 
 
 def easy_triple(seed=3):
@@ -108,13 +108,8 @@ def test_train_model_and_json_roundtrip():
 
 def edgeless_instance():
     """Two leaves that do not touch: both node classes, no edge at all."""
-    crag = build_crag(
-        [
-            Candidate(1, 0, pixels=frozenset([(0, 0)])),
-            Candidate(2, 0, pixels=frozenset([(0, 2)])),
-        ],
-        [], [], 3, 1,
-    )
+    labels = leaf_image({1: [(0, 0)], 2: [(0, 2)]}, 3, 1)
+    crag = build_crag([Candidate(1, 0), Candidate(2, 0)], [], [], labels)
     node_feats, edge_feats = compute_features(crag, np.zeros((1, 3)), np.zeros((1, 3)))
     return crag, node_feats, edge_feats, np.array([[1, 0, 0]])
 
@@ -303,6 +298,19 @@ def test_cli_missing_file_reports_error(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_negative_max_merges_fails(tmp_path, capsys):
+    _, boundary, _ = easy_triple()
+    write_probability(str(tmp_path / "boundary.pgm"), boundary)
+    out = tmp_path / "crag.json"
+    rc = main(
+        ["build-crag", "--boundary", str(tmp_path / "boundary.pgm"),
+         "--max-merges", "-1", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "max_merges" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_eval_matches_library(tmp_path):

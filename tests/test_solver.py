@@ -20,6 +20,7 @@ from cmc.solver import (
 
 from util import (
     enumerate_minimum,
+    leaf_image,
     pixel_grid_crag,
     quad_costs,
     quad_crag,
@@ -33,12 +34,9 @@ MODES = ("full", "merge_tree_only", "leaf_multicut_only")
 
 def triangle_crag():
     """Three mutually adjacent regions on a 2x2 canvas."""
-    cands = [
-        Candidate(1, 0, pixels=frozenset({(0, 0)})),
-        Candidate(2, 0, pixels=frozenset({(0, 1)})),
-        Candidate(3, 0, pixels=frozenset({(1, 0), (1, 1)})),
-    ]
-    return build_crag(cands, [(1, 2), (1, 3), (2, 3)], [], 2, 2)
+    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 0)]
+    labels = leaf_image({1: {(0, 0)}, 2: {(0, 1)}, 3: {(1, 0), (1, 1)}}, 2, 2)
+    return build_crag(cands, [(1, 2), (1, 3), (2, 3)], [], labels)
 
 
 def test_solve_quad():
@@ -77,7 +75,7 @@ def test_all_zero_costs_tie_break_to_empty():
 
 
 def test_single_candidate():
-    crag = build_crag([Candidate(1, 0, pixels=frozenset({(0, 0)}))], [], [], 1, 1)
+    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: {(0, 0)}}, 1, 1))
     sol = solve(crag, CostTable(f={1: -1.0}, g={}))
     assert sol.y == {1: 1} and sol.objective == -1.0
 

@@ -1,6 +1,11 @@
 """Shared test helpers: a small hand-built CRAG, random instances, a
 literal enumeration oracle used to cross-check the solver, and plain
-per-pixel references for the array-based watershed and CRAG checks.
+per-pixel references for the array-based watershed, CRAG checks and
+crag.json run-length encoding.
+
+Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
+a label image by `leaf_image`, and read a candidate's pixel set back from
+`Crag.leaf_labels()` with `pixels_of`.
 
 The random generator keeps instances inside the brute-force budget
 (candidates + edges <= 26) so every instance can be checked against the
@@ -44,6 +49,26 @@ def report(ok, text):
 
 
 # ---------------------------------------------------------------------------
+# pixel sets and label images
+
+
+def leaf_image(pixels, width, height):
+    """int64 (height, width) leaf label image painted from a {leaf id:
+    (row, col) pairs} dict; UNCOVERED where no leaf lies."""
+    labels = np.full((height, width), UNCOVERED, dtype=np.int64)
+    for leaf, pix in pixels.items():
+        for r, c in pix:
+            labels[r, c] = leaf
+    return labels
+
+
+def pixels_of(crag, cid):
+    """(row, col) set of a candidate, read from crag.leaf_labels()."""
+    rows, cols = np.nonzero(np.isin(crag.leaf_labels(), crag.leaves_under(cid)))
+    return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+# ---------------------------------------------------------------------------
 # hand-built fixture: 4x4 image, four leaves, two inner merges, one root
 
 
@@ -58,7 +83,7 @@ def quad_crag():
     for r, line in enumerate(rows):
         for c, ch in enumerate(line):
             pix[int(ch)].add((r, c))
-    candidates = [Candidate(k, 0, pixels=frozenset(pix[k])) for k in (1, 2, 3, 4)]
+    candidates = [Candidate(k, 0) for k in (1, 2, 3, 4)]
     candidates += [
         Candidate(5, 1, children=(1, 2)),
         Candidate(6, 1, children=(3, 4)),
@@ -69,7 +94,7 @@ def quad_crag():
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         (3, 5), (4, 5), (1, 6), (2, 6), (5, 6),
     ]
-    return build_crag(candidates, adjacency, subset, 4, 4)
+    return build_crag(candidates, adjacency, subset, leaf_image(pix, 4, 4))
 
 
 def quad_gt():
@@ -95,11 +120,8 @@ def pixel_grid_crag(h, w):
     def cid(r, c):
         return r * w + c + 1
 
-    candidates = [
-        Candidate(cid(r, c), 0, pixels=frozenset([(r, c)]))
-        for r in range(h)
-        for c in range(w)
-    ]
+    pixels = {cid(r, c): [(r, c)] for r in range(h) for c in range(w)}
+    candidates = [Candidate(k, 0) for k in pixels]
     adjacency = []
     for r in range(h):
         for c in range(w):
@@ -107,7 +129,7 @@ def pixel_grid_crag(h, w):
                 adjacency.append((cid(r, c), cid(r, c + 1)))
             if r + 1 < h:
                 adjacency.append((cid(r, c), cid(r + 1, c)))
-    return build_crag(candidates, adjacency, [], w, h)
+    return build_crag(candidates, adjacency, [], leaf_image(pixels, w, h))
 
 
 def zero_solution(crag):
@@ -145,10 +167,7 @@ def random_crag(rng, budget=26):
     for p, lab in owner.items():
         pixels[lab].add(p)
 
-    candidates = [
-        Candidate(lab, 0, pixels=frozenset(pixels[lab]))
-        for lab in range(1, n_leaves + 1)
-    ]
+    candidates = [Candidate(lab, 0) for lab in range(1, n_leaves + 1)]
     subset = []
     level = {lab: 0 for lab in range(1, n_leaves + 1)}
     roots = {lab: frozenset(pixels[lab]) for lab in range(1, n_leaves + 1)}
@@ -173,17 +192,18 @@ def random_crag(rng, budget=26):
     for cid, kids in children.items():
         candidates.append(Candidate(cid, level[cid], children=kids))
 
-    crag0 = build_crag(candidates, [], subset, w, h)
+    labels = leaf_image(pixels, w, h)
+    crag0 = build_crag(candidates, [], subset, labels)
     valid = []
     for i, j in itertools.combinations(crag0.ids(), 2):
-        pa, pb = crag0.pixels_of(i), crag0.pixels_of(j)
+        pa, pb = pixels_of(crag0, i), pixels_of(crag0, j)
         if pa.isdisjoint(pb) and ref_regions_touch(pa, pb):
             valid.append((i, j))
     rng.shuffle(valid)
     keep = min(len(valid), budget - len(candidates))
     if keep and rng.random() < 0.3:
         keep = int(rng.integers(0, keep + 1))
-    return build_crag(candidates, valid[:keep], subset, w, h)
+    return build_crag(candidates, valid[:keep], subset, labels)
 
 
 def _grow_leaves(rng, cells, n_leaves):
@@ -220,9 +240,7 @@ def random_sparse_crag(rng):
     for p, lab in sorted(owner.items()):
         if rng.random() >= 0.2 or not pixels:
             pixels.setdefault(lab, set()).add(p)
-    candidates = [
-        Candidate(lab, 0, pixels=frozenset(pix)) for lab, pix in sorted(pixels.items())
-    ]
+    candidates = [Candidate(lab, 0) for lab in sorted(pixels)]
     roots = sorted(pixels)
     level = dict.fromkeys(roots, 0)
     subset = []
@@ -236,14 +254,15 @@ def random_sparse_crag(rng):
         subset += [(a, next_id), (b, next_id)]
         roots.append(next_id)
         next_id += 1
-    crag0 = build_crag(candidates, [], subset, w, h)
+    labels = leaf_image(pixels, w, h)
+    crag0 = build_crag(candidates, [], subset, labels)
+    region = {i: pixels_of(crag0, i) for i in crag0.ids()}
     adjacency = [
         (i, j)
         for i, j in itertools.combinations(crag0.ids(), 2)
-        if crag0.pixels_of(i).isdisjoint(crag0.pixels_of(j))
-        and ref_regions_touch(crag0.pixels_of(i), crag0.pixels_of(j))
+        if region[i].isdisjoint(region[j]) and ref_regions_touch(region[i], region[j])
     ]
-    return build_crag(candidates, adjacency, subset, w, h)
+    return build_crag(candidates, adjacency, subset, labels)
 
 
 def ref_regions_touch(pa, pb):
@@ -301,11 +320,12 @@ def ref_seeded_watershed(boundary, seed_threshold):
     return labels
 
 
-def ref_check_leaves_and_edges(candidates, adjacency, width, height):
-    """build_crag's leaf and edge checks, done on pixel sets.
+def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
+    """crag_from_json's leaf and build_crag's edge checks, done on pixel sets.
 
-    Leaves in sorted id order, pixels one at a time: a pixel outside
-    the image raises LeavesDoNotCoverImage, a pixel already owned raises
+    `pixels` maps each leaf id to its (row, col) pairs.  Leaves in
+    sorted id order, pixels one at a time: a pixel outside the image
+    raises LeavesDoNotCoverImage, a pixel already owned raises
     OverlappingLeaves.  Each edge, in the given order: an unknown id
     raises CmcError, a self-loop or a shared pixel between the two
     candidates' pixel unions raises AdjacencyBetweenOverlapping, no
@@ -314,15 +334,15 @@ def ref_check_leaves_and_edges(candidates, adjacency, width, height):
     """
     cand_map = {c.id: c for c in candidates}
 
-    def pixels_of(cid):
+    def region(cid):
         cand = cand_map[cid]
         if not cand.children:
-            return cand.pixels
-        return frozenset().union(*(pixels_of(k) for k in cand.children))
+            return frozenset(pixels[cid])
+        return frozenset().union(*(region(k) for k in cand.children))
 
     owner = {}
     for cid in sorted(i for i, c in cand_map.items() if not c.children):
-        for (r, c) in cand_map[cid].pixels:
+        for (r, c) in pixels[cid]:
             if not (0 <= r < height and 0 <= c < width):
                 raise LeavesDoNotCoverImage(f"pixel ({r}, {c}) of leaf {cid}")
             if (r, c) in owner:
@@ -333,7 +353,7 @@ def ref_check_leaves_and_edges(candidates, adjacency, width, height):
             raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
         if i == j:
             raise AdjacencyBetweenOverlapping(i, j)
-        pa, pb = pixels_of(i), pixels_of(j)
+        pa, pb = region(i), region(j)
         if not pa.isdisjoint(pb):
             raise AdjacencyBetweenOverlapping(i, j)
         if not ref_regions_touch(pa, pb):
@@ -342,6 +362,53 @@ def ref_check_leaves_and_edges(candidates, adjacency, width, height):
     for (r, c), cid in owner.items():
         labels[r, c] = cid
     return labels
+
+
+def ref_encode_pixels(pixels):
+    """Run-length encode a pixel set row by row; col_end is exclusive."""
+    rows = {}
+    for (r, c) in pixels:
+        rows.setdefault(r, []).append(c)
+    runs = []
+    for r in sorted(rows):
+        cols = sorted(rows[r])
+        start = prev = cols[0]
+        for c in cols[1:]:
+            if c == prev + 1:
+                prev = c
+                continue
+            runs.append({"row": r, "col_start": start, "col_end": prev + 1})
+            start = prev = c
+        runs.append({"row": r, "col_start": start, "col_end": prev + 1})
+    return runs
+
+
+def ref_decode_pixels(runs):
+    pixels = set()
+    for run in runs:
+        r = run["row"]
+        for c in range(run["col_start"], run["col_end"]):
+            pixels.add((r, c))
+    return frozenset(pixels)
+
+
+def ref_crag_json(pixels, candidates, adjacency, subset, width, height):
+    """crag.json object with each leaf's pixels encoded by ref_encode_pixels."""
+    entries = []
+    for cand in sorted(candidates, key=lambda c: c.id):
+        entry = {"id": cand.id, "level": cand.level}
+        if cand.children:
+            entry["children"] = sorted(cand.children)
+        else:
+            entry["pixels"] = ref_encode_pixels(pixels[cand.id])
+        entries.append(entry)
+    return {
+        "width": width,
+        "height": height,
+        "candidates": entries,
+        "adjacency": [list(e) for e in adjacency],
+        "subset": sorted([c, p] for c, p in subset),
+    }
 
 
 def random_costs(rng, crag):
