@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crag import Solution, edge_from_str, edge_to_str
+from .crag import Solution, edge_to_str, json_edge, json_id, json_member, json_value
 from .errors import (
     CmcError,
     DegenerateInput,
@@ -81,6 +81,14 @@ def best_effort(crag, ground_truth, mode="full"):
     return Solution(y=y, m=m, objective=0.0)
 
 
+def _feature_rows(feats, keys, kind):
+    """Matrix of feats[k] for k in keys; CmcError unless feats holds
+    exactly these keys."""
+    if set(feats) != set(keys):
+        raise CmcError(f"{kind} features do not match the graph's {kind}s")
+    return np.array([feats[k] for k in keys])
+
+
 def label_instances(crag, solution, node_feats, edge_feats):
     """Training samples relative to a reference solution.
 
@@ -114,11 +122,11 @@ def label_instances(crag, solution, node_feats, edge_feats):
                 group[max(a, b)] = min(a, b)
 
     ids = crag.ids()
-    node_x = np.array([node_feats[i] for i in ids])
+    node_x = _feature_rows(node_feats, ids, "node")
     node_y = np.array([int(i in owner) for i in ids])
     edges = list(crag.adjacency)
     if edges:
-        edge_x = np.array([edge_feats[e] for e in edges])
+        edge_x = _feature_rows(edge_feats, edges, "edge")
         edge_y = np.array(
             [
                 int(i in owner and j in owner and find(owner[i]) == find(owner[j]))
@@ -289,14 +297,12 @@ def probability_to_cost(p):
 def predict_costs(node_forest, edge_forest, crag, node_feats, edge_feats):
     """CostTable from the two forests: selection costs f, merge costs g."""
     ids = crag.ids()
-    probs = node_forest.predict_proba(np.array([node_feats[i] for i in ids]))
+    probs = node_forest.predict_proba(_feature_rows(node_feats, ids, "node"))
     f = {i: probability_to_cost(p) for i, p in zip(ids, probs)}
     edges = list(crag.adjacency)
     g = {}
     if edges:
-        probs = edge_forest.predict_proba(
-            np.array([edge_feats[e] for e in edges])
-        )
+        probs = edge_forest.predict_proba(_feature_rows(edge_feats, edges, "edge"))
         g = {e: probability_to_cost(p) for e, p in zip(edges, probs)}
     return CostTable(f, g)
 
@@ -314,12 +320,41 @@ def forest_to_json(forest):
     }
 
 
-def forest_from_json(obj):
+def _tree_from_json(nodes, n_features, where):
+    """A tree's node list, checked so that _tree_predict can walk it: each
+    split names a feature below n_features and children after itself."""
+    doc = "model.json"
+    json_value(doc, nodes, list, where)
+    if not nodes:
+        raise CmcError(f"{doc}: {where} has no node")
+    for slot, node in enumerate(nodes):
+        at = f"node {slot} of {where}"
+        if isinstance(node, dict) and "prob" in node:
+            json_member(doc, node, "prob", float, at)
+            continue
+        feature = json_member(doc, node, "feature", int, at)
+        json_member(doc, node, "threshold", float, at)
+        children = [json_member(doc, node, k, int, at) for k in ("left", "right")]
+        if not 0 <= feature < n_features:
+            raise CmcError(f"{doc}: {at} splits on feature {feature} of {n_features}")
+        if not all(slot < child < len(nodes) for child in children):
+            raise CmcError(f"{doc}: {at} has children {children} out of order")
+    return nodes
+
+
+def forest_from_json(obj, where="forest"):
+    """Forest from its JSON form; malformed input raises CmcError."""
+    doc = "model.json"
+    n_features = json_member(doc, obj, "n_features", int, where)
+    trees = json_member(doc, obj, "trees", list, where)
     return Forest(
-        trees=obj["trees"],
-        n_trees=int(obj["n_trees"]),
-        rng_seed=int(obj["rng_seed"]),
-        n_features=int(obj["n_features"]),
+        trees=[
+            _tree_from_json(nodes, n_features, f"tree {t} of {where}")
+            for t, nodes in enumerate(trees)
+        ],
+        n_trees=json_member(doc, obj, "n_trees", int, where),
+        rng_seed=json_member(doc, obj, "rng_seed", int, where),
+        n_features=n_features,
     )
 
 
@@ -331,7 +366,13 @@ def costs_to_json(costs):
 
 
 def costs_from_json(obj):
+    """CostTable from its JSON form; malformed input raises CmcError."""
+    doc = "costs.json"
+    f, g = (json_member(doc, obj, key, dict, "costs") for key in ("f", "g"))
     return CostTable(
-        f={int(i): float(v) for i, v in obj["f"].items()},
-        g={edge_from_str(k): float(v) for k, v in obj["g"].items()},
+        f={json_id(doc, i): json_value(doc, v, float, f"f[{i}]") for i, v in f.items()},
+        g={
+            json_edge(doc, k): json_value(doc, v, float, f"g[{k}]")
+            for k, v in g.items()
+        },
     )

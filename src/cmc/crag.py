@@ -10,8 +10,10 @@ assignments against the overlap / incidence / path constraint families,
 and JSON (de)serialization, which run-length encodes each leaf.
 """
 
-from dataclasses import dataclass, field
+import math
+import re
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,11 +85,6 @@ def edge_key(i, j):
 
 def edge_to_str(edge):
     return f"{edge[0]}-{edge[1]}"
-
-
-def edge_from_str(key):
-    a, b = key.split("-")
-    return edge_key(int(a), int(b))
 
 
 def objective_value(f, g, y, m):
@@ -436,29 +433,56 @@ def crag_to_json(crag):
     }
 
 
-def _checked(value, kind, where):
-    """value if it is a JSON kind (list, or int: 64-bit, not bool), else CmcError."""
-    if (
-        isinstance(value, kind)
-        and not isinstance(value, bool)
-        and (kind is not int or -(2**63) <= value < 2**63)
-    ):
-        return value
-    raise CmcError(f"crag.json: {where} is not a valid {kind.__name__}: {value!r}")
+_ID_KEY = re.compile(r"-?[0-9]+")
+_EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")
 
 
-def _member(obj, key, kind, where):
-    """obj[key], checked by _checked; CmcError when obj is no object or lacks key."""
+def json_value(doc, value, kind, where):
+    """value if it is a valid JSON `kind`, else CmcError naming doc and where.
+
+    int: 64-bit, not bool; float: a finite int or float, not bool,
+    returned as float; list, dict: that type.
+    """
+    if isinstance(value, bool):
+        ok = False
+    elif isinstance(value, int) and kind in (int, float):
+        ok = -(2**63) <= value < 2**63
+    elif kind is float:
+        ok = isinstance(value, float) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise CmcError(f"{doc}: {where} is not a valid {kind.__name__}: {value!r}")
+    return float(value) if kind is float else value
+
+
+def json_member(doc, obj, key, kind, where):
+    """obj[key], checked by json_value; CmcError when obj is no object or lacks key."""
     if not isinstance(obj, dict) or key not in obj:
-        raise CmcError(f"crag.json: {where} has no {key!r}")
-    return _checked(obj[key], kind, f"{key} of {where}")
+        raise CmcError(f"{doc}: {where} has no {key!r}")
+    return json_value(doc, obj[key], kind, f"{key} of {where}")
+
+
+def json_id(doc, key):
+    """Candidate id from a JSON object key written by str(id)."""
+    if _ID_KEY.fullmatch(key) is None:
+        raise CmcError(f"{doc}: key {key!r} is not a candidate id")
+    return int(key)
+
+
+def json_edge(doc, key):
+    """Canonical edge from a JSON object key written by edge_to_str."""
+    match = _EDGE_KEY.fullmatch(key)
+    if match is None:
+        raise CmcError(f"{doc}: key {key!r} is not an edge 'i-j'")
+    return edge_key(int(match[1]), int(match[2]))
 
 
 def _id_pairs(obj, key):
-    pairs = _member(obj, key, list, "crag")
+    pairs = json_member("crag.json", obj, key, list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"crag.json: an entry of {key} is not a pair")
-    return [tuple(_checked(v, int, key) for v in p) for p in pairs]
+    return [tuple(json_value("crag.json", v, int, key) for v in p) for p in pairs]
 
 
 def crag_from_json(obj):
@@ -468,23 +492,24 @@ def crag_from_json(obj):
     the image raises LeavesDoNotCoverImage, a run over pixels already
     painted raises OverlappingLeaves naming their owner and the new leaf.
     """
-    height, width = (_member(obj, k, int, "crag") for k in ("height", "width"))
+    doc = "crag.json"
+    height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
         raise CmcError(f"crag.json: negative image size {height}x{width}")
     labels = np.full((height, width), UNCOVERED, dtype=np.int64)
     candidates = []
-    for entry in _member(obj, "candidates", list, "crag"):
-        cid = _member(entry, "id", int, "candidate")
+    for entry in json_member(doc, obj, "candidates", list, "crag"):
+        cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
-        level = _member(entry, "level", int, where)
+        level = json_member(doc, entry, "level", int, where)
         if "children" in entry:
-            kids = _member(entry, "children", list, where)
-            kids = tuple(_checked(k, int, f"child of {where}") for k in kids)
+            kids = json_member(doc, entry, "children", list, where)
+            kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
             candidates.append(Candidate(cid, level, kids))
             continue
-        for run in _member(entry, "pixels", list, where):
+        for run in json_member(doc, entry, "pixels", list, where):
             row, start, end = (
-                _member(run, k, int, f"run of {where}")
+                json_member(doc, run, k, int, f"run of {where}")
                 for k in ("row", "col_start", "col_end")
             )
             if start >= end:
@@ -513,8 +538,11 @@ def solution_to_json(solution):
 
 
 def solution_from_json(obj):
+    """Solution from its JSON form; malformed input raises CmcError."""
+    doc = "solution.json"
+    y, m = (json_member(doc, obj, key, dict, "solution") for key in ("y", "m"))
     return Solution(
-        y={int(i): int(v) for i, v in obj["y"].items()},
-        m={edge_from_str(k): int(v) for k, v in obj["m"].items()},
-        objective=float(obj["objective"]),
+        y={json_id(doc, i): json_value(doc, v, int, f"y[{i}]") for i, v in y.items()},
+        m={json_edge(doc, k): json_value(doc, v, int, f"m[{k}]") for k, v in m.items()},
+        objective=json_member(doc, obj, "objective", float, "solution"),
     )

@@ -11,11 +11,22 @@ mask over its bounding box, looked up by leaf id.  All pixel statistics
 are taken in row-major pixel order; interface values are taken in the
 order of their (pixel in the smaller region, pixel in the larger region)
 pairs, sorted row-major, with the edge's first candidate counting as
-the smaller one on equal sizes.  Releases before the label image summed
-contour pixels in hash-set order, so the contour moments (sum, mean,
-var, skew and kurt of raw_contour and boundary_contour, and the edge
-combinators built from them) changed by at most 1e-12 relative; every
-other value is unchanged.
+the smaller one on equal sizes.
+
+Each statistics block costs a few multiply-adds per pixel.  Moments come
+from the deviations d about the mean, recentred on their own mean, with
+d*d formed once and reused in place for d**3 and d**4.  Histograms count
+a uint8 image of bin indices, built once per image for raw and boundary
+over the covered pixels, that reproduces np.histogram(v, 20, (0, 1))
+exactly.  Eccentricity takes the 2x2 covariance as np.cov does.
+
+Tolerance: the moments agree with exact rational arithmetic to within
+1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  Earlier
+releases formed d**3 and d**4 with pow, did not recentre, and summed
+contour pixels in hash-set order; on every image compared, no value
+moved from theirs by more than 1e-12 * (1 + |v|), and size, the angle
+and intensity histograms, the quantiles and the eccentricity are
+bit-identical.
 """
 
 import math
@@ -23,12 +34,19 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .crag import UNCOVERED, edge_from_str, edge_key, edge_to_str
-from .errors import DegenerateInput, DimensionMismatch, EmptyRegion, NotAnEdge
+from .crag import UNCOVERED, edge_key, edge_to_str, json_edge, json_id, json_member
+from .errors import (
+    CmcError,
+    DegenerateInput,
+    DimensionMismatch,
+    EmptyRegion,
+    NotAnEdge,
+)
 
 TWO_PI = 2.0 * math.pi
 
 _QUANTILES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
+_HIST_EDGES = np.linspace(0.0, 1.0, 21)
 
 # Moore neighborhood, clockwise starting north (rows grow downward)
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -60,25 +78,50 @@ def edge_feature_names():
 
 
 def _moments(values):
-    """sum, mean, population variance/skewness, excess kurtosis; 0 at zero variance."""
+    """sum, mean, population variance/skewness, excess kurtosis.
+
+    var, skew and kurt are exactly 0 when all values are equal.  The
+    deviations are recentred on their own mean, which is the rounding
+    error of `mean`: left in, it would shift skew and kurt by about
+    eps * mean / std, far beyond rounding when the values nearly agree.
+    """
+    n = len(values)
     total = float(values.sum())
-    mean = float(values.mean())
+    mean = total / n
+    if values.min() == values.max():
+        return total, mean, 0.0, 0.0, 0.0
     d = values - mean
-    m2 = float(np.mean(d * d))
-    if m2 > 0.0:
-        skew = float(np.mean(d**3)) / m2**1.5
-        kurt = float(np.mean(d**4)) / (m2 * m2) - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
+    d -= d.sum() / n
+    d2 = d * d
+    m2 = float(d2.sum()) / n
+    if m2 == 0.0:  # the squared deviations underflow
+        return total, mean, 0.0, 0.0, 0.0
+    d *= d2  # cubed deviations
+    d2 *= d2  # fourth powers
+    skew = float(d.sum()) / n / m2**1.5
+    kurt = float(d2.sum()) / n / (m2 * m2) - 3.0
     return total, mean, m2, skew, kurt
 
 
-def _stats_block(values):
-    total, mean, var, skew, kurt = _moments(values)
-    hist = np.histogram(values, bins=20, range=(0.0, 1.0))[0].astype(np.float64)
+def _bin_image(image, where):
+    """uint8 image of each pixel's bin in np.histogram(v, 20, (0, 1)),
+    over the pixels set in `where` (0 elsewhere).
+
+    Bin k holds _HIST_EDGES[k] <= v < _HIST_EDGES[k + 1]; bin 19 also
+    holds 1.0.  Values must lie in [0, 1].
+    """
+    bins = np.zeros(image.shape, dtype=np.uint8)
+    k = np.searchsorted(_HIST_EDGES, image[where], side="right") - 1
+    bins[where] = np.minimum(k, 19)
+    return bins
+
+
+def _stats_block(values, bins):
+    """Moments, 20-bin histogram and quantiles of `values`, whose
+    histogram bins (from _bin_image) are `bins`."""
+    hist = np.bincount(bins, minlength=20)
     quant = np.quantile(values, _QUANTILES)
-    return np.concatenate([[total, mean, var, skew, kurt], hist, quant])
+    return np.concatenate([_moments(values), hist, quant])
 
 
 def _trace_contour(mask):
@@ -151,11 +194,12 @@ def _check_unit_range(values, name):
         )
 
 
-def _node_kernel(mask, origin, raw, boundary):
+def _node_kernel(mask, origin, planes):
     """147-entry feature vector of the pixels set in a box mask.
 
-    `origin` is the image position of the box's top-left pixel; `raw`
-    and `boundary` are the same box of the two images.
+    `origin` is the image position of the box's top-left pixel; `planes`
+    holds (image, bins) for raw and boundary: the same box of the image
+    and of its _bin_image.
     """
     padded = np.pad(mask, 1)
     size = float(np.count_nonzero(mask))
@@ -167,9 +211,12 @@ def _node_kernel(mask, origin, raw, boundary):
     if size == 1.0:
         eccentricity = 0.0
     else:
-        rows, cols = np.nonzero(mask)
-        coords = np.column_stack((rows + origin[0], cols + origin[1]))
-        cov = np.cov(coords.astype(np.float64).T, bias=True)
+        # centred (row, col) columns; X.T @ X is the product np.cov forms
+        coords = np.argwhere(mask).astype(np.float64)
+        coords += origin
+        coords -= coords.sum(axis=0) / size
+        cov = np.dot(coords.T, coords)
+        cov *= 1.0 / size
         lo, hi = np.linalg.eigvalsh(cov)
         eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi) if hi > 0.0 else 0.0
 
@@ -177,8 +224,8 @@ def _node_kernel(mask, origin, raw, boundary):
 
     contour = mask & ~ndimage.binary_erosion(mask, _CROSS)
     blocks = [
-        _stats_block(image[pixels])
-        for image in (raw, boundary)
+        _stats_block(image[pixels], bins[pixels])
+        for image, bins in planes
         for pixels in (mask, contour)
     ]
     return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
@@ -199,7 +246,8 @@ def node_features(pixels, raw, boundary):
         raise DegenerateInput("candidate pixels outside the image")
     _check_unit_range(raw[box][mask], "raw")
     _check_unit_range(boundary[box][mask], "boundary")
-    return _node_kernel(mask, (r0, c0), raw[box], boundary[box])
+    planes = [(im[box], _bin_image(im[box], mask)) for im in (raw, boundary)]
+    return _node_kernel(mask, (r0, c0), planes)
 
 
 def _checked_images(labels, raw, boundary):
@@ -298,6 +346,8 @@ def compute_features(crag, raw, boundary):
     """Feature vectors for every candidate and adjacency edge of a Crag."""
     labels = crag.leaf_labels()
     raw, boundary = _checked_images(labels, raw, boundary)
+    covered = labels != UNCOVERED
+    planes = [(im, _bin_image(im, covered)) for im in (raw, boundary)]
     leaf_boxes = ndimage.find_objects(labels + 1)  # leaf id k -> leaf_boxes[k]
     node_feats, luts = {}, {}
     for cid in crag.ids():
@@ -307,7 +357,8 @@ def compute_features(crag, raw, boundary):
         r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
         box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
         mask = luts[cid][labels[box]]
-        node_feats[cid] = _node_kernel(mask, (r0, c0), raw[box], boundary[box])
+        boxed = [(im[box], bins[box]) for im, bins in planes]
+        node_feats[cid] = _node_kernel(mask, (r0, c0), boxed)
     pairs = _leaf_pairs(labels, boundary)
     edge_feats = {}
     for i, j in crag.adjacency:
@@ -328,7 +379,33 @@ def features_to_json(node_feats, edge_feats):
     }
 
 
+def _json_vector(values, length, where):
+    """float64 array of a JSON list of `length` finite numbers, else CmcError."""
+    if not (
+        isinstance(values, list)
+        and len(values) == length
+        and set(map(type, values)) <= {float, int}  # bool is no number here
+    ):
+        raise CmcError(f"features.json: {where} is not a list of {length} numbers")
+    vector = np.array(values, dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise CmcError(f"features.json: {where} holds a non-finite value")
+    return vector
+
+
 def features_from_json(obj):
-    node_feats = {int(i): np.array(v) for i, v in obj["nodes"].items()}
-    edge_feats = {edge_from_str(k): np.array(v) for k, v in obj["edges"].items()}
+    """Node and edge features from their JSON form; malformed input
+    (vector lengths other than the schema's included) raises CmcError."""
+    doc = "features.json"
+    nodes, edges = (
+        json_member(doc, obj, key, dict, "features") for key in ("nodes", "edges")
+    )
+    n_node, n_edge = len(node_feature_names()), len(edge_feature_names())
+    node_feats = {
+        json_id(doc, i): _json_vector(v, n_node, f"node {i}") for i, v in nodes.items()
+    }
+    edge_feats = {
+        json_edge(doc, k): _json_vector(v, n_edge, f"edge {k}")
+        for k, v in edges.items()
+    }
     return node_feats, edge_feats

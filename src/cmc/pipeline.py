@@ -19,7 +19,7 @@ from .costmodel import (
     predict_costs,
     train_forest,
 )
-from .crag import crag_to_json, solution_to_json
+from .crag import crag_to_json, json_member, solution_to_json
 from .errors import CmcError, SingleClass, StageFailure
 from .evaluate import segmentation_metrics
 from .features import compute_features, features_to_json
@@ -130,9 +130,10 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
+    """Model from its JSON form; malformed input raises CmcError."""
     return {
-        "node_forest": forest_from_json(obj["node_forest"]),
-        "edge_forest": forest_from_json(obj["edge_forest"]),
+        key: forest_from_json(json_member("model.json", obj, key, dict, "model"), key)
+        for key in ("node_forest", "edge_forest")
     }
 
 

@@ -207,8 +207,69 @@ def test_forest_json_roundtrip():
     assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
 
 
+DELETE = object()
+
+
+def _with(obj, path, value):
+    """Deep copy of a JSON object with the entry at `path` set (or, for
+    value DELETE, removed)."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return obj
+
+# (path into a forest's JSON, the value put there)
+MALFORMED_FOREST = {
+    "no trees": (("trees",), DELETE),
+    "trees not a list": (("trees",), {}),
+    "empty tree": (("trees", 0), []),
+    "string n_features": (("n_features",), "5"),
+    "boolean rng_seed": (("rng_seed",), True),
+    "node not an object": (("trees", 0, 0), 3),
+    "split without threshold": (("trees", 0, 0, "threshold"), DELETE),
+    "string threshold": (("trees", 0, 0, "threshold"), "0.5"),
+    "feature out of range": (("trees", 0, 0, "feature"), 5),
+    "child before parent": (("trees", 0, 0, "left"), 0),
+    "child past the end": (("trees", 0, 0, "right"), 10**6),
+    "NaN probability": (("trees", 0, -1, "prob"), float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FOREST))
+def test_malformed_forest_json_rejected(case):
+    X, y = separable_samples(n=24, noise=0.25, seed=8)
+    obj = forest_to_json(train_forest((X, y), n_trees=2, rng_seed=5))
+    assert "feature" in obj["trees"][0][0] and "prob" in obj["trees"][0][-1]
+    with pytest.raises(CmcError, match="model.json"):
+        forest_from_json(_with(obj, *MALFORMED_FOREST[case]))
+
+
 # ---------------------------------------------------------------------------
 # costs
+
+
+def test_features_of_another_graph_rejected():
+    """A missing or extra candidate or edge in the feature dicts raises
+    CmcError (it used to end in a KeyError)."""
+    crag, (nf, ef) = quad_features()
+    sol = best_effort(crag, quad_gt())
+    nodes, edges = label_instances(crag, sol, nf, ef)
+    node_forest = train_forest(nodes, n_trees=3, rng_seed=1)
+    edge_forest = train_forest(edges, n_trees=3, rng_seed=2)
+    missing_node = {i: v for i, v in nf.items() if i != 7}
+    missing_edge = {e: v for e, v in ef.items() if e != (1, 2)}
+    extra_node = {**nf, 8: nf[7]}
+    for bad_nf, bad_ef in ((missing_node, ef), (nf, missing_edge), (extra_node, ef)):
+        with pytest.raises(CmcError, match="features do not match"):
+            label_instances(crag, sol, bad_nf, bad_ef)
+        with pytest.raises(CmcError, match="features do not match"):
+            predict_costs(node_forest, edge_forest, crag, bad_nf, bad_ef)
 
 
 def test_probability_to_cost_anchor_points():
@@ -251,3 +312,25 @@ def test_costs_json_roundtrip():
     )
     back = costs_from_json(json.loads(json.dumps(costs_to_json(costs))))
     assert back.f == costs.f and back.g == costs.g
+
+
+MALFORMED_COSTS = {
+    "no g": (("g",), DELETE),
+    "f not an object": (("f",), [1.0]),
+    "string cost": (("f", "1"), "x"),
+    "boolean cost": (("g", "1-2"), False),
+    "infinite cost": (("f", "1"), float("inf")),
+    "id key not a number": (("f", "one"), 1.0),
+    "edge key with one id": (("g", "3"), 1.0),
+    "edge key with a non-ASCII digit": (("g", "1-\u0662"), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COSTS))
+def test_malformed_costs_json_rejected(case):
+    crag = quad_crag()
+    obj = costs_to_json(
+        CostTable({i: 1.0 for i in crag.ids()}, {e: -1.0 for e in crag.adjacency})
+    )
+    with pytest.raises(CmcError, match="costs.json"):
+        costs_from_json(_with(obj, *MALFORMED_COSTS[case]))

@@ -13,9 +13,9 @@ from cmc.crag import (
     conflict_cliques,
     crag_from_json,
     crag_to_json,
-    edge_from_str,
     edge_key,
     edge_to_str,
+    json_edge,
     objective_value,
     shortest_selected_path,
     solution_from_json,
@@ -52,7 +52,7 @@ from util import (
 def test_edge_key_canonical():
     assert edge_key(3, 1) == (1, 3)
     assert edge_key(1, 3) == (1, 3)
-    assert edge_from_str(edge_to_str((2, 7))) == (2, 7)
+    assert json_edge("crag.json", edge_to_str((2, 7))) == (2, 7)
 
 
 def test_quad_structure():

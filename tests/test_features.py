@@ -1,15 +1,24 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cmc.crag import Candidate, build_crag
-from cmc.errors import DegenerateInput, DimensionMismatch, EmptyRegion, NotAnEdge
+from cmc.errors import (
+    CmcError,
+    DegenerateInput,
+    DimensionMismatch,
+    EmptyRegion,
+    NotAnEdge,
+)
 from cmc.features import (
     _angle_histogram,
+    _bin_image,
     _moments,
-    _stats_block,
     _trace_contour,
     compute_features,
     edge_feature_names,
@@ -111,6 +120,13 @@ def ref_contour_pixels(pixels):
     ]
 
 
+def ref_stats_block(values):
+    """Moments, np.histogram's 20 bins over [0, 1] and the quantiles."""
+    hist = np.histogram(values, bins=20, range=(0.0, 1.0))[0]
+    quant = np.quantile(values, (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95))
+    return np.concatenate([_moments(values), hist, quant])
+
+
 def ref_node_features(pixels, raw, boundary):
     pixels = frozenset(pixels)
     size = float(len(pixels))
@@ -128,7 +144,7 @@ def ref_node_features(pixels, raw, boundary):
             eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi)
     contour = ref_contour_pixels(pixels)
     blocks = [
-        _stats_block(np.array([image[p] for p in coords]))
+        ref_stats_block(np.array([image[p] for p in coords]))
         for image in (raw, boundary)
         for coords in (ordered, contour)
     ]
@@ -163,6 +179,86 @@ CONTOUR_MOMENTS = [
     for stat in ("sum", "mean", "var", "skew", "kurt")
 ]
 CONTOUR_COMBOS = [4 + 4 * k + d for k in CONTOUR_MOMENTS for d in range(4)]
+
+
+def exact_moments(values):
+    """_moments in exact rational arithmetic; one rounding per output
+    (skew: of its square, then one square root)."""
+    xs = [Fraction(float(v)) for v in values]
+    n = len(xs)
+    total = sum(xs)
+    mean = total / n
+    d = [x - mean for x in xs]
+    m2 = sum(x * x for x in d) / n
+    if m2 == 0:
+        return float(total), float(mean), 0.0, 0.0, 0.0
+    m3 = sum(x**3 for x in d) / n
+    m4 = sum(x**4 for x in d) / n
+    skew = math.copysign(math.sqrt(m3 * m3 / m2**3), m3)
+    return float(total), float(mean), float(m2), skew, float(m4 / (m2 * m2) - 3)
+
+
+# 16-bit PGM intensities k/65535 in three shapes: arbitrary; mirrored
+# about 1/2 (skew exactly 0) with up to one extra value (skew near 0);
+# and nearly equal, a few steps apart, where a mean one rounding off
+# would shift skew and kurt by far more than rounding
+_LEVELS = st.integers(0, 65535)
+_ARBITRARY = st.lists(_LEVELS, min_size=1, max_size=500)
+_NEAR_SYMMETRIC = st.tuples(
+    st.lists(_LEVELS, min_size=1, max_size=249), st.lists(_LEVELS, max_size=1)
+).map(lambda t: t[0] + [65535 - k for k in t[0]] + t[1])
+_NEARLY_EQUAL = st.tuples(
+    _LEVELS, st.lists(st.integers(0, 3), min_size=1, max_size=500)
+).map(lambda t: [min(t[0] + k, 65535) for k in t[1]])
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.one_of(_ARBITRARY, _NEAR_SYMMETRIC, _NEARLY_EQUAL))
+@example([32768] * 499 + [32769])
+@example([65534] * 200 + [65535] * 3)
+def test_moments_match_exact_reference(levels):
+    values = np.array(levels) / 65535.0
+    got, want = _moments(values), exact_moments(values)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+
+
+def test_moments_of_equal_values_are_zero():
+    """The mean of equal values can be an ulp off them; var, skew and
+    kurt must still be exactly 0."""
+    for n in (2, 3, 7, 100):
+        for value in (0.1, 0.3, 1.0 / 3.0, 0.7, 32768 / 65535):
+            total, mean, var, skew, kurt = _moments(np.full(n, value))
+            assert (var, skew, kurt) == (0.0, 0.0, 0.0)
+            assert mean == pytest.approx(value, rel=1e-15)
+
+
+def test_bin_image_matches_np_histogram():
+    """Bit-exact against np.histogram(v, 20, (0, 1)) on the edges k/20,
+    their neighbors on both sides, 0, 1 and random values."""
+    edges = np.linspace(0.0, 1.0, 21)
+    values = [0.0, 1.0, *edges, *np.nextafter(edges, -1.0), *np.nextafter(edges, 2.0)]
+    values = np.clip(values, 0.0, 1.0)
+    rng = np.random.default_rng(61)
+    arrays = [values, rng.random(1000), rng.integers(0, 65536, 1000) / 65535.0]
+    for array in arrays:
+        bins = _bin_image(array, np.ones(array.shape, dtype=bool))
+        assert bins.dtype == np.uint8
+        for v, b in zip(array, bins):
+            want = np.histogram([v], bins=20, range=(0.0, 1.0))[0]
+            assert want[b] == 1, (v, b)
+        got = np.bincount(bins, minlength=20)
+        assert np.array_equal(got, np.histogram(array, bins=20, range=(0.0, 1.0))[0])
+    # pixels outside `where` are not binned, whatever they hold
+    image = np.array([[0.5, np.nan], [-3.0, 1.0]])
+    where = np.array([[True, False], [False, True]])
+    assert _bin_image(image, where).tolist() == [[10, 0], [0, 19]]
 
 
 def test_schema_lengths_and_uniqueness():
@@ -427,6 +523,29 @@ def test_features_json_roundtrip():
     assert all(np.array_equal(ef[k], ef2[k]) for k in ef)
     assert obj["node_schema"] == NODE_NAMES
     assert obj["edge_schema"] == EDGE_NAMES
+
+
+MALFORMED_FEATURES = {
+    "no nodes": lambda obj: obj.pop("nodes"),
+    "edges not an object": lambda obj: obj.update(edges=[]),
+    "short node vector": lambda obj: obj["nodes"]["1"].pop(),
+    "long edge vector": lambda obj: obj["edges"]["1-2"].append(0.0),
+    "string value": lambda obj: obj["nodes"]["1"].__setitem__(0, "4"),
+    "boolean value": lambda obj: obj["edges"]["1-2"].__setitem__(5, True),
+    "NaN value": lambda obj: obj["nodes"]["7"].__setitem__(9, float("nan")),
+    "bad node key": lambda obj: obj["nodes"].update({"1.0": obj["nodes"]["1"]}),
+    "bad edge key": lambda obj: obj["edges"].update({"1_2": obj["edges"]["1-2"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FEATURES))
+def test_malformed_features_json_rejected(case):
+    crag = quad_crag()
+    nf, ef = compute_features(crag, np.zeros((4, 4)), np.zeros((4, 4)))
+    obj = json.loads(json.dumps(features_to_json(nf, ef)))
+    MALFORMED_FEATURES[case](obj)
+    with pytest.raises(CmcError, match="features.json"):
+        features_from_json(json.loads(json.dumps(obj)))
 
 
 def test_random_blob_properties():

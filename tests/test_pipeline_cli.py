@@ -30,7 +30,7 @@ from cmc.pipeline import (
 )
 from cmc.synth import generate_synthetic
 
-from util import leaf_image, pixel_grid_crag
+from util import leaf_image, pixel_grid_crag, quad_crag, quad_gt
 
 
 def easy_triple(seed=3):
@@ -142,6 +142,68 @@ def test_cli_train_without_edges_fails_by_name(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "train-edges: training samples contain only one class" in err
+    assert not out.exists()
+
+
+def staged_quad_files(tmp_path):
+    """crag.json, features.json, model.json, costs.json and gt.pgm of the
+    quad graph, each valid, as the staged CLI writes them."""
+    crag = quad_crag()
+    rng = np.random.default_rng(23)
+    raw, boundary = rng.random((4, 4)), rng.random((4, 4))
+    node_feats, edge_feats = compute_features(crag, raw, boundary)
+    model = train_from_instances([(crag, node_feats, edge_feats, quad_gt())], 3, 0)
+    files = {
+        "crag.json": crag_to_json(crag),
+        "features.json": features_to_json(node_feats, edge_feats),
+        "model.json": model_to_json(model),
+        "costs.json": costs_to_json(
+            CostTable({i: -1.0 for i in crag.ids()}, {e: 1.0 for e in crag.adjacency})
+        ),
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    write_labels(str(tmp_path / "gt.pgm"), quad_gt())
+    return {name: str(tmp_path / name) for name in [*files, "gt.pgm"]}
+
+
+# broken file -> (its content, the command reading it, what the error
+# names); each used to end in a traceback: KeyError 'trees', KeyError
+# 'edges', ValueError on "x", and KeyError on the first candidate id
+MALFORMED_STAGE_INPUT = {
+    "model without trees": (
+        "model.json", {"node_forest": {}}, "costs", "model.json"
+    ),
+    "features without edges": (
+        "features.json", {"nodes": {}}, "train", "features.json"
+    ),
+    "non-numeric cost": (
+        "costs.json", {"f": {"1": "x"}, "g": {}}, "solve", "costs.json"
+    ),
+    "features of no candidate": (
+        "features.json", {"nodes": {}, "edges": {}}, "costs", "node features"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STAGE_INPUT))
+def test_cli_malformed_stage_input_fails_by_name(case, tmp_path, capsys):
+    name, content, command, named = MALFORMED_STAGE_INPUT[case]
+    files = staged_quad_files(tmp_path)
+    out = tmp_path / "out.json"
+    argv = {
+        "costs": ["--model", files["model.json"], "--crag", files["crag.json"],
+                  "--features", files["features.json"]],
+        "train": ["--crag", files["crag.json"], "--features", files["features.json"],
+                  "--gt", files["gt.pgm"], "--n-trees", "3"],
+        "solve": ["--crag", files["crag.json"], "--costs", files["costs.json"]],
+    }[command]
+    assert main([command, *argv, "--out", str(out)]) == 0
+    out.unlink()
+    (tmp_path / name).write_text(json.dumps(content))
+    assert main([command, *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not out.exists()
 
 
