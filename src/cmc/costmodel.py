@@ -346,13 +346,19 @@ def forest_from_json(obj, where="forest"):
     """Forest from its JSON form; malformed input raises CmcError."""
     doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
+    n_trees = json_member(doc, obj, "n_trees", int, where)
     trees = json_member(doc, obj, "trees", list, where)
+    # predict_proba averages over the trees: none would give NaN costs
+    if not trees:
+        raise CmcError(f"{doc}: {where} has no tree")
+    if len(trees) != n_trees:
+        raise CmcError(f"{doc}: {where} has {len(trees)} trees, not n_trees {n_trees}")
     return Forest(
         trees=[
             _tree_from_json(nodes, n_features, f"tree {t} of {where}")
             for t, nodes in enumerate(trees)
         ],
-        n_trees=json_member(doc, obj, "n_trees", int, where),
+        n_trees=n_trees,
         rng_seed=json_member(doc, obj, "rng_seed", int, where),
         n_features=n_features,
     )

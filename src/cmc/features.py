@@ -387,8 +387,11 @@ def _json_vector(values, length, where):
         and set(map(type, values)) <= {float, int}  # bool is no number here
     ):
         raise CmcError(f"features.json: {where} is not a list of {length} numbers")
-    vector = np.array(values, dtype=np.float64)
-    if not np.isfinite(vector).all():
+    try:
+        vector = np.array(values, dtype=np.float64)
+    except OverflowError:  # a JSON integer beyond the float range
+        vector = None
+    if vector is None or not np.isfinite(vector).all():
         raise CmcError(f"features.json: {where} holds a non-finite value")
     return vector
 

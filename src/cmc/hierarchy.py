@@ -8,6 +8,7 @@ budget and wires up the candidate region adjacency graph.
 """
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,11 +70,13 @@ def seeded_watershed(boundary, seed_threshold):
         & seeded[1:-1, 2:]
     )
 
-    labels = padded.ravel().tolist()
-    base = key_base.ravel().tolist()
+    # the flood reads and writes the images through memoryviews and grows
+    # `order` as an int64 array, so it makes no Python int per pixel
+    labels = memoryview(padded.reshape(-1))
+    base = memoryview(key_base.reshape(-1))
     # order[k] is the padded flat index of the pixel with push index k
     flat = np.flatnonzero(seeds)
-    order = (flat + stride + 1 + 2 * (flat // w)).tolist()
+    order = array("q", (flat + stride + 1 + 2 * (flat // w)).tobytes())
     pushed = np.flatnonzero(~interior.ravel()[flat]).tolist()
     heap = [base[order[k]] + k for k in pushed]
     heapq.heapify(heap)
@@ -86,8 +89,7 @@ def seeded_watershed(boundary, seed_threshold):
                 labels[q] = lab
                 heappush(heap, base[q] + len(order))
                 order.append(q)
-    labels = np.array(labels, dtype=np.int64).reshape(h + 2, stride)
-    return labels[1:-1, 1:-1].copy()
+    return padded[1:-1, 1:-1].copy()
 
 
 @dataclass(frozen=True)

@@ -404,7 +404,7 @@ def extract_segmentation(crag, solution):
 
     Components of (selected candidates, merged edges) get labels 1..C,
     ordered by their smallest pixel in row-major order; everything else
-    is 0.  The image is int32.
+    is 0.
     """
     violations = validate_solution(crag, solution)
     if violations:
@@ -434,8 +434,6 @@ def extract_segmentation(crag, solution):
     # number components by their first pixel in row-major order
     found, first = np.unique(roots, return_index=True)
     found, first = found[found > 0], first[found > 0]
-    # int32: half the memory of int64 per returned image, and a label
-    # per pixel fits while an image has fewer than 2**31 pixels
-    relabel = np.zeros(int(found.max(initial=0)) + 1, dtype=np.int32)
+    relabel = np.zeros(int(found.max(initial=0)) + 1, dtype=np.int64)
     relabel[found[np.argsort(first)]] = np.arange(1, len(found) + 1)
     return relabel[roots].reshape(leaf_labels.shape)

@@ -229,6 +229,8 @@ MALFORMED_FOREST = {
     "no trees": (("trees",), DELETE),
     "trees not a list": (("trees",), {}),
     "empty tree": (("trees", 0), []),
+    "no tree at all": (("trees",), []),
+    "fewer trees than n_trees": (("n_trees",), 3),
     "string n_features": (("n_features",), "5"),
     "boolean rng_seed": (("rng_seed",), True),
     "node not an object": (("trees", 0, 0), 3),

@@ -533,6 +533,7 @@ MALFORMED_FEATURES = {
     "string value": lambda obj: obj["nodes"]["1"].__setitem__(0, "4"),
     "boolean value": lambda obj: obj["edges"]["1-2"].__setitem__(5, True),
     "NaN value": lambda obj: obj["nodes"]["7"].__setitem__(9, float("nan")),
+    "integer beyond float range": lambda obj: obj["edges"]["1-2"].__setitem__(3, 10**400),
     "bad node key": lambda obj: obj["nodes"].update({"1.0": obj["nodes"]["1"]}),
     "bad edge key": lambda obj: obj["edges"].update({"1_2": obj["edges"]["1-2"]}),
 }

@@ -57,7 +57,7 @@ def test_extract_segmentation_matches_reference():
         sol = random_feasible_solution(rng, crag)
         assert validate_solution(crag, sol) == []
         seg = extract_segmentation(crag, sol)
-        assert seg.dtype == np.int32
+        assert seg.dtype == np.int64
         assert np.array_equal(seg, ref_segmentation(crag, sol))
         multi += seg.max() > 1
     assert multi > 20

@@ -168,14 +168,26 @@ def staged_quad_files(tmp_path):
 
 
 # broken file -> (its content, the command reading it, what the error
-# names); each used to end in a traceback: KeyError 'trees', KeyError
-# 'edges', ValueError on "x", and KeyError on the first candidate id
+# names); each used to end in a traceback (KeyError 'trees', KeyError
+# 'edges', OverflowError, ValueError on "x", KeyError on the first
+# candidate id) or, for the empty forest, in NaN costs and exit 0
 MALFORMED_STAGE_INPUT = {
     "model without trees": (
         "model.json", {"node_forest": {}}, "costs", "model.json"
     ),
     "features without edges": (
         "features.json", {"nodes": {}}, "train", "features.json"
+    ),
+    "model with an empty forest": (
+        "model.json",
+        {"node_forest": {"n_trees": 0, "rng_seed": 0, "n_features": 147, "trees": []},
+         "edge_forest": {"n_trees": 0, "rng_seed": 0, "n_features": 592, "trees": []}},
+        "costs",
+        "no tree",
+    ),
+    "feature beyond float range": (
+        "features.json", {"nodes": {"1": [10**400] * 147}, "edges": {}}, "costs",
+        "non-finite",
     ),
     "non-numeric cost": (
         "costs.json", {"f": {"1": "x"}, "g": {}}, "solve", "costs.json"
