@@ -1,8 +1,13 @@
 """Exact minimization of the joint selection/clustering program.
 
 The inner integer program (overlap, incidence, and pooled path rows)
-is solved by depth-first branch-and-bound with constraint propagation;
-the outer loop separates violated path constraints on each optimum and
+is solved by depth-first branch-and-bound with constraint propagation.
+Its bound is the partial objective plus every negative cost still open,
+less what the merge forest rules out (_State.forest_gap); subtrees are
+cut on the forest bound only when it exceeds the budget by more than a
+rounding tolerance, so the search reaches the same leaves in the same
+order as with the plain bound and returns the same assignment.  The
+outer loop separates violated path constraints on each optimum and
 re-solves until none remain.  A second, variable-ordered pass picks the
 lexicographically smallest optimal assignment, so results are fully
 deterministic.  brute_force provides an independent oracle for small
@@ -39,17 +44,23 @@ class _State:
     Rows carry integer coefficients and bounds, so slack bookkeeping is
     exact; the objective bound (partial objective plus sum of negative
     costs of unassigned variables) is a float saved and restored at
-    decision points.
+    decision points.  `forest` (from _forest) lets forest_gap tighten
+    that bound; `tol` is far above the rounding error of any bound or
+    leaf objective, so a cut on bound + gap > ub + tol never drops a
+    leaf whose computed objective is within ub.
     """
 
-    def __init__(self, costs, rows, fixed):
+    def __init__(self, costs, rows, fixed, forest):
         self.costs = costs
         self.n = len(costs)
-        self.rows = rows
+        self.tol = 1e-9 * (1.0 + sum(abs(c) for c in costs))
+        # per row its (variable, coefficient) terms; per variable its
+        # (row, slack used at 0, slack used at 1)
+        self.terms = [tuple(cmap.items()) for cmap, _ in rows]
         self.var_rows = [[] for _ in range(self.n)]
         for ridx, (cmap, _) in enumerate(rows):
-            for v in cmap:
-                self.var_rows[v].append(ridx)
+            for v, a in cmap.items():
+                self.var_rows[v].append((ridx, max(-a, 0), max(a, 0)))
         self.value = [None] * self.n
         self.slack = [
             bound - sum(a for a in cmap.values() if a < 0) for cmap, bound in rows
@@ -65,6 +76,7 @@ class _State:
                 raise CmcError("mode restriction is infeasible")
         if not self._drain(queue):
             raise CmcError("mode restriction is infeasible")
+        self.forest, self.forest_roots = self._free_forest(forest)
 
     def _set(self, v, val, queue):
         if self.value[v] is not None:
@@ -73,9 +85,8 @@ class _State:
         self.trail.append(v)
         c = self.costs[v]
         self.bound += max(c, 0.0) if val else max(-c, 0.0)
-        for r in self.var_rows[v]:
-            a = self.rows[r][0][v]
-            delta = a * val - (a if a < 0 else 0)
+        for r, used0, used1 in self.var_rows[v]:
+            delta = used1 if val else used0
             if delta:
                 self.slack[r] -= delta
                 if self.slack[r] < 0:
@@ -84,8 +95,7 @@ class _State:
         return True
 
     def _force_row(self, r, queue):
-        cmap, _ = self.rows[r]
-        for u, a in cmap.items():
+        for u, a in self.terms[r]:
             if self.value[u] is not None:
                 continue
             s = self.slack[r]
@@ -107,14 +117,81 @@ class _State:
         queue = []
         return self._set(v, val, queue) and self._drain(queue)
 
+    def _free_forest(self, forest):
+        """`forest` cut down to its free selections and free rewards.
+
+        An entry whose selection is already fixed hands its place in its
+        parent to its children's entries, which is what forest_gap would
+        do with it at every node; merges that are fixed or cost nothing
+        to take are dropped, as they never change the gap.
+        """
+        entries, roots = forest
+        value, costs = self.value, self.costs
+        kept, stands_for = [], []
+        for y, children, merges in entries:
+            below = tuple(k for c in children for k in stands_for[c])
+            if value[y] is None:
+                rewards = tuple(
+                    v for v in merges if value[v] is None and costs[v] < 0.0
+                )
+                kept.append((y, below, rewards))
+                stands_for.append((len(kept) - 1,))
+            else:
+                stands_for.append(below)
+        roots = [k for r in roots for k in stands_for[r]]
+        # a childless root adds nothing: with c_y < 0 it takes as much as
+        # it gains, and with c_y >= 0 and no rewards it takes nothing
+        idle = {
+            k
+            for k in roots
+            if not kept[k][1] and (costs[kept[k][0]] < 0.0 or not kept[k][2])
+        }
+        entries, index = [], {}
+        for k, (y, below, rewards) in enumerate(kept):
+            if k not in idle:
+                index[k] = len(entries)
+                entries.append((y, tuple(index[b] for b in below), rewards))
+        return tuple(entries), tuple(index[k] for k in roots if k not in idle)
+
+    def forest_gap(self):
+        """How far `bound` lies below a bound that respects the forest.
+
+        `bound` counts every negative cost of an unassigned variable as
+        taken.  But at most one selection per root-to-leaf path of the
+        merge forest holds, and a merge needs the candidate that owns its
+        edge selected, so the free selections can gain at most the best
+        antichain of max(0, -(c_y + their owned negative merge costs)).
+        The gap is what `bound` takes beyond that antichain; it is >= 0.
+        """
+        value, costs = self.value, self.costs
+        best = []
+        taken = 0.0
+        for y, below, rewards in self.forest:
+            kids = 0.0
+            for k in below:
+                kids += best[k]
+            if value[y] is None:
+                c = costs[y]
+                gain = -c if c < 0.0 else 0.0
+                for v in rewards:
+                    if value[v] is None:
+                        c += costs[v]
+                        gain -= costs[v]
+                taken += gain
+                best.append(-c if -c > kids else kids)
+            else:
+                best.append(kids)
+        for k in self.forest_roots:
+            taken -= best[k]
+        return taken
+
     def undo_to(self, mark, saved_bound):
         while len(self.trail) > mark:
             v = self.trail.pop()
             val = self.value[v]
             self.value[v] = None
-            for r in self.var_rows[v]:
-                a = self.rows[r][0][v]
-                delta = a * val - (a if a < 0 else 0)
+            for r, used0, used1 in self.var_rows[v]:
+                delta = used1 if val else used0
                 if delta:
                     self.slack[r] += delta
         self.bound = saved_bound
@@ -124,7 +201,9 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
     """Iterative DFS branch-and-bound.
 
     Prunes subtrees whose bound exceeds ub[0] (strictly when `strict`,
-    else on >=, with ub tightened at every improving leaf).  greedy
+    else on >=, with ub tightened at every improving leaf), and those
+    whose bound plus forest gap exceeds ub[0] + tol, which hold no leaf
+    within ub[0].  greedy
     tries the cost-reducing value first; otherwise 0 comes first, which
     together with first_leaf yields the lexicographically smallest
     assignment within the ub budget.  Raises _Timeout carrying the best
@@ -135,9 +214,17 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
     frames = []
     pos = 0
     ticks = 0
+    # once the variable at order[gapless - 1] is set, every selection in
+    # the forest is set and forest_gap is 0
+    at = {v: k for k, v in enumerate(order)}
+    gapless = 1 + max((at[entry[0]] for entry in state.forest), default=-1)
 
-    def over_budget():
-        return state.bound > ub[0] if strict else state.bound >= ub[0]
+    def over_budget(fpos):
+        if state.bound > ub[0] if strict else state.bound >= ub[0]:
+            return True
+        if fpos + 1 >= gapless:
+            return False
+        return state.bound + state.forest_gap() > ub[0] + state.tol
 
     def advance():
         nonlocal pos
@@ -146,7 +233,7 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
             state.undo_to(mark, saved_bound)
             if vals:
                 val = vals.pop(0)
-                if state.propagate(v, val) and not over_budget():
+                if state.propagate(v, val) and not over_budget(fpos):
                     pos = fpos
                     return True
                 state.undo_to(mark, saved_bound)
@@ -154,7 +241,7 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
                 frames.pop()
         return False
 
-    if over_budget():
+    if over_budget(-1):
         return None, None
     while True:
         ticks += 1
@@ -202,17 +289,17 @@ def _build_rows(crag, var_y, var_m, pool):
     return rows
 
 
-def _solve_ilp(cvec, rows, fixed, deadline):
+def _solve_ilp(cvec, rows, fixed, forest, deadline):
     """Two passes: optimize, then rerun in index order for the lex tie-break."""
     n = len(cvec)
-    state = _State(cvec, rows, fixed)
+    state = _State(cvec, rows, fixed, forest)
     order = sorted(range(n), key=lambda v: (-abs(cvec[v]), v))
     ub = [0.0]
     obj, assign = _dfs(state, order, True, ub, False, False, deadline)
     if obj is None:
         obj, assign = 0.0, [0] * n
 
-    state = _State(cvec, rows, fixed)
+    state = _State(cvec, rows, fixed, forest)
     ub = [obj]
     try:
         _, lex_assign = _dfs(
@@ -267,6 +354,7 @@ def solve(crag, costs, mode="full", time_limit=None):
         leaves = set(crag.leaves())
         fixed = {var_y[i]: 0 for i in ids if i not in leaves}
 
+    forest = _forest(crag, var_y, var_m)
     deadline = None if time_limit is None else time.monotonic() + float(time_limit)
     pool = []
     iterations = 0
@@ -274,7 +362,7 @@ def solve(crag, costs, mode="full", time_limit=None):
         iterations += 1
         rows = _build_rows(crag, var_y, var_m, pool)
         try:
-            assign = _solve_ilp(cvec, rows, fixed, deadline)
+            assign = _solve_ilp(cvec, rows, fixed, forest, deadline)
         except _Timeout as exc:
             sol = _timeout_fallback(crag, costs, exc.assign, var_y, var_m)
             sol.iterations = iterations
@@ -285,6 +373,33 @@ def solve(crag, costs, mode="full", time_limit=None):
             sol.iterations = iterations
             return sol
         pool.extend(violations)
+
+
+def _forest(crag, var_y, var_m):
+    """The merge forest for _State.forest_gap: (entries, roots).
+
+    entries lists (y, child entries, owned merges) in post-order, where
+    y is a candidate's selection variable and an edge's merge variable
+    is owned by its first candidate; roots indexes the root entries.
+    """
+    owned = {i: [] for i in var_y}
+    for e, v in var_m.items():
+        owned[e[0]].append(v)
+    entries, index = [], {}
+    roots = crag.roots()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        cid, children_done = stack.pop()
+        children = crag.candidates[cid].children
+        if not children_done:
+            stack.append((cid, True))
+            stack.extend((c, False) for c in reversed(children))
+            continue
+        index[cid] = len(entries)
+        entries.append(
+            (var_y[cid], tuple(index[c] for c in children), tuple(owned[cid]))
+        )
+    return tuple(entries), tuple(index[r] for r in roots)
 
 
 def _timeout_fallback(crag, costs, assign, var_y, var_m):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from cmc.crag import (
 from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
 from cmc.solver import (
     _build_rows,
+    _forest,
     _solve_ilp,
+    _State,
     brute_force,
     extract_segmentation,
     separate_path_constraints,
@@ -141,6 +145,73 @@ def test_mode_nesting_random():
         assert full <= 0.0  # empty assignment is always feasible
 
 
+def _program(crag, costs):
+    ids, edges = crag.ids(), list(crag.adjacency)
+    var_y = {i: k for k, i in enumerate(ids)}
+    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
+    cvec = [costs.f[i] for i in ids] + [costs.g[e] for e in edges]
+    return var_y, var_m, cvec
+
+
+def test_forest_gap_on_quad():
+    """bound takes every negative cost; the forest allows 5 + 6 at best."""
+    crag = quad_crag()
+    f = {1: -1.0, 2: -1.0, 3: -1.0, 4: -1.0, 5: -3.0, 6: -1.0, 7: -2.0}
+    costs = CostTable(f, {e: 1.0 for e in crag.adjacency})
+    var_y, var_m, cvec = _program(crag, costs)
+    rows = _build_rows(crag, var_y, var_m, [])
+    state = _State(cvec, rows, {}, _forest(crag, var_y, var_m))
+    assert state.bound == -10.0
+    assert state.forest_gap() == 5.0
+    assert state.bound + state.forest_gap() == solve(crag, costs).objective
+    # with 5 selected, only 3 and 4 remain free among the selections
+    assert state.propagate(var_y[5], 1)
+    assert state.bound + state.forest_gap() == -5.0
+
+
+def test_forest_gap_bounds_every_completion():
+    """bound + forest_gap never exceeds the cost of any assignment that
+    satisfies the rows and agrees with the variables set so far."""
+    rng = np.random.default_rng(99)
+    checked = 0
+    while checked < 15:
+        crag = random_crag(rng, budget=14)
+        var_y, var_m, cvec = _program(crag, random_costs(rng, crag))
+        n = len(cvec)
+        if n > 14:
+            continue
+        checked += 1
+        rows = _build_rows(crag, var_y, var_m, [])
+        matrix = np.zeros((len(rows), n))
+        for r, (cmap, _) in enumerate(rows):
+            for v, a in cmap.items():
+                matrix[r, v] = a
+        bounds = np.array([b for _, b in rows], dtype=float)
+        bits = np.array(list(itertools.product((0, 1), repeat=n)))
+        feasible = (bits @ matrix.T <= bounds).all(axis=1)
+        values = bits @ np.array(cvec)
+        non_leaves = [i for i in crag.ids() if i not in set(crag.leaves())]
+        for fixed in (
+            {},
+            {v: 0 for v in var_m.values()},
+            {var_y[i]: 0 for i in non_leaves},
+        ):
+            for _ in range(4):
+                state = _State(cvec, rows, fixed, _forest(crag, var_y, var_m))
+                for v in rng.permutation(n).tolist():
+                    agree = feasible.copy()
+                    for u, val in enumerate(state.value):
+                        if val is not None:
+                            agree &= bits[:, u] == val
+                    gap = state.forest_gap()
+                    assert gap >= 0.0
+                    assert state.bound + gap <= values[agree].min() + 1e-12
+                    if state.value[v] is None and not state.propagate(
+                        v, int(rng.integers(2))
+                    ):
+                        break
+
+
 def test_separation_on_triangle():
     crag = triangle_crag()
     y = {1: 1, 2: 1, 3: 1}
@@ -182,7 +253,8 @@ def test_cutting_plane_iterations_monotone():
     pool = []
     optima = []
     for _ in range(10):
-        assign = _solve_ilp(cvec, _build_rows(crag, var_y, var_m, pool), {}, None)
+        rows = _build_rows(crag, var_y, var_m, pool)
+        assign = _solve_ilp(cvec, rows, {}, _forest(crag, var_y, var_m), None)
         y = {i: assign[v] for i, v in var_y.items()}
         m = {e: assign[v] for e, v in var_m.items()}
         optima.append(sum(c * x for c, x in zip(cvec, assign)))
