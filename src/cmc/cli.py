@@ -145,7 +145,9 @@ def _cmd_synth(args):
 
 def _cmd_pipeline(args):
     config = (
-        config_from_json(_load_json(args.config)) if args.config else PipelineConfig()
+        config_from_json(_load_json(args.config), args.config)
+        if args.config
+        else PipelineConfig()
     )
     for field in (
         "seed_threshold",

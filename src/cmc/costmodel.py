@@ -107,20 +107,7 @@ def label_instances(crag, solution, node_feats, edge_feats):
             owner[node] = s
             stack.extend(crag.candidates[node].children)
 
-    group = {s: s for s in selected}
-
-    def find(x):
-        while group[x] != x:
-            group[x] = group[group[x]]
-            x = group[x]
-        return x
-
-    for edge, merged in solution.m.items():
-        if merged:
-            a, b = find(edge[0]), find(edge[1])
-            if a != b:
-                group[max(a, b)] = min(a, b)
-
+    group = solution.merged_groups(selected)
     ids = crag.ids()
     node_x = _feature_rows(node_feats, ids, "node")
     node_y = np.array([int(i in owner) for i in ids])
@@ -129,7 +116,7 @@ def label_instances(crag, solution, node_feats, edge_feats):
         edge_x = _feature_rows(edge_feats, edges, "edge")
         edge_y = np.array(
             [
-                int(i in owner and j in owner and find(owner[i]) == find(owner[j]))
+                int(i in owner and j in owner and group[owner[i]] == group[owner[j]])
                 for (i, j) in edges
             ],
             dtype=np.int64,
@@ -254,6 +241,9 @@ def train_forest(samples, n_trees, rng_seed):
     rng seed rng_seed + t, so training parallelizes without changing
     the result.
     """
+    # predict_proba averages over the trees: none would give NaN costs
+    if n_trees < 1:
+        raise CmcError(f"n_trees must be >= 1, got {n_trees}")
     X, y = samples
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)

@@ -8,6 +8,13 @@ covering it, and an inner node covers the pixels of its leaves.  The
 module also provides conflict-clique enumeration, validation of binary
 assignments against the overlap / incidence / path constraint families,
 and JSON (de)serialization, which run-length encodes each leaf.
+
+The graph facts are defined here once each: which pixels touch
+(pixel_pairs), which candidates are adjacent (candidate_adjacency) and
+which candidates a merge assignment joins (Solution.merged_groups).  The
+adjacency rule: a Crag's adjacency is a subset of the pairs of disjoint
+candidates with a 4-neighbour pixel pair between them, and
+extract_candidates emits all of them.
 """
 
 import math
@@ -76,6 +83,23 @@ class Solution:
     objective: float
     optimal: bool = field(default=True, compare=False)
     iterations: int = field(default=0, compare=False)
+
+    def merged_groups(self, ids):
+        """id -> smallest id of its group, for each of `ids`; groups join the
+        ends of every merged (m = 1) edge, and both ends must be in `ids`."""
+        group = {i: i for i in ids}
+
+        def find(x):
+            while group[x] != x:
+                group[x] = group[group[x]]
+                x = group[x]
+            return x
+
+        for (i, j), merged in self.m.items():
+            if merged:
+                a, b = find(i), find(j)
+                group[max(a, b)] = min(a, b)
+        return {i: find(i) for i in ids}
 
 
 def edge_key(i, j):
@@ -157,17 +181,21 @@ class Crag:
 
     def ancestors(self, cid):
         """Strict ancestors, bottom-up."""
-        chain = []
-        p = self.subset.get(cid)
-        while p is not None:
-            chain.append(p)
-            p = self.subset.get(p)
-        return chain
+        return _chain(self.subset, cid)[1:]
 
     def leaves_under(self, cid):
         """Sorted leaf ids of the subtree rooted at cid (cid itself if leaf)."""
         if cid not in self._leaves_under:
-            self._leaves_under[cid] = _leaves_under(self.candidates, cid)
+            found = []
+            stack = [cid]
+            while stack:
+                node = stack.pop()
+                kids = self.candidates[node].children
+                if kids:
+                    stack.extend(kids)
+                else:
+                    found.append(node)
+            self._leaves_under[cid] = tuple(sorted(found))
         return self._leaves_under[cid]
 
     def leaf_labels(self):
@@ -175,33 +203,48 @@ class Crag:
         return self._leaf_labels
 
 
-def _leaves_under(candidates, cid):
-    """Sorted leaf ids of the subtree rooted at cid in an id -> Candidate map."""
-    found = []
-    stack = [cid]
-    while stack:
-        node = stack.pop()
-        kids = candidates[node].children
-        if kids:
-            stack.extend(kids)
-        else:
-            found.append(node)
-    return tuple(sorted(found))
+def _chain(subset, cid):
+    """cid and its ancestors in the child -> parent map `subset`, bottom-up."""
+    chain = [cid]
+    while chain[-1] in subset:
+        chain.append(subset[chain[-1]])
+    return chain
 
 
-def _touching_leaves(labels):
-    """leaf id -> set of leaf ids it shares a 4-neighbor pixel pair with."""
-    touching = {}
-    for la, lb in (
-        (labels[:, :-1], labels[:, 1:]),
-        (labels[:-1, :], labels[1:, :]),
-    ):
-        cross = (la != lb) & (la != UNCOVERED) & (lb != UNCOVERED)
-        pairs = np.unique(np.stack([la[cross], lb[cross]]), axis=1)
-        for a, b in zip(*pairs.tolist()):
-            touching.setdefault(a, set()).add(b)
-            touching.setdefault(b, set()).add(a)
-    return touching
+def pixel_pairs(labels):
+    """Every 4-neighbour pixel pair across two different labels, neither UNCOVERED.
+
+    Returns flat arrays (label_p, label_q, p, q): p is the upper or left
+    pixel as a flat index, q its neighbour.  Horizontal pairs come
+    first, each set in row-major order.
+    """
+    flat = np.arange(labels.size).reshape(labels.shape)
+    parts = []
+    for sl_p, sl_q in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :])):
+        lp, lq = labels[sl_p], labels[sl_q]
+        cross = (lp != lq) & (lp != UNCOVERED) & (lq != UNCOVERED)
+        parts.append((lp[cross], lq[cross], flat[sl_p][cross], flat[sl_q][cross]))
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def candidate_adjacency(subset, leaf_labels):
+    """Sorted pairs of disjoint candidates with a 4-neighbour pixel pair between them.
+
+    Each touching leaf pair (a, b) lifts to the ancestors-or-self A of a
+    and B of b in the forest `subset` (child -> parent); A and B overlap
+    iff A or B is an ancestor of both leaves.
+    """
+    label_p, label_q, _, _ = pixel_pairs(leaf_labels)
+    pairs = set(zip(label_p.tolist(), label_q.tolist()))
+    chains = {leaf: _chain(subset, leaf) for pair in pairs for leaf in pair}
+    return {
+        edge_key(big_a, big_b)
+        for a, b in pairs
+        for big_a in chains[a]
+        if big_a not in chains[b]
+        for big_b in chains[b]
+        if big_b not in chains[a]
+    }
 
 
 def build_crag(candidates, adjacency, subset, leaf_labels):
@@ -212,10 +255,11 @@ def build_crag(candidates, adjacency, subset, leaf_labels):
     int64 copy becomes its leaf_labels().  Checks: unique non-negative
     ids, children/subset consistency, the subset relation is a forest,
     every label is a leaf id or UNCOVERED and every leaf has a pixel,
-    every adjacency edge joins two disjoint touching candidates.  Edges
-    are checked on leaves: two candidates overlap iff their leaf sets
-    intersect (leaves are non-empty and disjoint), and touch iff some
-    leaf of one touches some leaf of the other.
+    and the adjacency is a subset of candidate_adjacency.  The first edge
+    outside it, in input order, raises CmcError for an unknown id,
+    AdjacencyBetweenOverlapping when one end is an ancestor-or-self of
+    the other (leaves are non-empty and disjoint, so that is overlap),
+    and NotAdjacent otherwise.
     """
     labels = np.asarray(leaf_labels)
     if labels.ndim != 2 or labels.dtype.kind not in "iu":
@@ -280,24 +324,19 @@ def build_crag(candidates, adjacency, subset, leaf_labels):
         )
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
-    touching = _touching_leaves(labels)
+    allowed = candidate_adjacency(subset, labels)
 
-    under = {}
     edges = set()
     for i, j in adjacency:
         i, j = int(i), int(j)
-        if i not in cand_map or j not in cand_map:
-            raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
-        if i == j:
-            raise AdjacencyBetweenOverlapping(i, j)
-        for k in (i, j):
-            if k not in under:
-                under[k] = frozenset(_leaves_under(cand_map, k))
-        if not under[i].isdisjoint(under[j]):
-            raise AdjacencyBetweenOverlapping(i, j)
-        if not any(b in under[j] for a in under[i] for b in touching.get(a, ())):
+        edge = edge_key(i, j)
+        if edge not in allowed:
+            if i not in cand_map or j not in cand_map:
+                raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
+            if i in _chain(subset, j) or j in _chain(subset, i):
+                raise AdjacencyBetweenOverlapping(i, j)
             raise NotAdjacent()
-        edges.add(edge_key(i, j))
+        edges.add(edge)
 
     return Crag(cand_map, edges, subset, labels)
 
@@ -305,16 +344,12 @@ def build_crag(candidates, adjacency, subset, leaf_labels):
 def conflict_cliques(crag):
     """One clique per leaf: the leaf plus all its ancestors.
 
-    Cliques contained in another clique are dropped.  Returns a sorted
-    list of frozensets.
+    Returns a sorted list of frozensets.  Ancestors are inner nodes, so
+    each clique holds exactly one leaf: no clique contains another, and
+    no two are equal.
     """
-    cliques = {frozenset([leaf] + crag.ancestors(leaf)) for leaf in crag.leaves()}
-    kept = [
-        c
-        for c in cliques
-        if not any(c < other for other in cliques)
-    ]
-    return sorted(kept, key=sorted)
+    cliques = [frozenset([leaf] + crag.ancestors(leaf)) for leaf in crag.leaves()]
+    return sorted(cliques, key=sorted)
 
 
 def _selected_neighbors(m):
@@ -328,11 +363,10 @@ def _selected_neighbors(m):
     return nbrs
 
 
-def shortest_selected_path(m, source, target):
-    """BFS over m=1 edges; ordered edge tuple from source to target, or None."""
+def _shortest_path(nbrs, source, target):
+    """BFS over neighbour lists; ordered edge tuple from source to target, or None."""
     if source == target:
         return ()
-    nbrs = _selected_neighbors(m)
     prev = {source: None}
     queue = deque([source])
     while queue:
@@ -350,6 +384,23 @@ def shortest_selected_path(m, source, target):
                 return tuple(path)
             queue.append(nxt)
     return None
+
+
+def shortest_selected_path(m, source, target):
+    """BFS over m=1 edges; ordered edge tuple from source to target, or None."""
+    return _shortest_path(_selected_neighbors(m), source, target)
+
+
+def path_violations(crag, solution):
+    """(edge, shortest merged path between its ends) for each unmerged
+    edge, in adjacency order, whose ends share a merged group."""
+    group = solution.merged_groups(crag.ids())
+    nbrs = _selected_neighbors(solution.m)
+    return [
+        ((i, j), _shortest_path(nbrs, i, j))
+        for i, j in crag.adjacency
+        if not solution.m[(i, j)] and group[i] == group[j]
+    ]
 
 
 def validate_solution(crag, solution):
@@ -381,12 +432,7 @@ def validate_solution(crag, solution):
     for (i, j) in crag.adjacency:
         if m[(i, j)] and (not y[i] or not y[j]):
             violations.append(Violation("incidence", (i, j)))
-    for (i, j) in crag.adjacency:
-        if m[(i, j)]:
-            continue
-        path = shortest_selected_path(m, i, j)
-        if path is not None:
-            violations.append(Violation("path", (i, j), path))
+    violations += [Violation("path", e, p) for e, p in path_violations(crag, solution)]
     return violations
 
 
@@ -441,10 +487,10 @@ def json_value(doc, value, kind, where):
     """value if it is a valid JSON `kind`, else CmcError naming doc and where.
 
     int: 64-bit, not bool; float: a finite int or float, not bool,
-    returned as float; list, dict: that type.
+    returned as float; bool, str, list, dict: that type.
     """
     if isinstance(value, bool):
-        ok = False
+        ok = kind is bool
     elif isinstance(value, int) and kind in (int, float):
         ok = -(2**63) <= value < 2**63
     elif kind is float:

@@ -34,7 +34,15 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from .crag import UNCOVERED, edge_key, edge_to_str, json_edge, json_id, json_member
+from .crag import (
+    UNCOVERED,
+    edge_key,
+    edge_to_str,
+    json_edge,
+    json_id,
+    json_member,
+    pixel_pairs,
+)
 from .errors import (
     CmcError,
     DegenerateInput,
@@ -280,25 +288,11 @@ def _lookup(leaves, n):
 
 
 def _leaf_pairs(labels, boundary):
-    """Every 4-neighbor pixel pair across two different leaves.
-
-    Returns arrays (leaf_p, leaf_q, p, q, value): p is the upper or left
-    pixel as a flat index, q its neighbor, value max(boundary[p],
-    boundary[q]).
-    """
-    flat = np.arange(labels.size).reshape(labels.shape)
-    parts = []
-    for sl_p, sl_q in (
-        (np.s_[:, :-1], np.s_[:, 1:]),
-        (np.s_[:-1, :], np.s_[1:, :]),
-    ):
-        lp, lq = labels[sl_p], labels[sl_q]
-        cross = (lp != lq) & (lp != UNCOVERED) & (lq != UNCOVERED)
-        value = np.maximum(boundary[sl_p], boundary[sl_q])
-        parts.append(
-            (lp[cross], lq[cross], flat[sl_p][cross], flat[sl_q][cross], value[cross])
-        )
-    return [np.concatenate(arrays) for arrays in zip(*parts)]
+    """crag.pixel_pairs of the leaf label image, (leaf_p, leaf_q, p, q),
+    plus each pair's value max(boundary[p], boundary[q])."""
+    leaf_p, leaf_q, p, q = pixel_pairs(labels)
+    flat = boundary.ravel()
+    return leaf_p, leaf_q, p, q, np.maximum(flat[p], flat[q])
 
 
 def _edge_kernel(pairs, lut_i, lut_j, i_smaller, u, v):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .crag import Candidate, build_crag
+from .crag import Candidate, build_crag, candidate_adjacency, edge_key, pixel_pairs
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 
 
@@ -108,10 +108,6 @@ class MergeTree:
     events: list = field(default_factory=list)
 
 
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def build_merge_tree(superpixels, boundary):
     """Greedy agglomeration: always merge the lowest-score adjacent pair.
 
@@ -121,7 +117,8 @@ def build_merge_tree(superpixels, boundary):
     Scores of edges incident to the freshly merged region are
     recomputed (sizes change and interfaces concatenate); ties pick the
     smallest (min_id, max_id) pair.  New ids continue above the largest
-    existing label.  Returns K-1 events for K superpixels.
+    existing label.  Returns K-1 events for K superpixels; labels must
+    be non-negative.
     """
     superpixels = np.asarray(superpixels)
     boundary = _check_boundary(boundary)
@@ -129,19 +126,17 @@ def build_merge_tree(superpixels, boundary):
         raise DimensionMismatch(boundary.shape, superpixels.shape)
 
     ids, counts = np.unique(superpixels, return_counts=True)
+    if len(ids) and ids[0] < 0:
+        raise CmcError(f"superpixel label {ids[0]} is negative")
     sizes = {int(i): int(c) for i, c in zip(ids, counts)}
 
     # interface intensity lists per adjacent label pair, from the grid
     iface = {}
-    for sl_a, sl_b in (
-        (np.s_[:, :-1], np.s_[:, 1:]),
-        (np.s_[:-1, :], np.s_[1:, :]),
-    ):
-        la, lb = superpixels[sl_a], superpixels[sl_b]
-        mask = la != lb
-        vals = np.maximum(boundary[sl_a], boundary[sl_b])[mask]
-        for a, b, v in zip(la[mask].tolist(), lb[mask].tolist(), vals.tolist()):
-            iface.setdefault(_pair(a, b), []).append(v)
+    label_p, label_q, p, q = pixel_pairs(superpixels)
+    flat = boundary.ravel()
+    vals = np.maximum(flat[p], flat[q])
+    for a, b, v in zip(label_p.tolist(), label_q.tolist(), vals.tolist()):
+        iface.setdefault(edge_key(a, b), []).append(v)
 
     nbrs = {int(i): set() for i in ids}
     for a, b in iface:
@@ -174,10 +169,10 @@ def build_merge_tree(superpixels, boundary):
         edge_score.pop((a, b), None)
         merged_nbrs = (nbrs.pop(a) | nbrs.pop(b)) - {a, b}
         for n in merged_nbrs:
-            vals = iface.pop(_pair(a, n), []) + iface.pop(_pair(b, n), [])
-            edge_score.pop(_pair(a, n), None)
-            edge_score.pop(_pair(b, n), None)
-            key = _pair(new, n)
+            vals = iface.pop(edge_key(a, n), []) + iface.pop(edge_key(b, n), [])
+            edge_score.pop(edge_key(a, n), None)
+            edge_score.pop(edge_key(b, n), None)
+            key = edge_key(new, n)
             iface[key] = vals
             sc = min(sizes[new], sizes[n]) * float(np.median(vals))
             edge_score[key] = sc
@@ -199,16 +194,15 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     whose creation score is >= the threshold are dropped too; surviving
     nodes then re-attach to their nearest surviving ancestor, which
     keeps every inner node the exact disjoint union of its children.
-    Adjacency edges join every disjoint touching pair across all levels.
-    The superpixel array becomes the Crag's leaf label image, so every
-    superpixel stays a candidate and max_merges must be >= 0.
+    Adjacency edges join every disjoint touching pair across all levels,
+    as crag.candidate_adjacency defines them.  The superpixel array
+    becomes the Crag's leaf label image, so every superpixel stays a
+    candidate and max_merges must be >= 0.
     """
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
     sp = np.asarray(tree.superpixels)
-    leaf_ids = [int(i) for i in np.unique(sp)]
-
-    level = {i: 0 for i in leaf_ids}
+    level = {int(i): 0 for i in np.unique(sp)}
     parent = {}
     score_of = {}
     for ev in tree.events:
@@ -230,47 +224,6 @@ def extract_candidates(tree, max_merges, score_threshold=None):
 
     inc = {n for n in level if included(n)}
 
-    # ancestors-or-self in the full tree, for overlap tests
-    full_anc = {}
-    for n in level:
-        chain = set()
-        node = n
-        while node is not None:
-            chain.add(node)
-            node = parent.get(node)
-        full_anc[n] = chain
-
-    # included chain per leaf: the leaf plus its included ancestors
-    inc_chain = {}
-    for leaf in leaf_ids:
-        chain = []
-        node = leaf
-        while node is not None:
-            if node in inc:
-                chain.append(node)
-            node = parent.get(node)
-        inc_chain[leaf] = chain
-
-    # adjacency from leaf-level touching pairs, lifted through the chains
-    leaf_adj = set()
-    for sl_a, sl_b in (
-        (np.s_[:, :-1], np.s_[:, 1:]),
-        (np.s_[:-1, :], np.s_[1:, :]),
-    ):
-        la, lb = sp[sl_a], sp[sl_b]
-        mask = la != lb
-        for a, b in zip(la[mask].tolist(), lb[mask].tolist()):
-            leaf_adj.add(_pair(a, b))
-    edges = set()
-    for la, lb in leaf_adj:
-        for big_a in inc_chain[la]:
-            for big_b in inc_chain[lb]:
-                if big_a == big_b:
-                    continue
-                if big_b in full_anc[big_a] or big_a in full_anc[big_b]:
-                    continue
-                edges.add(_pair(big_a, big_b))
-
     # re-attach surviving nodes to their nearest surviving ancestor
     sub_pairs = []
     restricted_children = {n: [] for n in inc}
@@ -286,4 +239,4 @@ def extract_candidates(tree, max_merges, score_threshold=None):
         Candidate(n, level[n], tuple(sorted(restricted_children[n])))
         for n in sorted(inc)
     ]
-    return build_crag(cands, sorted(edges), sub_pairs, sp)
+    return build_crag(cands, candidate_adjacency(dict(sub_pairs), sp), sub_pairs, sp)

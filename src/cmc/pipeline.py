@@ -8,7 +8,7 @@ rng_seed+n_trees, so the two never share a per-tree stream.
 
 import contextlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .costmodel import (
     best_effort,
@@ -19,13 +19,13 @@ from .costmodel import (
     predict_costs,
     train_forest,
 )
-from .crag import crag_to_json, json_member, solution_to_json
+from .crag import crag_to_json, json_member, json_value, solution_to_json
 from .errors import CmcError, SingleClass, StageFailure
 from .evaluate import segmentation_metrics
 from .features import compute_features, features_to_json
 from .hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from .pgm import write_labels
-from .solver import extract_segmentation, solve
+from .solver import MODES, extract_segmentation, solve
 
 import numpy as np
 
@@ -46,12 +46,27 @@ def config_to_json(config):
     return asdict(config)
 
 
-def config_from_json(obj):
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(obj) - known
+# JSON kind of each config field, and the fields that may be null because
+# the library takes None for them (max_merges None means no level cap)
+_CONFIG_KINDS = {f.name: f.type for f in fields(PipelineConfig)}
+_CONFIG_NULLABLE = {"max_merges", "score_threshold", "time_limit"}
+
+
+def config_from_json(obj, doc="config.json"):
+    """PipelineConfig from its JSON form; malformed input raises CmcError
+    naming `doc`.  Fields left out keep their defaults."""
+    json_value(doc, obj, dict, "config")
+    unknown = set(obj) - set(_CONFIG_KINDS)
     if unknown:
-        raise CmcError(f"unknown config keys: {sorted(unknown)}")
-    return PipelineConfig(**obj)
+        raise CmcError(f"{doc}: unknown config keys: {sorted(unknown)}")
+    values = {}
+    for key, value in obj.items():
+        if value is not None or key not in _CONFIG_NULLABLE:
+            value = json_value(doc, value, _CONFIG_KINDS[key], key)
+        values[key] = value
+    if values.get("mode", "full") not in MODES:
+        raise CmcError(f"{doc}: mode {values['mode']!r} is not one of {MODES}")
+    return PipelineConfig(**values)
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ instances.
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from .crag import (
     Solution,
     conflict_cliques,
     objective_value,
-    shortest_selected_path,
+    path_violations,
     validate_solution,
 )
 from .errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
@@ -273,6 +274,11 @@ def _check_costs(crag, costs, ids, edges):
         raise KeyMismatch("f keys do not match the candidates")
     if set(costs.g) != set(edges):
         raise KeyMismatch("g keys do not match the adjacency edges")
+    # NaN makes every bound comparison false, so no optimum would be meaningful
+    for table in (costs.f, costs.g):
+        for key, cost in table.items():
+            if not math.isfinite(cost):
+                raise CmcError(f"cost {cost!r} of {key} is not finite")
 
 
 def _build_rows(crag, var_y, var_m, pool):
@@ -312,14 +318,10 @@ def _solve_ilp(cvec, rows, fixed, forest, deadline):
 
 def separate_path_constraints(crag, solution):
     """One shortest violated path per unselected-but-connected edge."""
-    out = []
-    for e in crag.adjacency:
-        if solution.m[e]:
-            continue
-        path = shortest_selected_path(solution.m, e[0], e[1])
-        if path is not None:
-            out.append(PathConstraint(path=path, bypassed_edge=e))
-    return out
+    return [
+        PathConstraint(path=path, bypassed_edge=e)
+        for e, path in path_violations(crag, solution)
+    ]
 
 
 def _assignment_to_solution(crag, costs, assign, var_y, var_m):
@@ -524,27 +526,14 @@ def extract_segmentation(crag, solution):
     violations = validate_solution(crag, solution)
     if violations:
         raise InfeasibleSolution(violations)
-    selected = [i for i in crag.ids() if solution.y[i]]
-    group = {i: i for i in selected}
-
-    def find(x):
-        while group[x] != x:
-            group[x] = group[group[x]]
-            x = group[x]
-        return x
-
-    for edge, merged in solution.m.items():
-        if merged:
-            a, b = find(edge[0]), find(edge[1])
-            if a != b:
-                group[max(a, b)] = min(a, b)
+    group = solution.merged_groups([i for i in crag.ids() if solution.y[i]])
 
     # component root + 1 per leaf id; the extra last slot (indexed by
     # UNCOVERED) and unselected leaves stay 0
     leaf_labels = crag.leaf_labels()
     root_of_leaf = np.zeros(max(crag.leaves()) + 2, dtype=np.int64)
-    for i in selected:
-        root_of_leaf[list(crag.leaves_under(i))] = find(i) + 1
+    for i, root in group.items():
+        root_of_leaf[list(crag.leaves_under(i))] = root + 1
     roots = root_of_leaf[leaf_labels].ravel()
     # number components by their first pixel in row-major order
     found, first = np.unique(roots, return_index=True)

@@ -196,6 +196,13 @@ def test_forest_input_checks():
         forest.predict_proba([[0.1, 0.2]])
 
 
+@pytest.mark.parametrize("n_trees", [0, -3])
+def test_forest_needs_a_tree(n_trees):
+    """A forest without trees would average to NaN probabilities."""
+    with pytest.raises(CmcError):
+        train_forest(([[0.1], [0.9]], [0, 1]), n_trees=n_trees, rng_seed=0)
+
+
 def test_forest_json_roundtrip():
     X, y = separable_samples(n=24, noise=0.25, seed=8)
     forest = train_forest((X, y), n_trees=4, rng_seed=5)

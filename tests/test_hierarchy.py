@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ from cmc.errors import CmcError, DegenerateInput, NoSeeds, NotAdjacent
 from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from cmc.synth import generate_synthetic
 
-from util import brute_merge_score, pixels_of, ref_seeded_watershed
+from util import (
+    brute_merge_score,
+    pixels_of,
+    ref_regions_touch,
+    ref_seeded_watershed,
+)
 
 
 def strip_tree():
@@ -343,3 +350,41 @@ def test_extract_max_merges_zero_on_random():
     superpixels = seeded_watershed(boundary, 0.6)
     crag = extract_candidates(build_merge_tree(superpixels, boundary), 0)
     assert crag.leaves() == crag.ids()
+
+
+def test_merge_tree_rejects_negative_labels():
+    boundary = np.zeros((1, 4))
+    with pytest.raises(CmcError):
+        build_merge_tree(np.array([[1, 1, -1, 2]]), boundary)
+
+
+def ref_adjacency(crag):
+    """Every candidate pair with disjoint pixel sets and a 4-neighbour
+    pixel pair between them, from the pixel sets."""
+    region = {i: pixels_of(crag, i) for i in crag.ids()}
+    return {
+        (i, j)
+        for i, j in itertools.combinations(crag.ids(), 2)
+        if region[i].isdisjoint(region[j]) and ref_regions_touch(region[i], region[j])
+    }
+
+
+@pytest.mark.parametrize(
+    "max_merges, score_threshold", [(0, None), (3, None), (None, None), (None, 1.0)]
+)
+def test_extract_adjacency_is_complete(max_merges, score_threshold):
+    """extract_candidates emits every disjoint touching candidate pair, on
+    watershed graphs of synthetic cells and of noise."""
+    rng = np.random.default_rng(31)
+    boundaries = [generate_synthetic(1, 3, 1.0, seed, image_size=96)[0][1]
+                  for seed in range(3)]
+    boundaries += [rng.random((12, 12)) for _ in range(3)]
+    inner_edges = 0
+    for boundary in boundaries:
+        superpixels = seeded_watershed(boundary, 0.5)
+        tree = build_merge_tree(superpixels, boundary)
+        crag = extract_candidates(tree, max_merges, score_threshold)
+        assert set(crag.adjacency) == ref_adjacency(crag)
+        inner_edges += sum(1 for i, j in crag.adjacency if crag.candidates[j].children)
+    # the graphs hold edges above the leaves wherever merges are kept
+    assert (inner_edges > 0) == (max_merges != 0)

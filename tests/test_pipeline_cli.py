@@ -400,3 +400,78 @@ def test_cli_eval_matches_library(tmp_path):
     scores = json.loads(open(out).read())
     assert scores == segmentation_metrics(gt, gt)
     assert scores["voi"] == 0.0 and scores["rand"] == 1.0
+
+
+def write_easy_images(tmp_path):
+    raw, boundary, gt = easy_triple()
+    paths = {name: str(tmp_path / f"{name}.pgm") for name in ("raw", "boundary", "gt")}
+    write_probability(paths["raw"], raw)
+    write_probability(paths["boundary"], boundary)
+    write_labels(paths["gt"], gt)
+    return paths
+
+
+def test_cli_zero_trees_fails(tmp_path, capsys):
+    """No tree would average to NaN costs; both commands that train fail
+    before writing anything."""
+    images = write_easy_images(tmp_path)
+    out_dir = tmp_path / "run"
+    rc = main(
+        ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+         "--gt", images["gt"], "--n-trees", "0", "--out-dir", str(out_dir)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out_dir / "costs.json").exists()
+
+    files = staged_quad_files(tmp_path)
+    out = tmp_path / "zero_trees.json"
+    rc = main(
+        ["train", "--crag", files["crag.json"], "--features", files["features.json"],
+         "--gt", files["gt.pgm"], "--n-trees", "0", "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# config file content -> what the error names after the file's path; each
+# used to end in a traceback or, for the mode, fail only at the solve stage
+MALFORMED_CONFIG = {
+    "not an object": ([], "config"),
+    "string max_merges": ({"max_merges": "5"}, "max_merges"),
+    "string time_limit": ({"time_limit": "x"}, "time_limit"),
+    "null seed_threshold": ({"seed_threshold": None}, "seed_threshold"),
+    "unknown mode": ({"mode": "bogus"}, "mode"),
+    "number ignore_background": ({"ignore_background": 1}, "ignore_background"),
+    "unknown key": ({"n_neighbors": 3}, "n_neighbors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIG))
+def test_cli_malformed_config_fails_by_name(case, tmp_path, capsys):
+    content, named = MALFORMED_CONFIG[case]
+    images = write_easy_images(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(content))
+    rc = main(
+        ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+         "--gt", images["gt"], "--n-trees", "2", "--config", str(config)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and named in err
+
+
+def test_cli_config_null_where_the_library_takes_none(tmp_path, capsys):
+    images = write_easy_images(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(
+        json.dumps({"max_merges": None, "score_threshold": None, "time_limit": None})
+    )
+    rc = main(
+        ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+         "--gt", images["gt"], "--n-trees", "2", "--config", str(config)]
+    )
+    assert rc == 0
+    assert "optimal True" in capsys.readouterr().out

@@ -31,6 +31,7 @@ from util import (
     quad_gt,
     random_costs,
     random_crag,
+    random_sparse_crag,
 )
 
 MODES = ("full", "merge_tree_only", "leaf_multicut_only")
@@ -346,3 +347,39 @@ def test_timeout_returns_feasible_incumbent():
     assert sol.iterations >= 1
     assert validate_solution(crag, sol) == []
     assert sol.objective <= 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_cost_rejected(bad):
+    crag = quad_crag()
+    for table in ("f", "g"):
+        costs = quad_costs(crag)
+        key = next(iter(getattr(costs, table)))
+        getattr(costs, table)[key] = bad
+        with pytest.raises(CmcError):
+            solve(crag, costs)
+        with pytest.raises(CmcError):
+            brute_force(crag, costs)
+
+
+def test_separation_equals_validate_path_violations():
+    """separate_path_constraints and validate_solution's path family name
+    the same edges with the same paths, on random assignments."""
+    rng = np.random.default_rng(61)
+    crags = [random_crag(rng) for _ in range(40)]
+    crags += [random_sparse_crag(rng) for _ in range(40)]
+    crags += [pixel_grid_crag(4, 4)]
+    found = 0
+    for crag in crags:
+        for density in (0.3, 0.6, 0.9):
+            y = {i: int(rng.random() < 0.5) for i in crag.ids()}
+            m = {e: int(rng.random() < density) for e in crag.adjacency}
+            sol = Solution(y=y, m=m, objective=0.0)
+            cuts = separate_path_constraints(crag, sol)
+            violations = validate_solution(crag, sol)
+            paths = [(v.ids, v.path) for v in violations if v.family == "path"]
+            assert [(c.bypassed_edge, c.path) for c in cuts] == paths
+            for cut in cuts:
+                assert not m[cut.bypassed_edge] and all(m[e] for e in cut.path)
+            found += len(cuts)
+    assert found > 50
