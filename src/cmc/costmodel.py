@@ -12,11 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crag import Solution, edge_to_str, json_edge, json_id, json_member, json_value
+from .crag import (
+    Solution,
+    edge_to_str,
+    json_edge,
+    json_id,
+    json_member,
+    json_value,
+    validate_solution,
+)
 from .errors import (
     CmcError,
     DegenerateInput,
     DimensionMismatch,
+    InfeasibleSolution,
     SchemaMismatch,
     SingleClass,
 )
@@ -96,8 +105,12 @@ def label_instances(crag, solution, node_feats, edge_feats):
     candidate (it is then consistent with a single object).  An edge is
     positive iff both endpoints are positive and their selected
     ancestors belong to one merged group.  Returns ((X, y) for nodes,
-    (X, y) for edges), ordered by candidate id / edge key.
+    (X, y) for edges), ordered by candidate id / edge key.  An infeasible
+    reference solution raises InfeasibleSolution.
     """
+    violations = validate_solution(crag, solution)
+    if violations:
+        raise InfeasibleSolution(violations)
     selected = [i for i in crag.ids() if solution.y[i]]
     owner = {}
     for s in selected:

@@ -19,6 +19,13 @@ d*d formed once and reused in place for d**3 and d**4.  Histograms count
 a uint8 image of bin indices, built once per image for raw and boundary
 over the covered pixels, that reproduces np.histogram(v, 20, (0, 1))
 exactly.  Eccentricity takes the 2x2 covariance as np.cov does.
+Quantiles come from one sort, with np.quantile's linear interpolation
+applied by hand.  The Moore contour walk looks up its next step in a
+table, by backtrack direction and an 8-bit code of the pixel's
+neighbors; each of the 8 step directions has one fixed angle bin (taken
+at import with atan2), so the angle histogram counts step directions.
+Contour pixels, those with a 4-neighbor outside the candidate, come
+from four shifted slices of the padded mask.
 
 Tolerance: the moments agree with exact rational arithmetic to within
 1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  Earlier
@@ -26,7 +33,9 @@ releases formed d**3 and d**4 with pow, did not recentre, and summed
 contour pixels in hash-set order; on every image compared, no value
 moved from theirs by more than 1e-12 * (1 + |v|), and size, the angle
 and intensity histograms, the quantiles and the eccentricity are
-bit-identical.
+bit-identical.  The sorted quantiles and the counted step directions
+changed no value: they are bit-identical to np.quantile and to a walk
+that takes atan2 of every step.
 """
 
 import math
@@ -59,8 +68,31 @@ _HIST_EDGES = np.linspace(0.0, 1.0, 21)
 # Moore neighborhood, clockwise starting north (rows grow downward)
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
-_CROSS = ndimage.generate_binary_structure(2, 1)
 _SQUARE = ndimage.generate_binary_structure(2, 2)
+
+
+def _first_inside(back, code):
+    """Direction of the first neighbor in `code` clockwise after the
+    backtrack direction `back` (back itself last), or 8 for none."""
+    for k in range(1, 9):
+        d = (back + k) % 8
+        if code >> d & 1:
+            return d
+    return 8
+
+
+# the walk's step from backtrack direction b at a pixel whose neighbor
+# code is c goes in direction _NEXT[b * 256 + c]; after a step in
+# direction d, the backtrack lies in direction _BACK[d] of the new pixel
+_NEXT = bytes(_first_inside(b, c) for b in range(8) for c in range(256))
+_BACK = tuple(
+    _MOORE.index((_MOORE[d - 1][0] - dr, _MOORE[d - 1][1] - dc))
+    for d, (dr, dc) in enumerate(_MOORE)
+)
+# angle-histogram bin of a step in each direction
+_STEP_BIN = np.array(
+    [int((math.atan2(dr, dc) % TWO_PI) / (TWO_PI / 16)) % 16 for dr, dc in _MOORE]
+)
 
 
 def _stat_names(prefix):
@@ -124,52 +156,89 @@ def _bin_image(image, where):
     return bins
 
 
+def _quantiles(values):
+    """np.quantile(values, _QUANTILES), bit for bit, from one sort.
+
+    The steps of numpy's default linear method: the virtual index is
+    v = (n - 1) * q; its floor and the next index both become the last
+    index once v >= n - 1; t is v minus that floor; and a + (b - a) * t
+    is taken from the upper end, b - (b - a) * (1 - t), when t >= 0.5.
+    """
+    ordered = np.sort(values)
+    n = len(ordered)
+    out = []
+    for q in _QUANTILES:
+        v = (n - 1) * q
+        lo = math.floor(v)
+        hi = lo + 1
+        if v >= n - 1:
+            lo = hi = -1
+        t = v - lo
+        a, b = float(ordered[lo]), float(ordered[hi])
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def _stats_block(values, bins):
     """Moments, 20-bin histogram and quantiles of `values`, whose
     histogram bins (from _bin_image) are `bins`."""
     hist = np.bincount(bins, minlength=20)
-    quant = np.quantile(values, _QUANTILES)
-    return np.concatenate([_moments(values), hist, quant])
+    return np.concatenate([_moments(values), hist, _quantiles(values)])
 
 
-def _trace_contour(mask):
-    """Moore boundary walk over a 2-d boolean mask, one full cycle of
-    (row, col) positions in the mask (may repeat pixels).
+def _pad(mask):
+    """The mask with one False pixel added on every side."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return padded
+
+
+def _contour(padded):
+    """Pixels of the mask inside `padded` (a _pad result) that have a
+    4-neighbor outside it."""
+    inner = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    return padded[1:-1, 1:-1] & ~inner
+
+
+def _moore_walk(mask):
+    """Moore boundary walk over a 2-d boolean mask: one full cycle of
+    flat (row-major) positions in the mask (may repeat pixels), and the
+    _MOORE direction of the step out of each.
 
     The walk over (pixel, backtrack) states is eventually periodic; one
     period is returned, which for compact blobs is the classic closed
     clockwise trace.  (A plain return-to-start check can miss: on thin
     shapes the start pixel is only ever re-entered from directions other
-    than the initial backtrack.)
+    than the initial backtrack.)  A lone pixel gives itself and no step.
+    The mask must have a pixel set.
     """
-    # flat positions in the mask padded by one False pixel per side, so
-    # every neighbor of a mask pixel is a valid position
-    width = mask.shape[1] + 2
-    padded = np.pad(mask, 1)
-    inside = padded.ravel().tolist()
-    moore = [dr * width + dc for dr, dc in _MOORE]
-    direction = {off: k for k, off in enumerate(moore)}
-    start = int(np.flatnonzero(padded)[0])
-    back0 = start - 1  # row-major first pixel: west is outside
-    seen = {}
-    seq = []
-    cur, back = start, back0
-    while (cur, back) not in seen:
-        seen[(cur, back)] = len(seq)
-        seq.append(cur)
-        idx = direction[back - cur]
-        nxt = None
-        for k in range(1, 9):
-            q = cur + moore[(idx + k) % 8]
-            if inside[q]:
-                nxt, nback = q, cur + moore[(idx + k - 1) % 8]
-                break
-        if nxt is None:
-            break
-        cur, back = nxt, nback
-    else:
-        seq = seq[seen[(cur, back)]:]
-    return [(p // width - 1, p % width - 1) for p in seq]
+    h, w = mask.shape
+    padded = _pad(mask).view(np.uint8)
+    # bit d of a pixel's code: its neighbor in direction d is in the mask
+    codes = np.zeros(mask.shape, dtype=np.uint8)
+    for d, (dr, dc) in enumerate(_MOORE):
+        codes |= padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] << d
+    codes = codes.tobytes()
+    moves = [dr * w + dc for dr, dc in _MOORE]
+    cur, back = int(mask.argmax()), 6  # row-major first pixel: west is out
+    if not codes[cur]:
+        return [cur], []
+    # state -> direction of its step, in walk order
+    steps = {}
+    while (state := cur << 3 | back) not in steps:
+        steps[state] = d = _NEXT[back << 8 | codes[cur]]
+        cur += moves[d]
+        back = _BACK[d]
+    states = list(steps)
+    first = states.index(state)
+    return [s >> 3 for s in states[first:]], list(steps.values())[first:]
+
+
+def _trace_contour(mask):
+    """(row, col) positions of one cycle of the Moore walk over `mask`."""
+    positions, _ = _moore_walk(mask)
+    return [divmod(p, mask.shape[1]) for p in positions]
 
 
 def _angle_histogram(mask):
@@ -183,15 +252,8 @@ def _angle_histogram(mask):
     _, n = ndimage.label(mask, structure=_SQUARE)
     if n != 1:
         return np.zeros(16)
-    contour = _trace_contour(mask)
-    if len(contour) < 2:
-        return np.zeros(16)
-    hist = np.zeros(16)
-    closed = contour + [contour[0]]
-    for (ra, ca), (rb, cb) in zip(closed, closed[1:]):
-        angle = math.atan2(rb - ra, cb - ca) % TWO_PI
-        hist[int(angle / (TWO_PI / 16)) % 16] += 1.0
-    return hist
+    _, steps = _moore_walk(mask)
+    return np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
 
 
 def _check_unit_range(values, name):
@@ -209,7 +271,7 @@ def _node_kernel(mask, origin, planes):
     holds (image, bins) for raw and boundary: the same box of the image
     and of its _bin_image.
     """
-    padded = np.pad(mask, 1)
+    padded = _pad(mask)
     size = float(np.count_nonzero(mask))
     # 4-neighbor pixel sides between the region and the rest
     perimeter = np.count_nonzero(padded[:, 1:] != padded[:, :-1])
@@ -230,7 +292,7 @@ def _node_kernel(mask, origin, planes):
 
     angles = _angle_histogram(mask)
 
-    contour = mask & ~ndimage.binary_erosion(mask, _CROSS)
+    contour = _contour(padded)
     blocks = [
         _stats_block(image[pixels], bins[pixels])
         for image, bins in planes

@@ -21,13 +21,14 @@ from cmc.errors import (
     CmcError,
     DegenerateInput,
     DimensionMismatch,
+    InfeasibleSolution,
     SchemaMismatch,
     SingleClass,
 )
 from cmc.crag import validate_solution
 from cmc.features import compute_features
 
-from util import pixels_of, quad_crag, quad_gt, random_crag, random_gt
+from util import pixels_of, quad_crag, quad_gt, random_crag, random_gt, zero_solution
 
 
 def separable_samples(n=20, dim=5, noise=0.0, seed=0):
@@ -157,6 +158,17 @@ def test_label_instances_all_background():
     sol = best_effort(crag, np.zeros((4, 4), dtype=np.int64))
     (_, node_y), (_, edge_y) = label_instances(crag, sol, nf, ef)
     assert not node_y.any() and not edge_y.any()
+
+
+def test_label_instances_rejects_infeasible_reference():
+    """A merged edge whose end 2 is not selected: a named error, not a
+    KeyError from the merged-group lookup."""
+    crag, (nf, ef) = quad_features()
+    sol = zero_solution(crag)
+    sol.y[1] = 1
+    sol.m[(1, 2)] = 1
+    with pytest.raises(InfeasibleSolution):
+        label_instances(crag, sol, nf, ef)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from cmc.crag import Candidate, build_crag
 from cmc.errors import (
@@ -16,9 +17,13 @@ from cmc.errors import (
     NotAnEdge,
 )
 from cmc.features import (
+    _QUANTILES,
     _angle_histogram,
     _bin_image,
+    _contour,
     _moments,
+    _pad,
+    _quantiles,
     _trace_contour,
     compute_features,
     edge_feature_names,
@@ -237,6 +242,40 @@ def test_moments_of_equal_values_are_zero():
             total, mean, var, skew, kurt = _moments(np.full(n, value))
             assert (var, skew, kurt) == (0.0, 0.0, 0.0)
             assert mean == pytest.approx(value, rel=1e-15)
+
+
+# quantiles of 16-bit levels k/65535: one or two values; any length;
+# heavy ties from a few distinct levels; lengths 21 and 101, where
+# (n - 1) * q is a whole number for some q (weight t = 0); all equal
+_FEW_LEVELS = st.lists(st.sampled_from([0, 1, 32767, 32768, 65535]), min_size=1)
+_INTEGRAL_INDEX = st.sampled_from([21, 101]).flatmap(
+    lambda n: st.lists(_LEVELS, min_size=n, max_size=n)
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.one_of(
+        st.lists(_LEVELS, min_size=1, max_size=2),
+        st.lists(_LEVELS, min_size=1, max_size=300),
+        _FEW_LEVELS,
+        _INTEGRAL_INDEX,
+        st.tuples(_LEVELS, st.integers(1, 300)).map(lambda t: [t[0]] * t[1]),
+    )
+)
+@example([0])
+@example([65535, 0])
+@example([12345] * 21)
+@example(list(range(101)))
+def test_quantiles_bit_equal_to_np_quantile(levels):
+    values = np.array(levels) / 65535.0
+    assert np.array_equal(_quantiles(values), np.quantile(values, _QUANTILES))
 
 
 def test_bin_image_matches_np_histogram():
@@ -594,6 +633,83 @@ def test_trace_contour_matches_reference():
             mask, (r0, c0) = to_mask(pixels)
             got = [(r + r0, c + c0) for r, c in _trace_contour(mask)]
             assert got == ref_trace_contour(pixels)
+
+
+def random_masks(seed, count):
+    """Boolean box masks, cycling through seven shapes: straight
+    one-pixel lines, 8-connected paths (diagonal-only chains among them),
+    square rings, blobs with holes and notches, unions of rectangles (may
+    be disconnected), sparse noise and one 8-connected piece of noise.
+    Each gets a margin of 0-2 False pixels per side; with margin 0 the
+    shape touches the box edge.  The walks over 2500 of them look up all
+    387 entries of the walk table that walks over 60,000 random masks of
+    up to 7 x 7 pixels reach."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        h, w = (int(x) for x in rng.integers(1, 13, size=2))
+        core = np.zeros((h, w), dtype=bool)
+        kind = k % 7
+        if kind == 0:
+            if rng.random() < 0.5:
+                core[rng.integers(h), rng.integers(w) :] = True
+            else:
+                core[rng.integers(h) :, rng.integers(w)] = True
+        elif kind == 1:
+            diagonal_only = rng.random() < 0.5
+            moves = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+            if diagonal_only:
+                moves = [(dr, dc) for dr, dc in moves if dr and dc]
+            r, c = int(rng.integers(h)), int(rng.integers(w))
+            for _ in range(int(rng.integers(1, 20))):
+                core[r, c] = True
+                dr, dc = moves[rng.integers(len(moves))]
+                r, c = min(max(r + dr, 0), h - 1), min(max(c + dc, 0), w - 1)
+        elif kind == 2:
+            t = int(rng.integers(1, 3))
+            core[:] = True
+            core[t : h - t, t : w - t] = False
+            if rng.random() < 0.5:  # cut corners: diagonal joins
+                core[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+        elif kind == 3:  # holes inside, notches on the border
+            core = rng.random((h, w)) >= 0.15
+        elif kind == 4:
+            for _ in range(int(rng.integers(1, 4))):
+                r0, c0 = int(rng.integers(h)), int(rng.integers(w))
+                core[r0 : r0 + rng.integers(1, 5), c0 : c0 + rng.integers(1, 5)] = True
+        elif kind == 5:
+            core = rng.random((h, w)) < 0.45
+        else:  # the first 8-connected piece of noise: lacy, one component
+            labels, _ = ndimage.label(rng.random((h, w)) < 0.5, np.ones((3, 3)))
+            core = labels == 1
+        if not core.any():
+            core[rng.integers(h), rng.integers(w)] = True
+        yield np.pad(core, rng.integers(0, 3, size=(2, 2)))
+
+
+def mask_pixels(mask):
+    return frozenset(map(tuple, np.argwhere(mask).tolist()))
+
+
+def test_trace_contour_on_random_masks():
+    for mask in random_masks(71, 2500):
+        assert _trace_contour(mask) == ref_trace_contour(mask_pixels(mask))
+
+
+def test_angle_histogram_on_random_masks():
+    walked = 0
+    for mask in random_masks(73, 2500):
+        got = _angle_histogram(mask)
+        assert np.array_equal(got, ref_angle_histogram(mask_pixels(mask)))
+        walked += bool(got.any())
+    # most masks are one 8-connected component and get walked
+    assert walked > 1500
+
+
+def test_contour_slices_on_random_masks():
+    cross = ndimage.generate_binary_structure(2, 1)
+    for mask in random_masks(79, 1200):
+        want = mask & ~ndimage.binary_erosion(mask, cross)
+        assert np.array_equal(_contour(_pad(mask)), want)
 
 
 def test_compute_features_matches_per_pixel_reference():
