@@ -247,12 +247,10 @@ def _angle_histogram(mask):
     All-zero for single pixels and for regions that are not one
     8-connected component (no unambiguous contour to walk).
     """
-    if np.count_nonzero(mask) < 2:
-        return np.zeros(16)
     _, n = ndimage.label(mask, structure=_SQUARE)
     if n != 1:
         return np.zeros(16)
-    _, steps = _moore_walk(mask)
+    _, steps = _moore_walk(mask)  # no step for a single pixel
     return np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
 
 
