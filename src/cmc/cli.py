@@ -187,14 +187,15 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="cmc", description="candidate-graph cell segmentation tools"
     )
+    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-crag", help="watershed + merge tree + candidates")
     p.add_argument("--boundary", required=True)
     p.add_argument("--superpixels", default=None)
-    p.add_argument("--seed-threshold", type=float, default=0.5)
-    p.add_argument("--max-merges", type=int, default=5)
-    p.add_argument("--score-threshold", type=float, default=None)
+    p.add_argument("--seed-threshold", type=float, default=defaults.seed_threshold)
+    p.add_argument("--max-merges", type=int, default=defaults.max_merges)
+    p.add_argument("--score-threshold", type=float, default=defaults.score_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_crag)
 
@@ -209,8 +210,10 @@ def build_parser():
     p.add_argument("--crag", action="append", required=True)
     p.add_argument("--features", action="append", required=True)
     p.add_argument("--gt", action="append", required=True)
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--seed", "--rng-seed", dest="rng_seed", type=int, default=42)
+    p.add_argument("--n-trees", type=int, default=defaults.n_trees)
+    p.add_argument(
+        "--seed", "--rng-seed", dest="rng_seed", type=int, default=defaults.rng_seed
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

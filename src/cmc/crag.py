@@ -143,7 +143,6 @@ class Crag:
         self.adjacency = tuple(sorted(adjacency))
         self.subset = dict(subset)  # child id -> parent id
         self.height, self.width = leaf_labels.shape
-        self._edges = frozenset(self.adjacency)
         self._leaves_under = {}
         self._leaf_labels = leaf_labels
 
@@ -165,10 +164,6 @@ class Crag:
 
     def ids(self):
         return sorted(self.candidates)
-
-    def has_edge(self, edge):
-        """Whether the canonical (sorted) pair `edge` is an adjacency edge."""
-        return edge in self._edges
 
     def leaves(self):
         return sorted(i for i, c in self.candidates.items() if not c.children)
@@ -384,11 +379,6 @@ def _shortest_path(nbrs, source, target):
                 return tuple(path)
             queue.append(nxt)
     return None
-
-
-def shortest_selected_path(m, source, target):
-    """BFS over m=1 edges; ordered edge tuple from source to target, or None."""
-    return _shortest_path(_selected_neighbors(m), source, target)
 
 
 def path_violations(crag, solution):

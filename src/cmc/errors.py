@@ -47,18 +47,6 @@ class NotAdjacent(CmcError):
         super().__init__("regions share no 4-neighbor pixel pair")
 
 
-# features
-
-class EmptyRegion(CmcError):
-    def __init__(self):
-        super().__init__("candidate has no pixels")
-
-
-class NotAnEdge(CmcError):
-    def __init__(self, edge):
-        super().__init__(f"{edge} is not an adjacency edge of this graph")
-
-
 # cost model
 
 class DimensionMismatch(CmcError):

@@ -6,12 +6,15 @@ the boundary map over all pixels and over contour pixels.  Per edge:
 contact area, interface intensity statistics, and the symmetric
 combinators (|u-v|, min, max, u+v) of the endpoint node features.
 
-Pixels come from the Crag's leaf label image: a candidate is a boolean
-mask over its bounding box, looked up by leaf id.  All pixel statistics
-are taken in row-major pixel order; interface values are taken in the
-order of their (pixel in the smaller region, pixel in the larger region)
-pairs, sorted row-major, with the edge's first candidate counting as
-the smaller one on equal sizes.
+compute_features(crag, raw, boundary) is the one entry point: it
+computes the vectors of every candidate and every adjacency edge of a
+Crag at once.  Pixels come from the Crag's leaf label image: a candidate
+is a boolean mask over its bounding box, looked up by leaf id, and raw
+and boundary are checked once, over every pixel a leaf covers.  All
+pixel statistics are taken in row-major pixel order; interface values
+are taken in the order of their (pixel in the smaller region, pixel in
+the larger region) pairs, sorted row-major, with the edge's first
+candidate counting as the smaller one on equal sizes.
 
 Each statistics block costs a few multiply-adds per pixel.  Moments come
 from the deviations d about the mean, recentred on their own mean, with
@@ -45,7 +48,6 @@ from scipy import ndimage
 
 from .crag import (
     UNCOVERED,
-    edge_key,
     edge_to_str,
     json_edge,
     json_id,
@@ -56,8 +58,6 @@ from .errors import (
     CmcError,
     DegenerateInput,
     DimensionMismatch,
-    EmptyRegion,
-    NotAnEdge,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -235,12 +235,6 @@ def _moore_walk(mask):
     return [s >> 3 for s in states[first:]], list(steps.values())[first:]
 
 
-def _trace_contour(mask):
-    """(row, col) positions of one cycle of the Moore walk over `mask`."""
-    positions, _ = _moore_walk(mask)
-    return [divmod(p, mask.shape[1]) for p in positions]
-
-
 def _angle_histogram(mask):
     """16-bin histogram of contour displacement angles over [0, 2pi).
 
@@ -252,14 +246,6 @@ def _angle_histogram(mask):
         return np.zeros(16)
     _, steps = _moore_walk(mask)  # no step for a single pixel
     return np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
-
-
-def _check_unit_range(values, name):
-    # written so that NaN fails too
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise DegenerateInput(
-            f"{name} values non-finite or outside [0, 1] under a candidate"
-        )
 
 
 def _node_kernel(mask, origin, planes):
@@ -299,25 +285,6 @@ def _node_kernel(mask, origin, planes):
     return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
 
 
-def node_features(pixels, raw, boundary):
-    """147-entry feature vector for one candidate's pixel set."""
-    if not pixels:
-        raise EmptyRegion()
-    coords = np.array([tuple(p) for p in pixels], dtype=np.int64).reshape(-1, 2)
-    raw = np.asarray(raw, dtype=np.float64)
-    boundary = np.asarray(boundary, dtype=np.float64)
-    (r0, c0), (r1, c1) = coords.min(axis=0), coords.max(axis=0) + 1
-    box = np.s_[r0:r1, c0:c1]
-    mask = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-    mask[coords[:, 0] - r0, coords[:, 1] - c0] = True
-    if r0 < 0 or c0 < 0 or any(im[box].shape != mask.shape for im in (raw, boundary)):
-        raise DegenerateInput("candidate pixels outside the image")
-    _check_unit_range(raw[box][mask], "raw")
-    _check_unit_range(boundary[box][mask], "boundary")
-    planes = [(im[box], _bin_image(im[box], mask)) for im in (raw, boundary)]
-    return _node_kernel(mask, (r0, c0), planes)
-
-
 def _checked_images(labels, raw, boundary):
     """raw and boundary as float64, checked over every pixel a leaf covers.
 
@@ -330,7 +297,12 @@ def _checked_images(labels, raw, boundary):
         image = np.asarray(image, dtype=np.float64)
         if image.shape != labels.shape:
             raise DimensionMismatch(labels.shape, image.shape)
-        _check_unit_range(image[covered], name)
+        values = image[covered]
+        # written so that NaN fails too
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise DegenerateInput(
+                f"{name} values non-finite or outside [0, 1] under a candidate"
+            )
         images.append(image)
     return images
 
@@ -347,20 +319,13 @@ def _lookup(leaves, n):
     return lut
 
 
-def _leaf_pairs(labels, boundary):
-    """crag.pixel_pairs of the leaf label image, (leaf_p, leaf_q, p, q),
-    plus each pair's value max(boundary[p], boundary[q])."""
-    leaf_p, leaf_q, p, q = pixel_pairs(labels)
-    flat = boundary.ravel()
-    return leaf_p, leaf_q, p, q, np.maximum(flat[p], flat[q])
-
-
 def _edge_kernel(pairs, lut_i, lut_j, i_smaller, u, v):
     """592-entry feature vector of the edge between two candidates.
 
-    lut_i / lut_j are the candidates' leaf lookups, u / v their node
-    features; i_smaller says whether candidate i has at most as many
-    pixels as j.
+    `pairs` is crag.pixel_pairs of the leaf label image, (leaf_p, leaf_q,
+    p, q), plus each pair's value max(boundary[p], boundary[q]).  lut_i /
+    lut_j are the candidates' leaf lookups, u / v their node features;
+    i_smaller says whether candidate i has at most as many pixels as j.
     """
     leaf_p, leaf_q, p, q, value = pairs
     ij = lut_i[leaf_p] & lut_j[leaf_q]
@@ -371,29 +336,12 @@ def _edge_kernel(pairs, lut_i, lut_j, i_smaller, u, v):
     order = np.lexsort((in_j, in_i) if i_smaller else (in_i, in_j))
     vals = np.concatenate([value[ij], value[ji]])[order]
     _, mean, var, skew, _ = _moments(vals)
-    u, v = np.asarray(u), np.asarray(v)
     combo = np.empty(4 * len(u))
     combo[0::4] = np.abs(u - v)
     combo[1::4] = np.minimum(u, v)
     combo[2::4] = np.maximum(u, v)
     combo[3::4] = u + v
     return np.concatenate([[float(len(vals)), mean, var, skew], combo])
-
-
-def edge_features(edge, crag, raw, boundary, node_feats):
-    """592-entry feature vector for one adjacency edge."""
-    edge = edge_key(*edge)
-    if not crag.has_edge(edge):
-        raise NotAnEdge(edge)
-    labels = crag.leaf_labels()
-    _, boundary = _checked_images(labels, raw, boundary)
-    i, j = edge
-    n = max(crag.leaves()) + 2
-    lut_i = _lookup(crag.leaves_under(i), n)
-    lut_j = _lookup(crag.leaves_under(j), n)
-    i_smaller = np.count_nonzero(lut_i[labels]) <= np.count_nonzero(lut_j[labels])
-    pairs = _leaf_pairs(labels, boundary)
-    return _edge_kernel(pairs, lut_i, lut_j, i_smaller, node_feats[i], node_feats[j])
 
 
 def compute_features(crag, raw, boundary):
@@ -413,7 +361,9 @@ def compute_features(crag, raw, boundary):
         mask = luts[cid][labels[box]]
         boxed = [(im[box], bins[box]) for im, bins in planes]
         node_feats[cid] = _node_kernel(mask, (r0, c0), boxed)
-    pairs = _leaf_pairs(labels, boundary)
+    leaf_p, leaf_q, p, q = pixel_pairs(labels)
+    flat = boundary.ravel()
+    pairs = leaf_p, leaf_q, p, q, np.maximum(flat[p], flat[q])
     edge_feats = {}
     for i, j in crag.adjacency:
         u, v = node_feats[i], node_feats[j]

@@ -47,6 +47,10 @@ def read_pgm(path):
     tokens, offset = _read_tokens(data, 4)
     if tokens[0] != b"P5":
         raise DegenerateInput(f"not a binary PGM file: magic {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise DegenerateInput(
+            f"PGM size and maxval must be decimal digits: {tokens[1:]}"
+        )
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != MAXVAL:
         raise DegenerateInput(f"expected maxval {MAXVAL}, found {maxval}")
@@ -64,7 +68,8 @@ def write_pgm(path, image):
     image = np.asarray(image)
     if image.ndim != 2:
         raise DegenerateInput(f"expected a 2-d image, got shape {image.shape}")
-    if image.min() < 0 or image.max() > MAXVAL:
+    # written so that NaN fails too; an empty image has no value to check
+    if image.size and not (image.min() >= 0 and image.max() <= MAXVAL):
         raise DegenerateInput("pixel values outside [0, 65535]")
     height, width = image.shape
     header = f"P5\n{width} {height}\n{MAXVAL}\n".encode("ascii")
@@ -81,8 +86,9 @@ def read_probability(path):
 def write_probability(path, values):
     """Scale [0, 1] floats to 16-bit and write as PGM."""
     values = np.asarray(values, dtype=np.float64)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise DegenerateInput("probability values outside [0, 1]")
+    # written so that NaN fails too
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DegenerateInput("probability values non-finite or outside [0, 1]")
     write_pgm(path, np.rint(values * MAXVAL).astype(np.uint16))
 
 

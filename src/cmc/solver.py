@@ -198,17 +198,16 @@ class _State:
         self.bound = saved_bound
 
 
-def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
+def _dfs(state, order, lex, ub, deadline):
     """Iterative DFS branch-and-bound.
 
-    Prunes subtrees whose bound exceeds ub[0] (strictly when `strict`,
-    else on >=, with ub tightened at every improving leaf), and those
-    whose bound plus forest gap exceeds ub[0] + tol, which hold no leaf
-    within ub[0].  greedy
-    tries the cost-reducing value first; otherwise 0 comes first, which
-    together with first_leaf yields the lexicographically smallest
-    assignment within the ub budget.  Raises _Timeout carrying the best
-    assignment so far.
+    Prunes subtrees whose bound plus forest gap exceeds ub + tol, which
+    hold no leaf within ub.  The optimizing pass (lex false) tries the
+    cost-reducing value first, prunes on bound >= ub and tightens ub at
+    every improving leaf.  The lex pass tries 0 first, prunes on
+    bound > ub and returns the first leaf: the lexicographically
+    smallest assignment within the ub budget.  Raises _Timeout carrying
+    the best assignment so far.
     """
     n = state.n
     best_obj, best_assign = None, None
@@ -221,11 +220,11 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
     gapless = 1 + max((at[entry[0]] for entry in state.forest), default=-1)
 
     def over_budget(fpos):
-        if state.bound > ub[0] if strict else state.bound >= ub[0]:
+        if state.bound > ub if lex else state.bound >= ub:
             return True
         if fpos + 1 >= gapless:
             return False
-        return state.bound + state.forest_gap() > ub[0] + state.tol
+        return state.bound + state.forest_gap() > ub + state.tol
 
     def advance():
         nonlocal pos
@@ -256,14 +255,14 @@ def _dfs(state, order, greedy, ub, strict, first_leaf, deadline):
             pos += 1
         if pos == n:
             best_obj, best_assign = state.bound, list(state.value)
-            if first_leaf:
+            if lex:
                 return best_obj, best_assign
-            ub[0] = best_obj
+            ub = best_obj
             if not advance():
                 return best_obj, best_assign
             continue
         v = order[pos]
-        vals = [1, 0] if (greedy and state.costs[v] < 0.0) else [0, 1]
+        vals = [1, 0] if (not lex and state.costs[v] < 0.0) else [0, 1]
         frames.append((v, vals, len(state.trail), state.bound, pos))
         if not advance():
             return best_obj, best_assign
@@ -300,17 +299,13 @@ def _solve_ilp(cvec, rows, fixed, forest, deadline):
     n = len(cvec)
     state = _State(cvec, rows, fixed, forest)
     order = sorted(range(n), key=lambda v: (-abs(cvec[v]), v))
-    ub = [0.0]
-    obj, assign = _dfs(state, order, True, ub, False, False, deadline)
+    obj, assign = _dfs(state, order, False, 0.0, deadline)
     if obj is None:
         obj, assign = 0.0, [0] * n
 
     state = _State(cvec, rows, fixed, forest)
-    ub = [obj]
     try:
-        _, lex_assign = _dfs(
-            state, list(range(n)), False, ub, True, True, deadline
-        )
+        _, lex_assign = _dfs(state, list(range(n)), True, obj, deadline)
     except _Timeout:
         raise _Timeout(assign)
     return lex_assign if lex_assign is not None else assign
@@ -531,7 +526,7 @@ def extract_segmentation(crag, solution):
     # component root + 1 per leaf id; the extra last slot (indexed by
     # UNCOVERED) and unselected leaves stay 0
     leaf_labels = crag.leaf_labels()
-    root_of_leaf = np.zeros(max(crag.leaves()) + 2, dtype=np.int64)
+    root_of_leaf = np.zeros(max(crag.leaves(), default=-1) + 2, dtype=np.int64)
     for i, root in group.items():
         root_of_leaf[list(crag.leaves_under(i))] = root + 1
     roots = root_of_leaf[leaf_labels].ravel()

@@ -9,6 +9,8 @@ from cmc.crag import (
     UNCOVERED,
     Candidate,
     Solution,
+    _selected_neighbors,
+    _shortest_path,
     build_crag,
     conflict_cliques,
     crag_from_json,
@@ -17,7 +19,6 @@ from cmc.crag import (
     edge_to_str,
     json_edge,
     objective_value,
-    shortest_selected_path,
     solution_from_json,
     solution_to_json,
     validate_solution,
@@ -32,7 +33,7 @@ from cmc.errors import (
     SubsetNotForest,
 )
 from cmc import cli
-from cmc.features import edge_feature_names, edge_features
+from cmc.features import compute_features, edge_feature_names
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.synth import generate_synthetic
 from util import (
@@ -315,11 +316,12 @@ def test_shortest_selected_path():
         (3, 4): 1,
         (1, 4): 1,
     }
-    assert shortest_selected_path(m, 1, 1) == ()
-    assert shortest_selected_path(m, 1, 3) == ((1, 2), (2, 3))
+    nbrs = _selected_neighbors(m)
+    assert _shortest_path(nbrs, 1, 1) == ()
+    assert _shortest_path(nbrs, 1, 3) == ((1, 2), (2, 3))
     # direct 1-4 beats 1-2-3-4
-    assert shortest_selected_path(m, 4, 1) == ((1, 4),)
-    assert shortest_selected_path(m, 1, 9) is None
+    assert _shortest_path(nbrs, 4, 1) == ((1, 4),)
+    assert _shortest_path(nbrs, 1, 9) is None
 
 
 def test_interface_pairs_and_touch():
@@ -330,17 +332,13 @@ def test_interface_pairs_and_touch():
     leaves = [Candidate(1, 0), Candidate(2, 0)]
     crag = build_crag(leaves, [(1, 2)], [], leaf_image({1: a, 2: b}, 2, 2))
     boundary = np.array([[0.1, 0.5], [0.3, 0.2]])
-    nf = {1: np.zeros(147), 2: np.zeros(147)}
-    f = edge_features((1, 2), crag, np.zeros((2, 2)), boundary, nf)
+    f = compute_features(crag, np.zeros((2, 2)), boundary)[1][(1, 2)]
     names = edge_feature_names()
     # pair maxima 0.5 and 0.3
     assert f[names.index("contact_area")] == 2.0
     assert f[names.index("interface_mean")] == pytest.approx(0.4)
     assert f[names.index("interface_var")] == pytest.approx(0.01)
     assert f[names.index("interface_skew")] == pytest.approx(0.0, abs=1e-12)
-    # swapping the argument order leaves the interface unchanged
-    swapped = edge_features((2, 1), crag, np.zeros((2, 2)), boundary, nf)
-    assert np.array_equal(swapped, f)
     # touching is a 4-neighbor pixel pair: the reference and build_crag's
     # accept / NotAdjacent agree
     assert ref_regions_touch(a, b)  # build_crag accepted (1, 2) above

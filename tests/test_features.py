@@ -9,29 +9,21 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from cmc.crag import Candidate, build_crag
-from cmc.errors import (
-    CmcError,
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyRegion,
-    NotAnEdge,
-)
+from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
     _QUANTILES,
     _angle_histogram,
     _bin_image,
     _contour,
     _moments,
+    _moore_walk,
     _pad,
     _quantiles,
-    _trace_contour,
     compute_features,
     edge_feature_names,
-    edge_features,
     features_from_json,
     features_to_json,
     node_feature_names,
-    node_features,
 )
 
 from util import leaf_image, pixels_of, quad_crag, random_sparse_crag
@@ -46,6 +38,19 @@ def idx(name):
 
 def flat_images(h=16, w=16, value=0.0):
     return np.full((h, w), value), np.full((h, w), value)
+
+
+def region_features(pixels, raw, boundary):
+    """compute_features' vector of the one candidate of a one-leaf Crag
+    whose leaf is `pixels`, over images of raw's shape."""
+    height, width = np.shape(raw)
+    crag = build_crag([Candidate(0, 0)], [], [], leaf_image({0: pixels}, width, height))
+    return compute_features(crag, raw, boundary)[0][0]
+
+
+def walk_positions(mask):
+    """(row, col) positions of one cycle of _moore_walk over `mask`."""
+    return [divmod(p, mask.shape[1]) for p in _moore_walk(mask)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def to_mask(pixels):
     return mask, (r0, c0)
 
 
-def ref_trace_contour(pixels):
+def ref_moore_trace(pixels):
     """Moore walk over a pixel set; one period of the (pixel, backtrack) walk."""
     start = min(pixels)
     seen = {}
@@ -106,7 +111,7 @@ def ref_angle_histogram(pixels):
                 todo.append(q)
     if len(reached) != len(pixels):
         return hist
-    contour = ref_trace_contour(pixels)
+    contour = ref_moore_trace(pixels)
     if len(contour) < 2:
         return hist
     closed = contour + [contour[0]]
@@ -132,7 +137,7 @@ def ref_stats_block(values):
     return np.concatenate([_moments(values), hist, quant])
 
 
-def ref_node_features(pixels, raw, boundary):
+def ref_node_vector(pixels, raw, boundary):
     pixels = frozenset(pixels)
     size = float(len(pixels))
     perimeter = sum(
@@ -158,7 +163,7 @@ def ref_node_features(pixels, raw, boundary):
     )
 
 
-def ref_edge_features(pixels_i, pixels_j, boundary, u, v):
+def ref_edge_vector(pixels_i, pixels_j, boundary, u, v):
     """Interface pairs sorted by (pixel of the smaller region, pixel of
     the larger), ties going to i; values max(boundary[p], boundary[q])."""
     small, large = (
@@ -320,7 +325,7 @@ def test_schema_lengths_and_uniqueness():
 
 def test_vector_lengths_match_schema():
     raw, boundary = flat_images()
-    f = node_features({(3, 3), (3, 4)}, raw, boundary)
+    f = region_features({(3, 3), (3, 4)}, raw, boundary)
     assert f.shape == (147,)
     crag = quad_crag()
     nf, ef = compute_features(crag, np.zeros((4, 4)), np.zeros((4, 4)))
@@ -334,7 +339,7 @@ def test_single_pixel_candidate():
     """One pixel: 4-sided cell, degenerate shape stats, point distributions."""
     raw = np.full((8, 8), 0.25)
     boundary = np.full((8, 8), 0.75)
-    f = node_features({(2, 5)}, raw, boundary)
+    f = region_features({(2, 5)}, raw, boundary)
     assert f[idx("size")] == 1.0
     assert f[idx("circularity")] == math.pi / 4  # 4*pi/16, exact
     assert f[idx("eccentricity")] == 0.0
@@ -355,7 +360,7 @@ def test_single_pixel_candidate():
 def test_square_circularity_exact():
     raw, boundary = flat_images()
     square = {(r + 1, c + 1) for r in range(10) for c in range(10)}
-    f = node_features(square, raw, boundary)
+    f = region_features(square, raw, boundary)
     # 4*pi*100 / 40^2 collapses back to pi/4 exactly in doubles
     assert f[idx("circularity")] == math.pi / 4
     assert f[idx("eccentricity")] == 0.0
@@ -364,20 +369,20 @@ def test_square_circularity_exact():
 def test_line_eccentricity_one():
     raw, boundary = flat_images()
     line = {(2, c) for c in range(1, 6)}
-    f = node_features(line, raw, boundary)
+    f = region_features(line, raw, boundary)
     assert f[idx("eccentricity")] == 1.0
 
 
 def test_contour_trace_domino():
     # one full cycle of the boundary walk: two pixels, east then west
-    tr = _trace_contour(to_mask({(0, 0), (0, 1)})[0])
+    tr = walk_positions(to_mask({(0, 0), (0, 1)})[0])
     assert sorted(tr) == [(0, 0), (0, 1)]
     assert len(tr) == 2
 
 
 def test_contour_trace_square_ring():
     sq = frozenset((r, c) for r in range(3) for c in range(3))
-    tr = _trace_contour(to_mask(sq)[0])
+    tr = walk_positions(to_mask(sq)[0])
     assert len(tr) == 8
     assert set(tr) == sq - {(1, 1)}
 
@@ -409,9 +414,9 @@ def test_angle_histogram_translation_exact():
     moved = frozenset((r + 7, c + 5) for (r, c) in blob)
     raw, boundary = flat_images()
     angles = np.s_[3:19]
-    hist = node_features(blob, raw, boundary)[angles]
+    hist = region_features(blob, raw, boundary)[angles]
     assert hist.any()
-    assert np.array_equal(hist, node_features(moved, raw, boundary)[angles])
+    assert np.array_equal(hist, region_features(moved, raw, boundary)[angles])
 
 
 def test_intensity_histograms_sum_to_pixel_counts():
@@ -419,7 +424,7 @@ def test_intensity_histograms_sum_to_pixel_counts():
     raw = rng.random((12, 12))
     boundary = rng.random((12, 12))
     blob = {(2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (3, 4)}
-    f = node_features(blob, raw, boundary)
+    f = region_features(blob, raw, boundary)
     n_contour = len(ref_contour_pixels(frozenset(blob)))
     for prefix, total in (
         ("raw_all", len(blob)),
@@ -436,7 +441,7 @@ def test_quantiles_monotone():
     raw = rng.random((15, 15))
     boundary = rng.random((15, 15))
     blob = {(r, c) for r in range(4, 9) for c in range(6, 10)}
-    f = node_features(blob, raw, boundary)
+    f = region_features(blob, raw, boundary)
     for prefix in ("raw_all", "raw_contour", "boundary_all", "boundary_contour"):
         qs = [f[idx(f"{prefix}_q{q:02d}")] for q in (5, 10, 25, 50, 75, 90, 95)]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
@@ -454,8 +459,8 @@ def test_node_features_translation_invariant():
     for (r, c) in blob:
         raw2[r + dr, c + dc] = raw[r, c]
         boundary2[r + dr, c + dc] = boundary[r, c]
-    f1 = node_features(blob, raw, boundary)
-    f2 = node_features({(r + dr, c + dc) for (r, c) in blob}, raw2, boundary2)
+    f1 = region_features(blob, raw, boundary)
+    f2 = region_features({(r + dr, c + dc) for (r, c) in blob}, raw2, boundary2)
     geometry = [
         i
         for i, n in enumerate(NODE_NAMES)
@@ -471,7 +476,7 @@ def test_node_features_deterministic():
     boundary = rng.random((10, 10))
     blob = {(1, 1), (1, 2), (2, 2), (3, 2), (3, 3)}
     assert np.array_equal(
-        node_features(blob, raw, boundary), node_features(blob, raw, boundary)
+        region_features(blob, raw, boundary), region_features(blob, raw, boundary)
     )
 
 
@@ -510,36 +515,12 @@ def test_edge_combination_block():
     assert f[EDGE_NAMES.index("sum_size")] == 7.0
 
 
-def test_edge_features_orientation_free():
-    crag = quad_crag()
-    rng = np.random.default_rng(9)
-    raw = rng.random((4, 4))
-    boundary = rng.random((4, 4))
-    nf, _ = compute_features(crag, raw, boundary)
-    a = edge_features((1, 2), crag, raw, boundary, nf)
-    b = edge_features((2, 1), crag, raw, boundary, nf)
-    assert np.array_equal(a, b)
-
-
-def test_edge_features_rejects_non_edge():
-    crag = quad_crag()
-    nf, _ = compute_features(crag, np.zeros((4, 4)), np.zeros((4, 4)))
-    with pytest.raises(NotAnEdge):
-        edge_features((6, 7), crag, np.zeros((4, 4)), np.zeros((4, 4)), nf)
-
-
-def test_empty_region_rejected():
-    raw, boundary = flat_images()
-    with pytest.raises(EmptyRegion):
-        node_features(set(), raw, boundary)
-
-
 def test_out_of_range_image_rejected():
     raw = np.full((4, 4), 1.5)
     with pytest.raises(DegenerateInput):
-        node_features({(1, 1)}, raw, np.zeros((4, 4)))
+        region_features({(1, 1)}, raw, np.zeros((4, 4)))
     with pytest.raises(DegenerateInput):
-        node_features({(1, 1)}, np.zeros((4, 4)), np.full((4, 4), -0.1))
+        region_features({(1, 1)}, np.zeros((4, 4)), np.full((4, 4), -0.1))
 
 
 def test_parent_size_is_sum_of_children():
@@ -602,7 +583,7 @@ def test_random_blob_properties():
                 blob.add(q)
         raw = rng.random((h, w))
         boundary = rng.random((h, w))
-        f = node_features(blob, raw, boundary)
+        f = region_features(blob, raw, boundary)
         assert f[idx("size")] == float(len(blob))
         assert f[idx("circularity")] > 0.0
         assert 0.0 <= f[idx("eccentricity")] <= 1.0
@@ -631,8 +612,8 @@ def test_trace_contour_matches_reference():
         for cid in crag.ids():
             pixels = pixels_of(crag, cid)
             mask, (r0, c0) = to_mask(pixels)
-            got = [(r + r0, c + c0) for r, c in _trace_contour(mask)]
-            assert got == ref_trace_contour(pixels)
+            got = [(r + r0, c + c0) for r, c in walk_positions(mask)]
+            assert got == ref_moore_trace(pixels)
 
 
 def random_masks(seed, count):
@@ -692,7 +673,7 @@ def mask_pixels(mask):
 
 def test_trace_contour_on_random_masks():
     for mask in random_masks(71, 2500):
-        assert _trace_contour(mask) == ref_trace_contour(mask_pixels(mask))
+        assert walk_positions(mask) == ref_moore_trace(mask_pixels(mask))
 
 
 def test_angle_histogram_on_random_masks():
@@ -724,7 +705,7 @@ def test_compute_features_matches_per_pixel_reference():
         seen["uncovered"] += int((crag.leaf_labels() < 0).any())
         nf, ef = compute_features(crag, raw, boundary)
         ref = {
-            cid: ref_node_features(pixels_of(crag, cid), raw, boundary)
+            cid: ref_node_vector(pixels_of(crag, cid), raw, boundary)
             for cid in crag.ids()
         }
         for cid in crag.ids():
@@ -738,7 +719,7 @@ def test_compute_features_matches_per_pixel_reference():
                 atol=1e-12,
             )
         for i, j in crag.adjacency:
-            want = ref_edge_features(
+            want = ref_edge_vector(
                 pixels_of(crag, i), pixels_of(crag, j), boundary, ref[i], ref[j]
             )
             got = ef[(i, j)]
@@ -754,17 +735,6 @@ def test_compute_features_matches_per_pixel_reference():
     assert seen["uncovered"] > 30 and seen["disconnected"] > 10 and seen["edges"] > 200
 
 
-def test_adaptors_share_the_kernel():
-    for crag, raw, boundary in sparse_instances(43, 15):
-        nf, ef = compute_features(crag, raw, boundary)
-        for cid in crag.ids():
-            got = node_features(pixels_of(crag, cid), raw, boundary)
-            assert np.array_equal(got, nf[cid])
-        for edge in crag.adjacency:
-            got = edge_features(edge, crag, raw, boundary, nf)
-            assert np.array_equal(got, ef[edge])
-
-
 def test_non_finite_image_rejected():
     crag = quad_crag()
     half = np.full((4, 4), 0.5)
@@ -773,14 +743,12 @@ def test_non_finite_image_rejected():
     with pytest.raises(DegenerateInput):
         compute_features(crag, raw, half)
     with pytest.raises(DegenerateInput):
-        node_features({(1, 2)}, raw, half)
+        region_features({(1, 2)}, raw, half)
     for bad in (np.inf, -np.inf):
         boundary = half.copy()
         boundary[3, 0] = bad
         with pytest.raises(DegenerateInput):
             compute_features(crag, half, boundary)
-        with pytest.raises(DegenerateInput):
-            edge_features((1, 4), crag, half, boundary, {1: half, 4: half})
     # pixels no leaf covers are not looked at
     leaf = leaf_image({1: {(0, 0), (0, 1)}}, 3, 1)
     crag = build_crag([Candidate(1, 0)], [], [], leaf)
@@ -795,8 +763,3 @@ def test_image_shape_must_match_crag():
         compute_features(crag, np.zeros((5, 4)), np.zeros((4, 4)))
     with pytest.raises(DimensionMismatch):
         compute_features(crag, np.zeros((4, 4)), np.zeros((4, 3)))
-    raw, boundary = flat_images(4, 4)
-    with pytest.raises(DegenerateInput):
-        node_features({(3, 3), (3, 4)}, raw, boundary)
-    with pytest.raises(DegenerateInput):
-        node_features({(-1, 0)}, raw, boundary)

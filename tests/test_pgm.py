@@ -66,11 +66,21 @@ def test_rejects_truncated_raster(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("size", [b"abc 2", b"-1 -1"])
+def test_rejects_non_numeric_header(size, tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n65535\n\x00\x00")
+    with pytest.raises(DegenerateInput):
+        read_pgm(path)
+
+
 def test_write_rejects_bad_values(tmp_path):
     with pytest.raises(DegenerateInput):
         write_pgm(tmp_path / "x.pgm", np.array([[-1]]))
     with pytest.raises(DegenerateInput):
         write_pgm(tmp_path / "x.pgm", np.array([[MAXVAL + 1]]))
+    with pytest.raises(DegenerateInput):
+        write_pgm(tmp_path / "x.pgm", np.array([[1.0, np.nan]]))
     with pytest.raises(DegenerateInput):
         write_pgm(tmp_path / "x.pgm", np.zeros(4))
 
@@ -89,6 +99,9 @@ def test_probability_roundtrip(tmp_path):
 def test_probability_rejects_out_of_range(tmp_path):
     with pytest.raises(DegenerateInput):
         write_probability(tmp_path / "p.pgm", np.array([[1.5]]))
+    with pytest.raises(DegenerateInput):
+        write_probability(tmp_path / "p.pgm", np.array([[0.5, np.nan]]))
+    assert not (tmp_path / "p.pgm").exists()
 
 
 def test_labels_roundtrip(tmp_path):

@@ -365,6 +365,36 @@ def test_cli_solve_timeout_exit_code(tmp_path, capsys):
     assert "optimal False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("height, width", [(2, 3), (0, 0)])
+def test_cli_solve_without_candidates(height, width, tmp_path):
+    crag_path = tmp_path / "crag.json"
+    costs_path = tmp_path / "costs.json"
+    crag = {"width": width, "height": height, "candidates": [], "adjacency": [],
+            "subset": []}
+    crag_path.write_text(json.dumps(crag))
+    costs_path.write_text(json.dumps({"f": {}, "g": {}}))
+    seg = tmp_path / "seg.pgm"
+    rc = main(
+        ["solve", "--crag", str(crag_path), "--costs", str(costs_path),
+         "--out", str(tmp_path / "sol.json"), "--seg", str(seg)]
+    )
+    assert rc == 0
+    assert np.array_equal(read_labels(str(seg)), np.zeros((height, width)))
+
+
+@pytest.mark.parametrize("size", [b"abc 2", b"-1 -1"])
+def test_cli_eval_non_numeric_pgm_header_fails(size, tmp_path, capsys):
+    pred = tmp_path / "pred.pgm"
+    pred.write_bytes(b"P5\n" + size + b"\n65535\n\x00\x00")
+    write_labels(str(tmp_path / "gt.pgm"), np.zeros((2, 2), dtype=np.int64))
+    rc = main(
+        ["eval", "--pred", str(pred), "--gt", str(tmp_path / "gt.pgm"),
+         "--out", str(tmp_path / "m.json")]
+    )
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_missing_file_reports_error(tmp_path, capsys):
     rc = main(
         ["build-crag", "--boundary", str(tmp_path / "nope.pgm"),

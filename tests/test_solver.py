@@ -323,6 +323,14 @@ def test_extract_segmentation_empty_and_merged():
     assert np.array_equal(seg, np.array([[1, 2], [2, 2]]))
 
 
+def test_extract_segmentation_of_a_crag_without_candidates():
+    crag = build_crag([], [], [], np.full((2, 3), -1))
+    sol = solve(crag, CostTable(f={}, g={}))
+    seg = extract_segmentation(crag, sol)
+    assert seg.dtype == np.int64
+    assert np.array_equal(seg, np.zeros((2, 3)))
+
+
 def test_extract_segmentation_rejects_infeasible():
     crag = quad_crag()
     bad = Solution(
