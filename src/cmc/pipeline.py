@@ -66,6 +66,8 @@ def config_from_json(obj, doc="config.json"):
         values[key] = value
     if values.get("mode", "full") not in MODES:
         raise CmcError(f"{doc}: mode {values['mode']!r} is not one of {MODES}")
+    if values.get("time_limit") is not None and values["time_limit"] < 0:
+        raise CmcError(f"{doc}: time_limit {values['time_limit']!r} is negative")
     return PipelineConfig(**values)
 
 

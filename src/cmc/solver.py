@@ -1,17 +1,39 @@
 """Exact minimization of the joint selection/clustering program.
 
-The inner integer program (overlap, incidence, and pooled path rows)
-is solved by depth-first branch-and-bound with constraint propagation.
-Its bound is the partial objective plus every negative cost still open,
-less what the merge forest rules out (_State.forest_gap); subtrees are
-cut on the forest bound only when it exceeds the budget by more than a
-rounding tolerance, so the search reaches the same leaves in the same
-order as with the plain bound and returns the same assignment.  The
-outer loop separates violated path constraints on each optimum and
-re-solves until none remain.  A second, variable-ordered pass picks the
-lexicographically smallest optimal assignment, so results are fully
-deterministic.  brute_force provides an independent oracle for small
-instances.
+The outer loop solves the inner integer program (overlap, incidence,
+and pooled path rows), separates violated path constraints on its
+optimum, and re-solves until none remain.
+
+The inner program is solved by depth-first branch-and-bound with
+constraint propagation (_dfs).  Its bound is the partial objective plus
+every negative cost still open, less what the merge forest rules out
+(_State.forest_gap).  A subtree is cut on the forest bound only when
+it exceeds the budget by more than a rounding tolerance tol.
+
+Each round returns the lexicographically smallest optimal (y, m) bit
+vector, so results are fully deterministic.  Which assignments count
+as optimal is fixed by the set S.  Let z* be the optimizing pass's
+objective, or 0.0 when no assignment beats the empty one.  S holds the
+feasible assignments whose objective is <= z* when summed from a fresh
+_State, setting the variables in index order with propagation
+(_lex_bound).  The round returns the smallest member of S, or the
+optimizing pass's x* when S is empty.  S depends on that order of
+summation, so x* itself can fall outside it.
+
+- The optimizing pass tries variables in order of decreasing |cost|,
+  each at its cost-reducing value first.  It keeps the first leaf of
+  each strictly smaller bound as (z*, x*), and notes whether any other
+  leaf lies within tol of z*.  Any other member of S would be such a
+  leaf, so when there is none, S holds at most x* and x* is the answer.
+- Otherwise the tie-break walks the variables in index order from an
+  incumbent in S.  That is x*, or when x* is outside S, the first member
+  of S that a search finds; when there is none, S is empty and the
+  answer is x*.  Where the incumbent has 0, the variable is fixed to 0.
+  Where it has 1, a search with the variable at 0 looks for a member of
+  S, in cost order and cutting above z* + tol; one found becomes the
+  incumbent.  Then the variable is fixed to the incumbent's value.
+
+brute_force provides an independent oracle for small instances.
 """
 
 import itertools
@@ -35,8 +57,34 @@ BRUTE_FORCE_LIMIT = 26
 
 
 class _Timeout(Exception):
-    def __init__(self, assign):
+    """The deadline passed; `assign` is the assignment to fall back on."""
+
+    def __init__(self, assign=None):
         self.assign = assign
+
+
+class _Clock:
+    """One solve's deadline, read once every 1024 ticks.
+
+    A search ticks once when it starts and once per node.  Every search
+    of the solve shares the one counter, so a round of many short
+    searches reads the clock as often as one long search.
+    """
+
+    def __init__(self, time_limit):
+        self.deadline = None
+        if time_limit is not None:
+            self.deadline = time.monotonic() + time_limit
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+        if (
+            self.deadline is not None
+            and (self.ticks & 1023) == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise _Timeout()
 
 
 class _State:
@@ -47,8 +95,9 @@ class _State:
     costs of unassigned variables) is a float saved and restored at
     decision points.  `forest` (from _forest) lets forest_gap tighten
     that bound; `tol` is far above the rounding error of any bound or
-    leaf objective, so a cut on bound + gap > ub + tol never drops a
-    leaf whose computed objective is within ub.
+    leaf objective, so a cut on bound + gap > limit + tol never drops a
+    leaf whose computed objective is within limit.  `order` is the
+    branching order of every search (_dfs).
     """
 
     def __init__(self, costs, rows, fixed, forest):
@@ -78,6 +127,12 @@ class _State:
         if not self._drain(queue):
             raise CmcError("mode restriction is infeasible")
         self.forest, self.forest_roots = self._free_forest(forest)
+        # the branching order: decreasing |cost|, then index.  Once the
+        # variable at order[gapless - 1] is set, every selection in the
+        # forest is set and forest_gap is 0.
+        self.order = sorted(range(self.n), key=lambda v: (-abs(costs[v]), v))
+        at = {v: k for k, v in enumerate(self.order)}
+        self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
     def _set(self, v, val, queue):
         if self.value[v] is not None:
@@ -198,33 +253,28 @@ class _State:
         self.bound = saved_bound
 
 
-def _dfs(state, order, lex, ub, deadline):
-    """Iterative DFS branch-and-bound.
+def _dfs(state, limit, clock, leaf):
+    """Iterative DFS branch-and-bound below the state as given.
 
-    Prunes subtrees whose bound plus forest gap exceeds ub + tol, which
-    hold no leaf within ub.  The optimizing pass (lex false) tries the
-    cost-reducing value first, prunes on bound >= ub and tightens ub at
-    every improving leaf.  The lex pass tries 0 first, prunes on
-    bound > ub and returns the first leaf: the lexicographically
-    smallest assignment within the ub budget.  Raises _Timeout carrying
-    the best assignment so far.
+    Branches in state.order, on each variable's cost-reducing value
+    first, and cuts a subtree when its bound exceeds `limit`, or its
+    bound plus forest gap exceeds limit + tol, which leaves no leaf
+    within limit.  Calls leaf() at every leaf reached, with the state at
+    that leaf; leaf returns the limit to go on with, or None to stop
+    there.  The state is left at that leaf, or as given once the search
+    is done.  clock.tick() raises _Timeout when the deadline has passed.
     """
-    n = state.n
-    best_obj, best_assign = None, None
+    n, order, gapless = state.n, state.order, state.gapless
+    tick = clock.tick if clock is not None else lambda: None
     frames = []
     pos = 0
-    ticks = 0
-    # once the variable at order[gapless - 1] is set, every selection in
-    # the forest is set and forest_gap is 0
-    at = {v: k for k, v in enumerate(order)}
-    gapless = 1 + max((at[entry[0]] for entry in state.forest), default=-1)
 
     def over_budget(fpos):
-        if state.bound > ub if lex else state.bound >= ub:
+        if state.bound > limit:
             return True
         if fpos + 1 >= gapless:
             return False
-        return state.bound + state.forest_gap() > ub + state.tol
+        return state.bound + state.forest_gap() > limit + state.tol
 
     def advance():
         nonlocal pos
@@ -241,31 +291,60 @@ def _dfs(state, order, lex, ub, deadline):
                 frames.pop()
         return False
 
+    tick()
     if over_budget(-1):
-        return None, None
+        return
     while True:
-        ticks += 1
-        if (
-            deadline is not None
-            and (ticks & 1023) == 0
-            and time.monotonic() > deadline
-        ):
-            raise _Timeout(best_assign)
+        tick()
         while pos < n and state.value[order[pos]] is not None:
             pos += 1
         if pos == n:
-            best_obj, best_assign = state.bound, list(state.value)
-            if lex:
-                return best_obj, best_assign
-            ub = best_obj
-            if not advance():
-                return best_obj, best_assign
+            limit = leaf()
+            if limit is None or not advance():
+                return
             continue
         v = order[pos]
-        vals = [1, 0] if (not lex and state.costs[v] < 0.0) else [0, 1]
+        vals = [1, 0] if state.costs[v] < 0.0 else [0, 1]
         frames.append((v, vals, len(state.trail), state.bound, pos))
         if not advance():
-            return best_obj, best_assign
+            return
+
+
+def _lex_bound(state, x):
+    """x's objective summed as an index-ordered search from `state` sums it.
+
+    Sets the free variables to x in index order, with propagation, reads
+    the bound and undoes every step.  From a fresh _State this is the
+    sum that defines S (module docstring).
+    """
+    mark, saved_bound = len(state.trail), state.bound
+    for v in range(state.n):
+        if state.value[v] is None:
+            state.propagate(v, x[v])
+    bound = state.bound
+    state.undo_to(mark, saved_bound)
+    return bound
+
+
+def _first_in_s(state, root, z, clock):
+    """The first leaf of S below `state` in cost order, or None.
+
+    `root` is a fresh _State for _lex_bound; `state` is left as given.
+    """
+    found = None
+    limit = z + state.tol
+
+    def check():
+        nonlocal found
+        if _lex_bound(root, state.value) <= z:
+            found = list(state.value)
+            return None
+        return limit
+
+    mark, saved_bound = len(state.trail), state.bound
+    _dfs(state, limit, clock, check)
+    state.undo_to(mark, saved_bound)
+    return found
 
 
 def _check_costs(crag, costs, ids, edges):
@@ -294,21 +373,58 @@ def _build_rows(crag, var_y, var_m, pool):
     return rows
 
 
-def _solve_ilp(cvec, rows, fixed, forest, deadline):
-    """Two passes: optimize, then rerun in index order for the lex tie-break."""
+def _solve_ilp(cvec, rows, fixed, forest, clock):
+    """The lex-smallest member of S, or x* when S is empty (module docstring).
+
+    Raises _Timeout carrying the optimizing pass's best assignment so far
+    (None before the first) when the clock runs out.
+    """
     n = len(cvec)
     state = _State(cvec, rows, fixed, forest)
-    order = sorted(range(n), key=lambda v: (-abs(cvec[v]), v))
-    obj, assign = _dfs(state, order, False, 0.0, deadline)
-    if obj is None:
-        obj, assign = 0.0, [0] * n
+    tol = state.tol
+    # The optimizing pass keeps the first leaf of each strictly smaller
+    # bound, as a pass cutting at bound >= ub would, and `near`, the
+    # smallest bound of any other leaf.  Until some other leaf lies within
+    # tol of ub, it cuts only above ub + tol, so it cannot miss a tie of
+    # the incumbent; once one does, it cuts at bound >= ub.  near starts
+    # at the empty assignment's 0.0, so an optimum within tol of 0 always
+    # walks.
+    ub, best, near = 0.0, None, 0.0
 
-    state = _State(cvec, rows, fixed, forest)
+    def improve():
+        nonlocal ub, best, near
+        if state.bound < ub:
+            near = min(near, ub)
+            ub, best = state.bound, list(state.value)
+        else:
+            near = min(near, state.bound)
+        return math.nextafter(ub, -math.inf) if near <= ub + tol else ub + tol
+
     try:
-        _, lex_assign = _dfs(state, list(range(n)), True, obj, deadline)
+        _dfs(state, math.nextafter(0.0, -math.inf), clock, improve)
+        x_star = best if best is not None else [0] * n
+        z = ub
+        if near > z + tol:
+            return x_star
+        # walk; `state` stays at the root for _lex_bound
+        walk = _State(cvec, rows, fixed, forest)
+        x = x_star
+        if _lex_bound(state, x_star) > z:
+            x = _first_in_s(walk, state, z, clock)
+        if x is None:
+            return x_star
+        for v in range(n):
+            if walk.value[v] is not None:
+                continue
+            if x[v]:
+                mark, saved_bound = len(walk.trail), walk.bound
+                if walk.propagate(v, 0):
+                    x = _first_in_s(walk, state, z, clock) or x
+                walk.undo_to(mark, saved_bound)
+            walk.propagate(v, x[v])
+        return x
     except _Timeout:
-        raise _Timeout(assign)
-    return lex_assign if lex_assign is not None else assign
+        raise _Timeout(best) from None
 
 
 def separate_path_constraints(crag, solution):
@@ -332,11 +448,24 @@ def solve(crag, costs, mode="full", time_limit=None):
     separate violations on the optimum, add them, re-solve; done when
     none remain.  merge_tree_only pins every merge indicator to 0;
     leaf_multicut_only pins selection to 0 for non-leaves (leaf
-    selection stays free).  On timeout the best feasible assignment
-    found (possibly all-zero) is returned with optimal=False.
+    selection stays free).  time_limit is None (no limit) or a finite
+    number of seconds >= 0; anything else raises CmcError.  On timeout
+    the best feasible assignment found (possibly all-zero) is returned
+    with optimal=False.
     """
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
+    if time_limit is not None:
+        try:
+            limit = float(time_limit)
+        except (TypeError, ValueError):
+            limit = math.nan
+        # a NaN deadline would never pass
+        if not 0.0 <= limit < math.inf:
+            raise CmcError(
+                f"time limit must be a finite number >= 0, got {time_limit!r}"
+            )
+        time_limit = limit
     ids = crag.ids()
     edges = list(crag.adjacency)
     _check_costs(crag, costs, ids, edges)
@@ -352,14 +481,14 @@ def solve(crag, costs, mode="full", time_limit=None):
         fixed = {var_y[i]: 0 for i in ids if i not in leaves}
 
     forest = _forest(crag, var_y, var_m)
-    deadline = None if time_limit is None else time.monotonic() + float(time_limit)
+    clock = _Clock(time_limit)
     pool = []
     iterations = 0
     while True:
         iterations += 1
         rows = _build_rows(crag, var_y, var_m, pool)
         try:
-            assign = _solve_ilp(cvec, rows, fixed, forest, deadline)
+            assign = _solve_ilp(cvec, rows, fixed, forest, clock)
         except _Timeout as exc:
             sol = _timeout_fallback(crag, costs, exc.assign, var_y, var_m)
             sol.iterations = iterations

@@ -30,7 +30,7 @@ from cmc.pipeline import (
 )
 from cmc.synth import generate_synthetic
 
-from util import leaf_image, pixel_grid_crag, quad_crag, quad_gt
+from util import leaf_image, pixel_grid_crag, quad_costs, quad_crag, quad_gt
 
 
 def easy_triple(seed=3):
@@ -365,6 +365,35 @@ def test_cli_solve_timeout_exit_code(tmp_path, capsys):
     assert "optimal False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["nan", "inf", "-1"])
+def test_cli_bad_time_limit_fails(limit, tmp_path, capsys):
+    """A NaN limit used to mean no limit at all."""
+    crag = quad_crag()
+    crag_path = tmp_path / "crag.json"
+    costs_path = tmp_path / "costs.json"
+    crag_path.write_text(json.dumps(crag_to_json(crag)))
+    costs_path.write_text(json.dumps(costs_to_json(quad_costs(crag))))
+    out = tmp_path / "sol.json"
+    rc = main(
+        ["solve", "--crag", str(crag_path), "--costs", str(costs_path),
+         "--time-limit", limit, "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+    images = write_easy_images(tmp_path)
+    out_dir = tmp_path / "run"
+    rc = main(
+        ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+         "--gt", images["gt"], "--n-trees", "2", "--time-limit", limit,
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out_dir / "solution.json").exists()
+
+
 @pytest.mark.parametrize("height, width", [(2, 3), (0, 0)])
 def test_cli_solve_without_candidates(height, width, tmp_path):
     crag_path = tmp_path / "crag.json"
@@ -471,6 +500,7 @@ MALFORMED_CONFIG = {
     "not an object": ([], "config"),
     "string max_merges": ({"max_merges": "5"}, "max_merges"),
     "string time_limit": ({"time_limit": "x"}, "time_limit"),
+    "negative time_limit": ({"time_limit": -3.0}, "time_limit"),
     "null seed_threshold": ({"seed_threshold": None}, "seed_threshold"),
     "unknown mode": ({"mode": "bogus"}, "mode"),
     "number ignore_background": ({"ignore_background": 1}, "ignore_background"),

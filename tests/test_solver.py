@@ -1,9 +1,13 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmc.costmodel import CostTable
+from cmc import solver
+from cmc.costmodel import CostTable, probability_to_cost
 from cmc.crag import (
     Candidate,
     Solution,
@@ -11,6 +15,7 @@ from cmc.crag import (
     validate_solution,
 )
 from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
+from cmc.pipeline import PipelineConfig, build_graph
 from cmc.solver import (
     _build_rows,
     _forest,
@@ -21,6 +26,7 @@ from cmc.solver import (
     separate_path_constraints,
     solve,
 )
+from cmc.synth import generate_synthetic
 
 from util import (
     enumerate_minimum,
@@ -32,6 +38,9 @@ from util import (
     random_costs,
     random_crag,
     random_sparse_crag,
+    ref_lex_sum,
+    ref_solve,
+    ref_two_pass,
 )
 
 MODES = ("full", "merge_tree_only", "leaf_multicut_only")
@@ -391,3 +400,279 @@ def test_separation_equals_validate_path_violations():
                 assert not m[cut.bypassed_edge] and all(m[e] for e in cut.path)
             found += len(cuts)
     assert found > 50
+
+
+# ---------------------------------------------------------------------------
+# the lex tie-break
+
+
+def _tie_costs(draw, n, family, rng):
+    """n costs of one family; each family makes exact or near ties."""
+    if family == "pairs":
+        # probability_to_cost(p) and probability_to_cost(1 - p) cancel
+        # to within rounding, as forest costs of complementary votes do
+        half = (n + 1) // 2
+        ps = draw(st.lists(st.integers(1, 1023), min_size=half, max_size=half))
+        values = []
+        for p in ps:
+            values += [probability_to_cost(p / 1024), probability_to_cost(1 - p / 1024)]
+        values = values[:n]
+        rng.shuffle(values)
+        return values
+    element = {
+        "unit": st.sampled_from((-1.0, 0.0, 1.0)),
+        "k/1024": st.integers(-1024, 1024).map(lambda k: k / 1024),
+        "zero": st.one_of(st.just(0.0), st.integers(-4, 4).map(lambda k: k / 4)),
+    }[family]
+    return draw(st.lists(element, min_size=n, max_size=n))
+
+
+@st.composite
+def _crag_and_tie_costs(draw, families):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    crag = random_crag(rng)
+    ids, edges = crag.ids(), list(crag.adjacency)
+    family = draw(st.sampled_from(families))
+    values = _tie_costs(draw, len(ids) + len(edges), family, rng)
+    f = dict(zip(ids, values))
+    g = dict(zip(edges, values[len(ids):]))
+    return crag, CostTable(f, g)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_crag_and_tie_costs(("unit", "k/1024", "zero")))
+def test_solve_equals_brute_force_with_exact_ties(case):
+    crag, costs = case
+    for mode in MODES:
+        got = solve(crag, costs, mode=mode)
+        assert got == brute_force(crag, costs, mode)
+        assert got.optimal and validate_solution(crag, got) == []
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_crag_and_tie_costs(("pairs",)))
+def test_solve_on_rounding_ties_equals_two_pass_reference(case):
+    """Pairs of costs that cancel only to within rounding: the solver and
+    brute_force sum them in different orders, so they may pick different
+    near-optima (test_near_tie_picked_by_summation_order); the
+    objectives agree to within rounding and the answer is the previous
+    release's."""
+    crag, costs = case
+    scale = 1.0 + sum(map(abs, costs.f.values())) + sum(map(abs, costs.g.values()))
+    for mode in MODES:
+        got = solve(crag, costs, mode=mode)
+        ref = ref_solve(crag, costs, mode)
+        assert got == ref and got.iterations == ref.iterations
+        best = brute_force(crag, costs, mode)
+        assert abs(got.objective - best.objective) <= 1e-12 * scale
+        assert got.optimal and validate_solution(crag, got) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="S sums in index order, brute_force in objective_value's order",
+)
+def test_near_tie_picked_by_summation_order():
+    """Two assignments whose costs differ only by rounding: brute_force
+    takes the one with the smaller objective_value, the solver the
+    lex-smaller one whose index-ordered sum is within z*."""
+    cands = [Candidate(i, 0) for i in (1, 2, 3)]
+    cands += [Candidate(4, 1, (1, 2)), Candidate(5, 2, (3, 4))]
+    labels = np.array([[2, 2], [3, 1], [3, 1]])
+    crag = build_crag(
+        cands,
+        [(1, 2), (1, 3), (2, 3), (3, 4)],
+        [(1, 4), (2, 4), (3, 5), (4, 5)],
+        labels,
+    )
+    costs = CostTable(
+        f={
+            1: -0.3773897162529933,
+            2: 0.37738971625299317,
+            3: -0.11732693518528325,
+            4: -1.1752541877613583,
+            5: 1.68738639316549,
+        },
+        g={
+            (1, 2): -1.6873863931654902,
+            (1, 3): -0.01738233232199627,
+            (2, 3): 0.017382332321996184,
+            (3, 4): 2.8888609815485777,
+        },
+    )
+    assert solve(crag, costs) == brute_force(crag, costs)
+
+
+def test_solve_equals_two_pass_reference_on_larger_instances():
+    """Beyond the brute-force budget, on tie-heavy and continuous costs:
+    grids, and merge trees of synthetic images with up to 47 variables."""
+    rng = np.random.default_rng(2024)
+    crags = [random_sparse_crag(rng) for _ in range(40)]
+    crags += [pixel_grid_crag(3, 4), pixel_grid_crag(4, 4), pixel_grid_crag(4, 5)]
+    config = PipelineConfig(seed_threshold=0.3, max_merges=3)
+    for seed in range(500, 506):
+        _, boundary, _ = generate_synthetic(1, 3, 1.0, seed, image_size=96)[0]
+        crags.append(build_graph(boundary, config))
+    for k, crag in enumerate(crags):
+        ids, edges = crag.ids(), list(crag.adjacency)
+        n = len(ids) + len(edges)
+        for values in (
+            rng.integers(-1, 2, size=n).astype(float).tolist(),
+            (rng.integers(-8, 9, size=n) / 8).tolist(),
+            rng.normal(size=n).tolist(),
+        ):
+            costs = CostTable(dict(zip(ids, values)), dict(zip(edges, values[len(ids):])))
+            for mode in MODES:
+                got = solve(crag, costs, mode=mode)
+                ref = ref_solve(crag, costs, mode)
+                assert got == ref and got.iterations == ref.iterations, (k, mode)
+                assert got.optimal
+
+
+def _unique_optimum():
+    crag = quad_crag()
+    return crag, quad_costs(crag)
+
+
+def _tie_walk():
+    """y1 alone and the root 3 alone both cost -1; x* takes y1."""
+    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))]
+    labels = np.array([[1, 1, 1, 1], [1, 1, 2, 2]])
+    crag = build_crag(cands, [(1, 2)], [(1, 3), (2, 3)], labels)
+    return crag, CostTable({1: -1.0, 2: 1.0, 3: -1.0}, {(1, 2): 1.0})
+
+
+def _outside_s():
+    cands = [Candidate(i, 0) for i in range(1, 6)] + [Candidate(6, 1, (3, 5))]
+    labels = np.array([[3, 1], [5, 2], [4, 4]])
+    crag = build_crag(
+        cands,
+        [(1, 2), (1, 3), (1, 6), (2, 4), (2, 5), (2, 6), (3, 5), (4, 5), (4, 6)],
+        [(3, 6), (5, 6)],
+        labels,
+    )
+    f = {1: 0.5, 2: 0.2, 3: 0.3, 4: -0.2, 5: -0.8, 6: 0.1}
+    g = {
+        (1, 2): -0.5, (1, 3): -0.1, (1, 6): 0.5, (2, 4): 0.5, (2, 5): 0.5,
+        (2, 6): -0.9, (3, 5): -0.8, (4, 5): 0.6, (4, 6): -0.8,
+    }
+    return crag, CostTable(f, g)
+
+
+def _empty_s():
+    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 0)]
+    cands.append(Candidate(4, 1, (2, 3)))
+    labels = np.array([[2, 2, 2], [1, 2, 2], [1, 3, 2], [1, 1, 2]])
+    crag = build_crag(
+        cands, [(1, 2), (1, 3), (1, 4), (2, 3)], [(2, 4), (3, 4)], labels
+    )
+    f = {1: 0.5, 2: -0.6, 3: -0.8, 4: -0.9}
+    g = {(1, 2): -0.2, (1, 3): -0.2, (1, 4): -0.9, (2, 3): 0.0}
+    return crag, CostTable(f, g)
+
+
+TIE_BRANCHES = {
+    "unique optimum": _unique_optimum,
+    "tie walk": _tie_walk,
+    "x* outside S": _outside_s,
+    "empty S": _empty_s,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(TIE_BRANCHES))
+def test_tie_break_branch(branch):
+    """Each instance takes the named branch in its first round; the
+    round's answer is the two-pass reference's, and so is the solve."""
+    crag, costs = TIE_BRANCHES[branch]()
+    var_y, var_m, cvec = _program(crag, costs)
+    rows = _build_rows(crag, var_y, var_m, [])
+    forest = _forest(crag, var_y, var_m)
+    z, x_star, lex = ref_two_pass(cvec, rows, {}, forest)
+    in_s = ref_lex_sum(cvec, rows, {}, forest, x_star) <= z
+    n = len(cvec)
+    bits = np.array(list(itertools.product((0, 1), repeat=n)))
+    matrix = np.zeros((len(rows), n))
+    for r, (cmap, _) in enumerate(rows):
+        for v, a in cmap.items():
+            matrix[r, v] = a
+    feasible = (bits @ matrix.T <= np.array([b for _, b in rows])).all(axis=1)
+    near_optima = int((bits[feasible] @ np.array(cvec) <= z + 1e-9).sum())
+    taken = {
+        "unique optimum": near_optima == 1 and in_s,
+        "tie walk": near_optima > 1 and in_s and lex != x_star,
+        "x* outside S": z < 0 and not in_s and lex is not None,
+        "empty S": z < 0 and not in_s and lex is None,
+    }
+    assert [b for b, holds in taken.items() if holds] == [branch]
+    assert _solve_ilp(cvec, rows, {}, forest, None) == (x_star if lex is None else lex)
+    got = solve(crag, costs)
+    ref = ref_solve(crag, costs)
+    assert got == ref and got.iterations == ref.iterations
+    assert got == brute_force(crag, costs)
+
+
+def test_solver_hard_large_graph_is_solved_to_optimality():
+    """The large graph of perfbench's solver-hard workload (instance seed
+    1): its full-mode solve used to spend 35 s in the second, lex-ordered
+    branch-and-bound and time out to the empty segmentation."""
+    _, boundary, _ = generate_synthetic(1, 12, 1.0, 2007000, image_size=256)[0]
+    crag = build_graph(boundary, PipelineConfig(seed_threshold=0.3, max_merges=5))
+    ids, edges = crag.ids(), list(crag.adjacency)
+    assert (len(ids), len(edges)) == (31, 137)
+    rng = np.random.default_rng((2007, 0))
+    costs = CostTable(
+        dict(zip(ids, rng.normal(size=len(ids)).tolist())),
+        dict(zip(edges, rng.normal(size=len(edges)).tolist())),
+    )
+    start = time.monotonic()
+    sol = solve(crag, costs, time_limit=30.0)
+    assert time.monotonic() - start < 10.0
+    assert sol.optimal
+    assert abs(sol.objective - -16.065749871275965) <= 1e-9
+    assert validate_solution(crag, sol) == []
+
+
+def test_timeout_during_the_tie_walk(monkeypatch):
+    """A multicut with tied merge costs.  Its second round optimizes in
+    about 0.4 s and walks for over 3 s (2-core x86 host, Python 3.11),
+    so a 1.5 s limit expires during a walk search.  The walk's searches
+    share the solve's clock, so the answer comes back on time."""
+    rng = np.random.default_rng(76)
+    crag = pixel_grid_crag(7, 8)
+    costs = CostTable(
+        f={i: -1.0 for i in crag.ids()},
+        g={e: float(rng.choice((-1.0, 0.0, 1.0))) for e in crag.adjacency},
+    )
+    expired_in_walk = []
+    first_in_s = solver._first_in_s
+
+    def spy(*args):
+        try:
+            return first_in_s(*args)
+        except solver._Timeout:
+            expired_in_walk.append(True)
+            raise
+
+    monkeypatch.setattr(solver, "_first_in_s", spy)
+    start = time.monotonic()
+    sol = solve(crag, costs, time_limit=1.5)
+    assert time.monotonic() - start < 1.5 + 0.5
+    assert expired_in_walk
+    assert sol.optimal is False
+    assert validate_solution(crag, sol) == []
+    assert sol.objective <= 0.0
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1.0, "soon"])
+def test_bad_time_limit_rejected(limit):
+    """A NaN deadline used to be no deadline: monotonic() > nan is false."""
+    crag = quad_crag()
+    with pytest.raises(CmcError):
+        solve(crag, quad_costs(crag), time_limit=limit)
+
+
+def test_zero_time_limit_still_returns_a_feasible_answer():
+    crag = quad_crag()
+    sol = solve(crag, quad_costs(crag), time_limit=0)
+    assert validate_solution(crag, sol) == []

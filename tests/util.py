@@ -1,5 +1,6 @@
 """Shared test helpers: a small hand-built CRAG, random instances, a
-literal enumeration oracle used to cross-check the solver, and plain
+literal enumeration oracle used to cross-check the solver, the previous
+release's two-pass solver as a reference for its tie-break, and plain
 per-pixel references for the array-based watershed, CRAG checks and
 crag.json run-length encoding.
 
@@ -35,6 +36,7 @@ from cmc.crag import (
     objective_value,
     validate_solution,
 )
+from cmc.solver import _build_rows, _forest, _State, separate_path_constraints
 
 # pass/fail lines collected by the acceptance tests; conftest prints them
 # in the terminal summary
@@ -452,3 +454,115 @@ def enumerate_minimum(crag, costs, mode="full"):
             best = (key, y, m)
     (obj, _), y, m = best
     return Solution(y=y, m=m, objective=obj)
+
+
+# ---------------------------------------------------------------------------
+# the previous release's two-pass solver: an optimizing branch-and-bound,
+# then a second, index-ordered one that picks the lex-smallest optimum
+
+
+def _ref_dfs(state, order, lex, ub):
+    """DFS branch-and-bound; lex tries 0 first and returns the first
+    leaf within ub, otherwise ub tightens at every improving leaf."""
+    n = state.n
+    best_obj, best_assign = None, None
+    frames = []
+    pos = 0
+    at = {v: k for k, v in enumerate(order)}
+    gapless = 1 + max((at[entry[0]] for entry in state.forest), default=-1)
+
+    def over_budget(fpos):
+        if state.bound > ub if lex else state.bound >= ub:
+            return True
+        if fpos + 1 >= gapless:
+            return False
+        return state.bound + state.forest_gap() > ub + state.tol
+
+    def advance():
+        nonlocal pos
+        while frames:
+            v, vals, mark, saved_bound, fpos = frames[-1]
+            state.undo_to(mark, saved_bound)
+            if vals:
+                val = vals.pop(0)
+                if state.propagate(v, val) and not over_budget(fpos):
+                    pos = fpos
+                    return True
+                state.undo_to(mark, saved_bound)
+            else:
+                frames.pop()
+        return False
+
+    if over_budget(-1):
+        return None, None
+    while True:
+        while pos < n and state.value[order[pos]] is not None:
+            pos += 1
+        if pos == n:
+            best_obj, best_assign = state.bound, list(state.value)
+            if lex:
+                return best_obj, best_assign
+            ub = best_obj
+            if not advance():
+                return best_obj, best_assign
+            continue
+        v = order[pos]
+        vals = [1, 0] if (not lex and state.costs[v] < 0.0) else [0, 1]
+        frames.append((v, vals, len(state.trail), state.bound, pos))
+        if not advance():
+            return best_obj, best_assign
+
+
+def ref_two_pass(cvec, rows, fixed, forest):
+    """(z*, x*, lex-min of S or None): the optimizing pass's objective
+    (0.0 when nothing beats the empty assignment) and assignment, then
+    the first leaf of an index-ordered pass within z*."""
+    n = len(cvec)
+    order = sorted(range(n), key=lambda v: (-abs(cvec[v]), v))
+    obj, assign = _ref_dfs(_State(cvec, rows, fixed, forest), order, False, 0.0)
+    if obj is None:
+        obj, assign = 0.0, [0] * n
+    _, lex = _ref_dfs(_State(cvec, rows, fixed, forest), list(range(n)), True, obj)
+    return obj, assign, lex
+
+
+def ref_lex_sum(cvec, rows, fixed, forest, x):
+    """x's objective summed from a fresh state in index order, with
+    propagation: the sum the index-ordered pass compares with z*."""
+    state = _State(cvec, rows, fixed, forest)
+    for v in range(state.n):
+        if state.value[v] is None:
+            assert state.propagate(v, x[v])
+    return state.bound
+
+
+def ref_solve(crag, costs, mode="full"):
+    """solve() of the previous release, without a time limit."""
+    ids = crag.ids()
+    edges = list(crag.adjacency)
+    var_y = {i: k for k, i in enumerate(ids)}
+    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
+    cvec = [float(costs.f[i]) for i in ids] + [float(costs.g[e]) for e in edges]
+    fixed = {}
+    if mode == "merge_tree_only":
+        fixed = {var_m[e]: 0 for e in edges}
+    elif mode == "leaf_multicut_only":
+        leaves = set(crag.leaves())
+        fixed = {var_y[i]: 0 for i in ids if i not in leaves}
+    forest = _forest(crag, var_y, var_m)
+    pool = []
+    iterations = 0
+    while True:
+        iterations += 1
+        rows = _build_rows(crag, var_y, var_m, pool)
+        _, assign, lex = ref_two_pass(cvec, rows, fixed, forest)
+        if lex is not None:
+            assign = lex
+        y = {i: assign[v] for i, v in var_y.items()}
+        m = {e: assign[v] for e, v in var_m.items()}
+        sol = Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
+        violations = separate_path_constraints(crag, sol)
+        if not violations:
+            sol.iterations = iterations
+            return sol
+        pool.extend(violations)
