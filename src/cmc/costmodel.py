@@ -236,13 +236,22 @@ class Forest:
 
     def predict_proba(self, X):
         """Mean positive-class probability over the trees."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.atleast_2d(_finite(X))
         if X.shape[1] != self.n_features:
             raise SchemaMismatch(self.n_features, X.shape[1])
         acc = np.zeros(len(X))
         for nodes in self.trees:
             acc += _tree_predict(nodes, X)
         return acc / len(self.trees)
+
+
+def _finite(X):
+    """Features as float64; CmcError on NaN or infinity, which no split
+    threshold orders."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise CmcError("features must be finite")
+    return X
 
 
 def train_forest(samples, n_trees, rng_seed):
@@ -258,10 +267,12 @@ def train_forest(samples, n_trees, rng_seed):
     if n_trees < 1:
         raise CmcError(f"n_trees must be >= 1, got {n_trees}")
     X, y = samples
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y).astype(np.int64)
-    if not set(np.unique(y)) <= {0, 1}:
+    X = _finite(X)
+    # checked before the cast, which would make 0.4 a 0 and 1.7 a 1
+    y = np.asarray(y)
+    if not np.isin(y, (0, 1)).all():
         raise CmcError("sample labels must be 0 or 1")
+    y = y.astype(np.int64)
     idx0 = np.nonzero(y == 0)[0]
     idx1 = np.nonzero(y == 1)[0]
     if len(idx0) == 0 or len(idx1) == 0:

@@ -8,13 +8,41 @@ combinators (|u-v|, min, max, u+v) of the endpoint node features.
 
 compute_features(crag, raw, boundary) is the one entry point: it
 computes the vectors of every candidate and every adjacency edge of a
-Crag at once.  Pixels come from the Crag's leaf label image: a candidate
-is a boolean mask over its bounding box, looked up by leaf id, and raw
+Crag at once.  Pixels come from the Crag's leaf label image, and raw
 and boundary are checked once, over every pixel a leaf covers.  All
 pixel statistics are taken in row-major pixel order; interface values
 are taken in the order of their (pixel in the smaller region, pixel in
 the larger region) pairs, sorted row-major, with the edge's first
 candidate counting as the smaller one on equal sizes.
+
+The merge tree nests the candidates, so each pixel lies in several of
+them.  What the leaves fix is computed once per image, per leaf
+(_Leaves), and each candidate combines its leaves' facts:
+- Size, perimeter (4-neighbor pixel sides to anything outside the
+  leaf) and the 20-bin raw and boundary histograms.  A candidate's are
+  integer sums over its leaves, less 2 sides per 4-neighbor pixel pair
+  between two of its leaves for the perimeter: exact.
+- The 8-connected component count.  A candidate whose leaves are each
+  one component and connected by 4-neighbor pixel pairs is one
+  component; only other unions are labelled.  The angle histogram is
+  all-zero unless the candidate is one component.
+- The rim: every pixel with an 8-neighbor in another leaf, in
+  UNCOVERED or outside the image, with its 8 neighbors' leaf ids.  A
+  candidate's pixel with a neighbor outside the candidate is on its
+  leaf's rim, so the candidate's rim rows, through its leaf lookup,
+  give every neighbor code the contour walk reads (its backtrack pixel
+  is always outside), and its contour pixels (a 4-neighbor outside)
+  are the rows whose N, E, S and W bits are not all set.  The rim is
+  row-major, so contour statistics see the same values in the same
+  order as a scan of the candidate's mask.
+- The 4-neighbor pixel pairs between leaves, grouped by leaf pair.  An
+  edge gathers the groups between its candidates' leaves and sorts its
+  interface values by pixel pair, a key no two pairs share, so the
+  order of gathering does not matter.  The combinators of all edges
+  are formed in one step.
+Only the all-pixel moments and quantiles and the eccentricity scan the
+candidate's bounding box (the union of its leaves' boxes), in row-major
+order.
 
 Each statistics block costs a few multiply-adds per pixel.  Moments come
 from the deviations d about the mean, recentred on their own mean, with
@@ -27,8 +55,6 @@ applied by hand.  The Moore contour walk looks up its next step in a
 table, by backtrack direction and an 8-bit code of the pixel's
 neighbors; each of the 8 step directions has one fixed angle bin (taken
 at import with atan2), so the angle histogram counts step directions.
-Contour pixels, those with a 4-neighbor outside the candidate, come
-from four shifted slices of the padded mask.
 
 Tolerance: the moments agree with exact rational arithmetic to within
 1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  Earlier
@@ -38,7 +64,8 @@ moved from theirs by more than 1e-12 * (1 + |v|), and size, the angle
 and intensity histograms, the quantiles and the eccentricity are
 bit-identical.  The sorted quantiles and the counted step directions
 changed no value: they are bit-identical to np.quantile and to a walk
-that takes atan2 of every step.
+that takes atan2 of every step.  Taking the per-leaf facts above in
+place of per-candidate mask scans changed no bit of any vector.
 """
 
 import math
@@ -69,6 +96,7 @@ _HIST_EDGES = np.linspace(0.0, 1.0, 21)
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 _SQUARE = ndimage.generate_binary_structure(2, 2)
+_NESW = 0b01010101  # neighbor-code bits of the 4-neighbors
 
 
 def _first_inside(back, code):
@@ -148,11 +176,17 @@ def _bin_image(image, where):
     over the pixels set in `where` (0 elsewhere).
 
     Bin k holds _HIST_EDGES[k] <= v < _HIST_EDGES[k + 1]; bin 19 also
-    holds 1.0.  Values must lie in [0, 1].
+    holds 1.0.  Values must lie in [0, 1].  The estimate min(int(20 v),
+    19) is never below the bin: 20 * _HIST_EDGES[k] rounds to k or
+    more for every k, and rounding is monotone.  It is one above it
+    just below an edge, and is corrected there against _HIST_EDGES.
     """
+    v = image[where]
+    k = (v * 20.0).astype(np.uint8)
+    np.minimum(k, 19, out=k)
+    k -= v < _HIST_EDGES[k]
     bins = np.zeros(image.shape, dtype=np.uint8)
-    k = np.searchsorted(_HIST_EDGES, image[where], side="right") - 1
-    bins[where] = np.minimum(k, 19)
+    bins[where] = k
     return bins
 
 
@@ -180,48 +214,29 @@ def _quantiles(values):
     return out
 
 
-def _stats_block(values, bins):
-    """Moments, 20-bin histogram and quantiles of `values`, whose
-    histogram bins (from _bin_image) are `bins`."""
-    hist = np.bincount(bins, minlength=20)
+def _stats_block(values, hist):
+    """Moments, the given 20-bin histogram and quantiles of `values`."""
     return np.concatenate([_moments(values), hist, _quantiles(values)])
 
 
-def _pad(mask):
-    """The mask with one False pixel added on every side."""
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    return padded
+def _moore_walk(codes, start, width):
+    """Moore boundary walk over a region of an image `width` pixels
+    wide, from `start`, the flat position of its row-major first pixel:
+    one full cycle of flat positions in the region (may repeat pixels),
+    and the _MOORE direction of the step out of each.
 
-
-def _contour(padded):
-    """Pixels of the mask inside `padded` (a _pad result) that have a
-    4-neighbor outside it."""
-    inner = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    return padded[1:-1, 1:-1] & ~inner
-
-
-def _moore_walk(mask):
-    """Moore boundary walk over a 2-d boolean mask: one full cycle of
-    flat (row-major) positions in the mask (may repeat pixels), and the
-    _MOORE direction of the step out of each.
-
-    The walk over (pixel, backtrack) states is eventually periodic; one
-    period is returned, which for compact blobs is the classic closed
-    clockwise trace.  (A plain return-to-start check can miss: on thin
-    shapes the start pixel is only ever re-entered from directions other
-    than the initial backtrack.)  A lone pixel gives itself and no step.
-    The mask must have a pixel set.
+    codes[p] is the 8-bit code of pixel p's neighbors (bit d: the
+    neighbor in direction d is in the region).  The backtrack pixel lies
+    outside the region, so the walk reads codes only at region pixels
+    with an 8-neighbor outside it.  The walk over (pixel, backtrack)
+    states is eventually periodic; one period is returned, which for
+    compact blobs is the classic closed clockwise trace.  (A plain
+    return-to-start check can miss: on thin shapes the start pixel is
+    only ever re-entered from directions other than the initial
+    backtrack.)  A lone pixel gives itself and no step.
     """
-    h, w = mask.shape
-    padded = _pad(mask).view(np.uint8)
-    # bit d of a pixel's code: its neighbor in direction d is in the mask
-    codes = np.zeros(mask.shape, dtype=np.uint8)
-    for d, (dr, dc) in enumerate(_MOORE):
-        codes |= padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w] << d
-    codes = codes.tobytes()
-    moves = [dr * w + dc for dr, dc in _MOORE]
-    cur, back = int(mask.argmax()), 6  # row-major first pixel: west is out
+    moves = [dr * width + dc for dr, dc in _MOORE]
+    cur, back = start, 6  # row-major first pixel: west is out
     if not codes[cur]:
         return [cur], []
     # state -> direction of its step, in walk order
@@ -235,31 +250,138 @@ def _moore_walk(mask):
     return [s >> 3 for s in states[first:]], list(steps.values())[first:]
 
 
-def _angle_histogram(mask):
-    """16-bin histogram of contour displacement angles over [0, 2pi).
+def _spans(starts, stops):
+    """Concatenated np.arange(starts[k], stops[k]) over all k."""
+    lengths = stops - starts
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(lengths.sum())
 
-    All-zero for single pixels and for regions that are not one
-    8-connected component (no unambiguous contour to walk).
+
+class _Leaves:
+    """What the leaves of a leaf label image fix, computed once.
+
+    Arrays over leaf ids have one slot past the largest id, which
+    UNCOVERED (-1) indexes, as it indexes a lookup() table.  Methods
+    take a candidate as the list of its leaves and its lookup() table.
     """
-    _, n = ndimage.label(mask, structure=_SQUARE)
-    if n != 1:
-        return np.zeros(16)
-    _, steps = _moore_walk(mask)  # no step for a single pixel
-    return np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
+
+    def __init__(self, labels, raw, boundary):
+        h, w = labels.shape
+        self.labels, self.width = labels, w
+        self.boxes = ndimage.find_objects(labels + 1)  # leaf id k -> boxes[k]
+        n = len(self.boxes) + 1
+        covered = labels != UNCOVERED
+        leaf_of = labels[covered]
+        self.size = np.bincount(leaf_of, minlength=n)
+        # per image: (image, flat image, flat bin image, histogram per leaf)
+        self.planes = []
+        for image in (raw, boundary):
+            bins = _bin_image(image, covered)
+            hist = np.bincount(leaf_of * 20 + bins[covered], minlength=20 * n)
+            planes = image, image.ravel(), bins.ravel(), hist.reshape(n, 20)
+            self.planes.append(planes)
+        # 4 sides per pixel, less 2 per 4-neighbor pixel pair inside the leaf
+        inner = [
+            a[(a == b) & (a != UNCOVERED)]
+            for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:]))
+        ]
+        inner = np.bincount(np.concatenate(inner), minlength=n)
+        self.perimeter = 4 * self.size - 2 * inner
+        # 8-connected components per leaf (0 for ids that are no leaf)
+        self.components = np.zeros(n, dtype=np.int64)
+        for k, box in enumerate(self.boxes):
+            if box is not None:
+                self.components[k] = ndimage.label(labels[box] == k, _SQUARE)[1]
+        # the rim: pixels with an 8-neighbor in another leaf, in UNCOVERED
+        # or outside the image, row-major, with their neighbors' labels
+        on_rim = np.ones((h, w), dtype=bool)  # the border has one outside
+        on_rim[1:-1, 1:-1] = False
+        for dr, dc in _MOORE:
+            here = np.s_[max(-dr, 0) : h - max(dr, 0), max(-dc, 0) : w - max(dc, 0)]
+            there = np.s_[max(dr, 0) : h + min(dr, 0), max(dc, 0) : w + min(dc, 0)]
+            on_rim[here] |= labels[here] != labels[there]
+        on_rim &= covered
+        self.rim = np.flatnonzero(on_rim)
+        self.rim_leaf = labels[on_rim]
+        r, c = np.divmod(self.rim, w)
+        self.rim_around = np.full((len(self.rim), 8), UNCOVERED, dtype=labels.dtype)
+        for d, (dr, dc) in enumerate(_MOORE):
+            rr, cc = r + dr, c + dc
+            inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+            self.rim_around[inside, d] = labels[rr[inside], cc[inside]]
+        # neighbor codes by flat position; each walk fills the rim it reads
+        self.code_table = np.zeros(h * w, dtype=np.uint8)
+        # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q)
+        leaf_p, leaf_q, p, q = pixel_pairs(labels)
+        key = leaf_p * n + leaf_q
+        order = np.argsort(key)
+        flat = boundary.ravel()
+        self.p, self.q = p[order], q[order]
+        self.value = np.maximum(flat[self.p], flat[self.q])
+        groups, self.group_start, size = np.unique(
+            key[order], return_index=True, return_counts=True
+        )
+        self.group_stop = self.group_start + size
+        self.group_a, self.group_b = np.divmod(groups, n)
+        self.touching = {}  # leaf -> the leaves it shares a pixel pair with
+        for a, b in zip(self.group_a.tolist(), self.group_b.tolist()):
+            self.touching.setdefault(a, set()).add(b)
+            self.touching.setdefault(b, set()).add(a)
+
+    def lookup(self, leaves):
+        """Boolean table over leaf ids, True on `leaves`.
+
+        Indexing it with the leaf label image masks the candidate; its
+        last slot stays False for UNCOVERED.
+        """
+        lut = np.zeros(len(self.size), dtype=bool)
+        lut[leaves] = True
+        return lut
+
+    def perimeter_of(self, leaves, lut):
+        """4-neighbor pixel sides between the candidate and the rest."""
+        inside = lut[self.group_a] & lut[self.group_b]
+        inner = self.group_stop[inside] - self.group_start[inside]
+        return int(self.perimeter[leaves].sum() - 2 * inner.sum())
+
+    def one_component(self, leaves):
+        """Whether each of `leaves` is one 8-connected component and the
+        leaves are connected through 4-neighbor pixel pairs, which makes
+        their union one 8-connected component."""
+        if (self.components[leaves] != 1).any():
+            return False
+        members = set(leaves)
+        todo, reached = [leaves[0]], {leaves[0]}
+        while todo:
+            for b in self.touching.get(todo.pop(), ()):
+                if b in members and b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+        return len(reached) == len(members)
+
+    def rim_of(self, lut):
+        """Flat positions (row-major) of the candidate's pixels on its
+        leaves' rims, and their 8-bit codes of neighbors in the candidate."""
+        rows = lut[self.rim_leaf]
+        inside = lut[self.rim_around[rows]]
+        return self.rim[rows], np.packbits(inside, axis=1, bitorder="little")[:, 0]
+
+    def walk(self, rim, codes):
+        """_moore_walk over the candidate whose rim pixels and codes
+        these are (a rim_of result)."""
+        self.code_table[rim] = codes
+        return _moore_walk(memoryview(self.code_table), int(rim[0]), self.width)
 
 
-def _node_kernel(mask, origin, planes):
-    """147-entry feature vector of the pixels set in a box mask.
-
-    `origin` is the image position of the box's top-left pixel; `planes`
-    holds (image, bins) for raw and boundary: the same box of the image
-    and of its _bin_image.
-    """
-    padded = _pad(mask)
-    size = float(np.count_nonzero(mask))
-    # 4-neighbor pixel sides between the region and the rest
-    perimeter = np.count_nonzero(padded[:, 1:] != padded[:, :-1])
-    perimeter += np.count_nonzero(padded[1:, :] != padded[:-1, :])
+def _node_vector(facts, leaves, lut):
+    """147-entry feature vector of the candidate that is the union of
+    the list `leaves`, with lookup table `lut`."""
+    rows, cols = zip(*(facts.boxes[k] for k in leaves))
+    r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
+    box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
+    mask = lut[facts.labels[box]]
+    size = float(facts.size[leaves].sum())
+    perimeter = facts.perimeter_of(leaves, lut)
     circularity = 4.0 * math.pi * size / (perimeter * perimeter)
 
     if size == 1.0:
@@ -267,21 +389,33 @@ def _node_kernel(mask, origin, planes):
     else:
         # centred (row, col) columns; X.T @ X is the product np.cov forms
         coords = np.argwhere(mask).astype(np.float64)
-        coords += origin
+        coords += (r0, c0)
         coords -= coords.sum(axis=0) / size
         cov = np.dot(coords.T, coords)
         cov *= 1.0 / size
         lo, hi = np.linalg.eigvalsh(cov)
         eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi) if hi > 0.0 else 0.0
 
-    angles = _angle_histogram(mask)
+    rim, codes = facts.rim_of(lut)
+    # the angle histogram is all-zero unless the candidate is one
+    # 8-connected component; a lone pixel makes no step
+    if len(leaves) == 1:
+        whole = facts.components[leaves[0]] == 1
+    else:
+        whole = facts.one_component(leaves) or ndimage.label(mask, _SQUARE)[1] == 1
+    if whole:
+        _, steps = facts.walk(rim, codes)
+        angles = np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
+    else:
+        angles = np.zeros(16)
 
-    contour = _contour(padded)
-    blocks = [
-        _stats_block(image[pixels], bins[pixels])
-        for image, bins in planes
-        for pixels in (mask, contour)
-    ]
+    contour = rim[(codes & _NESW) != _NESW]
+    blocks = []
+    for image, flat, bins, hist in facts.planes:
+        blocks.append(_stats_block(image[box][mask], hist[leaves].sum(axis=0)))
+        blocks.append(
+            _stats_block(flat[contour], np.bincount(bins[contour], minlength=20))
+        )
     return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
 
 
@@ -307,69 +441,59 @@ def _checked_images(labels, raw, boundary):
     return images
 
 
-def _lookup(leaves, n):
-    """Boolean table over leaf ids, True on `leaves`.
+def _edge_vectors(facts, adjacency, luts, node_feats):
+    """592-entry feature vectors of the edges in `adjacency`, one per row.
 
-    Indexing it with the leaf label image masks the candidate.  Its
-    last slot lies past every leaf id and stays False; UNCOVERED (-1)
-    indexes it.
+    An edge's interface is every pixel pair between its candidates,
+    gathered by leaf pair; its values are sorted by (pixel in the
+    smaller candidate, pixel in the larger), a key no two pairs share.
     """
-    lut = np.zeros(n, dtype=bool)
-    lut[list(leaves)] = True
-    return lut
-
-
-def _edge_kernel(pairs, lut_i, lut_j, i_smaller, u, v):
-    """592-entry feature vector of the edge between two candidates.
-
-    `pairs` is crag.pixel_pairs of the leaf label image, (leaf_p, leaf_q,
-    p, q), plus each pair's value max(boundary[p], boundary[q]).  lut_i /
-    lut_j are the candidates' leaf lookups, u / v their node features;
-    i_smaller says whether candidate i has at most as many pixels as j.
-    """
-    leaf_p, leaf_q, p, q, value = pairs
-    ij = lut_i[leaf_p] & lut_j[leaf_q]
-    ji = lut_j[leaf_p] & lut_i[leaf_q]
-    in_i = np.concatenate([p[ij], q[ji]])
-    in_j = np.concatenate([q[ij], p[ji]])
-    # pairs sorted by (pixel in the smaller region, pixel in the larger)
-    order = np.lexsort((in_j, in_i) if i_smaller else (in_i, in_j))
-    vals = np.concatenate([value[ij], value[ji]])[order]
-    _, mean, var, skew, _ = _moments(vals)
-    combo = np.empty(4 * len(u))
-    combo[0::4] = np.abs(u - v)
-    combo[1::4] = np.minimum(u, v)
-    combo[2::4] = np.maximum(u, v)
-    combo[3::4] = u + v
-    return np.concatenate([[float(len(vals)), mean, var, skew], combo])
+    u = np.array([node_feats[i] for i, _ in adjacency])
+    v = np.array([node_feats[j] for _, j in adjacency])
+    lut_i = np.array([luts[i] for i, _ in adjacency])
+    lut_j = np.array([luts[j] for _, j in adjacency])
+    # (edge, group) pairs whose leaf_p lies in candidate i (forward) or j
+    ends = []
+    for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i)):
+        edge, group = np.nonzero(lut_p[:, facts.group_a] & lut_q[:, facts.group_b])
+        start, stop = facts.group_start[group], facts.group_stop[group]
+        ends.append((np.repeat(edge, stop - start), _spans(start, stop)))
+    (edge_f, fwd), (edge_r, rev) = ends
+    edge = np.concatenate([edge_f, edge_r])
+    in_i = np.concatenate([facts.p[fwd], facts.q[rev]])
+    in_j = np.concatenate([facts.q[fwd], facts.p[rev]])
+    i_smaller = (u[:, 0] <= v[:, 0])[edge]  # entry 0 is the size
+    order = np.lexsort(
+        (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
+    )
+    values = np.concatenate([facts.value[fwd], facts.value[rev]])[order]
+    bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
+    out = np.empty((len(adjacency), 4 + 4 * u.shape[1]))
+    for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
+        _, mean, var, skew, _ = _moments(values[lo:hi])
+        row[:4] = float(hi - lo), mean, var, skew
+    out[:, 4::4] = np.abs(u - v)
+    out[:, 5::4] = np.minimum(u, v)
+    out[:, 6::4] = np.maximum(u, v)
+    out[:, 7::4] = u + v
+    return out
 
 
 def compute_features(crag, raw, boundary):
     """Feature vectors for every candidate and adjacency edge of a Crag."""
     labels = crag.leaf_labels()
     raw, boundary = _checked_images(labels, raw, boundary)
-    covered = labels != UNCOVERED
-    planes = [(im, _bin_image(im, covered)) for im in (raw, boundary)]
-    leaf_boxes = ndimage.find_objects(labels + 1)  # leaf id k -> leaf_boxes[k]
+    facts = _Leaves(labels, raw, boundary)
     node_feats, luts = {}, {}
     for cid in crag.ids():
-        leaves = crag.leaves_under(cid)
-        luts[cid] = _lookup(leaves, len(leaf_boxes) + 1)
-        rows, cols = zip(*(leaf_boxes[k] for k in leaves))
-        r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
-        box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
-        mask = luts[cid][labels[box]]
-        boxed = [(im[box], bins[box]) for im, bins in planes]
-        node_feats[cid] = _node_kernel(mask, (r0, c0), boxed)
-    leaf_p, leaf_q, p, q = pixel_pairs(labels)
-    flat = boundary.ravel()
-    pairs = leaf_p, leaf_q, p, q, np.maximum(flat[p], flat[q])
-    edge_feats = {}
-    for i, j in crag.adjacency:
-        u, v = node_feats[i], node_feats[j]
-        # entry 0 is the size
-        edge_feats[(i, j)] = _edge_kernel(pairs, luts[i], luts[j], u[0] <= v[0], u, v)
-    return node_feats, edge_feats
+        leaves = list(crag.leaves_under(cid))
+        luts[cid] = facts.lookup(leaves)
+        node_feats[cid] = _node_vector(facts, leaves, luts[cid])
+    if not crag.adjacency:
+        return node_feats, {}
+    vectors = _edge_vectors(facts, crag.adjacency, luts, node_feats)
+    # one array per edge: a view would keep the whole block alive
+    return node_feats, {e: row.copy() for e, row in zip(crag.adjacency, vectors)}
 
 
 def features_to_json(node_feats, edge_feats):

@@ -208,6 +208,28 @@ def test_forest_input_checks():
         forest.predict_proba([[0.1, 0.2]])
 
 
+@pytest.mark.parametrize("labels", [[0.4, 1], [0, 1.7], [0, float("nan")]])
+def test_forest_rejects_labels_that_are_not_0_or_1(labels):
+    """Labels used to be cast first, which trained 0.4 as 0 and 1.7 as 1."""
+    with pytest.raises(CmcError, match="labels"):
+        train_forest(([[0.1], [0.9]], labels), n_trees=2, rng_seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_forest_rejects_non_finite_training_features(bad):
+    X, y = separable_samples(n=8, dim=4)
+    X[3, 1] = bad
+    with pytest.raises(CmcError, match="finite"):
+        train_forest((X, y), n_trees=2, rng_seed=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_forest_rejects_non_finite_features_to_score(bad):
+    forest = train_forest(([[0.1, 0.5], [0.9, 0.5]], [0, 1]), n_trees=2, rng_seed=0)
+    with pytest.raises(CmcError, match="finite"):
+        forest.predict_proba([[0.5, 0.5], [bad, 0.5]])
+
+
 @pytest.mark.parametrize("n_trees", [0, -3])
 def test_forest_needs_a_tree(n_trees):
     """A forest without trees would average to NaN probabilities."""

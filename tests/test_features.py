@@ -8,16 +8,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from cmc.crag import Candidate, build_crag
+from cmc.crag import UNCOVERED, Candidate, build_crag
 from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
     _QUANTILES,
-    _angle_histogram,
     _bin_image,
-    _contour,
+    _Leaves,
     _moments,
-    _moore_walk,
-    _pad,
     _quantiles,
     compute_features,
     edge_feature_names,
@@ -25,6 +22,8 @@ from cmc.features import (
     features_to_json,
     node_feature_names,
 )
+from cmc.pipeline import PipelineConfig, build_graph
+from cmc.synth import generate_synthetic
 
 from util import leaf_image, pixels_of, quad_crag, random_sparse_crag
 
@@ -48,9 +47,44 @@ def region_features(pixels, raw, boundary):
     return compute_features(crag, raw, boundary)[0][0]
 
 
-def walk_positions(mask):
-    """(row, col) positions of one cycle of _moore_walk over `mask`."""
-    return [divmod(p, mask.shape[1]) for p in _moore_walk(mask)[0]]
+ANGLES = np.s_[3:19]
+
+
+def angle_histogram(pixels):
+    """The angle histogram of the one candidate of a one-leaf Crag."""
+    return region_features(pixels, *flat_images())[ANGLES]
+
+
+def crag_walk(crag, cid):
+    """(row, col) positions of one cycle of the Moore walk over a
+    candidate, from the codes compute_features reads: its leaves' rim
+    rows through its leaf lookup."""
+    labels = crag.leaf_labels()
+    blank = np.zeros(labels.shape)
+    facts = _Leaves(labels, blank, blank)
+    lut = facts.lookup(list(crag.leaves_under(cid)))
+    positions, _ = facts.walk(*facts.rim_of(lut))
+    return [divmod(p, crag.width) for p in positions]
+
+
+def walk_positions(pixels):
+    """crag_walk over the one candidate of a one-leaf Crag."""
+    height, width = (max(p[k] for p in pixels) + 1 for k in (0, 1))
+    crag = build_crag([Candidate(0, 0)], [], [], leaf_image({0: pixels}, width, height))
+    return crag_walk(crag, 0)
+
+
+def count_labels(monkeypatch):
+    """Count the ndimage.label calls from here on: a one-item list."""
+    calls = [0]
+    label = ndimage.label
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +93,6 @@ def walk_positions(mask):
 
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 _NEIGHBORS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def to_mask(pixels):
-    """Box mask of a pixel set, and the image position of its corner."""
-    rows = [r for r, _ in pixels]
-    cols = [c for _, c in pixels]
-    r0, c0 = min(rows), min(cols)
-    mask = np.zeros((max(rows) - r0 + 1, max(cols) - c0 + 1), dtype=bool)
-    for (r, c) in pixels:
-        mask[r - r0, c - c0] = True
-    return mask, (r0, c0)
 
 
 def ref_moore_trace(pixels):
@@ -287,6 +310,9 @@ def test_bin_image_matches_np_histogram():
     """Bit-exact against np.histogram(v, 20, (0, 1)) on the edges k/20,
     their neighbors on both sides, 0, 1 and random values."""
     edges = np.linspace(0.0, 1.0, 21)
+    # the estimate int(20 v) is never below the bin, so only the edges
+    # themselves can make it low, and they do not
+    assert all(int(e * 20.0) >= k for k, e in enumerate(edges))
     values = [0.0, 1.0, *edges, *np.nextafter(edges, -1.0), *np.nextafter(edges, 2.0)]
     values = np.clip(values, 0.0, 1.0)
     rng = np.random.default_rng(61)
@@ -375,21 +401,21 @@ def test_line_eccentricity_one():
 
 def test_contour_trace_domino():
     # one full cycle of the boundary walk: two pixels, east then west
-    tr = walk_positions(to_mask({(0, 0), (0, 1)})[0])
+    tr = walk_positions({(0, 0), (0, 1)})
     assert sorted(tr) == [(0, 0), (0, 1)]
     assert len(tr) == 2
 
 
 def test_contour_trace_square_ring():
     sq = frozenset((r, c) for r in range(3) for c in range(3))
-    tr = walk_positions(to_mask(sq)[0])
+    tr = walk_positions(sq)
     assert len(tr) == 8
     assert set(tr) == sq - {(1, 1)}
 
 
 def test_angle_histogram_oracles():
     def bins(pixels):
-        h = _angle_histogram(to_mask(pixels)[0])
+        h = angle_histogram(pixels)
         assert np.array_equal(h, ref_angle_histogram(frozenset(pixels)))
         return {b: h[b] for b in np.nonzero(h)[0].tolist()}
 
@@ -403,20 +429,18 @@ def test_angle_histogram_oracles():
 
 
 def test_angle_histogram_degenerate_regions():
-    assert not _angle_histogram(to_mask({(4, 4)})[0]).any()
+    assert not angle_histogram({(4, 4)}).any()
     # two 8-disconnected pixels: no single contour
-    assert not _angle_histogram(to_mask({(0, 0), (0, 2)})[0]).any()
-    assert not _angle_histogram(to_mask({(0, 0), (2, 2), (4, 0)})[0]).any()
+    assert not angle_histogram({(0, 0), (0, 2)}).any()
+    assert not angle_histogram({(0, 0), (2, 2), (4, 0)}).any()
 
 
 def test_angle_histogram_translation_exact():
     blob = frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 3)})
     moved = frozenset((r + 7, c + 5) for (r, c) in blob)
-    raw, boundary = flat_images()
-    angles = np.s_[3:19]
-    hist = region_features(blob, raw, boundary)[angles]
+    hist = angle_histogram(blob)
     assert hist.any()
-    assert np.array_equal(hist, region_features(moved, raw, boundary)[angles])
+    assert np.array_equal(hist, angle_histogram(moved))
 
 
 def test_intensity_histograms_sum_to_pixel_counts():
@@ -610,10 +634,7 @@ def sparse_instances(seed, count):
 def test_trace_contour_matches_reference():
     for crag, _, _ in sparse_instances(31, 40):
         for cid in crag.ids():
-            pixels = pixels_of(crag, cid)
-            mask, (r0, c0) = to_mask(pixels)
-            got = [(r + r0, c + c0) for r, c in walk_positions(mask)]
-            assert got == ref_moore_trace(pixels)
+            assert crag_walk(crag, cid) == ref_moore_trace(pixels_of(crag, cid))
 
 
 def random_masks(seed, count):
@@ -667,30 +688,108 @@ def random_masks(seed, count):
         yield np.pad(core, rng.integers(0, 3, size=(2, 2)))
 
 
-def mask_pixels(mask):
-    return frozenset(map(tuple, np.argwhere(mask).tolist()))
+# leaf label images that random splits rarely make: a union of two leaves
+# joined only diagonally; a leaf in two pieces joined through another
+# leaf; and a leaf in two pieces that another leaf meets only diagonally
+SPLIT_CASES = [
+    [[0, 0, -1], [-1, -1, 1], [-1, -1, 1]],
+    [[0, 1, 0]],
+    [[0, -1, 0], [-1, 1, -1]],
+]
+
+
+def labels_crag(labels):
+    """A Crag of the leaves of a leaf label image, plus one root over
+    them all when there are two or more."""
+    labels = np.asarray(labels, dtype=np.int64)
+    leaves = np.unique(labels[labels != UNCOVERED]).tolist()
+    candidates = [Candidate(k, 0) for k in leaves]
+    subset = []
+    if len(leaves) > 1:
+        root = leaves[-1] + 1
+        candidates.append(Candidate(root, 1, children=tuple(leaves)))
+        subset = [(k, root) for k in leaves]
+    return build_crag(candidates, [], subset, labels)
+
+
+def random_crags(seed, count):
+    """The SPLIT_CASES, then labels_crag of random_masks split into 2-4
+    leaves (2 or more wherever the mask has 2 pixels): row bands,
+    column bands or random draws per pixel, so leaves may fall apart
+    and touch each other only diagonally."""
+    for labels in SPLIT_CASES:
+        yield labels_crag(labels)
+    rng = np.random.default_rng(seed)
+    for mask in random_masks(seed, count):
+        rows, cols = np.nonzero(mask)
+        parts = int(rng.integers(2, 5))
+        kind = int(rng.integers(3))
+        if kind < 2:
+            key = (rows, cols)[kind]
+            key = (key - key.min()) * parts // (key.max() - key.min() + 1)
+        else:
+            key = rng.integers(parts, size=len(rows))
+        leaf = np.unique(key, return_inverse=True)[1]
+        if leaf.max() == 0 and len(rows) > 1:
+            leaf = np.arange(len(rows)) % 2
+        labels = np.full(mask.shape, UNCOVERED, dtype=np.int64)
+        labels[rows, cols] = leaf
+        yield labels_crag(labels)
 
 
 def test_trace_contour_on_random_masks():
-    for mask in random_masks(71, 2500):
-        assert walk_positions(mask) == ref_moore_trace(mask_pixels(mask))
+    for crag in random_crags(71, 2500):
+        for cid in crag.ids():
+            assert crag_walk(crag, cid) == ref_moore_trace(pixels_of(crag, cid))
 
 
-def test_angle_histogram_on_random_masks():
-    walked = 0
-    for mask in random_masks(73, 2500):
-        got = _angle_histogram(mask)
-        assert np.array_equal(got, ref_angle_histogram(mask_pixels(mask)))
-        walked += bool(got.any())
-    # most masks are one 8-connected component and get walked
-    assert walked > 1500
+def test_angle_histogram_on_random_masks(monkeypatch):
+    """Bit-equal to the flood-fill oracle, with the one-component verdict
+    taken from the leaves for some unions and by labelling for others."""
+    calls = count_labels(monkeypatch)
+    walked = derived = labelled = 0
+    for crag in random_crags(73, 2500):
+        blank = np.zeros((crag.height, crag.width))
+        before = calls[0]
+        nf, _ = compute_features(crag, blank, blank)
+        for cid in crag.ids():
+            got = nf[cid][ANGLES]
+            assert np.array_equal(got, ref_angle_histogram(pixels_of(crag, cid)))
+            walked += bool(got.any())
+        unions = len(crag.ids()) - len(crag.leaves())
+        extra = calls[0] - before - len(crag.leaves())  # one label per leaf
+        assert 0 <= extra <= unions
+        labelled += extra
+        derived += unions - extra
+    # most candidates are one 8-connected component and get walked
+    assert walked > 3000
+    assert derived > 300 and labelled > 300
 
 
 def test_contour_slices_on_random_masks():
+    """Contour statistics bit-equal to those of the pixels that 4-erosion
+    removes, taken in row-major order."""
     cross = ndimage.generate_binary_structure(2, 1)
-    for mask in random_masks(79, 1200):
-        want = mask & ~ndimage.binary_erosion(mask, cross)
-        assert np.array_equal(_contour(_pad(mask)), want)
+    contour = np.s_[idx("raw_contour_sum") : idx("boundary_all_sum")]
+    rng = np.random.default_rng(83)
+    for crag in random_crags(79, 1200):
+        raw = rng.random((crag.height, crag.width))
+        nf, _ = compute_features(crag, raw, np.zeros(raw.shape))
+        for cid in crag.ids():
+            mask = np.isin(crag.leaf_labels(), crag.leaves_under(cid))
+            want = mask & ~ndimage.binary_erosion(mask, cross)
+            assert np.array_equal(nf[cid][contour], ref_stats_block(raw[want]))
+
+
+def test_pipeline_crag_labels_each_leaf_once(monkeypatch):
+    """On a merge-tree Crag every union's verdict comes from its leaves:
+    ndimage.label runs once per leaf and never per union."""
+    raw, boundary, _ = generate_synthetic(1, 4, 1.0, 5, image_size=128)[0]
+    crag = build_graph(boundary, PipelineConfig())
+    assert len(crag.ids()) > len(crag.leaves())
+    calls = count_labels(monkeypatch)
+    compute_features(crag, raw, boundary)
+    assert calls[0] <= len(crag.leaves())
 
 
 def test_compute_features_matches_per_pixel_reference():
