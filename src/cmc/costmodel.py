@@ -389,10 +389,13 @@ def costs_from_json(obj):
     """CostTable from its JSON form; malformed input raises CmcError."""
     doc = "costs.json"
     f, g = (json_member(doc, obj, key, dict, "costs") for key in ("f", "g"))
-    return CostTable(
+    costs = CostTable(
         f={json_id(doc, i): json_value(doc, v, float, f"f[{i}]") for i, v in f.items()},
         g={
             json_edge(doc, k): json_value(doc, v, float, f"g[{k}]")
             for k, v in g.items()
         },
     )
+    if len(costs.f) < len(f) or len(costs.g) < len(g):
+        raise CmcError(f"{doc}: two keys name the same candidate or edge")
+    return costs

@@ -112,10 +112,11 @@ def edge_to_str(edge):
 
 
 def objective_value(f, g, y, m):
-    """Σ y_i f_i + Σ m_e g_e, summed in one canonical order.
+    """Σ y_i f_i + Σ m_e g_e as a float, summed in one canonical order.
 
-    Every place that reports or compares objectives goes through this
-    function, so equal assignments always produce bit-equal floats.
+    Every reported objective comes from this function, so equal
+    assignments always produce bit-equal floats.  The solver and
+    brute_force rank assignments by exact sums instead, not by these.
     """
     total = 0.0
     for i in sorted(y):
@@ -577,8 +578,11 @@ def solution_from_json(obj):
     """Solution from its JSON form; malformed input raises CmcError."""
     doc = "solution.json"
     y, m = (json_member(doc, obj, key, dict, "solution") for key in ("y", "m"))
-    return Solution(
+    solution = Solution(
         y={json_id(doc, i): json_value(doc, v, int, f"y[{i}]") for i, v in y.items()},
         m={json_edge(doc, k): json_value(doc, v, int, f"m[{k}]") for k, v in m.items()},
         objective=json_member(doc, obj, "objective", float, "solution"),
     )
+    if len(solution.y) < len(y) or len(solution.m) < len(m):
+        raise CmcError(f"{doc}: two keys name the same candidate or edge")
+    return solution

@@ -4,34 +4,26 @@ The outer loop solves the inner integer program (overlap, incidence,
 and pooled path rows), separates violated path constraints on its
 optimum, and re-solves until none remain.
 
+Costs are summed exactly: solve turns them into ints on one common
+power-of-two scale (_exact_costs), so every bound, leaf objective and
+comparison below is exact and independent of the order of summation.
 The inner program is solved by depth-first branch-and-bound with
 constraint propagation (_dfs).  Its bound is the partial objective plus
 every negative cost still open, less what the merge forest rules out
-(_State.forest_gap).  A subtree is cut on the forest bound only when
-it exceeds the budget by more than a rounding tolerance tol.
+(_State.forest_gap).
 
-Each round returns the lexicographically smallest optimal (y, m) bit
-vector, so results are fully deterministic.  Which assignments count
-as optimal is fixed by the set S.  Let z* be the optimizing pass's
-objective, or 0.0 when no assignment beats the empty one.  S holds the
-feasible assignments whose objective is <= z* when summed from a fresh
-_State, setting the variables in index order with propagation
-(_lex_bound).  The round returns the smallest member of S, or the
-optimizing pass's x* when S is empty.  S depends on that order of
-summation, so x* itself can fall outside it.
+Each round returns the lexicographically smallest (y, m) bit vector
+among the feasible assignments whose exact cost sum is minimal.
 
 - The optimizing pass tries variables in order of decreasing |cost|,
   each at its cost-reducing value first.  It keeps the first leaf of
-  each strictly smaller bound as (z*, x*), and notes whether any other
-  leaf lies within tol of z*.  Any other member of S would be such a
-  leaf, so when there is none, S holds at most x* and x* is the answer.
-- Otherwise the tie-break walks the variables in index order from an
-  incumbent in S.  That is x*, or when x* is outside S, the first member
-  of S that a search finds; when there is none, S is empty and the
-  answer is x*.  Where the incumbent has 0, the variable is fixed to 0.
-  Where it has 1, a search with the variable at 0 looks for a member of
-  S, in cost order and cutting above z* + tol; one found becomes the
-  incumbent.  Then the variable is fixed to the incumbent's value.
+  each strictly smaller sum as (z*, x*), and notes whether any other
+  leaf sums to z*.  When none does, x* is the answer.
+- Otherwise a walk fixes the variables in index order, from x* as the
+  incumbent.  Where the incumbent has 0, the variable is fixed to 0.
+  Where it has 1, a search with the variable at 0 looks for a leaf
+  summing to z*, in cost order; one found becomes the incumbent.  Then
+  the variable is fixed to the incumbent's value.
 
 brute_force provides an independent oracle for small instances.
 """
@@ -90,20 +82,17 @@ class _Clock:
 class _State:
     """Assignment trail over binary variables with <=-row propagation.
 
-    Rows carry integer coefficients and bounds, so slack bookkeeping is
-    exact; the objective bound (partial objective plus sum of negative
-    costs of unassigned variables) is a float saved and restored at
-    decision points.  `forest` (from _forest) lets forest_gap tighten
-    that bound; `tol` is far above the rounding error of any bound or
-    leaf objective, so a cut on bound + gap > limit + tol never drops a
-    leaf whose computed objective is within limit.  `order` is the
-    branching order of every search (_dfs).
+    Rows carry integer coefficients and bounds, and costs are ints
+    (_exact_costs), so slack and bound bookkeeping is exact.  The
+    objective bound (partial objective plus sum of negative costs of
+    unassigned variables) is saved and restored at decision points.
+    `forest` (from _forest) lets forest_gap tighten that bound.  `order`
+    is the branching order of every search (_dfs).
     """
 
     def __init__(self, costs, rows, fixed, forest):
         self.costs = costs
         self.n = len(costs)
-        self.tol = 1e-9 * (1.0 + sum(abs(c) for c in costs))
         # per row its (variable, coefficient) terms; per variable its
         # (row, slack used at 0, slack used at 1)
         self.terms = [tuple(cmap.items()) for cmap, _ in rows]
@@ -115,10 +104,7 @@ class _State:
         self.slack = [
             bound - sum(a for a in cmap.values() if a < 0) for cmap, bound in rows
         ]
-        self.bound = 0.0
-        for c in costs:
-            if c < 0.0:
-                self.bound += c
+        self.bound = sum(c for c in costs if c < 0)
         self.trail = []
         queue = []
         for v, val in sorted(fixed.items()):
@@ -140,7 +126,7 @@ class _State:
         self.value[v] = val
         self.trail.append(v)
         c = self.costs[v]
-        self.bound += max(c, 0.0) if val else max(-c, 0.0)
+        self.bound += max(c, 0) if val else max(-c, 0)
         for r, used0, used1 in self.var_rows[v]:
             delta = used1 if val else used0
             if delta:
@@ -188,7 +174,7 @@ class _State:
             below = tuple(k for c in children for k in stands_for[c])
             if value[y] is None:
                 rewards = tuple(
-                    v for v in merges if value[v] is None and costs[v] < 0.0
+                    v for v in merges if value[v] is None and costs[v] < 0
                 )
                 kept.append((y, below, rewards))
                 stands_for.append((len(kept) - 1,))
@@ -200,7 +186,7 @@ class _State:
         idle = {
             k
             for k in roots
-            if not kept[k][1] and (costs[kept[k][0]] < 0.0 or not kept[k][2])
+            if not kept[k][1] and (costs[kept[k][0]] < 0 or not kept[k][2])
         }
         entries, index = [], {}
         for k, (y, below, rewards) in enumerate(kept):
@@ -221,14 +207,14 @@ class _State:
         """
         value, costs = self.value, self.costs
         best = []
-        taken = 0.0
+        taken = 0
         for y, below, rewards in self.forest:
-            kids = 0.0
+            kids = 0
             for k in below:
                 kids += best[k]
             if value[y] is None:
                 c = costs[y]
-                gain = -c if c < 0.0 else 0.0
+                gain = -c if c < 0 else 0
                 for v in rewards:
                     if value[v] is None:
                         c += costs[v]
@@ -257,12 +243,12 @@ def _dfs(state, limit, clock, leaf):
     """Iterative DFS branch-and-bound below the state as given.
 
     Branches in state.order, on each variable's cost-reducing value
-    first, and cuts a subtree when its bound exceeds `limit`, or its
-    bound plus forest gap exceeds limit + tol, which leaves no leaf
-    within limit.  Calls leaf() at every leaf reached, with the state at
-    that leaf; leaf returns the limit to go on with, or None to stop
-    there.  The state is left at that leaf, or as given once the search
-    is done.  clock.tick() raises _Timeout when the deadline has passed.
+    first, and cuts a subtree when its bound, or its bound plus forest
+    gap, exceeds `limit`, which leaves no leaf within limit.  Calls
+    leaf() at every leaf reached, with the state at that leaf; leaf
+    returns the limit to go on with, or None to stop there.  The state
+    is left at that leaf, or as given once the search is done.
+    clock.tick() raises _Timeout when the deadline has passed.
     """
     n, order, gapless = state.n, state.order, state.gapless
     tick = clock.tick if clock is not None else lambda: None
@@ -274,7 +260,7 @@ def _dfs(state, limit, clock, leaf):
             return True
         if fpos + 1 >= gapless:
             return False
-        return state.bound + state.forest_gap() > limit + state.tol
+        return state.bound + state.forest_gap() > limit
 
     def advance():
         nonlocal pos
@@ -304,45 +290,25 @@ def _dfs(state, limit, clock, leaf):
                 return
             continue
         v = order[pos]
-        vals = [1, 0] if state.costs[v] < 0.0 else [0, 1]
+        vals = [1, 0] if state.costs[v] < 0 else [0, 1]
         frames.append((v, vals, len(state.trail), state.bound, pos))
         if not advance():
             return
 
 
-def _lex_bound(state, x):
-    """x's objective summed as an index-ordered search from `state` sums it.
+def _first_leaf(state, z, clock):
+    """The first leaf of cost <= z below `state` in cost order, or None.
 
-    Sets the free variables to x in index order, with propagation, reads
-    the bound and undoes every step.  From a fresh _State this is the
-    sum that defines S (module docstring).
-    """
-    mark, saved_bound = len(state.trail), state.bound
-    for v in range(state.n):
-        if state.value[v] is None:
-            state.propagate(v, x[v])
-    bound = state.bound
-    state.undo_to(mark, saved_bound)
-    return bound
-
-
-def _first_in_s(state, root, z, clock):
-    """The first leaf of S below `state` in cost order, or None.
-
-    `root` is a fresh _State for _lex_bound; `state` is left as given.
+    `state` is left as given.
     """
     found = None
-    limit = z + state.tol
 
-    def check():
+    def stop():
         nonlocal found
-        if _lex_bound(root, state.value) <= z:
-            found = list(state.value)
-            return None
-        return limit
+        found = list(state.value)
 
     mark, saved_bound = len(state.trail), state.bound
-    _dfs(state, limit, clock, check)
+    _dfs(state, z, clock, stop)
     state.undo_to(mark, saved_bound)
     return found
 
@@ -359,6 +325,19 @@ def _check_costs(crag, costs, ids, edges):
                 raise CmcError(f"cost {cost!r} of {key} is not finite")
 
 
+def _exact_costs(costs, ids, edges):
+    """The costs in variable order (ids, then edges) as ints.
+
+    A finite float is p / 2**k for ints p and k >= 0, so scaling every
+    cost by the largest 2**k among them is exact: sums and comparisons
+    of the ints are those of the real costs, in any order.
+    """
+    values = [float(costs.f[i]) for i in ids] + [float(costs.g[e]) for e in edges]
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((q for _, q in ratios), default=1)
+    return [p * (scale // q) for p, q in ratios]
+
+
 def _build_rows(crag, var_y, var_m, pool):
     rows = []
     for clique in conflict_cliques(crag):
@@ -373,23 +352,22 @@ def _build_rows(crag, var_y, var_m, pool):
     return rows
 
 
-def _solve_ilp(cvec, rows, fixed, forest, clock):
-    """The lex-smallest member of S, or x* when S is empty (module docstring).
+def _solve_ilp(costs, rows, fixed, forest, clock):
+    """The lex-smallest feasible assignment of least cost (module docstring).
 
-    Raises _Timeout carrying the optimizing pass's best assignment so far
-    (None before the first) when the clock runs out.
+    `costs` are ints (_exact_costs).  Raises _Timeout carrying the
+    optimizing pass's best assignment so far (None before the first)
+    when the clock runs out.
     """
-    n = len(cvec)
-    state = _State(cvec, rows, fixed, forest)
-    tol = state.tol
+    n = len(costs)
+    state = _State(costs, rows, fixed, forest)
     # The optimizing pass keeps the first leaf of each strictly smaller
-    # bound, as a pass cutting at bound >= ub would, and `near`, the
-    # smallest bound of any other leaf.  Until some other leaf lies within
-    # tol of ub, it cuts only above ub + tol, so it cannot miss a tie of
-    # the incumbent; once one does, it cuts at bound >= ub.  near starts
-    # at the empty assignment's 0.0, so an optimum within tol of 0 always
-    # walks.
-    ub, best, near = 0.0, None, 0.0
+    # cost, as a pass cutting at bound >= ub would, and `near`, the
+    # smallest cost of any other leaf.  Until some other leaf ties ub, it
+    # cuts only above ub, so it cannot miss a tie of the incumbent; once
+    # one does, it cuts at bound >= ub.  near starts at the empty
+    # assignment's 0, so an optimum of 0 always walks.
+    ub, best, near = 0, None, 0
 
     def improve():
         nonlocal ub, best, near
@@ -398,30 +376,23 @@ def _solve_ilp(cvec, rows, fixed, forest, clock):
             ub, best = state.bound, list(state.value)
         else:
             near = min(near, state.bound)
-        return math.nextafter(ub, -math.inf) if near <= ub + tol else ub + tol
+        return ub - 1 if near == ub else ub
 
     try:
-        _dfs(state, math.nextafter(0.0, -math.inf), clock, improve)
-        x_star = best if best is not None else [0] * n
-        z = ub
-        if near > z + tol:
-            return x_star
-        # walk; `state` stays at the root for _lex_bound
-        walk = _State(cvec, rows, fixed, forest)
-        x = x_star
-        if _lex_bound(state, x_star) > z:
-            x = _first_in_s(walk, state, z, clock)
-        if x is None:
-            return x_star
+        _dfs(state, -1, clock, improve)
+        x = best if best is not None else [0] * n
+        if near > ub:
+            return x
+        # walk; the finished pass left `state` at the root
         for v in range(n):
-            if walk.value[v] is not None:
+            if state.value[v] is not None:
                 continue
             if x[v]:
-                mark, saved_bound = len(walk.trail), walk.bound
-                if walk.propagate(v, 0):
-                    x = _first_in_s(walk, state, z, clock) or x
-                walk.undo_to(mark, saved_bound)
-            walk.propagate(v, x[v])
+                mark, saved_bound = len(state.trail), state.bound
+                if state.propagate(v, 0):
+                    x = _first_leaf(state, ub, clock) or x
+                state.undo_to(mark, saved_bound)
+            state.propagate(v, x[v])
         return x
     except _Timeout:
         raise _Timeout(best) from None
@@ -471,7 +442,7 @@ def solve(crag, costs, mode="full", time_limit=None):
     _check_costs(crag, costs, ids, edges)
     var_y = {i: k for k, i in enumerate(ids)}
     var_m = {e: len(ids) + k for k, e in enumerate(edges)}
-    cvec = [float(costs.f[i]) for i in ids] + [float(costs.g[e]) for e in edges]
+    cvec = _exact_costs(costs, ids, edges)
 
     fixed = {}
     if mode == "merge_tree_only":
@@ -529,21 +500,23 @@ def _forest(crag, var_y, var_m):
 
 
 def _timeout_fallback(crag, costs, assign, var_y, var_m):
-    """Best feasible assignment seen before the clock ran out."""
-    candidates = []
+    """The round's incumbent if it is feasible, else the empty assignment.
+
+    An incumbent costs less than the empty assignment's 0 (exactly).
+    """
+    sol = None
     if assign is not None:
         sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
-        if not validate_solution(crag, sol):
-            candidates.append(sol)
-    zero = Solution(
-        y={i: 0 for i in var_y},
-        m={e: 0 for e in var_m},
-        objective=0.0,
-    )
-    candidates.append(zero)
-    best = min(candidates, key=lambda s: s.objective)
-    best.optimal = False
-    return best
+        if validate_solution(crag, sol):
+            sol = None
+    if sol is None:
+        sol = Solution(
+            y={i: 0 for i in var_y},
+            m={e: 0 for e in var_m},
+            objective=0.0,
+        )
+    sol.optimal = False
+    return sol
 
 
 def _connected_subsets(anchor, allowed, adj):
@@ -594,8 +567,8 @@ def brute_force(crag, costs, mode="full"):
     Selection vectors are enumerated directly (pruned by the conflict
     cliques); for each one, the feasible merge assignments are exactly
     the partitions of the selected subgraph into connected parts, with
-    every within-part edge merged.  Ties break to the lexicographically
-    smallest (y, m) bit-vector.
+    every within-part edge merged.  The answer is the lexicographically
+    smallest (y, m) bit vector among those of least exact cost sum.
     """
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
@@ -606,9 +579,10 @@ def brute_force(crag, costs, mode="full"):
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(n, BRUTE_FORCE_LIMIT)
 
+    exact = _exact_costs(costs, ids, edges)
     cliques = [sorted(c) for c in conflict_cliques(crag) if len(c) > 1]
     leaves = set(crag.leaves())
-    best = None  # (objective, bits, y, m)
+    best = None  # (exact cost, bits, y, m)
     for bits_y in itertools.product((0, 1), repeat=len(ids)):
         y = dict(zip(ids, bits_y))
         if mode == "leaf_multicut_only" and any(
@@ -633,11 +607,12 @@ def brute_force(crag, costs, mode="full"):
                 e: int(e in live_set and part_of[e[0]] == part_of[e[1]])
                 for e in edges
             }
-            obj = objective_value(costs.f, costs.g, y, m)
             bits = bits_y + tuple(m[e] for e in edges)
-            if best is None or (obj, bits) < (best[0], best[1]):
-                best = (obj, bits, dict(y), m)
-    return Solution(y=best[2], m=best[3], objective=best[0])
+            cost = sum(c for c, bit in zip(exact, bits) if bit)
+            if best is None or (cost, bits) < (best[0], best[1]):
+                best = (cost, bits, dict(y), m)
+    _, _, y, m = best
+    return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
 
 
 def extract_segmentation(crag, solution):
