@@ -444,12 +444,25 @@ def _crag_and_tie_costs(draw, families):
     return crag, CostTable(f, g)
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(_crag_and_tie_costs(("unit", "k/1024", "zero", "pairs")))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_crag_and_tie_costs(("unit", "k/1024", "zero")))
 def test_solve_equals_brute_force_with_exact_ties(case):
-    """Exact ties (unit, k/1024 and zero costs) and ties to within
-    rounding (complementary forest costs): both compare exact sums, so
-    they pick the same assignment."""
+    """Exact ties (unit, k/1024 and zero costs): solve and brute_force
+    both compare exact sums, so they pick the same assignment."""
+    crag, costs = case
+    for mode in MODES:
+        got = solve(crag, costs, mode=mode)
+        assert got == brute_force(crag, costs, mode)
+        assert got.optimal and validate_solution(crag, got) == []
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_crag_and_tie_costs(("pairs",)))
+def test_solve_equals_brute_force_on_rounding_ties(case):
+    """Pairs of costs that cancel only to within rounding, as forest
+    costs of complementary votes do: their float sums depend on the
+    order of summation, their exact sums do not, so solve and
+    brute_force pick the same assignment."""
     crag, costs = case
     for mode in MODES:
         got = solve(crag, costs, mode=mode)
