@@ -539,4 +539,6 @@ def features_from_json(obj):
         json_edge(doc, k): _json_vector(v, n_edge, f"edge {k}")
         for k, v in edges.items()
     }
+    if len(node_feats) < len(nodes) or len(edge_feats) < len(edges):
+        raise CmcError(f"{doc}: two keys name the same candidate or edge")
     return node_feats, edge_feats

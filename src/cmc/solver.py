@@ -13,17 +13,9 @@ every negative cost still open, less what the merge forest rules out
 (_State.forest_gap).
 
 Each round returns the lexicographically smallest (y, m) bit vector
-among the feasible assignments whose exact cost sum is minimal.
-
-- The optimizing pass tries variables in order of decreasing |cost|,
-  each at its cost-reducing value first.  It keeps the first leaf of
-  each strictly smaller sum as (z*, x*), and notes whether any other
-  leaf sums to z*.  When none does, x* is the answer.
-- Otherwise a walk fixes the variables in index order, from x* as the
-  incumbent.  Where the incumbent has 0, the variable is fixed to 0.
-  Where it has 1, a search with the variable at 0 looks for a leaf
-  summing to z*, in cost order; one found becomes the incumbent.  Then
-  the variable is fixed to the incumbent's value.
+among the feasible assignments whose exact cost sum is minimal, which is
+the one feasible assignment of least lexed sum, the sum over its n
+variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_solve_ilp).
 
 brute_force provides an independent oracle for small instances.
 """
@@ -58,9 +50,9 @@ class _Timeout(Exception):
 class _Clock:
     """One solve's deadline, read once every 1024 ticks.
 
-    A search ticks once when it starts and once per node.  Every search
-    of the solve shares the one counter, so a round of many short
-    searches reads the clock as often as one long search.
+    Each round's search ticks once when it starts and once per node.
+    The rounds of a solve share the one counter, so many short rounds
+    read the clock as often as one long round.
     """
 
     def __init__(self, time_limit):
@@ -82,12 +74,12 @@ class _Clock:
 class _State:
     """Assignment trail over binary variables with <=-row propagation.
 
-    Rows carry integer coefficients and bounds, and costs are ints
-    (_exact_costs), so slack and bound bookkeeping is exact.  The
-    objective bound (partial objective plus sum of negative costs of
+    Rows carry integer coefficients and bounds, and costs are ints (the
+    lexed costs of _solve_ilp), so slack and bound bookkeeping is exact.
+    The objective bound (partial objective plus sum of negative costs of
     unassigned variables) is saved and restored at decision points.
     `forest` (from _forest) lets forest_gap tighten that bound.  `order`
-    is the branching order of every search (_dfs).
+    is the branching order of the search (_dfs).
     """
 
     def __init__(self, costs, rows, fixed, forest):
@@ -105,6 +97,8 @@ class _State:
             bound - sum(a for a in cmap.values() if a < 0) for cmap, bound in rows
         ]
         self.bound = sum(c for c in costs if c < 0)
+        # what setting a variable to 0 or to 1 adds to the bound
+        self.raise_by = ([max(-c, 0) for c in costs], [max(c, 0) for c in costs])
         self.trail = []
         queue = []
         for v, val in sorted(fixed.items()):
@@ -113,10 +107,10 @@ class _State:
         if not self._drain(queue):
             raise CmcError("mode restriction is infeasible")
         self.forest, self.forest_roots = self._free_forest(forest)
-        # the branching order: decreasing |cost|, then index.  Once the
-        # variable at order[gapless - 1] is set, every selection in the
-        # forest is set and forest_gap is 0.
-        self.order = sorted(range(self.n), key=lambda v: (-abs(costs[v]), v))
+        # the branching order: decreasing |cost|, in which no two lexed
+        # costs tie.  Once the variable at order[gapless - 1] is set,
+        # every selection in the forest is set and forest_gap is 0.
+        self.order = sorted(range(self.n), key=lambda v: -abs(costs[v]))
         at = {v: k for k, v in enumerate(self.order)}
         self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
@@ -125,8 +119,7 @@ class _State:
             return self.value[v] == val
         self.value[v] = val
         self.trail.append(v)
-        c = self.costs[v]
-        self.bound += max(c, 0) if val else max(-c, 0)
+        self.bound += self.raise_by[val][v]
         for r, used0, used1 in self.var_rows[v]:
             delta = used1 if val else used0
             if delta:
@@ -246,9 +239,9 @@ def _dfs(state, limit, clock, leaf):
     first, and cuts a subtree when its bound, or its bound plus forest
     gap, exceeds `limit`, which leaves no leaf within limit.  Calls
     leaf() at every leaf reached, with the state at that leaf; leaf
-    returns the limit to go on with, or None to stop there.  The state
-    is left at that leaf, or as given once the search is done.
-    clock.tick() raises _Timeout when the deadline has passed.
+    returns the limit to go on with.  The state is left as given once
+    the search is done.  clock.tick() raises _Timeout when the deadline
+    has passed.
     """
     n, order, gapless = state.n, state.order, state.gapless
     tick = clock.tick if clock is not None else lambda: None
@@ -286,7 +279,7 @@ def _dfs(state, limit, clock, leaf):
             pos += 1
         if pos == n:
             limit = leaf()
-            if limit is None or not advance():
+            if not advance():
                 return
             continue
         v = order[pos]
@@ -296,33 +289,22 @@ def _dfs(state, limit, clock, leaf):
             return
 
 
-def _first_leaf(state, z, clock):
-    """The first leaf of cost <= z below `state` in cost order, or None.
-
-    `state` is left as given.
-    """
-    found = None
-
-    def stop():
-        nonlocal found
-        found = list(state.value)
-
-    mark, saved_bound = len(state.trail), state.bound
-    _dfs(state, z, clock, stop)
-    state.undo_to(mark, saved_bound)
-    return found
-
-
 def _check_costs(crag, costs, ids, edges):
     if set(costs.f) != set(ids):
         raise KeyMismatch("f keys do not match the candidates")
     if set(costs.g) != set(edges):
         raise KeyMismatch("g keys do not match the adjacency edges")
-    # NaN makes every bound comparison false, so no optimum would be meaningful
+    # _exact_costs needs finite floats: NaN and infinities have no ratio
     for table in (costs.f, costs.g):
         for key, cost in table.items():
-            if not math.isfinite(cost):
-                raise CmcError(f"cost {cost!r} of {key} is not finite")
+            try:
+                finite = math.isfinite(cost)
+            except (TypeError, OverflowError):  # no number, or an int past float
+                finite = False
+            if not finite:
+                # repr of an int past 4300 digits would raise
+                shown = repr(cost) if isinstance(cost, float) else type(cost).__name__
+                raise CmcError(f"cost of {key} is not a finite number: {shown}")
 
 
 def _exact_costs(costs, ids, edges):
@@ -334,8 +316,9 @@ def _exact_costs(costs, ids, edges):
     """
     values = [float(costs.f[i]) for i in ids] + [float(costs.g[e]) for e in edges]
     ratios = [v.as_integer_ratio() for v in values]
-    scale = max((q for _, q in ratios), default=1)
-    return [p * (scale // q) for p, q in ratios]
+    # every q is a power of two, so p * (scale // q) is a shift
+    top = max((q.bit_length() for _, q in ratios), default=1)
+    return [p << (top - q.bit_length()) for p, q in ratios]
 
 
 def _build_rows(crag, var_y, var_m, pool):
@@ -355,47 +338,28 @@ def _build_rows(crag, var_y, var_m, pool):
 def _solve_ilp(costs, rows, fixed, forest, clock):
     """The lex-smallest feasible assignment of least cost (module docstring).
 
-    `costs` are ints (_exact_costs).  Raises _Timeout carrying the
-    optimizing pass's best assignment so far (None before the first)
-    when the clock runs out.
+    `costs` are ints (_exact_costs).  One search over the lexed costs
+    keeps every leaf below the incumbent and returns the last, or the
+    empty assignment when no leaf beats its 0.  Raises _Timeout carrying
+    the incumbent (None before the first) when the clock runs out.
     """
     n = len(costs)
-    state = _State(costs, rows, fixed, forest)
-    # The optimizing pass keeps the first leaf of each strictly smaller
-    # cost, as a pass cutting at bound >= ub would, and `near`, the
-    # smallest cost of any other leaf.  Until some other leaf ties ub, it
-    # cuts only above ub, so it cannot miss a tie of the incumbent; once
-    # one does, it cuts at bound >= ub.  near starts at the empty
-    # assignment's 0, so an optimum of 0 always walks.
-    ub, best, near = 0, None, 0
+    # the weights 2**(n - 1 - v) sum to less than one unit of c << n, so
+    # they only break ties, and a smaller weight sum is a lex-smaller x
+    lexed = [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
+    state = _State(lexed, rows, fixed, forest)
+    best = None
 
     def improve():
-        nonlocal ub, best, near
-        if state.bound < ub:
-            near = min(near, ub)
-            ub, best = state.bound, list(state.value)
-        else:
-            near = min(near, state.bound)
-        return ub - 1 if near == ub else ub
+        nonlocal best
+        best = list(state.value)
+        return state.bound - 1
 
     try:
         _dfs(state, -1, clock, improve)
-        x = best if best is not None else [0] * n
-        if near > ub:
-            return x
-        # walk; the finished pass left `state` at the root
-        for v in range(n):
-            if state.value[v] is not None:
-                continue
-            if x[v]:
-                mark, saved_bound = len(state.trail), state.bound
-                if state.propagate(v, 0):
-                    x = _first_leaf(state, ub, clock) or x
-                state.undo_to(mark, saved_bound)
-            state.propagate(v, x[v])
-        return x
     except _Timeout:
         raise _Timeout(best) from None
+    return best if best is not None else [0] * n
 
 
 def separate_path_constraints(crag, solution):

@@ -1,12 +1,14 @@
-"""Hypothesis properties over malformed costs.json and solution.json.
+"""Hypothesis properties over malformed costs.json, solution.json and
+features.json.
 
 Each object drawn here is a valid file of the quad graph broken in one
 way: a non-finite or out-of-range number, a value of the wrong JSON
 type, a missing or mistyped member, a key that is no id or edge, two
-keys naming one id or edge, or keys that do not match the CRAG.  Each
-must raise a CmcError, from the loader or from the step that first
-meets the CRAG (solve for costs, validate_solution for a solution), and
-`cmc solve` must exit 1 with `error:`, never a traceback.
+keys naming one id or edge, keys that do not match the CRAG, or a
+feature vector of the wrong length.  Each must raise a CmcError, from
+the loader or from the step that first meets the CRAG (solve for costs,
+validate_solution for a solution), and `cmc solve` and `cmc costs` must
+exit 1 with `error:` and write nothing, never a traceback.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +31,19 @@ from cmc.crag import (
     validate_solution,
 )
 from cmc.errors import CmcError
+from cmc.features import compute_features, features_from_json, features_to_json
+from cmc.pipeline import model_to_json, train_from_instances
 from cmc.solver import solve
 
-from util import quad_costs, quad_crag
+from util import quad_costs, quad_crag, quad_gt
 
 CRAG = quad_crag()
 COSTS = costs_to_json(quad_costs(CRAG))
 SOLUTION = solution_to_json(solve(CRAG, quad_costs(CRAG)))
+_rng = np.random.default_rng(23)
+_feats = compute_features(CRAG, _rng.random((4, 4)), _rng.random((4, 4)))
+FEATURES = features_to_json(*_feats)
+MODEL = model_to_json(train_from_instances([(CRAG, *_feats, quad_gt())], 3, 0))
 # stands for the number 1e400 (inf once parsed) until _text writes it
 HUGE = "<1e400>"
 
@@ -47,6 +56,9 @@ NOT_A_NUMBER = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
 )
 BEYOND_INT64 = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1))
+BEYOND_FLOAT = st.one_of(
+    st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024))
+)
 NOT_AN_OBJECT = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=3),
     st.lists(st.integers(), max_size=2),
@@ -113,6 +125,43 @@ BROKEN_SOLUTION = _broken(
 )
 
 
+@st.composite
+def _broken_features(draw):
+    """FEATURES with one defect in its vectors or its two tables."""
+    obj = json.loads(json.dumps(FEATURES))
+    defect = draw(st.sampled_from([
+        "bad number", "not a list", "wrong length", "missing member",
+        "member not an object", "not an object", "alias",
+    ]))
+    table = draw(st.sampled_from(["nodes", "edges"]))
+    key = draw(st.sampled_from(sorted(obj[table])))
+    vector = obj[table][key]
+    if defect == "bad number":
+        at = draw(st.integers(0, len(vector) - 1))
+        vector[at] = draw(st.one_of(
+            NON_FINITE, BEYOND_FLOAT, st.booleans(), st.text(max_size=3), st.none()
+        ))
+    elif defect == "not a list":
+        obj[table][key] = draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+        ))
+    elif defect == "wrong length":
+        if draw(st.booleans()):
+            vector.extend([0.0] * draw(st.integers(1, 3)))
+        else:
+            del vector[draw(st.integers(0, len(vector) - 1)):]
+    elif defect == "missing member":
+        del obj[table]
+    elif defect == "member not an object":
+        obj[table] = draw(NOT_AN_OBJECT)
+    elif defect == "not an object":
+        obj = draw(st.one_of(NOT_AN_OBJECT, st.just([obj])))
+    else:
+        obj[table][_alias(key)] = vector
+    return obj
+
+
 def _text(obj):
     """JSON text of obj as a file would hold it: NaN and Infinity as
     Python's json writes them, HUGE as the literal 1e400."""
@@ -123,6 +172,8 @@ def test_valid_files_load():
     """The files the defects start from are valid."""
     solve(CRAG, costs_from_json(json.loads(_text(COSTS))))
     assert validate_solution(CRAG, solution_from_json(json.loads(_text(SOLUTION)))) == []
+    node_feats, edge_feats = features_from_json(json.loads(_text(FEATURES)))
+    assert node_feats.keys() == _feats[0].keys() and edge_feats.keys() == _feats[1].keys()
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -156,3 +207,32 @@ def test_cli_solve_on_malformed_costs_exits_1(obj):
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert not os.path.exists(paths["solution.json"])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_broken_features())
+def test_malformed_features_raise_cmc_error(obj):
+    with pytest.raises(CmcError):
+        features_from_json(json.loads(_text(obj)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_broken_features())
+def test_cli_costs_on_malformed_features_exits_1(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("crag.json", "model.json", "features.json", "costs.json")}
+        for name, content in (("crag.json", crag_to_json(CRAG)), ("model.json", MODEL)):
+            with open(paths[name], "w") as fh:
+                json.dump(content, fh)
+        with open(paths["features.json"], "w") as fh:
+            fh.write(_text(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["costs", "--model", paths["model.json"],
+                         "--crag", paths["crag.json"],
+                         "--features", paths["features.json"],
+                         "--out", paths["costs.json"]])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert not os.path.exists(paths["costs.json"])

@@ -369,17 +369,23 @@ def test_timeout_returns_feasible_incumbent():
     assert sol.objective <= 0.0
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), 10**400, 10**5000, "x", None],
+    ids=["nan", "inf", "10**400", "10**5000", "str", "None"],
+)
 def test_non_finite_cost_rejected(bad):
+    """An int past the float range, a string and None used to escape as
+    OverflowError or TypeError from math.isfinite."""
     crag = quad_crag()
     for table in ("f", "g"):
         costs = quad_costs(crag)
         key = next(iter(getattr(costs, table)))
         getattr(costs, table)[key] = bad
-        with pytest.raises(CmcError):
-            solve(crag, costs)
-        with pytest.raises(CmcError):
-            brute_force(crag, costs)
+        for oracle in (solve, brute_force):
+            with pytest.raises(CmcError) as info:
+                oracle(crag, costs)
+            assert f"cost of {key} is not a finite number" in str(info.value)
 
 
 def test_separation_equals_validate_path_violations():
@@ -432,10 +438,10 @@ def _tie_costs(draw, n, family, rng):
 
 
 @st.composite
-def _crag_and_tie_costs(draw, families):
+def _crag_and_tie_costs(draw, families, budget=26):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    crag = random_crag(rng)
+    crag = random_crag(rng, budget)
     ids, edges = crag.ids(), list(crag.adjacency)
     family = draw(st.sampled_from(families))
     values = _tie_costs(draw, len(ids) + len(edges), family, rng)
@@ -526,18 +532,24 @@ def test_costs_over_a_wide_exponent_range():
 @given(_crag_and_tie_costs(("unit", "k/1024", "pairs", "wide")))
 def test_bound_is_the_exact_sum_at_every_leaf(case):
     """At every leaf that a search of the solve reaches, state.bound is
-    an int: the costs' common scale times the exact sum of the selected
-    costs, recomputed here in Fractions."""
+    an int: the lexed sum of the selected variables, that is the costs'
+    common scale times their exact sum times 2**n plus 2**(n - 1 - v)
+    per selected v, recomputed here in Fractions."""
     crag, costs = case
     ids, edges = crag.ids(), list(crag.adjacency)
     exact = [Fraction(costs.f[i]) for i in ids] + [Fraction(costs.g[e]) for e in edges]
     scale = max(c.denominator for c in exact)
+    n = len(exact)
     dfs = solver._dfs
 
     def spy(state, limit, clock, leaf):
         def checked():
             assert type(state.bound) is int and type(state.forest_gap()) is int
-            assert state.bound == scale * sum(c for c, x in zip(exact, state.value) if x)
+            chosen = [v for v, x in enumerate(state.value) if x]
+            assert state.bound == (
+                scale * sum(exact[v] for v in chosen) * 2**n
+                + sum(Fraction(2) ** (n - 1 - v) for v in chosen)
+            )
             return leaf()
 
         return dfs(state, limit, clock, checked)
@@ -585,18 +597,12 @@ def _unique_optimum():
     return crag, quad_costs(crag)
 
 
-def _tie_walk():
-    """y1 alone and the root 3 alone both cost -1; x* takes y1."""
+def _tied_optima():
+    """y1 alone and the root 3 alone both cost -1; y1 is lex-smaller."""
     cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))]
     labels = np.array([[1, 1, 1, 1], [1, 1, 2, 2]])
     crag = build_crag(cands, [(1, 2)], [(1, 3), (2, 3)], labels)
     return crag, CostTable({1: -1.0, 2: 1.0, 3: -1.0}, {(1, 2): 1.0})
-
-
-TIE_BRANCHES = {
-    "unique optimum": _unique_optimum,
-    "tie walk": _tie_walk,
-}
 
 
 def _optima(cvec, rows):
@@ -615,33 +621,47 @@ def _optima(cvec, rows):
     return [row for row, total in zip(feasible.tolist(), sums) if total == z]
 
 
-@pytest.mark.parametrize("branch", sorted(TIE_BRANCHES))
-def test_tie_break_branch(branch, monkeypatch):
-    """Each instance takes the named branch in its first round: exact
-    enumeration finds one optimum or several, and the walk searches
-    only when there are several.  The round returns the lex-smallest
-    optimum, and the solve is brute_force's."""
-    crag, costs = TIE_BRANCHES[branch]()
+def _first_round(crag, costs):
+    """The first round's single search over the lexed costs, and the
+    least-cost assignments that exact enumeration finds."""
     ids, edges = crag.ids(), list(crag.adjacency)
     var_y, var_m, cvec = _program(crag, costs)
     rows = _build_rows(crag, var_y, var_m, [])
-    optima = _optima(cvec, rows)
-    searches = []
-    first_leaf = solver._first_leaf
-
-    def spy(state, z, clock):
-        searches.append(z)
-        return first_leaf(state, z, clock)
-
-    monkeypatch.setattr(solver, "_first_leaf", spy)
     got = _solve_ilp(
         _exact_costs(costs, ids, edges), rows, {}, _forest(crag, var_y, var_m), None
     )
-    taken = {
-        "unique optimum": len(optima) == 1 and not searches,
-        "tie walk": len(optima) > 1 and bool(searches),
-    }
+    return got, _optima(cvec, rows)
+
+
+TIE_BRANCHES = {
+    "unique optimum": _unique_optimum,
+    "tie walk": _tied_optima,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(TIE_BRANCHES))
+def test_tie_break_branch(branch):
+    """Exact enumeration finds one optimum on the "unique optimum"
+    instance and several tied ones on the "tie walk" instance; on both
+    the first round's single search returns the lex-smallest optimum,
+    and the solve is brute_force's."""
+    crag, costs = TIE_BRANCHES[branch]()
+    got, optima = _first_round(crag, costs)
+    taken = {"unique optimum": len(optima) == 1, "tie walk": len(optima) > 1}
     assert [b for b, holds in taken.items() if holds] == [branch]
+    assert got == optima[0]
+    assert solve(crag, costs) == brute_force(crag, costs)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_crag_and_tie_costs(("unit", "k/1024", "zero", "pairs"), budget=14))
+def test_first_round_is_the_lex_smallest_optimum(case):
+    """The first round's single search over the lexed costs returns the
+    lex-smallest of the least-cost assignments that exact enumeration
+    finds, whether there is one optimum or many, and the solve is
+    brute_force's."""
+    crag, costs = case
+    got, optima = _first_round(crag, costs)
     assert got == optima[0]
     assert solve(crag, costs) == brute_force(crag, costs)
 
@@ -683,7 +703,7 @@ FLOAT_SUM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FLOAT_SUM_CASES))
 def test_solve_equals_brute_force_where_float_sums_disagree(case):
-    """Instances on which the optimizing pass's x*, summed in float in
+    """Instances on which a float-summing solver's optimum x*, summed in
     index order, came out above its own z*, so a tie-break on such sums
     passed over x*: once with another tied assignment to take instead,
     once with none.  Under exact sums they are plain instances."""
@@ -714,35 +734,37 @@ def test_solver_hard_large_graph_is_solved_to_optimality():
     assert validate_solution(crag, sol) == []
 
 
-def test_timeout_during_the_tie_walk(monkeypatch):
-    """A multicut with tied merge costs, so its solve walks for ties.
-    The spy on the walk's search expires the solve's clock at the first
-    walk search and makes the next tick read it, so the deadline passes
-    inside a walk search on any host.  The walk's searches share the
-    solve's clock, so the answer comes back at once."""
+def test_timeout_at_the_first_incumbent(monkeypatch):
+    """A multicut with tied merge costs.  The spy on the search's leaf
+    hook expires the solve's clock at the first incumbent and makes the
+    next tick read it, so the deadline passes inside the search on any
+    host, and the answer comes back at once."""
     rng = np.random.default_rng(76)
     crag = pixel_grid_crag(7, 8)
     costs = CostTable(
         f={i: -1.0 for i in crag.ids()},
         g={e: float(rng.choice((-1.0, 0.0, 1.0))) for e in crag.adjacency},
     )
-    expired_at, expired_in_walk = [], []
-    first_leaf = solver._first_leaf
+    expired_at, expired_in_search = [], []
+    dfs = solver._dfs
 
-    def spy(state, z, clock):
-        if not expired_at:
-            clock.deadline = time.monotonic() - 1.0
-            clock.ticks |= 1023  # the next tick reads the clock
-            expired_at.append(time.monotonic())
+    def spy(state, limit, clock, leaf):
+        def expire():
+            if not expired_at:
+                clock.deadline = time.monotonic() - 1.0
+                clock.ticks |= 1023  # the next tick reads the clock
+                expired_at.append(time.monotonic())
+            return leaf()
+
         try:
-            return first_leaf(state, z, clock)
+            return dfs(state, limit, clock, expire)
         except solver._Timeout:
-            expired_in_walk.append(True)
+            expired_in_search.append(True)
             raise
 
-    monkeypatch.setattr(solver, "_first_leaf", spy)
+    monkeypatch.setattr(solver, "_dfs", spy)
     sol = solve(crag, costs, time_limit=60.0)
-    assert expired_in_walk
+    assert expired_in_search
     assert time.monotonic() - expired_at[0] < 0.5
     assert sol.optimal is False
     assert validate_solution(crag, sol) == []
