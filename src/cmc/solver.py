@@ -7,15 +7,21 @@ optimum, and re-solves until none remain.
 Costs are summed exactly: solve turns them into ints on one common
 power-of-two scale (_exact_costs), so every bound, leaf objective and
 comparison below is exact and independent of the order of summation.
-The inner program is solved by depth-first branch-and-bound with
-constraint propagation (_dfs).  Its bound is the partial objective plus
-every negative cost still open, less what the merge forest rules out
+The inner program is solved by depth-first branch-and-bound with unit
+propagation (_dfs).  Its bound is the partial objective plus every
+negative cost still open, less what the merge forest rules out
 (_State.forest_gap).
+
+The overlap and incidence constraints only ever force one literal from
+another, so they propagate as implication lists (_implications) with no
+slack to keep; the separated path cuts are the only rows with slack.
+One _State serves all rounds of a solve: each search leaves it at its
+root, where the next round's path rows are appended (_State.add_rows).
 
 Each round returns the lexicographically smallest (y, m) bit vector
 among the feasible assignments whose exact cost sum is minimal, which is
 the one feasible assignment of least lexed sum, the sum over its n
-variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_solve_ilp).
+variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _solve_ilp).
 
 brute_force provides an independent oracle for small instances.
 """
@@ -72,30 +78,34 @@ class _Clock:
 
 
 class _State:
-    """Assignment trail over binary variables with <=-row propagation.
+    """Assignment trail over binary variables with unit propagation.
 
-    Rows carry integer coefficients and bounds, and costs are ints (the
-    lexed costs of _solve_ilp), so slack and bound bookkeeping is exact.
+    The overlap and incidence constraints propagate as implications
+    (_implications): implied[val][v] is (value, variables), every one of
+    the variables forced to value once v is set to val.  The path rows
+    (_path_rows) are the only <=-rows.  They carry integer coefficients
+    and bounds and keep their slack: setting a variable charges the
+    rows it uses slack of, undo_to refunds the same rows.  Costs are
+    ints (the lexed costs of solve), so all bookkeeping is exact.
+
     The objective bound (partial objective plus sum of negative costs of
     unassigned variables) is saved and restored at decision points.
     `forest` (from _forest) lets forest_gap tighten that bound.  `order`
-    is the branching order of the search (_dfs).
+    is the branching order of the search (_dfs).  One state serves every
+    round of a solve: each search leaves it at its root, and add_rows
+    appends the round's path rows there.
     """
 
-    def __init__(self, costs, rows, fixed, forest):
+    def __init__(self, costs, implied, fixed, forest):
         self.costs = costs
         self.n = len(costs)
-        # per row its (variable, coefficient) terms; per variable its
-        # (row, slack used at 0, slack used at 1)
-        self.terms = [tuple(cmap.items()) for cmap, _ in rows]
-        self.var_rows = [[] for _ in range(self.n)]
-        for ridx, (cmap, _) in enumerate(rows):
-            for v, a in cmap.items():
-                self.var_rows[v].append((ridx, max(-a, 0), max(a, 0)))
+        self.implied = implied
+        # per row its (variable, coefficient) terms and its slack; per
+        # value and variable the (row, slack used) of each row it uses
+        self.terms = []
+        self.slack = []
+        self.charges = ([[] for _ in costs], [[] for _ in costs])
         self.value = [None] * self.n
-        self.slack = [
-            bound - sum(a for a in cmap.values() if a < 0) for cmap, bound in rows
-        ]
         self.bound = sum(c for c in costs if c < 0)
         # what setting a variable to 0 or to 1 adds to the bound
         self.raise_by = ([max(-c, 0) for c in costs], [max(c, 0) for c in costs])
@@ -114,20 +124,56 @@ class _State:
         at = {v: k for k, v in enumerate(self.order)}
         self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
+    def add_rows(self, rows):
+        """Append (coefficients, bound) <=-rows at the root, propagate them.
+
+        Each new row is charged for the variables already set, then what
+        the rows force is set.  Raises CmcError when that breaks a row.
+        The free forest stays as the constructor cut it, which bounds as
+        well with more variables set.  In solve it never changes: the
+        root fixes only what the mode restriction forces, none of that
+        lies on a violated path, so path rows force nothing there.
+        """
+        value, charges = self.value, self.charges
+        new = range(len(self.slack), len(self.slack) + len(rows))
+        ok = True
+        for r, (cmap, bound) in zip(new, rows):
+            terms = tuple(cmap.items())
+            slack = bound
+            for v, a in terms:
+                used = (max(-a, 0), max(a, 0))
+                slack += used[0]
+                for val in (0, 1):
+                    if used[val]:
+                        charges[val][v].append((r, used[val]))
+                if value[v] is not None:
+                    slack -= used[value[v]]
+            self.terms.append(terms)
+            self.slack.append(slack)
+            ok = ok and slack >= 0
+        queue = []
+        if not (
+            ok and all(self._force_row(r, queue) for r in new) and self._drain(queue)
+        ):
+            raise CmcError("the path rows are infeasible at the root")
+
     def _set(self, v, val, queue):
-        if self.value[v] is not None:
-            return self.value[v] == val
+        """v := val on a free v: charge its rows, queue it for _drain.
+
+        Every row of v is charged, so undo_to refunds exactly what was
+        charged.  Returns False when a row's slack falls below 0.
+        """
         self.value[v] = val
         self.trail.append(v)
         self.bound += self.raise_by[val][v]
-        for r, used0, used1 in self.var_rows[v]:
-            delta = used1 if val else used0
-            if delta:
-                self.slack[r] -= delta
-                if self.slack[r] < 0:
-                    return False
-                queue.append(r)
-        return True
+        queue.append(v)
+        ok = True
+        slack = self.slack
+        for r, used in self.charges[val][v]:
+            slack[r] -= used
+            if slack[r] < 0:
+                ok = False
+        return ok
 
     def _force_row(self, r, queue):
         for u, a in self.terms[r]:
@@ -143,9 +189,30 @@ class _State:
         return True
 
     def _drain(self, queue):
+        """Unit propagation from the queued variables; False on a conflict."""
+        value, implied, charges = self.value, self.implied, self.charges
+        trail, raise_by = self.trail, self.raise_by
         while queue:
-            if not self._force_row(queue.pop(), queue):
-                return False
+            v = queue.pop()
+            val = value[v]
+            to, targets = implied[val][v]
+            for u in targets:
+                have = value[u]
+                if have is None:
+                    if charges[to][u]:
+                        if not self._set(u, to, queue):
+                            return False
+                    else:  # _set without rows to charge or to force
+                        value[u] = to
+                        trail.append(u)
+                        self.bound += raise_by[to][u]
+                        if implied[to][u][1]:
+                            queue.append(u)
+                elif have != to:
+                    return False
+            for r, _ in charges[val][v]:
+                if not self._force_row(r, queue):
+                    return False
         return True
 
     def propagate(self, v, val):
@@ -221,14 +288,13 @@ class _State:
         return taken
 
     def undo_to(self, mark, saved_bound):
-        while len(self.trail) > mark:
-            v = self.trail.pop()
-            val = self.value[v]
-            self.value[v] = None
-            for r, used0, used1 in self.var_rows[v]:
-                delta = used1 if val else used0
-                if delta:
-                    self.slack[r] += delta
+        value, slack, charges = self.value, self.slack, self.charges
+        trail = self.trail
+        for v in trail[mark:]:
+            for r, used in charges[value[v]][v]:
+                slack[r] += used
+            value[v] = None
+        del trail[mark:]
         self.bound = saved_bound
 
 
@@ -321,33 +387,73 @@ def _exact_costs(costs, ids, edges):
     return [p << (top - q.bit_length()) for p, q in ratios]
 
 
-def _build_rows(crag, var_y, var_m, pool):
-    rows = []
+def _implications(crag, var_y, var_m):
+    """The overlap and incidence constraints as implied literals.
+
+    implied[val][v] is (value, variables): v = val forces each of the
+    variables to value.  y_a = 1 forces 0 on every candidate that shares
+    a conflict clique with a (sum of y <= 1 over the clique); y_i = 0
+    forces 0 on the merge of every edge at i, and m_e = 1 forces 1 on
+    both its ends (2 m_e <= y_i + y_j).  These are all the literals that
+    the rows force, so y_i = 1 and m_e = 0 force nothing.
+    """
+    n = len(var_y) + len(var_m)
+    mates = {v: set() for v in var_y.values()}
     for clique in conflict_cliques(crag):
-        if len(clique) > 1:
-            rows.append(({var_y[i]: 1 for i in sorted(clique)}, 1))
-    for e in crag.adjacency:
-        rows.append(({var_m[e]: 2, var_y[e[0]]: -1, var_y[e[1]]: -1}, 0))
-    for pc in pool:
+        for i in clique:
+            mates[var_y[i]].update(var_y[j] for j in clique if j != i)
+    merges_at = {v: [] for v in var_y.values()}
+    implied = ([(0, ())] * n, [(0, ())] * n)
+    for (i, j), m in var_m.items():
+        merges_at[var_y[i]].append(m)
+        merges_at[var_y[j]].append(m)
+        implied[1][m] = (1, (var_y[i], var_y[j]))
+    for v, others in mates.items():
+        implied[1][v] = (0, tuple(sorted(others)))
+        implied[0][v] = (0, tuple(merges_at[v]))
+    return implied
+
+
+def _mode_fixed(crag, mode, var_y, var_m):
+    """The variables a mode pins to 0: every merge in merge_tree_only,
+    every non-leaf selection in leaf_multicut_only."""
+    if mode == "merge_tree_only":
+        return {v: 0 for v in var_m.values()}
+    if mode == "leaf_multicut_only":
+        leaves = set(crag.leaves())
+        return {v: 0 for i, v in var_y.items() if i not in leaves}
+    return {}
+
+
+def _path_rows(cuts, var_m):
+    """Each path cut as a <=-row: the merges along the path, less the
+    bypassed edge's, sum to at most the path's length less one."""
+    rows = []
+    for pc in cuts:
         cmap = {var_m[e]: 1 for e in pc.path}
         cmap[var_m[pc.bypassed_edge]] = -1
         rows.append((cmap, len(pc.path) - 1))
     return rows
 
 
-def _solve_ilp(costs, rows, fixed, forest, clock):
+def _lexed(costs):
+    """The exact int costs with the lex tie-break folded in (module
+    docstring): the weights 2**(n - 1 - v) sum to less than one unit of
+    c << n, so they only break ties, and a smaller weight sum is a
+    lex-smaller x."""
+    n = len(costs)
+    return [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
+
+
+def _solve_ilp(state, clock):
     """The lex-smallest feasible assignment of least cost (module docstring).
 
-    `costs` are ints (_exact_costs).  One search over the lexed costs
-    keeps every leaf below the incumbent and returns the last, or the
-    empty assignment when no leaf beats its 0.  Raises _Timeout carrying
-    the incumbent (None before the first) when the clock runs out.
+    `state` holds the lexed costs (_lexed) and is at its root.  One
+    search keeps every leaf below the incumbent and returns the last, or
+    the empty assignment when no leaf beats its 0, and leaves the state
+    at its root.  Raises _Timeout carrying the incumbent (None before
+    the first) when the clock runs out, which leaves the state mid-search.
     """
-    n = len(costs)
-    # the weights 2**(n - 1 - v) sum to less than one unit of c << n, so
-    # they only break ties, and a smaller weight sum is a lex-smaller x
-    lexed = [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
-    state = _State(lexed, rows, fixed, forest)
     best = None
 
     def improve():
@@ -359,7 +465,7 @@ def _solve_ilp(costs, rows, fixed, forest, clock):
         _dfs(state, -1, clock, improve)
     except _Timeout:
         raise _Timeout(best) from None
-    return best if best is not None else [0] * n
+    return best if best is not None else [0] * state.n
 
 
 def separate_path_constraints(crag, solution):
@@ -408,22 +514,18 @@ def solve(crag, costs, mode="full", time_limit=None):
     var_m = {e: len(ids) + k for k, e in enumerate(edges)}
     cvec = _exact_costs(costs, ids, edges)
 
-    fixed = {}
-    if mode == "merge_tree_only":
-        fixed = {var_m[e]: 0 for e in edges}
-    elif mode == "leaf_multicut_only":
-        leaves = set(crag.leaves())
-        fixed = {var_y[i]: 0 for i in ids if i not in leaves}
-
-    forest = _forest(crag, var_y, var_m)
+    state = _State(
+        _lexed(cvec),
+        _implications(crag, var_y, var_m),
+        _mode_fixed(crag, mode, var_y, var_m),
+        _forest(crag, var_y, var_m),
+    )
     clock = _Clock(time_limit)
-    pool = []
     iterations = 0
     while True:
         iterations += 1
-        rows = _build_rows(crag, var_y, var_m, pool)
         try:
-            assign = _solve_ilp(cvec, rows, fixed, forest, clock)
+            assign = _solve_ilp(state, clock)
         except _Timeout as exc:
             sol = _timeout_fallback(crag, costs, exc.assign, var_y, var_m)
             sol.iterations = iterations
@@ -433,7 +535,7 @@ def solve(crag, costs, mode="full", time_limit=None):
         if not violations:
             sol.iterations = iterations
             return sol
-        pool.extend(violations)
+        state.add_rows(_path_rows(violations, var_m))
 
 
 def _forest(crag, var_y, var_m):

@@ -20,9 +20,12 @@ from cmc.crag import (
 from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.solver import (
-    _build_rows,
     _exact_costs,
     _forest,
+    _implications,
+    _lexed,
+    _mode_fixed,
+    _path_rows,
     _solve_ilp,
     _State,
     brute_force,
@@ -34,6 +37,7 @@ from cmc.synth import generate_synthetic
 
 from util import (
     enumerate_minimum,
+    explicit_rows,
     leaf_image,
     pixel_grid_crag,
     quad_costs,
@@ -42,6 +46,8 @@ from util import (
     random_costs,
     random_crag,
     random_sparse_crag,
+    ref_slack,
+    ref_unit_propagation,
 )
 
 MODES = ("full", "merge_tree_only", "leaf_multicut_only")
@@ -158,12 +164,28 @@ def test_mode_nesting_random():
         assert full <= 0.0  # empty assignment is always feasible
 
 
-def _program(crag, costs):
+def _variables(crag):
+    """solve's variable indices: the selections, then the merges."""
     ids, edges = crag.ids(), list(crag.adjacency)
     var_y = {i: k for k, i in enumerate(ids)}
     var_m = {e: len(ids) + k for k, e in enumerate(edges)}
-    cvec = [costs.f[i] for i in ids] + [costs.g[e] for e in edges]
+    return var_y, var_m
+
+
+def _program(crag, costs):
+    var_y, var_m = _variables(crag)
+    cvec = [costs.f[i] for i in crag.ids()] + [costs.g[e] for e in crag.adjacency]
     return var_y, var_m, cvec
+
+
+def _state(crag, var_y, var_m, costs, fixed=None, cuts=()):
+    """A search state over `costs` as solve builds it, with the path
+    rows of `cuts` added at its root."""
+    state = _State(
+        costs, _implications(crag, var_y, var_m), fixed or {}, _forest(crag, var_y, var_m)
+    )
+    state.add_rows(_path_rows(cuts, var_m))
+    return state
 
 
 def test_forest_gap_on_quad():
@@ -172,8 +194,7 @@ def test_forest_gap_on_quad():
     f = {1: -1.0, 2: -1.0, 3: -1.0, 4: -1.0, 5: -3.0, 6: -1.0, 7: -2.0}
     costs = CostTable(f, {e: 1.0 for e in crag.adjacency})
     var_y, var_m, cvec = _program(crag, costs)
-    rows = _build_rows(crag, var_y, var_m, [])
-    state = _State(cvec, rows, {}, _forest(crag, var_y, var_m))
+    state = _state(crag, var_y, var_m, cvec)
     assert state.bound == -10.0
     assert state.forest_gap() == 5.0
     assert state.bound + state.forest_gap() == solve(crag, costs).objective
@@ -194,7 +215,7 @@ def test_forest_gap_bounds_every_completion():
         if n > 14:
             continue
         checked += 1
-        rows = _build_rows(crag, var_y, var_m, [])
+        rows = explicit_rows(crag, var_y, var_m, [])
         matrix = np.zeros((len(rows), n))
         for r, (cmap, _) in enumerate(rows):
             for v, a in cmap.items():
@@ -210,7 +231,7 @@ def test_forest_gap_bounds_every_completion():
             {var_y[i]: 0 for i in non_leaves},
         ):
             for _ in range(4):
-                state = _State(cvec, rows, fixed, _forest(crag, var_y, var_m))
+                state = _state(crag, var_y, var_m, cvec, fixed)
                 for v in rng.permutation(n).tolist():
                     agree = feasible.copy()
                     for u, val in enumerate(state.value):
@@ -263,18 +284,17 @@ def test_cutting_plane_iterations_monotone():
     var_m = {e: len(ids) + k for k, e in enumerate(edges)}
     cvec = _exact_costs(costs, ids, edges)
 
-    pool = []
+    state = _state(crag, var_y, var_m, _lexed(cvec))
     optima = []
     for _ in range(10):
-        rows = _build_rows(crag, var_y, var_m, pool)
-        assign = _solve_ilp(cvec, rows, {}, _forest(crag, var_y, var_m), None)
+        assign = _solve_ilp(state, None)
         y = {i: assign[v] for i, v in var_y.items()}
         m = {e: assign[v] for e, v in var_m.items()}
         optima.append(sum(c * x for c, x in zip(cvec, assign)))
         cons = separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
         if not cons:
             break
-        pool.extend(cons)
+        state.add_rows(_path_rows(cons, var_m))
     assert optima == [-5.0, -4.0]
     assert all(a <= b for a, b in zip(optima, optima[1:]))
 
@@ -565,6 +585,20 @@ def test_solve_equals_two_pass_reference_on_larger_instances():
     The digest pins (y, m, iterations) of all 441 solves as the previous
     release's two-pass solver gave them; no cost family here has ties to
     within rounding only, so exact sums keep every answer."""
+    digest = hashlib.sha256()
+    for crag, costs in _larger_instances():
+        for mode in MODES:
+            got = solve(crag, costs, mode=mode)
+            assert got.optimal
+            answer = (sorted(got.y.items()), sorted(got.m.items()), got.iterations)
+            digest.update(repr(answer).encode())
+    assert digest.hexdigest() == (
+        "c2b6953c010b341ab7637248d217b6dfaf8bddfc5163b89572121c679a0bf5ab"
+    )
+
+
+def _larger_instances():
+    """The 147 (crag, costs) pairs of the digest test above."""
     rng = np.random.default_rng(2024)
     crags = [random_sparse_crag(rng) for _ in range(40)]
     crags += [pixel_grid_crag(3, 4), pixel_grid_crag(4, 4), pixel_grid_crag(4, 5)]
@@ -572,7 +606,6 @@ def test_solve_equals_two_pass_reference_on_larger_instances():
     for seed in range(500, 506):
         _, boundary, _ = generate_synthetic(1, 3, 1.0, seed, image_size=96)[0]
         crags.append(build_graph(boundary, config))
-    digest = hashlib.sha256()
     for crag in crags:
         ids, edges = crag.ids(), list(crag.adjacency)
         n = len(ids) + len(edges)
@@ -581,15 +614,126 @@ def test_solve_equals_two_pass_reference_on_larger_instances():
             (rng.integers(-8, 9, size=n) / 8).tolist(),
             rng.normal(size=n).tolist(),
         ):
-            costs = CostTable(dict(zip(ids, values)), dict(zip(edges, values[len(ids):])))
-            for mode in MODES:
-                got = solve(crag, costs, mode=mode)
-                assert got.optimal
-                answer = (sorted(got.y.items()), sorted(got.m.items()), got.iterations)
-                digest.update(repr(answer).encode())
-    assert digest.hexdigest() == (
-        "c2b6953c010b341ab7637248d217b6dfaf8bddfc5163b89572121c679a0bf5ab"
-    )
+            yield crag, CostTable(dict(zip(ids, values)), dict(zip(edges, values[len(ids):])))
+
+
+def test_search_tree_is_pinned(monkeypatch):
+    """The digest test's 441 solves visit 7403 clock ticks in all: the
+    figure of the solver that kept every constraint as a slack row, so
+    propagating by implication lists changed the cost of a node and not
+    which nodes the search visits."""
+    clocks = []
+
+    class Clock(solver._Clock):
+        def __init__(self, time_limit):
+            super().__init__(time_limit)
+            clocks.append(self)
+
+    monkeypatch.setattr(solver, "_Clock", Clock)
+    for crag, costs in _larger_instances():
+        for mode in MODES:
+            solve(crag, costs, mode=mode)
+    assert len(clocks) == 441
+    assert sum(clock.ticks for clock in clocks) == 7403
+
+
+# ---------------------------------------------------------------------------
+# propagation
+
+
+def test_failed_set_charges_and_refunds_the_same_rows():
+    """A set that breaks one row still charges the variable's later rows,
+    so undo_to, which refunds all of them, restores every slack."""
+    rows = [({0: 1, 1: 1}, 1), ({0: 1, 2: 1}, 1)]
+    no_implications = ([(0, ())] * 3, [(0, ())] * 3)
+    state = _State([-1, -1, -1], no_implications, {}, ((), ()))
+    state.add_rows(rows)
+    mark, bound = len(state.trail), state.bound
+    queue = []
+    assert state._set(1, 1, queue)
+    assert not state._set(0, 1, queue)
+    assert state.slack == [ref_slack(row, state.value) for row in rows] == [-1, 0]
+    state.undo_to(mark, bound)
+    assert state.value == [None] * 3
+    assert state.slack == [ref_slack(row, state.value) for row in rows] == [1, 1]
+    assert state.bound == bound
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
+    """Overlap and incidence as implication lists, and the path cuts as
+    slack rows, propagate to what unit propagation over the explicit
+    rows reaches: the same conflict verdict, the same values and the
+    same path-row slack after each literal of a random partial
+    assignment, and undo_to returns to the root."""
+    rng = np.random.default_rng(seed)
+    crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
+    var_y, var_m = _variables(crag)
+    n = len(var_y) + len(var_m)
+    cuts = []
+    for density in (0.5, 0.8, 1.0):
+        y = {i: int(rng.random() < 0.8) for i in var_y}
+        m = {e: int(rng.random() < density) for e in var_m}
+        cuts += separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
+    rows = explicit_rows(crag, var_y, var_m, cuts)
+    path_rows = rows[len(rows) - len(cuts):]
+    fixed = _mode_fixed(crag, mode, var_y, var_m)
+    costs = rng.integers(-4, 5, size=n).tolist()
+    state = _state(crag, var_y, var_m, costs, fixed, cuts)
+    literals = sorted(fixed.items())
+    assert state.value == ref_unit_propagation(rows, n, literals)
+    root = (list(state.value), list(state.slack), state.bound, len(state.trail))
+    assert state.slack == [ref_slack(row, state.value) for row in path_rows]
+    for v in rng.permutation(n).tolist()[: int(rng.integers(1, n + 1))]:
+        val = int(rng.integers(2))
+        literals.append((v, val))
+        expect = ref_unit_propagation(rows, n, literals)
+        if state.value[v] is None:
+            holds = state.propagate(v, val)
+        else:
+            holds = state.value[v] == val
+        assert holds == (expect is not None)
+        if not holds:
+            break
+        assert state.value == expect
+        assert state.slack == [ref_slack(row, expect) for row in path_rows]
+        assert state.bound == sum(
+            c for c, x in zip(costs, expect) if x == 1 or (x is None and c < 0)
+        )
+    state.undo_to(root[3], root[2])
+    assert (state.value, state.slack, state.bound, len(state.trail)) == root
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_state_carried_across_rounds_equals_a_fresh_one(mode):
+    """Replays solve's rounds on one state: after add_rows, each round's
+    search returns what a fresh state over the same pool returns, in as
+    many clock ticks."""
+    rng = np.random.default_rng(15)
+    crags = [pixel_grid_crag(3, 3), pixel_grid_crag(3, 4)]
+    crags += [random_crag(rng) for _ in range(30)]
+    rounds = 0
+    for crag in crags:
+        var_y, var_m = _variables(crag)
+        lexed = _lexed(rng.integers(-4, 3, size=len(var_y) + len(var_m)).tolist())
+        fixed = _mode_fixed(crag, mode, var_y, var_m)
+        state = _state(crag, var_y, var_m, lexed, fixed)
+        pool = []
+        while True:
+            rounds += 1
+            carried, fresh = solver._Clock(None), solver._Clock(None)
+            got = _solve_ilp(state, carried)
+            assert got == _solve_ilp(_state(crag, var_y, var_m, lexed, fixed, pool), fresh)
+            assert carried.ticks == fresh.ticks
+            y = {i: got[v] for i, v in var_y.items()}
+            m = {e: got[v] for e, v in var_m.items()}
+            cuts = separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
+            if not cuts:
+                break
+            pool += cuts
+            state.add_rows(_path_rows(cuts, var_m))
+    assert rounds > len(crags) or mode == "merge_tree_only"
 
 
 def _unique_optimum():
@@ -626,11 +770,9 @@ def _first_round(crag, costs):
     least-cost assignments that exact enumeration finds."""
     ids, edges = crag.ids(), list(crag.adjacency)
     var_y, var_m, cvec = _program(crag, costs)
-    rows = _build_rows(crag, var_y, var_m, [])
-    got = _solve_ilp(
-        _exact_costs(costs, ids, edges), rows, {}, _forest(crag, var_y, var_m), None
-    )
-    return got, _optima(cvec, rows)
+    state = _state(crag, var_y, var_m, _lexed(_exact_costs(costs, ids, edges)))
+    got = _solve_ilp(state, None)
+    return got, _optima(cvec, explicit_rows(crag, var_y, var_m, []))
 
 
 TIE_BRANCHES = {

@@ -1,5 +1,6 @@
 """Shared test helpers: a small hand-built CRAG, random instances, a
-literal enumeration oracle used to cross-check the solver, and plain
+literal enumeration oracle used to cross-check the solver, the integer
+program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
 crag.json run-length encoding.
 
@@ -33,6 +34,7 @@ from cmc.crag import (
     Candidate,
     Solution,
     build_crag,
+    conflict_cliques,
     objective_value,
     validate_solution,
 )
@@ -455,3 +457,60 @@ def enumerate_minimum(crag, costs, mode="full"):
             best = (key, y, m)
     _, y, m = best
     return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
+
+
+# ---------------------------------------------------------------------------
+# the integer program as explicit rows, and unit propagation over them
+
+
+def explicit_rows(crag, var_y, var_m, cuts):
+    """(coefficients, bound) <=-rows: sum of y <= 1 per conflict clique,
+    2 m_e - y_i - y_j <= 0 per edge, and per path cut the merges along
+    the path less the bypassed edge's at most the path's length less one."""
+    rows = []
+    for clique in conflict_cliques(crag):
+        if len(clique) > 1:
+            rows.append(({var_y[i]: 1 for i in sorted(clique)}, 1))
+    for e in crag.adjacency:
+        rows.append(({var_m[e]: 2, var_y[e[0]]: -1, var_y[e[1]]: -1}, 0))
+    for cut in cuts:
+        cmap = {var_m[e]: 1 for e in cut.path}
+        cmap[var_m[cut.bypassed_edge]] = -1
+        rows.append((cmap, len(cut.path) - 1))
+    return rows
+
+
+def ref_slack(row, values):
+    """The row's bound less the least left-hand side over the completions
+    of `values` (None for a free variable)."""
+    cmap, bound = row
+    least = sum(
+        a * values[v] if values[v] is not None else min(a, 0)
+        for v, a in cmap.items()
+    )
+    return bound - least
+
+
+def ref_unit_propagation(rows, n, literals):
+    """Values of the n variables after unit propagation of the rows from
+    the (variable, value) literals, None for a free one; None instead of
+    the list when two literals disagree or a row cannot hold.  Sweeps
+    every row until a sweep sets nothing."""
+    values = [None] * n
+    for v, val in literals:
+        if values[v] is not None and values[v] != val:
+            return None
+        values[v] = val
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            slack = ref_slack(row, values)
+            if slack < 0:
+                return None
+            for v, a in row[0].items():
+                if values[v] is None and abs(a) > slack:
+                    values[v] = int(a < 0)
+                    changed = True
+                    slack = ref_slack(row, values)
+    return values
