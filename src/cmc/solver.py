@@ -130,9 +130,9 @@ class _State:
         Each new row is charged for the variables already set, then what
         the rows force is set.  Raises CmcError when that breaks a row.
         The free forest stays as the constructor cut it, which bounds as
-        well with more variables set.  In solve it never changes: the
-        root fixes only what the mode restriction forces, none of that
-        lies on a violated path, so path rows force nothing there.
+        well with more variables set.  In solve the root stays as it was:
+        it fixes only what the mode restriction forces, none of that lies
+        on a violated path, so path rows force nothing there.
         """
         value, charges = self.value, self.charges
         new = range(len(self.slack), len(self.slack) + len(rows))
@@ -216,6 +216,7 @@ class _State:
         return True
 
     def propagate(self, v, val):
+        """Set the free v to val and all it forces; False on a conflict."""
         queue = []
         return self._set(v, val, queue) and self._drain(queue)
 
