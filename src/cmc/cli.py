@@ -5,6 +5,11 @@ produced, inspected, and fed back individually; `pipeline` chains them
 for one image.  Exit code 0 on success, 1 on any error, 2 when the
 solver hit its time limit and returned a feasible but possibly
 suboptimal assignment.
+
+`solve` and `pipeline` print the objective, whether it is proven
+optimal, and `iterations`: 1 plus the number of candidate solutions
+that the search turned down because they broke path constraints
+(Solution.iterations).
 """
 
 import argparse

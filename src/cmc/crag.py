@@ -75,7 +75,10 @@ class Solution:
     """Binary assignment over one Crag: y per candidate, m per edge.
 
     `optimal` / `iterations` are solver bookkeeping; they do not take
-    part in equality and are not serialized.
+    part in equality and are not serialized.  `optimal` is False when
+    the solve stopped at its time limit.  `iterations` is 1 plus the
+    number of leaves that the solver's one search turned down because
+    they broke path constraints, whose cuts it then added.
     """
 
     y: dict

@@ -1,13 +1,16 @@
 """Exact minimization of the joint selection/clustering program.
 
-The outer loop solves the inner integer program (overlap, incidence,
-and pooled path rows), separates violated path constraints on its
-optimum, and re-solves until none remain.
+The path constraints are too many to state, so they are separated
+lazily inside one search (branch-and-cut): every leaf the search reaches
+is checked for violated paths.  A leaf without any becomes the
+incumbent; a leaf with some adds their rows to the search state where
+it stands, is turned down, and the search backtracks until the new rows
+can hold again.
 
 Costs are summed exactly: solve turns them into ints on one common
 power-of-two scale (_exact_costs), so every bound, leaf objective and
 comparison below is exact and independent of the order of summation.
-The inner program is solved by depth-first branch-and-bound with unit
+The program is solved by depth-first branch-and-bound with unit
 propagation (_dfs).  Its bound is the partial objective plus every
 negative cost still open, less what the merge forest rules out
 (_State.forest_gap).
@@ -15,13 +18,13 @@ negative cost still open, less what the merge forest rules out
 The overlap and incidence constraints only ever force one literal from
 another, so they propagate as implication lists (_implications) with no
 slack to keep; the separated path cuts are the only rows with slack.
-One _State serves all rounds of a solve: each search leaves it at its
-root, where the next round's path rows are appended (_State.add_rows).
 
-Each round returns the lexicographically smallest (y, m) bit vector
+The search returns the lexicographically smallest (y, m) bit vector
 among the feasible assignments whose exact cost sum is minimal, which is
 the one feasible assignment of least lexed sum, the sum over its n
 variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _solve_ilp).
+Every incumbent is feasible, and rows only ever cut off infeasible
+assignments, so the search is exact over the whole program.
 
 brute_force provides an independent oracle for small instances.
 """
@@ -56,9 +59,7 @@ class _Timeout(Exception):
 class _Clock:
     """One solve's deadline, read once every 1024 ticks.
 
-    Each round's search ticks once when it starts and once per node.
-    The rounds of a solve share the one counter, so many short rounds
-    read the clock as often as one long round.
+    The search ticks once when it starts and once per node.
     """
 
     def __init__(self, time_limit):
@@ -91,9 +92,8 @@ class _State:
     The objective bound (partial objective plus sum of negative costs of
     unassigned variables) is saved and restored at decision points.
     `forest` (from _forest) lets forest_gap tighten that bound.  `order`
-    is the branching order of the search (_dfs).  One state serves every
-    round of a solve: each search leaves it at its root, and add_rows
-    appends the round's path rows there.
+    is the branching order of the search (_dfs), which appends the path
+    rows it separates wherever it stands (add_rows).
     """
 
     def __init__(self, costs, implied, fixed, forest):
@@ -125,19 +125,15 @@ class _State:
         self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
     def add_rows(self, rows):
-        """Append (coefficients, bound) <=-rows at the root, propagate them.
+        """Append (coefficients, bound) <=-rows where the state stands.
 
-        Each new row is charged for the variables already set, then what
-        the rows force is set.  Raises CmcError when that breaks a row.
-        The free forest stays as the constructor cut it, which bounds as
-        well with more variables set.  In solve the root stays as it was:
-        it fixes only what the mode restriction forces, none of that lies
-        on a violated path, so path rows force nothing there.
+        Each new row is charged for the variables already set, so its
+        slack may be negative, and undo_to refunds it like any other
+        row.  Nothing is propagated: a row that breaks or forces is met
+        when the search sets its variables again (_dfs).
         """
         value, charges = self.value, self.charges
-        new = range(len(self.slack), len(self.slack) + len(rows))
-        ok = True
-        for r, (cmap, bound) in zip(new, rows):
+        for r, (cmap, bound) in enumerate(rows, len(self.slack)):
             terms = tuple(cmap.items())
             slack = bound
             for v, a in terms:
@@ -150,12 +146,6 @@ class _State:
                     slack -= used[value[v]]
             self.terms.append(terms)
             self.slack.append(slack)
-            ok = ok and slack >= 0
-        queue = []
-        if not (
-            ok and all(self._force_row(r, queue) for r in new) and self._drain(queue)
-        ):
-            raise CmcError("the path rows are infeasible at the root")
 
     def _set(self, v, val, queue):
         """v := val on a free v: charge its rows, queue it for _drain.
@@ -306,14 +296,20 @@ def _dfs(state, limit, clock, leaf):
     first, and cuts a subtree when its bound, or its bound plus forest
     gap, exceeds `limit`, which leaves no leaf within limit.  Calls
     leaf() at every leaf reached, with the state at that leaf; leaf
-    returns the limit to go on with.  The state is left as given once
-    the search is done.  clock.tick() raises _Timeout when the deadline
-    has passed.
+    returns the limit to go on with.  It may turn the leaf down by
+    appending rows that the leaf breaks (_State.add_rows): the search
+    then backtracks past every frame whose undo still leaves one of
+    them below 0 slack, since no completion of such a frame holds.  The
+    state is left as given, plus the rows, once the search is done.
+    clock.tick() raises _Timeout when the deadline has passed.
     """
     n, order, gapless = state.n, state.order, state.gapless
+    slack = state.slack
     tick = clock.tick if clock is not None else lambda: None
     frames = []
     pos = 0
+    # the rows the last leaf added, until every one of them holds again
+    broken = ()
 
     def over_budget(fpos):
         if state.bound > limit:
@@ -323,10 +319,15 @@ def _dfs(state, limit, clock, leaf):
         return state.bound + state.forest_gap() > limit
 
     def advance():
-        nonlocal pos
+        nonlocal pos, broken
         while frames:
             v, vals, mark, saved_bound, fpos = frames[-1]
             state.undo_to(mark, saved_bound)
+            if broken:
+                if any(slack[r] < 0 for r in broken):
+                    frames.pop()
+                    continue
+                broken = ()
             if vals:
                 val = vals.pop(0)
                 if state.propagate(v, val) and not over_budget(fpos):
@@ -345,7 +346,9 @@ def _dfs(state, limit, clock, leaf):
         while pos < n and state.value[order[pos]] is not None:
             pos += 1
         if pos == n:
+            rows = len(slack)
             limit = leaf()
+            broken = range(rows, len(slack))
             if not advance():
                 return
             continue
@@ -446,27 +449,59 @@ def _lexed(costs):
     return [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
 
 
-def _solve_ilp(state, clock):
+def _solve_ilp(state, clock, cuts):
     """The lex-smallest feasible assignment of least cost (module docstring).
 
-    `state` holds the lexed costs (_lexed) and is at its root.  One
-    search keeps every leaf below the incumbent and returns the last, or
-    the empty assignment when no leaf beats its 0, and leaves the state
-    at its root.  Raises _Timeout carrying the incumbent (None before
-    the first) when the clock runs out, which leaves the state mid-search.
+    `state` holds the lexed costs (_lexed) and is at its root.
+    cuts(value) returns the rows that a leaf's assignment breaks, none
+    when it is feasible.  One search keeps every feasible leaf below the
+    incumbent and returns the last, or the empty assignment when no leaf
+    beats its 0; every leaf that breaks rows adds them to the state and
+    is turned down.  Raises _Timeout carrying the incumbent (the empty
+    assignment before the first) when the clock runs out.
     """
-    best = None
+    best = [0] * state.n
+    limit = -1
 
-    def improve():
-        nonlocal best
-        best = list(state.value)
-        return state.bound - 1
+    def leaf():
+        nonlocal best, limit
+        rows = cuts(state.value)
+        if rows:
+            state.add_rows(rows)
+        else:
+            best = list(state.value)
+            limit = state.bound - 1
+        return limit
 
     try:
-        _dfs(state, -1, clock, improve)
+        _dfs(state, limit, clock, leaf)
     except _Timeout:
         raise _Timeout(best) from None
-    return best if best is not None else [0] * state.n
+    return best
+
+
+def _joins_an_unmerged_edge(value, ends):
+    """Whether the merged edges of a complete assignment join the ends of
+    an unmerged edge, which breaks a path cut.
+
+    The merge variables are the last len(ends) of `value`, and ends
+    holds the selection variables at the ends of each.  The groups are
+    kept in a union-find over the selection variables.
+    """
+    first = len(value) - len(ends)
+    merged = value[first:]
+    group = list(range(first))
+
+    def find(x):
+        while group[x] != x:
+            group[x] = group[group[x]]
+            x = group[x]
+        return x
+
+    for (a, b), x in zip(ends, merged):
+        if x:
+            group[find(a)] = find(b)
+    return any(not x and find(a) == find(b) for (a, b), x in zip(ends, merged))
 
 
 def separate_path_constraints(crag, solution):
@@ -486,14 +521,16 @@ def _assignment_to_solution(crag, costs, assign, var_y, var_m):
 def solve(crag, costs, mode="full", time_limit=None):
     """Global optimum of the selection/clustering objective.
 
-    Cutting-plane outer loop: solve with the pooled path constraints,
-    separate violations on the optimum, add them, re-solve; done when
-    none remain.  merge_tree_only pins every merge indicator to 0;
-    leaf_multicut_only pins selection to 0 for non-leaves (leaf
+    One branch-and-cut search (module docstring): path cuts are
+    separated at its leaves.  merge_tree_only pins every merge indicator
+    to 0; leaf_multicut_only pins selection to 0 for non-leaves (leaf
     selection stays free).  time_limit is None (no limit) or a finite
     number of seconds >= 0; anything else raises CmcError.  On timeout
-    the best feasible assignment found (possibly all-zero) is returned
-    with optimal=False.
+    the incumbent, the best feasible assignment found, is returned with
+    optimal=False, or the empty assignment when there is none yet; an
+    incumbent that fails validate_solution raises InfeasibleSolution.
+    The solution's iterations is 1 plus the number of leaves that the
+    search turned down for the path cuts they break.
     """
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
@@ -522,21 +559,30 @@ def solve(crag, costs, mode="full", time_limit=None):
         _forest(crag, var_y, var_m),
     )
     clock = _Clock(time_limit)
-    iterations = 0
-    while True:
-        iterations += 1
-        try:
-            assign = _solve_ilp(state, clock)
-        except _Timeout as exc:
-            sol = _timeout_fallback(crag, costs, exc.assign, var_y, var_m)
-            sol.iterations = iterations
-            return sol
-        sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
-        violations = separate_path_constraints(crag, sol)
-        if not violations:
-            sol.iterations = iterations
-            return sol
-        state.add_rows(_path_rows(violations, var_m))
+    ends = [(var_y[i], var_y[j]) for i, j in edges]
+    turned_down = 0
+
+    def cuts(value):
+        nonlocal turned_down
+        if not _joins_an_unmerged_edge(value, ends):
+            return []
+        turned_down += 1
+        sol = _assignment_to_solution(crag, costs, value, var_y, var_m)
+        return _path_rows(separate_path_constraints(crag, sol), var_m)
+
+    try:
+        assign, optimal = _solve_ilp(state, clock, cuts), True
+    except _Timeout as exc:
+        assign, optimal = exc.assign, False
+    sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
+    sol.optimal, sol.iterations = optimal, 1 + turned_down
+    if not optimal:
+        # the incumbent passed the same path check at its leaf; a stop
+        # must not hand on an assignment that fails the full check
+        violations = validate_solution(crag, sol)
+        if violations:
+            raise InfeasibleSolution(violations)
+    return sol
 
 
 def _forest(crag, var_y, var_m):
@@ -564,26 +610,6 @@ def _forest(crag, var_y, var_m):
             (var_y[cid], tuple(index[c] for c in children), tuple(owned[cid]))
         )
     return tuple(entries), tuple(index[r] for r in roots)
-
-
-def _timeout_fallback(crag, costs, assign, var_y, var_m):
-    """The round's incumbent if it is feasible, else the empty assignment.
-
-    An incumbent costs less than the empty assignment's 0 (exactly).
-    """
-    sol = None
-    if assign is not None:
-        sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
-        if validate_solution(crag, sol):
-            sol = None
-    if sol is None:
-        sol = Solution(
-            y={i: 0 for i in var_y},
-            m={e: 0 for e in var_m},
-            objective=0.0,
-        )
-    sol.optimal = False
-    return sol
 
 
 def _connected_subsets(anchor, allowed, adj):

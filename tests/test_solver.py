@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -20,6 +21,7 @@ from cmc.crag import (
 from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.solver import (
+    BRUTE_FORCE_LIMIT,
     _exact_costs,
     _forest,
     _implications,
@@ -271,36 +273,54 @@ def test_separation_on_four_cycle():
     assert len(cons[0].path) == 3
 
 
+def _no_cuts(value):
+    """A leaf check that finds every leaf feasible: the search then
+    solves the program of the rows already in its state."""
+    return []
+
+
+def _assignment_cuts(crag, value):
+    """The path cuts that a complete assignment in solve's variable
+    order breaks."""
+    var_y, var_m = _variables(crag)
+    y = {i: value[v] for i, v in var_y.items()}
+    m = {e: value[v] for e, v in var_m.items()}
+    return separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
+
+
+def _round_loop(crag, lexed, fixed=None):
+    """The answer of each round of a plain cutting-plane loop: a search
+    on a fresh state over the path rows pooled so far, then the cuts
+    that its answer breaks join the pool, until it breaks none."""
+    var_y, var_m = _variables(crag)
+    pool, answers = [], []
+    while True:
+        state = _state(crag, var_y, var_m, lexed, fixed, pool)
+        answers.append(_solve_ilp(state, None, _no_cuts))
+        cuts = _assignment_cuts(crag, answers[-1])
+        if not cuts:
+            return answers
+        pool += cuts
+
+
 def test_cutting_plane_iterations_monotone():
-    """Replay the outer loop by hand on a frustrated triangle."""
+    """A frustrated triangle: the round loop's optima rise as cuts join
+    the pool, and the one search turns down the first round's optimum at
+    its leaf and returns the last round's."""
     crag = triangle_crag()
     costs = CostTable(
         f={1: -1.0, 2: -1.0, 3: -1.0},
         g={(1, 2): -1.0, (1, 3): 1.0, (2, 3): -1.0},
     )
-    ids = crag.ids()
-    edges = list(crag.adjacency)
-    var_y = {i: k for k, i in enumerate(ids)}
-    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
-    cvec = _exact_costs(costs, ids, edges)
-
-    state = _state(crag, var_y, var_m, _lexed(cvec))
-    optima = []
-    for _ in range(10):
-        assign = _solve_ilp(state, None)
-        y = {i: assign[v] for i, v in var_y.items()}
-        m = {e: assign[v] for e, v in var_m.items()}
-        optima.append(sum(c * x for c, x in zip(cvec, assign)))
-        cons = separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
-        if not cons:
-            break
-        state.add_rows(_path_rows(cons, var_m))
+    cvec = _exact_costs(costs, crag.ids(), list(crag.adjacency))
+    answers = _round_loop(crag, _lexed(cvec))
+    optima = [sum(c * x for c, x in zip(cvec, assign)) for assign in answers]
     assert optima == [-5.0, -4.0]
     assert all(a <= b for a, b in zip(optima, optima[1:]))
 
     sol = solve(crag, costs)
     assert sol.objective == -4.0
-    assert sol.iterations == 2
+    assert sol.iterations == 2  # one leaf turned down
     assert {e for e, v in sol.m.items() if v} == {(2, 3)}
     assert sol == brute_force(crag, costs)
 
@@ -582,19 +602,25 @@ def test_bound_is_the_exact_sum_at_every_leaf(case):
 def test_solve_equals_two_pass_reference_on_larger_instances():
     """Beyond the brute-force budget, on tie-heavy and continuous costs:
     grids, and merge trees of synthetic images with up to 47 variables.
-    The digest pins (y, m, iterations) of all 441 solves as the previous
-    release's two-pass solver gave them; no cost family here has ties to
-    within rounding only, so exact sums keep every answer."""
+    The digest pins (y, m) of all 441 solves as the previous release's
+    two-pass solver gave them, and as the cutting-plane loop that
+    restarted the search each round gave them; no cost family here has
+    ties to within rounding only, so exact sums keep every answer.  The
+    one search turns down 82 leaves in all (iterations less one per
+    solve), where the round loop ran 514 rounds."""
     digest = hashlib.sha256()
+    iterations = 0
     for crag, costs in _larger_instances():
         for mode in MODES:
             got = solve(crag, costs, mode=mode)
             assert got.optimal
-            answer = (sorted(got.y.items()), sorted(got.m.items()), got.iterations)
+            answer = (sorted(got.y.items()), sorted(got.m.items()))
             digest.update(repr(answer).encode())
+            iterations += got.iterations
     assert digest.hexdigest() == (
-        "c2b6953c010b341ab7637248d217b6dfaf8bddfc5163b89572121c679a0bf5ab"
+        "8e73fefd2e333c45cceae9185adc932bbeaa7d0c02ee91c1d49729f6055e055b"
     )
+    assert iterations == 523
 
 
 def _larger_instances():
@@ -618,10 +644,11 @@ def _larger_instances():
 
 
 def test_search_tree_is_pinned(monkeypatch):
-    """The digest test's 441 solves visit 7403 clock ticks in all: the
-    figure of the solver that kept every constraint as a slack row, so
-    propagating by implication lists changed the cost of a node and not
-    which nodes the search visits."""
+    """The digest test's 441 solves visit 5766 clock ticks in all, one
+    search each with path cuts at its leaves.  The cutting-plane loop
+    that restarted the search each round visited 7403, on the same tree
+    per round whether constraints were kept as slack rows or as
+    implication lists."""
     clocks = []
 
     class Clock(solver._Clock):
@@ -634,7 +661,7 @@ def test_search_tree_is_pinned(monkeypatch):
         for mode in MODES:
             solve(crag, costs, mode=mode)
     assert len(clocks) == 441
-    assert sum(clock.ticks for clock in clocks) == 7403
+    assert sum(clock.ticks for clock in clocks) == 5766
 
 
 # ---------------------------------------------------------------------------
@@ -705,35 +732,69 @@ def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
     assert (state.value, state.slack, state.bound, len(state.trail)) == root
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+def test_rows_added_deep_in_the_search_are_refunded_by_every_undo(seed, mode):
+    """Rows appended at a random deep node, as the search appends the
+    cuts of a leaf it turns down, are charged for the values set there:
+    every row's slack equals ref_slack at that node and after each
+    undo_to on the way back, and the root state comes back unchanged."""
+    rng = np.random.default_rng(seed)
+    crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
+    var_y, var_m = _variables(crag)
+    n = len(var_y) + len(var_m)
+    y = {i: int(rng.random() < 0.8) for i in var_y}
+    m = {e: int(rng.random() < 0.8) for e in var_m}
+    rows = _path_rows(separate_path_constraints(crag, Solution(y, m, 0.0)), var_m)
+    costs = rng.integers(-4, 5, size=n).tolist()
+    fixed = _mode_fixed(crag, mode, var_y, var_m)
+    state = _State(costs, _implications(crag, var_y, var_m), fixed, _forest(crag, var_y, var_m))
+    state.add_rows(rows[: len(rows) // 2])
+    root = (list(state.value), list(state.slack), state.bound, len(state.trail))
+    marks = []
+    for v in rng.permutation(n).tolist():
+        if state.value[v] is None:
+            marks.append((len(state.trail), state.bound))
+            if not state.propagate(v, int(rng.integers(2))):
+                break
+    state.add_rows(rows[len(rows) // 2 :])
+    assert state.slack == [ref_slack(row, state.value) for row in rows]
+    for mark, bound in reversed(marks):
+        state.undo_to(mark, bound)
+        assert state.slack == [ref_slack(row, state.value) for row in rows]
+    assert (state.value, state.slack[: len(root[1])], state.bound, len(state.trail)) == root
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_state_carried_across_rounds_equals_a_fresh_one(mode):
-    """Replays solve's rounds on one state: after add_rows, each round's
-    search returns what a fresh state over the same pool returns, in as
-    many clock ticks."""
+    """One state carried through the one search, which adds the rows of
+    every leaf it turns down, gives the answer that the round loop gets
+    from a fresh state per round (_round_loop).  The search leaves the
+    state at its root, with each row's slack that of the root values."""
     rng = np.random.default_rng(15)
     crags = [pixel_grid_crag(3, 3), pixel_grid_crag(3, 4)]
     crags += [random_crag(rng) for _ in range(30)]
-    rounds = 0
+    rounds = turned_down = 0
     for crag in crags:
         var_y, var_m = _variables(crag)
         lexed = _lexed(rng.integers(-4, 3, size=len(var_y) + len(var_m)).tolist())
         fixed = _mode_fixed(crag, mode, var_y, var_m)
+        answers = _round_loop(crag, lexed, fixed)
+        rounds += len(answers)
         state = _state(crag, var_y, var_m, lexed, fixed)
-        pool = []
-        while True:
-            rounds += 1
-            carried, fresh = solver._Clock(None), solver._Clock(None)
-            got = _solve_ilp(state, carried)
-            assert got == _solve_ilp(_state(crag, var_y, var_m, lexed, fixed, pool), fresh)
-            assert carried.ticks == fresh.ticks
-            y = {i: got[v] for i, v in var_y.items()}
-            m = {e: got[v] for e, v in var_m.items()}
-            cuts = separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
-            if not cuts:
-                break
-            pool += cuts
-            state.add_rows(_path_rows(cuts, var_m))
-    assert rounds > len(crags) or mode == "merge_tree_only"
+        root = (list(state.value), state.bound, len(state.trail))
+        rows = []
+
+        def cuts(value):
+            new = _path_rows(_assignment_cuts(crag, value), var_m)
+            rows.extend(new)
+            return new
+
+        assert _solve_ilp(state, solver._Clock(None), cuts) == answers[-1]
+        assert (state.value, state.bound, len(state.trail)) == root
+        assert state.slack == [ref_slack(row, state.value) for row in rows]
+        turned_down += len(state.terms) > 0
+    assert (rounds > len(crags) and turned_down > 0) or mode == "merge_tree_only"
 
 
 def _unique_optimum():
@@ -766,12 +827,13 @@ def _optima(cvec, rows):
 
 
 def _first_round(crag, costs):
-    """The first round's single search over the lexed costs, and the
-    least-cost assignments that exact enumeration finds."""
+    """The single search over the lexed costs with no path rows, as the
+    round loop's first round ran it, and the least-cost assignments
+    that exact enumeration finds for that program."""
     ids, edges = crag.ids(), list(crag.adjacency)
     var_y, var_m, cvec = _program(crag, costs)
     state = _state(crag, var_y, var_m, _lexed(_exact_costs(costs, ids, edges)))
-    got = _solve_ilp(state, None)
+    got = _solve_ilp(state, None, _no_cuts)
     return got, _optima(cvec, explicit_rows(crag, var_y, var_m, []))
 
 
@@ -878,9 +940,10 @@ def test_solver_hard_large_graph_is_solved_to_optimality():
 
 def test_timeout_at_the_first_incumbent(monkeypatch):
     """A multicut with tied merge costs.  The spy on the search's leaf
-    hook expires the solve's clock at the first incumbent and makes the
-    next tick read it, so the deadline passes inside the search on any
-    host, and the answer comes back at once."""
+    hook expires the solve's clock at the first leaf, which may become
+    the first incumbent, and makes the next tick read it, so the
+    deadline passes inside the search on any host, and the answer comes
+    back at once."""
     rng = np.random.default_rng(76)
     crag = pixel_grid_crag(7, 8)
     costs = CostTable(
@@ -911,6 +974,67 @@ def test_timeout_at_the_first_incumbent(monkeypatch):
     assert sol.optimal is False
     assert validate_solution(crag, sol) == []
     assert sol.objective <= 0.0
+
+
+def _solve_within(crag, costs, mode, budget):
+    """solve stopped at the clock tick after the first `budget`, as a
+    deadline would stop it but on any host, and the ticks it used."""
+    clocks = []
+
+    class Clock(solver._Clock):
+        def __init__(self, time_limit):
+            super().__init__(time_limit)
+            clocks.append(self)
+
+        def tick(self):
+            self.ticks += 1
+            if self.ticks > budget:
+                raise solver._Timeout()
+
+    with mock.patch.object(solver, "_Clock", Clock):
+        sol = solve(crag, costs, mode=mode)
+    return sol, clocks[0].ticks
+
+
+def test_timeout_keeps_the_best_feasible_incumbent():
+    """The multicut of the test above, stopped after 1000 ticks, returns
+    the feasible incumbent it holds.  The cutting-plane loop that
+    restarted the search each round returned the empty segmentation
+    here at 1000, 5000 and 20000 ticks: its round's incumbent broke path
+    rows not yet in the pool, so the stop dropped it."""
+    rng = np.random.default_rng(76)
+    crag = pixel_grid_crag(7, 8)
+    costs = CostTable(
+        f={i: -1.0 for i in crag.ids()},
+        g={e: float(rng.choice((-1.0, 0.0, 1.0))) for e in crag.adjacency},
+    )
+    sol, ticks = _solve_within(crag, costs, "full", 1000)
+    assert ticks == 1001
+    assert sol.optimal is False
+    assert validate_solution(crag, sol) == []
+    assert sol.objective < 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_stop_returns_a_feasible_answer(seed):
+    """Stopped after any number of ticks, solve returns a feasible answer
+    of objective <= 0 in every mode, and given all the ticks its search
+    needs, brute_force's answer."""
+    rng = np.random.default_rng(seed)
+    while True:
+        crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
+        if len(crag.ids()) + len(crag.adjacency) <= BRUTE_FORCE_LIMIT:
+            break
+    costs = random_costs(rng, crag)
+    for mode in MODES:
+        _, full = _solve_within(crag, costs, mode, math.inf)
+        for budget in range(1, full + 1):
+            sol, _ = _solve_within(crag, costs, mode, budget)
+            assert validate_solution(crag, sol) == []
+            assert sol.objective <= 0.0
+            assert sol.optimal is (budget == full)
+        assert sol == brute_force(crag, costs, mode)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1.0, "soon"])
