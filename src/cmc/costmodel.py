@@ -266,6 +266,9 @@ def train_forest(samples, n_trees, rng_seed):
     # predict_proba averages over the trees: none would give NaN costs
     if n_trees < 1:
         raise CmcError(f"n_trees must be >= 1, got {n_trees}")
+    # numpy seeds only non-negative ints
+    if rng_seed < 0:
+        raise CmcError(f"rng_seed must be >= 0, got {rng_seed}")
     X, y = samples
     X = _finite(X)
     # checked before the cast, which would make 0.4 a 0 and 1.7 a 1

@@ -57,15 +57,9 @@ neighbors; each of the 8 step directions has one fixed angle bin (taken
 at import with atan2), so the angle histogram counts step directions.
 
 Tolerance: the moments agree with exact rational arithmetic to within
-1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  Earlier
-releases formed d**3 and d**4 with pow, did not recentre, and summed
-contour pixels in hash-set order; on every image compared, no value
-moved from theirs by more than 1e-12 * (1 + |v|), and size, the angle
-and intensity histograms, the quantiles and the eccentricity are
-bit-identical.  The sorted quantiles and the counted step directions
-changed no value: they are bit-identical to np.quantile and to a walk
-that takes atan2 of every step.  Taking the per-leaf facts above in
-place of per-candidate mask scans changed no bit of any vector.
+1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  The
+sorted quantiles are bit-identical to np.quantile, and the counted step
+directions to a walk that takes atan2 of every step.
 """
 
 import math

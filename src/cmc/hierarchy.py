@@ -22,6 +22,8 @@ def _check_boundary(boundary):
     boundary = np.asarray(boundary, dtype=np.float64)
     if boundary.ndim != 2:
         raise DegenerateInput(f"boundary map must be 2-d, got shape {boundary.shape}")
+    if boundary.size == 0:
+        raise DegenerateInput(f"boundary map is empty, shape {boundary.shape}")
     if not np.all(np.isfinite(boundary)):
         raise DegenerateInput("boundary map contains non-finite values")
     if boundary.min() < 0.0 or boundary.max() > 1.0:

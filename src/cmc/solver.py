@@ -19,12 +19,21 @@ The overlap and incidence constraints only ever force one literal from
 another, so they propagate as implication lists (_implications) with no
 slack to keep; the separated path cuts are the only rows with slack.
 
+Each mode is searched over its own variables (_build): full over every
+selection and merge, merge_tree_only over the selections alone, and
+leaf_multicut_only over the leaf selections and the merges of edges
+between two leaves.  Every other y and m is 0 in the mode, so no
+variable is pinned, and n below is the mode's variable count.
+
 The search returns the lexicographically smallest (y, m) bit vector
 among the feasible assignments whose exact cost sum is minimal, which is
 the one feasible assignment of least lexed sum, the sum over its n
 variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _solve_ilp).
-Every incumbent is feasible, and rows only ever cut off infeasible
-assignments, so the search is exact over the whole program.
+The mode's variables keep their order in (y, m), and the rest are 0 in
+every assignment of the mode, so the lex order over the mode's variables
+is that of the full (y, m) vector.  Every incumbent is feasible, and
+rows only ever cut off infeasible assignments, so the search is exact
+over the whole program.
 
 brute_force provides an independent oracle for small instances.
 """
@@ -50,10 +59,7 @@ BRUTE_FORCE_LIMIT = 26
 
 
 class _Timeout(Exception):
-    """The deadline passed; `assign` is the assignment to fall back on."""
-
-    def __init__(self, assign=None):
-        self.assign = assign
+    """The deadline passed."""
 
 
 class _Clock:
@@ -96,7 +102,7 @@ class _State:
     rows it separates wherever it stands (add_rows).
     """
 
-    def __init__(self, costs, implied, fixed, forest):
+    def __init__(self, costs, implied, forest):
         self.costs = costs
         self.n = len(costs)
         self.implied = implied
@@ -110,13 +116,7 @@ class _State:
         # what setting a variable to 0 or to 1 adds to the bound
         self.raise_by = ([max(-c, 0) for c in costs], [max(c, 0) for c in costs])
         self.trail = []
-        queue = []
-        for v, val in sorted(fixed.items()):
-            if not self._set(v, val, queue):
-                raise CmcError("mode restriction is infeasible")
-        if not self._drain(queue):
-            raise CmcError("mode restriction is infeasible")
-        self.forest, self.forest_roots = self._free_forest(forest)
+        self.forest, self.forest_roots = forest
         # the branching order: decreasing |cost|, in which no two lexed
         # costs tie.  Once the variable at order[gapless - 1] is set,
         # every selection in the forest is set and forest_gap is 0.
@@ -209,42 +209,6 @@ class _State:
         """Set the free v to val and all it forces; False on a conflict."""
         queue = []
         return self._set(v, val, queue) and self._drain(queue)
-
-    def _free_forest(self, forest):
-        """`forest` cut down to its free selections and free rewards.
-
-        An entry whose selection is already fixed hands its place in its
-        parent to its children's entries, which is what forest_gap would
-        do with it at every node; merges that are fixed or cost nothing
-        to take are dropped, as they never change the gap.
-        """
-        entries, roots = forest
-        value, costs = self.value, self.costs
-        kept, stands_for = [], []
-        for y, children, merges in entries:
-            below = tuple(k for c in children for k in stands_for[c])
-            if value[y] is None:
-                rewards = tuple(
-                    v for v in merges if value[v] is None and costs[v] < 0
-                )
-                kept.append((y, below, rewards))
-                stands_for.append((len(kept) - 1,))
-            else:
-                stands_for.append(below)
-        roots = [k for r in roots for k in stands_for[r]]
-        # a childless root adds nothing: with c_y < 0 it takes as much as
-        # it gains, and with c_y >= 0 and no rewards it takes nothing
-        idle = {
-            k
-            for k in roots
-            if not kept[k][1] and (costs[kept[k][0]] < 0 or not kept[k][2])
-        }
-        entries, index = [], {}
-        for k, (y, below, rewards) in enumerate(kept):
-            if k not in idle:
-                index[k] = len(entries)
-                entries.append((y, tuple(index[b] for b in below), rewards))
-        return tuple(entries), tuple(index[k] for k in roots if k not in idle)
 
     def forest_gap(self):
         """How far `bound` lies below a bound that respects the forest.
@@ -359,7 +323,7 @@ def _dfs(state, limit, clock, leaf):
             return
 
 
-def _check_costs(crag, costs, ids, edges):
+def _check_costs(costs, ids, edges):
     if set(costs.f) != set(ids):
         raise KeyMismatch("f keys do not match the candidates")
     if set(costs.g) != set(edges):
@@ -399,13 +363,15 @@ def _implications(crag, var_y, var_m):
     a conflict clique with a (sum of y <= 1 over the clique); y_i = 0
     forces 0 on the merge of every edge at i, and m_e = 1 forces 1 on
     both its ends (2 m_e <= y_i + y_j).  These are all the literals that
-    the rows force, so y_i = 1 and m_e = 0 force nothing.
+    the rows force, so y_i = 1 and m_e = 0 force nothing.  Candidates
+    without a variable are 0 in the mode and left out of the cliques.
     """
     n = len(var_y) + len(var_m)
     mates = {v: set() for v in var_y.values()}
     for clique in conflict_cliques(crag):
-        for i in clique:
-            mates[var_y[i]].update(var_y[j] for j in clique if j != i)
+        clique = [var_y[i] for i in clique if i in var_y]
+        for v in clique:
+            mates[v].update(u for u in clique if u != v)
     merges_at = {v: [] for v in var_y.values()}
     implied = ([(0, ())] * n, [(0, ())] * n)
     for (i, j), m in var_m.items():
@@ -418,15 +384,28 @@ def _implications(crag, var_y, var_m):
     return implied
 
 
-def _mode_fixed(crag, mode, var_y, var_m):
-    """The variables a mode pins to 0: every merge in merge_tree_only,
-    every non-leaf selection in leaf_multicut_only."""
+def _build(crag, costs, mode):
+    """The mode's variables and the search state over them.
+
+    Returns (var_y, var_m, state).  var_y numbers the mode's selections
+    and var_m, after them, its merges, each in the order of crag.ids()
+    and crag.adjacency: every selection and merge in full, every
+    selection in merge_tree_only, and in leaf_multicut_only the leaf
+    selections and the merges of edges between two leaves.  The state
+    holds their lexed costs (_lexed) and is at its root.
+    """
+    ids, edges = crag.ids(), list(crag.adjacency)
     if mode == "merge_tree_only":
-        return {v: 0 for v in var_m.values()}
-    if mode == "leaf_multicut_only":
+        edges = []
+    elif mode == "leaf_multicut_only":
         leaves = set(crag.leaves())
-        return {v: 0 for i, v in var_y.items() if i not in leaves}
-    return {}
+        ids = [i for i in ids if i in leaves]
+        edges = [e for e in edges if e[0] in leaves and e[1] in leaves]
+    var_y = {i: k for k, i in enumerate(ids)}
+    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
+    lexed = _lexed(_exact_costs(costs, ids, edges))
+    forest = _forest(crag, var_y, var_m, lexed)
+    return var_y, var_m, _State(lexed, _implications(crag, var_y, var_m), forest)
 
 
 def _path_rows(cuts, var_m):
@@ -457,8 +436,9 @@ def _solve_ilp(state, clock, cuts):
     when it is feasible.  One search keeps every feasible leaf below the
     incumbent and returns the last, or the empty assignment when no leaf
     beats its 0; every leaf that breaks rows adds them to the state and
-    is turned down.  Raises _Timeout carrying the incumbent (the empty
-    assignment before the first) when the clock runs out.
+    is turned down.  Returns (assignment, optimal): when the clock runs
+    out, optimal is False and the assignment is the incumbent (the empty
+    assignment before the first).
     """
     best = [0] * state.n
     limit = -1
@@ -476,8 +456,8 @@ def _solve_ilp(state, clock, cuts):
     try:
         _dfs(state, limit, clock, leaf)
     except _Timeout:
-        raise _Timeout(best) from None
-    return best
+        return best, False
+    return best, True
 
 
 def _joins_an_unmerged_edge(value, ends):
@@ -513,24 +493,30 @@ def separate_path_constraints(crag, solution):
 
 
 def _assignment_to_solution(crag, costs, assign, var_y, var_m):
-    y = {i: assign[v] for i, v in var_y.items()}
-    m = {e: assign[v] for e, v in var_m.items()}
+    """The Solution of an assignment to the mode's variables, with 0 for
+    every candidate and edge that has no variable in the mode."""
+    y = {i: assign[var_y[i]] if i in var_y else 0 for i in crag.ids()}
+    m = {e: assign[var_m[e]] if e in var_m else 0 for e in crag.adjacency}
     return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
 
 
 def solve(crag, costs, mode="full", time_limit=None):
     """Global optimum of the selection/clustering objective.
 
-    One branch-and-cut search (module docstring): path cuts are
-    separated at its leaves.  merge_tree_only pins every merge indicator
-    to 0; leaf_multicut_only pins selection to 0 for non-leaves (leaf
-    selection stays free).  time_limit is None (no limit) or a finite
-    number of seconds >= 0; anything else raises CmcError.  On timeout
-    the incumbent, the best feasible assignment found, is returned with
-    optimal=False, or the empty assignment when there is none yet; an
-    incumbent that fails validate_solution raises InfeasibleSolution.
-    The solution's iterations is 1 plus the number of leaves that the
-    search turned down for the path cuts they break.
+    One branch-and-cut search (module docstring) over the mode's own
+    variables (_build), with path cuts separated at its leaves.  Every
+    y and m outside the mode is 0 in its answer without being a pinned
+    variable, and n is the mode's variable count.  Those are 0 in every
+    assignment of the mode and the rest keep their (y, m) order, so the
+    tie-break over the mode's variables is that over the full (y, m).
+
+    time_limit is None (no limit) or a finite number of seconds >= 0;
+    anything else raises CmcError.  On timeout the incumbent, the best
+    feasible assignment found, is returned with optimal=False, or the
+    empty assignment when there is none yet; an incumbent that fails
+    validate_solution raises InfeasibleSolution.  The solution's
+    iterations is 1 plus the number of leaves that the search turned
+    down for the path cuts they break.
     """
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
@@ -545,21 +531,10 @@ def solve(crag, costs, mode="full", time_limit=None):
                 f"time limit must be a finite number >= 0, got {time_limit!r}"
             )
         time_limit = limit
-    ids = crag.ids()
-    edges = list(crag.adjacency)
-    _check_costs(crag, costs, ids, edges)
-    var_y = {i: k for k, i in enumerate(ids)}
-    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
-    cvec = _exact_costs(costs, ids, edges)
-
-    state = _State(
-        _lexed(cvec),
-        _implications(crag, var_y, var_m),
-        _mode_fixed(crag, mode, var_y, var_m),
-        _forest(crag, var_y, var_m),
-    )
+    _check_costs(costs, crag.ids(), list(crag.adjacency))
+    var_y, var_m, state = _build(crag, costs, mode)
     clock = _Clock(time_limit)
-    ends = [(var_y[i], var_y[j]) for i, j in edges]
+    ends = [(var_y[i], var_y[j]) for i, j in var_m]
     turned_down = 0
 
     def cuts(value):
@@ -570,10 +545,7 @@ def solve(crag, costs, mode="full", time_limit=None):
         sol = _assignment_to_solution(crag, costs, value, var_y, var_m)
         return _path_rows(separate_path_constraints(crag, sol), var_m)
 
-    try:
-        assign, optimal = _solve_ilp(state, clock, cuts), True
-    except _Timeout as exc:
-        assign, optimal = exc.assign, False
+    assign, optimal = _solve_ilp(state, clock, cuts)
     sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
     sol.optimal, sol.iterations = optimal, 1 + turned_down
     if not optimal:
@@ -585,31 +557,43 @@ def solve(crag, costs, mode="full", time_limit=None):
     return sol
 
 
-def _forest(crag, var_y, var_m):
+def _forest(crag, var_y, var_m, costs):
     """The merge forest for _State.forest_gap: (entries, roots).
 
-    entries lists (y, child entries, owned merges) in post-order, where
-    y is a candidate's selection variable and an edge's merge variable
-    is owned by its first candidate; roots indexes the root entries.
+    entries lists (y, child entries, rewards) in post-order, where y is
+    a candidate's selection variable and rewards are the merges of
+    negative cost that it owns (an edge's merge is owned by its first
+    candidate); roots indexes the root entries.  A candidate without a
+    variable hands its place in its parent to its children's entries.
     """
     owned = {i: [] for i in var_y}
     for e, v in var_m.items():
-        owned[e[0]].append(v)
-    entries, index = [], {}
+        if costs[v] < 0:
+            owned[e[0]].append(v)
+    entries, stands_for = [], {}
     roots = crag.roots()
-    stack = [(r, False) for r in reversed(roots)]
+    # (candidate, its children done, an entry above it)
+    stack = [(r, False, False) for r in reversed(roots)]
     while stack:
-        cid, children_done = stack.pop()
+        cid, children_done, under = stack.pop()
         children = crag.candidates[cid].children
         if not children_done:
-            stack.append((cid, True))
-            stack.extend((c, False) for c in reversed(children))
+            stack.append((cid, True, under))
+            under = under or cid in var_y
+            stack.extend((c, False, under) for c in reversed(children))
             continue
-        index[cid] = len(entries)
-        entries.append(
-            (var_y[cid], tuple(index[c] for c in children), tuple(owned[cid]))
-        )
-    return tuple(entries), tuple(index[r] for r in roots)
+        below = tuple(k for c in children for k in stands_for[c])
+        y = var_y.get(cid)
+        if y is None:
+            stands_for[cid] = below
+        elif not under and not below and (costs[y] < 0 or not owned[cid]):
+            # a childless root adds nothing: with c_y < 0 it takes as
+            # much as it gains, and with c_y >= 0 and no rewards nothing
+            stands_for[cid] = ()
+        else:
+            entries.append((y, below, tuple(owned[cid])))
+            stands_for[cid] = (len(entries) - 1,)
+    return tuple(entries), tuple(k for r in roots for k in stands_for[r])
 
 
 def _connected_subsets(anchor, allowed, adj):
@@ -667,7 +651,7 @@ def brute_force(crag, costs, mode="full"):
         raise CmcError(f"unknown mode {mode!r}")
     ids = crag.ids()
     edges = list(crag.adjacency)
-    _check_costs(crag, costs, ids, edges)
+    _check_costs(costs, ids, edges)
     n = len(ids) + len(edges)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(n, BRUTE_FORCE_LIMIT)

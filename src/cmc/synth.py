@@ -114,6 +114,8 @@ def generate_synthetic(
         raise CmcError("noise_level must be within [0, 1]")
     if not 0.0 <= chord_fraction <= 1.0:
         raise CmcError("chord_fraction must be within [0, 1]")
+    if rng_seed < 0:
+        raise CmcError(f"rng_seed must be >= 0, got {rng_seed}")
     triples = []
     for k in range(n_images):
         rng = np.random.default_rng((rng_seed, k))

@@ -203,6 +203,8 @@ def test_forest_input_checks():
         train_forest(([[0.1], [0.2]], [1, 1]), n_trees=2, rng_seed=0)
     with pytest.raises(CmcError):
         train_forest(([[0.1], [0.2]], [0, 2]), n_trees=2, rng_seed=0)
+    with pytest.raises(CmcError, match="rng_seed"):
+        train_forest(([[0.1], [0.9]], [0, 1]), n_trees=2, rng_seed=-1)
     forest = train_forest(([[0.1], [0.9]], [0, 1]), n_trees=2, rng_seed=0)
     with pytest.raises(SchemaMismatch):
         forest.predict_proba([[0.1, 0.2]])

@@ -80,6 +80,9 @@ def test_watershed_rejects_bad_boundary():
         seeded_watershed(np.full((2, 2), np.nan), 0.5)
     with pytest.raises(DegenerateInput):
         seeded_watershed(np.zeros(4), 0.5)
+    # .min() of an empty map used to raise a bare ValueError
+    with pytest.raises(DegenerateInput, match="empty"):
+        seeded_watershed(np.zeros((0, 3)), 0.5)
 
 
 def assert_same_flood(boundary, seed_threshold):

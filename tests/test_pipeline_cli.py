@@ -446,6 +446,43 @@ def test_cli_negative_max_merges_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_empty_boundary_map_fails(tmp_path, capsys):
+    """A 0x0 boundary map used to end in numpy's zero-size reduction
+    ValueError."""
+    boundary = tmp_path / "boundary.pgm"
+    boundary.write_bytes(b"P5\n0 0\n65535\n")
+    out = tmp_path / "crag.json"
+    rc = main(["build-crag", "--boundary", str(boundary), "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "pipeline --config", "train", "synth"])
+def test_cli_negative_rng_seed_fails(command, tmp_path, capsys):
+    """Each used to end in numpy's "expected non-negative integer"
+    ValueError."""
+    images = write_easy_images(tmp_path)
+    (tmp_path / "staged").mkdir()
+    files = staged_quad_files(tmp_path / "staged")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"rng_seed": -1}))
+    pipeline = ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+                "--gt", images["gt"], "--n-trees", "2"]
+    argv = {
+        "pipeline": pipeline + ["--rng-seed", "-5"],
+        "pipeline --config": pipeline + ["--config", str(config)],
+        "train": ["train", "--crag", files["crag.json"],
+                  "--features", files["features.json"], "--gt", files["gt.pgm"],
+                  "--seed", "-2", "--out", str(tmp_path / "model_out.json")],
+        "synth": ["synth", "--n-images", "1", "--n-cells", "2", "--rng-seed", "-1",
+                  "--out-dir", str(tmp_path / "data")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rng_seed" in err
+
+
 def test_cli_eval_matches_library(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--n-images", "1", "--n-cells", "2", "--noise-level", "0",

@@ -22,11 +22,8 @@ from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.solver import (
     BRUTE_FORCE_LIMIT,
+    _build,
     _exact_costs,
-    _forest,
-    _implications,
-    _lexed,
-    _mode_fixed,
     _path_rows,
     _solve_ilp,
     _State,
@@ -166,82 +163,146 @@ def test_mode_nesting_random():
         assert full <= 0.0  # empty assignment is always feasible
 
 
-def _variables(crag):
-    """solve's variable indices: the selections, then the merges."""
-    ids, edges = crag.ids(), list(crag.adjacency)
-    var_y = {i: k for k, i in enumerate(ids)}
-    var_m = {e: len(ids) + k for k, e in enumerate(edges)}
+def _variables(crag, mode="full"):
+    """The mode's variable indices as solve numbers them (_build): its
+    selections, then its merges."""
+    zero = CostTable({i: 0.0 for i in crag.ids()}, {e: 0.0 for e in crag.adjacency})
+    var_y, var_m, _ = _build(crag, zero, mode)
     return var_y, var_m
 
 
 def _program(crag, costs):
+    """solve's variables in full mode and their costs in variable order."""
     var_y, var_m = _variables(crag)
-    cvec = [costs.f[i] for i in crag.ids()] + [costs.g[e] for e in crag.adjacency]
+    cvec = [costs.f[i] for i in var_y] + [costs.g[e] for e in var_m]
     return var_y, var_m, cvec
 
 
-def _state(crag, var_y, var_m, costs, fixed=None, cuts=()):
-    """A search state over `costs` as solve builds it, with the path
-    rows of `cuts` added at its root."""
-    state = _State(
-        costs, _implications(crag, var_y, var_m), fixed or {}, _forest(crag, var_y, var_m)
-    )
+def _state(crag, costs, mode="full", cuts=()):
+    """The search state over the mode's lexed costs as solve builds it
+    (_build), with the path rows of `cuts` added at its root."""
+    _, var_m, state = _build(crag, costs, mode)
     state.add_rows(_path_rows(cuts, var_m))
     return state
 
 
+def _int_costs(rng, crag, low, high):
+    """A CostTable of whole costs drawn from [low, high)."""
+    ids, edges = crag.ids(), list(crag.adjacency)
+    values = rng.integers(low, high, size=len(ids) + len(edges)).astype(float).tolist()
+    return CostTable(dict(zip(ids, values)), dict(zip(edges, values[len(ids):])))
+
+
+def _random_cuts(rng, crag, var_y, var_m, density):
+    """The path cuts of a random assignment to the given variables, 0
+    elsewhere: each y is 1 with probability 0.8, each m with `density`."""
+    y = {i: int(i in var_y and rng.random() < 0.8) for i in crag.ids()}
+    m = {e: int(e in var_m and rng.random() < density) for e in crag.adjacency}
+    return separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_is_built_over_its_own_variables(mode):
+    """full has every selection and merge, merge_tree_only every
+    selection and no merge, leaf_multicut_only the leaf selections and
+    the merges of edges between two leaves: numbered 0..n-1 in the order
+    of (y, m), and the state has exactly that many variables."""
+    rng = np.random.default_rng(17)
+    crags = [quad_crag(), pixel_grid_crag(3, 3)]
+    crags += [random_crag(rng) for _ in range(20)]
+    for crag in crags:
+        leaves = set(crag.leaves())
+        ids = [i for i in crag.ids() if mode != "leaf_multicut_only" or i in leaves]
+        edges = [
+            e
+            for e in crag.adjacency
+            if mode == "full" or (mode == "leaf_multicut_only" and set(e) <= leaves)
+        ]
+        var_y, var_m, state = _build(crag, random_costs(rng, crag), mode)
+        assert list(var_y) == ids and list(var_m) == edges
+        assert [*var_y.values(), *var_m.values()] == list(range(state.n))
+        assert state.n == len(state.costs) == len(ids) + len(edges)
+
+
+def _without_a_kind_of_variable():
+    """Graphs on which some mode has no variable of one kind: leaves with
+    no edge between them (no merge in leaf_multicut_only), a graph
+    without edges, and a one-candidate graph."""
+    quad = quad_crag()
+    cands, subset = list(quad.candidates.values()), list(quad.subset.items())
+    leaves = set(quad.leaves())
+    cross = [e for e in quad.adjacency if not set(e) <= leaves]
+    yield build_crag(cands, cross, subset, quad.leaf_labels())
+    yield build_crag(cands, [], subset, quad.leaf_labels())
+    yield build_crag([Candidate(1, 0)], [], [], leaf_image({1: {(0, 0)}}, 1, 1))
+
+
+def test_solve_equals_brute_force_without_a_kind_of_variable():
+    rng = np.random.default_rng(8)
+    for crag in _without_a_kind_of_variable():
+        for _ in range(20):
+            costs = random_costs(rng, crag)
+            for mode in MODES:
+                got = solve(crag, costs, mode=mode)
+                assert got.optimal and got == brute_force(crag, costs, mode)
+
+
 def test_forest_gap_on_quad():
-    """bound takes every negative cost; the forest allows 5 + 6 at best."""
+    """bound takes every negative cost; the forest allows 5 + 6 at best.
+    The state's costs are lexed, so the whole cost units of a sum of
+    them are its bits above the n tie bits."""
     crag = quad_crag()
     f = {1: -1.0, 2: -1.0, 3: -1.0, 4: -1.0, 5: -3.0, 6: -1.0, 7: -2.0}
     costs = CostTable(f, {e: 1.0 for e in crag.adjacency})
-    var_y, var_m, cvec = _program(crag, costs)
-    state = _state(crag, var_y, var_m, cvec)
-    assert state.bound == -10.0
-    assert state.forest_gap() == 5.0
-    assert state.bound + state.forest_gap() == solve(crag, costs).objective
+    var_y, _ = _variables(crag)
+    state = _state(crag, costs)
+
+    def units(lexed):
+        return lexed >> state.n
+
+    assert units(state.bound) == -10
+    assert units(state.bound + state.forest_gap()) == -5
+    assert units(state.bound + state.forest_gap()) == solve(crag, costs).objective
     # with 5 selected, only 3 and 4 remain free among the selections
     assert state.propagate(var_y[5], 1)
-    assert state.bound + state.forest_gap() == -5.0
+    assert units(state.bound + state.forest_gap()) == -5
 
 
 def test_forest_gap_bounds_every_completion():
-    """bound + forest_gap never exceeds the cost of any assignment that
-    satisfies the rows and agrees with the variables set so far."""
+    """bound + forest_gap never exceeds the lexed cost of any assignment
+    that satisfies the rows of the mode's program and agrees with the
+    variables set so far."""
     rng = np.random.default_rng(99)
     checked = 0
     while checked < 15:
         crag = random_crag(rng, budget=14)
-        var_y, var_m, cvec = _program(crag, random_costs(rng, crag))
-        n = len(cvec)
-        if n > 14:
+        costs = random_costs(rng, crag)
+        if len(crag.ids()) + len(crag.adjacency) > 14:
             continue
         checked += 1
-        rows = explicit_rows(crag, var_y, var_m, [])
-        matrix = np.zeros((len(rows), n))
-        for r, (cmap, _) in enumerate(rows):
-            for v, a in cmap.items():
-                matrix[r, v] = a
-        bounds = np.array([b for _, b in rows], dtype=float)
-        bits = np.array(list(itertools.product((0, 1), repeat=n)))
-        feasible = (bits @ matrix.T <= bounds).all(axis=1)
-        values = bits @ np.array(cvec)
-        non_leaves = [i for i in crag.ids() if i not in set(crag.leaves())]
-        for fixed in (
-            {},
-            {v: 0 for v in var_m.values()},
-            {var_y[i]: 0 for i in non_leaves},
-        ):
+        for mode in MODES:
+            var_y, var_m = _variables(crag, mode)
+            n = len(var_y) + len(var_m)
+            rows = explicit_rows(crag, var_y, var_m, [])
+            matrix = np.zeros((len(rows), n))
+            for r, (cmap, _) in enumerate(rows):
+                for v, a in cmap.items():
+                    matrix[r, v] = a
+            bounds = np.array([b for _, b in rows], dtype=float)
+            bits = np.array(list(itertools.product((0, 1), repeat=n)))
+            feasible = (bits @ matrix.T <= bounds).all(axis=1)
+            # k/1024 costs: the lexed ints stay far below 2**63
+            values = bits @ np.array(_state(crag, costs, mode).costs)
             for _ in range(4):
-                state = _state(crag, var_y, var_m, cvec, fixed)
+                state = _state(crag, costs, mode)
                 for v in rng.permutation(n).tolist():
                     agree = feasible.copy()
                     for u, val in enumerate(state.value):
                         if val is not None:
                             agree &= bits[:, u] == val
                     gap = state.forest_gap()
-                    assert gap >= 0.0
-                    assert state.bound + gap <= values[agree].min() + 1e-12
+                    assert gap >= 0
+                    assert state.bound + gap <= values[agree].min()
                     if state.value[v] is None and not state.propagate(
                         v, int(rng.integers(2))
                     ):
@@ -279,25 +340,24 @@ def _no_cuts(value):
     return []
 
 
-def _assignment_cuts(crag, value):
-    """The path cuts that a complete assignment in solve's variable
-    order breaks."""
-    var_y, var_m = _variables(crag)
-    y = {i: value[v] for i, v in var_y.items()}
-    m = {e: value[v] for e, v in var_m.items()}
+def _assignment_cuts(crag, value, mode="full"):
+    """The path cuts that a complete assignment to the mode's variables
+    breaks, with every other y and m 0."""
+    var_y, var_m = _variables(crag, mode)
+    y = {i: value[var_y[i]] if i in var_y else 0 for i in crag.ids()}
+    m = {e: value[var_m[e]] if e in var_m else 0 for e in crag.adjacency}
     return separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
 
 
-def _round_loop(crag, lexed, fixed=None):
+def _round_loop(crag, costs, mode="full"):
     """The answer of each round of a plain cutting-plane loop: a search
     on a fresh state over the path rows pooled so far, then the cuts
     that its answer breaks join the pool, until it breaks none."""
-    var_y, var_m = _variables(crag)
     pool, answers = [], []
     while True:
-        state = _state(crag, var_y, var_m, lexed, fixed, pool)
-        answers.append(_solve_ilp(state, None, _no_cuts))
-        cuts = _assignment_cuts(crag, answers[-1])
+        state = _state(crag, costs, mode, pool)
+        answers.append(_solve_ilp(state, None, _no_cuts)[0])
+        cuts = _assignment_cuts(crag, answers[-1], mode)
         if not cuts:
             return answers
         pool += cuts
@@ -313,7 +373,7 @@ def test_cutting_plane_iterations_monotone():
         g={(1, 2): -1.0, (1, 3): 1.0, (2, 3): -1.0},
     )
     cvec = _exact_costs(costs, crag.ids(), list(crag.adjacency))
-    answers = _round_loop(crag, _lexed(cvec))
+    answers = _round_loop(crag, costs)
     optima = [sum(c * x for c, x in zip(cvec, assign)) for assign in answers]
     assert optima == [-5.0, -4.0]
     assert all(a <= b for a, b in zip(optima, optima[1:]))
@@ -572,30 +632,34 @@ def test_costs_over_a_wide_exponent_range():
 @given(_crag_and_tie_costs(("unit", "k/1024", "pairs", "wide")))
 def test_bound_is_the_exact_sum_at_every_leaf(case):
     """At every leaf that a search of the solve reaches, state.bound is
-    an int: the lexed sum of the selected variables, that is the costs'
-    common scale times their exact sum times 2**n plus 2**(n - 1 - v)
-    per selected v, recomputed here in Fractions."""
+    an int: the lexed sum of the selected variables, that is the common
+    scale of the mode's costs times their exact sum times 2**n plus
+    2**(n - 1 - v) per selected v, where n is the mode's variable count,
+    recomputed here in Fractions."""
     crag, costs = case
-    ids, edges = crag.ids(), list(crag.adjacency)
-    exact = [Fraction(costs.f[i]) for i in ids] + [Fraction(costs.g[e]) for e in edges]
-    scale = max(c.denominator for c in exact)
-    n = len(exact)
     dfs = solver._dfs
 
-    def spy(state, limit, clock, leaf):
-        def checked():
-            assert type(state.bound) is int and type(state.forest_gap()) is int
-            chosen = [v for v, x in enumerate(state.value) if x]
-            assert state.bound == (
-                scale * sum(exact[v] for v in chosen) * 2**n
-                + sum(Fraction(2) ** (n - 1 - v) for v in chosen)
-            )
-            return leaf()
+    for mode in MODES:
+        var_y, var_m = _variables(crag, mode)
+        exact = [Fraction(costs.f[i]) for i in var_y]
+        exact += [Fraction(costs.g[e]) for e in var_m]
+        scale = max(c.denominator for c in exact)
+        n = len(exact)
 
-        return dfs(state, limit, clock, checked)
+        def spy(state, limit, clock, leaf):
+            def checked():
+                assert state.n == n
+                assert type(state.bound) is int and type(state.forest_gap()) is int
+                chosen = [v for v, x in enumerate(state.value) if x]
+                assert state.bound == (
+                    scale * sum(exact[v] for v in chosen) * 2**n
+                    + sum(Fraction(2) ** (n - 1 - v) for v in chosen)
+                )
+                return leaf()
 
-    with mock.patch.object(solver, "_dfs", spy):
-        for mode in MODES:
+            return dfs(state, limit, clock, checked)
+
+        with mock.patch.object(solver, "_dfs", spy):
             solve(crag, costs, mode=mode)
 
 
@@ -673,7 +737,7 @@ def test_failed_set_charges_and_refunds_the_same_rows():
     so undo_to, which refunds all of them, restores every slack."""
     rows = [({0: 1, 1: 1}, 1), ({0: 1, 2: 1}, 1)]
     no_implications = ([(0, ())] * 3, [(0, ())] * 3)
-    state = _State([-1, -1, -1], no_implications, {}, ((), ()))
+    state = _State([-1, -1, -1], no_implications, ((), ()))
     state.add_rows(rows)
     mark, bound = len(state.trail), state.bound
     queue = []
@@ -696,19 +760,15 @@ def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
     assignment, and undo_to returns to the root."""
     rng = np.random.default_rng(seed)
     crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
-    var_y, var_m = _variables(crag)
+    var_y, var_m = _variables(crag, mode)
     n = len(var_y) + len(var_m)
     cuts = []
     for density in (0.5, 0.8, 1.0):
-        y = {i: int(rng.random() < 0.8) for i in var_y}
-        m = {e: int(rng.random() < density) for e in var_m}
-        cuts += separate_path_constraints(crag, Solution(y=y, m=m, objective=0.0))
+        cuts += _random_cuts(rng, crag, var_y, var_m, density)
     rows = explicit_rows(crag, var_y, var_m, cuts)
     path_rows = rows[len(rows) - len(cuts):]
-    fixed = _mode_fixed(crag, mode, var_y, var_m)
-    costs = rng.integers(-4, 5, size=n).tolist()
-    state = _state(crag, var_y, var_m, costs, fixed, cuts)
-    literals = sorted(fixed.items())
+    state = _state(crag, _int_costs(rng, crag, -4, 5), mode, cuts)
+    literals = []
     assert state.value == ref_unit_propagation(rows, n, literals)
     root = (list(state.value), list(state.slack), state.bound, len(state.trail))
     assert state.slack == [ref_slack(row, state.value) for row in path_rows]
@@ -726,7 +786,7 @@ def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
         assert state.value == expect
         assert state.slack == [ref_slack(row, expect) for row in path_rows]
         assert state.bound == sum(
-            c for c, x in zip(costs, expect) if x == 1 or (x is None and c < 0)
+            c for c, x in zip(state.costs, expect) if x == 1 or (x is None and c < 0)
         )
     state.undo_to(root[3], root[2])
     assert (state.value, state.slack, state.bound, len(state.trail)) == root
@@ -741,14 +801,10 @@ def test_rows_added_deep_in_the_search_are_refunded_by_every_undo(seed, mode):
     undo_to on the way back, and the root state comes back unchanged."""
     rng = np.random.default_rng(seed)
     crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
-    var_y, var_m = _variables(crag)
+    var_y, var_m = _variables(crag, mode)
     n = len(var_y) + len(var_m)
-    y = {i: int(rng.random() < 0.8) for i in var_y}
-    m = {e: int(rng.random() < 0.8) for e in var_m}
-    rows = _path_rows(separate_path_constraints(crag, Solution(y, m, 0.0)), var_m)
-    costs = rng.integers(-4, 5, size=n).tolist()
-    fixed = _mode_fixed(crag, mode, var_y, var_m)
-    state = _State(costs, _implications(crag, var_y, var_m), fixed, _forest(crag, var_y, var_m))
+    rows = _path_rows(_random_cuts(rng, crag, var_y, var_m, 0.8), var_m)
+    state = _state(crag, _int_costs(rng, crag, -4, 5), mode)
     state.add_rows(rows[: len(rows) // 2])
     root = (list(state.value), list(state.slack), state.bound, len(state.trail))
     marks = []
@@ -776,21 +832,20 @@ def test_state_carried_across_rounds_equals_a_fresh_one(mode):
     crags += [random_crag(rng) for _ in range(30)]
     rounds = turned_down = 0
     for crag in crags:
-        var_y, var_m = _variables(crag)
-        lexed = _lexed(rng.integers(-4, 3, size=len(var_y) + len(var_m)).tolist())
-        fixed = _mode_fixed(crag, mode, var_y, var_m)
-        answers = _round_loop(crag, lexed, fixed)
+        _, var_m = _variables(crag, mode)
+        costs = _int_costs(rng, crag, -4, 3)
+        answers = _round_loop(crag, costs, mode)
         rounds += len(answers)
-        state = _state(crag, var_y, var_m, lexed, fixed)
+        state = _state(crag, costs, mode)
         root = (list(state.value), state.bound, len(state.trail))
         rows = []
 
         def cuts(value):
-            new = _path_rows(_assignment_cuts(crag, value), var_m)
+            new = _path_rows(_assignment_cuts(crag, value, mode), var_m)
             rows.extend(new)
             return new
 
-        assert _solve_ilp(state, solver._Clock(None), cuts) == answers[-1]
+        assert _solve_ilp(state, solver._Clock(None), cuts) == (answers[-1], True)
         assert (state.value, state.bound, len(state.trail)) == root
         assert state.slack == [ref_slack(row, state.value) for row in rows]
         turned_down += len(state.terms) > 0
@@ -830,10 +885,8 @@ def _first_round(crag, costs):
     """The single search over the lexed costs with no path rows, as the
     round loop's first round ran it, and the least-cost assignments
     that exact enumeration finds for that program."""
-    ids, edges = crag.ids(), list(crag.adjacency)
     var_y, var_m, cvec = _program(crag, costs)
-    state = _state(crag, var_y, var_m, _lexed(_exact_costs(costs, ids, edges)))
-    got = _solve_ilp(state, None, _no_cuts)
+    got, _ = _solve_ilp(_state(crag, costs), None, _no_cuts)
     return got, _optima(cvec, explicit_rows(crag, var_y, var_m, []))
 
 

@@ -71,6 +71,8 @@ def test_parameter_validation():
         generate_synthetic(1, 1, -0.1, 0)
     with pytest.raises(CmcError):
         generate_synthetic(1, 1, 0.0, 0, chord_fraction=2.0)
+    with pytest.raises(CmcError, match="rng_seed"):
+        generate_synthetic(1, 1, 0.0, -1)
 
 
 def test_placement_failure_when_crowded():

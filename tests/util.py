@@ -464,14 +464,18 @@ def enumerate_minimum(crag, costs, mode="full"):
 
 
 def explicit_rows(crag, var_y, var_m, cuts):
-    """(coefficients, bound) <=-rows: sum of y <= 1 per conflict clique,
-    2 m_e - y_i - y_j <= 0 per edge, and per path cut the merges along
-    the path less the bypassed edge's at most the path's length less one."""
+    """(coefficients, bound) <=-rows over the variables of var_y and
+    var_m, every other y and m being 0: sum of y <= 1 per conflict
+    clique, 2 m_e - y_i - y_j <= 0 per edge, and per path cut the merges
+    along the path less the bypassed edge's at most the path's length
+    less one.  A row that the zeros leave with no variable, or that they
+    make hold whatever the rest, is left out."""
     rows = []
     for clique in conflict_cliques(crag):
-        if len(clique) > 1:
-            rows.append(({var_y[i]: 1 for i in sorted(clique)}, 1))
-    for e in crag.adjacency:
+        present = [i for i in sorted(clique) if i in var_y]
+        if len(present) > 1:
+            rows.append(({var_y[i]: 1 for i in present}, 1))
+    for e in var_m:
         rows.append(({var_m[e]: 2, var_y[e[0]]: -1, var_y[e[1]]: -1}, 0))
     for cut in cuts:
         cmap = {var_m[e]: 1 for e in cut.path}
