@@ -68,6 +68,12 @@ def config_from_json(obj, doc="config.json"):
         raise CmcError(f"{doc}: mode {values['mode']!r} is not one of {MODES}")
     if values.get("time_limit") is not None and values["time_limit"] < 0:
         raise CmcError(f"{doc}: time_limit {values['time_limit']!r} is negative")
+    if values.get("max_merges") is not None and values["max_merges"] < 0:
+        raise CmcError(f"{doc}: max_merges {values['max_merges']!r} is negative")
+    if values.get("n_trees", 1) < 1:
+        raise CmcError(f"{doc}: n_trees {values['n_trees']!r} is below 1")
+    if values.get("rng_seed", 0) < 0:
+        raise CmcError(f"{doc}: rng_seed {values['rng_seed']!r} is negative")
     return PipelineConfig(**values)
 
 

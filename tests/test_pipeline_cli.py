@@ -483,6 +483,17 @@ def test_cli_negative_rng_seed_fails(command, tmp_path, capsys):
     assert err.startswith("error: ") and "rng_seed" in err
 
 
+def test_cli_synth_negative_image_count_fails(tmp_path, capsys):
+    """Used to exit 0 and leave an empty --out-dir."""
+    out_dir = tmp_path / "data"
+    rc = main(["synth", "--n-images", "-1", "--n-cells", "2", "--rng-seed", "1",
+               "--out-dir", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_images" in err
+    assert not out_dir.exists()
+
+
 def test_cli_eval_matches_library(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--n-images", "1", "--n-cells", "2", "--noise-level", "0",
@@ -542,6 +553,10 @@ MALFORMED_CONFIG = {
     "unknown mode": ({"mode": "bogus"}, "mode"),
     "number ignore_background": ({"ignore_background": 1}, "ignore_background"),
     "unknown key": ({"n_neighbors": 3}, "n_neighbors"),
+    # these three used to fail only at the stage that reads them
+    "negative rng_seed": ({"rng_seed": -1}, "rng_seed"),
+    "zero n_trees": ({"n_trees": 0}, "n_trees"),
+    "negative max_merges": ({"max_merges": -1}, "max_merges"),
 }
 
 
@@ -551,13 +566,16 @@ def test_cli_malformed_config_fails_by_name(case, tmp_path, capsys):
     images = write_easy_images(tmp_path)
     config = tmp_path / "c.json"
     config.write_text(json.dumps(content))
+    out_dir = tmp_path / "run"
     rc = main(
         ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
-         "--gt", images["gt"], "--n-trees", "2", "--config", str(config)]
+         "--gt", images["gt"], "--n-trees", "2", "--config", str(config),
+         "--out-dir", str(out_dir)]
     )
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ") and named in err
+    assert not out_dir.exists()
 
 
 def test_cli_config_null_where_the_library_takes_none(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from cmc import synth
 from cmc.errors import CmcError, PlacementFailure
 from cmc.hierarchy import seeded_watershed
-from cmc.synth import BACKGROUND_RAW, generate_synthetic
+from cmc.synth import BACKGROUND_RAW, BORDER_CLEAR, generate_synthetic
+
+from util import ref_make_image
 
 
 def test_deterministic_per_seed():
@@ -73,8 +78,79 @@ def test_parameter_validation():
         generate_synthetic(1, 1, 0.0, 0, chord_fraction=2.0)
     with pytest.raises(CmcError, match="rng_seed"):
         generate_synthetic(1, 1, 0.0, -1)
+    with pytest.raises(CmcError, match="n_images"):
+        generate_synthetic(-1, 1, 0.0, 0)
+    for size in (30.5, "64", True, None):
+        with pytest.raises(CmcError, match="image_size"):
+            generate_synthetic(1, 1, 0.0, 0, image_size=size)
+    for size in (-1, 0, 15, 2 * BORDER_CLEAR - 1):
+        with pytest.raises(CmcError, match="image_size"):
+            generate_synthetic(1, 1, 0.0, 0, image_size=size)
+    # without cells any canvas works, down to 0 x 0
+    for size in (0, 1, 15):
+        raw, boundary, gt = generate_synthetic(1, 0, 1.0, 0, image_size=size)[0]
+        assert raw.shape == boundary.shape == gt.shape == (size, size)
+    assert generate_synthetic(0, 3, 0.0, 0) == []
 
 
 def test_placement_failure_when_crowded():
     with pytest.raises(PlacementFailure):
         generate_synthetic(1, 6, 0.0, rng_seed=0, image_size=48)
+
+
+# (image size, cells, noise, chord fraction, images): the crowded 48 px
+# canvas where placement fails; small canvases, where the canvas clips
+# many attempts' windows and cells sit at the BORDER_CLEAR margin;
+# 128-256 px; 512 px with 40 cells
+WINDOW_SWEEP = [
+    (48, 6, 0.0, 0.5, 2),
+    (64, 1, 0.0, 1.0, 40),
+    (72, 2, 1.0, 0.5, 160),
+    (96, 4, 0.5, 1.0, 4),
+    (128, 3, 0.0, 0.0, 4),
+    (128, 6, 1.0, 0.5, 4),
+    (160, 8, 0.3, 1.0, 3),
+    (256, 12, 1.0, 0.5, 2),
+    (256, 12, 0.0, 1.0, 1),
+    (512, 40, 1.0, 0.5, 1),
+]
+
+
+def test_windowed_image_equals_full_canvas_reference(monkeypatch):
+    """Each cell is drawn on its own window; the full-canvas drawer must
+    give the same bytes, or fail the same way, from the same draws."""
+    spans = []
+    span = synth._span
+
+    def spy(center, half, size):
+        spans.append((center, half, size))
+        return span(center, half, size)
+
+    monkeypatch.setattr(synth, "_span", spy)
+    failed = set()
+    margin = 0
+    for case, (size, cells, noise, chord, count) in enumerate(WINDOW_SWEEP):
+        for k in range(count):
+            args = (cells, noise, size, chord)
+            try:
+                got = synth._make_image(np.random.default_rng((case, k)), *args)
+            except PlacementFailure as exc:
+                with pytest.raises(PlacementFailure) as want:
+                    ref_make_image(np.random.default_rng((case, k)), *args)
+                assert want.value.args == exc.args
+                failed.add(size)
+                continue
+            want = ref_make_image(np.random.default_rng((case, k)), *args)
+            for g, w in zip(got, want):
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes(), (case, k)
+            rows, cols = np.nonzero(got[2])
+            margin += min(rows.min(), cols.min()) == BORDER_CLEAR
+            margin += max(rows.max(), cols.max()) == size - BORDER_CLEAR - 1
+    assert 48 in failed
+    # cells placed on the margin; attempts whose window the canvas clipped
+    # at each of the four edges
+    assert margin >= 4
+    for calls in (spans[0::2], spans[1::2]):
+        assert any(math.floor(c - h) < 0 for c, h, _ in calls)
+        assert any(math.ceil(c + h) + 1 > size for c, h, size in calls)

@@ -2,7 +2,8 @@
 literal enumeration oracle used to cross-check the solver, the integer
 program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
-crag.json run-length encoding.
+crag.json run-length encoding, and a full-canvas reference for the
+windowed synthetic image drawer.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
+from cmc import synth
 from cmc.costmodel import CostTable
 from cmc.errors import (
     AdjacencyBetweenOverlapping,
@@ -28,6 +30,7 @@ from cmc.errors import (
     LeavesDoNotCoverImage,
     NotAdjacent,
     OverlappingLeaves,
+    PlacementFailure,
 )
 from cmc.crag import (
     UNCOVERED,
@@ -321,6 +324,69 @@ def ref_seeded_watershed(boundary, seed_threshold):
                 labels[nr, nc] = lab
                 heapq.heappush(heap, (boundary[nr, nc], next(counter), nr, nc))
     return labels
+
+
+def ref_make_image(rng, n_cells, noise_level, size, chord_fraction):
+    """Synthetic image triple drawn over the whole canvas.
+
+    Every placement attempt's ellipse, and each placed cell's distance
+    transform, ring, stamp, blocked mask and chord band, covers all
+    size x size pixels.  Draws from `rng` in the order `synth._make_image`
+    does, so the two must agree byte for byte.
+    """
+    rows, cols = np.mgrid[0:size, 0:size].astype(np.float64)
+    gt = np.zeros((size, size), dtype=np.int64)
+    raw = np.full((size, size), synth.BACKGROUND_RAW)
+    boundary = np.zeros((size, size))
+    blocked = np.zeros((size, size), dtype=bool)
+    clear_lo, clear_hi = synth.BORDER_CLEAR, size - synth.BORDER_CLEAR
+
+    placed = []  # (mask, ring, cy, cx)
+    for label in range(1, n_cells + 1):
+        for _ in range(synth.MAX_ATTEMPTS_PER_CELL):
+            cy = rng.uniform(clear_lo, clear_hi)
+            cx = rng.uniform(clear_lo, clear_hi)
+            a = rng.uniform(synth.AXIS_LOW, synth.AXIS_HIGH)
+            b = rng.uniform(synth.AXIS_LOW, synth.AXIS_HIGH)
+            theta = rng.uniform(0.0, np.pi)
+            intensity = rng.uniform(synth.CELL_RAW_LOW, synth.CELL_RAW_HIGH)
+            dy = rows - cy
+            dx = cols - cx
+            xr = dx * np.cos(theta) + dy * np.sin(theta)
+            yr = -dx * np.sin(theta) + dy * np.cos(theta)
+            mask = (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
+            clear = mask.copy()
+            clear[clear_lo:clear_hi, clear_lo:clear_hi] = False
+            if clear.any() or (mask & blocked).any():
+                continue
+            dist = ndimage.distance_transform_edt(~mask)
+            ring = (dist > 0) & (dist <= synth.RING_WIDTH)
+            gt[mask] = label
+            raw[mask] = intensity
+            boundary = np.maximum(boundary, np.where(ring, synth.RIDGE_VALUE, 0.0))
+            blocked |= dist <= synth.GAP
+            placed.append((mask, ring, cy, cx))
+            break
+        else:
+            raise PlacementFailure(len(placed), n_cells)
+
+    n_chord = int(round(chord_fraction * n_cells))
+    chorded = sorted(rng.choice(n_cells, size=n_chord, replace=False)) if n_chord else []
+    for idx in chorded:
+        mask, ring, cy, cx = placed[idx]
+        phi = rng.uniform(0.0, np.pi)
+        offset = (cols - cx) * (-np.sin(phi)) + (rows - cy) * np.cos(phi)
+        band = (np.abs(offset) <= synth.CHORD_HALF_WIDTH) & (mask | ring)
+        boundary = np.maximum(boundary, np.where(band, synth.CHORD_VALUE, 0.0))
+
+    boundary = ndimage.gaussian_filter(boundary, synth.BLUR_SIGMA)
+    if noise_level > 0.0:
+        sigma = synth.NOISE_SCALE * noise_level
+        raw = raw + rng.normal(0.0, 1.0, raw.shape) * sigma
+        boundary = boundary + rng.normal(0.0, 1.0, boundary.shape) * sigma
+    raw = np.clip(raw, 0.0, 1.0)
+    boundary = np.clip(boundary, 0.0, 1.0)
+    return raw, boundary, gt
 
 
 def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
