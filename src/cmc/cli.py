@@ -43,7 +43,9 @@ def _load_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError holds JSONDecodeError, UnicodeDecodeError and an int
+        # past 4300 digits; RecursionError is nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise CmcError(f"{path}: not valid JSON: {exc}") from exc
 
 

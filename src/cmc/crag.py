@@ -536,7 +536,10 @@ def crag_from_json(obj):
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
         raise CmcError(f"crag.json: negative image size {height}x{width}")
-    labels = np.full((height, width), UNCOVERED, dtype=np.int64)
+    try:
+        labels = np.full((height, width), UNCOVERED, dtype=np.int64)
+    except ValueError as exc:  # numpy refuses the shape before allocating
+        raise CmcError(f"crag.json: image size {height}x{width} too large") from exc
     candidates = []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")

@@ -1,11 +1,11 @@
 """Exact minimization of the joint selection/clustering program.
 
 The path constraints are too many to state, so they are separated
-lazily inside one search (branch-and-cut): every leaf the search reaches
-is checked for violated paths.  A leaf without any becomes the
-incumbent; a leaf with some adds their rows to the search state where
-it stands, is turned down, and the search backtracks until the new rows
-can hold again.
+lazily inside one search (branch-and-cut, _dfs): every leaf the search
+reaches is checked for violated paths.  A leaf without any becomes the
+incumbent; a leaf with some adds their clauses to the search state
+where it stands, is turned down, and the search backtracks until the
+new clauses can hold again.
 
 Costs are summed exactly: solve turns them into ints on one common
 power-of-two scale (_exact_costs), so every bound, leaf objective and
@@ -17,7 +17,8 @@ negative cost still open, less what the merge forest rules out
 
 The overlap and incidence constraints only ever force one literal from
 another, so they propagate as implication lists (_implications) with no
-slack to keep; the separated path cuts are the only rows with slack.
+slack to keep.  Each separated path cut is a clause (_path_rows), one of
+whose literals must hold; the clauses are the only rows with slack.
 
 Each mode is searched over its own variables (_build): full over every
 selection and merge, merge_tree_only over the selections alone, and
@@ -28,11 +29,11 @@ variable is pinned, and n below is the mode's variable count.
 The search returns the lexicographically smallest (y, m) bit vector
 among the feasible assignments whose exact cost sum is minimal, which is
 the one feasible assignment of least lexed sum, the sum over its n
-variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _solve_ilp).
+variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _dfs).
 The mode's variables keep their order in (y, m), and the rest are 0 in
 every assignment of the mode, so the lex order over the mode's variables
 is that of the full (y, m) vector.  Every incumbent is feasible, and
-rows only ever cut off infeasible assignments, so the search is exact
+clauses only ever cut off infeasible assignments, so the search is exact
 over the whole program.
 
 brute_force provides an independent oracle for small instances.
@@ -58,14 +59,11 @@ MODES = ("full", "merge_tree_only", "leaf_multicut_only")
 BRUTE_FORCE_LIMIT = 26
 
 
-class _Timeout(Exception):
-    """The deadline passed."""
-
-
 class _Clock:
     """One solve's deadline, read once every 1024 ticks.
 
-    The search ticks once when it starts and once per node.
+    The search ticks once when it starts and once per node, and stops
+    at the first tick that returns True.
     """
 
     def __init__(self, time_limit):
@@ -75,13 +73,13 @@ class _Clock:
         self.ticks = 0
 
     def tick(self):
+        """Count a tick; True once the deadline has passed."""
         self.ticks += 1
-        if (
+        return (
             self.deadline is not None
             and (self.ticks & 1023) == 0
             and time.monotonic() > self.deadline
-        ):
-            raise _Timeout()
+        )
 
 
 class _State:
@@ -89,26 +87,29 @@ class _State:
 
     The overlap and incidence constraints propagate as implications
     (_implications): implied[val][v] is (value, variables), every one of
-    the variables forced to value once v is set to val.  The path rows
-    (_path_rows) are the only <=-rows.  They carry integer coefficients
-    and bounds and keep their slack: setting a variable charges the
-    rows it uses slack of, undo_to refunds the same rows.  Costs are
-    ints (the lexed costs of solve), so all bookkeeping is exact.
+    the variables forced to value once v is set to val.  The path cuts
+    are clauses (_path_rows), tuples of literals (v, val) one of which
+    must hold, and are the only rows.  A clause's slack is its count of
+    literals not yet false, less one: setting v to val charges 1 to
+    every clause with the literal (v, 1 - val), undo_to refunds the same
+    clauses, and at slack 0 the one literal left that is not false must
+    hold.  Costs are ints (the lexed costs of solve), so all bookkeeping
+    is exact.
 
     The objective bound (partial objective plus sum of negative costs of
     unassigned variables) is saved and restored at decision points.
     `forest` (from _forest) lets forest_gap tighten that bound.  `order`
-    is the branching order of the search (_dfs), which appends the path
-    rows it separates wherever it stands (add_rows).
+    is the branching order of the search (_dfs), which appends the
+    clauses it separates wherever it stands (add_rows).
     """
 
     def __init__(self, costs, implied, forest):
         self.costs = costs
         self.n = len(costs)
         self.implied = implied
-        # per row its (variable, coefficient) terms and its slack; per
-        # value and variable the (row, slack used) of each row it uses
-        self.terms = []
+        # per clause its literals and its slack; per value and variable
+        # the clauses that setting the variable to the value charges
+        self.clauses = []
         self.slack = []
         self.charges = ([[] for _ in costs], [[] for _ in costs])
         self.value = [None] * self.n
@@ -124,34 +125,29 @@ class _State:
         at = {v: k for k, v in enumerate(self.order)}
         self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
-    def add_rows(self, rows):
-        """Append (coefficients, bound) <=-rows where the state stands.
+    def add_rows(self, clauses):
+        """Append clauses where the state stands.
 
-        Each new row is charged for the variables already set, so its
-        slack may be negative, and undo_to refunds it like any other
-        row.  Nothing is propagated: a row that breaks or forces is met
-        when the search sets its variables again (_dfs).
+        Each new clause is charged for the literals already false, so
+        its slack may be negative, and undo_to refunds it like any other
+        clause.  Nothing is propagated: a clause that breaks or forces
+        is met when the search sets its variables again (_dfs).
         """
         value, charges = self.value, self.charges
-        for r, (cmap, bound) in enumerate(rows, len(self.slack)):
-            terms = tuple(cmap.items())
-            slack = bound
-            for v, a in terms:
-                used = (max(-a, 0), max(a, 0))
-                slack += used[0]
-                for val in (0, 1):
-                    if used[val]:
-                        charges[val][v].append((r, used[val]))
-                if value[v] is not None:
-                    slack -= used[value[v]]
-            self.terms.append(terms)
+        for r, clause in enumerate(clauses, len(self.slack)):
+            slack = -1
+            for v, val in clause:
+                charges[1 - val][v].append(r)
+                if value[v] != 1 - val:
+                    slack += 1
+            self.clauses.append(clause)
             self.slack.append(slack)
 
     def _set(self, v, val, queue):
-        """v := val on a free v: charge its rows, queue it for _drain.
+        """v := val on a free v: charge its clauses, queue it for _drain.
 
-        Every row of v is charged, so undo_to refunds exactly what was
-        charged.  Returns False when a row's slack falls below 0.
+        Every clause of v is charged, so undo_to refunds exactly what was
+        charged.  Returns False when a clause's slack falls below 0.
         """
         self.value[v] = val
         self.trail.append(v)
@@ -159,29 +155,16 @@ class _State:
         queue.append(v)
         ok = True
         slack = self.slack
-        for r, used in self.charges[val][v]:
-            slack[r] -= used
+        for r in self.charges[val][v]:
+            slack[r] -= 1
             if slack[r] < 0:
                 ok = False
         return ok
 
-    def _force_row(self, r, queue):
-        for u, a in self.terms[r]:
-            if self.value[u] is not None:
-                continue
-            s = self.slack[r]
-            if a > s:
-                if not self._set(u, 0, queue):
-                    return False
-            elif -a > s:
-                if not self._set(u, 1, queue):
-                    return False
-        return True
-
     def _drain(self, queue):
         """Unit propagation from the queued variables; False on a conflict."""
         value, implied, charges = self.value, self.implied, self.charges
-        trail, raise_by = self.trail, self.raise_by
+        trail, raise_by, slack = self.trail, self.raise_by, self.slack
         while queue:
             v = queue.pop()
             val = value[v]
@@ -192,7 +175,7 @@ class _State:
                     if charges[to][u]:
                         if not self._set(u, to, queue):
                             return False
-                    else:  # _set without rows to charge or to force
+                    else:  # _set without clauses to charge or to force
                         value[u] = to
                         trail.append(u)
                         self.bound += raise_by[to][u]
@@ -200,9 +183,14 @@ class _State:
                             queue.append(u)
                 elif have != to:
                     return False
-            for r, _ in charges[val][v]:
-                if not self._force_row(r, queue):
-                    return False
+            for r in charges[val][v]:
+                if slack[r] == 0:
+                    # the one literal that is not false must hold
+                    for u, to in self.clauses[r]:
+                        if value[u] is None:
+                            if not self._set(u, to, queue):
+                                return False
+                            break
         return True
 
     def propagate(self, v, val):
@@ -246,33 +234,42 @@ class _State:
         value, slack, charges = self.value, self.slack, self.charges
         trail = self.trail
         for v in trail[mark:]:
-            for r, used in charges[value[v]][v]:
-                slack[r] += used
+            for r in charges[value[v]][v]:
+                slack[r] += 1
             value[v] = None
         del trail[mark:]
         self.bound = saved_bound
 
 
-def _dfs(state, limit, clock, leaf):
-    """Iterative DFS branch-and-bound below the state as given.
+def _dfs(state, clock, cuts):
+    """The lex-smallest feasible assignment of least cost (module
+    docstring), by iterative DFS branch-and-bound below the state.
 
-    Branches in state.order, on each variable's cost-reducing value
-    first, and cuts a subtree when its bound, or its bound plus forest
-    gap, exceeds `limit`, which leaves no leaf within limit.  Calls
-    leaf() at every leaf reached, with the state at that leaf; leaf
-    returns the limit to go on with.  It may turn the leaf down by
-    appending rows that the leaf breaks (_State.add_rows): the search
-    then backtracks past every frame whose undo still leaves one of
-    them below 0 slack, since no completion of such a frame holds.  The
-    state is left as given, plus the rows, once the search is done.
-    clock.tick() raises _Timeout when the deadline has passed.
+    `state` holds the lexed costs (_lexed).  The search branches in
+    state.order, on each variable's cost-reducing value first, and cuts
+    a subtree when its bound, or its bound plus forest gap, exceeds the
+    limit: one below the incumbent's lexed sum, and -1 before the first,
+    whose place the empty assignment of sum 0 holds.  At every leaf it
+    reaches, cuts(state.value) returns the clauses that the leaf breaks
+    (_path_rows).  With none the leaf becomes the incumbent.  Otherwise
+    the clauses join the state (_State.add_rows), the leaf is turned
+    down, and the search backtracks past every frame whose undo still
+    leaves one of them below 0 slack, since no completion of such a
+    frame holds.
+
+    Returns (assignment, optimal): the last incumbent, or the empty
+    assignment, and True once the search is done, which leaves the
+    state as given plus the clauses; the incumbent so far and False at
+    the first clock.tick() that reports the deadline passed, which
+    leaves the state where the search stood.
     """
     n, order, gapless = state.n, state.order, state.gapless
     slack = state.slack
-    tick = clock.tick if clock is not None else lambda: None
+    best = [0] * n
+    limit = -1
     frames = []
     pos = 0
-    # the rows the last leaf added, until every one of them holds again
+    # the clauses the last leaf added, until every one of them holds again
     broken = ()
 
     def over_budget(fpos):
@@ -302,25 +299,31 @@ def _dfs(state, limit, clock, leaf):
                 frames.pop()
         return False
 
-    tick()
+    if clock.tick():
+        return best, False
     if over_budget(-1):
-        return
+        return best, True
     while True:
-        tick()
+        if clock.tick():
+            return best, False
         while pos < n and state.value[order[pos]] is not None:
             pos += 1
         if pos == n:
-            rows = len(slack)
-            limit = leaf()
-            broken = range(rows, len(slack))
+            clauses = cuts(state.value)
+            if clauses:
+                broken = range(len(slack), len(slack) + len(clauses))
+                state.add_rows(clauses)
+            else:
+                best = list(state.value)
+                limit = state.bound - 1
             if not advance():
-                return
+                return best, True
             continue
         v = order[pos]
         vals = [1, 0] if state.costs[v] < 0 else [0, 1]
         frames.append((v, vals, len(state.trail), state.bound, pos))
         if not advance():
-            return
+            return best, True
 
 
 def _check_costs(costs, ids, edges):
@@ -409,14 +412,12 @@ def _build(crag, costs, mode):
 
 
 def _path_rows(cuts, var_m):
-    """Each path cut as a <=-row: the merges along the path, less the
-    bypassed edge's, sum to at most the path's length less one."""
-    rows = []
-    for pc in cuts:
-        cmap = {var_m[e]: 1 for e in pc.path}
-        cmap[var_m[pc.bypassed_edge]] = -1
-        rows.append((cmap, len(pc.path) - 1))
-    return rows
+    """Each path cut as a clause: a merge along the path is 0, or the
+    bypassed edge's is 1."""
+    return [
+        tuple((var_m[e], 0) for e in pc.path) + ((var_m[pc.bypassed_edge], 1),)
+        for pc in cuts
+    ]
 
 
 def _lexed(costs):
@@ -426,38 +427,6 @@ def _lexed(costs):
     lex-smaller x."""
     n = len(costs)
     return [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
-
-
-def _solve_ilp(state, clock, cuts):
-    """The lex-smallest feasible assignment of least cost (module docstring).
-
-    `state` holds the lexed costs (_lexed) and is at its root.
-    cuts(value) returns the rows that a leaf's assignment breaks, none
-    when it is feasible.  One search keeps every feasible leaf below the
-    incumbent and returns the last, or the empty assignment when no leaf
-    beats its 0; every leaf that breaks rows adds them to the state and
-    is turned down.  Returns (assignment, optimal): when the clock runs
-    out, optimal is False and the assignment is the incumbent (the empty
-    assignment before the first).
-    """
-    best = [0] * state.n
-    limit = -1
-
-    def leaf():
-        nonlocal best, limit
-        rows = cuts(state.value)
-        if rows:
-            state.add_rows(rows)
-        else:
-            best = list(state.value)
-            limit = state.bound - 1
-        return limit
-
-    try:
-        _dfs(state, limit, clock, leaf)
-    except _Timeout:
-        return best, False
-    return best, True
 
 
 def _joins_an_unmerged_edge(value, ends):
@@ -521,19 +490,22 @@ def solve(crag, costs, mode="full", time_limit=None):
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
     if time_limit is not None:
-        try:
-            limit = float(time_limit)
-        except (TypeError, ValueError):
-            limit = math.nan
-        # a NaN deadline would never pass
+        # a NaN deadline would never pass; float() would also take "5",
+        # b"5" and True
+        limit = math.nan
+        if not isinstance(time_limit, (str, bytes, bytearray, bool, np.bool_)):
+            try:
+                limit = float(time_limit)
+            except (TypeError, ValueError, OverflowError):  # or an int past float
+                pass
         if not 0.0 <= limit < math.inf:
-            raise CmcError(
-                f"time limit must be a finite number >= 0, got {time_limit!r}"
-            )
+            # repr of an int past 4300 digits would raise
+            big = isinstance(time_limit, int) and time_limit.bit_length() > 1024
+            shown = "an int past float" if big else repr(time_limit)
+            raise CmcError(f"time limit must be a finite number >= 0, got {shown}")
         time_limit = limit
     _check_costs(costs, crag.ids(), list(crag.adjacency))
     var_y, var_m, state = _build(crag, costs, mode)
-    clock = _Clock(time_limit)
     ends = [(var_y[i], var_y[j]) for i, j in var_m]
     turned_down = 0
 
@@ -545,7 +517,7 @@ def solve(crag, costs, mode="full", time_limit=None):
         sol = _assignment_to_solution(crag, costs, value, var_y, var_m)
         return _path_rows(separate_path_constraints(crag, sol), var_m)
 
-    assign, optimal = _solve_ilp(state, clock, cuts)
+    assign, optimal = _dfs(state, _Clock(time_limit), cuts)
     sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
     sol.optimal, sol.iterations = optimal, 1 + turned_down
     if not optimal:

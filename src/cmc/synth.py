@@ -180,14 +180,13 @@ def generate_synthetic(
     Image k draws from its own generator seeded with (rng_seed, k), so
     the content of image k does not depend on n_images.
     """
-    if n_images < 0:
-        raise CmcError(f"n_images must be >= 0, got {n_images}")
-    if n_cells < 0:
-        raise CmcError("n_cells must be non-negative")
-    if isinstance(image_size, bool) or not isinstance(image_size, numbers.Integral):
-        raise CmcError(f"image_size must be an int, got {image_size!r}")
-    if image_size < 0:
-        raise CmcError(f"image_size must be >= 0, got {image_size}")
+    counts = {"n_images": n_images, "n_cells": n_cells,
+              "image_size": image_size, "rng_seed": rng_seed}
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise CmcError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise CmcError(f"{name} must be >= 0, got {value}")
     if n_cells > 0 and image_size < 2 * BORDER_CLEAR:
         raise CmcError(
             f"image_size {image_size} is below {2 * BORDER_CLEAR}: no cell "
@@ -197,8 +196,6 @@ def generate_synthetic(
         raise CmcError("noise_level must be within [0, 1]")
     if not 0.0 <= chord_fraction <= 1.0:
         raise CmcError("chord_fraction must be within [0, 1]")
-    if rng_seed < 0:
-        raise CmcError(f"rng_seed must be >= 0, got {rng_seed}")
     triples = []
     for k in range(n_images):
         rng = np.random.default_rng((rng_seed, k))

@@ -169,6 +169,16 @@ def test_out_of_bounds_pixel_rejected():
             crag_from_json(obj)
 
 
+def test_image_size_numpy_refuses_rejected():
+    """Image sizes whose label image numpy refuses before allocating it
+    used to end in numpy's ValueError."""
+    for height, width in [(2**40, 2**40), (1, 2**62), (0, 2**62)]:
+        obj = {"height": height, "width": width, "candidates": [],
+               "adjacency": [], "subset": []}
+        with pytest.raises(CmcError, match="too large"):
+            crag_from_json(obj)
+
+
 def test_overlapping_leaves_rejected():
     """Runs (0, 0:2) of leaf 1 and (0, 1:2) of leaf 2 share pixel (0, 1)."""
     pixels = {1: [(0, 0), (0, 1)], 2: [(0, 1)]}

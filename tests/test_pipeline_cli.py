@@ -167,10 +167,12 @@ def staged_quad_files(tmp_path):
     return {name: str(tmp_path / name) for name in [*files, "gt.pgm"]}
 
 
-# broken file -> (its content, the command reading it, what the error
-# names); each used to end in a traceback (KeyError 'trees', KeyError
-# 'edges', OverflowError, ValueError on "x", KeyError on the first
-# candidate id) or, for the empty forest, in NaN costs and exit 0
+# broken file -> (its content, as JSON or as the text of a str, the
+# command reading it, what the error names); each used to end in a
+# traceback (KeyError 'trees', KeyError 'edges', OverflowError,
+# ValueError on "x", KeyError on the first candidate id, RecursionError
+# on deep nesting, ValueError on an int past 4300 digits) or, for the
+# empty forest, in NaN costs and exit 0
 MALFORMED_STAGE_INPUT = {
     "model without trees": (
         "model.json", {"node_forest": {}}, "costs", "model.json"
@@ -195,6 +197,12 @@ MALFORMED_STAGE_INPUT = {
     "features of no candidate": (
         "features.json", {"nodes": {}, "edges": {}}, "costs", "node features"
     ),
+    "nesting past the decoder": (
+        "costs.json", "[" * 100_000, "solve", "costs.json: not valid JSON"
+    ),
+    "int past 4300 digits": (
+        "costs.json", "1" * 5000, "solve", "costs.json: not valid JSON"
+    ),
 }
 
 
@@ -212,7 +220,8 @@ def test_cli_malformed_stage_input_fails_by_name(case, tmp_path, capsys):
     }[command]
     assert main([command, *argv, "--out", str(out)]) == 0
     out.unlink()
-    (tmp_path / name).write_text(json.dumps(content))
+    text = content if isinstance(content, str) else json.dumps(content)
+    (tmp_path / name).write_text(text)
     assert main([command, *argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

@@ -23,9 +23,10 @@ from cmc.pipeline import PipelineConfig, build_graph
 from cmc.solver import (
     BRUTE_FORCE_LIMIT,
     _build,
+    _Clock,
+    _dfs,
     _exact_costs,
     _path_rows,
-    _solve_ilp,
     _State,
     brute_force,
     extract_segmentation,
@@ -180,10 +181,17 @@ def _program(crag, costs):
 
 def _state(crag, costs, mode="full", cuts=()):
     """The search state over the mode's lexed costs as solve builds it
-    (_build), with the path rows of `cuts` added at its root."""
+    (_build), with the clauses of `cuts` added at its root."""
     _, var_m, state = _build(crag, costs, mode)
     state.add_rows(_path_rows(cuts, var_m))
     return state
+
+
+def _cut_rows(crag, var_y, var_m, cuts):
+    """The path cuts as the <=-rows of explicit_rows: the independent
+    model that each clause's slack is compared against."""
+    rows = explicit_rows(crag, var_y, var_m, cuts)
+    return rows[len(rows) - len(cuts):]
 
 
 def _int_costs(rng, crag, low, high):
@@ -336,7 +344,7 @@ def test_separation_on_four_cycle():
 
 def _no_cuts(value):
     """A leaf check that finds every leaf feasible: the search then
-    solves the program of the rows already in its state."""
+    solves the program of the clauses already in its state."""
     return []
 
 
@@ -351,12 +359,12 @@ def _assignment_cuts(crag, value, mode="full"):
 
 def _round_loop(crag, costs, mode="full"):
     """The answer of each round of a plain cutting-plane loop: a search
-    on a fresh state over the path rows pooled so far, then the cuts
+    on a fresh state over the path cuts pooled so far, then the cuts
     that its answer breaks join the pool, until it breaks none."""
     pool, answers = [], []
     while True:
         state = _state(crag, costs, mode, pool)
-        answers.append(_solve_ilp(state, None, _no_cuts)[0])
+        answers.append(_dfs(state, _Clock(None), _no_cuts)[0])
         cuts = _assignment_cuts(crag, answers[-1], mode)
         if not cuts:
             return answers
@@ -646,18 +654,18 @@ def test_bound_is_the_exact_sum_at_every_leaf(case):
         scale = max(c.denominator for c in exact)
         n = len(exact)
 
-        def spy(state, limit, clock, leaf):
-            def checked():
+        def spy(state, clock, cuts):
+            def checked(value):
                 assert state.n == n
                 assert type(state.bound) is int and type(state.forest_gap()) is int
-                chosen = [v for v, x in enumerate(state.value) if x]
+                chosen = [v for v, x in enumerate(value) if x]
                 assert state.bound == (
                     scale * sum(exact[v] for v in chosen) * 2**n
                     + sum(Fraction(2) ** (n - 1 - v) for v in chosen)
                 )
-                return leaf()
+                return cuts(value)
 
-            return dfs(state, limit, clock, checked)
+            return dfs(state, clock, checked)
 
         with mock.patch.object(solver, "_dfs", spy):
             solve(crag, costs, mode=mode)
@@ -733,12 +741,14 @@ def test_search_tree_is_pinned(monkeypatch):
 
 
 def test_failed_set_charges_and_refunds_the_same_rows():
-    """A set that breaks one row still charges the variable's later rows,
-    so undo_to, which refunds all of them, restores every slack."""
+    """A set that breaks one clause still charges the variable's later
+    clauses, so undo_to, which refunds all of them, restores every
+    slack: that of the matching <=-row each time."""
+    clauses = [((0, 0), (1, 0)), ((0, 0), (2, 0))]
     rows = [({0: 1, 1: 1}, 1), ({0: 1, 2: 1}, 1)]
     no_implications = ([(0, ())] * 3, [(0, ())] * 3)
     state = _State([-1, -1, -1], no_implications, ((), ()))
-    state.add_rows(rows)
+    state.add_rows(clauses)
     mark, bound = len(state.trail), state.bound
     queue = []
     assert state._set(1, 1, queue)
@@ -754,7 +764,7 @@ def test_failed_set_charges_and_refunds_the_same_rows():
 @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
 def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
     """Overlap and incidence as implication lists, and the path cuts as
-    slack rows, propagate to what unit propagation over the explicit
+    clauses, propagate to what unit propagation over the explicit
     rows reaches: the same conflict verdict, the same values and the
     same path-row slack after each literal of a random partial
     assignment, and undo_to returns to the root."""
@@ -795,17 +805,20 @@ def test_propagation_reaches_the_fixpoint_of_the_explicit_rows(seed, mode):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
 def test_rows_added_deep_in_the_search_are_refunded_by_every_undo(seed, mode):
-    """Rows appended at a random deep node, as the search appends the
+    """Clauses appended at a random deep node, as the search appends the
     cuts of a leaf it turns down, are charged for the values set there:
-    every row's slack equals ref_slack at that node and after each
-    undo_to on the way back, and the root state comes back unchanged."""
+    every clause's slack equals ref_slack of its path row at that node
+    and after each undo_to on the way back, and the root state comes
+    back unchanged."""
     rng = np.random.default_rng(seed)
     crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
     var_y, var_m = _variables(crag, mode)
     n = len(var_y) + len(var_m)
-    rows = _path_rows(_random_cuts(rng, crag, var_y, var_m, 0.8), var_m)
+    cuts = _random_cuts(rng, crag, var_y, var_m, 0.8)
+    clauses = _path_rows(cuts, var_m)
+    rows = _cut_rows(crag, var_y, var_m, cuts)
     state = _state(crag, _int_costs(rng, crag, -4, 5), mode)
-    state.add_rows(rows[: len(rows) // 2])
+    state.add_rows(clauses[: len(clauses) // 2])
     root = (list(state.value), list(state.slack), state.bound, len(state.trail))
     marks = []
     for v in rng.permutation(n).tolist():
@@ -813,7 +826,7 @@ def test_rows_added_deep_in_the_search_are_refunded_by_every_undo(seed, mode):
             marks.append((len(state.trail), state.bound))
             if not state.propagate(v, int(rng.integers(2))):
                 break
-    state.add_rows(rows[len(rows) // 2 :])
+    state.add_rows(clauses[len(clauses) // 2 :])
     assert state.slack == [ref_slack(row, state.value) for row in rows]
     for mark, bound in reversed(marks):
         state.undo_to(mark, bound)
@@ -823,32 +836,34 @@ def test_rows_added_deep_in_the_search_are_refunded_by_every_undo(seed, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_state_carried_across_rounds_equals_a_fresh_one(mode):
-    """One state carried through the one search, which adds the rows of
-    every leaf it turns down, gives the answer that the round loop gets
-    from a fresh state per round (_round_loop).  The search leaves the
-    state at its root, with each row's slack that of the root values."""
+    """One state carried through the one search, which adds the clauses
+    of every leaf it turns down, gives the answer that the round loop
+    gets from a fresh state per round (_round_loop).  The search leaves
+    the state at its root, with each clause's slack that of its path
+    row at the root values."""
     rng = np.random.default_rng(15)
     crags = [pixel_grid_crag(3, 3), pixel_grid_crag(3, 4)]
     crags += [random_crag(rng) for _ in range(30)]
     rounds = turned_down = 0
     for crag in crags:
-        _, var_m = _variables(crag, mode)
+        var_y, var_m = _variables(crag, mode)
         costs = _int_costs(rng, crag, -4, 3)
         answers = _round_loop(crag, costs, mode)
         rounds += len(answers)
         state = _state(crag, costs, mode)
         root = (list(state.value), state.bound, len(state.trail))
-        rows = []
+        separated = []
 
         def cuts(value):
-            new = _path_rows(_assignment_cuts(crag, value, mode), var_m)
-            rows.extend(new)
-            return new
+            new = _assignment_cuts(crag, value, mode)
+            separated.extend(new)
+            return _path_rows(new, var_m)
 
-        assert _solve_ilp(state, solver._Clock(None), cuts) == (answers[-1], True)
+        assert _dfs(state, _Clock(None), cuts) == (answers[-1], True)
         assert (state.value, state.bound, len(state.trail)) == root
+        rows = _cut_rows(crag, var_y, var_m, separated)
         assert state.slack == [ref_slack(row, state.value) for row in rows]
-        turned_down += len(state.terms) > 0
+        turned_down += len(state.clauses) > 0
     assert (rounds > len(crags) and turned_down > 0) or mode == "merge_tree_only"
 
 
@@ -886,7 +901,7 @@ def _first_round(crag, costs):
     round loop's first round ran it, and the least-cost assignments
     that exact enumeration finds for that program."""
     var_y, var_m, cvec = _program(crag, costs)
-    got, _ = _solve_ilp(_state(crag, costs), None, _no_cuts)
+    got, _ = _dfs(_state(crag, costs), _Clock(None), _no_cuts)
     return got, _optima(cvec, explicit_rows(crag, var_y, var_m, []))
 
 
@@ -970,6 +985,35 @@ def test_solve_equals_brute_force_where_float_sums_disagree(case):
         assert got.optimal and got == brute_force(crag, costs, mode)
 
 
+def test_each_turned_down_leaf_calls_the_module_separation(monkeypatch):
+    """solve separates through the module attribute
+    separate_path_constraints, once per leaf it turns down: iterations
+    less one calls per solve, each returning a cut.  perfbench counts
+    solver.path_cuts on that attribute, so a separation inlined into
+    solve would read 0 there."""
+    separate = solver.separate_path_constraints
+    found = []
+
+    def spy(crag, sol):
+        cuts = separate(crag, sol)
+        found.append(len(cuts))
+        return cuts
+
+    monkeypatch.setattr(solver, "separate_path_constraints", spy)
+    rng = np.random.default_rng(41)
+    turned_down = 0
+    for k in range(40):
+        crag = random_crag(rng) if k % 2 else random_sparse_crag(rng)
+        costs = random_costs(rng, crag)
+        for mode in MODES:
+            found.clear()
+            sol = solve(crag, costs, mode=mode)
+            assert len(found) == sol.iterations - 1
+            assert all(found)
+            turned_down += len(found)
+    assert turned_down > 0
+
+
 def test_solver_hard_large_graph_is_solved_to_optimality():
     """The large graph of perfbench's solver-hard workload (instance seed
     1): its full-mode solve used to spend 35 s in the second, lex-ordered
@@ -993,7 +1037,7 @@ def test_solver_hard_large_graph_is_solved_to_optimality():
 
 def test_timeout_at_the_first_incumbent(monkeypatch):
     """A multicut with tied merge costs.  The spy on the search's leaf
-    hook expires the solve's clock at the first leaf, which may become
+    check expires the solve's clock at the first leaf, which may become
     the first incumbent, and makes the next tick read it, so the
     deadline passes inside the search on any host, and the answer comes
     back at once."""
@@ -1006,19 +1050,18 @@ def test_timeout_at_the_first_incumbent(monkeypatch):
     expired_at, expired_in_search = [], []
     dfs = solver._dfs
 
-    def spy(state, limit, clock, leaf):
-        def expire():
+    def spy(state, clock, cuts):
+        def expire(value):
             if not expired_at:
                 clock.deadline = time.monotonic() - 1.0
                 clock.ticks |= 1023  # the next tick reads the clock
                 expired_at.append(time.monotonic())
-            return leaf()
+            return cuts(value)
 
-        try:
-            return dfs(state, limit, clock, expire)
-        except solver._Timeout:
+        assign, optimal = dfs(state, clock, expire)
+        if optimal is False:
             expired_in_search.append(True)
-            raise
+        return assign, optimal
 
     monkeypatch.setattr(solver, "_dfs", spy)
     sol = solve(crag, costs, time_limit=60.0)
@@ -1041,8 +1084,7 @@ def _solve_within(crag, costs, mode, budget):
 
         def tick(self):
             self.ticks += 1
-            if self.ticks > budget:
-                raise solver._Timeout()
+            return self.ticks > budget
 
     with mock.patch.object(solver, "_Clock", Clock):
         sol = solve(crag, costs, mode=mode)
@@ -1090,9 +1132,18 @@ def test_every_stop_returns_a_feasible_answer(seed):
         assert sol == brute_force(crag, costs, mode)
 
 
-@pytest.mark.parametrize("limit", [float("nan"), float("inf"), -1.0, "soon"])
+@pytest.mark.parametrize(
+    "limit",
+    [
+        float("nan"), float("inf"), -1.0, "soon",
+        pytest.param("5", id="str"), pytest.param(b"5", id="bytes"), True,
+        pytest.param(10**400, id="int-past-float"),
+    ],
+)
 def test_bad_time_limit_rejected(limit):
-    """A NaN deadline used to be no deadline: monotonic() > nan is false."""
+    """A NaN deadline used to be no deadline: monotonic() > nan is false.
+    "5", b"5" and True used to pass as numbers through float(), and an
+    int past float ended in its OverflowError."""
     crag = quad_crag()
     with pytest.raises(CmcError):
         solve(crag, quad_costs(crag), time_limit=limit)

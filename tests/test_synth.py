@@ -83,6 +83,17 @@ def test_parameter_validation():
     for size in (30.5, "64", True, None):
         with pytest.raises(CmcError, match="image_size"):
             generate_synthetic(1, 1, 0.0, 0, image_size=size)
+    # each used to end in a TypeError, or for n_cells=True draw one cell
+    for bad in (1.5, "2", True, None):
+        with pytest.raises(CmcError, match="n_images"):
+            generate_synthetic(bad, 1, 0.0, 0)
+        with pytest.raises(CmcError, match="n_cells"):
+            generate_synthetic(1, bad, 0.0, 0)
+        with pytest.raises(CmcError, match="rng_seed"):
+            generate_synthetic(1, 1, 0.0, bad)
+    with pytest.raises(CmcError, match="n_cells"):
+        generate_synthetic(1, -1, 0.0, 0)
+    assert len(generate_synthetic(np.int64(2), np.int64(1), 0.0, np.int64(3))) == 2
     for size in (-1, 0, 15, 2 * BORDER_CLEAR - 1):
         with pytest.raises(CmcError, match="image_size"):
             generate_synthetic(1, 1, 0.0, 0, image_size=size)
