@@ -210,38 +210,72 @@ def _grow_tree(X, y, rows, rng, k):
     return nodes
 
 
-def _tree_predict(nodes, X):
-    out = np.empty(len(X))
-    stack = [(0, np.arange(len(X)))]
-    while stack:
-        slot, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        node = nodes[slot]
-        if "prob" in node:
-            out[idx] = node["prob"]
-            continue
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        stack.append((node["left"], idx[mask]))
-        stack.append((node["right"], idx[~mask]))
-    return out
-
-
 @dataclass
 class Forest:
+    """Trees as JSON-ready node lists, and the same nodes as flat arrays.
+
+    Construction copies every tree's nodes into one set of arrays,
+    indexed by global node number: split feature, threshold, left and
+    right child, and leaf probability.  A leaf's children are itself.
+    `trees` stays the JSON form, so forest_to_json writes what was read;
+    the arrays do not follow later edits of it.
+    """
+
     trees: list
     n_trees: int
     rng_seed: int
     n_features: int
 
+    def __post_init__(self):
+        feature, threshold, left, right, prob, roots = [], [], [], [], [], []
+        for nodes in self.trees:
+            base = len(prob)
+            roots.append(base)
+            for slot, node in enumerate(nodes, start=base):
+                if "prob" in node:
+                    feature.append(0)
+                    threshold.append(0.0)
+                    left.append(slot)
+                    right.append(slot)
+                    prob.append(node["prob"])
+                else:
+                    feature.append(node["feature"])
+                    threshold.append(node["threshold"])
+                    left.append(base + node["left"])
+                    right.append(base + node["right"])
+                    prob.append(0.0)
+        self._feature = np.array(feature, dtype=np.intp)
+        self._threshold = np.array(threshold, dtype=np.float64)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._prob = np.array(prob, dtype=np.float64)
+        self._roots = np.array(roots, dtype=np.intp)
+
     def predict_proba(self, X):
-        """Mean positive-class probability over the trees."""
+        """Mean positive-class probability over the trees.
+
+        All (tree, row) pairs descend at once, one level per step, and a
+        pair leaves the walk at its leaf; X[row, feature] <= threshold
+        goes left.  Every child comes after its parent, so the walk
+        ends.  The leaf probabilities are summed tree by tree, in tree
+        order, then divided by the tree count.
+        """
         X = np.atleast_2d(_finite(X))
         if X.shape[1] != self.n_features:
             raise SchemaMismatch(self.n_features, X.shape[1])
-        acc = np.zeros(len(X))
-        for nodes in self.trees:
-            acc += _tree_predict(nodes, X)
+        n = len(X)
+        left, right = self._left, self._right
+        node = np.repeat(self._roots, n)  # pair t * n + row
+        live = np.flatnonzero(left[node] != node)
+        while live.size:
+            at = node[live]
+            below = X[live % n, self._feature[at]] <= self._threshold[at]
+            step = np.where(below, left[at], right[at])
+            node[live] = step
+            live = live[left[step] != step]
+        acc = np.zeros(n)
+        for leaf_probs in self._prob[node].reshape(len(self._roots), n):
+            acc += leaf_probs
         return acc / len(self.trees)
 
 
@@ -338,16 +372,26 @@ def forest_to_json(forest):
 
 
 def _tree_from_json(nodes, n_features, where):
-    """A tree's node list, checked so that _tree_predict can walk it: each
-    split names a feature below n_features and children after itself."""
+    """A tree's node list, checked to be one that _grow_tree makes.
+
+    Each node is a leaf, with a prob in [0, 1] and no split key, or a
+    split on a feature below n_features.  Each child comes after its
+    split, and every node but the root is the child of exactly one
+    split, so the walk of Forest.predict_proba reaches a leaf.
+    """
     doc = "model.json"
     json_value(doc, nodes, list, where)
     if not nodes:
         raise CmcError(f"{doc}: {where} has no node")
+    parents = [0] * len(nodes)
     for slot, node in enumerate(nodes):
         at = f"node {slot} of {where}"
         if isinstance(node, dict) and "prob" in node:
-            json_member(doc, node, "prob", float, at)
+            prob = json_member(doc, node, "prob", float, at)
+            if not 0.0 <= prob <= 1.0:
+                raise CmcError(f"{doc}: {at} has prob {prob} outside [0, 1]")
+            if any(key in node for key in ("feature", "threshold", "left", "right")):
+                raise CmcError(f"{doc}: {at} is both a leaf and a split")
             continue
         feature = json_member(doc, node, "feature", int, at)
         json_member(doc, node, "threshold", float, at)
@@ -356,6 +400,13 @@ def _tree_from_json(nodes, n_features, where):
             raise CmcError(f"{doc}: {at} splits on feature {feature} of {n_features}")
         if not all(slot < child < len(nodes) for child in children):
             raise CmcError(f"{doc}: {at} has children {children} out of order")
+        for child in children:
+            parents[child] += 1
+    for slot, count in enumerate(parents[1:], start=1):
+        if count != 1:
+            raise CmcError(
+                f"{doc}: node {slot} of {where} is the child of {count} splits, not 1"
+            )
     return nodes
 
 
@@ -370,13 +421,17 @@ def forest_from_json(obj, where="forest"):
         raise CmcError(f"{doc}: {where} has no tree")
     if len(trees) != n_trees:
         raise CmcError(f"{doc}: {where} has {len(trees)} trees, not n_trees {n_trees}")
+    # train_forest seeds numpy with it, which takes no negative seed
+    rng_seed = json_member(doc, obj, "rng_seed", int, where)
+    if rng_seed < 0:
+        raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
     return Forest(
         trees=[
             _tree_from_json(nodes, n_features, f"tree {t} of {where}")
             for t, nodes in enumerate(trees)
         ],
         n_trees=n_trees,
-        rng_seed=json_member(doc, obj, "rng_seed", int, where),
+        rng_seed=rng_seed,
         n_features=n_features,
     )
 

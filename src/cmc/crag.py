@@ -226,6 +226,19 @@ def pixel_pairs(labels):
     return [np.concatenate(arrays) for arrays in zip(*parts)]
 
 
+def sorted_distinct(values):
+    """The sorted distinct values of an integer or bool array, flattened.
+
+    Equal to np.unique(values), by one sort and a compare of neighbours,
+    which is several times faster than np.unique's hash path on label
+    images.  An empty input gives an empty array.
+    """
+    s = np.sort(values, axis=None)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def candidate_adjacency(subset, leaf_labels):
     """Sorted pairs of disjoint candidates with a 4-neighbour pixel pair between them.
 
@@ -314,7 +327,7 @@ def build_crag(candidates, adjacency, subset, leaf_labels):
         safe.update(trail)
 
     leaf_ids = {i for i, c in cand_map.items() if not c.children}
-    present = set(np.unique(labels).tolist()) - {UNCOVERED}
+    present = set(sorted_distinct(labels).tolist()) - {UNCOVERED}
     if present - leaf_ids:
         raise LeavesDoNotCoverImage(f"label {min(present - leaf_ids)} is not a leaf id")
     if leaf_ids - present:

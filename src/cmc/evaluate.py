@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crag import sorted_distinct
 from .errors import DegenerateInput, DimensionMismatch, EmptyOverlap
 
 
@@ -32,8 +33,9 @@ def _full_table(pred, gt):
     """Counts over all pixels, in ascending (gt_label, pred_label) order.
 
     Each pixel's pair is one integer key gt_rank * n_pred + pred_rank,
-    where the ranks index the sorted distinct labels (np.unique
-    inverses), so any int64 labels work and sorted keys are sorted pairs.
+    where the ranks index the sorted distinct labels (found by
+    searchsorted), so any int64 labels work and sorted keys are sorted
+    pairs.
     """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
@@ -41,12 +43,28 @@ def _full_table(pred, gt):
         raise DimensionMismatch(gt.shape, pred.shape)
     if gt.size == 0:
         raise EmptyOverlap()
-    gu, gi = np.unique(gt.ravel().astype(np.int64), return_inverse=True)
-    pu, pi = np.unique(pred.ravel().astype(np.int64), return_inverse=True)
+    pred = _labels(pred, "predicted")
+    gt = _labels(gt, "ground-truth")
+    gu, pu = sorted_distinct(gt), sorted_distinct(pred)
+    gi = np.searchsorted(gu, gt.ravel())
+    pi = np.searchsorted(pu, pred.ravel())
     keys, counts = np.unique(gi * len(pu) + pi, return_counts=True)
     return _table(
         gu[keys // len(pu)].tolist(), pu[keys % len(pu)].tolist(), counts.tolist()
     )
+
+
+def _labels(labels, side):
+    """Labels as int64; DegenerateInput for a dtype that would not cast
+    exactly (floats, NaN, uint64 above the int64 maximum, objects)."""
+    kind = labels.dtype.kind
+    if kind not in "biu":
+        raise DegenerateInput(
+            f"{side} labels must be integers or bools, got {labels.dtype}"
+        )
+    if kind == "u" and labels.size and int(labels.max()) >= 2**63:
+        raise DegenerateInput(f"{side} labels exceed the int64 maximum")
+    return labels.astype(np.int64, copy=False)
 
 
 def _foreground(table):

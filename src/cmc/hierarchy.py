@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .crag import Candidate, build_crag, candidate_adjacency, edge_key, pixel_pairs
+from .crag import (
+    Candidate,
+    build_crag,
+    candidate_adjacency,
+    edge_key,
+    pixel_pairs,
+    sorted_distinct,
+)
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 
 
@@ -204,7 +211,7 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
     sp = np.asarray(tree.superpixels)
-    level = {int(i): 0 for i in np.unique(sp)}
+    level = {int(i): 0 for i in sorted_distinct(sp)}
     parent = {}
     score_of = {}
     for ev in tree.events:

@@ -28,7 +28,18 @@ from cmc.errors import (
 from cmc.crag import validate_solution
 from cmc.features import compute_features
 
-from util import pixels_of, quad_crag, quad_gt, random_crag, random_gt, zero_solution
+from util import (
+    DELETE,
+    MALFORMED_FOREST,
+    json_with,
+    pixels_of,
+    quad_crag,
+    quad_gt,
+    random_crag,
+    random_gt,
+    ref_tree_predict,
+    zero_solution,
+)
 
 
 def separable_samples(n=20, dim=5, noise=0.0, seed=0):
@@ -250,40 +261,60 @@ def test_forest_json_roundtrip():
     assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
 
 
-DELETE = object()
+def ref_predict_proba(forest, X):
+    """The per-tree reference walk, summed tree by tree in tree order."""
+    acc = np.zeros(len(X))
+    for nodes in forest.trees:
+        acc += ref_tree_predict(nodes, X)
+    return acc / len(forest.trees)
 
 
-def _with(obj, path, value):
-    """Deep copy of a JSON object with the entry at `path` set (or, for
-    value DELETE, removed)."""
-    obj = json.loads(json.dumps(obj))
-    *head, last = path
-    target = obj
-    for key in head:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
-    else:
-        target[last] = value
-    return obj
+def on_thresholds(forest, rng, n):
+    """n rows whose every value is a split threshold of its column, so
+    each row meets some split exactly at its threshold."""
+    by_column = {}
+    for nodes in forest.trees:
+        for node in nodes:
+            if "feature" in node:
+                by_column.setdefault(node["feature"], []).append(node["threshold"])
+    rows = np.zeros((n, forest.n_features))
+    for col, thresholds in by_column.items():
+        rows[:, col] = rng.choice(thresholds, size=n)
+    return rows
 
-# (path into a forest's JSON, the value put there)
-MALFORMED_FOREST = {
-    "no trees": (("trees",), DELETE),
-    "trees not a list": (("trees",), {}),
-    "empty tree": (("trees", 0), []),
-    "no tree at all": (("trees",), []),
-    "fewer trees than n_trees": (("n_trees",), 3),
-    "string n_features": (("n_features",), "5"),
-    "boolean rng_seed": (("rng_seed",), True),
-    "node not an object": (("trees", 0, 0), 3),
-    "split without threshold": (("trees", 0, 0, "threshold"), DELETE),
-    "string threshold": (("trees", 0, 0, "threshold"), "0.5"),
-    "feature out of range": (("trees", 0, 0, "feature"), 5),
-    "child before parent": (("trees", 0, 0, "left"), 0),
-    "child past the end": (("trees", 0, 0, "right"), 10**6),
-    "NaN probability": (("trees", 0, -1, "prob"), float("nan")),
-}
+
+def test_flat_walk_equals_the_per_tree_walk():
+    """predict_proba equals the per-tree reference bit for bit: on
+    forests trained on many tied values, on rows that sit exactly on
+    thresholds, on forests with single-leaf trees, and on 0 and 1 rows."""
+    rng = np.random.default_rng(41)
+    forests = []
+    for k in range(4):
+        X = rng.integers(0, 4, size=(60, 6)).astype(np.float64)
+        y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=60) > 4).astype(np.int64)
+        forests.append((train_forest((X, y), n_trees=25, rng_seed=k), X))
+    obj = json.loads(json.dumps(forest_to_json(forests[0][0])))
+    obj["trees"][0] = [{"prob": 0.25}]
+    obj["trees"][3] = [{"prob": 1}]
+    forests.append((forest_from_json(obj), forests[0][1]))
+    leaves = {"n_trees": 3, "rng_seed": 0, "n_features": 6,
+              "trees": [[{"prob": 0.1}], [{"prob": 0.7}], [{"prob": 0.3}]]}
+    forests.append((forest_from_json(leaves), forests[0][1]))
+    for forest, X in forests:
+        for probe in (X, on_thresholds(forest, rng, 200), X[:1], X[:0]):
+            got = forest.predict_proba(probe)
+            assert got.shape == (len(probe),)
+            assert np.array_equal(got, ref_predict_proba(forest, probe))
+
+
+def test_a_row_on_the_threshold_goes_left():
+    obj = {"n_trees": 1, "rng_seed": 0, "n_features": 1, "trees": [[
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"prob": 0.0},
+        {"prob": 1.0},
+    ]]}
+    forest = forest_from_json(obj)
+    assert forest.predict_proba([[0.5], [np.nextafter(0.5, 1)]]).tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FOREST))
@@ -291,8 +322,9 @@ def test_malformed_forest_json_rejected(case):
     X, y = separable_samples(n=24, noise=0.25, seed=8)
     obj = forest_to_json(train_forest((X, y), n_trees=2, rng_seed=5))
     assert "feature" in obj["trees"][0][0] and "prob" in obj["trees"][0][-1]
+    assert obj["trees"][0][0]["left"] == 1
     with pytest.raises(CmcError, match="model.json"):
-        forest_from_json(_with(obj, *MALFORMED_FOREST[case]))
+        forest_from_json(json_with(obj, *MALFORMED_FOREST[case]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,4 +410,4 @@ def test_malformed_costs_json_rejected(case):
         CostTable({i: 1.0 for i in crag.ids()}, {e: -1.0 for e in crag.adjacency})
     )
     with pytest.raises(CmcError, match="costs.json"):
-        costs_from_json(_with(obj, *MALFORMED_COSTS[case]))
+        costs_from_json(json_with(obj, *MALFORMED_COSTS[case]))

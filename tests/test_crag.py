@@ -21,6 +21,7 @@ from cmc.crag import (
     objective_value,
     solution_from_json,
     solution_to_json,
+    sorted_distinct,
     validate_solution,
 )
 from cmc.errors import (
@@ -600,3 +601,22 @@ def test_solution_json_roundtrip():
     sol.objective = -4.0
     blob = json.dumps(solution_to_json(sol))
     assert solution_from_json(json.loads(blob)) == sol
+
+
+def test_sorted_distinct_equals_np_unique():
+    """Same values and dtype as np.unique: empty, one-element and 2-d
+    arrays, UNCOVERED, int64 and uint64 extremes, bools."""
+    i64 = np.iinfo(np.int64)
+    cases = [
+        np.array([], dtype=np.int64),
+        np.zeros((0, 3), dtype=np.uint8),
+        np.array([7]),
+        np.array([[3, UNCOVERED, 3], [UNCOVERED, 0, 2]]),
+        np.array([i64.max, i64.min, 0, i64.max, i64.min, -1]),
+        np.array([2**64 - 1, 0, 2**63, 0], dtype=np.uint64),
+        np.array([[True, False], [True, True]]),
+        np.random.default_rng(12).integers(-3, 4, size=(9, 11)),
+    ]
+    for values in cases:
+        got, want = sorted_distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

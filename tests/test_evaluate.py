@@ -189,8 +189,8 @@ def ref_contingency_table(pred, gt, ignore_background=False):
 
 def test_contingency_table_matches_stacked_rows_reference():
     """Same counts, marginals and dict order as the row-wise table, also
-    for negative and huge labels and with the background left out; the
-    metrics dict equals the three public measures."""
+    for negative, huge and bool labels and with the background left out;
+    the metrics dict equals the three public measures."""
     rng = np.random.default_rng(10)
     for k in range(60):
         shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
@@ -201,6 +201,10 @@ def test_contingency_table_matches_stacked_rows_reference():
         if k % 3 == 2:
             gt = np.where(gt == 2, -(2**50), gt)
             pred = pred.astype(np.uint16) + 60000
+        if k % 4 == 3:
+            pred = pred > 1
+        if k % 8 == 7:
+            gt = gt > 0
         for ignore in (False, True):
             if ignore and not gt.any():
                 continue
@@ -220,3 +224,33 @@ def test_contingency_table_matches_stacked_rows_reference():
             assert (out["precision"], out["recall"], out["f_score"]) == (
                 detection_score(pred, gt)
             )
+
+
+# labels no int64 holds exactly; each used to be cast to int64 in silence
+BAD_LABELS = {
+    "fractional": np.array([[0.5, 1.5], [2.7, 3.0]]),
+    "NaN": np.array([[np.nan, 1.0], [2.0, 2.0]]),
+    "uint64 past the int64 maximum": np.array([[2**63, 1], [2, 2]], dtype=np.uint64),
+    "Python ints past int64": np.array([[2**70, 1], [2, 2]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_labels_that_int64_cannot_hold_rejected(case):
+    bad, good = BAD_LABELS[case], np.array([[0, 1], [2, 2]])
+    for pred, gt in ((bad, good), (good, bad)):
+        for measure in (
+            contingency_table, voi, rand_index, detection_score, segmentation_metrics
+        ):
+            with pytest.raises(DegenerateInput, match="labels"):
+                measure(pred, gt)
+
+
+def test_uint64_labels_up_to_the_int64_maximum_accepted():
+    top = np.iinfo(np.int64).max
+    pred = np.array([[top, 1], [2, 2]])
+    gt = np.array([[0, 1], [2, 2]])
+    assert segmentation_metrics(pred.astype(np.uint64), gt) == segmentation_metrics(
+        pred, gt
+    )
+    assert contingency_table(pred.astype(np.uint64), gt).counts[(0, top)] == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmc.cli import main
-from cmc.costmodel import CostTable, costs_to_json
+from cmc.costmodel import CostTable, costs_to_json, forest_to_json, train_forest
 from cmc.crag import (
     Candidate,
     build_crag,
@@ -30,7 +30,15 @@ from cmc.pipeline import (
 )
 from cmc.synth import generate_synthetic
 
-from util import leaf_image, pixel_grid_crag, quad_costs, quad_crag, quad_gt
+from util import (
+    MALFORMED_FOREST,
+    json_with,
+    leaf_image,
+    pixel_grid_crag,
+    quad_costs,
+    quad_crag,
+    quad_gt,
+)
 
 
 def easy_triple(seed=3):
@@ -226,6 +234,22 @@ def test_cli_malformed_stage_input_fails_by_name(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FOREST))
+def test_cli_costs_rejects_malformed_forest(case, tmp_path, capsys):
+    files = staged_quad_files(tmp_path)
+    argv = ["costs", "--model", files["model.json"], "--crag", files["crag.json"],
+            "--features", files["features.json"], "--out", str(tmp_path / "out.json")]
+    model = json.loads((tmp_path / "model.json").read_text())
+    X = [[0.1] * 5, [0.9] * 5] * 4
+    forest = forest_to_json(train_forest((X, [0, 1] * 4), n_trees=2, rng_seed=5))
+    model["node_forest"] = json_with(forest, *MALFORMED_FOREST[case])
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.json" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_run_pipeline_persists_intermediates(tmp_path):

@@ -2,8 +2,9 @@
 literal enumeration oracle used to cross-check the solver, the integer
 program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
-crag.json run-length encoding, and a full-canvas reference for the
-windowed synthetic image drawer.
+crag.json run-length encoding, a full-canvas reference for the
+windowed synthetic image drawer, and a per-tree walk of a forest's node
+lists.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -17,6 +18,7 @@ objective comparisons need no tolerance.
 
 import heapq
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -584,3 +586,78 @@ def ref_unit_propagation(rows, n, literals):
                     changed = True
                     slack = ref_slack(row, values)
     return values
+
+
+def ref_tree_predict(nodes, X):
+    """One tree's leaf probability per row of X, by a stack walk of its
+    JSON node list; X[row, feature] <= threshold goes left."""
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        slot, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        node = nodes[slot]
+        if "prob" in node:
+            out[idx] = node["prob"]
+            continue
+        mask = X[idx, node["feature"]] <= node["threshold"]
+        stack.append((node["left"], idx[mask]))
+        stack.append((node["right"], idx[~mask]))
+    return out
+
+
+DELETE = object()
+
+
+def json_with(obj, path, value):
+    """Deep copy of a JSON object with the entry at `path` set (or, for
+    value DELETE, removed)."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return obj
+
+
+# (path into a forest's JSON, the value put there); the forest has 5
+# features, and tree 0 splits at its root into nodes 1 and 2 and ends
+# in a leaf
+MALFORMED_FOREST = {
+    "no trees": (("trees",), DELETE),
+    "trees not a list": (("trees",), {}),
+    "empty tree": (("trees", 0), []),
+    "no tree at all": (("trees",), []),
+    "fewer trees than n_trees": (("n_trees",), 3),
+    "string n_features": (("n_features",), "5"),
+    "boolean rng_seed": (("rng_seed",), True),
+    "negative rng_seed": (("rng_seed",), -1),
+    "node not an object": (("trees", 0, 0), 3),
+    "split without threshold": (("trees", 0, 0, "threshold"), DELETE),
+    "string threshold": (("trees", 0, 0, "threshold"), "0.5"),
+    "feature out of range": (("trees", 0, 0, "feature"), 5),
+    "child before parent": (("trees", 0, 0, "left"), 0),
+    "child past the end": (("trees", 0, 0, "right"), 10**6),
+    "child named twice by one split": (("trees", 0, 0, "right"), 1),
+    "child of two splits": (("trees", 0), [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"feature": 1, "threshold": 0.5, "left": 2, "right": 3},
+        {"prob": 0.0},
+        {"prob": 1.0},
+    ]),
+    "node no split names": (("trees", 0), [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
+        {"prob": 0.0},
+        {"prob": 1.0},
+        {"prob": 1.0},
+    ]),
+    "leaf with a feature": (("trees", 0, -1, "feature"), 0),
+    "NaN probability": (("trees", 0, -1, "prob"), float("nan")),
+    "probability above 1": (("trees", 0, -1, "prob"), 1.5),
+    "negative probability": (("trees", 0, -1, "prob"), -3.0),
+}
