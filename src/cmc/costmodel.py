@@ -217,8 +217,9 @@ class Forest:
     Construction copies every tree's nodes into one set of arrays,
     indexed by global node number: split feature, threshold, left and
     right child, and leaf probability.  A leaf's children are itself.
-    `trees` stays the JSON form, so forest_to_json writes what was read;
-    the arrays do not follow later edits of it.
+    `trees` stays the JSON form, so forest_to_json writes what was read.
+    The arrays do not follow later edits of `trees`; forest_to_json
+    returns copies of its nodes, so edits of its result touch neither.
     """
 
     trees: list
@@ -367,7 +368,7 @@ def forest_to_json(forest):
         "n_trees": forest.n_trees,
         "rng_seed": forest.rng_seed,
         "n_features": forest.n_features,
-        "trees": forest.trees,
+        "trees": [[dict(node) for node in nodes] for nodes in forest.trees],
     }
 
 

@@ -1,13 +1,16 @@
 """Candidate region adjacency graph.
 
-A Crag holds a pool of candidate regions, adjacency edges between
-disjoint touching candidates, and a subset forest recording which
-candidates are unions of which.  Its pixels live in one label image,
-`Crag.leaf_labels()`: each pixel holds the id of the leaf (superpixel)
-covering it, and an inner node covers the pixels of its leaves.  The
-module also provides conflict-clique enumeration, validation of binary
-assignments against the overlap / incidence / path constraint families,
-and JSON (de)serialization, which run-length encodes each leaf.
+A Crag holds a pool of candidate regions and adjacency edges between
+disjoint touching candidates.  Each candidate's children are the one
+statement of nesting: they form the subset forest, whose child -> parent
+map build_crag derives as `Crag.subset`.  The pixels live in one label
+image, `Crag.leaf_labels()`: each pixel holds the id of the leaf
+(superpixel) covering it, and an inner node covers the pixels of its
+leaves.  The module also provides conflict-clique enumeration,
+validation of binary assignments against the overlap / incidence / path
+constraint families, and JSON (de)serialization, which run-length
+encodes each leaf: a crag.json entry has `pixels` (a leaf) or `children`
+(a union), never both.
 
 The graph facts are defined here once each: which pixels touch
 (pixel_pairs), which candidates are adjacent (candidate_adjacency) and
@@ -156,7 +159,6 @@ class Crag:
         return (
             self.candidates == other.candidates
             and self.adjacency == other.adjacency
-            and self.subset == other.subset
             and np.array_equal(self._leaf_labels, other._leaf_labels)
         )
 
@@ -259,19 +261,22 @@ def candidate_adjacency(subset, leaf_labels):
     }
 
 
-def build_crag(candidates, adjacency, subset, leaf_labels):
+def build_crag(candidates, adjacency, leaf_labels):
     """Validating constructor for Crag.
 
+    The candidates' `children` are the one statement of nesting: the
+    Crag's `subset` (child -> parent) is derived from them.
     `leaf_labels` is the 2-d integer image of leaf ids (UNCOVERED where
     no leaf lies); it fixes the Crag's height and width, and a read-only
     int64 copy becomes its leaf_labels().  Checks: unique non-negative
-    ids, children/subset consistency, the subset relation is a forest,
-    every label is a leaf id or UNCOVERED and every leaf has a pixel,
-    and the adjacency is a subset of candidate_adjacency.  The first edge
-    outside it, in input order, raises CmcError for an unknown id,
-    AdjacencyBetweenOverlapping when one end is an ancestor-or-self of
-    the other (leaves are non-empty and disjoint, so that is overlap),
-    and NotAdjacent otherwise.
+    ids, every child a known id listed once (SubsetNotForest for a
+    second listing) and every candidate reachable from a root
+    (SubsetNotForest for a cycle), every label is a leaf id or UNCOVERED
+    and every leaf has a pixel, and the adjacency is a subset of
+    candidate_adjacency.  The first edge outside it, in input order,
+    raises CmcError for an unknown id, AdjacencyBetweenOverlapping when
+    one end is an ancestor-or-self of the other (leaves are non-empty
+    and disjoint, so that is overlap), and NotAdjacent otherwise.
     """
     labels = np.asarray(leaf_labels)
     if labels.ndim != 2 or labels.dtype.kind not in "iu":
@@ -289,42 +294,21 @@ def build_crag(candidates, adjacency, subset, leaf_labels):
             raise CmcError(f"candidate {cand.id} has negative level")
         cand_map[cand.id] = cand
 
-    raw_pairs = [(int(c), int(p)) for c, p in subset]
-    for child, parent in raw_pairs:
-        if child not in cand_map or parent not in cand_map:
-            raise CmcError(f"subset pair ({child}, {parent}) references unknown id")
-    seen_children = set()
-    for child, parent in raw_pairs:
-        if child in seen_children:
-            raise SubsetNotForest([child], "child has two parents")
-        seen_children.add(child)
-    subset = dict(raw_pairs)
-
-    # children fields must mirror the subset pairs exactly
-    children_from_subset = {}
-    for child, parent in subset.items():
-        children_from_subset.setdefault(parent, set()).add(child)
+    subset = {}
     for cid, cand in cand_map.items():
-        declared = set(cand.children)
-        derived = children_from_subset.get(cid, set())
-        if declared != derived:
-            raise SubsetNotForest(
-                [cid], f"children {sorted(declared)} != subset-derived {sorted(derived)}"
-            )
-
-    # cycle check: walk parent chains, memoizing nodes proven acyclic
-    safe = set()
-    for start in cand_map:
-        trail = []
-        on_trail = set()
-        node = start
-        while node is not None and node not in safe:
-            if node in on_trail:
-                raise SubsetNotForest(trail[trail.index(node):], "cycle")
-            trail.append(node)
-            on_trail.add(node)
-            node = subset.get(node)
-        safe.update(trail)
+        for child in cand.children:
+            if child not in cand_map:
+                raise CmcError(f"candidate {cid} has unknown child {child}")
+            if child in subset:
+                raise SubsetNotForest([child], "child listed twice")
+            subset[child] = cid
+    # with one parent per child, a candidate is on or under a cycle iff no
+    # root reaches it; `reached` grows while it is walked
+    reached = [i for i in cand_map if i not in subset]
+    for node in reached:
+        reached.extend(cand_map[node].children)
+    if len(reached) < len(cand_map):
+        raise SubsetNotForest(sorted(set(cand_map) - set(reached)), "cycle")
 
     leaf_ids = {i for i, c in cand_map.items() if not c.children}
     present = set(sorted_distinct(labels).tolist()) - {UNCOVERED}
@@ -482,7 +466,6 @@ def crag_to_json(crag):
         "height": crag.height,
         "candidates": cands,
         "adjacency": [list(e) for e in crag.adjacency],
-        "subset": sorted([c, p] for c, p in crag.subset.items()),
     }
 
 
@@ -531,13 +514,6 @@ def json_edge(doc, key):
     return edge_key(int(match[1]), int(match[2]))
 
 
-def _id_pairs(obj, key):
-    pairs = json_member("crag.json", obj, key, list, "crag")
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise CmcError(f"crag.json: an entry of {key} is not a pair")
-    return [tuple(json_value("crag.json", v, int, key) for v in p) for p in pairs]
-
-
 def crag_from_json(obj):
     """Crag from its JSON form; malformed input raises CmcError.
 
@@ -559,6 +535,8 @@ def crag_from_json(obj):
         where = f"candidate {cid}"
         level = json_member(doc, entry, "level", int, where)
         if "children" in entry:
+            if "pixels" in entry:
+                raise CmcError(f"{doc}: {where} has both children and pixels")
             kids = json_member(doc, entry, "children", list, where)
             kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
             candidates.append(Candidate(cid, level, kids))
@@ -580,9 +558,11 @@ def crag_from_json(obj):
                 raise OverlappingLeaves(int(segment[taken.argmax()]), cid)
             segment[:] = cid
         candidates.append(Candidate(cid, level))
-    return build_crag(
-        candidates, _id_pairs(obj, "adjacency"), _id_pairs(obj, "subset"), labels
-    )
+    pairs = json_member(doc, obj, "adjacency", list, "crag")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise CmcError(f"{doc}: an entry of adjacency is not a pair")
+    adjacency = [tuple(json_value(doc, v, int, "adjacency") for v in p) for p in pairs]
+    return build_crag(candidates, adjacency, labels)
 
 
 def solution_to_json(solution):

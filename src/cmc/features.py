@@ -518,14 +518,30 @@ def _json_vector(values, length, where):
     return vector
 
 
+def _check_schema(obj, key, names):
+    """CmcError unless obj[key] lists `names`, naming the first entry that differs."""
+    schema = json_member("features.json", obj, key, list, "features")
+    if schema != names:
+        at = next(
+            (k for k, (got, want) in enumerate(zip(schema, names)) if got != want),
+            min(len(schema), len(names)),
+        )
+        got, want = (repr(s[at]) if at < len(s) else "missing" for s in (schema, names))
+        raise CmcError(f"features.json: {key} entry {at} is {got}, expected {want}")
+
+
 def features_from_json(obj):
     """Node and edge features from their JSON form; malformed input
-    (vector lengths other than the schema's included) raises CmcError."""
+    (a schema other than this release's feature names, or vector
+    lengths other than the schema's, included) raises CmcError."""
     doc = "features.json"
+    node_names, edge_names = node_feature_names(), edge_feature_names()
+    _check_schema(obj, "node_schema", node_names)
+    _check_schema(obj, "edge_schema", edge_names)
     nodes, edges = (
         json_member(doc, obj, key, dict, "features") for key in ("nodes", "edges")
     )
-    n_node, n_edge = len(node_feature_names()), len(edge_feature_names())
+    n_node, n_edge = len(node_names), len(edge_names)
     node_feats = {
         json_id(doc, i): _json_vector(v, n_node, f"node {i}") for i, v in nodes.items()
     }

@@ -8,6 +8,7 @@ budget and wires up the candidate region adjacency graph.
 """
 
 import heapq
+import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -210,6 +211,8 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     """
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
+    if score_threshold is not None and not math.isfinite(score_threshold):
+        raise CmcError(f"score_threshold must be finite or None, got {score_threshold}")
     sp = np.asarray(tree.superpixels)
     level = {int(i): 0 for i in sorted_distinct(sp)}
     parent = {}
@@ -234,18 +237,15 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     inc = {n for n in level if included(n)}
 
     # re-attach surviving nodes to their nearest surviving ancestor
-    sub_pairs = []
-    restricted_children = {n: [] for n in inc}
+    kept_parent = {}
+    children = {n: [] for n in inc}
     for n in sorted(inc):
         p = parent.get(n)
         while p is not None and p not in inc:
             p = parent.get(p)
         if p is not None:
-            sub_pairs.append((n, p))
-            restricted_children[p].append(n)
+            kept_parent[n] = p
+            children[p].append(n)
 
-    cands = [
-        Candidate(n, level[n], tuple(sorted(restricted_children[n])))
-        for n in sorted(inc)
-    ]
-    return build_crag(cands, candidate_adjacency(dict(sub_pairs), sp), sub_pairs, sp)
+    cands = [Candidate(n, level[n], tuple(children[n])) for n in sorted(inc)]
+    return build_crag(cands, candidate_adjacency(kept_parent, sp), sp)

@@ -261,6 +261,24 @@ def test_forest_json_roundtrip():
     assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
 
 
+def test_editing_forest_to_json_leaves_the_forest_alone():
+    """forest_to_json returns copies: edits of its trees and nodes change
+    neither the forest's JSON nor its predictions, and the predictions
+    still follow forest.trees."""
+    X, y = separable_samples(n=24, noise=0.25, seed=8)
+    forest = train_forest((X, y), n_trees=4, rng_seed=5)
+    probe = np.random.default_rng(2).random((20, 5))
+    before, want = json.dumps(forest_to_json(forest)), forest.predict_proba(probe)
+    obj = forest_to_json(forest)
+    obj["trees"][0] = [{"prob": 0.5}]
+    assert "prob" in obj["trees"][1][-1]
+    obj["trees"][1][-1]["prob"] = 1.0 - obj["trees"][1][-1]["prob"]
+    obj["trees"][2].append({"prob": 1.0})
+    assert json.dumps(forest_to_json(forest)) == before
+    assert np.array_equal(forest.predict_proba(probe), want)
+    assert np.array_equal(want, ref_predict_proba(forest, probe))
+
+
 def ref_predict_proba(forest, X):
     """The per-tree reference walk, summed tree by tree in tree order."""
     acc = np.zeros(len(X))

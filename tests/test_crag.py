@@ -35,6 +35,7 @@ from cmc.errors import (
 )
 from cmc import cli
 from cmc.features import compute_features, edge_feature_names
+from cmc.pgm import write_probability
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.synth import generate_synthetic
 from util import (
@@ -73,7 +74,7 @@ def test_quad_structure():
 
 def test_single_leaf_whole_image():
     pixels = frozenset((r, c) for r in range(3) for c in range(3))
-    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 3, 3))
+    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 3, 3))
     assert crag.ids() == [1]
     assert conflict_cliques(crag) == [frozenset([1])]
 
@@ -81,18 +82,18 @@ def test_single_leaf_whole_image():
 def test_duplicate_id_rejected():
     cands = [Candidate(1, 0), Candidate(1, 0)]
     with pytest.raises(CmcError):
-        build_crag(cands, [], [], leaf_image({1: [(0, 0), (0, 1)]}, 2, 1))
+        build_crag(cands, [], leaf_image({1: [(0, 0), (0, 1)]}, 2, 1))
 
 
 def test_negative_id_rejected():
     # negative ids would collide with the UNCOVERED label
     with pytest.raises(CmcError):
-        build_crag([Candidate(-1, 0)], [], [], leaf_image({-1: [(0, 0)]}, 1, 1))
+        build_crag([Candidate(-1, 0)], [], leaf_image({-1: [(0, 0)]}, 1, 1))
 
 
 def test_negative_level_rejected():
     with pytest.raises(CmcError):
-        build_crag([Candidate(1, -1)], [], [], leaf_image({1: [(0, 0)]}, 1, 1))
+        build_crag([Candidate(1, -1)], [], leaf_image({1: [(0, 0)]}, 1, 1))
 
 
 def test_children_and_pixels_rejected():
@@ -100,12 +101,12 @@ def test_children_and_pixels_rejected():
     cands = [Candidate(1, 0), Candidate(2, 1, children=(1,))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
     with pytest.raises(CmcError):
-        build_crag(cands, [], [(1, 2)], labels)
+        build_crag(cands, [], labels)
 
 
 def test_pixelless_leaf_rejected():
     with pytest.raises(LeavesDoNotCoverImage):
-        build_crag([Candidate(1, 0)], [], [], leaf_image({}, 1, 1))
+        build_crag([Candidate(1, 0)], [], leaf_image({}, 1, 1))
 
 
 def test_leaf_label_image_checked():
@@ -113,26 +114,29 @@ def test_leaf_label_image_checked():
     read-only int64 copy."""
     cands = [Candidate(1, 0)]
     with pytest.raises(LeavesDoNotCoverImage):  # 9 is not a leaf id
-        build_crag(cands, [], [], np.array([[1, 9]]))
+        build_crag(cands, [], np.array([[1, 9]]))
     with pytest.raises(CmcError):
-        build_crag(cands, [], [], np.array([1, UNCOVERED]))
+        build_crag(cands, [], np.array([1, UNCOVERED]))
     with pytest.raises(CmcError):
-        build_crag(cands, [], [], np.array([[1.0]]))
+        build_crag(cands, [], np.array([[1.0]]))
     with pytest.raises(CmcError):
-        build_crag(cands, [], [], np.array([[True]]))
+        build_crag(cands, [], np.array([[True]]))
     image = np.array([[1, 1]], dtype=np.uint8)
-    labels = build_crag(cands, [], [], image).leaf_labels()
+    labels = build_crag(cands, [], image).leaf_labels()
     image[0, 0] = 2
     assert labels.dtype == np.int64 and labels.tolist() == [[1, 1]]
     assert not labels.flags.writeable
 
 
-def test_unknown_subset_id_rejected():
-    with pytest.raises(CmcError):
-        build_crag([Candidate(1, 0)], [], [(1, 9)], leaf_image({1: [(0, 0)]}, 1, 1))
+def test_unknown_child_id_rejected():
+    cands = [Candidate(1, 0), Candidate(2, 1, children=(1, 9))]
+    with pytest.raises(CmcError, match="unknown child 9"):
+        build_crag(cands, [], leaf_image({1: [(0, 0)]}, 1, 1))
 
 
 def test_two_parents_rejected():
+    """A child listed under two parents, or twice under one: a repeated
+    child would count its pixels twice in the parent's size."""
     cands = [
         Candidate(1, 0),
         Candidate(2, 0),
@@ -142,30 +146,71 @@ def test_two_parents_rejected():
     ]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 2)]}, 3, 1)
     with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 4), (2, 4), (1, 5), (3, 5)], labels)
-
-
-def test_children_subset_mismatch_rejected():
-    cands = [
-        Candidate(1, 0),
-        Candidate(2, 0),
-        Candidate(3, 1, children=(1,)),  # subset says children are {1, 2}
-    ]
+        build_crag(cands, [], labels)
+    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, children=(1, 1, 2))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
-    with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 3), (2, 3)], labels)
+    with pytest.raises(SubsetNotForest) as got:
+        build_crag(cands, [], labels)
+    assert got.value.ids == (1,)
 
 
 def test_cycle_rejected():
-    cands = [Candidate(1, 1, children=(2,)), Candidate(2, 1, children=(1,))]
+    """No root reaches a cycle, nor the candidates hanging below it."""
+    cands = [
+        Candidate(1, 0),
+        Candidate(2, 1, children=(1, 3)),
+        Candidate(3, 1, children=(2,)),
+        Candidate(4, 0),
+    ]
+    with pytest.raises(SubsetNotForest) as got:
+        build_crag(cands, [], leaf_image({1: [(0, 0)], 4: [(0, 1)]}, 2, 1))
+    assert got.value.ids == (1, 2, 3)
+    with pytest.raises(SubsetNotForest):  # a candidate that is its own child
+        build_crag([Candidate(1, 1, children=(1,))], [], leaf_image({}, 1, 1))
+
+
+def _features_argv(tmp_path, obj):
+    """`cmc features` arguments that read crag.json `obj` and flat raw and
+    boundary images of its size, all written to tmp_path, and write
+    tmp_path / "features.json"."""
+    paths = {name: str(tmp_path / name)
+             for name in ("crag.json", "raw.pgm", "boundary.pgm", "features.json")}
+    (tmp_path / "crag.json").write_text(json.dumps(obj))
+    for name in ("raw.pgm", "boundary.pgm"):
+        write_probability(paths[name], np.full((obj["height"], obj["width"]), 0.5))
+    return ["--crag", paths["crag.json"], "--raw", paths["raw.pgm"],
+            "--boundary", paths["boundary.pgm"], "--out", paths["features.json"]]
+
+
+QUAD_SUBSET = [[1, 5], [2, 5], [3, 6], [4, 6], [5, 7], [6, 7]]
+
+
+def test_subset_member_not_read(tmp_path):
+    """A "subset" member, which older files carry, is not read: the
+    children alone state the nesting."""
+    for subset in (QUAD_SUBSET, [[1, 7]], "junk"):
+        obj = {**crag_to_json(quad_crag()), "subset": subset}
+        assert crag_from_json(obj) == quad_crag()
+    assert cli.main(["features", *_features_argv(tmp_path, obj)]) == 0
+    assert "subset" not in crag_to_json(quad_crag())
+
+
+def test_repeated_child_rejected(tmp_path, capsys):
+    """children [1, 1, 2] used to load next to a "subset" member naming
+    each child once, and then counted leaf 1 twice in candidate 5's size."""
+    obj = {**crag_to_json(quad_crag()), "subset": QUAD_SUBSET}
+    obj["candidates"][4]["children"] = [1, 1, 2]
     with pytest.raises(SubsetNotForest):
-        build_crag(cands, [], [(1, 2), (2, 1)], leaf_image({}, 1, 1))
+        crag_from_json(obj)
+    assert cli.main(["features", *_features_argv(tmp_path, obj)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "features.json").exists()
 
 
 def test_out_of_bounds_pixel_rejected():
     """A crag.json run that leaves the 2x2 image, in each direction."""
     for pixel in [(0, 5), (0, 2), (2, 0), (-1, 0), (0, -1)]:
-        obj = ref_crag_json({1: [pixel]}, [Candidate(1, 0)], [], [], 2, 2)
+        obj = ref_crag_json({1: [pixel]}, [Candidate(1, 0)], [], 2, 2)
         with pytest.raises(LeavesDoNotCoverImage):
             crag_from_json(obj)
 
@@ -174,8 +219,7 @@ def test_image_size_numpy_refuses_rejected():
     """Image sizes whose label image numpy refuses before allocating it
     used to end in numpy's ValueError."""
     for height, width in [(2**40, 2**40), (1, 2**62), (0, 2**62)]:
-        obj = {"height": height, "width": width, "candidates": [],
-               "adjacency": [], "subset": []}
+        obj = {"height": height, "width": width, "candidates": [], "adjacency": []}
         with pytest.raises(CmcError, match="too large"):
             crag_from_json(obj)
 
@@ -183,7 +227,7 @@ def test_image_size_numpy_refuses_rejected():
 def test_overlapping_leaves_rejected():
     """Runs (0, 0:2) of leaf 1 and (0, 1:2) of leaf 2 share pixel (0, 1)."""
     pixels = {1: [(0, 0), (0, 1)], 2: [(0, 1)]}
-    obj = ref_crag_json(pixels, [Candidate(1, 0), Candidate(2, 0)], [], [], 2, 1)
+    obj = ref_crag_json(pixels, [Candidate(1, 0), Candidate(2, 0)], [], 2, 1)
     with pytest.raises(OverlappingLeaves) as got:
         crag_from_json(obj)
     assert got.value.ids == (1, 2)
@@ -196,16 +240,15 @@ def test_bad_adjacency_rejected():
         Candidate(3, 0),
         Candidate(4, 1, children=(1, 2)),
     ]
-    subset = [(1, 4), (2, 4)]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 3)]}, 4, 1)
     with pytest.raises(CmcError):
-        build_crag(base, [(1, 9)], subset, labels)
+        build_crag(base, [(1, 9)], labels)
     with pytest.raises(AdjacencyBetweenOverlapping):
-        build_crag(base, [(1, 1)], subset, labels)
+        build_crag(base, [(1, 1)], labels)
     with pytest.raises(AdjacencyBetweenOverlapping):
-        build_crag(base, [(1, 4)], subset, labels)  # parent overlaps child
+        build_crag(base, [(1, 4)], labels)  # parent overlaps child
     with pytest.raises(NotAdjacent):
-        build_crag(base, [(1, 3)], subset, labels)  # gap at (0, 2)
+        build_crag(base, [(1, 3)], labels)  # gap at (0, 2)
 
 
 def test_conflict_cliques_quad():
@@ -222,7 +265,7 @@ def test_conflict_cliques_quad():
 def test_conflict_cliques_flat():
     cands = [Candidate(i, 0) for i in (1, 2, 3)]
     labels = leaf_image({i: [(0, i - 1)] for i in (1, 2, 3)}, 3, 1)
-    crag = build_crag(cands, [], [], labels)
+    crag = build_crag(cands, [], labels)
     assert conflict_cliques(crag) == [
         frozenset([1]),
         frozenset([2]),
@@ -239,7 +282,7 @@ def test_conflict_cliques_chain_with_lone_leaf():
         Candidate(4, 2, children=(3,)),
     ]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
-    crag = build_crag(cands, [], [(1, 3), (3, 4)], labels)
+    crag = build_crag(cands, [], labels)
     assert set(conflict_cliques(crag)) == {frozenset([1, 3, 4]), frozenset([2])}
 
 
@@ -341,7 +384,7 @@ def test_interface_pairs_and_touch():
     a = {(0, 0), (1, 0)}
     b = {(0, 1), (1, 1)}
     leaves = [Candidate(1, 0), Candidate(2, 0)]
-    crag = build_crag(leaves, [(1, 2)], [], leaf_image({1: a, 2: b}, 2, 2))
+    crag = build_crag(leaves, [(1, 2)], leaf_image({1: a, 2: b}, 2, 2))
     boundary = np.array([[0.1, 0.5], [0.3, 0.2]])
     f = compute_features(crag, np.zeros((2, 2)), boundary)[1][(1, 2)]
     names = edge_feature_names()
@@ -355,10 +398,10 @@ def test_interface_pairs_and_touch():
     assert ref_regions_touch(a, b)  # build_crag accepted (1, 2) above
     assert not ref_regions_touch(a, {(0, 2)})
     with pytest.raises(NotAdjacent):
-        build_crag(leaves, [(1, 2)], [], leaf_image({1: a, 2: {(0, 2)}}, 3, 2))
+        build_crag(leaves, [(1, 2)], leaf_image({1: a, 2: {(0, 2)}}, 3, 2))
     assert not ref_regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
     with pytest.raises(NotAdjacent):
-        build_crag(leaves, [(1, 2)], [], leaf_image({1: {(0, 0)}, 2: {(1, 1)}}, 2, 2))
+        build_crag(leaves, [(1, 2)], leaf_image({1: {(0, 0)}, 2: {(1, 1)}}, 2, 2))
 
 
 def test_objective_value():
@@ -376,14 +419,14 @@ def test_rle_roundtrip_random():
             (int(r), int(c))
             for r, c in rng.integers(0, 9, size=(rng.integers(1, 30), 2))
         )
-        crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 9, 9))
+        crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 9, 9))
         back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
         assert pixels_of(back, 1) == pixels
 
 
 def test_rle_is_compact():
     pixels = {(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)}
-    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: pixels}, 5, 2))
+    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 5, 2))
     runs = crag_to_json(crag)["candidates"][0]["pixels"]
     assert runs == [
         {"row": 0, "col_start": 0, "col_end": 3},
@@ -402,8 +445,7 @@ def test_crag_json_roundtrip():
     quad = quad_crag()
     labels = quad.leaf_labels().copy()
     labels[1, 1] = 1
-    parts = (quad.candidates.values(), quad.adjacency, quad.subset.items())
-    moved = build_crag(*parts, labels)
+    moved = build_crag(quad.candidates.values(), quad.adjacency, labels)
     assert moved != quad and moved.candidates == quad.candidates
 
 
@@ -414,7 +456,7 @@ def test_leaf_labels_quad_and_uncovered():
     assert labels.tolist() == [[1, 1, 2, 2], [1, 3, 3, 2], [1, 3, 3, 4], [4, 4, 4, 4]]
     assert not labels.flags.writeable
     assert crag.leaf_labels() is labels
-    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: [(0, 1)]}, 3, 1))
+    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: [(0, 1)]}, 3, 1))
     assert crag.leaf_labels().tolist() == [[UNCOVERED, 1, UNCOVERED]]
 
 
@@ -452,7 +494,6 @@ def test_crag_to_json_matches_reference_encoder():
             pixels,
             crag.candidates.values(),
             crag.adjacency,
-            crag.subset.items(),
             crag.width,
             crag.height,
         )
@@ -490,6 +531,13 @@ MALFORMED_CRAG_JSON = {
         lambda obj: obj["candidates"][0]["pixels"][0].update(row="0")
     ),
     "boolean id": _edited(lambda obj: obj["candidates"][0].update(id=True)),
+    # candidate 5's pixels, even a run at row 5 of the 4-row image, used
+    # to be dropped without a word
+    "inner node with pixels": _edited(
+        lambda obj: obj["candidates"][4].update(
+            pixels=[{"row": 5, "col_start": 0, "col_end": 1}]
+        )
+    ),
     "invalid JSON text": lambda obj: json.dumps(obj)[:-1],
 }
 
@@ -563,10 +611,9 @@ def test_build_crag_matches_pixel_set_reference():
     outcomes = Counter()
     for crag in crags:
         cands = [crag.candidates[i] for i in crag.ids()]
-        subset = sorted(crag.subset.items())
         for fault, pixels, adjacency in one_fault_variants(rng, crag):
             size = (crag.width, crag.height)
-            obj = ref_crag_json(pixels, cands, adjacency, subset, *size)
+            obj = ref_crag_json(pixels, cands, adjacency, *size)
             try:
                 want = ref_check_leaves_and_edges(pixels, cands, adjacency, *size)
             except CmcError as exc:

@@ -43,7 +43,7 @@ def region_features(pixels, raw, boundary):
     """compute_features' vector of the one candidate of a one-leaf Crag
     whose leaf is `pixels`, over images of raw's shape."""
     height, width = np.shape(raw)
-    crag = build_crag([Candidate(0, 0)], [], [], leaf_image({0: pixels}, width, height))
+    crag = build_crag([Candidate(0, 0)], [], leaf_image({0: pixels}, width, height))
     return compute_features(crag, raw, boundary)[0][0]
 
 
@@ -70,7 +70,7 @@ def crag_walk(crag, cid):
 def walk_positions(pixels):
     """crag_walk over the one candidate of a one-leaf Crag."""
     height, width = (max(p[k] for p in pixels) + 1 for k in (0, 1))
-    crag = build_crag([Candidate(0, 0)], [], [], leaf_image({0: pixels}, width, height))
+    crag = build_crag([Candidate(0, 0)], [], leaf_image({0: pixels}, width, height))
     return crag_walk(crag, 0)
 
 
@@ -508,7 +508,7 @@ def test_interface_stats_oracle():
     """Two stacked strips, three interface pairs with intensities .2/.4/.6."""
     leaves = [Candidate(1, 0), Candidate(2, 0)]
     pixels = {1: {(0, 0), (0, 1), (0, 2)}, 2: {(1, 0), (1, 1), (1, 2)}}
-    crag = build_crag(leaves, [(1, 2)], [], leaf_image(pixels, 3, 2))
+    crag = build_crag(leaves, [(1, 2)], leaf_image(pixels, 3, 2))
     boundary = np.array([[0.2, 0.4, 0.6], [0.0, 0.0, 0.0]])
     raw = np.zeros((2, 3))
     nf, ef = compute_features(crag, raw, boundary)
@@ -580,6 +580,11 @@ MALFORMED_FEATURES = {
     "integer beyond float range": lambda obj: obj["edges"]["1-2"].__setitem__(3, 10**400),
     "bad node key": lambda obj: obj["nodes"].update({"1.0": obj["nodes"]["1"]}),
     "bad edge key": lambda obj: obj["edges"].update({"1_2": obj["edges"]["1-2"]}),
+    "no node schema": lambda obj: obj.pop("node_schema"),
+    "node schema of another release": lambda obj: obj.update(node_schema=["bogus"]),
+    "edge schema not a list": lambda obj: obj.update(edge_schema=5),
+    "edge schema reordered": lambda obj: obj["edge_schema"].reverse(),
+    "node schema one name short": lambda obj: obj["node_schema"].pop(),
 }
 
 
@@ -591,6 +596,22 @@ def test_malformed_features_json_rejected(case):
     MALFORMED_FEATURES[case](obj)
     with pytest.raises(CmcError, match="features.json"):
         features_from_json(json.loads(json.dumps(obj)))
+
+
+def test_features_schema_error_names_first_difference():
+    """A schema from a release with a reordered or longer feature list
+    fails naming the first entry that differs."""
+    obj = features_to_json({}, {})
+    names = obj["edge_schema"]
+    names[3], names[4] = names[4], names[3]
+    with pytest.raises(
+        CmcError, match="edge_schema entry 3 is 'absdiff_size', expected 'interface_skew'"
+    ):
+        features_from_json(obj)
+    obj = features_to_json({}, {})
+    obj["node_schema"].append("extra")
+    with pytest.raises(CmcError, match="node_schema entry 147 is 'extra', expected missing"):
+        features_from_json(obj)
 
 
 def test_random_blob_properties():
@@ -704,12 +725,10 @@ def labels_crag(labels):
     labels = np.asarray(labels, dtype=np.int64)
     leaves = np.unique(labels[labels != UNCOVERED]).tolist()
     candidates = [Candidate(k, 0) for k in leaves]
-    subset = []
     if len(leaves) > 1:
         root = leaves[-1] + 1
         candidates.append(Candidate(root, 1, children=tuple(leaves)))
-        subset = [(k, root) for k in leaves]
-    return build_crag(candidates, [], subset, labels)
+    return build_crag(candidates, [], labels)
 
 
 def random_crags(seed, count):
@@ -850,7 +869,7 @@ def test_non_finite_image_rejected():
             compute_features(crag, half, boundary)
     # pixels no leaf covers are not looked at
     leaf = leaf_image({1: {(0, 0), (0, 1)}}, 3, 1)
-    crag = build_crag([Candidate(1, 0)], [], [], leaf)
+    crag = build_crag([Candidate(1, 0)], [], leaf)
     raw = np.array([[0.5, 0.5, np.nan]])
     nf, _ = compute_features(crag, raw, np.array([[0.5, 0.5, np.inf]]))
     assert np.isfinite(nf[1]).all()

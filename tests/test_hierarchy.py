@@ -347,6 +347,15 @@ def test_extract_negative_max_merges_rejected():
         extract_candidates(tree, -1)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_extract_non_finite_score_threshold_rejected(threshold):
+    """A NaN threshold compares false against every score, so it used to
+    keep every candidate, as no threshold does."""
+    tree, _ = strip_tree()
+    with pytest.raises(CmcError, match="score_threshold"):
+        extract_candidates(tree, 5, threshold)
+
+
 def test_extract_max_merges_zero_on_random():
     rng = np.random.default_rng(8)
     boundary = rng.random((10, 10))

@@ -1,14 +1,15 @@
-"""Hypothesis properties over malformed costs.json, solution.json and
-features.json.
+"""Hypothesis properties over malformed crag.json, costs.json,
+solution.json and features.json.
 
 Each object drawn here is a valid file of the quad graph broken in one
 way: a non-finite or out-of-range number, a value of the wrong JSON
 type, a missing or mistyped member, a key that is no id or edge, two
-keys naming one id or edge, keys that do not match the CRAG, or a
-feature vector of the wrong length.  Each must raise a CmcError, from
-the loader or from the step that first meets the CRAG (solve for costs,
-validate_solution for a solution), and `cmc solve` and `cmc costs` must
-exit 1 with `error:` and write nothing, never a traceback.
+keys naming one id or edge, keys that do not match the CRAG, a feature
+vector of the wrong length, or children that do not nest into a forest.
+Each must raise a CmcError, from the loader or from the step that first
+meets the CRAG (solve for costs, validate_solution for a solution), and
+`cmc features`, `cmc solve` and `cmc costs` must exit 1 with `error:`
+and write nothing, never a traceback.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from cmc.cli import main
 from cmc.costmodel import costs_from_json, costs_to_json
 from cmc.crag import (
+    crag_from_json,
     crag_to_json,
     solution_from_json,
     solution_to_json,
@@ -32,12 +34,15 @@ from cmc.crag import (
 )
 from cmc.errors import CmcError
 from cmc.features import compute_features, features_from_json, features_to_json
+from cmc.pgm import write_probability
 from cmc.pipeline import model_to_json, train_from_instances
 from cmc.solver import solve
 
 from util import quad_costs, quad_crag, quad_gt
 
 CRAG = quad_crag()
+# entries 0-3 are leaves 1-4; 4, 5 and 6 are 5 = {1, 2}, 6 = {3, 4}, 7 = {5, 6}
+CRAG_JSON = crag_to_json(CRAG)
 COSTS = costs_to_json(quad_costs(CRAG))
 SOLUTION = solution_to_json(solve(CRAG, quad_costs(CRAG)))
 _rng = np.random.default_rng(23)
@@ -162,6 +167,75 @@ def _broken_features(draw):
     return obj
 
 
+NOT_AN_INT = st.one_of(
+    NOT_A_NUMBER, NON_FINITE, BEYOND_INT64, st.sampled_from([1.0, 2.5, -0.5])
+)
+NOT_A_LIST = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def _broken_crag(draw):
+    """CRAG_JSON with one defect in its nesting, its entries or its members."""
+    obj = json.loads(json.dumps(CRAG_JSON))
+    entries = obj["candidates"]
+    leaf = entries[draw(st.integers(0, 3))]
+    inner = entries[draw(st.integers(4, 6))]
+    run = leaf["pixels"][draw(st.integers(0, len(leaf["pixels"]) - 1))]
+    kids = inner["children"]
+    defect = draw(st.sampled_from([
+        "repeated child", "child of two parents", "unknown child", "cycle",
+        "children and pixels", "missing member", "mistyped member", "non-int id",
+    ]))
+    if defect == "repeated child":
+        kids.insert(draw(st.integers(0, len(kids))), draw(st.sampled_from(kids)))
+    elif defect == "child of two parents":
+        others = [i for i in range(1, 7) if i != inner["id"] and i not in kids]
+        kids.append(draw(st.sampled_from(others)))
+    elif defect == "unknown child":
+        kids.append(draw(st.sampled_from([0, -1, 8, 99])))
+    elif defect == "cycle":  # the candidate itself, or its ancestor 7
+        kids.append(draw(st.sampled_from(sorted({inner["id"], 7}))))
+    elif defect == "children and pixels":
+        if draw(st.booleans()):
+            leaf["children"] = draw(st.lists(st.integers(1, 7), max_size=2))
+        else:  # row 5 lies outside the 4x4 image
+            outside = [{"row": 5, "col_start": 0, "col_end": 1}]
+            inner["pixels"] = draw(st.sampled_from([[], outside, leaf["pixels"]]))
+    elif defect == "missing member":
+        owner = draw(st.sampled_from([obj, leaf, inner, run]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif defect == "mistyped member":
+        where = draw(st.sampled_from([
+            "width", "candidates", "adjacency", "entry", "pixels", "children",
+            "run", "adjacency pair",
+        ]))
+        if where == "width":
+            obj[draw(st.sampled_from(["width", "height"]))] = draw(NOT_AN_INT)
+        elif where in ("candidates", "adjacency"):
+            obj[where] = draw(NOT_A_LIST)
+        elif where == "entry":
+            entries[draw(st.integers(0, 6))] = draw(NOT_AN_OBJECT)
+        elif where == "pixels":
+            leaf["pixels"] = draw(NOT_A_LIST)
+        elif where == "children":
+            inner["children"] = draw(NOT_A_LIST)
+        elif where == "run":
+            leaf["pixels"][0] = draw(NOT_AN_OBJECT)
+        else:
+            pair = obj["adjacency"][draw(st.integers(0, len(obj["adjacency"]) - 1))]
+            pair[:] = draw(st.sampled_from([[], pair[:1], pair + [7]]))
+    else:
+        owner, key = draw(st.sampled_from([
+            (leaf, "id"), (inner, "id"), (leaf, "level"), (run, "row"),
+            (run, "col_start"), (run, "col_end"), (kids, 0), (obj["adjacency"][0], 1),
+        ]))
+        owner[key] = draw(NOT_AN_INT)
+    return obj
+
+
 def _text(obj):
     """JSON text of obj as a file would hold it: NaN and Infinity as
     Python's json writes them, HUGE as the literal 1e400."""
@@ -170,10 +244,38 @@ def _text(obj):
 
 def test_valid_files_load():
     """The files the defects start from are valid."""
+    assert crag_from_json(json.loads(_text(CRAG_JSON))) == CRAG
     solve(CRAG, costs_from_json(json.loads(_text(COSTS))))
     assert validate_solution(CRAG, solution_from_json(json.loads(_text(SOLUTION)))) == []
     node_feats, edge_feats = features_from_json(json.loads(_text(FEATURES)))
     assert node_feats.keys() == _feats[0].keys() and edge_feats.keys() == _feats[1].keys()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_broken_crag())
+def test_malformed_crag_raises_cmc_error(obj):
+    with pytest.raises(CmcError):
+        crag_from_json(json.loads(_text(obj)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_broken_crag())
+def test_cli_features_on_malformed_crag_exits_1(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("crag.json", "raw.pgm", "boundary.pgm", "features.json")}
+        for name in ("raw.pgm", "boundary.pgm"):
+            write_probability(paths[name], np.full((4, 4), 0.5))
+        with open(paths["crag.json"], "w") as fh:
+            fh.write(_text(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["features", "--crag", paths["crag.json"],
+                         "--raw", paths["raw.pgm"], "--boundary", paths["boundary.pgm"],
+                         "--out", paths["features.json"]])
+        assert code == 1
+        assert err.getvalue().startswith("error: ")
+        assert not os.path.exists(paths["features.json"])
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

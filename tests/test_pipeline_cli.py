@@ -14,7 +14,12 @@ from cmc.crag import (
 )
 from cmc.errors import CmcError, SingleClass, StageFailure
 from cmc.evaluate import segmentation_metrics
-from cmc.features import compute_features, features_to_json
+from cmc.features import (
+    compute_features,
+    edge_feature_names,
+    features_to_json,
+    node_feature_names,
+)
 from cmc.hierarchy import seeded_watershed
 from cmc.pgm import read_labels, write_labels, write_probability
 from cmc.pipeline import (
@@ -117,7 +122,7 @@ def test_train_model_and_json_roundtrip():
 def edgeless_instance():
     """Two leaves that do not touch: both node classes, no edge at all."""
     labels = leaf_image({1: [(0, 0)], 2: [(0, 2)]}, 3, 1)
-    crag = build_crag([Candidate(1, 0), Candidate(2, 0)], [], [], labels)
+    crag = build_crag([Candidate(1, 0), Candidate(2, 0)], [], labels)
     node_feats, edge_feats = compute_features(crag, np.zeros((1, 3)), np.zeros((1, 3)))
     return crag, node_feats, edge_feats, np.array([[1, 0, 0]])
 
@@ -175,6 +180,10 @@ def staged_quad_files(tmp_path):
     return {name: str(tmp_path / name) for name in [*files, "gt.pgm"]}
 
 
+# the feature schema, so that a features.json below fails on its own fault
+SCHEMA = {"node_schema": node_feature_names(), "edge_schema": edge_feature_names()}
+
+
 # broken file -> (its content, as JSON or as the text of a str, the
 # command reading it, what the error names); each used to end in a
 # traceback (KeyError 'trees', KeyError 'edges', OverflowError,
@@ -186,7 +195,8 @@ MALFORMED_STAGE_INPUT = {
         "model.json", {"node_forest": {}}, "costs", "model.json"
     ),
     "features without edges": (
-        "features.json", {"nodes": {}}, "train", "features.json"
+        "features.json", {**SCHEMA, "nodes": {}}, "train",
+        "features.json: features has no 'edges'",
     ),
     "model with an empty forest": (
         "model.json",
@@ -196,14 +206,16 @@ MALFORMED_STAGE_INPUT = {
         "no tree",
     ),
     "feature beyond float range": (
-        "features.json", {"nodes": {"1": [10**400] * 147}, "edges": {}}, "costs",
+        "features.json", {**SCHEMA, "nodes": {"1": [10**400] * 147}, "edges": {}},
+        "costs",
         "non-finite",
     ),
     "non-numeric cost": (
         "costs.json", {"f": {"1": "x"}, "g": {}}, "solve", "costs.json"
     ),
     "features of no candidate": (
-        "features.json", {"nodes": {}, "edges": {}}, "costs", "node features"
+        "features.json", {**SCHEMA, "nodes": {}, "edges": {}}, "costs",
+        "node features",
     ),
     "nesting past the decoder": (
         "costs.json", "[" * 100_000, "solve", "costs.json: not valid JSON"
@@ -431,8 +443,7 @@ def test_cli_bad_time_limit_fails(limit, tmp_path, capsys):
 def test_cli_solve_without_candidates(height, width, tmp_path):
     crag_path = tmp_path / "crag.json"
     costs_path = tmp_path / "costs.json"
-    crag = {"width": width, "height": height, "candidates": [], "adjacency": [],
-            "subset": []}
+    crag = {"width": width, "height": height, "candidates": [], "adjacency": []}
     crag_path.write_text(json.dumps(crag))
     costs_path.write_text(json.dumps({"f": {}, "g": {}}))
     seg = tmp_path / "seg.pgm"
@@ -477,6 +488,26 @@ def test_cli_negative_max_merges_fails(tmp_path, capsys):
     assert rc == 1
     assert "max_merges" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-crag", "pipeline"])
+def test_cli_nan_score_threshold_fails(command, tmp_path, capsys):
+    """A NaN threshold used to keep every candidate, as no threshold does."""
+    images = write_easy_images(tmp_path)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    argv = {
+        "build-crag": ["build-crag", "--boundary", images["boundary"],
+                       "--out", str(out_dir / "crag.json")],
+        "pipeline": ["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+                     "--gt", images["gt"], "--n-trees", "2", "--out-dir", str(out_dir)],
+    }[command]
+    assert main([*argv, "--score-threshold", "0.5"]) == 0
+    (out_dir / "crag.json").unlink()
+    assert main([*argv, "--score-threshold", "nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "score_threshold must be finite" in err
+    assert not (out_dir / "crag.json").exists()
 
 
 def test_cli_empty_boundary_map_fails(tmp_path, capsys):

@@ -59,7 +59,7 @@ def triangle_crag():
     """Three mutually adjacent regions on a 2x2 canvas."""
     cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 0)]
     labels = leaf_image({1: {(0, 0)}, 2: {(0, 1)}, 3: {(1, 0), (1, 1)}}, 2, 2)
-    return build_crag(cands, [(1, 2), (1, 3), (2, 3)], [], labels)
+    return build_crag(cands, [(1, 2), (1, 3), (2, 3)], labels)
 
 
 def test_solve_quad():
@@ -98,7 +98,7 @@ def test_all_zero_costs_tie_break_to_empty():
 
 
 def test_single_candidate():
-    crag = build_crag([Candidate(1, 0)], [], [], leaf_image({1: {(0, 0)}}, 1, 1))
+    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: {(0, 0)}}, 1, 1))
     sol = solve(crag, CostTable(f={1: -1.0}, g={}))
     assert sol.y == {1: 1} and sol.objective == -1.0
 
@@ -237,12 +237,12 @@ def _without_a_kind_of_variable():
     no edge between them (no merge in leaf_multicut_only), a graph
     without edges, and a one-candidate graph."""
     quad = quad_crag()
-    cands, subset = list(quad.candidates.values()), list(quad.subset.items())
+    cands = list(quad.candidates.values())
     leaves = set(quad.leaves())
     cross = [e for e in quad.adjacency if not set(e) <= leaves]
-    yield build_crag(cands, cross, subset, quad.leaf_labels())
-    yield build_crag(cands, [], subset, quad.leaf_labels())
-    yield build_crag([Candidate(1, 0)], [], [], leaf_image({1: {(0, 0)}}, 1, 1))
+    yield build_crag(cands, cross, quad.leaf_labels())
+    yield build_crag(cands, [], quad.leaf_labels())
+    yield build_crag([Candidate(1, 0)], [], leaf_image({1: {(0, 0)}}, 1, 1))
 
 
 def test_solve_equals_brute_force_without_a_kind_of_variable():
@@ -444,7 +444,7 @@ def test_extract_segmentation_empty_and_merged():
 
 
 def test_extract_segmentation_of_a_crag_without_candidates():
-    crag = build_crag([], [], [], np.full((2, 3), -1))
+    crag = build_crag([], [], np.full((2, 3), -1))
     sol = solve(crag, CostTable(f={}, g={}))
     seg = extract_segmentation(crag, sol)
     assert seg.dtype == np.int64
@@ -593,7 +593,6 @@ def test_near_tie_picked_by_summation_order():
     crag = build_crag(
         cands,
         [(1, 2), (1, 3), (2, 3), (3, 4)],
-        [(1, 4), (2, 4), (3, 5), (4, 5)],
         labels,
     )
     costs = CostTable(
@@ -876,7 +875,7 @@ def _tied_optima():
     """y1 alone and the root 3 alone both cost -1; y1 is lex-smaller."""
     cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))]
     labels = np.array([[1, 1, 1, 1], [1, 1, 2, 2]])
-    crag = build_crag(cands, [(1, 2)], [(1, 3), (2, 3)], labels)
+    crag = build_crag(cands, [(1, 2)], labels)
     return crag, CostTable({1: -1.0, 2: 1.0, 3: -1.0}, {(1, 2): 1.0})
 
 
@@ -944,7 +943,6 @@ def _x_star_rounded_above_z_tied():
     crag = build_crag(
         cands,
         [(1, 2), (1, 3), (1, 6), (2, 4), (2, 5), (2, 6), (3, 5), (4, 5), (4, 6)],
-        [(3, 6), (5, 6)],
         labels,
     )
     f = {1: 0.5, 2: 0.2, 3: 0.3, 4: -0.2, 5: -0.8, 6: 0.1}
@@ -960,7 +958,7 @@ def _x_star_rounded_above_z_alone():
     cands.append(Candidate(4, 1, (2, 3)))
     labels = np.array([[2, 2, 2], [1, 2, 2], [1, 3, 2], [1, 1, 2]])
     crag = build_crag(
-        cands, [(1, 2), (1, 3), (1, 4), (2, 3)], [(2, 4), (3, 4)], labels
+        cands, [(1, 2), (1, 3), (1, 4), (2, 3)], labels
     )
     f = {1: 0.5, 2: -0.6, 3: -0.8, 4: -0.9}
     g = {(1, 2): -0.2, (1, 3): -0.2, (1, 4): -0.9, (2, 3): 0.0}

@@ -97,12 +97,11 @@ def quad_crag():
         Candidate(6, 1, children=(3, 4)),
         Candidate(7, 2, children=(5, 6)),
     ]
-    subset = [(1, 5), (2, 5), (3, 6), (4, 6), (5, 7), (6, 7)]
     adjacency = [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         (3, 5), (4, 5), (1, 6), (2, 6), (5, 6),
     ]
-    return build_crag(candidates, adjacency, subset, leaf_image(pix, 4, 4))
+    return build_crag(candidates, adjacency, leaf_image(pix, 4, 4))
 
 
 def quad_gt():
@@ -137,7 +136,7 @@ def pixel_grid_crag(h, w):
                 adjacency.append((cid(r, c), cid(r, c + 1)))
             if r + 1 < h:
                 adjacency.append((cid(r, c), cid(r + 1, c)))
-    return build_crag(candidates, adjacency, [], leaf_image(pixels, w, h))
+    return build_crag(candidates, adjacency, leaf_image(pixels, w, h))
 
 
 def zero_solution(crag):
@@ -176,7 +175,6 @@ def random_crag(rng, budget=26):
         pixels[lab].add(p)
 
     candidates = [Candidate(lab, 0) for lab in range(1, n_leaves + 1)]
-    subset = []
     level = {lab: 0 for lab in range(1, n_leaves + 1)}
     roots = {lab: frozenset(pixels[lab]) for lab in range(1, n_leaves + 1)}
     children = {}
@@ -194,14 +192,13 @@ def random_crag(rng, budget=26):
         level[next_id] = max(level[a], level[b]) + 1
         children[next_id] = (a, b)
         roots[next_id] = roots.pop(a) | roots.pop(b)
-        subset += [(a, next_id), (b, next_id)]
         next_id += 1
 
     for cid, kids in children.items():
         candidates.append(Candidate(cid, level[cid], children=kids))
 
     labels = leaf_image(pixels, w, h)
-    crag0 = build_crag(candidates, [], subset, labels)
+    crag0 = build_crag(candidates, [], labels)
     valid = []
     for i, j in itertools.combinations(crag0.ids(), 2):
         pa, pb = pixels_of(crag0, i), pixels_of(crag0, j)
@@ -211,7 +208,7 @@ def random_crag(rng, budget=26):
     keep = min(len(valid), budget - len(candidates))
     if keep and rng.random() < 0.3:
         keep = int(rng.integers(0, keep + 1))
-    return build_crag(candidates, valid[:keep], subset, labels)
+    return build_crag(candidates, valid[:keep], labels)
 
 
 def _grow_leaves(rng, cells, n_leaves):
@@ -251,7 +248,6 @@ def random_sparse_crag(rng):
     candidates = [Candidate(lab, 0) for lab in sorted(pixels)]
     roots = sorted(pixels)
     level = dict.fromkeys(roots, 0)
-    subset = []
     next_id = max(roots) + 1
     for _ in range(int(rng.integers(0, len(roots)))):
         a, b = (roots.pop(int(rng.integers(len(roots)))) for _ in range(2))
@@ -259,18 +255,17 @@ def random_sparse_crag(rng):
         candidates.append(
             Candidate(next_id, level[next_id], children=tuple(sorted((a, b))))
         )
-        subset += [(a, next_id), (b, next_id)]
         roots.append(next_id)
         next_id += 1
     labels = leaf_image(pixels, w, h)
-    crag0 = build_crag(candidates, [], subset, labels)
+    crag0 = build_crag(candidates, [], labels)
     region = {i: pixels_of(crag0, i) for i in crag0.ids()}
     adjacency = [
         (i, j)
         for i, j in itertools.combinations(crag0.ids(), 2)
         if region[i].isdisjoint(region[j]) and ref_regions_touch(region[i], region[j])
     ]
-    return build_crag(candidates, adjacency, subset, labels)
+    return build_crag(candidates, adjacency, labels)
 
 
 def ref_regions_touch(pa, pb):
@@ -401,7 +396,7 @@ def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
     raises CmcError, a self-loop or a shared pixel between the two
     candidates' pixel unions raises AdjacencyBetweenOverlapping, no
     4-neighbor pair between them raises NotAdjacent.  Assumes the id and
-    subset checks pass.  Returns the leaf label image.
+    children checks pass.  Returns the leaf label image.
     """
     cand_map = {c.id: c for c in candidates}
 
@@ -463,7 +458,7 @@ def ref_decode_pixels(runs):
     return frozenset(pixels)
 
 
-def ref_crag_json(pixels, candidates, adjacency, subset, width, height):
+def ref_crag_json(pixels, candidates, adjacency, width, height):
     """crag.json object with each leaf's pixels encoded by ref_encode_pixels."""
     entries = []
     for cand in sorted(candidates, key=lambda c: c.id):
@@ -478,7 +473,6 @@ def ref_crag_json(pixels, candidates, adjacency, subset, width, height):
         "height": height,
         "candidates": entries,
         "adjacency": [list(e) for e in adjacency],
-        "subset": sorted([c, p] for c, p in subset),
     }
 
 
