@@ -63,7 +63,7 @@ def _cmd_build_crag(args):
 
 
 def _cmd_features(args):
-    crag = crag_from_json(_load_json(args.crag))
+    crag = crag_from_json(_load_json(args.crag), args.crag)
     raw = read_probability(args.raw)
     boundary = read_probability(args.boundary)
     node_feats, edge_feats = compute_features(crag, raw, boundary)
@@ -76,7 +76,7 @@ def _cmd_train(args):
         raise CmcError("--crag, --features and --gt must be given equally often")
     instances = []
     for crag_path, feat_path, gt_path in zip(args.crag, args.features, args.gt):
-        crag = crag_from_json(_load_json(crag_path))
+        crag = crag_from_json(_load_json(crag_path), crag_path)
         node_feats, edge_feats = features_from_json(_load_json(feat_path))
         gt = read_labels(gt_path)
         instances.append((crag, node_feats, edge_feats, gt))
@@ -87,7 +87,7 @@ def _cmd_train(args):
 
 def _cmd_costs(args):
     model = model_from_json(_load_json(args.model))
-    crag = crag_from_json(_load_json(args.crag))
+    crag = crag_from_json(_load_json(args.crag), args.crag)
     node_feats, edge_feats = features_from_json(_load_json(args.features))
     costs = predict_costs(
         model["node_forest"], model["edge_forest"], crag, node_feats, edge_feats
@@ -97,7 +97,7 @@ def _cmd_costs(args):
 
 
 def _cmd_solve(args):
-    crag = crag_from_json(_load_json(args.crag))
+    crag = crag_from_json(_load_json(args.crag), args.crag)
     costs = costs_from_json(_load_json(args.costs))
     solution = solve(
         crag, costs, mode=MODE_NAMES[args.mode], time_limit=args.time_limit
@@ -125,7 +125,7 @@ def _cmd_eval(args):
 
 
 def _cmd_best_effort(args):
-    crag = crag_from_json(_load_json(args.crag))
+    crag = crag_from_json(_load_json(args.crag), args.crag)
     gt = read_labels(args.gt)
     solution = best_effort(crag, gt, mode=MODE_NAMES[args.mode])
     dump_json(args.out, solution_to_json(solution))

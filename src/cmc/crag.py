@@ -514,21 +514,26 @@ def json_edge(doc, key):
     return edge_key(int(match[1]), int(match[2]))
 
 
-def crag_from_json(obj):
-    """Crag from its JSON form; malformed input raises CmcError.
+def _named(doc, exc):
+    """exc with its message prefixed by doc, its class and fields kept."""
+    exc.args = (f"{doc}: {exc}",)
+    return exc
+
+
+def crag_from_json(obj, doc="crag.json"):
+    """Crag from its JSON form; malformed input raises CmcError naming `doc`.
 
     Leaf runs are painted straight into the label image: a run outside
     the image raises LeavesDoNotCoverImage, a run over pixels already
     painted raises OverlappingLeaves naming their owner and the new leaf.
     """
-    doc = "crag.json"
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
-        raise CmcError(f"crag.json: negative image size {height}x{width}")
+        raise CmcError(f"{doc}: negative image size {height}x{width}")
     try:
         labels = np.full((height, width), UNCOVERED, dtype=np.int64)
     except ValueError as exc:  # numpy refuses the shape before allocating
-        raise CmcError(f"crag.json: image size {height}x{width} too large") from exc
+        raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
     candidates = []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
@@ -547,22 +552,25 @@ def crag_from_json(obj):
                 for k in ("row", "col_start", "col_end")
             )
             if start >= end:
-                raise CmcError(f"crag.json: empty run {start}:{end} of {where}")
+                raise CmcError(f"{doc}: empty run {start}:{end} of {where}")
             if not (0 <= row < height and 0 <= start and end <= width):
-                raise LeavesDoNotCoverImage(
+                raise _named(doc, LeavesDoNotCoverImage(
                     f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
-                )
+                ))
             segment = labels[row, start:end]
             taken = segment != UNCOVERED
             if taken.any():
-                raise OverlappingLeaves(int(segment[taken.argmax()]), cid)
+                raise _named(doc, OverlappingLeaves(int(segment[taken.argmax()]), cid))
             segment[:] = cid
         candidates.append(Candidate(cid, level))
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")
     adjacency = [tuple(json_value(doc, v, int, "adjacency") for v in p) for p in pairs]
-    return build_crag(candidates, adjacency, labels)
+    try:
+        return build_crag(candidates, adjacency, labels)
+    except CmcError as exc:
+        raise _named(doc, exc)
 
 
 def solution_to_json(solution):

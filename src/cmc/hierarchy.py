@@ -4,7 +4,9 @@ seeded_watershed turns a boundary probability map into superpixels,
 build_merge_tree greedily merges the adjacent pair with the smallest
 score (smaller region size times median interface intensity), and
 extract_candidates cuts the tree down to the candidates within a merge
-budget and wires up the candidate region adjacency graph.
+budget and wires up the candidate region adjacency graph.  The merge
+tree keeps each interface as one sorted float64 array and reads its
+median off the two central entries, with np.median's arithmetic.
 """
 
 import heapq
@@ -129,6 +131,18 @@ def build_merge_tree(superpixels, boundary):
     smallest (min_id, max_id) pair.  New ids continue above the largest
     existing label.  Returns K-1 events for K superpixels; labels must
     be non-negative.
+
+    Each interface is one sorted float64 array.  The pixel pairs are
+    sorted once by (min label, max label, value) and split where the
+    label pair changes.  When two regions merge, a neighbour of both
+    gets their two arrays concatenated and sorted; a neighbour of one
+    keeps its array.  The median of a sorted v of n values is
+    (0.0 + v[(n-1)//2] + v[n//2]) / 2, equal to np.median bit for bit:
+    for even n, np.median sums the two central values from 0.0 and
+    halves; for odd n both indices name one x in [0, 1], and
+    (x + x) / 2 == x exactly.  Adding to 0.0 turns -0.0 into 0.0, as
+    np.median does, so the order a sort gives equal zeros of either sign
+    does not matter.
     """
     superpixels = np.asarray(superpixels)
     boundary = _check_boundary(boundary)
@@ -138,29 +152,38 @@ def build_merge_tree(superpixels, boundary):
     ids, counts = np.unique(superpixels, return_counts=True)
     if len(ids) and ids[0] < 0:
         raise CmcError(f"superpixel label {ids[0]} is negative")
-    sizes = {int(i): int(c) for i, c in zip(ids, counts)}
+    sizes = dict(zip(ids.tolist(), counts.tolist()))
 
-    # interface intensity lists per adjacent label pair, from the grid
-    iface = {}
+    # interface values sorted by (min label, max label, value), one run
+    # per adjacent label pair
     label_p, label_q, p, q = pixel_pairs(superpixels)
     flat = boundary.ravel()
     vals = np.maximum(flat[p], flat[q])
-    for a, b, v in zip(label_p.tolist(), label_q.tolist(), vals.tolist()):
-        iface.setdefault(edge_key(a, b), []).append(v)
+    lo, hi = np.minimum(label_p, label_q), np.maximum(label_p, label_q)
+    order = np.lexsort((vals, hi, lo))
+    lo, hi, vals = lo[order], hi[order], vals[order]
+    new_pair = np.ones(len(vals), dtype=bool)
+    new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.flatnonzero(new_pair)
+    keys = list(zip(lo[first].tolist(), hi[first].tolist()))
+    iface = dict(zip(keys, np.split(vals, first[1:])))
 
-    nbrs = {int(i): set() for i in ids}
-    for a, b in iface:
+    def score(e):
+        v = iface[e]
+        median = (0.0 + float(v[(len(v) - 1) // 2]) + float(v[len(v) // 2])) / 2
+        return min(sizes[e[0]], sizes[e[1]]) * median
+
+    edge_score = {e: score(e) for e in keys}
+
+    nbrs = {i: set() for i in sizes}
+    for a, b in keys:
         nbrs[a].add(b)
         nbrs[b].add(a)
 
-    edge_score = {
-        e: min(sizes[e[0]], sizes[e[1]]) * float(np.median(v))
-        for e, v in iface.items()
-    }
     heap = [(s, e[0], e[1]) for e, s in edge_score.items()]
     heapq.heapify(heap)
 
-    alive = {int(i) for i in ids}
+    alive = set(sizes)
     next_id = int(ids.max()) + 1
     events = []
     while len(alive) > 1:
@@ -179,12 +202,18 @@ def build_merge_tree(superpixels, boundary):
         edge_score.pop((a, b), None)
         merged_nbrs = (nbrs.pop(a) | nbrs.pop(b)) - {a, b}
         for n in merged_nbrs:
-            vals = iface.pop(edge_key(a, n), []) + iface.pop(edge_key(b, n), [])
+            va = iface.pop(edge_key(a, n), None)
+            vb = iface.pop(edge_key(b, n), None)
+            if va is None or vb is None:
+                v = vb if va is None else va
+            else:
+                v = np.concatenate((va, vb))
+                v.sort()
             edge_score.pop(edge_key(a, n), None)
             edge_score.pop(edge_key(b, n), None)
             key = edge_key(new, n)
-            iface[key] = vals
-            sc = min(sizes[new], sizes[n]) * float(np.median(vals))
+            iface[key] = v
+            sc = score(key)
             edge_score[key] = sc
             heapq.heappush(heap, (sc, key[0], key[1]))
             nbrs[n].discard(a)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -34,14 +35,15 @@ from cmc.errors import (
     SubsetNotForest,
 )
 from cmc import cli
-from cmc.features import compute_features, edge_feature_names
-from cmc.pgm import write_probability
+from cmc.features import compute_features, edge_feature_names, features_to_json
+from cmc.pgm import write_labels, write_probability
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.synth import generate_synthetic
 from util import (
     leaf_image,
     pixels_of,
     quad_crag,
+    quad_gt,
     random_crag,
     random_sparse_crag,
     ref_check_leaves_and_edges,
@@ -539,6 +541,16 @@ MALFORMED_CRAG_JSON = {
         )
     ),
     "invalid JSON text": lambda obj: json.dumps(obj)[:-1],
+    # faults found by build_crag and by run painting, which named no file
+    "child listed twice": _edited(
+        lambda obj: obj["candidates"][4].update(children=[1, 1, 2])
+    ),
+    "leaf run over another leaf's pixel": _edited(
+        lambda obj: obj["candidates"][0]["pixels"].append(
+            {"row": 0, "col_start": 2, "col_end": 3}
+        )
+    ),
+    "unknown adjacency id": _edited(lambda obj: obj["adjacency"].append([1, 99])),
 }
 
 
@@ -553,8 +565,38 @@ def test_malformed_crag_json_rejected(case, tmp_path, capsys):
     argv = ["solve", "--crag", path, "--costs", tmp_path / "costs.json", "--out", out]
     assert cli.main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "crag.json" in err
+    assert err.startswith(f"error: {path}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("child listed twice", SubsetNotForest),
+    ("leaf run over another leaf's pixel", OverlappingLeaves),
+    ("unknown adjacency id", CmcError),
+])
+def test_crag_json_graph_errors_name_the_file(case, kind, tmp_path, capsys):
+    """Errors from build_crag and run painting name the file first and
+    keep their class; cmc train names the broken one of its --crag files."""
+    text = MALFORMED_CRAG_JSON[case](crag_to_json(quad_crag()))
+    with pytest.raises(kind) as caught:
+        crag_from_json(json.loads(text), "b.json")
+    assert str(caught.value).startswith("b.json: ")
+    rng = np.random.default_rng(3)
+    raw, boundary = rng.random((4, 4)), rng.random((4, 4))
+    files = {name: str(tmp_path / name)
+             for name in ("good.json", "bad.json", "features.json", "gt.pgm", "model.json")}
+    with open(files["good.json"], "w") as fh:
+        json.dump(crag_to_json(quad_crag()), fh)
+    with open(files["bad.json"], "w") as fh:
+        fh.write(text)
+    with open(files["features.json"], "w") as fh:
+        json.dump(features_to_json(*compute_features(quad_crag(), raw, boundary)), fh)
+    write_labels(files["gt.pgm"], quad_gt())
+    argv = ["train", "--crag", files["good.json"], "--crag", files["bad.json"]]
+    argv += ["--features", files["features.json"]] * 2 + ["--gt", files["gt.pgm"]] * 2
+    assert cli.main(argv + ["--out", files["model.json"]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {files['bad.json']}: ")
+    assert not os.path.exists(files["model.json"])
 
 
 def one_fault_variants(rng, crag):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmc.errors import CmcError, DegenerateInput, NoSeeds, NotAdjacent
 from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
@@ -10,6 +12,7 @@ from cmc.synth import generate_synthetic
 from util import (
     brute_merge_score,
     pixels_of,
+    ref_build_merge_tree,
     ref_regions_touch,
     ref_seeded_watershed,
 )
@@ -267,6 +270,50 @@ def test_replay_each_merge_is_minimal():
         regions[event.new_id] = regions.pop(event.child_a) | regions.pop(
             event.child_b
         )
+
+
+def same_events(superpixels, boundary):
+    """build_merge_tree's events equal the list-and-np.median reference's,
+    scores compared by repr."""
+    got = build_merge_tree(superpixels, boundary).events
+    want = ref_build_merge_tree(superpixels, boundary)
+    assert [(e.child_a, e.child_b, e.new_id, repr(e.score)) for e in got] == [
+        (e.child_a, e.child_b, e.new_id, repr(e.score)) for e in want
+    ]
+
+
+# both zeros and repeated values, so that ties and even-count medians occur
+BOUNDARY_VALUES = st.sampled_from([0.0, -0.0, 0.0, 0.25, 0.25, 0.5, 1.0])
+# ids with gaps, and ids near 2**62
+LABEL_IDS = st.one_of(st.integers(0, 40), st.integers(2**62 - 8, 2**62 + 8))
+
+
+@st.composite
+def label_maps(draw):
+    """A label image over a few ids, each pixel drawn at random, and a
+    boundary map of its shape."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    ids = draw(st.lists(LABEL_IDS, min_size=1, max_size=7, unique=True))
+    picks = draw(st.lists(st.integers(0, len(ids) - 1), min_size=h * w, max_size=h * w))
+    values = draw(st.lists(BOUNDARY_VALUES, min_size=h * w, max_size=h * w))
+    superpixels = np.array(ids, dtype=np.int64)[picks].reshape(h, w)
+    return superpixels, np.array(values).reshape(h, w)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(label_maps())
+@example((np.full((3, 4), 2**62), np.zeros((3, 4))))
+@example((np.array([[7, 7, 2**62, 3, 3, 2**62 + 1]]),
+          np.array([[0.0, -0.0, -0.0, 0.5, 0.25, 0.25]])))
+def test_merge_tree_matches_reference(case):
+    same_events(*case)
+
+
+@pytest.mark.parametrize("size,n_cells,seed", [(256, 12, 2), (512, 40, 7)])
+def test_merge_tree_matches_reference_on_synthetic(size, n_cells, seed):
+    _, boundary, _ = generate_synthetic(1, n_cells, 1.0, seed, image_size=size)[0]
+    for threshold in (0.5, 0.15):
+        same_events(seeded_watershed(boundary, threshold), boundary)
 
 
 # ---------------------------------------------------------------------------

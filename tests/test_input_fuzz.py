@@ -1,5 +1,5 @@
 """Hypothesis properties over malformed crag.json, costs.json,
-solution.json and features.json.
+solution.json and features.json, and over mutated model.json.
 
 Each object drawn here is a valid file of the quad graph broken in one
 way: a non-finite or out-of-range number, a value of the wrong JSON
@@ -9,7 +9,10 @@ vector of the wrong length, or children that do not nest into a forest.
 Each must raise a CmcError, from the loader or from the step that first
 meets the CRAG (solve for costs, validate_solution for a solution), and
 `cmc features`, `cmc solve` and `cmc costs` must exit 1 with `error:`
-and write nothing, never a traceback.
+and write nothing, never a traceback.  A model.json with one value
+replaced, deleted, added or copied anywhere in it either loads or
+raises a CmcError, and `cmc costs` on a rejected one exits 1 the same
+way.
 """
 
 import contextlib
@@ -35,10 +38,10 @@ from cmc.crag import (
 from cmc.errors import CmcError
 from cmc.features import compute_features, features_from_json, features_to_json
 from cmc.pgm import write_probability
-from cmc.pipeline import model_to_json, train_from_instances
+from cmc.pipeline import model_from_json, model_to_json, train_from_instances
 from cmc.solver import solve
 
-from util import quad_costs, quad_crag, quad_gt
+from util import DELETE, json_with, quad_costs, quad_crag, quad_gt
 
 CRAG = quad_crag()
 # entries 0-3 are leaves 1-4; 4, 5 and 6 are 5 = {1, 2}, 6 = {3, 4}, 7 = {5, 6}
@@ -338,3 +341,90 @@ def test_cli_costs_on_malformed_features_exits_1(obj):
         assert code == 1
         assert err.getvalue().startswith("error: ")
         assert not os.path.exists(paths["costs.json"])
+
+
+def _paths(obj, path=()):
+    """The path of obj and of every value inside it."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for at, value in enumerate(obj):
+            yield from _paths(value, path + (at,))
+
+
+# small ints hit node slots, feature indices, tree counts and seeds
+ANY_VALUE = st.one_of(
+    NON_FINITE, NOT_A_NUMBER, NOT_AN_OBJECT, BEYOND_INT64, BEYOND_FLOAT,
+    st.integers(-2, 12), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _mutated_model(draw):
+    """MODEL with one value replaced or deleted, or one member added to
+    or copied within an object or a list."""
+    path = draw(st.sampled_from(list(_paths(MODEL))))
+    action = draw(st.sampled_from(["replace", "delete", "add", "copy"]))
+    if action == "replace":
+        return json_with(MODEL, path, draw(ANY_VALUE)) if path else draw(ANY_VALUE)
+    if action == "delete" and path:
+        return json_with(MODEL, path, DELETE)
+    obj = json.loads(json.dumps(MODEL))
+    target = obj
+    for key in path:
+        target = target[key]
+    if isinstance(target, (dict, list)):
+        members = list(target.values() if isinstance(target, dict) else target)
+        value = draw(st.sampled_from(members) if action == "copy" and members else ANY_VALUE)
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "prob", "left", "feature"]))] = value
+        else:
+            target.insert(draw(st.integers(0, len(target))), value)
+    return obj
+
+
+def _cli_costs_on_model(text):
+    """(exit code, stderr) of cmc costs with model.json holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("crag.json", "model.json", "features.json", "costs.json")}
+        for name, content in (("crag.json", CRAG_JSON), ("features.json", FEATURES)):
+            with open(paths[name], "w") as fh:
+                json.dump(content, fh)
+        with open(paths["model.json"], "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["costs", "--model", paths["model.json"],
+                         "--crag", paths["crag.json"],
+                         "--features", paths["features.json"],
+                         "--out", paths["costs.json"]])
+        assert (code == 0) == os.path.exists(paths["costs.json"])
+        return code, err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_mutated_model())
+def test_mutated_model_loads_or_raises_cmc_error(obj):
+    try:
+        model_from_json(json.loads(_text(obj)))
+    except CmcError:
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_mutated_model())
+def test_cli_costs_on_mutated_model(obj):
+    text = _text(obj)
+    try:
+        model_from_json(json.loads(text))
+        rejected = False
+    except CmcError:
+        rejected = True
+    code, err = _cli_costs_on_model(text)
+    if rejected:
+        assert code == 1
+    # a model that loads may still fail on this graph, but by name
+    assert code == 0 or (code == 1 and err.startswith("error: "))

@@ -3,8 +3,8 @@ literal enumeration oracle used to cross-check the solver, the integer
 program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
 crag.json run-length encoding, a full-canvas reference for the
-windowed synthetic image drawer, and a per-tree walk of a forest's node
-lists.
+windowed synthetic image drawer, a per-tree walk of a forest's node
+lists, and the merge tree over Python lists and np.median.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -40,9 +40,12 @@ from cmc.crag import (
     Solution,
     build_crag,
     conflict_cliques,
+    edge_key,
     objective_value,
+    pixel_pairs,
     validate_solution,
 )
+from cmc.hierarchy import MergeEvent
 
 # pass/fail lines collected by the acceptance tests; conftest prints them
 # in the terminal summary
@@ -599,6 +602,67 @@ def ref_tree_predict(nodes, X):
         stack.append((node["left"], idx[mask]))
         stack.append((node["right"], idx[~mask]))
     return out
+
+
+def ref_build_merge_tree(superpixels, boundary):
+    """Merge events of hierarchy.build_merge_tree, from Python lists of
+    interface values and np.median.  Assumes a valid, connected label
+    image with non-negative labels and a boundary map of its shape."""
+    superpixels = np.asarray(superpixels)
+    boundary = np.asarray(boundary, dtype=np.float64)
+    ids, counts = np.unique(superpixels, return_counts=True)
+    sizes = {int(i): int(c) for i, c in zip(ids, counts)}
+
+    iface = {}
+    label_p, label_q, p, q = pixel_pairs(superpixels)
+    flat = boundary.ravel()
+    vals = np.maximum(flat[p], flat[q])
+    for a, b, v in zip(label_p.tolist(), label_q.tolist(), vals.tolist()):
+        iface.setdefault(edge_key(a, b), []).append(v)
+
+    nbrs = {int(i): set() for i in ids}
+    for a, b in iface:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+
+    edge_score = {
+        e: min(sizes[e[0]], sizes[e[1]]) * float(np.median(v))
+        for e, v in iface.items()
+    }
+    heap = [(s, e[0], e[1]) for e, s in edge_score.items()]
+    heapq.heapify(heap)
+
+    alive = {int(i) for i in ids}
+    next_id = int(ids.max()) + 1
+    events = []
+    while len(alive) > 1:
+        s, a, b = heapq.heappop(heap)
+        if a not in alive or b not in alive or edge_score.get((a, b)) != s:
+            continue
+        new = next_id
+        next_id += 1
+        events.append(MergeEvent(a, b, new, s))
+        alive.discard(a)
+        alive.discard(b)
+        sizes[new] = sizes[a] + sizes[b]
+        iface.pop((a, b), None)
+        edge_score.pop((a, b), None)
+        merged_nbrs = (nbrs.pop(a) | nbrs.pop(b)) - {a, b}
+        for n in merged_nbrs:
+            vals = iface.pop(edge_key(a, n), []) + iface.pop(edge_key(b, n), [])
+            edge_score.pop(edge_key(a, n), None)
+            edge_score.pop(edge_key(b, n), None)
+            key = edge_key(new, n)
+            iface[key] = vals
+            sc = min(sizes[new], sizes[n]) * float(np.median(vals))
+            edge_score[key] = sc
+            heapq.heappush(heap, (sc, key[0], key[1]))
+            nbrs[n].discard(a)
+            nbrs[n].discard(b)
+            nbrs[n].add(new)
+        nbrs[new] = merged_nbrs
+        alive.add(new)
+    return events
 
 
 DELETE = object()
