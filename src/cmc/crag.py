@@ -277,6 +277,8 @@ def build_crag(candidates, adjacency, leaf_labels):
     raises CmcError for an unknown id, AdjacencyBetweenOverlapping when
     one end is an ancestor-or-self of the other (leaves are non-empty
     and disjoint, so that is overlap), and NotAdjacent otherwise.
+    An adjacency of None stands for all of candidate_adjacency, which
+    is then lifted once and needs no check.
     """
     labels = np.asarray(leaf_labels)
     if labels.ndim != 2 or labels.dtype.kind not in "iu":
@@ -321,6 +323,8 @@ def build_crag(candidates, adjacency, leaf_labels):
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
     allowed = candidate_adjacency(subset, labels)
+    if adjacency is None:
+        return Crag(cand_map, allowed, subset, labels)
 
     edges = set()
     for i, j in adjacency:
@@ -431,22 +435,31 @@ def validate_solution(crag, solution):
 # JSON serialization
 
 
-def _leaf_runs(labels):
-    """leaf id -> its runs, each one row long, in row-major order; col_end exclusive."""
+def row_runs(labels):
+    """The maximal runs of one label within one row of a 2-d label image,
+    in row-major order, UNCOVERED runs left out.
+
+    Returns flat arrays (label, row, col_start, col_end); col_end is
+    exclusive.
+    """
     width = labels.shape[1]
     starts = np.ones(labels.shape, dtype=bool)
     starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
     rows, cols = np.nonzero(starts)
-    ends = np.append(cols[1:], width)
-    ends[np.append(rows[1:] != rows[:-1], True)] = width
+    ends = np.full(len(cols), width)
+    same_row = rows[1:] == rows[:-1]
+    ends[:-1][same_row] = cols[1:][same_row]
+    label = labels[rows, cols]
+    keep = label != UNCOVERED
+    return label[keep], rows[keep], cols[keep], ends[keep]
+
+
+def _leaf_runs(labels):
+    """leaf id -> its row_runs, as crag.json entries."""
     runs = {}
-    for leaf, row, start, end in zip(
-        labels[rows, cols].tolist(), rows.tolist(), cols.tolist(), ends.tolist()
-    ):
-        if leaf != UNCOVERED:
-            runs.setdefault(leaf, []).append(
-                {"row": row, "col_start": start, "col_end": end}
-            )
+    for leaf, row, start, end in zip(*(a.tolist() for a in row_runs(labels))):
+        run = {"row": row, "col_start": start, "col_end": end}
+        runs.setdefault(leaf, []).append(run)
     return runs
 
 

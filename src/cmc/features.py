@@ -17,11 +17,17 @@ candidate counting as the smaller one on equal sizes.
 
 The merge tree nests the candidates, so each pixel lies in several of
 them.  What the leaves fix is computed once per image, per leaf
-(_Leaves), and each candidate combines its leaves' facts:
+(_Leaves, which numbers the leaves 0..L-1 so that its tables are sized
+by the leaf count, not by the ids), and each candidate combines its
+leaves' facts:
 - Size, perimeter (4-neighbor pixel sides to anything outside the
   leaf) and the 20-bin raw and boundary histograms.  A candidate's are
   integer sums over its leaves, less 2 sides per 4-neighbor pixel pair
   between two of its leaves for the perimeter: exact.
+- The coordinate moments: the sums of r, c, r*r, c*c and r*c over the
+  leaf's pixels, taken in int64 from its row runs.  A candidate's are
+  integer sums over its leaves, and give its eccentricity (Hu's
+  second-order moments) with no pass over its pixels.
 - The 8-connected component count.  A candidate whose leaves are each
   one component and connected by 4-neighbor pixel pairs is one
   component; only other unions are labelled.  The angle histogram is
@@ -40,26 +46,35 @@ them.  What the leaves fix is computed once per image, per leaf
   interface values by pixel pair, a key no two pairs share, so the
   order of gathering does not matter.  The combinators of all edges
   are formed in one step.
-Only the all-pixel moments and quantiles and the eccentricity scan the
-candidate's bounding box (the union of its leaves' boxes), in row-major
-order.
+Only the all-pixel moments and quantiles scan the candidate's bounding
+box (the union of its leaves' boxes), in row-major order.
 
 Each statistics block costs a few multiply-adds per pixel.  Moments come
 from the deviations d about the mean, recentred on their own mean, with
 d*d formed once and reused in place for d**3 and d**4.  Histograms count
 a uint8 image of bin indices, built once per image for raw and boundary
 over the covered pixels, that reproduces np.histogram(v, 20, (0, 1))
-exactly.  Eccentricity takes the 2x2 covariance as np.cov does.
-Quantiles come from one sort, with np.quantile's linear interpolation
-applied by hand.  The Moore contour walk looks up its next step in a
-table, by backtrack direction and an 8-bit code of the pixel's
-neighbors; each of the 8 step directions has one fixed angle bin (taken
-at import with atan2), so the angle histogram counts step directions.
+exactly.  Eccentricity is sqrt(2 s / (a + b + s)), with a, b and c n**2
+times the covariance entries, formed exactly from the integer moments,
+and s = sqrt((a - b)**2 + 4 c**2) (_eccentricity).  Quantiles come from
+one sort, with np.quantile's linear interpolation applied by hand.  The
+Moore contour walk looks up its next step in a table, by backtrack
+direction and an 8-bit code of the pixel's neighbors; each of the 8
+step directions has one fixed angle bin (taken at import with atan2),
+so the angle histogram counts step directions.
 
 Tolerance: the moments agree with exact rational arithmetic to within
 1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  The
-sorted quantiles are bit-identical to np.quantile, and the counted step
-directions to a walk that takes atan2 of every step.
+eccentricity lies within 1 ulp of its exact value (tested on masks
+shifted by up to 2**14 pixels).  The sorted quantiles are bit-identical
+to np.quantile, and the counted step directions to a walk that takes
+atan2 of every step.
+
+Digests: a change inside these tolerances can still move a feature's
+bits across a forest split, and with it a cost.  So the contract is on
+the answers: solution.json and segmentation.pgm stay bit-identical on
+the acceptance tests, while a perfbench digest may move only where a
+feature's bits move, and each move is reported with its cause.
 """
 
 import math
@@ -74,6 +89,7 @@ from .crag import (
     json_id,
     json_member,
     pixel_pairs,
+    row_runs,
 )
 from .errors import (
     CmcError,
@@ -244,6 +260,35 @@ def _moore_walk(codes, start, width):
     return [s >> 3 for s in states[first:]], list(steps.values())[first:]
 
 
+def _squares_below(x):
+    """Sum of k * k over 0 <= k < x, elementwise."""
+    return (x - 1) * x * (2 * x - 1) // 6
+
+
+def _eccentricity(n, sr, sc, srr, scc, src):
+    """sqrt(1 - lmin / lmax) of the covariance of n pixel coordinates
+    (r, c), from their exact sums (Python ints) of r, c, r*r, c*c, r*c;
+    0 when the eigenvalues are equal.
+
+    a, b and c are n**2 times the covariance entries, exactly, and the
+    eigenvalues are n**-2 (a + b -+ s) / 2 with s = sqrt((a-b)**2 + 4 c**2),
+    so 1 - lmin / lmax = 2 s / (a + b + s): no difference of near-equal
+    terms.  s, that ratio and its square root are each rounded down in
+    integers scaled by 2**64 or 2**128, and the float division at the
+    end is the one rounding to double.  The result lies within 1 ulp of
+    the exact value.
+    """
+    a = n * srr - sr * sr
+    b = n * scc - sc * sc
+    c = n * src - sr * sc
+    d = (a - b) ** 2 + 4 * c * c
+    if not d:
+        return 0.0
+    s = math.isqrt(d << 128)  # s * 2**64
+    ratio = (s << 129) // ((a + b << 64) + s)  # 2 s / (a + b + s) * 2**128
+    return math.isqrt(ratio << 128) / 2.0**128
+
+
 def _spans(starts, stops):
     """Concatenated np.arange(starts[k], stops[k]) over all k."""
     lengths = stops - starts
@@ -252,21 +297,39 @@ def _spans(starts, stops):
 
 
 class _Leaves:
-    """What the leaves of a leaf label image fix, computed once.
+    """What the leaves of a Crag fix, computed once.
 
-    Arrays over leaf ids have one slot past the largest id, which
-    UNCOVERED (-1) indexes, as it indexes a lookup() table.  Methods
-    take a candidate as the list of its leaves and its lookup() table.
+    The leaves are renumbered 0..L-1 in id order (renumber()), so every
+    table is sized by the leaf count, whatever the ids; `labels` is the
+    leaf label image in these numbers.  Arrays over leaves have one slot
+    past the last, which UNCOVERED (-1) indexes, as it indexes a
+    lookup() table.  Methods take a candidate as the list of its leaves'
+    numbers and its lookup() table.
     """
 
-    def __init__(self, labels, raw, boundary):
+    def __init__(self, crag, raw, boundary):
+        ids = crag.leaf_labels()
+        leaf_ids = crag.leaves()
+        self.number = {leaf: k for k, leaf in enumerate(leaf_ids)}
+        covered = ids != UNCOVERED
+        labels = np.searchsorted(leaf_ids, ids)
+        labels[~covered] = UNCOVERED
         h, w = labels.shape
         self.labels, self.width = labels, w
-        self.boxes = ndimage.find_objects(labels + 1)  # leaf id k -> boxes[k]
-        n = len(self.boxes) + 1
-        covered = labels != UNCOVERED
+        self.boxes = ndimage.find_objects(labels + 1)  # leaf k -> boxes[k]
+        n = len(leaf_ids) + 1
         leaf_of = labels[covered]
         self.size = np.bincount(leaf_of, minlength=n)
+        # sums of r, c, r*r, c*c and r*c per leaf, from its row runs
+        # (c0 <= c < c1 in row r): int64 per run, each term below
+        # 2 * max(h, w)**3, and summed per leaf as Python ints, so exact
+        leaf, r, c0, c1 = row_runs(labels)
+        count = c1 - c0
+        sum_c = (c0 + c1 - 1) * count // 2
+        sum_cc = _squares_below(c1) - _squares_below(c0)
+        per_run = np.stack([r * count, sum_c, r * r * count, sum_cc, r * sum_c], 1)
+        self.moments = np.zeros((n, 5), dtype=object)
+        np.add.at(self.moments, leaf, per_run.astype(object))
         # per image: (image, flat image, flat bin image, histogram per leaf)
         self.planes = []
         for image in (raw, boundary):
@@ -281,11 +344,10 @@ class _Leaves:
         ]
         inner = np.bincount(np.concatenate(inner), minlength=n)
         self.perimeter = 4 * self.size - 2 * inner
-        # 8-connected components per leaf (0 for ids that are no leaf)
+        # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
         for k, box in enumerate(self.boxes):
-            if box is not None:
-                self.components[k] = ndimage.label(labels[box] == k, _SQUARE)[1]
+            self.components[k] = ndimage.label(labels[box] == k, _SQUARE)[1]
         # the rim: pixels with an 8-neighbor in another leaf, in UNCOVERED
         # or outside the image, row-major, with their neighbors' labels
         on_rim = np.ones((h, w), dtype=bool)  # the border has one outside
@@ -322,8 +384,12 @@ class _Leaves:
             self.touching.setdefault(a, set()).add(b)
             self.touching.setdefault(b, set()).add(a)
 
+    def renumber(self, leaf_ids):
+        """The numbers of the leaves with these ids, in order."""
+        return [self.number[leaf] for leaf in leaf_ids]
+
     def lookup(self, leaves):
-        """Boolean table over leaf ids, True on `leaves`.
+        """Boolean table over leaf numbers, True on `leaves`.
 
         Indexing it with the leaf label image masks the candidate; its
         last slot stays False for UNCOVERED.
@@ -374,21 +440,11 @@ def _node_vector(facts, leaves, lut):
     r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
     box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
     mask = lut[facts.labels[box]]
-    size = float(facts.size[leaves].sum())
+    count = int(facts.size[leaves].sum())
+    size = float(count)
     perimeter = facts.perimeter_of(leaves, lut)
     circularity = 4.0 * math.pi * size / (perimeter * perimeter)
-
-    if size == 1.0:
-        eccentricity = 0.0
-    else:
-        # centred (row, col) columns; X.T @ X is the product np.cov forms
-        coords = np.argwhere(mask).astype(np.float64)
-        coords += (r0, c0)
-        coords -= coords.sum(axis=0) / size
-        cov = np.dot(coords.T, coords)
-        cov *= 1.0 / size
-        lo, hi = np.linalg.eigvalsh(cov)
-        eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi) if hi > 0.0 else 0.0
+    eccentricity = _eccentricity(count, *facts.moments[leaves].sum(axis=0).tolist())
 
     rim, codes = facts.rim_of(lut)
     # the angle histogram is all-zero unless the candidate is one
@@ -475,12 +531,11 @@ def _edge_vectors(facts, adjacency, luts, node_feats):
 
 def compute_features(crag, raw, boundary):
     """Feature vectors for every candidate and adjacency edge of a Crag."""
-    labels = crag.leaf_labels()
-    raw, boundary = _checked_images(labels, raw, boundary)
-    facts = _Leaves(labels, raw, boundary)
+    raw, boundary = _checked_images(crag.leaf_labels(), raw, boundary)
+    facts = _Leaves(crag, raw, boundary)
     node_feats, luts = {}, {}
     for cid in crag.ids():
-        leaves = list(crag.leaves_under(cid))
+        leaves = facts.renumber(crag.leaves_under(cid))
         luts[cid] = facts.lookup(leaves)
         node_feats[cid] = _node_vector(facts, leaves, luts[cid])
     if not crag.adjacency:

@@ -20,7 +20,6 @@ from scipy import ndimage
 from .crag import (
     Candidate,
     build_crag,
-    candidate_adjacency,
     edge_key,
     pixel_pairs,
     sorted_distinct,
@@ -50,13 +49,18 @@ def seeded_watershed(boundary, seed_threshold):
     deterministic.  Labels are 1..K with no background.
 
     The queue holds one integer per pushed pixel, rank * (h*w) + push
-    index, where rank orders the distinct boundary values (np.unique, so
-    -0.0 and 0.0 share a rank) and the push index counts pushes: seeds
-    first in row-major order, then each pixel as it is claimed.  Keys
-    are distinct and sort like (value, push index), so pixels pop in
-    the same FIFO tie order as a heap of (value, counter) tuples.  A
-    seed whose in-image neighbours are all seeds would claim nothing
-    when popped, so it is never pushed; it still uses up its push index.
+    index, where rank orders the distinct boundary values of the
+    pushable pixels (np.unique, so -0.0 and 0.0 share a rank) and the
+    push index counts pushes: seeds first in row-major order, then each
+    pixel as it is claimed.  Keys are distinct and sort like (value,
+    push index), so pixels pop in the same FIFO tie order as a heap of
+    (value, counter) tuples.  A seed whose in-image neighbours are all
+    seeds would claim nothing when popped, so it is never pushed; it
+    still uses up its push index.  Only the other pixels are pushable:
+    the seeds that touch a non-seed, and the non-seeds, each pushed
+    when claimed.  Ranks over that subset order its values as ranks over
+    the whole image would, so the pop order is the same; on the usual
+    maps most pixels are interior seeds, and the rank skips them.
     Neighbours are visited up, down, left, right.
     """
     boundary = _check_boundary(boundary)
@@ -70,9 +74,6 @@ def seeded_watershed(boundary, seed_threshold):
     stride = w + 2
     padded = np.full((h + 2, stride), -1, dtype=np.int64)
     padded[1:-1, 1:-1] = seeds
-    _, rank = np.unique(boundary, return_inverse=True)
-    key_base = np.zeros((h + 2, stride), dtype=np.int64)
-    key_base[1:-1, 1:-1] = rank.reshape(h, w) * n
     seeded = padded != 0
     interior = (
         seeded[1:-1, 1:-1]
@@ -81,6 +82,10 @@ def seeded_watershed(boundary, seed_threshold):
         & seeded[1:-1, :-2]
         & seeded[1:-1, 2:]
     )
+    pushable = ~interior
+    _, rank = np.unique(boundary[pushable], return_inverse=True)
+    key_base = np.zeros((h + 2, stride), dtype=np.int64)
+    key_base[1:-1, 1:-1][pushable] = rank * n
 
     # the flood reads and writes the images through memoryviews and grows
     # `order` as an int64 array, so it makes no Python int per pixel
@@ -89,7 +94,7 @@ def seeded_watershed(boundary, seed_threshold):
     # order[k] is the padded flat index of the pixel with push index k
     flat = np.flatnonzero(seeds)
     order = array("q", (flat + stride + 1 + 2 * (flat // w)).tobytes())
-    pushed = np.flatnonzero(~interior.ravel()[flat]).tolist()
+    pushed = np.flatnonzero(pushable.ravel()[flat]).tolist()
     heap = [base[order[k]] + k for k in pushed]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -234,9 +239,9 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     nodes then re-attach to their nearest surviving ancestor, which
     keeps every inner node the exact disjoint union of its children.
     Adjacency edges join every disjoint touching pair across all levels,
-    as crag.candidate_adjacency defines them.  The superpixel array
-    becomes the Crag's leaf label image, so every superpixel stays a
-    candidate and max_merges must be >= 0.
+    as crag.candidate_adjacency defines them; build_crag lifts them
+    once.  The superpixel array becomes the Crag's leaf label image, so
+    every superpixel stays a candidate and max_merges must be >= 0.
     """
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
@@ -266,15 +271,13 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     inc = {n for n in level if included(n)}
 
     # re-attach surviving nodes to their nearest surviving ancestor
-    kept_parent = {}
     children = {n: [] for n in inc}
     for n in sorted(inc):
         p = parent.get(n)
         while p is not None and p not in inc:
             p = parent.get(p)
         if p is not None:
-            kept_parent[n] = p
             children[p].append(n)
 
     cands = [Candidate(n, level[n], tuple(children[n])) for n in sorted(inc)]
-    return build_crag(cands, candidate_adjacency(kept_parent, sp), sp)
+    return build_crag(cands, None, sp)

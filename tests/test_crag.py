@@ -13,6 +13,7 @@ from cmc.crag import (
     _selected_neighbors,
     _shortest_path,
     build_crag,
+    candidate_adjacency,
     conflict_cliques,
     crag_from_json,
     crag_to_json,
@@ -251,6 +252,21 @@ def test_bad_adjacency_rejected():
         build_crag(base, [(1, 4)], labels)  # parent overlaps child
     with pytest.raises(NotAdjacent):
         build_crag(base, [(1, 3)], labels)  # gap at (0, 2)
+
+
+def test_adjacency_none_is_every_touching_pair():
+    """An adjacency of None gives all of candidate_adjacency, the graph
+    that lists it gives; the other checks still run."""
+    rng = np.random.default_rng(47)
+    for crag in [quad_crag()] + [random_sparse_crag(rng) for _ in range(30)]:
+        cands, labels = list(crag.candidates.values()), crag.leaf_labels()
+        full = build_crag(cands, None, labels)
+        assert set(full.adjacency) == candidate_adjacency(crag.subset, labels)
+        assert full == build_crag(cands, full.adjacency, labels)
+    with pytest.raises(LeavesDoNotCoverImage):
+        build_crag([Candidate(1, 0)], None, np.array([[1, 2]]))
+    with pytest.raises(SubsetNotForest):
+        build_crag([Candidate(1, 0), Candidate(2, 1, (1, 1))], None, np.array([[1]]))
 
 
 def test_conflict_cliques_quad():

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
     _QUANTILES,
     _bin_image,
+    _eccentricity,
     _Leaves,
     _moments,
     _quantiles,
@@ -59,10 +61,9 @@ def crag_walk(crag, cid):
     """(row, col) positions of one cycle of the Moore walk over a
     candidate, from the codes compute_features reads: its leaves' rim
     rows through its leaf lookup."""
-    labels = crag.leaf_labels()
-    blank = np.zeros(labels.shape)
-    facts = _Leaves(labels, blank, blank)
-    lut = facts.lookup(list(crag.leaves_under(cid)))
+    blank = np.zeros(crag.leaf_labels().shape)
+    facts = _Leaves(crag, blank, blank)
+    lut = facts.lookup(facts.renumber(crag.leaves_under(cid)))
     positions, _ = facts.walk(*facts.rim_of(lut))
     return [divmod(p, crag.width) for p in positions]
 
@@ -153,6 +154,26 @@ def ref_contour_pixels(pixels):
     ]
 
 
+def exact_eccentricity(pixels):
+    """sqrt(1 - lmin / lmax) of the pixels' coordinate covariance, from
+    exact rational entries and the textbook eigenvalues at 100 digits;
+    0 when the eigenvalues are equal."""
+    n = len(pixels)
+    mean_r = Fraction(sum(r for r, _ in pixels), n)
+    mean_c = Fraction(sum(c for _, c in pixels), n)
+    var_r = sum((r - mean_r) ** 2 for r, _ in pixels) / n
+    var_c = sum((c - mean_c) ** 2 for _, c in pixels) / n
+    cov = sum((r - mean_r) * (c - mean_c) for r, c in pixels) / n
+    if var_r == var_c and cov == 0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a, b, c = (Decimal(x.numerator) / x.denominator for x in (var_r, var_c, cov))
+        root = ((a - b) ** 2 + 4 * c * c).sqrt()
+        lo, hi = (a + b - root) / 2, (a + b + root) / 2
+        return float((1 - lo / hi).sqrt())
+
+
 def ref_stats_block(values):
     """Moments, np.histogram's 20 bins over [0, 1] and the quantiles."""
     hist = np.histogram(values, bins=20, range=(0.0, 1.0))[0]
@@ -168,13 +189,7 @@ def ref_node_vector(pixels, raw, boundary):
     )
     circularity = 4.0 * math.pi * size / (perimeter * perimeter)
     ordered = sorted(pixels)
-    eccentricity = 0.0
-    if len(pixels) > 1:
-        lo, hi = np.linalg.eigvalsh(
-            np.cov(np.array(ordered, dtype=np.float64).T, bias=True)
-        )
-        if hi > 0.0:
-            eccentricity = math.sqrt(1.0 - max(lo, 0.0) / hi)
+    eccentricity = exact_eccentricity(ordered)
     contour = ref_contour_pixels(pixels)
     blocks = [
         ref_stats_block(np.array([image[p] for p in coords]))
@@ -212,6 +227,9 @@ CONTOUR_MOMENTS = [
     for stat in ("sum", "mean", "var", "skew", "kurt")
 ]
 CONTOUR_COMBOS = [4 + 4 * k + d for k in CONTOUR_MOMENTS for d in range(4)]
+# the eccentricity, against an exact value, and the edge entries built from it
+ECCENTRICITY = NODE_NAMES.index("eccentricity")
+ECCENTRICITY_COMBOS = [4 + 4 * ECCENTRICITY + d for d in range(4)]
 
 
 def exact_moments(values):
@@ -397,6 +415,46 @@ def test_line_eccentricity_one():
     line = {(2, c) for c in range(1, 6)}
     f = region_features(line, raw, boundary)
     assert f[idx("eccentricity")] == 1.0
+
+
+# a mask of up to 9 x 9 pixels (one at least), and where to place it
+_MASKS = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda hw: st.lists(
+        st.booleans(), min_size=hw[0] * hw[1], max_size=hw[0] * hw[1]
+    ).map(lambda bits: np.array(bits).reshape(hw))
+).filter(np.any)
+_OFFSETS = st.tuples(st.integers(0, 2**14), st.integers(0, 2**14))
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_MASKS, _OFFSETS, st.booleans())
+@example(np.ones((1, 9), dtype=bool), (2**14, 2**14), True)
+@example(np.ones((9, 9), dtype=bool), (2**14, 2**14), False)
+@example(np.eye(9, dtype=bool), (2**14, 0), True)
+@example(np.ones((1, 1), dtype=bool), (2**14, 2**14), False)
+def test_eccentricity_within_one_ulp_of_exact(mask, offset, along_rows):
+    """compute_features' eccentricity lies within 1 ulp of the exact
+    value.  The mask is placed in a one-leaf Crag, shifted by one of the
+    offsets along rows or columns; a shift along both goes straight to
+    _eccentricity, from the integer sums of the shifted pixels."""
+    rows, cols = np.nonzero(mask)
+    want = exact_eccentricity(list(zip(rows.tolist(), cols.tolist())))
+    shift = (offset[0], 0) if along_rows else (0, offset[1])
+    shape = (mask.shape[0] + shift[0], mask.shape[1] + shift[1])
+    pixels = set(zip((rows + shift[0]).tolist(), (cols + shift[1]).tolist()))
+    got = region_features(pixels, np.zeros(shape), np.zeros(shape))
+    assert abs(got[idx("eccentricity")] - want) <= math.ulp(want)
+    r, c = (rows + offset[0]).tolist(), (cols + offset[1]).tolist()
+    sums = sum(r), sum(c), sum(x * x for x in r), sum(x * x for x in c)
+    sums += (sum(x * y for x, y in zip(r, c)),)
+    # the integer sums fix a, b and c exactly, whatever the offset
+    assert _eccentricity(len(r), *sums) == got[idx("eccentricity")]
 
 
 def test_contour_trace_domino():
@@ -813,11 +871,15 @@ def test_pipeline_crag_labels_each_leaf_once(monkeypatch):
 
 def test_compute_features_matches_per_pixel_reference():
     """Label-image kernel against the frozenset reference: bit-identical
-    except the contour moments, whose summation order changed."""
+    except the contour moments, whose summation order changed, and the
+    eccentricity, which must lie within 1 ulp of its exact value.  Its
+    edge combinators then lie within 2**-51 of the reference's: an ulp
+    of each operand, at most 2**-53 below 1 (and 0 at 1, which is
+    exact), plus half an ulp of a sum below 2 on each side."""
     other = np.ones(len(NODE_NAMES), dtype=bool)
-    other[CONTOUR_MOMENTS] = False
+    other[CONTOUR_MOMENTS + [ECCENTRICITY]] = False
     edge_other = np.ones(len(EDGE_NAMES), dtype=bool)
-    edge_other[CONTOUR_COMBOS] = False
+    edge_other[CONTOUR_COMBOS + ECCENTRICITY_COMBOS] = False
     seen = {"uncovered": 0, "disconnected": 0, "edges": 0}
     for crag, raw, boundary in sparse_instances(37, 60):
         seen["uncovered"] += int((crag.leaf_labels() < 0).any())
@@ -836,6 +898,8 @@ def test_compute_features_matches_per_pixel_reference():
                 rtol=1e-12,
                 atol=1e-12,
             )
+            want = ref[cid][ECCENTRICITY]
+            assert abs(nf[cid][ECCENTRICITY] - want) <= math.ulp(want)
         for i, j in crag.adjacency:
             want = ref_edge_vector(
                 pixels_of(crag, i), pixels_of(crag, j), boundary, ref[i], ref[j]
@@ -849,6 +913,8 @@ def test_compute_features_matches_per_pixel_reference():
             ]
             err = np.abs(got[CONTOUR_COMBOS] - want[CONTOUR_COMBOS])
             assert np.all(err <= 1e-12 * (1.0 + scale))
+            err = np.abs(got[ECCENTRICITY_COMBOS] - want[ECCENTRICITY_COMBOS])
+            assert np.all(err <= 2.0**-51)
     # the instances exercise what the kernel must get right
     assert seen["uncovered"] > 30 and seen["disconnected"] > 10 and seen["edges"] > 200
 

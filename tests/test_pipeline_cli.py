@@ -353,6 +353,35 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert validate_solution(crag_obj, restored) == []
 
 
+def test_cli_features_of_large_leaf_ids(tmp_path):
+    """Leaf ids count for nothing but their order: a 2x4 graph with
+    leaves 1 and 2**40 gives the vectors of the same graph with leaves 1
+    and 2, where per-leaf tables sized by the largest id ran out of
+    memory."""
+    rng = np.random.default_rng(29)
+    raw, boundary = str(tmp_path / "raw.pgm"), str(tmp_path / "boundary.pgm")
+    write_probability(raw, rng.random((2, 4)))
+    write_probability(boundary, rng.random((2, 4)))
+    vectors = []
+    for big in (2, 2**40):
+        labels = np.array([[1, 1, big, big], [1, big, big, big]])
+        root = Candidate(big + 1, 1, (1, big))
+        crag = build_crag([Candidate(1, 0), Candidate(big, 0), root], [(1, big)], labels)
+        crag_path, out = tmp_path / f"crag{big}.json", str(tmp_path / f"f{big}.json")
+        crag_path.write_text(json.dumps(crag_to_json(crag)))
+        assert main(
+            ["features", "--crag", str(crag_path), "--raw", raw, "--boundary", boundary,
+             "--out", out]
+        ) == 0
+        with open(out) as f:
+            feats = json.load(f)
+        rename = {"1": "1", str(big): "2", str(big + 1): "3"}
+        nodes = {rename[k]: v for k, v in feats["nodes"].items()}
+        assert list(feats["edges"]) == [f"1-{big}"]
+        vectors.append((nodes, list(feats["edges"].values())))
+    assert vectors[0] == vectors[1]
+
+
 def test_cli_best_effort(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--n-images", "1", "--n-cells", "2", "--noise-level", "0",
