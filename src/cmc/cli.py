@@ -13,6 +13,7 @@ that the search turned down because they broke path constraints
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -190,7 +191,10 @@ def _cmd_pipeline(args):
     return 0 if solution.optimal else 2
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every subcommand, built once per process:
+    parse_args leaves the parser as it found it, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="cmc", description="candidate-graph cell segmentation tools"
     )

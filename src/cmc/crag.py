@@ -20,7 +20,9 @@ candidates with a 4-neighbour pixel pair between them, and
 extract_candidates emits all of them.
 """
 
+import itertools
 import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -533,12 +535,101 @@ def _named(doc, exc):
     return exc
 
 
+def spans(starts, stops):
+    """Concatenated np.arange(starts[k], stops[k]) over all k."""
+    lengths = stops - starts
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(lengths.sum())
+
+
+_RUN_KEYS = ("row", "col_start", "col_end")
+_run_values = operator.itemgetter(*_RUN_KEYS)
+
+
+def _run_array(doc, leaves):
+    """(n, 3) int64 array of the (row, col_start, col_end) of every run of
+    `leaves`, a list of (leaf id, its pixels list), in order.
+
+    One type pass over all runs; only when it fails are the runs checked
+    one by one, so that the CmcError names the first bad run's member.
+    """
+    try:
+        values = [v for _, runs in leaves for v in map(_run_values, runs)]
+        if set(map(type, itertools.chain.from_iterable(values))) <= {int}:
+            return np.array(values, dtype=np.int64).reshape(-1, 3)
+    except (KeyError, TypeError, OverflowError):  # no object, no key, > int64
+        pass
+    values = [
+        [json_member(doc, run, k, int, f"run of candidate {cid}") for k in _RUN_KEYS]
+        for cid, runs in leaves
+        for run in runs
+    ]
+    return np.array(values, dtype=np.int64).reshape(-1, 3)
+
+
+def _overlap(shape, runs):
+    """Whether two of these in-image, non-empty runs share a pixel: a
+    coverage count of starts less ends, summed along each row."""
+    stride = shape[1] + 1  # a run may end at the width; its row ends after
+    size = shape[0] * stride + 1
+    rows, starts, ends = runs.T
+    cover = np.bincount(rows * stride + starts, minlength=size)
+    cover -= np.bincount(rows * stride + ends, minlength=size)
+    return np.cumsum(cover).max() > 1
+
+
+def _paint_runs(doc, labels, owners, runs):
+    """Paint each run (row, col_start, col_end) of `runs` with its leaf id
+    in `owners`, as if one after another in order, into the UNCOVERED
+    image `labels`.
+
+    The first run, in order, that is empty raises CmcError, one outside
+    the image LeavesDoNotCoverImage, and one over pixels an earlier run
+    painted OverlappingLeaves naming the owner of its first such pixel
+    and its own leaf.  Which comes first decides; the runs before it
+    are disjoint.
+    """
+    height, width = labels.shape
+    rows, starts, ends = runs.T
+    bad = (starts >= ends) | (rows < 0) | (rows >= height) | (starts < 0)
+    bad |= ends > width
+    first_bad = int(bad.argmax()) if bad.any() else len(runs)
+    # the longest prefix of the runs before first_bad that is pairwise
+    # disjoint: all of them, or found by bisection
+    disjoint = first_bad
+    if _overlap(labels.shape, runs[:first_bad]):
+        disjoint, stop = 0, first_bad
+        while disjoint + 1 < stop:
+            mid = (disjoint + stop) // 2
+            if _overlap(labels.shape, runs[:mid]):
+                stop = mid
+            else:
+                disjoint = mid
+    rows, starts, ends = runs[:disjoint].T  # in the image, so no int64 wraps
+    pixels = spans(rows * width + starts, rows * width + ends)
+    labels.ravel()[pixels] = np.repeat(owners[:disjoint], ends - starts)
+    if disjoint == len(runs):
+        return
+    (row, start, end), cid = runs[disjoint].tolist(), int(owners[disjoint])
+    if disjoint < first_bad:
+        segment = labels[row, start:end]
+        owner = int(segment[(segment != UNCOVERED).argmax()])
+        raise _named(doc, OverlappingLeaves(owner, cid))
+    if start >= end:
+        raise CmcError(f"{doc}: empty run {start}:{end} of candidate {cid}")
+    raise _named(doc, LeavesDoNotCoverImage(
+        f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
+    ))
+
+
 def crag_from_json(obj, doc="crag.json"):
     """Crag from its JSON form; malformed input raises CmcError naming `doc`.
 
-    Leaf runs are painted straight into the label image: a run outside
-    the image raises LeavesDoNotCoverImage, a run over pixels already
-    painted raises OverlappingLeaves naming their owner and the new leaf.
+    Leaf runs are painted straight into the label image, all at once
+    (_paint_runs): a run outside the image raises LeavesDoNotCoverImage,
+    a run over pixels already painted raises OverlappingLeaves naming
+    their owner and the new leaf.  An input with one fault raises what
+    checking and painting the runs one by one in file order would.
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
@@ -547,7 +638,7 @@ def crag_from_json(obj, doc="crag.json"):
         labels = np.full((height, width), UNCOVERED, dtype=np.int64)
     except ValueError as exc:  # numpy refuses the shape before allocating
         raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
-    candidates = []
+    candidates, leaves = [], []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
@@ -558,24 +649,14 @@ def crag_from_json(obj, doc="crag.json"):
             kids = json_member(doc, entry, "children", list, where)
             kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
             candidates.append(Candidate(cid, level, kids))
-            continue
-        for run in json_member(doc, entry, "pixels", list, where):
-            row, start, end = (
-                json_member(doc, run, k, int, f"run of {where}")
-                for k in ("row", "col_start", "col_end")
-            )
-            if start >= end:
-                raise CmcError(f"{doc}: empty run {start}:{end} of {where}")
-            if not (0 <= row < height and 0 <= start and end <= width):
-                raise _named(doc, LeavesDoNotCoverImage(
-                    f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
-                ))
-            segment = labels[row, start:end]
-            taken = segment != UNCOVERED
-            if taken.any():
-                raise _named(doc, OverlappingLeaves(int(segment[taken.argmax()]), cid))
-            segment[:] = cid
-        candidates.append(Candidate(cid, level))
+        else:
+            leaves.append((cid, json_member(doc, entry, "pixels", list, where)))
+            candidates.append(Candidate(cid, level))
+    owners = np.repeat(
+        np.array([cid for cid, _ in leaves], dtype=np.int64),
+        [len(runs) for _, runs in leaves],
+    )
+    _paint_runs(doc, labels, owners, _run_array(doc, leaves))
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")

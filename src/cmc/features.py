@@ -90,6 +90,7 @@ from .crag import (
     json_member,
     pixel_pairs,
     row_runs,
+    spans,
 )
 from .errors import (
     CmcError,
@@ -289,13 +290,6 @@ def _eccentricity(n, sr, sc, srr, scc, src):
     return math.isqrt(ratio << 128) / 2.0**128
 
 
-def _spans(starts, stops):
-    """Concatenated np.arange(starts[k], stops[k]) over all k."""
-    lengths = stops - starts
-    shift = starts - np.cumsum(lengths) + lengths
-    return np.repeat(shift, lengths) + np.arange(lengths.sum())
-
-
 class _Leaves:
     """What the leaves of a Crag fix, computed once.
 
@@ -316,14 +310,25 @@ class _Leaves:
         labels[~covered] = UNCOVERED
         h, w = labels.shape
         self.labels, self.width = labels, w
-        self.boxes = ndimage.find_objects(labels + 1)  # leaf k -> boxes[k]
         n = len(leaf_ids) + 1
         leaf_of = labels[covered]
         self.size = np.bincount(leaf_of, minlength=n)
+        leaf, r, c0, c1 = row_runs(labels)
+        # leaf k -> boxes[k], from its runs (every leaf has one): the
+        # least and greatest run row, least col_start, greatest col_end
+        r_lo, r_hi = np.full(n, h), np.zeros(n, dtype=np.int64)
+        c_lo, c_hi = np.full(n, w), np.zeros(n, dtype=np.int64)
+        np.minimum.at(r_lo, leaf, r)
+        np.maximum.at(r_hi, leaf, r + 1)
+        np.minimum.at(c_lo, leaf, c0)
+        np.maximum.at(c_hi, leaf, c1)
+        self.boxes = [
+            (slice(a, b), slice(c, d))
+            for a, b, c, d in zip(*(x[:-1].tolist() for x in (r_lo, r_hi, c_lo, c_hi)))
+        ]
         # sums of r, c, r*r, c*c and r*c per leaf, from its row runs
         # (c0 <= c < c1 in row r): int64 per run, each term below
         # 2 * max(h, w)**3, and summed per leaf as Python ints, so exact
-        leaf, r, c0, c1 = row_runs(labels)
         count = c1 - c0
         sum_c = (c0 + c1 - 1) * count // 2
         sum_cc = _squares_below(c1) - _squares_below(c0)
@@ -507,7 +512,7 @@ def _edge_vectors(facts, adjacency, luts, node_feats):
     for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i)):
         edge, group = np.nonzero(lut_p[:, facts.group_a] & lut_q[:, facts.group_b])
         start, stop = facts.group_start[group], facts.group_stop[group]
-        ends.append((np.repeat(edge, stop - start), _spans(start, stop)))
+        ends.append((np.repeat(edge, stop - start), spans(start, stop)))
     (edge_f, fwd), (edge_r, rev) = ends
     edge = np.concatenate([edge_f, edge_r])
     in_i = np.concatenate([facts.p[fwd], facts.q[rev]])

@@ -51,7 +51,10 @@ def read_pgm(path):
         raise DegenerateInput(
             f"PGM size and maxval must be decimal digits: {tokens[1:]}"
         )
-    width, height, maxval = (int(t) for t in tokens[1:])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError as exc:  # a number past Python's int-string digit limit
+        raise DegenerateInput(f"PGM size or maxval too long: {exc}") from exc
     if maxval != MAXVAL:
         raise DegenerateInput(f"expected maxval {MAXVAL}, found {maxval}")
     expected = width * height * 2

@@ -7,8 +7,10 @@ rng_seed+n_trees, so the two never share a per-tree stream.
 """
 
 import contextlib
+import functools
 import json
 from dataclasses import asdict, dataclass, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .costmodel import (
     best_effort,
@@ -160,11 +162,86 @@ def model_from_json(obj):
     }
 
 
+# types that one pass of the C encoder writes as json.dumps does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth):
+    """Encoder of a value whose items, if it holds any, sit at `depth`:
+    json.dumps' text for a scalar, and for a list or dict of scalars the
+    items joined by ",\n" plus the depth's indent, with no newline after
+    the opening bracket or before the closing one."""
+    separator = ",\n" + "  " * depth
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return json.JSONEncoder(
+            separators=(separator, ": "), sort_keys=True, check_circular=False
+        ).encode
+    # the C encoder ignores indent, so its item separator carries it
+    encode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", separator, True, False, True,
+    )
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _key_text(key):
+    """A dict key as json.dumps writes it: str, int, float, bool or None."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _flat_encoder(0)(key)
+    return encode_basestring_ascii(key)
+
+
+def _encode(obj, depth, open_ids):
+    """Text of obj as json.dumps(obj, indent=2, sort_keys=True) writes it
+    at nesting `depth`; open_ids holds the ids of its enclosing containers."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _flat_encoder(depth)(obj)  # a scalar, or a TypeError
+    if not obj:
+        return brackets
+    pad = "  " * (depth + 1)
+    if set(map(type, values)) <= _SCALARS:
+        body = _flat_encoder(depth + 1)(obj)[1:-1]
+    else:
+        if id(obj) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(obj))
+        if brackets == "{}":
+            items = (
+                f"{_key_text(key)}: {_encode(value, depth + 1, open_ids)}"
+                for key, value in sorted(obj.items())
+            )
+        else:
+            items = (_encode(value, depth + 1, open_ids) for value in obj)
+        body = f",\n{pad}".join(items)
+        open_ids.remove(id(obj))
+    return f"{brackets[0]}\n{pad}{body}\n{'  ' * depth}{brackets[1]}"
+
+
 def dump_json(path, obj):
-    """Write obj as sorted, 2-space indented JSON plus a final newline."""
+    """Write exactly json.dumps(obj, indent=2, sort_keys=True) + "\n" to path.
+
+    Every JSON file the CLI and the pipeline write goes through here,
+    and its bytes are this contract.  Python's json module runs every
+    indented dump in its pure-Python encoder, so the text is built here
+    instead: each list or dict that holds only scalars goes through the
+    C encoder in one pass, with the indent carried by its item
+    separator, and only containers of containers are walked in Python.
+    The whole text is encoded before the file is opened, so a value
+    json.dumps rejects (a set, a numpy integer, a circular reference)
+    raises as it would there, and leaves no file or a truncated one.
+    """
+    text = _encode(obj, 0, set()) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def run_pipeline(config, boundary, raw, gt=None, model=None, save_dir=None):

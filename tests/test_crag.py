@@ -48,9 +48,11 @@ from util import (
     random_crag,
     random_sparse_crag,
     ref_check_leaves_and_edges,
+    ref_crag_from_json,
     ref_crag_json,
     ref_decode_pixels,
     ref_regions_touch,
+    same_outcome,
     zero_solution,
 )
 
@@ -696,6 +698,163 @@ def test_build_crag_matches_pixel_set_reference():
         ("child-parent edge", "AdjacencyBetweenOverlapping"),
     }
     assert min(outcomes.values()) > 50
+
+
+def _with_runs(edits):
+    """quad_crag's crag.json with runs appended to its leaf entries, or
+    changed in them: {(entry, run index or None to append): run}; a dict
+    changes the run's members, anything else takes the run's place."""
+    obj = crag_to_json(quad_crag())
+    for (entry, at), run in edits.items():
+        runs = obj["candidates"][entry]["pixels"]
+        if at is None:
+            runs.append(run)
+        elif isinstance(run, dict):
+            runs[at] = {**runs[at], **run}
+        else:
+            runs[at] = run
+    return obj
+
+
+# one fault each in the runs of quad_crag (entries 0-3 are leaves 1-4,
+# painted in that order), and the error painting run by run gives
+RUN_FAULTS = {
+    # leaf 3's extra row 3 run is painted first; leaf 4's own row 3 run,
+    # the eleventh run of the file, is the one that overlaps
+    "later leaf's run overlaps": (
+        {(2, None): {"row": 3, "col_start": 0, "col_end": 4}},
+        OverlappingLeaves, "crag.json: leaf candidates 3 and 4 share pixels",
+    ),
+    # over (1, 0) of leaf 1 and its own (1, 3); the first taken pixel names
+    # the owner, here leaf 1
+    "run over two owners": (
+        {(1, None): {"row": 1, "col_start": 0, "col_end": 4}},
+        OverlappingLeaves, "crag.json: leaf candidates 1 and 2 share pixels",
+    ),
+    # free at (1, 1) and (1, 2), its own leaf at (1, 3)
+    "run over its own leaf": (
+        {(1, None): {"row": 1, "col_start": 1, "col_end": 4}},
+        OverlappingLeaves, "crag.json: leaf candidates 2 and 2 share pixels",
+    ),
+    "empty run after valid ones": (
+        {(3, 1): {"col_start": 4}},
+        CmcError, "crag.json: empty run 4:4 of candidate 4",
+    ),
+    "run past the width": (
+        {(2, 0): {"col_end": 5}},
+        LeavesDoNotCoverImage,
+        "crag.json: leaf pixels do not match the image region: "
+        "run (1, 1:5) of leaf 3 outside 4x4",
+    ),
+    "negative row": (
+        {(3, None): {"row": -1, "col_start": 0, "col_end": 1}},
+        LeavesDoNotCoverImage,
+        "crag.json: leaf pixels do not match the image region: "
+        "run (-1, 0:1) of leaf 4 outside 4x4",
+    ),
+    "col_end at 2**63": (
+        {(1, 1): {"col_end": 2**63}},
+        CmcError,
+        "crag.json: col_end of run of candidate 2 is not a valid int: "
+        "9223372036854775808",
+    ),
+    "row below -2**63": (
+        {(0, 2): {"row": -(2**63) - 1}},
+        CmcError,
+        "crag.json: row of run of candidate 1 is not a valid int: "
+        "-9223372036854775809",
+    ),
+    "bool col_start": (
+        {(3, 0): {"col_start": True}},
+        CmcError, "crag.json: col_start of run of candidate 4 is not a valid int: True",
+    ),
+    "run without col_end": (
+        {(2, None): {"row": 3, "col_start": 0}},
+        CmcError, "crag.json: run of candidate 3 has no 'col_end'",
+    ),
+    "run that is a list": (
+        {(2, 1): [2, 1, 3]},
+        CmcError, "crag.json: run of candidate 3 has no 'row'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_FAULTS))
+def test_bulk_run_painting_raises_as_run_by_run(case):
+    """crag_from_json raises the class and message that checking and
+    painting the runs one by one gives, whichever run is at fault."""
+    edits, kind, message = RUN_FAULTS[case]
+    obj = _with_runs(edits)
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (kind, message)
+
+
+def test_bulk_decoder_matches_run_by_run_on_malformed_files():
+    """Every MALFORMED_CRAG_JSON case that parses as JSON raises the
+    same class and message through crag_from_json as through the
+    run-by-run reference."""
+    seen = 0
+    for case, text_of in MALFORMED_CRAG_JSON.items():
+        try:
+            obj = json.loads(text_of(crag_to_json(quad_crag())))
+        except ValueError:
+            continue
+        assert isinstance(same_outcome(crag_from_json, ref_crag_from_json, obj), CmcError)
+        seen += 1
+    assert seen == len(MALFORMED_CRAG_JSON) - 1
+
+
+def test_bulk_decoder_matches_run_by_run_on_valid_graphs():
+    """Equal Crags and equal leaf_labels() on random graphs, random
+    sparse graphs with uncovered pixels, and synthetic images at 128 and
+    256 px."""
+    rng = np.random.default_rng(61)
+    crags = [quad_crag()]
+    crags += [random_crag(rng) for _ in range(30)]
+    crags += [random_sparse_crag(rng) for _ in range(30)]
+    for seed, cells, size in ((1, 4, 128), (2, 12, 256)):
+        boundary = generate_synthetic(1, cells, 1.0, seed, image_size=size)[0][1]
+        crags.append(build_graph(boundary, PipelineConfig()))
+    for crag in crags:
+        obj = json.loads(json.dumps(crag_to_json(crag)))
+        assert same_outcome(crag_from_json, ref_crag_from_json, obj) == crag
+
+
+# values put in place of one run coordinate: in and out of the image,
+# the int64 limits and past them, bools and other JSON types
+RUN_VALUES = [
+    -1, 0, 1, 2, 3, 4, 5, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+    True, False, 1.0, None, "1",
+]
+
+
+def test_bulk_decoder_matches_run_by_run_on_one_changed_coordinate():
+    """One coordinate of one run replaced, on quad_crag (every coordinate)
+    and on random sparse graphs (six coordinates each): the same outcome
+    as run by run, and each outcome of run painting is met."""
+    rng = np.random.default_rng(62)
+    graphs = [(quad_crag(), None)]
+    graphs += [(random_sparse_crag(rng), 6) for _ in range(20)]
+    outcomes = Counter()
+    for crag, picks in graphs:
+        obj = crag_to_json(crag)
+        spots = [
+            (k, r, key)
+            for k, entry in enumerate(obj["candidates"])
+            for r in range(len(entry.get("pixels", ())))
+            for key in ("row", "col_start", "col_end")
+        ]
+        if picks is not None:
+            spots = [spots[i] for i in rng.choice(len(spots), picks, replace=False)]
+        for k, r, key in spots:
+            for value in RUN_VALUES:
+                changed = json.loads(json.dumps(obj))
+                changed["candidates"][k]["pixels"][r][key] = value
+                outcome = same_outcome(crag_from_json, ref_crag_from_json, changed)
+                outcomes[type(outcome).__name__] += 1
+    assert {
+        "Crag", "CmcError", "LeavesDoNotCoverImage", "OverlappingLeaves",
+    } <= set(outcomes)
 
 
 def test_solution_json_roundtrip():

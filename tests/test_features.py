@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from cmc.cli import main
 from cmc.crag import UNCOVERED, Candidate, build_crag
 from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
@@ -24,6 +25,7 @@ from cmc.features import (
     features_to_json,
     node_feature_names,
 )
+from cmc.pgm import write_probability
 from cmc.pipeline import PipelineConfig, build_graph
 from cmc.synth import generate_synthetic
 
@@ -917,6 +919,39 @@ def test_compute_features_matches_per_pixel_reference():
             assert np.all(err <= 2.0**-51)
     # the instances exercise what the kernel must get right
     assert seen["uncovered"] > 30 and seen["disconnected"] > 10 and seen["edges"] > 200
+
+
+def test_leaf_boxes_equal_find_objects():
+    """_Leaves takes each leaf's box from its row runs; the boxes are
+    find_objects' on synthetic images at 256 and 512 px and on random
+    sparse graphs, whose leaves leave pixels uncovered."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for cells, size in ((12, 256), (40, 512)):
+        raw, boundary, _ = generate_synthetic(1, cells, 1.0, 7, image_size=size)[0]
+        cases.append((build_graph(boundary, PipelineConfig()), raw, boundary))
+    for _ in range(20):
+        crag = random_sparse_crag(rng)
+        shape = (crag.height, crag.width)
+        cases.append((crag, rng.random(shape), rng.random(shape)))
+    for crag, raw, boundary in cases:
+        facts = _Leaves(crag, raw, boundary)
+        assert facts.boxes == ndimage.find_objects(facts.labels + 1)
+
+
+def test_cli_features_of_empty_image(tmp_path):
+    """A valid crag.json of a 2x0 image with 2x0 PGMs gives exit 0 and a
+    features.json with no node and no edge."""
+    crag = tmp_path / "crag.json"
+    crag.write_text(json.dumps({"width": 0, "height": 2, "candidates": [], "adjacency": []}))
+    raw, boundary = str(tmp_path / "raw.pgm"), str(tmp_path / "boundary.pgm")
+    for path in (raw, boundary):
+        write_probability(path, np.zeros((2, 0)))
+    out = tmp_path / "features.json"
+    assert main(["features", "--crag", str(crag), "--raw", raw, "--boundary", boundary,
+                 "--out", str(out)]) == 0
+    feats = json.loads(out.read_text())
+    assert feats["nodes"] == {} and feats["edges"] == {}
 
 
 def test_non_finite_image_rejected():

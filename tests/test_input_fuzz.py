@@ -1,5 +1,6 @@
 """Hypothesis properties over malformed crag.json, costs.json,
-solution.json and features.json, and over mutated model.json.
+solution.json and features.json, and over mutated model.json and PGM
+headers.
 
 Each object drawn here is a valid file of the quad graph broken in one
 way: a non-finite or out-of-range number, a value of the wrong JSON
@@ -12,7 +13,11 @@ meets the CRAG (solve for costs, validate_solution for a solution), and
 and write nothing, never a traceback.  A model.json with one value
 replaced, deleted, added or copied anywhere in it either loads or
 raises a CmcError, and `cmc costs` on a rejected one exits 1 the same
-way.
+way.  crag_from_json raises what the run-by-run reference decoder
+raises, class and message, on every broken crag.json.  A PGM file with
+one header token or byte replaced, deleted or inserted either loads or
+raises a CmcError, and `cmc build-crag --boundary` and `cmc eval --gt`
+on a rejected one exit 1 with `error:`.
 """
 
 import contextlib
@@ -37,11 +42,19 @@ from cmc.crag import (
 )
 from cmc.errors import CmcError
 from cmc.features import compute_features, features_from_json, features_to_json
-from cmc.pgm import write_probability
+from cmc.pgm import read_pgm, write_labels, write_probability
 from cmc.pipeline import model_from_json, model_to_json, train_from_instances
 from cmc.solver import solve
 
-from util import DELETE, json_with, quad_costs, quad_crag, quad_gt
+from util import (
+    DELETE,
+    json_with,
+    quad_costs,
+    quad_crag,
+    quad_gt,
+    ref_crag_from_json,
+    same_outcome,
+)
 
 CRAG = quad_crag()
 # entries 0-3 are leaves 1-4; 4, 5 and 6 are 5 = {1, 2}, 6 = {3, 4}, 7 = {5, 6}
@@ -261,6 +274,16 @@ def test_malformed_crag_raises_cmc_error(obj):
         crag_from_json(json.loads(_text(obj)))
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_broken_crag())
+def test_malformed_crag_raises_as_run_by_run(obj):
+    """The bulk run painter raises the reference's class and message."""
+    assert isinstance(
+        same_outcome(crag_from_json, ref_crag_from_json, json.loads(_text(obj))),
+        CmcError,
+    )
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(_broken_crag())
 def test_cli_features_on_malformed_crag_exits_1(obj):
@@ -428,3 +451,97 @@ def test_cli_costs_on_mutated_model(obj):
         assert code == 1
     # a model that loads may still fail on this graph, but by name
     assert code == 0 or (code == 1 and err.startswith("error: "))
+
+
+# a valid 3x2 PGM: its header tokens, each with the whitespace after it
+PGM_TOKENS = [(b"P5", b"\n"), (b"3", b" "), (b"2", b"\n"), (b"65535", b"\n")]
+PGM_RASTER = bytes(range(12))
+HEADER_TOKEN = st.one_of(
+    st.sampled_from([
+        b"", b"P2", b"P6", b"p5", b"0", b"1", b"2", b"3", b"-1", b"+3", b"3.0",
+        b"1e3", b"255", b"65535", b"65536", b"0065535", b"#", b"# c\n",
+        "\u0663".encode(), b"\xff", b"18446744073709551617",
+    ]),
+    # past Python's 4300-digit limit on int(str)
+    st.integers(4301, 4310).map(lambda n: b"7" * n),
+    st.integers(4300, 4310).map(lambda n: b"0" * n + b"3"),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def _edited_pgm(draw):
+    """The valid PGM with one header token replaced, deleted or inserted,
+    or one header byte replaced, deleted or inserted."""
+    action = draw(st.sampled_from(["replace", "delete", "insert"]))
+    if draw(st.booleans()):
+        tokens = list(PGM_TOKENS)
+        at = draw(st.integers(0, len(tokens) - (action != "insert")))
+        if action == "replace":
+            tokens[at] = (draw(HEADER_TOKEN), tokens[at][1])
+        elif action == "delete":
+            del tokens[at]
+        else:
+            tokens.insert(at, (draw(HEADER_TOKEN), b" "))
+        return b"".join(t + sep for t, sep in tokens) + PGM_RASTER
+    header = bytearray(b"".join(t + sep for t, sep in PGM_TOKENS))
+    at = draw(st.integers(0, len(header) - (action != "insert")))
+    if action == "replace":
+        header[at] = draw(st.integers(0, 255))
+    elif action == "delete":
+        del header[at]
+    else:
+        header.insert(at, draw(st.integers(0, 255)))
+    return bytes(header) + PGM_RASTER
+
+
+def test_unedited_pgm_loads():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(t + sep for t, sep in PGM_TOKENS) + PGM_RASTER)
+        assert read_pgm(path).shape == (2, 3)
+
+
+def _pgm_rejected(path):
+    try:
+        read_pgm(path)
+    except CmcError:
+        return True
+    return False
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_edited_pgm())
+def test_edited_pgm_header_loads_or_raises_cmc_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.pgm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _pgm_rejected(path)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_edited_pgm())
+def test_cli_on_rejected_pgm_header_exits_1(data):
+    """cmc build-crag with the file as --boundary and cmc eval with it as
+    --gt each exit 1 with error: and write nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("a.pgm", "pred.pgm", "crag.json", "metrics.json")}
+        with open(paths["a.pgm"], "wb") as fh:
+            fh.write(data)
+        if not _pgm_rejected(paths["a.pgm"]):
+            return
+        write_labels(paths["pred.pgm"], np.zeros((2, 3), dtype=np.int64))
+        for argv, out in (
+            (["build-crag", "--boundary", paths["a.pgm"]], paths["crag.json"]),
+            (["eval", "--pred", paths["pred.pgm"], "--gt", paths["a.pgm"]],
+             paths["metrics.json"]),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", out])
+            assert code == 1
+            assert err.getvalue().startswith("error: ")
+            assert not os.path.exists(out)

@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cmc import cli, pipeline
 from cmc.cli import main
 from cmc.costmodel import CostTable, costs_to_json, forest_to_json, train_forest
 from cmc.crag import (
@@ -17,6 +23,7 @@ from cmc.evaluate import segmentation_metrics
 from cmc.features import (
     compute_features,
     edge_feature_names,
+    features_from_json,
     features_to_json,
     node_feature_names,
 )
@@ -27,6 +34,7 @@ from cmc.pipeline import (
     build_graph,
     config_from_json,
     config_to_json,
+    dump_json,
     model_from_json,
     model_to_json,
     run_pipeline,
@@ -683,3 +691,178 @@ def test_cli_config_null_where_the_library_takes_none(tmp_path, capsys):
     )
     assert rc == 0
     assert "optimal True" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+def _dumps(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63) - 1),
+    st.floats(),
+    st.sampled_from([
+        -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+    ]),
+    st.text(max_size=6),
+    # escapes, non-ASCII, a lone surrogate and a character past the BMP
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "雪", "\ud800", "😀"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"b": [1, [2.5, None], {"c": math.nan}, "x", ()], "a": {}, "é": [[]]})
+@example([[-0.0, 5e-324], ({"k": 2**64},), [{"": True}, 1.7976931348623157e308]])
+def test_dump_json_writes_json_dumps_bytes(obj):
+    """dump_json writes exactly json.dumps(obj, indent=2, sort_keys=True)
+    plus a newline, for nested dicts, lists and tuples of any scalars."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        dump_json(path, obj)
+        with open(path, "rb") as fh:
+            assert fh.read() == _dumps(obj)
+
+
+def test_dump_json_without_the_c_encoder(monkeypatch, tmp_path):
+    """Where json has no C accelerator, the writer's fallback gives the
+    same bytes."""
+    obj = {"b": [1, [2.5, None], {"d": math.nan, "c": 1}, "é"], "a": {"x": [-0.0, 2**64]}}
+    monkeypatch.setattr(pipeline, "c_make_encoder", None)
+    pipeline._flat_encoder.cache_clear()
+    try:
+        dump_json(str(tmp_path / "out.json"), obj)
+    finally:
+        pipeline._flat_encoder.cache_clear()
+    assert (tmp_path / "out.json").read_bytes() == _dumps(obj)
+
+
+@pytest.mark.parametrize("bad, kind", [
+    ({"a": {1, 2}}, TypeError),
+    ([1, [2, np.int64(3)]], TypeError),
+    ({"x": [np.int64(1)], "y": {"z": []}}, TypeError),
+    ({"a": [1], (1, 2): [2]}, TypeError),
+    ([[1], {(1, 2): 3}], TypeError),
+])
+def test_dump_json_rejects_before_opening(bad, kind, tmp_path):
+    """A value json.dumps rejects raises the same error class, and the
+    target file is neither made nor truncated."""
+    with pytest.raises(kind):
+        json.dumps(bad, indent=2, sort_keys=True)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for path in (new, old):
+        with pytest.raises(kind):
+            dump_json(str(path), bad)
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
+def test_dump_json_rejects_circular_values(tmp_path):
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dump_json(str(tmp_path / "loop.json"), loop)
+    assert not (tmp_path / "loop.json").exists()
+
+
+def _train_inputs(tmp_path, n_images, rng_seed=11):
+    """(crag, features, gt) paths of n_images synthetic images, staged
+    through cmc synth, build-crag and features."""
+    data = tmp_path / "data"
+    assert main(["synth", "--n-images", str(n_images), "--n-cells", "3",
+                 "--noise-level", "0.1", "--rng-seed", str(rng_seed),
+                 "--out-dir", str(data)]) == 0
+    triples = []
+    for k in range(n_images):
+        boundary = str(data / f"boundary_{k:03d}.pgm")
+        crag, feats = str(tmp_path / f"crag{k}.json"), str(tmp_path / f"f{k}.json")
+        assert main(["build-crag", "--boundary", boundary, "--out", crag]) == 0
+        assert main(["features", "--crag", crag, "--raw", str(data / f"raw_{k:03d}.pgm"),
+                     "--boundary", boundary, "--out", feats]) == 0
+        triples.append((crag, feats, str(data / f"gt_{k:03d}.pgm")))
+    return triples
+
+
+def test_staged_json_files_are_json_dumps_bytes(tmp_path, capsys):
+    """Every JSON file of a cmc pipeline --out-dir run, and a model.json
+    from cmc train, holds json.dumps(its content, indent=2,
+    sort_keys=True) plus a newline."""
+    (crag, feats, gt), = _train_inputs(tmp_path, 1)
+    model = tmp_path / "model.json"
+    assert main(["train", "--crag", crag, "--features", feats, "--gt", gt,
+                 "--n-trees", "4", "--out", str(model)]) == 0
+    data = tmp_path / "data"
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--boundary", str(data / "boundary_000.pgm"),
+                 "--raw", str(data / "raw_000.pgm"), "--gt", gt,
+                 "--model", str(model), "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    files = sorted(out_dir.glob("*.json")) + [model]
+    assert {p.name for p in files} == {
+        "costs.json", "crag.json", "features.json", "metrics.json",
+        "model.json", "solution.json",
+    }
+    for path in files:
+        data = path.read_bytes()
+        assert data == _dumps(json.loads(data)), path.name
+
+
+def test_reused_parser_does_not_accumulate_appends(tmp_path):
+    """cmc train with two --crag/--features/--gt triples, then in the same
+    process with one, trains on that one alone."""
+    triples = _train_inputs(tmp_path, 2)
+    both, one = str(tmp_path / "both.json"), str(tmp_path / "one.json")
+    for out, chosen in ((both, triples), (one, triples[:1])):
+        argv = ["train", "--n-trees", "4", "--seed", "3", "--out", out]
+        for crag, feats, gt in chosen:
+            argv += ["--crag", crag, "--features", feats, "--gt", gt]
+        assert main(argv) == 0
+    crag, feats, gt = triples[0]
+    with open(crag) as fh:
+        crag = crag_from_json(json.load(fh))
+    with open(feats) as fh:
+        node_feats, edge_feats = features_from_json(json.load(fh))
+    model = train_from_instances([(crag, node_feats, edge_feats, read_labels(gt))], 4, 3)
+    with open(one, "rb") as fh:
+        assert fh.read() == _dumps(model_to_json(model))
+    with open(both, "rb") as fh:
+        assert fh.read() != _dumps(model_to_json(model))
+
+
+def test_reused_parser_keeps_flag_defaults(tmp_path, monkeypatch, capsys):
+    """cmc pipeline --no-ignore-background, then in the same process the
+    same call without the flag, which takes the config default."""
+    seen = []
+
+    def recording(config, *args, **kwargs):
+        seen.append(config.ignore_background)
+        return run_pipeline(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", recording)
+    data = tmp_path / "data"
+    assert main(["synth", "--n-images", "1", "--n-cells", "3", "--noise-level", "0",
+                 "--rng-seed", "5", "--out-dir", str(data)]) == 0
+    argv = ["pipeline", "--boundary", str(data / "boundary_000.pgm"),
+            "--raw", str(data / "raw_000.pgm"), "--gt", str(data / "gt_000.pgm"),
+            "--n-trees", "3"]
+    assert main(argv + ["--no-ignore-background"]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == [False, PipelineConfig().ignore_background] == [False, True]

@@ -2,7 +2,7 @@
 literal enumeration oracle used to cross-check the solver, the integer
 program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
-crag.json run-length encoding, a full-canvas reference for the
+crag.json run-length encoding, a run-by-run crag.json decoder, a full-canvas reference for the
 windowed synthetic image drawer, a per-tree walk of a forest's node
 lists, and the merge tree over Python lists and np.median.
 
@@ -38,9 +38,12 @@ from cmc.crag import (
     UNCOVERED,
     Candidate,
     Solution,
+    _named,
     build_crag,
     conflict_cliques,
     edge_key,
+    json_member,
+    json_value,
     objective_value,
     pixel_pairs,
     validate_solution,
@@ -477,6 +480,77 @@ def ref_crag_json(pixels, candidates, adjacency, width, height):
         "candidates": entries,
         "adjacency": [list(e) for e in adjacency],
     }
+
+
+def ref_crag_from_json(obj, doc="crag.json"):
+    """crag_from_json checking and painting each leaf run on its own, in
+    file order: three json_member calls and one slice per run."""
+    height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
+    if height < 0 or width < 0:
+        raise CmcError(f"{doc}: negative image size {height}x{width}")
+    try:
+        labels = np.full((height, width), UNCOVERED, dtype=np.int64)
+    except ValueError as exc:
+        raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
+    candidates = []
+    for entry in json_member(doc, obj, "candidates", list, "crag"):
+        cid = json_member(doc, entry, "id", int, "candidate")
+        where = f"candidate {cid}"
+        level = json_member(doc, entry, "level", int, where)
+        if "children" in entry:
+            if "pixels" in entry:
+                raise CmcError(f"{doc}: {where} has both children and pixels")
+            kids = json_member(doc, entry, "children", list, where)
+            kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
+            candidates.append(Candidate(cid, level, kids))
+            continue
+        for run in json_member(doc, entry, "pixels", list, where):
+            row, start, end = (
+                json_member(doc, run, k, int, f"run of {where}")
+                for k in ("row", "col_start", "col_end")
+            )
+            if start >= end:
+                raise CmcError(f"{doc}: empty run {start}:{end} of {where}")
+            if not (0 <= row < height and 0 <= start and end <= width):
+                raise _named(doc, LeavesDoNotCoverImage(
+                    f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
+                ))
+            segment = labels[row, start:end]
+            taken = segment != UNCOVERED
+            if taken.any():
+                raise _named(doc, OverlappingLeaves(int(segment[taken.argmax()]), cid))
+            segment[:] = cid
+        candidates.append(Candidate(cid, level))
+    pairs = json_member(doc, obj, "adjacency", list, "crag")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise CmcError(f"{doc}: an entry of adjacency is not a pair")
+    adjacency = [tuple(json_value(doc, v, int, "adjacency") for v in p) for p in pairs]
+    try:
+        return build_crag(candidates, adjacency, labels)
+    except CmcError as exc:
+        raise _named(doc, exc)
+
+
+def same_outcome(load, reference, obj):
+    """Assert that load(obj) and reference(obj) raise the same CmcError
+    class with the same message, or return equal Crags with equal
+    leaf_labels(); returns the reference's outcome, a Crag or an error."""
+    try:
+        want = reference(obj)
+    except CmcError as exc:
+        want = exc
+    try:
+        got = load(obj)
+    except CmcError as exc:
+        assert isinstance(want, CmcError), f"raised {exc!r}, reference loads"
+        assert (type(exc), str(exc)) == (type(want), str(want))
+        return want
+    assert not isinstance(want, CmcError), f"loads, reference raised {want!r}"
+    assert got == want
+    labels = got.leaf_labels()
+    assert labels.dtype == np.int64 and not labels.flags.writeable
+    assert np.array_equal(labels, want.leaf_labels())
+    return want
 
 
 def random_costs(rng, crag):
