@@ -567,15 +567,13 @@ def _run_array(doc, leaves):
     return np.array(values, dtype=np.int64).reshape(-1, 3)
 
 
-def _overlap(shape, runs):
-    """Whether two of these in-image, non-empty runs share a pixel: a
-    coverage count of starts less ends, summed along each row."""
-    stride = shape[1] + 1  # a run may end at the width; its row ends after
-    size = shape[0] * stride + 1
-    rows, starts, ends = runs.T
-    cover = np.bincount(rows * stride + starts, minlength=size)
-    cover -= np.bincount(rows * stride + ends, minlength=size)
-    return np.cumsum(cover).max() > 1
+def _overlap(runs):
+    """Whether two of these non-empty runs share a pixel.  Ordered by
+    row and start, any overlap shows between neighbours: a run that
+    starts inside an earlier one of its row starts inside the run
+    just before it."""
+    rows, starts, ends = runs[np.lexsort((runs[:, 1], runs[:, 0]))].T
+    return bool(np.any((rows[1:] == rows[:-1]) & (starts[1:] < ends[:-1])))
 
 
 def _paint_runs(doc, labels, owners, runs):
@@ -597,11 +595,11 @@ def _paint_runs(doc, labels, owners, runs):
     # the longest prefix of the runs before first_bad that is pairwise
     # disjoint: all of them, or found by bisection
     disjoint = first_bad
-    if _overlap(labels.shape, runs[:first_bad]):
+    if _overlap(runs[:first_bad]):
         disjoint, stop = 0, first_bad
         while disjoint + 1 < stop:
             mid = (disjoint + stop) // 2
-            if _overlap(labels.shape, runs[:mid]):
+            if _overlap(runs[:mid]):
                 stop = mid
             else:
                 disjoint = mid

@@ -10,7 +10,6 @@ import contextlib
 import functools
 import json
 from dataclasses import asdict, dataclass, fields
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .costmodel import (
     best_effort,
@@ -171,18 +170,11 @@ def _flat_encoder(depth):
     """Encoder of a value whose items, if it holds any, sit at `depth`:
     json.dumps' text for a scalar, and for a list or dict of scalars the
     items joined by ",\n" plus the depth's indent, with no newline after
-    the opening bracket or before the closing one."""
-    separator = ",\n" + "  " * depth
-    if c_make_encoder is None:  # an interpreter without the C accelerator
-        return json.JSONEncoder(
-            separators=(separator, ": "), sort_keys=True, check_circular=False
-        ).encode
-    # the C encoder ignores indent, so its item separator carries it
-    encode = c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", separator, True, False, True,
-    )
-    return lambda obj: "".join(encode(obj, 0))
+    the opening bracket or before the closing one.  Without indent, json
+    encodes in C where it can, so the item separator carries the indent."""
+    return json.JSONEncoder(
+        separators=(",\n" + "  " * depth, ": "), sort_keys=True, check_circular=False
+    ).encode
 
 
 def _key_text(key):
@@ -193,7 +185,7 @@ def _key_text(key):
                 f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
             )
         key = _flat_encoder(0)(key)
-    return encode_basestring_ascii(key)
+    return _flat_encoder(0)(key)
 
 
 def _encode(obj, depth, open_ids):

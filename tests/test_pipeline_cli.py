@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmc import cli, pipeline
+from cmc import cli
 from cmc.cli import main
 from cmc.costmodel import CostTable, costs_to_json, forest_to_json, train_forest
 from cmc.crag import (
@@ -744,12 +744,8 @@ def test_dump_json_without_the_c_encoder(monkeypatch, tmp_path):
     """Where json has no C accelerator, the writer's fallback gives the
     same bytes."""
     obj = {"b": [1, [2.5, None], {"d": math.nan, "c": 1}, "é"], "a": {"x": [-0.0, 2**64]}}
-    monkeypatch.setattr(pipeline, "c_make_encoder", None)
-    pipeline._flat_encoder.cache_clear()
-    try:
-        dump_json(str(tmp_path / "out.json"), obj)
-    finally:
-        pipeline._flat_encoder.cache_clear()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    dump_json(str(tmp_path / "out.json"), obj)
     assert (tmp_path / "out.json").read_bytes() == _dumps(obj)
 
 
