@@ -4,10 +4,16 @@ best_effort builds the feasible assignment closest to a ground-truth
 labeling; label_instances turns it into positive/negative training
 samples; train_forest grows a deterministic random forest from scratch
 (class-balanced bootstrap, Gini splits over sqrt-many random features);
+each tree works on its distinct bootstrap rows weighted by their draw
+counts, and cuts are ranked by the key (score, left size, feature), so
+it grows the trees that splitting the draws one by one would, and the
+order in which the sort leaves equal values cannot change a split;
 predict_costs maps forest probabilities to negative log-odds costs.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,59 +150,76 @@ def label_instances(crag, solution, node_feats, edge_feats):
 # random forest
 
 
-def _best_split(values, labels):
-    """Best Gini split over the given feature columns.
+def _best_split(values, counts, positives):
+    """Best Gini split over the given features of a node's distinct rows.
 
-    values: (n, k) feature matrix; labels: (n,) in {0, 1}.  Returns
-    (column, threshold) minimizing the weighted child impurity, or None
-    when every column is constant.
+    values: (k, m) feature-major matrix, one row per candidate feature
+    and one column per distinct bootstrap row of the node; counts and
+    positives: (m,) float64, how often each row was drawn and how many
+    of those draws are positive.  Returns (feature row, threshold, left
+    size, left positives) for the split minimizing the weighted child
+    impurity, or None when every feature is constant.
+
+    A cut after sorted position i is valid when the next value is
+    larger.  Its left child is then every draw whose value is at most
+    the i-th, whatever order the sort left equal values in, so an
+    unstable sort will do.  Cumulative counts give the children's sizes
+    and positive counts: the same integers as over the draws one by
+    one, hence the same float scores.  Among the least scores the key
+    (left size, feature row) picks the cut, as the first minimum over
+    (draw, feature) of the per-draw matrix does.
     """
-    n = len(labels)
-    order = np.argsort(values, axis=0, kind="stable")
-    sv = np.take_along_axis(values, order, axis=0)
-    sy = labels[order]
-    cum_pos = np.cumsum(sy, axis=0).astype(np.float64)
-    total_pos = cum_pos[-1]
-
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    pl = cum_pos[:-1]
-    pr = total_pos[None, :] - pl
+    order = values.argsort(axis=1)
+    sv = values[np.arange(len(values))[:, None], order]
+    cum_n = counts[order].cumsum(axis=1)
+    cum_pos = positives[order].cumsum(axis=1)
+    nl = cum_n[:, :-1]
+    nr = cum_n[:, -1:] - nl
+    pl = cum_pos[:, :-1]
+    pr = cum_pos[:, -1:] - pl
     score = (nl - (pl**2 + (nl - pl) ** 2) / nl) + (
         nr - (pr**2 + (nr - pr) ** 2) / nr
     )
-    score = np.where(sv[1:] > sv[:-1], score, np.inf)
-
-    flat = int(np.argmin(score))
-    row, col = np.unravel_index(flat, score.shape)
-    if not np.isfinite(score[row, col]):
+    score = np.where(sv[:, 1:] > sv[:, :-1], score, np.inf)
+    best = score.min()
+    if best == np.inf:
         return None
-    thr = 0.5 * (sv[row, col] + sv[row + 1, col])
-    if not (sv[row, col] <= thr < sv[row + 1, col]):
-        thr = sv[row, col]
-    return int(col), float(thr)
+    rows, cuts = (score == best).nonzero()
+    # nonzero lists by feature row, so argmin keeps the least row on a tie
+    at = int(nl[rows, cuts].argmin())
+    row, cut = rows[at], cuts[at]
+    # Python floats: a midpoint past the largest float is inf, unwarned
+    lo, hi = float(sv[row, cut]), float(sv[row, cut + 1])
+    thr = 0.5 * (lo + hi)
+    if not (lo <= thr < hi):
+        thr = lo
+    return int(row), thr, int(nl[row, cut]), int(pl[row, cut])
 
 
-def _grow_tree(X, y, rows, rng, k):
-    """One tree on the bootstrap rows; nodes as JSON-ready dicts."""
-    nodes = []
-    stack = [(0, rows)]
-    nodes.append(None)
+def _grow_tree(XT, y, rows, rng, k):
+    """One tree on the bootstrap rows; nodes as JSON-ready dicts.
+
+    XT is the samples' feature-major copy, (n_features, n).  A node
+    holds its distinct bootstrap rows and, on the stack, its draw count
+    and positive draw count.
+    """
+    counts = np.bincount(rows, minlength=len(y)).astype(np.float64)
+    positives = counts * y
+    nodes = [None]
+    stack = [(0, np.flatnonzero(counts), len(rows), int(y[rows].sum()))]
     while stack:
-        slot, idx = stack.pop()
-        ys = y[idx]
-        pos = int(ys.sum())
-        if pos == 0 or pos == len(ys):
-            nodes[slot] = {"prob": float(pos / len(ys))}
+        slot, idx, n, pos = stack.pop()
+        if pos == 0 or pos == n:
+            nodes[slot] = {"prob": float(pos / n)}
             continue
-        feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-        best = _best_split(X[np.ix_(idx, feats)], ys)
+        feats = np.sort(rng.choice(len(XT), size=k, replace=False))
+        best = _best_split(XT[feats[:, None], idx], counts[idx], positives[idx])
         if best is None:
-            nodes[slot] = {"prob": float(pos / len(ys))}
+            nodes[slot] = {"prob": float(pos / n)}
             continue
-        col, thr = best
-        feature = int(feats[col])
-        mask = X[idx, feature] <= thr
+        row, thr, n_left, pos_left = best
+        feature = int(feats[row])
+        mask = XT[feature, idx] <= thr
         left, right = len(nodes), len(nodes) + 1
         nodes.extend([None, None])
         nodes[slot] = {
@@ -205,8 +228,8 @@ def _grow_tree(X, y, rows, rng, k):
             "left": left,
             "right": right,
         }
-        stack.append((left, idx[mask]))
-        stack.append((right, idx[~mask]))
+        stack.append((left, idx[mask], n_left, pos_left))
+        stack.append((right, idx[~mask], n - n_left, pos - pos_left))
     return nodes
 
 
@@ -282,8 +305,11 @@ class Forest:
 
 def _finite(X):
     """Features as float64; CmcError on NaN or infinity, which no split
-    threshold orders."""
-    X = np.asarray(X, dtype=np.float64)
+    threshold orders, and on rows of unequal length or non-numbers."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CmcError(f"features must be a matrix of numbers: {exc}") from exc
     if not np.isfinite(X).all():
         raise CmcError("features must be finite")
     return X
@@ -292,11 +318,19 @@ def _finite(X):
 def train_forest(samples, n_trees, rng_seed):
     """Grow n_trees deterministic trees on class-balanced bootstraps.
 
-    Each tree resamples both classes, with replacement, to the majority
-    class size, then splits on Gini impurity over sqrt(n_features)
-    random features per node until pure or unsplittable.  Tree t uses
-    rng seed rng_seed + t, so training parallelizes without changing
-    the result.
+    samples is (X, y): an (n, n_features) matrix with n_features >= 1
+    and n labels in {0, 1}; any other shape raises CmcError.  Each tree
+    resamples both classes, with replacement, to the majority class
+    size, then splits on Gini impurity over sqrt(n_features) random
+    features per node until pure or unsplittable.  Tree t uses rng seed
+    rng_seed + t, so training parallelizes without changing the result.
+
+    A tree is grown on its distinct bootstrap rows, each weighted by how
+    often it was drawn (_grow_tree, _best_split), over one feature-major
+    copy of X sorted per node by an unstable argsort.  Sizes and
+    positive counts are sums of draw counts, so every score, tie-break
+    and threshold is the one that growing on the draws one by one,
+    sorted stably, gives: the trees are the same, bit for bit.
     """
     # predict_proba averages over the trees: none would give NaN costs
     if n_trees < 1:
@@ -306,8 +340,16 @@ def train_forest(samples, n_trees, rng_seed):
         raise CmcError(f"rng_seed must be >= 0, got {rng_seed}")
     X, y = samples
     X = _finite(X)
+    if X.ndim != 2:
+        raise CmcError(f"sample features must be a 2-D matrix, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise CmcError("sample features have no column")
     # checked before the cast, which would make 0.4 a 0 and 1.7 a 1
     y = np.asarray(y)
+    if y.ndim != 1:
+        raise CmcError(f"sample labels must be a 1-D array, got shape {y.shape}")
+    if len(y) != len(X):
+        raise CmcError(f"{len(y)} sample labels for {len(X)} feature rows")
     if not np.isin(y, (0, 1)).all():
         raise CmcError("sample labels must be 0 or 1")
     y = y.astype(np.int64)
@@ -317,6 +359,7 @@ def train_forest(samples, n_trees, rng_seed):
         raise SingleClass()
     per_class = max(len(idx0), len(idx1))
     k = max(1, int(math.sqrt(X.shape[1])))
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(rng_seed + t)
@@ -326,7 +369,7 @@ def train_forest(samples, n_trees, rng_seed):
                 rng.choice(idx1, size=per_class, replace=True),
             ]
         )
-        trees.append(_grow_tree(X, y, rows, rng, k))
+        trees.append(_grow_tree(XT, y, rows, rng, k))
     return Forest(trees, n_trees, rng_seed, int(X.shape[1]))
 
 
@@ -372,6 +415,10 @@ def forest_to_json(forest):
     }
 
 
+_SPLIT_KEYS = ("feature", "threshold", "left", "right")
+_split_values = operator.itemgetter(*_SPLIT_KEYS)
+
+
 def _tree_from_json(nodes, n_features, where):
     """A tree's node list, checked to be one that _grow_tree makes.
 
@@ -391,7 +438,7 @@ def _tree_from_json(nodes, n_features, where):
             prob = json_member(doc, node, "prob", float, at)
             if not 0.0 <= prob <= 1.0:
                 raise CmcError(f"{doc}: {at} has prob {prob} outside [0, 1]")
-            if any(key in node for key in ("feature", "threshold", "left", "right")):
+            if any(key in node for key in _SPLIT_KEYS):
                 raise CmcError(f"{doc}: {at} is both a leaf and a split")
             continue
         feature = json_member(doc, node, "feature", int, at)
@@ -411,8 +458,65 @@ def _tree_from_json(nodes, n_features, where):
     return nodes
 
 
+def _trees_as_grown(trees, n_features):
+    """Whether every tree in `trees` is shown valid, as _tree_from_json
+    would find it, by one type pass over all nodes and a few array
+    passes.
+
+    Only the trainer's own form is shown: every node a dict, a leaf a
+    float prob in [0, 1] and no other key, a split an int feature, left
+    and right and a float threshold.  False means "not shown", and the
+    caller checks node by node, which names the fault or accepts a valid
+    tree of another form, such as an int prob or an extra key.
+    """
+    if set(map(type, trees)) != {list} or not all(trees):
+        return False
+    nodes = list(itertools.chain.from_iterable(trees))
+    if set(map(type, nodes)) != {dict}:
+        return False
+    is_leaf = np.array(["prob" in node for node in nodes], dtype=bool)
+    leaves = list(itertools.compress(nodes, is_leaf))
+    try:
+        splits = list(map(_split_values, itertools.compress(nodes, ~is_leaf)))
+    except KeyError:
+        return False
+    probs = [node["prob"] for node in leaves]
+    feature, threshold, left, right = zip(*splits) if splits else ((),) * 4
+    if (
+        set(map(len, leaves)) != {1}
+        or set(map(type, probs + list(threshold))) != {float}
+        or not set(map(type, feature + left + right)) <= {int}
+    ):
+        return False
+    try:
+        feature = np.array(feature, dtype=np.int64)
+        children = np.array([left, right], dtype=np.int64)
+    except OverflowError:  # an int beyond int64
+        return False
+    sizes = np.array(list(map(len, trees)))
+    tree = np.repeat(np.arange(len(trees)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(len(nodes)) - starts[tree]
+    split_tree = tree[~is_leaf]
+    if not ((slot[~is_leaf] < children) & (children < sizes[split_tree])).all():
+        return False
+    parents = np.bincount((children + starts[split_tree]).ravel(), minlength=len(nodes))
+    probs, threshold = np.array(probs), np.array(threshold, dtype=np.float64)
+    return bool(
+        (parents[slot > 0] == 1).all()
+        and ((0.0 <= probs) & (probs <= 1.0)).all()
+        and np.isfinite(threshold).all()
+        and ((0 <= feature) & (feature < n_features)).all()
+    )
+
+
 def forest_from_json(obj, where="forest"):
-    """Forest from its JSON form; malformed input raises CmcError."""
+    """Forest from its JSON form; malformed input raises CmcError.
+
+    The trees are checked in bulk (_trees_as_grown); only when that
+    does not show them valid are they checked node by node
+    (_tree_from_json), which names the first fault, tree by tree.
+    """
     doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
     n_trees = json_member(doc, obj, "n_trees", int, where)
@@ -426,14 +530,11 @@ def forest_from_json(obj, where="forest"):
     rng_seed = json_member(doc, obj, "rng_seed", int, where)
     if rng_seed < 0:
         raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
-    return Forest(
-        trees=[
+    if not _trees_as_grown(trees, n_features):
+        for t, nodes in enumerate(trees):
             _tree_from_json(nodes, n_features, f"tree {t} of {where}")
-            for t, nodes in enumerate(trees)
-        ],
-        n_trees=n_trees,
-        rng_seed=rng_seed,
-        n_features=n_features,
+    return Forest(
+        trees=list(trees), n_trees=n_trees, rng_seed=rng_seed, n_features=n_features
     )
 
 

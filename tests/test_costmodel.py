@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cmc import costmodel
 from cmc.costmodel import (
     CostTable,
     best_effort,
@@ -27,6 +31,8 @@ from cmc.errors import (
 )
 from cmc.crag import validate_solution
 from cmc.features import compute_features
+from cmc.pipeline import PipelineConfig, model_to_json, train_model
+from cmc.synth import generate_synthetic
 
 from util import (
     DELETE,
@@ -37,7 +43,10 @@ from util import (
     quad_gt,
     random_crag,
     random_gt,
+    ref_forest_from_json,
+    ref_train_forest,
     ref_tree_predict,
+    same_outcome,
     zero_solution,
 )
 
@@ -221,6 +230,114 @@ def test_forest_input_checks():
         forest.predict_proba([[0.1, 0.2]])
 
 
+@pytest.mark.parametrize(
+    "X, y",
+    [
+        (np.zeros((5, 4)), [0, 1]),
+        (np.zeros(5), [0, 1, 0, 1, 0]),
+        (np.zeros((2, 4)), [0, 1, 0]),
+        (np.zeros((2, 0)), [0, 1]),
+        (np.zeros((2, 4)), [[0, 1], [1, 0]]),
+        ([[0.1], [0.2, 0.3]], [0, 1]),
+        ([["a"], ["b"]], [0, 1]),
+    ],
+    ids=["fewer labels than rows", "1-D features", "more labels than rows",
+         "no feature column", "2-D labels", "ragged features", "string features"],
+)
+def test_forest_rejects_samples_of_the_wrong_shape(X, y):
+    """Fewer labels than rows used to train on the first rows only; the
+    other cases ended in numpy's IndexError or ValueError."""
+    with pytest.raises(CmcError, match="sample|matrix"):
+        train_forest((X, y), n_trees=2, rng_seed=0)
+
+
+@pytest.mark.parametrize("rows", [[[0.1], [0.2, 0.3]], [["a"], ["b"]]])
+def test_forest_rejects_features_to_score_that_are_no_matrix(rows):
+    """Ragged rows and strings used to end in numpy's ValueError."""
+    forest = train_forest(([[0.1], [0.9]], [0, 1]), n_trees=2, rng_seed=0)
+    with pytest.raises(CmcError, match="matrix"):
+        forest.predict_proba(rows)
+
+
+# equal values of two signs (±0.0), subnormals and the least normal,
+# neighbours of 1, whose midpoints can round onto the upper value, and
+# large values, whose midpoints overflow
+_ODD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1.0, 1.0000000000000002,
+               1.0000000000000004, 0.9999999999999999, 1.5e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+_PALETTES = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_ODD_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=1, max_size=5),
+    # runs of adjacent floats
+    st.floats(-1e300, 1e300).map(
+        lambda v: [v, np.nextafter(v, np.inf), np.nextafter(np.nextafter(v, np.inf), np.inf)]
+    ),
+)
+
+
+@st.composite
+def _training_sets(draw):
+    """(X, y, n_trees, rng_seed): X is built from a few distinct rows over
+    a small palette, so rows repeat and values tie, some columns are
+    made constant, and all rows are alike when one distinct row is
+    drawn; the minority class is often one sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.one_of(st.integers(1, 8), st.integers(1, 592)))
+    n_rows = draw(st.integers(2, 40))
+    palette = np.array(draw(_PALETTES))
+    n_distinct = draw(st.one_of(st.integers(1, 3), st.integers(1, n_rows)))
+    X = rng.choice(palette, size=(n_distinct, n_features))
+    X = X[rng.integers(0, n_distinct, size=n_rows)]
+    X[:, rng.random(n_features) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = palette[0]
+    y = np.zeros(n_rows, dtype=np.int64)
+    minority = draw(st.one_of(st.just(1), st.integers(1, n_rows // 2)))
+    y[rng.choice(n_rows, size=minority, replace=False)] = 1
+    if draw(st.booleans()):
+        y = 1 - y
+    return X, y, draw(st.integers(1, 3)), draw(st.integers(0, 2**20))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_training_sets())
+# midpoints that round onto the upper value, or overflow: thr falls back
+# to the lower value
+@example((np.array([[1.0000000000000002], [1.0000000000000004]]), np.array([0, 1]), 2, 0))
+@example((np.array([[1.5e308, 0.0], [1.7976931348623157e308, 0.0]]), np.array([1, 0]), 2, 0))
+def test_trees_equal_the_per_row_grower(case):
+    """Growing on distinct rows with draw counts, sorted unstably, gives
+    the trees of the per-row grower with its stable sort, node for node."""
+    X, y, n_trees, rng_seed = case
+    # the per-row grower takes its midpoints in numpy, which warns when
+    # one overflows; train_forest's Python floats do not
+    with np.errstate(over="ignore"):
+        want = ref_train_forest((X, y), n_trees, rng_seed)
+    assert train_forest((X, y), n_trees, rng_seed).trees == want
+
+
+def test_threshold_falls_back_to_the_lower_value():
+    """A cut whose midpoint rounds onto the upper value, or overflows,
+    splits at the lower value, so that value still goes left."""
+    for lo, hi in ((1.0000000000000002, 1.0000000000000004),
+                   (1.5e308, 1.7976931348623157e308)):
+        forest = train_forest(([[lo], [hi]], [0, 1]), n_trees=1, rng_seed=0)
+        assert forest.trees[0][0]["threshold"] == lo
+
+
+def test_pipeline_256_model_is_pinned():
+    """The model.json text of the pipeline-256 benchmark set-up at
+    workload seed 1 (training images from seed 1002); a change to any
+    split or leaf, or to the features it is trained on, moves this
+    digest."""
+    train = generate_synthetic(2, 12, 1.0, 1002, image_size=256)
+    model = train_model(train, PipelineConfig())
+    text = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5535bed5060cb96869df2aeb47f82c3cf21305986afb8f87b95a9281f8e5735a"
+    )
+
+
 @pytest.mark.parametrize("labels", [[0.4, 1], [0, 1.7], [0, float("nan")]])
 def test_forest_rejects_labels_that_are_not_0_or_1(labels):
     """Labels used to be cast first, which trained 0.4 as 0 and 1.7 as 1."""
@@ -259,6 +376,20 @@ def test_forest_json_roundtrip():
     assert back.trees == forest.trees
     probe = np.random.default_rng(2).random((20, 5))
     assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
+
+
+def test_trained_forests_load_without_the_node_by_node_check(monkeypatch):
+    """The bulk check shows a forest as written by the trainer valid, so
+    loading it runs no per-node loop; the loop only names faults."""
+    X, y = separable_samples(n=24, noise=0.25, seed=8)
+    forest = train_forest((X, y), n_trees=4, rng_seed=5)
+    obj = json.loads(json.dumps(forest_to_json(forest)))
+
+    def fail(*args):
+        raise AssertionError("checked node by node")
+
+    monkeypatch.setattr(costmodel, "_tree_from_json", fail)
+    assert forest_from_json(obj) == forest
 
 
 def test_editing_forest_to_json_leaves_the_forest_alone():
@@ -341,8 +472,10 @@ def test_malformed_forest_json_rejected(case):
     obj = forest_to_json(train_forest((X, y), n_trees=2, rng_seed=5))
     assert "feature" in obj["trees"][0][0] and "prob" in obj["trees"][0][-1]
     assert obj["trees"][0][0]["left"] == 1
+    broken = json_with(obj, *MALFORMED_FOREST[case])
     with pytest.raises(CmcError, match="model.json"):
-        forest_from_json(json_with(obj, *MALFORMED_FOREST[case]))
+        forest_from_json(broken)
+    assert isinstance(same_outcome(forest_from_json, ref_forest_from_json, broken), CmcError)
 
 
 # ---------------------------------------------------------------------------

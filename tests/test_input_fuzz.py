@@ -12,7 +12,8 @@ meets the CRAG (solve for costs, validate_solution for a solution), and
 `cmc features`, `cmc solve` and `cmc costs` must exit 1 with `error:`
 and write nothing, never a traceback.  A model.json with one value
 replaced, deleted, added or copied anywhere in it either loads or
-raises a CmcError, and `cmc costs` on a rejected one exits 1 the same
+raises a CmcError, the same as the node-by-node reference loader's in
+class and message, and `cmc costs` on a rejected one exits 1 the same
 way.  crag_from_json raises what the run-by-run reference decoder
 raises, class and message, on every broken crag.json.  A PGM file with
 one header token or byte replaced, deleted or inserted either loads or
@@ -36,6 +37,7 @@ from cmc.costmodel import costs_from_json, costs_to_json
 from cmc.crag import (
     crag_from_json,
     crag_to_json,
+    json_member,
     solution_from_json,
     solution_to_json,
     validate_solution,
@@ -53,6 +55,7 @@ from util import (
     quad_crag,
     quad_gt,
     ref_crag_from_json,
+    ref_forest_from_json,
     same_outcome,
 )
 
@@ -431,10 +434,16 @@ def _cli_costs_on_model(text):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_mutated_model())
 def test_mutated_model_loads_or_raises_cmc_error(obj):
-    try:
-        model_from_json(json.loads(_text(obj)))
-    except CmcError:
-        pass
+    """As the node-by-node loader does: the same CmcError class and
+    message, or an equal model."""
+    same_outcome(model_from_json, _ref_model_from_json, json.loads(_text(obj)))
+
+
+def _ref_model_from_json(obj):
+    return {
+        key: ref_forest_from_json(json_member("model.json", obj, key, dict, "model"), key)
+        for key in ("node_forest", "edge_forest")
+    }
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

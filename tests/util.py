@@ -2,9 +2,11 @@
 literal enumeration oracle used to cross-check the solver, the integer
 program as explicit rows with unit propagation over them, and plain
 per-pixel references for the array-based watershed, CRAG checks and
-crag.json run-length encoding, a run-by-run crag.json decoder, a full-canvas reference for the
+crag.json run-length encoding, a run-by-run crag.json decoder, a
+node-by-node model.json forest loader, a full-canvas reference for the
 windowed synthetic image drawer, a per-tree walk of a forest's node
-lists, and the merge tree over Python lists and np.median.
+lists, the per-row forest grower, and the merge tree over Python lists
+and np.median.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -19,13 +21,14 @@ objective comparisons need no tolerance.
 import heapq
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
 
 from cmc import synth
-from cmc.costmodel import CostTable
+from cmc.costmodel import CostTable, Forest
 from cmc.errors import (
     AdjacencyBetweenOverlapping,
     CmcError,
@@ -37,6 +40,7 @@ from cmc.errors import (
 from cmc.crag import (
     UNCOVERED,
     Candidate,
+    Crag,
     Solution,
     _named,
     build_crag,
@@ -531,10 +535,70 @@ def ref_crag_from_json(obj, doc="crag.json"):
         raise _named(doc, exc)
 
 
+def _ref_tree_from_json(nodes, n_features, where):
+    """A tree's node list, checked node by node to be one that the
+    trainer makes."""
+    doc = "model.json"
+    json_value(doc, nodes, list, where)
+    if not nodes:
+        raise CmcError(f"{doc}: {where} has no node")
+    parents = [0] * len(nodes)
+    for slot, node in enumerate(nodes):
+        at = f"node {slot} of {where}"
+        if isinstance(node, dict) and "prob" in node:
+            prob = json_member(doc, node, "prob", float, at)
+            if not 0.0 <= prob <= 1.0:
+                raise CmcError(f"{doc}: {at} has prob {prob} outside [0, 1]")
+            if any(key in node for key in ("feature", "threshold", "left", "right")):
+                raise CmcError(f"{doc}: {at} is both a leaf and a split")
+            continue
+        feature = json_member(doc, node, "feature", int, at)
+        json_member(doc, node, "threshold", float, at)
+        children = [json_member(doc, node, k, int, at) for k in ("left", "right")]
+        if not 0 <= feature < n_features:
+            raise CmcError(f"{doc}: {at} splits on feature {feature} of {n_features}")
+        if not all(slot < child < len(nodes) for child in children):
+            raise CmcError(f"{doc}: {at} has children {children} out of order")
+        for child in children:
+            parents[child] += 1
+    for slot, count in enumerate(parents[1:], start=1):
+        if count != 1:
+            raise CmcError(
+                f"{doc}: node {slot} of {where} is the child of {count} splits, not 1"
+            )
+    return nodes
+
+
+def ref_forest_from_json(obj, where="forest"):
+    """forest_from_json checking every node of every tree one by one,
+    with json_member, in tree and node order."""
+    doc = "model.json"
+    n_features = json_member(doc, obj, "n_features", int, where)
+    n_trees = json_member(doc, obj, "n_trees", int, where)
+    trees = json_member(doc, obj, "trees", list, where)
+    if not trees:
+        raise CmcError(f"{doc}: {where} has no tree")
+    if len(trees) != n_trees:
+        raise CmcError(f"{doc}: {where} has {len(trees)} trees, not n_trees {n_trees}")
+    rng_seed = json_member(doc, obj, "rng_seed", int, where)
+    if rng_seed < 0:
+        raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
+    return Forest(
+        trees=[
+            _ref_tree_from_json(nodes, n_features, f"tree {t} of {where}")
+            for t, nodes in enumerate(trees)
+        ],
+        n_trees=n_trees,
+        rng_seed=rng_seed,
+        n_features=n_features,
+    )
+
+
 def same_outcome(load, reference, obj):
     """Assert that load(obj) and reference(obj) raise the same CmcError
-    class with the same message, or return equal Crags with equal
-    leaf_labels(); returns the reference's outcome, a Crag or an error."""
+    class with the same message, or return equal values, Crags also with
+    equal leaf_labels(); returns the reference's outcome, a value or an
+    error."""
     try:
         want = reference(obj)
     except CmcError as exc:
@@ -547,9 +611,10 @@ def same_outcome(load, reference, obj):
         return want
     assert not isinstance(want, CmcError), f"loads, reference raised {want!r}"
     assert got == want
-    labels = got.leaf_labels()
-    assert labels.dtype == np.int64 and not labels.flags.writeable
-    assert np.array_equal(labels, want.leaf_labels())
+    if isinstance(want, Crag):
+        labels = got.leaf_labels()
+        assert labels.dtype == np.int64 and not labels.flags.writeable
+        assert np.array_equal(labels, want.leaf_labels())
     return want
 
 
@@ -676,6 +741,96 @@ def ref_tree_predict(nodes, X):
         stack.append((node["left"], idx[mask]))
         stack.append((node["right"], idx[~mask]))
     return out
+
+
+def _ref_best_split(values, labels):
+    """Best Gini split over the given feature columns.
+
+    values: (n, k) feature matrix; labels: (n,) in {0, 1}.  Returns
+    (column, threshold) minimizing the weighted child impurity, or None
+    when every column is constant.
+    """
+    n = len(labels)
+    order = np.argsort(values, axis=0, kind="stable")
+    sv = np.take_along_axis(values, order, axis=0)
+    sy = labels[order]
+    cum_pos = np.cumsum(sy, axis=0).astype(np.float64)
+    total_pos = cum_pos[-1]
+
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    pl = cum_pos[:-1]
+    pr = total_pos[None, :] - pl
+    score = (nl - (pl**2 + (nl - pl) ** 2) / nl) + (
+        nr - (pr**2 + (nr - pr) ** 2) / nr
+    )
+    score = np.where(sv[1:] > sv[:-1], score, np.inf)
+
+    flat = int(np.argmin(score))
+    row, col = np.unravel_index(flat, score.shape)
+    if not np.isfinite(score[row, col]):
+        return None
+    thr = 0.5 * (sv[row, col] + sv[row + 1, col])
+    if not (sv[row, col] <= thr < sv[row + 1, col]):
+        thr = sv[row, col]
+    return int(col), float(thr)
+
+
+def _ref_grow_tree(X, y, rows, rng, k):
+    """One tree on the bootstrap rows; nodes as JSON-ready dicts."""
+    nodes = []
+    stack = [(0, rows)]
+    nodes.append(None)
+    while stack:
+        slot, idx = stack.pop()
+        ys = y[idx]
+        pos = int(ys.sum())
+        if pos == 0 or pos == len(ys):
+            nodes[slot] = {"prob": float(pos / len(ys))}
+            continue
+        feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+        best = _ref_best_split(X[np.ix_(idx, feats)], ys)
+        if best is None:
+            nodes[slot] = {"prob": float(pos / len(ys))}
+            continue
+        col, thr = best
+        feature = int(feats[col])
+        mask = X[idx, feature] <= thr
+        left, right = len(nodes), len(nodes) + 1
+        nodes.extend([None, None])
+        nodes[slot] = {
+            "feature": feature,
+            "threshold": thr,
+            "left": left,
+            "right": right,
+        }
+        stack.append((left, idx[mask]))
+        stack.append((right, idx[~mask]))
+    return nodes
+
+
+def ref_train_forest(samples, n_trees, rng_seed):
+    """The trees train_forest grows, by the per-row grower: every node
+    holds its bootstrap rows expanded, one entry per draw, and sorts
+    them by a stable argsort.  Takes valid samples only."""
+    X, y = samples
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y).astype(np.int64)
+    idx0 = np.nonzero(y == 0)[0]
+    idx1 = np.nonzero(y == 1)[0]
+    per_class = max(len(idx0), len(idx1))
+    k = max(1, int(math.sqrt(X.shape[1])))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(rng_seed + t)
+        rows = np.concatenate(
+            [
+                rng.choice(idx0, size=per_class, replace=True),
+                rng.choice(idx1, size=per_class, replace=True),
+            ]
+        )
+        trees.append(_ref_grow_tree(X, y, rows, rng, k))
+    return trees
 
 
 def ref_build_merge_tree(superpixels, boundary):
