@@ -9,6 +9,9 @@ counts, and cuts are ranked by the key (score, left size, feature), so
 it grows the trees that splitting the draws one by one would, and the
 order in which the sort leaves equal values cannot change a split;
 predict_costs maps forest probabilities to negative log-odds costs.
+label_instances and predict_costs read the same rows: the node vectors,
+and the edge rows that features.edge_rows forms from them and the
+edges' own 4 statistics.
 """
 
 import itertools
@@ -35,8 +38,11 @@ from .errors import (
     SchemaMismatch,
     SingleClass,
 )
+from .features import edge_feature_names, edge_rows, node_feature_names
 
 PROB_CLAMP = 1e-6
+_NODE_WIDTH = len(node_feature_names())
+_EDGE_WIDTH = len(edge_feature_names())
 
 
 def leaf_gt_labels(crag, ground_truth):
@@ -96,12 +102,29 @@ def best_effort(crag, ground_truth, mode="full"):
     return Solution(y=y, m=m, objective=0.0)
 
 
-def _feature_rows(feats, keys, kind):
-    """Matrix of feats[k] for k in keys; CmcError unless feats holds
-    exactly these keys."""
+def _feature_rows(feats, keys, kind, width):
+    """(len(keys), width) matrix of feats[k] for k in keys, also for no
+    key; CmcError unless feats holds exactly these keys, each a vector
+    of `width` finite numbers."""
     if set(feats) != set(keys):
         raise CmcError(f"{kind} features do not match the graph's {kind}s")
-    return np.array([feats[k] for k in keys])
+    rows = _finite([feats[k] for k in keys]) if keys else np.zeros((0, width))
+    if rows.shape[1:] != (width,):
+        raise CmcError(f"{kind} features are not vectors of {width} numbers")
+    return rows
+
+
+def _forest_rows(crag, node_feats, edge_feats):
+    """The rows the node forest and the edge forest read, in id and in
+    adjacency order: the node vectors, and edge_rows of the node vectors
+    and the edges' own vectors.  Features of other keys than the
+    graph's, or of other lengths than compute_features', raise CmcError.
+    """
+    ids = crag.ids()
+    node_x = _feature_rows(node_feats, ids, "node", _NODE_WIDTH)
+    stats = _feature_rows(edge_feats, crag.adjacency, "edge", _EDGE_WIDTH)
+    ends = np.searchsorted(ids, np.reshape(crag.adjacency, (-1, 2)))
+    return node_x, edge_rows(node_x, ends, stats)
 
 
 def label_instances(crag, solution, node_feats, edge_feats):
@@ -127,22 +150,15 @@ def label_instances(crag, solution, node_feats, edge_feats):
             stack.extend(crag.candidates[node].children)
 
     group = solution.merged_groups(selected)
-    ids = crag.ids()
-    node_x = _feature_rows(node_feats, ids, "node")
-    node_y = np.array([int(i in owner) for i in ids])
-    edges = list(crag.adjacency)
-    if edges:
-        edge_x = _feature_rows(edge_feats, edges, "edge")
-        edge_y = np.array(
-            [
-                int(i in owner and j in owner and group[owner[i]] == group[owner[j]])
-                for (i, j) in edges
-            ],
-            dtype=np.int64,
-        )
-    else:
-        edge_x = np.zeros((0, 0))
-        edge_y = np.zeros(0, dtype=np.int64)
+    node_x, edge_x = _forest_rows(crag, node_feats, edge_feats)
+    node_y = np.array([int(i in owner) for i in crag.ids()], dtype=np.int64)
+    edge_y = np.array(
+        [
+            int(i in owner and j in owner and group[owner[i]] == group[owner[j]])
+            for (i, j) in crag.adjacency
+        ],
+        dtype=np.int64,
+    )
     return (node_x, node_y), (edge_x, edge_y)
 
 
@@ -391,14 +407,11 @@ def probability_to_cost(p):
 
 def predict_costs(node_forest, edge_forest, crag, node_feats, edge_feats):
     """CostTable from the two forests: selection costs f, merge costs g."""
-    ids = crag.ids()
-    probs = node_forest.predict_proba(_feature_rows(node_feats, ids, "node"))
-    f = {i: probability_to_cost(p) for i, p in zip(ids, probs)}
-    edges = list(crag.adjacency)
-    g = {}
-    if edges:
-        probs = edge_forest.predict_proba(_feature_rows(edge_feats, edges, "edge"))
-        g = {e: probability_to_cost(p) for e, p in zip(edges, probs)}
+    node_x, edge_x = _forest_rows(crag, node_feats, edge_feats)
+    probs = node_forest.predict_proba(node_x)
+    f = {i: probability_to_cost(p) for i, p in zip(crag.ids(), probs)}
+    probs = edge_forest.predict_proba(edge_x)
+    g = {e: probability_to_cost(p) for e, p in zip(crag.adjacency, probs)}
     return CostTable(f, g)
 
 

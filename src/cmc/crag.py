@@ -248,18 +248,21 @@ def candidate_adjacency(subset, leaf_labels):
 
     Each touching leaf pair (a, b) lifts to the ancestors-or-self A of a
     and B of b in the forest `subset` (child -> parent); A and B overlap
-    iff A or B is an ancestor of both leaves.
+    iff A or B is an ancestor of both leaves.  Overlap is tested against
+    each chain's set, so a test takes constant time however deep the
+    forest.
     """
     label_p, label_q, _, _ = pixel_pairs(leaf_labels)
     pairs = set(zip(label_p.tolist(), label_q.tolist()))
     chains = {leaf: _chain(subset, leaf) for pair in pairs for leaf in pair}
+    above = {leaf: set(chain) for leaf, chain in chains.items()}
     return {
         edge_key(big_a, big_b)
         for a, b in pairs
         for big_a in chains[a]
-        if big_a not in chains[b]
+        if big_a not in above[b]
         for big_b in chains[b]
-        if big_b not in chains[a]
+        if big_b not in above[a]
     }
 
 

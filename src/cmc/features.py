@@ -3,8 +3,10 @@
 Per candidate: size, circularity, eccentricity, a 16-bin contour
 tangent angle histogram, and intensity statistics of the raw image and
 the boundary map over all pixels and over contour pixels.  Per edge:
-contact area, interface intensity statistics, and the symmetric
-combinators (|u-v|, min, max, u+v) of the endpoint node features.
+contact area and the interface's intensity mean, variance and skew.
+The edge forest reads wider rows, formed where it reads them
+(edge_rows): the edge's 4 statistics, then the symmetric combinators
+(|u-v|, min, max, u+v) of its two candidates' node vectors.
 
 compute_features(crag, raw, boundary) is the one entry point: it
 computes the vectors of every candidate and every adjacency edge of a
@@ -44,8 +46,7 @@ leaves' facts:
 - The 4-neighbor pixel pairs between leaves, grouped by leaf pair.  An
   edge gathers the groups between its candidates' leaves and sorts its
   interface values by pixel pair, a key no two pairs share, so the
-  order of gathering does not matter.  The combinators of all edges
-  are formed in one step.
+  order of gathering does not matter.
 Only the all-pixel moments and quantiles scan the candidate's bounding
 box (the union of its leaves' boxes), in row-major order.
 
@@ -150,7 +151,13 @@ def node_feature_names():
 
 
 def edge_feature_names():
-    names = ["contact_area", "interface_mean", "interface_var", "interface_skew"]
+    """The entries of an edge's own vector, as compute_features returns it."""
+    return ["contact_area", "interface_mean", "interface_var", "interface_skew"]
+
+
+def edge_row_names():
+    """The entries of an edge_rows row, which the edge forest reads."""
+    names = edge_feature_names()
     for name in node_feature_names():
         names += [f"absdiff_{name}", f"min_{name}", f"max_{name}", f"sum_{name}"]
     return names
@@ -496,15 +503,14 @@ def _checked_images(labels, raw, boundary):
     return images
 
 
-def _edge_vectors(facts, adjacency, luts, node_feats):
-    """592-entry feature vectors of the edges in `adjacency`, one per row.
+def _edge_stats(facts, adjacency, luts, node_feats):
+    """(len(adjacency), 4) block of the edges' own vectors, one per row:
+    contact area, interface mean, variance and skew.
 
     An edge's interface is every pixel pair between its candidates,
     gathered by leaf pair; its values are sorted by (pixel in the
     smaller candidate, pixel in the larger), a key no two pairs share.
     """
-    u = np.array([node_feats[i] for i, _ in adjacency])
-    v = np.array([node_feats[j] for _, j in adjacency])
     lut_i = np.array([luts[i] for i, _ in adjacency])
     lut_j = np.array([luts[j] for _, j in adjacency])
     # (edge, group) pairs whose leaf_p lies in candidate i (forward) or j
@@ -517,25 +523,28 @@ def _edge_vectors(facts, adjacency, luts, node_feats):
     edge = np.concatenate([edge_f, edge_r])
     in_i = np.concatenate([facts.p[fwd], facts.q[rev]])
     in_j = np.concatenate([facts.q[fwd], facts.p[rev]])
-    i_smaller = (u[:, 0] <= v[:, 0])[edge]  # entry 0 is the size
+    # entry 0 of a node vector is the size
+    i_smaller = np.array([node_feats[i][0] <= node_feats[j][0] for i, j in adjacency])
+    i_smaller = i_smaller[edge]
     order = np.lexsort(
         (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
     )
     values = np.concatenate([facts.value[fwd], facts.value[rev]])[order]
     bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
-    out = np.empty((len(adjacency), 4 + 4 * u.shape[1]))
+    out = np.empty((len(adjacency), 4))
     for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
         _, mean, var, skew, _ = _moments(values[lo:hi])
-        row[:4] = float(hi - lo), mean, var, skew
-    out[:, 4::4] = np.abs(u - v)
-    out[:, 5::4] = np.minimum(u, v)
-    out[:, 6::4] = np.maximum(u, v)
-    out[:, 7::4] = u + v
+        row[:] = float(hi - lo), mean, var, skew
     return out
 
 
 def compute_features(crag, raw, boundary):
-    """Feature vectors for every candidate and adjacency edge of a Crag."""
+    """Feature vectors for every candidate and adjacency edge of a Crag.
+
+    An edge's vector holds its 4 statistics (edge_feature_names); the
+    rows that the edge forest reads are formed from them and the node
+    vectors by edge_rows.
+    """
     raw, boundary = _checked_images(crag.leaf_labels(), raw, boundary)
     facts = _Leaves(crag, raw, boundary)
     node_feats, luts = {}, {}
@@ -545,9 +554,28 @@ def compute_features(crag, raw, boundary):
         node_feats[cid] = _node_vector(facts, leaves, luts[cid])
     if not crag.adjacency:
         return node_feats, {}
-    vectors = _edge_vectors(facts, crag.adjacency, luts, node_feats)
-    # one array per edge: a view would keep the whole block alive
-    return node_feats, {e: row.copy() for e, row in zip(crag.adjacency, vectors)}
+    stats = _edge_stats(facts, crag.adjacency, luts, node_feats)
+    return node_feats, dict(zip(crag.adjacency, stats))
+
+
+def edge_rows(node_rows, ends, edge_stats):
+    """The rows the edge forest reads, one per edge, formed in one block
+    (edge_row_names): the edge's 4 statistics, then for each node
+    feature |u - v|, min(u, v), max(u, v) and u + v of the values u and
+    v of the edge's two candidates.
+
+    node_rows is the matrix of node vectors, one per row; ends holds
+    the row numbers in it of each edge's two candidates, one edge per
+    row; edge_stats holds each edge's 4 statistics, one edge per row.
+    """
+    u, v = node_rows[ends[:, 0]], node_rows[ends[:, 1]]
+    out = np.empty((len(edge_stats), 4 + 4 * node_rows.shape[1]))
+    out[:, :4] = edge_stats
+    out[:, 4::4] = np.abs(u - v)
+    out[:, 5::4] = np.minimum(u, v)
+    out[:, 6::4] = np.maximum(u, v)
+    out[:, 7::4] = u + v
+    return out
 
 
 def features_to_json(node_feats, edge_feats):

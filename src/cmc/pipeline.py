@@ -67,6 +67,11 @@ def config_from_json(obj, doc="config.json"):
         values[key] = value
     if values.get("mode", "full") not in MODES:
         raise CmcError(f"{doc}: mode {values['mode']!r} is not one of {MODES}")
+    # boundary values are at least 0, so none lies below such a threshold
+    if values.get("seed_threshold", 1.0) <= 0:
+        raise CmcError(
+            f"{doc}: seed_threshold {values['seed_threshold']!r} is not above 0"
+        )
     if values.get("time_limit") is not None and values["time_limit"] < 0:
         raise CmcError(f"{doc}: time_limit {values['time_limit']!r} is negative")
     if values.get("max_merges") is not None and values["max_merges"] < 0:

@@ -29,7 +29,7 @@ from cmc.errors import (
     SchemaMismatch,
     SingleClass,
 )
-from cmc.crag import validate_solution
+from cmc.crag import Candidate, Solution, build_crag, validate_solution
 from cmc.features import compute_features
 from cmc.pipeline import PipelineConfig, model_to_json, train_model
 from cmc.synth import generate_synthetic
@@ -38,6 +38,7 @@ from util import (
     DELETE,
     MALFORMED_FOREST,
     json_with,
+    leaf_image,
     pixels_of,
     quad_crag,
     quad_gt,
@@ -166,11 +167,14 @@ def test_label_instances_quad():
     assert node_y.tolist() == [1, 1, 1, 1, 1, 0, 0]
     positives = {e for e, lab in zip(crag.adjacency, edge_y) if lab}
     assert positives == {(1, 2), (1, 3), (2, 3), (3, 5)}
-    # rows follow the id / adjacency ordering
+    # rows follow the id / adjacency ordering; an edge row is the edge's
+    # 4 statistics, then the combinators of its two node vectors
     for k, cid in enumerate(crag.ids()):
         assert np.array_equal(node_x[k], nf[cid])
-    for k, e in enumerate(crag.adjacency):
-        assert np.array_equal(edge_x[k], ef[e])
+    for k, (i, j) in enumerate(crag.adjacency):
+        assert np.array_equal(edge_x[k, :4], ef[(i, j)])
+        assert np.array_equal(edge_x[k, 4::4], np.abs(nf[i] - nf[j]))
+        assert np.array_equal(edge_x[k, 7::4], nf[i] + nf[j])
 
 
 def test_label_instances_all_background():
@@ -498,6 +502,41 @@ def test_features_of_another_graph_rejected():
             label_instances(crag, sol, bad_nf, bad_ef)
         with pytest.raises(CmcError, match="features do not match"):
             predict_costs(node_forest, edge_forest, crag, bad_nf, bad_ef)
+
+
+def test_graph_without_candidates_costs_nothing():
+    """A graph with no candidate and no edge: label_instances gives rows
+    of the forests' widths and predict_costs an empty CostTable (the
+    rows of no key used to have shape (0,), which ended in
+    SchemaMismatch)."""
+    crag, (nf, ef) = quad_features()
+    sol = best_effort(crag, quad_gt())
+    nodes, edges = label_instances(crag, sol, nf, ef)
+    node_forest = train_forest(nodes, n_trees=3, rng_seed=1)
+    edge_forest = train_forest(edges, n_trees=3, rng_seed=2)
+    empty = build_crag([], [], np.zeros((2, 0), dtype=np.int64))
+    (node_x, node_y), (edge_x, edge_y) = label_instances(
+        empty, Solution({}, {}, 0.0), {}, {}
+    )
+    assert node_x.shape == (0, 147) and edge_x.shape == (0, 592)
+    assert node_y.shape == edge_y.shape == (0,)
+    costs = predict_costs(node_forest, edge_forest, empty, {}, {})
+    assert costs.f == {} and costs.g == {}
+    # a candidate but no edge: the edge rows still have 592 columns
+    lone = build_crag([Candidate(1, 0)], [], leaf_image({1: [(0, 0)]}, 1, 1))
+    lone_nf, lone_ef = compute_features(lone, np.zeros((1, 1)), np.zeros((1, 1)))
+    assert costmodel._forest_rows(lone, lone_nf, lone_ef)[1].shape == (0, 592)
+    assert predict_costs(node_forest, edge_forest, lone, lone_nf, lone_ef).g == {}
+
+
+def test_edge_vectors_of_another_length_rejected():
+    """Edge vectors that are not the 4 statistics, such as the 592-entry
+    vectors of older releases, raise CmcError by name."""
+    crag, (nf, ef) = quad_features()
+    rows = dict(zip(crag.adjacency, costmodel._forest_rows(crag, nf, ef)[1]))
+    sol = best_effort(crag, quad_gt())
+    with pytest.raises(CmcError, match="edge features are not vectors of 4 numbers"):
+        label_instances(crag, sol, nf, rows)
 
 
 def test_probability_to_cost_anchor_points():

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from cmc import costmodel
 from cmc.cli import main
-from cmc.crag import UNCOVERED, Candidate, build_crag
+from cmc.crag import UNCOVERED, Candidate, build_crag, crag_to_json
 from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
     _QUANTILES,
@@ -21,18 +22,27 @@ from cmc.features import (
     _quantiles,
     compute_features,
     edge_feature_names,
+    edge_row_names,
     features_from_json,
     features_to_json,
     node_feature_names,
 )
 from cmc.pgm import write_probability
-from cmc.pipeline import PipelineConfig, build_graph
+from cmc.pipeline import PipelineConfig, build_graph, model_to_json, train_from_instances
 from cmc.synth import generate_synthetic
 
-from util import leaf_image, pixels_of, quad_crag, random_sparse_crag
+from util import (
+    leaf_image,
+    pixels_of,
+    quad_crag,
+    quad_gt,
+    random_sparse_crag,
+    ref_edge_block,
+)
 
 NODE_NAMES = node_feature_names()
 EDGE_NAMES = edge_feature_names()
+ROW_NAMES = edge_row_names()
 
 
 def idx(name):
@@ -41,6 +51,11 @@ def idx(name):
 
 def flat_images(h=16, w=16, value=0.0):
     return np.full((h, w), value), np.full((h, w), value)
+
+
+def formed_rows(crag, node_feats, edge_feats):
+    """The rows the edge forest reads, one per adjacency edge in order."""
+    return costmodel._forest_rows(crag, node_feats, edge_feats)[1]
 
 
 def region_features(pixels, raw, boundary):
@@ -353,20 +368,22 @@ def test_bin_image_matches_np_histogram():
 
 def test_schema_lengths_and_uniqueness():
     assert len(NODE_NAMES) == 147
-    assert len(EDGE_NAMES) == 592
     assert len(set(NODE_NAMES)) == 147
-    assert len(set(EDGE_NAMES)) == 592
     assert NODE_NAMES[:3] == ["size", "circularity", "eccentricity"]
     assert NODE_NAMES[3] == "angle_hist_00"
-    assert EDGE_NAMES[:4] == [
+    assert EDGE_NAMES == [
         "contact_area",
         "interface_mean",
         "interface_var",
         "interface_skew",
     ]
-    # node block repeated through the four pairwise combinations
-    assert EDGE_NAMES[4:8] == ["absdiff_size", "min_size", "max_size", "sum_size"]
-    assert len(EDGE_NAMES) == 4 + 4 * len(NODE_NAMES)
+    # the formed rows: the edge's own entries, then the node block
+    # repeated through the four pairwise combinations
+    assert len(ROW_NAMES) == 592
+    assert len(set(ROW_NAMES)) == 592
+    assert ROW_NAMES[:4] == EDGE_NAMES
+    assert ROW_NAMES[4:8] == ["absdiff_size", "min_size", "max_size", "sum_size"]
+    assert len(ROW_NAMES) == 4 + 4 * len(NODE_NAMES)
 
 
 def test_vector_lengths_match_schema():
@@ -376,9 +393,10 @@ def test_vector_lengths_match_schema():
     crag = quad_crag()
     nf, ef = compute_features(crag, np.zeros((4, 4)), np.zeros((4, 4)))
     assert all(v.shape == (147,) for v in nf.values())
-    assert all(v.shape == (592,) for v in ef.values())
+    assert all(v.shape == (4,) for v in ef.values())
     assert set(nf) == set(crag.ids())
     assert set(ef) == set(crag.adjacency)
+    assert formed_rows(crag, nf, ef).shape == (len(crag.adjacency), 592)
 
 
 def test_single_pixel_candidate():
@@ -585,18 +603,45 @@ def test_edge_combination_block():
     raw = rng.random((4, 4))
     boundary = rng.random((4, 4))
     nf, ef = compute_features(crag, raw, boundary)
-    for (i, j), f in ef.items():
+    rows = dict(zip(crag.adjacency, formed_rows(crag, nf, ef)))
+    for (i, j), f in rows.items():
         u, v = nf[i], nf[j]
+        assert np.array_equal(f[:4], ef[(i, j)])
         assert np.array_equal(f[4::4], np.abs(u - v))
         assert np.array_equal(f[5::4], np.minimum(u, v))
         assert np.array_equal(f[6::4], np.maximum(u, v))
         assert np.array_equal(f[7::4], u + v)
     # sizes 4 and 3 across the (1, 2) edge
-    f = ef[(1, 2)]
-    assert f[EDGE_NAMES.index("absdiff_size")] == 1.0
-    assert f[EDGE_NAMES.index("min_size")] == 3.0
-    assert f[EDGE_NAMES.index("max_size")] == 4.0
-    assert f[EDGE_NAMES.index("sum_size")] == 7.0
+    f = rows[(1, 2)]
+    assert f[ROW_NAMES.index("absdiff_size")] == 1.0
+    assert f[ROW_NAMES.index("min_size")] == 3.0
+    assert f[ROW_NAMES.index("max_size")] == 4.0
+    assert f[ROW_NAMES.index("sum_size")] == 7.0
+
+
+def test_formed_rows_equal_the_old_edge_block():
+    """The rows formed from the edges' 4 statistics and the node vectors
+    are bit-equal to the 592-entry edge vectors compute_features once
+    returned, on 60 random sparse graphs and on synthetic 256 px graphs
+    with and without a merge cap."""
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(60):
+        crag = random_sparse_crag(rng)
+        shape = (crag.height, crag.width)
+        cases.append((crag, rng.random(shape), rng.random(shape)))
+    for seed, max_merges in ((7, 5), (8, None)):
+        raw, boundary, _ = generate_synthetic(1, 12, 1.0, seed, image_size=256)[0]
+        crag = build_graph(boundary, PipelineConfig(max_merges=max_merges))
+        cases.append((crag, raw, boundary))
+    edges = 0
+    for crag, raw, boundary in cases:
+        nf, ef = compute_features(crag, raw, boundary)
+        want = ref_edge_block(crag, raw, boundary, nf)
+        assert np.array_equal(formed_rows(crag, nf, ef), want)
+        assert all(np.array_equal(ef[e], row[:4]) for e, row in zip(crag.adjacency, want))
+        edges += len(crag.adjacency)
+    assert edges > 900
 
 
 def test_out_of_range_image_rejected():
@@ -635,7 +680,7 @@ MALFORMED_FEATURES = {
     "short node vector": lambda obj: obj["nodes"]["1"].pop(),
     "long edge vector": lambda obj: obj["edges"]["1-2"].append(0.0),
     "string value": lambda obj: obj["nodes"]["1"].__setitem__(0, "4"),
-    "boolean value": lambda obj: obj["edges"]["1-2"].__setitem__(5, True),
+    "boolean value": lambda obj: obj["edges"]["1-2"].__setitem__(1, True),
     "NaN value": lambda obj: obj["nodes"]["7"].__setitem__(9, float("nan")),
     "integer beyond float range": lambda obj: obj["edges"]["1-2"].__setitem__(3, 10**400),
     "bad node key": lambda obj: obj["nodes"].update({"1.0": obj["nodes"]["1"]}),
@@ -663,9 +708,9 @@ def test_features_schema_error_names_first_difference():
     fails naming the first entry that differs."""
     obj = features_to_json({}, {})
     names = obj["edge_schema"]
-    names[3], names[4] = names[4], names[3]
+    names[2], names[3] = names[3], names[2]
     with pytest.raises(
-        CmcError, match="edge_schema entry 3 is 'absdiff_size', expected 'interface_skew'"
+        CmcError, match="edge_schema entry 2 is 'interface_skew', expected 'interface_var'"
     ):
         features_from_json(obj)
     obj = features_to_json({}, {})
@@ -880,12 +925,13 @@ def test_compute_features_matches_per_pixel_reference():
     exact), plus half an ulp of a sum below 2 on each side."""
     other = np.ones(len(NODE_NAMES), dtype=bool)
     other[CONTOUR_MOMENTS + [ECCENTRICITY]] = False
-    edge_other = np.ones(len(EDGE_NAMES), dtype=bool)
+    edge_other = np.ones(len(ROW_NAMES), dtype=bool)
     edge_other[CONTOUR_COMBOS + ECCENTRICITY_COMBOS] = False
     seen = {"uncovered": 0, "disconnected": 0, "edges": 0}
     for crag, raw, boundary in sparse_instances(37, 60):
         seen["uncovered"] += int((crag.leaf_labels() < 0).any())
         nf, ef = compute_features(crag, raw, boundary)
+        rows = dict(zip(crag.adjacency, formed_rows(crag, nf, ef)))
         ref = {
             cid: ref_node_vector(pixels_of(crag, cid), raw, boundary)
             for cid in crag.ids()
@@ -906,7 +952,7 @@ def test_compute_features_matches_per_pixel_reference():
             want = ref_edge_vector(
                 pixels_of(crag, i), pixels_of(crag, j), boundary, ref[i], ref[j]
             )
-            got = ef[(i, j)]
+            got = rows[(i, j)]
             seen["edges"] += 1
             assert np.array_equal(got[edge_other], want[edge_other])
             # |u - v| cancels, so bound the error by the operands' size
@@ -939,9 +985,19 @@ def test_leaf_boxes_equal_find_objects():
         assert facts.boxes == ndimage.find_objects(facts.labels + 1)
 
 
-def test_cli_features_of_empty_image(tmp_path):
-    """A valid crag.json of a 2x0 image with 2x0 PGMs gives exit 0 and a
-    features.json with no node and no edge."""
+def quad_model_json():
+    """model.json text of small forests trained on the quad graph."""
+    crag = quad_crag()
+    rng = np.random.default_rng(5)
+    nf, ef = compute_features(crag, rng.random((4, 4)), rng.random((4, 4)))
+    return json.dumps(model_to_json(train_from_instances([(crag, nf, ef, quad_gt())], 3, 0)))
+
+
+def test_cli_features_of_empty_image(tmp_path, capsys):
+    """A valid crag.json of a 2x0 image with 2x0 PGMs: `cmc features`
+    exits 0 with a features.json of no node and no edge, and `cmc costs`
+    and `cmc solve` on it exit 0 with empty costs and an empty solution
+    (the rows of no key have the forests' widths)."""
     crag = tmp_path / "crag.json"
     crag.write_text(json.dumps({"width": 0, "height": 2, "candidates": [], "adjacency": []}))
     raw, boundary = str(tmp_path / "raw.pgm"), str(tmp_path / "boundary.pgm")
@@ -952,6 +1008,50 @@ def test_cli_features_of_empty_image(tmp_path):
                  "--out", str(out)]) == 0
     feats = json.loads(out.read_text())
     assert feats["nodes"] == {} and feats["edges"] == {}
+    model, costs = tmp_path / "model.json", tmp_path / "costs.json"
+    model.write_text(quad_model_json())
+    assert main(["costs", "--model", str(model), "--crag", str(crag),
+                 "--features", str(out), "--out", str(costs)]) == 0
+    assert json.loads(costs.read_text()) == {"f": {}, "g": {}}
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--crag", str(crag), "--costs", str(costs),
+                 "--out", str(solution)]) == 0
+    assert json.loads(solution.read_text())["y"] == {}
+    assert "error" not in capsys.readouterr().err
+
+
+def old_form_features(crag, raw, boundary):
+    """features.json as it was written when each edge vector held the
+    592 entries that the edge forest reads."""
+    nf, _ = compute_features(crag, raw, boundary)
+    obj = features_to_json(nf, {})
+    obj["edge_schema"] = ROW_NAMES
+    rows = ref_edge_block(crag, raw, boundary, nf)
+    obj["edges"] = {f"{i}-{j}": row.tolist() for (i, j), row in zip(crag.adjacency, rows)}
+    return json.loads(json.dumps(obj))
+
+
+def test_old_form_features_json_rejected(tmp_path, capsys):
+    """A features.json of 592-entry edge vectors fails the schema check,
+    naming edge_schema; `cmc costs` on it exits 1 with `error:` and
+    writes no costs.json."""
+    crag = quad_crag()
+    rng = np.random.default_rng(19)
+    obj = old_form_features(crag, rng.random((4, 4)), rng.random((4, 4)))
+    assert all(len(v) == 592 for v in obj["edges"].values())
+    with pytest.raises(
+        CmcError, match="features.json: edge_schema entry 4 is 'absdiff_size', expected missing"
+    ):
+        features_from_json(obj)
+    paths = {name: tmp_path / name for name in ("crag", "features", "model", "costs")}
+    paths["crag"].write_text(json.dumps(crag_to_json(crag)))
+    paths["features"].write_text(json.dumps(obj))
+    paths["model"].write_text(quad_model_json())
+    code = main(["costs", "--model", str(paths["model"]), "--crag", str(paths["crag"]),
+                 "--features", str(paths["features"]), "--out", str(paths["costs"])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: features.json: edge_schema")
+    assert not paths["costs"].exists()
 
 
 def test_non_finite_image_rejected():

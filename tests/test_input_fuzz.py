@@ -1,12 +1,13 @@
 """Hypothesis properties over malformed crag.json, costs.json,
-solution.json and features.json, and over mutated model.json and PGM
-headers.
+solution.json, features.json and pipeline config files, and over
+mutated model.json and PGM headers.
 
 Each object drawn here is a valid file of the quad graph broken in one
 way: a non-finite or out-of-range number, a value of the wrong JSON
 type, a missing or mistyped member, a key that is no id or edge, two
 keys naming one id or edge, keys that do not match the CRAG, a feature
-vector of the wrong length, or children that do not nest into a forest.
+vector of the wrong length, edge vectors of the old 592-entry form, or
+children that do not nest into a forest.
 Each must raise a CmcError, from the loader or from the step that first
 meets the CRAG (solve for costs, validate_solution for a solution), and
 `cmc features`, `cmc solve` and `cmc costs` must exit 1 with `error:`
@@ -18,7 +19,10 @@ way.  crag_from_json raises what the run-by-run reference decoder
 raises, class and message, on every broken crag.json.  A PGM file with
 one header token or byte replaced, deleted or inserted either loads or
 raises a CmcError, and `cmc build-crag --boundary` and `cmc eval --gt`
-on a rejected one exit 1 with `error:`.
+on a rejected one exit 1 with `error:`.  `cmc pipeline --config` on a
+config file with one field of the wrong kind, negative or non-finite,
+an unknown mode, or a key missing or added either runs or exits 1 with
+`error: <file>: `.
 """
 
 import contextlib
@@ -37,15 +41,22 @@ from cmc.costmodel import costs_from_json, costs_to_json
 from cmc.crag import (
     crag_from_json,
     crag_to_json,
+    edge_to_str,
     json_member,
     solution_from_json,
     solution_to_json,
     validate_solution,
 )
 from cmc.errors import CmcError
-from cmc.features import compute_features, features_from_json, features_to_json
+from cmc.features import (
+    compute_features,
+    edge_row_names,
+    features_from_json,
+    features_to_json,
+)
 from cmc.pgm import read_pgm, write_labels, write_probability
 from cmc.pipeline import model_from_json, model_to_json, train_from_instances
+from cmc.synth import generate_synthetic
 from cmc.solver import solve
 
 from util import (
@@ -55,6 +66,7 @@ from util import (
     quad_crag,
     quad_gt,
     ref_crag_from_json,
+    ref_edge_block,
     ref_forest_from_json,
     same_outcome,
 )
@@ -65,8 +77,16 @@ CRAG_JSON = crag_to_json(CRAG)
 COSTS = costs_to_json(quad_costs(CRAG))
 SOLUTION = solution_to_json(solve(CRAG, quad_costs(CRAG)))
 _rng = np.random.default_rng(23)
-_feats = compute_features(CRAG, _rng.random((4, 4)), _rng.random((4, 4)))
+_raw, _boundary = _rng.random((4, 4)), _rng.random((4, 4))
+_feats = compute_features(CRAG, _raw, _boundary)
+# each edge vector holds the edge's 4 statistics
 FEATURES = features_to_json(*_feats)
+# the same edges as written when each vector held the 592 entries the
+# edge forest reads
+OLD_EDGES = {
+    edge_to_str(e): row.tolist()
+    for e, row in zip(CRAG.adjacency, ref_edge_block(CRAG, _raw, _boundary, _feats[0]))
+}
 MODEL = model_to_json(train_from_instances([(CRAG, *_feats, quad_gt())], 3, 0))
 # stands for the number 1e400 (inf once parsed) until _text writes it
 HUGE = "<1e400>"
@@ -155,7 +175,7 @@ def _broken_features(draw):
     obj = json.loads(json.dumps(FEATURES))
     defect = draw(st.sampled_from([
         "bad number", "not a list", "wrong length", "missing member",
-        "member not an object", "not an object", "alias",
+        "member not an object", "not an object", "alias", "old edge form",
     ]))
     table = draw(st.sampled_from(["nodes", "edges"]))
     key = draw(st.sampled_from(sorted(obj[table])))
@@ -181,6 +201,10 @@ def _broken_features(draw):
         obj[table] = draw(NOT_AN_OBJECT)
     elif defect == "not an object":
         obj = draw(st.one_of(NOT_AN_OBJECT, st.just([obj])))
+    elif defect == "old edge form":
+        obj["edges"] = json.loads(json.dumps(OLD_EDGES))
+        if draw(st.booleans()):
+            obj["edge_schema"] = edge_row_names()
     else:
         obj[table][_alias(key)] = vector
     return obj
@@ -554,3 +578,64 @@ def test_cli_on_rejected_pgm_header_exits_1(data):
             assert code == 1
             assert err.getvalue().startswith("error: ")
             assert not os.path.exists(out)
+
+
+# a valid pipeline config, every field given; the property runs
+# `cmc pipeline --model` on a small image, so no tree is trained
+PIPELINE_IMAGE = generate_synthetic(1, 2, 0.1, 5, image_size=64)[0]
+CONFIG = {
+    "seed_threshold": 0.5, "max_merges": 5, "score_threshold": None, "n_trees": 2,
+    "rng_seed": 0, "mode": "full", "ignore_background": True, "time_limit": 10.0,
+}
+
+
+@st.composite
+def _broken_config(draw):
+    """CONFIG with one defect: a field of the wrong kind, a negative or
+    non-finite number, an unknown mode, or a key missing or added."""
+    obj = dict(CONFIG)
+    defect = draw(st.sampled_from([
+        "wrong kind", "negative", "non-finite", "unknown mode", "missing key", "extra key",
+    ]))
+    key = draw(st.sampled_from(sorted(obj)))
+    if defect == "wrong kind":
+        obj[key] = draw(st.one_of(NOT_A_NUMBER, st.floats(allow_nan=False), st.integers()))
+    elif defect == "negative":
+        obj[key] = draw(st.one_of(st.integers(-(2**70), -1), st.floats(max_value=-1e-300)))
+    elif defect == "non-finite":
+        obj[key] = draw(NON_FINITE)
+    elif defect == "unknown mode":
+        obj["mode"] = draw(st.text(max_size=12).filter(
+            lambda m: m not in ("full", "merge_tree_only", "leaf_multicut_only")))
+    elif defect == "missing key":
+        del obj[key]
+    else:
+        obj[draw(st.text(max_size=12).filter(lambda k: k not in CONFIG))] = draw(
+            st.one_of(st.integers(), NOT_A_NUMBER))
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_broken_config())
+def test_cli_pipeline_on_broken_config_runs_or_names_the_file(obj):
+    """`cmc pipeline --config` on a config file with one defect either
+    runs (exit 0, or 2 at the time limit) or exits 1 with
+    `error: <file>: `, never with a traceback."""
+    raw, boundary, _ = PIPELINE_IMAGE
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name)
+                 for name in ("raw.pgm", "boundary.pgm", "model.json", "config.json")}
+        write_probability(paths["raw.pgm"], raw)
+        write_probability(paths["boundary.pgm"], boundary)
+        with open(paths["model.json"], "w") as fh:
+            json.dump(MODEL, fh)
+        with open(paths["config.json"], "w") as fh:
+            fh.write(_text(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pipeline", "--boundary", paths["boundary.pgm"],
+                         "--raw", paths["raw.pgm"], "--model", paths["model.json"],
+                         "--config", paths["config.json"]])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith(f"error: {paths['config.json']}: ")

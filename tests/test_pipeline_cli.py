@@ -658,6 +658,8 @@ MALFORMED_CONFIG = {
     "negative rng_seed": ({"rng_seed": -1}, "rng_seed"),
     "zero n_trees": ({"n_trees": 0}, "n_trees"),
     "negative max_merges": ({"max_merges": -1}, "max_merges"),
+    # no boundary value lies below it, so the watershed found no seed
+    "zero seed_threshold": ({"seed_threshold": 0}, "seed_threshold"),
 }
 
 

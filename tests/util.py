@@ -5,8 +5,9 @@ per-pixel references for the array-based watershed, CRAG checks and
 crag.json run-length encoding, a run-by-run crag.json decoder, a
 node-by-node model.json forest loader, a full-canvas reference for the
 windowed synthetic image drawer, a per-tree walk of a forest's node
-lists, the per-row forest grower, and the merge tree over Python lists
-and np.median.
+lists, the per-row forest grower, the merge tree over Python lists
+and np.median, and the 592-entry edge vectors as compute_features
+once assembled them.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -50,8 +51,10 @@ from cmc.crag import (
     json_value,
     objective_value,
     pixel_pairs,
+    spans,
     validate_solution,
 )
+from cmc.features import _Leaves, _moments
 from cmc.hierarchy import MergeEvent
 
 # pass/fail lines collected by the acceptance tests; conftest prints them
@@ -892,6 +895,47 @@ def ref_build_merge_tree(superpixels, boundary):
         nbrs[new] = merged_nbrs
         alive.add(new)
     return events
+
+
+def ref_edge_block(crag, raw, boundary, node_feats):
+    """The (edges, 592) block of edge vectors, one per adjacency edge in
+    order, as compute_features assembled it when each edge carried the
+    combinators of its two node vectors: contact area, interface mean,
+    variance and skew, then |u-v|, min, max and u+v per node feature.
+    """
+    facts = _Leaves(crag, raw, boundary)
+    luts = {
+        cid: facts.lookup(facts.renumber(crag.leaves_under(cid))) for cid in crag.ids()
+    }
+    adjacency = crag.adjacency
+    u = np.array([node_feats[i] for i, _ in adjacency])
+    v = np.array([node_feats[j] for _, j in adjacency])
+    lut_i = np.array([luts[i] for i, _ in adjacency])
+    lut_j = np.array([luts[j] for _, j in adjacency])
+    ends = []
+    for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i)):
+        edge, group = np.nonzero(lut_p[:, facts.group_a] & lut_q[:, facts.group_b])
+        start, stop = facts.group_start[group], facts.group_stop[group]
+        ends.append((np.repeat(edge, stop - start), spans(start, stop)))
+    (edge_f, fwd), (edge_r, rev) = ends
+    edge = np.concatenate([edge_f, edge_r])
+    in_i = np.concatenate([facts.p[fwd], facts.q[rev]])
+    in_j = np.concatenate([facts.q[fwd], facts.p[rev]])
+    i_smaller = (u[:, 0] <= v[:, 0])[edge]
+    order = np.lexsort(
+        (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
+    )
+    values = np.concatenate([facts.value[fwd], facts.value[rev]])[order]
+    bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
+    out = np.empty((len(adjacency), 4 + 4 * u.shape[1]))
+    for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
+        _, mean, var, skew, _ = _moments(values[lo:hi])
+        row[:4] = float(hi - lo), mean, var, skew
+    out[:, 4::4] = np.abs(u - v)
+    out[:, 5::4] = np.minimum(u, v)
+    out[:, 6::4] = np.maximum(u, v)
+    out[:, 7::4] = u + v
+    return out
 
 
 DELETE = object()
