@@ -7,16 +7,17 @@ samples; train_forest grows a deterministic random forest from scratch
 each tree works on its distinct bootstrap rows weighted by their draw
 counts, and cuts are ranked by the key (score, left size, feature), so
 it grows the trees that splitting the draws one by one would, and the
-order in which the sort leaves equal values cannot change a split;
-predict_costs maps forest probabilities to negative log-odds costs.
+order in which the sort leaves equal values cannot change a split.  A
+forest is one set of arrays (Forest): the grower appends to them,
+predict_proba walks them, and model.json holds them as lists, which
+forest_from_json checks in array passes.  predict_costs maps forest
+probabilities to negative log-odds costs.
 label_instances and predict_costs read the same rows: the node vectors,
 and the edge rows that features.edge_rows forms from them and the
 edges' own 4 statistics.
 """
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,84 +213,69 @@ def _best_split(values, counts, positives):
     return int(row), thr, int(nl[row, cut]), int(pl[row, cut])
 
 
-def _grow_tree(XT, y, rows, rng, k):
-    """One tree on the bootstrap rows; nodes as JSON-ready dicts.
+def _grow_tree(XT, y, rows, rng, k, nodes):
+    """Grow one tree on the bootstrap rows onto `nodes`, the forest's
+    (feature, value, left, right) lists, numbering its nodes on from
+    theirs; returns its node count.
 
     XT is the samples' feature-major copy, (n_features, n).  A node
     holds its distinct bootstrap rows and, on the stack, its draw count
-    and positive draw count.
+    and positive draw count.  Every node is added as a leaf, and a node
+    that a cut splits is then made a split.
     """
+    feature, value, left, right = nodes
     counts = np.bincount(rows, minlength=len(y)).astype(np.float64)
     positives = counts * y
-    nodes = [None]
-    stack = [(0, np.flatnonzero(counts), len(rows), int(y[rows].sum()))]
+    root = len(value)
+    feature.append(-1)
+    value.append(0.0)
+    left.append(root)
+    right.append(root)
+    stack = [(root, np.flatnonzero(counts), len(rows), int(y[rows].sum()))]
     while stack:
-        slot, idx, n, pos = stack.pop()
+        node, idx, n, pos = stack.pop()
+        value[node] = float(pos / n)
         if pos == 0 or pos == n:
-            nodes[slot] = {"prob": float(pos / n)}
             continue
         feats = np.sort(rng.choice(len(XT), size=k, replace=False))
         best = _best_split(XT[feats[:, None], idx], counts[idx], positives[idx])
         if best is None:
-            nodes[slot] = {"prob": float(pos / n)}
             continue
         row, thr, n_left, pos_left = best
-        feature = int(feats[row])
-        mask = XT[feature, idx] <= thr
-        left, right = len(nodes), len(nodes) + 1
-        nodes.extend([None, None])
-        nodes[slot] = {
-            "feature": feature,
-            "threshold": thr,
-            "left": left,
-            "right": right,
-        }
-        stack.append((left, idx[mask], n_left, pos_left))
-        stack.append((right, idx[~mask], n - n_left, pos - pos_left))
-    return nodes
+        feature[node], value[node] = int(feats[row]), thr
+        mask = XT[feature[node], idx] <= thr
+        children = [len(value), len(value) + 1]
+        left[node], right[node] = children
+        feature += [-1, -1]
+        value += [0.0, 0.0]
+        left += children
+        right += children
+        stack.append((children[0], idx[mask], n_left, pos_left))
+        stack.append((children[1], idx[~mask], n - n_left, pos - pos_left))
+    return len(value) - root
 
 
-@dataclass
+@dataclass(eq=False)
 class Forest:
-    """Trees as JSON-ready node lists, and the same nodes as flat arrays.
+    """Trees as the arrays that predict_proba walks and model.json holds.
 
-    Construction copies every tree's nodes into one set of arrays,
-    indexed by global node number: split feature, threshold, left and
-    right child, and leaf probability.  A leaf's children are itself.
-    `trees` stays the JSON form, so forest_to_json writes what was read.
-    The arrays do not follow later edits of `trees`; forest_to_json
-    returns copies of its nodes, so edits of its result touch neither.
+    The trees lie one after the other, `sizes[t]` nodes for tree t, and
+    the nodes are numbered across the forest.  Node i is a split on
+    `feature[i]`: a row whose value there is at most `value[i]` goes to
+    node `left[i]`, any other row to node `right[i]`, both later nodes
+    of the same tree.  Or node i is a leaf: `left[i]` and `right[i]` are
+    i itself, `feature[i]` is -1 and `value[i]` is its probability.
+    sizes, feature, left and right are int64 arrays, value float64.
     """
 
-    trees: list
     n_trees: int
     rng_seed: int
     n_features: int
-
-    def __post_init__(self):
-        feature, threshold, left, right, prob, roots = [], [], [], [], [], []
-        for nodes in self.trees:
-            base = len(prob)
-            roots.append(base)
-            for slot, node in enumerate(nodes, start=base):
-                if "prob" in node:
-                    feature.append(0)
-                    threshold.append(0.0)
-                    left.append(slot)
-                    right.append(slot)
-                    prob.append(node["prob"])
-                else:
-                    feature.append(node["feature"])
-                    threshold.append(node["threshold"])
-                    left.append(base + node["left"])
-                    right.append(base + node["right"])
-                    prob.append(0.0)
-        self._feature = np.array(feature, dtype=np.intp)
-        self._threshold = np.array(threshold, dtype=np.float64)
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
-        self._prob = np.array(prob, dtype=np.float64)
-        self._roots = np.array(roots, dtype=np.intp)
+    sizes: np.ndarray
+    feature: np.ndarray
+    value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def predict_proba(self, X):
         """Mean positive-class probability over the trees.
@@ -304,19 +290,19 @@ class Forest:
         if X.shape[1] != self.n_features:
             raise SchemaMismatch(self.n_features, X.shape[1])
         n = len(X)
-        left, right = self._left, self._right
-        node = np.repeat(self._roots, n)  # pair t * n + row
+        left, right = self.left, self.right
+        node = np.repeat(np.cumsum(self.sizes) - self.sizes, n)  # pair t * n + row
         live = np.flatnonzero(left[node] != node)
         while live.size:
             at = node[live]
-            below = X[live % n, self._feature[at]] <= self._threshold[at]
+            below = X[live % n, self.feature[at]] <= self.value[at]
             step = np.where(below, left[at], right[at])
             node[live] = step
             live = live[left[step] != step]
         acc = np.zeros(n)
-        for leaf_probs in self._prob[node].reshape(len(self._roots), n):
+        for leaf_probs in self.value[node].reshape(len(self.sizes), n):
             acc += leaf_probs
-        return acc / len(self.trees)
+        return acc / len(self.sizes)
 
 
 def _finite(X):
@@ -376,7 +362,7 @@ def train_forest(samples, n_trees, rng_seed):
     per_class = max(len(idx0), len(idx1))
     k = max(1, int(math.sqrt(X.shape[1])))
     XT = np.ascontiguousarray(X.T)
-    trees = []
+    nodes, sizes = ([], [], [], []), []
     for t in range(n_trees):
         rng = np.random.default_rng(rng_seed + t)
         rows = np.concatenate(
@@ -385,8 +371,9 @@ def train_forest(samples, n_trees, rng_seed):
                 rng.choice(idx1, size=per_class, replace=True),
             ]
         )
-        trees.append(_grow_tree(XT, y, rows, rng, k))
-    return Forest(trees, n_trees, rng_seed, int(X.shape[1]))
+        sizes.append(_grow_tree(XT, y, rows, rng, k, nodes))
+    # lists of Python ints and of floats: int64 and float64 arrays
+    return Forest(n_trees, rng_seed, int(X.shape[1]), *map(np.array, (sizes, *nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,136 +406,142 @@ def predict_costs(node_forest, edge_forest, crag, node_feats, edge_feats):
 # JSON serialization
 
 
+_FOREST_LISTS = ("sizes", "feature", "value", "left", "right")
+_FOREST_KEYS = frozenset(("n_trees", "rng_seed", "n_features") + _FOREST_LISTS)
+
+
 def forest_to_json(forest):
+    """The forest as model.json holds it: its arrays as lists."""
     return {
         "n_trees": forest.n_trees,
         "rng_seed": forest.rng_seed,
         "n_features": forest.n_features,
-        "trees": [[dict(node) for node in nodes] for nodes in forest.trees],
+        **{key: getattr(forest, key).tolist() for key in _FOREST_LISTS},
     }
 
 
-_SPLIT_KEYS = ("feature", "threshold", "left", "right")
-_split_values = operator.itemgetter(*_SPLIT_KEYS)
-
-
-def _tree_from_json(nodes, n_features, where):
-    """A tree's node list, checked to be one that _grow_tree makes.
-
-    Each node is a leaf, with a prob in [0, 1] and no split key, or a
-    split on a feature below n_features.  Each child comes after its
-    split, and every node but the root is the child of exactly one
-    split, so the walk of Forest.predict_proba reaches a leaf.
+def _column(values, kind):
+    """A JSON list as an int64 (kind int) or float64 array, and the mask
+    of its entries that are no `kind`: a bool, an int beyond int64, an
+    int where a float belongs, any other value.  Those entries read 0.
     """
-    doc = "model.json"
-    json_value(doc, nodes, list, where)
-    if not nodes:
-        raise CmcError(f"{doc}: {where} has no node")
-    parents = [0] * len(nodes)
-    for slot, node in enumerate(nodes):
-        at = f"node {slot} of {where}"
-        if isinstance(node, dict) and "prob" in node:
-            prob = json_member(doc, node, "prob", float, at)
-            if not 0.0 <= prob <= 1.0:
-                raise CmcError(f"{doc}: {at} has prob {prob} outside [0, 1]")
-            if any(key in node for key in _SPLIT_KEYS):
-                raise CmcError(f"{doc}: {at} is both a leaf and a split")
-            continue
-        feature = json_member(doc, node, "feature", int, at)
-        json_member(doc, node, "threshold", float, at)
-        children = [json_member(doc, node, k, int, at) for k in ("left", "right")]
-        if not 0 <= feature < n_features:
-            raise CmcError(f"{doc}: {at} splits on feature {feature} of {n_features}")
-        if not all(slot < child < len(nodes) for child in children):
-            raise CmcError(f"{doc}: {at} has children {children} out of order")
-        for child in children:
-            parents[child] += 1
-    for slot, count in enumerate(parents[1:], start=1):
-        if count != 1:
-            raise CmcError(
-                f"{doc}: node {slot} of {where} is the child of {count} splits, not 1"
-            )
-    return nodes
-
-
-def _trees_as_grown(trees, n_features):
-    """Whether every tree in `trees` is shown valid, as _tree_from_json
-    would find it, by one type pass over all nodes and a few array
-    passes.
-
-    Only the trainer's own form is shown: every node a dict, a leaf a
-    float prob in [0, 1] and no other key, a split an int feature, left
-    and right and a float threshold.  False means "not shown", and the
-    caller checks node by node, which names the fault or accepts a valid
-    tree of another form, such as an int prob or an extra key.
-    """
-    if set(map(type, trees)) != {list} or not all(trees):
-        return False
-    nodes = list(itertools.chain.from_iterable(trees))
-    if set(map(type, nodes)) != {dict}:
-        return False
-    is_leaf = np.array(["prob" in node for node in nodes], dtype=bool)
-    leaves = list(itertools.compress(nodes, is_leaf))
-    try:
-        splits = list(map(_split_values, itertools.compress(nodes, ~is_leaf)))
-    except KeyError:
-        return False
-    probs = [node["prob"] for node in leaves]
-    feature, threshold, left, right = zip(*splits) if splits else ((),) * 4
-    if (
-        set(map(len, leaves)) != {1}
-        or set(map(type, probs + list(threshold))) != {float}
-        or not set(map(type, feature + left + right)) <= {int}
-    ):
-        return False
-    try:
-        feature = np.array(feature, dtype=np.int64)
-        children = np.array([left, right], dtype=np.int64)
-    except OverflowError:  # an int beyond int64
-        return False
-    sizes = np.array(list(map(len, trees)))
-    tree = np.repeat(np.arange(len(trees)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    slot = np.arange(len(nodes)) - starts[tree]
-    split_tree = tree[~is_leaf]
-    if not ((slot[~is_leaf] < children) & (children < sizes[split_tree])).all():
-        return False
-    parents = np.bincount((children + starts[split_tree]).ravel(), minlength=len(nodes))
-    probs, threshold = np.array(probs), np.array(threshold, dtype=np.float64)
-    return bool(
-        (parents[slot > 0] == 1).all()
-        and ((0.0 <= probs) & (probs <= 1.0)).all()
-        and np.isfinite(threshold).all()
-        and ((0 <= feature) & (feature < n_features)).all()
-    )
+    dtype = np.int64 if kind is int else np.float64
+    if set(map(type, values)) <= {kind}:
+        try:
+            return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
+        except OverflowError:  # an int beyond int64
+            pass
+    bad = [type(v) is not kind or (kind is int and not -(2**63) <= v < 2**63)
+           for v in values]
+    clean = [0 if b else v for v, b in zip(values, bad)]
+    return np.array(clean, dtype=dtype), np.array(bad, dtype=bool)
 
 
 def forest_from_json(obj, where="forest"):
     """Forest from its JSON form; malformed input raises CmcError.
 
-    The trees are checked in bulk (_trees_as_grown); only when that
-    does not show them valid are they checked node by node
-    (_tree_from_json), which names the first fault, tree by tree.
+    Every rule is one array pass over all nodes.  The fault named is the
+    first that a check node by node, in tree and slot order, meets: its
+    tree t, node s, and the first rule the node breaks.  A node's rules
+    read only its own entries and the splits before it, so a fault can
+    hide no earlier one.  Only the file forest_to_json writes is
+    accepted: ints where ints belong, floats as floats, and a leaf in one
+    form.  A forest of an older release, as node lists under 'trees', is
+    rejected by name.
     """
     doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
     n_trees = json_member(doc, obj, "n_trees", int, where)
-    trees = json_member(doc, obj, "trees", list, where)
-    # predict_proba averages over the trees: none would give NaN costs
-    if not trees:
-        raise CmcError(f"{doc}: {where} has no tree")
-    if len(trees) != n_trees:
-        raise CmcError(f"{doc}: {where} has {len(trees)} trees, not n_trees {n_trees}")
     # train_forest seeds numpy with it, which takes no negative seed
     rng_seed = json_member(doc, obj, "rng_seed", int, where)
     if rng_seed < 0:
         raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
-    if not _trees_as_grown(trees, n_features):
-        for t, nodes in enumerate(trees):
-            _tree_from_json(nodes, n_features, f"tree {t} of {where}")
-    return Forest(
-        trees=list(trees), n_trees=n_trees, rng_seed=rng_seed, n_features=n_features
+    if "trees" in obj:
+        raise CmcError(
+            f"{doc}: {where} holds 'trees', the node lists of an older release; "
+            "train the model again"
+        )
+    unknown = sorted(set(obj) - _FOREST_KEYS)
+    if unknown:
+        raise CmcError(f"{doc}: {where} has unknown key {unknown[0]!r}")
+    tree_sizes, *columns = (
+        json_member(doc, obj, key, list, where) for key in _FOREST_LISTS
     )
+    # predict_proba averages over the trees: none would give NaN costs
+    if not tree_sizes:
+        raise CmcError(f"{doc}: {where} has no tree")
+    if len(tree_sizes) != n_trees:
+        raise CmcError(
+            f"{doc}: {where} has {len(tree_sizes)} trees, not n_trees {n_trees}"
+        )
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        named = ", ".join(f"{k} {n}" for k, n in zip(_FOREST_LISTS[1:], lengths))
+        raise CmcError(f"{doc}: {where} has lists of unequal length: {named}")
+    sizes, bad = _column(tree_sizes, int)
+    bad |= sizes < 1
+    if bad.any():
+        t = int(bad.argmax())
+        raise CmcError(
+            f"{doc}: tree {t} of {where} has size {tree_sizes[t]!r}, not an int >= 1"
+        )
+    if sum(tree_sizes) != lengths[0]:
+        raise CmcError(
+            f"{doc}: {where} has tree sizes adding up to {sum(tree_sizes)}, "
+            f"not its {lengths[0]} nodes"
+        )
+    (feature, f_bad), (value, v_bad), (left, l_bad), (right, r_bad) = (
+        _column(column, kind) for column, kind in zip(columns, (int, float, int, int))
+    )
+    node = np.arange(len(value))
+    stop = np.cumsum(sizes)
+    end = np.repeat(stop, sizes)
+    leaf = left == node
+    children = np.stack([left, right])
+    in_order = (node < children) & (children < end)
+    parents = np.bincount(children[in_order & ~leaf], minlength=len(value))
+    # in the order they are tried at a node: the nodes that break each
+    # rule, and its message, where f, v, l and r are the node's entries as
+    # in the file and c its count of parents among the splits before it
+    rules = [
+        (f_bad, "has feature {f!r}, not an int"),
+        (v_bad, "has value {v!r}, not a float"),
+        (l_bad, "has left {l!r}, not an int"),
+        (r_bad, "has right {r!r}, not an int"),
+        (
+            leaf & ((feature != -1) | (right != node)),
+            "is a leaf (left is itself) with feature {f} and right {r}, "
+            "not -1 and itself",
+        ),
+        (
+            leaf & ~((0.0 <= value) & (value <= 1.0)),
+            "is a leaf with prob {v} outside [0, 1]",
+        ),
+        (
+            ~leaf & ((feature < 0) | (feature >= n_features)),
+            "splits on feature {f} of {n}",
+        ),
+        (~leaf & ~np.isfinite(value), "splits at threshold {v}, not a finite number"),
+        (
+            ~leaf & ~in_order.all(axis=0),
+            "has children {l} and {r}, not both after it in its tree",
+        ),
+        (
+            (node != end - np.repeat(sizes, sizes)) & (parents != 1),
+            "is the child of {c} splits, not 1",
+        ),
+    ]
+    broken = np.array([nodes for nodes, _ in rules])
+    if broken.any():
+        at = int(broken.any(axis=0).argmax())
+        t = int(np.searchsorted(stop, at, side="right"))
+        entries = dict(zip("fvlr", (column[at] for column in columns)))
+        _, message = rules[int(broken[:, at].argmax())]
+        raise CmcError(
+            f"{doc}: tree {t}, node {at - stop[t] + sizes[t]} of {where} "
+            + message.format(**entries, c=parents[at], n=n_features)
+        )
+    return Forest(n_trees, rng_seed, n_features, sizes, feature, value, left, right)
 
 
 def costs_to_json(costs):

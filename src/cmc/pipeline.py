@@ -9,7 +9,7 @@ rng_seed+n_trees, so the two never share a per-tree stream.
 import contextlib
 import functools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .costmodel import (
     best_effort,
@@ -41,10 +41,6 @@ class PipelineConfig:
     mode: str = "full"
     ignore_background: bool = True
     time_limit: float = None
-
-
-def config_to_json(config):
-    return asdict(config)
 
 
 # JSON kind of each config field, and the fields that may be null because

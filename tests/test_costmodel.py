@@ -39,6 +39,9 @@ from util import (
     MALFORMED_FOREST,
     json_with,
     leaf_image,
+    malformed_forest,
+    node_lists,
+    old_model_json,
     pixels_of,
     quad_crag,
     quad_gt,
@@ -217,7 +220,7 @@ def test_forest_deterministic():
     X, y = separable_samples(n=30, noise=0.3, seed=4)
     a = train_forest((X, y), n_trees=6, rng_seed=9)
     b = train_forest((X, y), n_trees=6, rng_seed=9)
-    assert a.trees == b.trees
+    assert forest_to_json(a) == forest_to_json(b)
     probe = np.random.default_rng(1).random((10, 5))
     assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe))
 
@@ -317,7 +320,7 @@ def test_trees_equal_the_per_row_grower(case):
     # one overflows; train_forest's Python floats do not
     with np.errstate(over="ignore"):
         want = ref_train_forest((X, y), n_trees, rng_seed)
-    assert train_forest((X, y), n_trees, rng_seed).trees == want
+    assert node_lists(train_forest((X, y), n_trees, rng_seed)) == want
 
 
 def test_threshold_falls_back_to_the_lower_value():
@@ -326,19 +329,28 @@ def test_threshold_falls_back_to_the_lower_value():
     for lo, hi in ((1.0000000000000002, 1.0000000000000004),
                    (1.5e308, 1.7976931348623157e308)):
         forest = train_forest(([[lo], [hi]], [0, 1]), n_trees=1, rng_seed=0)
-        assert forest.trees[0][0]["threshold"] == lo
+        assert node_lists(forest)[0][0]["threshold"] == lo
+
+
+def _sha256_of_json(obj):
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_pipeline_256_model_is_pinned():
-    """The model.json text of the pipeline-256 benchmark set-up at
-    workload seed 1 (training images from seed 1002); a change to any
-    split or leaf, or to the features it is trained on, moves this
-    digest."""
+    """The model of the pipeline-256 benchmark set-up at workload seed 1
+    (training images from seed 1002); a change to any split or leaf, or
+    to the features it is trained on, moves these digests.  The first is
+    of the node-list model.json text that releases before the array form
+    wrote, rebuilt by node_lists: the trees are the ones grown then.  The
+    second is of the model.json text written now."""
     train = generate_synthetic(2, 12, 1.0, 1002, image_size=256)
     model = train_model(train, PipelineConfig())
-    text = json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert _sha256_of_json(old_model_json(model)) == (
         "5535bed5060cb96869df2aeb47f82c3cf21305986afb8f87b95a9281f8e5735a"
+    )
+    assert _sha256_of_json(model_to_json(model)) == (
+        "902ea3efb99eef15482ca0a0f0b0989bf56db141ce1abd581ac4763ed8d0af19"
     )
 
 
@@ -377,38 +389,25 @@ def test_forest_json_roundtrip():
     back = forest_from_json(json.loads(json.dumps(forest_to_json(forest))))
     assert back.n_trees == forest.n_trees
     assert back.n_features == forest.n_features
-    assert back.trees == forest.trees
+    assert forest_to_json(back) == forest_to_json(forest)
     probe = np.random.default_rng(2).random((20, 5))
     assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
 
 
-def test_trained_forests_load_without_the_node_by_node_check(monkeypatch):
-    """The bulk check shows a forest as written by the trainer valid, so
-    loading it runs no per-node loop; the loop only names faults."""
-    X, y = separable_samples(n=24, noise=0.25, seed=8)
-    forest = train_forest((X, y), n_trees=4, rng_seed=5)
-    obj = json.loads(json.dumps(forest_to_json(forest)))
-
-    def fail(*args):
-        raise AssertionError("checked node by node")
-
-    monkeypatch.setattr(costmodel, "_tree_from_json", fail)
-    assert forest_from_json(obj) == forest
-
-
 def test_editing_forest_to_json_leaves_the_forest_alone():
-    """forest_to_json returns copies: edits of its trees and nodes change
-    neither the forest's JSON nor its predictions, and the predictions
-    still follow forest.trees."""
+    """forest_to_json returns copies: edits of its lists change neither
+    the forest's JSON nor its predictions, and the predictions still
+    follow the forest's trees."""
     X, y = separable_samples(n=24, noise=0.25, seed=8)
     forest = train_forest((X, y), n_trees=4, rng_seed=5)
     probe = np.random.default_rng(2).random((20, 5))
     before, want = json.dumps(forest_to_json(forest)), forest.predict_proba(probe)
     obj = forest_to_json(forest)
-    obj["trees"][0] = [{"prob": 0.5}]
-    assert "prob" in obj["trees"][1][-1]
-    obj["trees"][1][-1]["prob"] = 1.0 - obj["trees"][1][-1]["prob"]
-    obj["trees"][2].append({"prob": 1.0})
+    assert obj["left"][-1] == len(obj["left"]) - 1
+    obj["value"][-1] = 1.0 - obj["value"][-1]
+    obj["feature"][0] = 4
+    obj["left"].append(0)
+    obj["sizes"][0] = 1
     assert json.dumps(forest_to_json(forest)) == before
     assert np.array_equal(forest.predict_proba(probe), want)
     assert np.array_equal(want, ref_predict_proba(forest, probe))
@@ -416,17 +415,18 @@ def test_editing_forest_to_json_leaves_the_forest_alone():
 
 def ref_predict_proba(forest, X):
     """The per-tree reference walk, summed tree by tree in tree order."""
+    trees = node_lists(forest)
     acc = np.zeros(len(X))
-    for nodes in forest.trees:
+    for nodes in trees:
         acc += ref_tree_predict(nodes, X)
-    return acc / len(forest.trees)
+    return acc / len(trees)
 
 
 def on_thresholds(forest, rng, n):
     """n rows whose every value is a split threshold of its column, so
     each row meets some split exactly at its threshold."""
     by_column = {}
-    for nodes in forest.trees:
+    for nodes in node_lists(forest):
         for node in nodes:
             if "feature" in node:
                 by_column.setdefault(node["feature"], []).append(node["threshold"])
@@ -446,12 +446,19 @@ def test_flat_walk_equals_the_per_tree_walk():
         X = rng.integers(0, 4, size=(60, 6)).astype(np.float64)
         y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=60) > 4).astype(np.int64)
         forests.append((train_forest((X, y), n_trees=25, rng_seed=k), X))
-    obj = json.loads(json.dumps(forest_to_json(forests[0][0])))
-    obj["trees"][0] = [{"prob": 0.25}]
-    obj["trees"][3] = [{"prob": 1}]
+    # the first forest between two single-leaf trees
+    obj = forest_to_json(forests[0][0])
+    last = len(obj["value"]) + 1
+    obj["n_trees"] += 2
+    obj["sizes"] = [1, *obj["sizes"], 1]
+    obj["feature"] = [-1, *obj["feature"], -1]
+    obj["value"] = [0.25, *obj["value"], 1.0]
+    for key in ("left", "right"):
+        obj[key] = [0, *(v + 1 for v in obj[key]), last]
     forests.append((forest_from_json(obj), forests[0][1]))
-    leaves = {"n_trees": 3, "rng_seed": 0, "n_features": 6,
-              "trees": [[{"prob": 0.1}], [{"prob": 0.7}], [{"prob": 0.3}]]}
+    leaves = {"n_trees": 3, "rng_seed": 0, "n_features": 6, "sizes": [1, 1, 1],
+              "feature": [-1, -1, -1], "value": [0.1, 0.7, 0.3],
+              "left": [0, 1, 2], "right": [0, 1, 2]}
     forests.append((forest_from_json(leaves), forests[0][1]))
     for forest, X in forests:
         for probe in (X, on_thresholds(forest, rng, 200), X[:1], X[:0]):
@@ -461,11 +468,9 @@ def test_flat_walk_equals_the_per_tree_walk():
 
 
 def test_a_row_on_the_threshold_goes_left():
-    obj = {"n_trees": 1, "rng_seed": 0, "n_features": 1, "trees": [[
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-        {"prob": 0.0},
-        {"prob": 1.0},
-    ]]}
+    obj = {"n_trees": 1, "rng_seed": 0, "n_features": 1, "sizes": [3],
+           "feature": [0, -1, -1], "value": [0.5, 0.0, 1.0],
+           "left": [1, 1, 2], "right": [2, 1, 2]}
     forest = forest_from_json(obj)
     assert forest.predict_proba([[0.5], [np.nextafter(0.5, 1)]]).tolist() == [0.0, 1.0]
 
@@ -474,12 +479,17 @@ def test_a_row_on_the_threshold_goes_left():
 def test_malformed_forest_json_rejected(case):
     X, y = separable_samples(n=24, noise=0.25, seed=8)
     obj = forest_to_json(train_forest((X, y), n_trees=2, rng_seed=5))
-    assert "feature" in obj["trees"][0][0] and "prob" in obj["trees"][0][-1]
-    assert obj["trees"][0][0]["left"] == 1
-    broken = json_with(obj, *MALFORMED_FOREST[case])
+    assert obj["sizes"] == [3, 3] and obj["feature"][4:] == [-1, -1]
+    assert obj["left"] == [1, 1, 2, 4, 4, 5] and obj["right"] == [2, 1, 2, 5, 4, 5]
+    broken = malformed_forest(obj, case)
     with pytest.raises(CmcError, match="model.json"):
         forest_from_json(broken)
-    assert isinstance(same_outcome(forest_from_json, ref_forest_from_json, broken), CmcError)
+    outcome = same_outcome(
+        lambda o: forest_to_json(forest_from_json(o)),
+        lambda o: forest_to_json(ref_forest_from_json(o)),
+        broken,
+    )
+    assert isinstance(outcome, CmcError)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmc.cli import main
-from cmc.costmodel import costs_from_json, costs_to_json
+from cmc.costmodel import (
+    costs_from_json,
+    costs_to_json,
+    forest_from_json,
+    forest_to_json,
+)
 from cmc.crag import (
     crag_from_json,
     crag_to_json,
@@ -459,8 +464,17 @@ def _cli_costs_on_model(text):
 @given(_mutated_model())
 def test_mutated_model_loads_or_raises_cmc_error(obj):
     """As the node-by-node loader does: the same CmcError class and
-    message, or an equal model."""
-    same_outcome(model_from_json, _ref_model_from_json, json.loads(_text(obj)))
+    message, or an equal model.  A model that loads writes back the
+    forests it was read from."""
+    obj = json.loads(_text(obj))
+    outcome = same_outcome(
+        lambda o: model_to_json(model_from_json(o)),
+        lambda o: model_to_json(_ref_model_from_json(o)),
+        obj,
+    )
+    if not isinstance(outcome, CmcError):
+        for key in ("node_forest", "edge_forest"):
+            assert forest_to_json(forest_from_json(obj[key], key)) == obj[key]
 
 
 def _ref_model_from_json(obj):

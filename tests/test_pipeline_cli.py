@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,6 @@ from cmc.pipeline import (
     PipelineConfig,
     build_graph,
     config_from_json,
-    config_to_json,
     dump_json,
     model_from_json,
     model_to_json,
@@ -45,8 +45,9 @@ from cmc.synth import generate_synthetic
 
 from util import (
     MALFORMED_FOREST,
-    json_with,
     leaf_image,
+    malformed_forest,
+    old_model_json,
     pixel_grid_crag,
     quad_costs,
     quad_crag,
@@ -75,7 +76,7 @@ def test_config_json_roundtrip():
         ignore_background=False,
         time_limit=2.0,
     )
-    assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
+    assert config_from_json(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
     with pytest.raises(CmcError):
         config_from_json({"seed_threshold": 0.5, "n_neighbors": 3})
 
@@ -208,8 +209,9 @@ MALFORMED_STAGE_INPUT = {
     ),
     "model with an empty forest": (
         "model.json",
-        {"node_forest": {"n_trees": 0, "rng_seed": 0, "n_features": 147, "trees": []},
-         "edge_forest": {"n_trees": 0, "rng_seed": 0, "n_features": 592, "trees": []}},
+        {key: {"n_trees": 0, "rng_seed": 0, "n_features": 147, "sizes": [],
+               "feature": [], "value": [], "left": [], "right": []}
+         for key in ("node_forest", "edge_forest")},
         "costs",
         "no tree",
     ),
@@ -264,12 +266,29 @@ def test_cli_costs_rejects_malformed_forest(case, tmp_path, capsys):
     model = json.loads((tmp_path / "model.json").read_text())
     X = [[0.1] * 5, [0.9] * 5] * 4
     forest = forest_to_json(train_forest((X, [0, 1] * 4), n_trees=2, rng_seed=5))
-    model["node_forest"] = json_with(forest, *MALFORMED_FOREST[case])
+    model["node_forest"] = malformed_forest(forest, case)
     (tmp_path / "model.json").write_text(json.dumps(model))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model.json" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_old_node_list_model_rejected(tmp_path, capsys):
+    """A model.json of the node-list form that earlier releases wrote is
+    rejected by name, in the library and by cmc costs."""
+    files = staged_quad_files(tmp_path)
+    model = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+    old = json.loads(json.dumps(old_model_json(model)))
+    with pytest.raises(CmcError, match=r"^model\.json: node_forest holds 'trees'"):
+        model_from_json(old)
+    (tmp_path / "model.json").write_text(json.dumps(old))
+    out = tmp_path / "costs.json"
+    out.unlink()
+    assert main(["costs", "--model", files["model.json"], "--crag", files["crag.json"],
+                 "--features", files["features.json"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: model.json: node_forest holds 'trees'")
+    assert not out.exists()
 
 
 def test_run_pipeline_persists_intermediates(tmp_path):

@@ -538,62 +538,126 @@ def ref_crag_from_json(obj, doc="crag.json"):
         raise _named(doc, exc)
 
 
-def _ref_tree_from_json(nodes, n_features, where):
-    """A tree's node list, checked node by node to be one that the
-    trainer makes."""
-    doc = "model.json"
-    json_value(doc, nodes, list, where)
-    if not nodes:
-        raise CmcError(f"{doc}: {where} has no node")
-    parents = [0] * len(nodes)
-    for slot, node in enumerate(nodes):
-        at = f"node {slot} of {where}"
-        if isinstance(node, dict) and "prob" in node:
-            prob = json_member(doc, node, "prob", float, at)
-            if not 0.0 <= prob <= 1.0:
-                raise CmcError(f"{doc}: {at} has prob {prob} outside [0, 1]")
-            if any(key in node for key in ("feature", "threshold", "left", "right")):
-                raise CmcError(f"{doc}: {at} is both a leaf and a split")
-            continue
-        feature = json_member(doc, node, "feature", int, at)
-        json_member(doc, node, "threshold", float, at)
-        children = [json_member(doc, node, k, int, at) for k in ("left", "right")]
-        if not 0 <= feature < n_features:
-            raise CmcError(f"{doc}: {at} splits on feature {feature} of {n_features}")
-        if not all(slot < child < len(nodes) for child in children):
-            raise CmcError(f"{doc}: {at} has children {children} out of order")
-        for child in children:
-            parents[child] += 1
-    for slot, count in enumerate(parents[1:], start=1):
-        if count != 1:
-            raise CmcError(
-                f"{doc}: node {slot} of {where} is the child of {count} splits, not 1"
-            )
-    return nodes
+def node_lists(forest):
+    """The trees of a Forest as the node lists that model.json held
+    before its array form: per tree, a leaf {"prob": p} or a split
+    {"feature", "threshold", "left", "right"}, its children numbered
+    within the tree."""
+    trees, start = [], 0
+    for size in forest.sizes.tolist():
+        nodes = []
+        for i in range(start, start + size):
+            if forest.left[i] == i:
+                nodes.append({"prob": float(forest.value[i])})
+            else:
+                nodes.append({
+                    "feature": int(forest.feature[i]),
+                    "threshold": float(forest.value[i]),
+                    "left": int(forest.left[i]) - start,
+                    "right": int(forest.right[i]) - start,
+                })
+        trees.append(nodes)
+        start += size
+    return trees
+
+
+def old_model_json(model):
+    """A model as the node-list model.json that releases before the
+    array form wrote."""
+    return {
+        key: {
+            "n_trees": forest.n_trees,
+            "rng_seed": forest.rng_seed,
+            "n_features": forest.n_features,
+            "trees": node_lists(forest),
+        }
+        for key, forest in model.items()
+    }
+
+
+def _ref_is_int(value):
+    return type(value) is int and -(2**63) <= value < 2**63
 
 
 def ref_forest_from_json(obj, where="forest"):
-    """forest_from_json checking every node of every tree one by one,
-    with json_member, in tree and node order."""
+    """forest_from_json checking the lists entry by entry: the sizes in
+    tree order, then every node in tree and slot order, each node's
+    entries with Python scalars and its parents counted over the splits
+    before it."""
     doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
     n_trees = json_member(doc, obj, "n_trees", int, where)
-    trees = json_member(doc, obj, "trees", list, where)
-    if not trees:
-        raise CmcError(f"{doc}: {where} has no tree")
-    if len(trees) != n_trees:
-        raise CmcError(f"{doc}: {where} has {len(trees)} trees, not n_trees {n_trees}")
     rng_seed = json_member(doc, obj, "rng_seed", int, where)
     if rng_seed < 0:
         raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
+    if "trees" in obj:
+        raise CmcError(
+            f"{doc}: {where} holds 'trees', the node lists of an older release; "
+            "train the model again"
+        )
+    keys = ("n_trees", "rng_seed", "n_features", "sizes", "feature", "value", "left", "right")
+    for key in sorted(obj):
+        if key not in keys:
+            raise CmcError(f"{doc}: {where} has unknown key {key!r}")
+    sizes, feature, value, left, right = (
+        json_member(doc, obj, key, list, where) for key in keys[3:]
+    )
+    if not sizes:
+        raise CmcError(f"{doc}: {where} has no tree")
+    if len(sizes) != n_trees:
+        raise CmcError(f"{doc}: {where} has {len(sizes)} trees, not n_trees {n_trees}")
+    if not len(feature) == len(value) == len(left) == len(right):
+        raise CmcError(
+            f"{doc}: {where} has lists of unequal length: feature {len(feature)}, "
+            f"value {len(value)}, left {len(left)}, right {len(right)}"
+        )
+    for t, size in enumerate(sizes):
+        if not (_ref_is_int(size) and size >= 1):
+            raise CmcError(f"{doc}: tree {t} of {where} has size {size!r}, not an int >= 1")
+    if sum(sizes) != len(feature):
+        raise CmcError(
+            f"{doc}: {where} has tree sizes adding up to {sum(sizes)}, "
+            f"not its {len(feature)} nodes"
+        )
+    parents = [0] * len(feature)
+    start = 0
+    for t, size in enumerate(sizes):
+        for i in range(start, start + size):
+            at = f"{doc}: tree {t}, node {i - start} of {where}"
+            f, v, l, r = feature[i], value[i], left[i], right[i]
+            if not _ref_is_int(f):
+                raise CmcError(f"{at} has feature {f!r}, not an int")
+            if type(v) is not float:
+                raise CmcError(f"{at} has value {v!r}, not a float")
+            if not _ref_is_int(l):
+                raise CmcError(f"{at} has left {l!r}, not an int")
+            if not _ref_is_int(r):
+                raise CmcError(f"{at} has right {r!r}, not an int")
+            if l == i:
+                if f != -1 or r != i:
+                    raise CmcError(
+                        f"{at} is a leaf (left is itself) with feature {f} and right {r},"
+                        " not -1 and itself"
+                    )
+                if not 0.0 <= v <= 1.0:
+                    raise CmcError(f"{at} is a leaf with prob {v} outside [0, 1]")
+            else:
+                if not 0 <= f < n_features:
+                    raise CmcError(f"{at} splits on feature {f} of {n_features}")
+                if not math.isfinite(v):
+                    raise CmcError(f"{at} splits at threshold {v}, not a finite number")
+                if not (i < l < start + size and i < r < start + size):
+                    raise CmcError(
+                        f"{at} has children {l} and {r}, not both after it in its tree"
+                    )
+            if i > start and parents[i] != 1:
+                raise CmcError(f"{at} is the child of {parents[i]} splits, not 1")
+            if l != i:
+                parents[l] += 1
+                parents[r] += 1
+        start += size
     return Forest(
-        trees=[
-            _ref_tree_from_json(nodes, n_features, f"tree {t} of {where}")
-            for t, nodes in enumerate(trees)
-        ],
-        n_trees=n_trees,
-        rng_seed=rng_seed,
-        n_features=n_features,
+        n_trees, rng_seed, n_features, *map(np.array, (sizes, feature, value, left, right))
     )
 
 
@@ -618,6 +682,7 @@ def same_outcome(load, reference, obj):
         labels = got.leaf_labels()
         assert labels.dtype == np.int64 and not labels.flags.writeable
         assert np.array_equal(labels, want.leaf_labels())
+    return want
     return want
 
 
@@ -956,39 +1021,65 @@ def json_with(obj, path, value):
     return obj
 
 
-# (path into a forest's JSON, the value put there); the forest has 5
-# features, and tree 0 splits at its root into nodes 1 and 2 and ends
-# in a leaf
+def _hand_forest(feature, value, left, right):
+    """Edits that replace a forest's trees with one tree of these lists."""
+    lists = {"feature": feature, "value": value, "left": left, "right": right}
+    return [(("n_trees",), 1), (("sizes",), [len(feature)])] + [
+        ((key,), column) for key, column in lists.items()
+    ]
+
+
+# case -> its edits, each (path into a forest's JSON, the value put
+# there).  The forest has 5 features and two trees of 3 nodes: node 0
+# splits into the leaves 1 and 2, node 3 into the leaves 4 and 5.  Cases
+# named for the node-list form edit the column of what they broke.
 MALFORMED_FOREST = {
-    "no trees": (("trees",), DELETE),
-    "trees not a list": (("trees",), {}),
-    "empty tree": (("trees", 0), []),
-    "no tree at all": (("trees",), []),
-    "fewer trees than n_trees": (("n_trees",), 3),
-    "string n_features": (("n_features",), "5"),
-    "boolean rng_seed": (("rng_seed",), True),
-    "negative rng_seed": (("rng_seed",), -1),
-    "node not an object": (("trees", 0, 0), 3),
-    "split without threshold": (("trees", 0, 0, "threshold"), DELETE),
-    "string threshold": (("trees", 0, 0, "threshold"), "0.5"),
-    "feature out of range": (("trees", 0, 0, "feature"), 5),
-    "child before parent": (("trees", 0, 0, "left"), 0),
-    "child past the end": (("trees", 0, 0, "right"), 10**6),
-    "child named twice by one split": (("trees", 0, 0, "right"), 1),
-    "child of two splits": (("trees", 0), [
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-        {"feature": 1, "threshold": 0.5, "left": 2, "right": 3},
-        {"prob": 0.0},
-        {"prob": 1.0},
-    ]),
-    "node no split names": (("trees", 0), [
-        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2},
-        {"prob": 0.0},
-        {"prob": 1.0},
-        {"prob": 1.0},
-    ]),
-    "leaf with a feature": (("trees", 0, -1, "feature"), 0),
-    "NaN probability": (("trees", 0, -1, "prob"), float("nan")),
-    "probability above 1": (("trees", 0, -1, "prob"), 1.5),
-    "negative probability": (("trees", 0, -1, "prob"), -3.0),
+    "no trees": [(("sizes",), DELETE)],
+    "trees not a list": [(("sizes",), {})],
+    "empty tree": _hand_forest([], [], [], []),
+    "no tree at all": [(("sizes",), [])],
+    "fewer trees than n_trees": [(("n_trees",), 3)],
+    "more trees than n_trees": [(("n_trees",), 1)],
+    "string n_features": [(("n_features",), "5")],
+    "boolean rng_seed": [(("rng_seed",), True)],
+    "negative rng_seed": [(("rng_seed",), -1)],
+    "node not an object": [(("left", 0), {})],
+    "split without threshold": [(("value",), DELETE)],
+    "string threshold": [(("value", 0), "0.5")],
+    "infinite threshold": [(("value", 0), float("inf"))],
+    "feature out of range": [(("feature", 0), 5)],
+    "child before parent": [(("left", 3), 2)],
+    "child past the end": [(("right", 0), 10**6)],
+    "child outside its tree": [(("right", 0), 3)],
+    "child named twice by one split": [(("right", 0), 1)],
+    "child of two splits": _hand_forest(
+        [0, 1, -1, -1], [0.5, 0.5, 0.0, 1.0], [1, 2, 2, 3], [2, 3, 2, 3]
+    ),
+    "node no split names": _hand_forest(
+        [0, -1, -1, -1], [0.5, 0.0, 1.0, 1.0], [1, 1, 2, 3], [2, 1, 2, 3]
+    ),
+    "leaf with a feature": [(("feature", -1), 0)],
+    "leaf with another right": [(("right", -1), 4)],
+    "NaN probability": [(("value", -1), float("nan"))],
+    "probability above 1": [(("value", -1), 1.5)],
+    "negative probability": [(("value", -1), -3.0)],
+    "int probability": [(("value", -1), 1)],
+    "unequal list lengths": [(("left", -1), DELETE)],
+    "sizes that do not add up": [(("sizes", 1), 4)],
+    "sizes that fall short": [(("sizes", 1), 2)],
+    "tree of size 0": [(("sizes", 0), 0)],
+    "bool in an int list": [(("feature", 0), True)],
+    "int beyond int64": [(("left", 0), 2**63)],
+    "list not a list": [(("left",), 3)],
+    "unknown key": [(("extra",), 0)],
+    # the rule tried first at a node is the one named
+    "split with two faults": [(("feature", 0), "x"), (("value", 0), "y")],
+    "leaf with two faults": [(("feature", -1), 0), (("value", -1), 1.5)],
 }
+
+
+def malformed_forest(obj, case):
+    """A forest's JSON with the edits of MALFORMED_FOREST[case]."""
+    for path, value in MALFORMED_FOREST[case]:
+        obj = json_with(obj, path, value)
+    return obj
