@@ -147,18 +147,24 @@ def train_model(triples, config):
     return train_from_instances(instances, config.n_trees, config.rng_seed)
 
 
+_MODEL_KEYS = ("node_forest", "edge_forest")
+
+
 def model_to_json(model):
-    return {
-        "node_forest": forest_to_json(model["node_forest"]),
-        "edge_forest": forest_to_json(model["edge_forest"]),
-    }
+    return {key: forest_to_json(model[key]) for key in _MODEL_KEYS}
 
 
 def model_from_json(obj):
-    """Model from its JSON form; malformed input raises CmcError."""
+    """Model from its JSON form; malformed input raises CmcError.  The
+    object holds the two forests and nothing else, as model_to_json
+    writes it."""
+    if isinstance(obj, dict):
+        unknown = set(obj) - set(_MODEL_KEYS)
+        if unknown:
+            raise CmcError(f"model.json: unknown model keys: {sorted(unknown)}")
     return {
         key: forest_from_json(json_member("model.json", obj, key, dict, "model"), key)
-        for key in ("node_forest", "edge_forest")
+        for key in _MODEL_KEYS
     }
 
 

@@ -13,7 +13,11 @@ comparison below is exact and independent of the order of summation.
 The program is solved by depth-first branch-and-bound with unit
 propagation (_dfs).  Its bound is the partial objective plus every
 negative cost still open, less what the merge forest rules out
-(_State.forest_gap).
+(_State.forest_gap).  That bound charges each attractive merge (g < 0)
+to one end of its edge, its owner: the end of larger selection cost
+(_forest).  A merge needs both ends selected (m_e <= y_i, m_e <= y_j),
+so either end is a valid owner; only an end of positive cost can absorb
+the reward, so the costlier one is chosen.
 
 The overlap and incidence constraints only ever force one literal from
 another, so they propagate as implication lists (_implications) with no
@@ -203,9 +207,10 @@ class _State:
 
         `bound` counts every negative cost of an unassigned variable as
         taken.  But at most one selection per root-to-leaf path of the
-        merge forest holds, and a merge needs the candidate that owns its
-        edge selected, so the free selections can gain at most the best
-        antichain of max(0, -(c_y + their owned negative merge costs)).
+        merge forest holds, and a merge needs both ends of its edge
+        selected, so also the end that owns it (_forest): the free
+        selections can gain at most the best antichain of
+        max(0, -(c_y + their owned negative merge costs)).
         The gap is what `bound` takes beyond that antichain; it is >= 0.
         """
         value, costs = self.value, self.costs
@@ -534,14 +539,19 @@ def _forest(crag, var_y, var_m, costs):
 
     entries lists (y, child entries, rewards) in post-order, where y is
     a candidate's selection variable and rewards are the merges of
-    negative cost that it owns (an edge's merge is owned by its first
-    candidate); roots indexes the root entries.  A candidate without a
-    variable hands its place in its parent to its children's entries.
+    negative cost that it owns; roots indexes the root entries.  A
+    candidate without a variable hands its place in its parent to its
+    children's entries.
+
+    A merge is owned by the end of its edge whose lexed selection cost
+    is larger.  Either end would give a valid bound, since the merge
+    needs both selected; the costlier end is the one whose cost can
+    absorb the reward.  Lexed costs are distinct, so no two ends tie.
     """
     owned = {i: [] for i in var_y}
-    for e, v in var_m.items():
+    for (i, j), v in var_m.items():
         if costs[v] < 0:
-            owned[e[0]].append(v)
+            owned[i if costs[var_y[i]] > costs[var_y[j]] else j].append(v)
     entries, stands_for = [], {}
     roots = crag.roots()
     # (candidate, its children done, an entry above it)

@@ -291,6 +291,29 @@ def test_old_node_list_model_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["extra"], ["edge_forests", "node"]])
+def test_unknown_model_keys_rejected(tmp_path, capsys, extra):
+    """A member beside the two forests, a misspelled forest key among
+    them, used to load and be dropped on writing; it is rejected by name,
+    in the library and by cmc costs, as the forests' own unknown keys
+    are."""
+    files = staged_quad_files(tmp_path)
+    obj = json.loads((tmp_path / "model.json").read_text())
+    for key in extra:
+        obj[key] = obj["edge_forest"]
+    message = f"model.json: unknown model keys: {sorted(extra)}"
+    with pytest.raises(CmcError) as info:
+        model_from_json(obj)
+    assert str(info.value) == message
+    (tmp_path / "model.json").write_text(json.dumps(obj))
+    out = tmp_path / "costs.json"
+    out.unlink()
+    assert main(["costs", "--model", files["model.json"], "--crag", files["crag.json"],
+                 "--features", files["features.json"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_pipeline_persists_intermediates(tmp_path):
     raw, boundary, gt = easy_triple()
     cfg = small_config()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmc import solver
-from cmc.costmodel import CostTable, probability_to_cost
+from cmc.costmodel import CostTable, predict_costs, probability_to_cost
 from cmc.crag import (
     Candidate,
     Solution,
@@ -19,7 +19,8 @@ from cmc.crag import (
     validate_solution,
 )
 from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
-from cmc.pipeline import PipelineConfig, build_graph
+from cmc.features import compute_features
+from cmc.pipeline import PipelineConfig, build_graph, train_model
 from cmc.solver import (
     BRUTE_FORCE_LIMIT,
     _build,
@@ -279,18 +280,27 @@ def test_forest_gap_on_quad():
 def test_forest_gap_bounds_every_completion():
     """bound + forest_gap never exceeds the lexed cost of any assignment
     that satisfies the rows of the mode's program and agrees with the
-    variables set so far."""
+    variables set so far.  Each attractive merge is charged to the end of
+    its edge of larger lexed cost (_forest); the instances charge merges
+    to both the first and the second end."""
     rng = np.random.default_rng(99)
     checked = 0
-    while checked < 15:
+    charged_to = {"first": 0, "second": 0}
+    while checked < 60:
         crag = random_crag(rng, budget=14)
         costs = random_costs(rng, crag)
         if len(crag.ids()) + len(crag.adjacency) > 14:
             continue
         checked += 1
         for mode in MODES:
-            var_y, var_m = _variables(crag, mode)
-            n = len(var_y) + len(var_m)
+            var_y, var_m, root = _build(crag, costs, mode)
+            n = root.n
+            ends = {m: (var_y[i], var_y[j]) for (i, j), m in var_m.items()}
+            for y, _, rewards in root.forest:
+                for m in rewards:
+                    assert root.costs[m] < 0
+                    assert y == max(ends[m], key=root.costs.__getitem__)
+                    charged_to["first" if y == ends[m][0] else "second"] += 1
             rows = explicit_rows(crag, var_y, var_m, [])
             matrix = np.zeros((len(rows), n))
             for r, (cmap, _) in enumerate(rows):
@@ -300,7 +310,7 @@ def test_forest_gap_bounds_every_completion():
             bits = np.array(list(itertools.product((0, 1), repeat=n)))
             feasible = (bits @ matrix.T <= bounds).all(axis=1)
             # k/1024 costs: the lexed ints stay far below 2**63
-            values = bits @ np.array(_state(crag, costs, mode).costs)
+            values = bits @ np.array(root.costs)
             for _ in range(4):
                 state = _state(crag, costs, mode)
                 for v in rng.permutation(n).tolist():
@@ -315,6 +325,7 @@ def test_forest_gap_bounds_every_completion():
                         v, int(rng.integers(2))
                     ):
                         break
+    assert min(charged_to.values()) >= 20, charged_to
 
 
 def test_separation_on_triangle():
@@ -715,11 +726,13 @@ def _larger_instances():
 
 
 def test_search_tree_is_pinned(monkeypatch):
-    """The digest test's 441 solves visit 5766 clock ticks in all, one
-    search each with path cuts at its leaves.  The cutting-plane loop
-    that restarted the search each round visited 7403, on the same tree
-    per round whether constraints were kept as slack rows or as
-    implication lists."""
+    """The digest test's 441 solves visit 5295 clock ticks in all, one
+    search each with path cuts at its leaves.  They visited 5766 while
+    the merge forest charged each attractive merge to its edge's first
+    end rather than to the end of larger selection cost (_forest).  The
+    cutting-plane loop that restarted the search each round visited
+    7403, on the same tree per round whether constraints were kept as
+    slack rows or as implication lists."""
     clocks = []
 
     class Clock(solver._Clock):
@@ -732,7 +745,7 @@ def test_search_tree_is_pinned(monkeypatch):
         for mode in MODES:
             solve(crag, costs, mode=mode)
     assert len(clocks) == 441
-    assert sum(clock.ticks for clock in clocks) == 5766
+    assert sum(clock.ticks for clock in clocks) == 5295
 
 
 # ---------------------------------------------------------------------------
@@ -1106,6 +1119,44 @@ def test_timeout_keeps_the_best_feasible_incumbent():
     assert sol.optimal is False
     assert validate_solution(crag, sol) == []
     assert sol.objective < 0.0
+
+
+@pytest.fixture(scope="module")
+def over_segmented():
+    """The over-segmenting setting of ROADMAP's full-mode sweep (256 px,
+    12 cells, noise 1.0, seed threshold 0.15, at most 5 merges) and its
+    model, trained on two images of seed 1."""
+    config = PipelineConfig(seed_threshold=0.15, max_merges=5)
+    return config, train_model(generate_synthetic(2, 12, 1.0, 1, image_size=256), config)
+
+
+@pytest.mark.parametrize(
+    "seed, image, ticks, objective",
+    [
+        (3, 0, 4821, -65.493229474499),
+        (4, 2, 847, -63.145980638554),
+        (4, 7, 17049, -59.142616796777),
+    ],
+)
+def test_over_segmented_images_prove(over_segmented, seed, image, ticks, objective):
+    """The sweep's three chorded images that full mode failed to prove
+    in 5 s while the merge forest charged each attractive merge to its
+    edge's first end.  With each merge charged to its costlier end they
+    prove in `ticks` ticks; each gets twice that.  Each objective is
+    HiGHS's optimum (perfbench/reference.py)."""
+    config, model = over_segmented
+    raw, boundary, _ = generate_synthetic(
+        image + 1, 12, 1.0, seed, image_size=256, chord_fraction=0.5
+    )[image]
+    crag = build_graph(boundary, config)
+    node_feats, edge_feats = compute_features(crag, raw, boundary)
+    costs = predict_costs(
+        model["node_forest"], model["edge_forest"], crag, node_feats, edge_feats
+    )
+    sol, _ = _solve_within(crag, costs, "full", 2 * ticks)
+    assert sol.optimal
+    assert abs(sol.objective - objective) <= 1e-9
+    assert validate_solution(crag, sol) == []
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

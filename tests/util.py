@@ -683,7 +683,6 @@ def same_outcome(load, reference, obj):
         assert labels.dtype == np.int64 and not labels.flags.writeable
         assert np.array_equal(labels, want.leaf_labels())
     return want
-    return want
 
 
 def random_costs(rng, crag):
