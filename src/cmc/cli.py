@@ -50,14 +50,23 @@ def _load_json(path):
             raise CmcError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _config(args, keys, path=None):
+    """PipelineConfig from the config file at `path`, if any, with the
+    flags `keys` of args that are not None laid over it.  The file and
+    then the merged values go through config_from_json, so a bad value
+    fails before any stage runs, named by the file or the command line."""
+    values = {}
+    if path:
+        values = _load_json(path)
+        config_from_json(values, path)
+    values.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    return config_from_json(values, "command line")
+
+
 def _cmd_build_crag(args):
+    config = _config(args, ("seed_threshold", "max_merges", "score_threshold"))
     boundary = read_probability(args.boundary)
     superpixels = read_labels(args.superpixels) if args.superpixels else None
-    config = PipelineConfig(
-        seed_threshold=args.seed_threshold,
-        max_merges=args.max_merges,
-        score_threshold=args.score_threshold,
-    )
     crag = build_graph(boundary, config, superpixels=superpixels)
     dump_json(args.out, crag_to_json(crag))
     return 0
@@ -152,25 +161,10 @@ def _cmd_synth(args):
 
 
 def _cmd_pipeline(args):
-    config = (
-        config_from_json(_load_json(args.config), args.config)
-        if args.config
-        else PipelineConfig()
-    )
-    for field in (
-        "seed_threshold",
-        "max_merges",
-        "score_threshold",
-        "n_trees",
-        "rng_seed",
-        "time_limit",
-        "ignore_background",
-    ):
-        value = getattr(args, field)
-        if value is not None:
-            setattr(config, field, value)
-    if args.mode is not None:
-        config.mode = MODE_NAMES[args.mode]
+    args.mode = MODE_NAMES.get(args.mode)
+    keys = ("seed_threshold", "max_merges", "score_threshold", "n_trees", "rng_seed")
+    keys += ("mode", "time_limit", "ignore_background")
+    config = _config(args, keys, args.config)
 
     boundary = read_probability(args.boundary)
     raw = read_probability(args.raw)

@@ -25,8 +25,8 @@ import numpy as np
 from .crag import (
     Solution,
     edge_to_str,
-    json_edge,
-    json_id,
+    json_column,
+    json_keyed,
     json_member,
     json_value,
     validate_solution,
@@ -420,23 +420,6 @@ def forest_to_json(forest):
     }
 
 
-def _column(values, kind):
-    """A JSON list as an int64 (kind int) or float64 array, and the mask
-    of its entries that are no `kind`: a bool, an int beyond int64, an
-    int where a float belongs, any other value.  Those entries read 0.
-    """
-    dtype = np.int64 if kind is int else np.float64
-    if set(map(type, values)) <= {kind}:
-        try:
-            return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
-        except OverflowError:  # an int beyond int64
-            pass
-    bad = [type(v) is not kind or (kind is int and not -(2**63) <= v < 2**63)
-           for v in values]
-    clean = [0 if b else v for v, b in zip(values, bad)]
-    return np.array(clean, dtype=dtype), np.array(bad, dtype=bool)
-
-
 def forest_from_json(obj, where="forest"):
     """Forest from its JSON form; malformed input raises CmcError.
 
@@ -478,7 +461,7 @@ def forest_from_json(obj, where="forest"):
     if len(set(lengths)) > 1:
         named = ", ".join(f"{k} {n}" for k, n in zip(_FOREST_LISTS[1:], lengths))
         raise CmcError(f"{doc}: {where} has lists of unequal length: {named}")
-    sizes, bad = _column(tree_sizes, int)
+    sizes, bad = json_column(tree_sizes, int)
     bad |= sizes < 1
     if bad.any():
         t = int(bad.argmax())
@@ -491,7 +474,8 @@ def forest_from_json(obj, where="forest"):
             f"not its {lengths[0]} nodes"
         )
     (feature, f_bad), (value, v_bad), (left, l_bad), (right, r_bad) = (
-        _column(column, kind) for column, kind in zip(columns, (int, float, int, int))
+        json_column(column, kind)
+        for column, kind in zip(columns, (int, float, int, int))
     )
     node = np.arange(len(value))
     stop = np.cumsum(sizes)
@@ -554,14 +538,9 @@ def costs_to_json(costs):
 def costs_from_json(obj):
     """CostTable from its JSON form; malformed input raises CmcError."""
     doc = "costs.json"
-    f, g = (json_member(doc, obj, key, dict, "costs") for key in ("f", "g"))
-    costs = CostTable(
-        f={json_id(doc, i): json_value(doc, v, float, f"f[{i}]") for i, v in f.items()},
-        g={
-            json_edge(doc, k): json_value(doc, v, float, f"g[{k}]")
-            for k, v in g.items()
-        },
-    )
-    if len(costs.f) < len(f) or len(costs.g) < len(g):
-        raise CmcError(f"{doc}: two keys name the same candidate or edge")
-    return costs
+    return CostTable(*json_keyed(
+        doc,
+        *(json_member(doc, obj, key, dict, "costs") for key in ("f", "g")),
+        lambda i, v: json_value(doc, v, float, f"f[{i}]"),
+        lambda k, v: json_value(doc, v, float, f"g[{k}]"),
+    ))

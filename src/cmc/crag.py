@@ -9,8 +9,11 @@ image, `Crag.leaf_labels()`: each pixel holds the id of the leaf
 leaves.  The module also provides conflict-clique enumeration,
 validation of binary assignments against the overlap / incidence / path
 constraint families, and JSON (de)serialization, which run-length
-encodes each leaf: a crag.json entry has `pixels` (a leaf) or `children`
-(a union), never both.
+encodes each leaf: a crag.json entry has `runs` (a leaf), one flat list
+of (row, col_start, col_end) int triples, or `children` (a union), never
+both.  Helpers shared by every JSON loader live beside it: the
+json_value check, its one-pass json_column form for int and float
+lists, and json_keyed for objects keyed by candidate id and by edge.
 
 The graph facts are defined here once each: which pixels touch
 (pixel_pairs), which candidates are adjacent (candidate_adjacency) and
@@ -20,9 +23,7 @@ candidates with a 4-neighbour pixel pair between them, and
 extract_candidates emits all of them.
 """
 
-import itertools
 import math
-import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -459,17 +460,10 @@ def row_runs(labels):
     return label[keep], rows[keep], cols[keep], ends[keep]
 
 
-def _leaf_runs(labels):
-    """leaf id -> its row_runs, as crag.json entries."""
-    runs = {}
-    for leaf, row, start, end in zip(*(a.tolist() for a in row_runs(labels))):
-        run = {"row": row, "col_start": start, "col_end": end}
-        runs.setdefault(leaf, []).append(run)
-    return runs
-
-
 def crag_to_json(crag):
-    runs = _leaf_runs(crag.leaf_labels())
+    runs = {}
+    for leaf, *run in zip(*(a.tolist() for a in row_runs(crag.leaf_labels()))):
+        runs.setdefault(leaf, []).extend(run)
     cands = []
     for cid in crag.ids():
         cand = crag.candidates[cid]
@@ -477,7 +471,7 @@ def crag_to_json(crag):
         if cand.children:
             entry["children"] = sorted(cand.children)
         else:
-            entry["pixels"] = runs[cid]
+            entry["runs"] = runs[cid]
         cands.append(entry)
     return {
         "width": crag.width,
@@ -510,6 +504,23 @@ def json_value(doc, value, kind, where):
     return float(value) if kind is float else value
 
 
+def json_column(values, kind):
+    """A JSON list as an int64 (kind int) or float64 array, and the mask
+    of its entries that are no `kind`: a bool, an int beyond int64, an
+    int where a float belongs, any other value.  Those entries read 0.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    if set(map(type, values)) <= {kind}:
+        try:
+            return np.array(values, dtype=dtype), np.zeros(len(values), dtype=bool)
+        except OverflowError:  # an int beyond int64
+            pass
+    bad = [type(v) is not kind or (kind is int and not -(2**63) <= v < 2**63)
+           for v in values]
+    clean = [0 if b else v for v, b in zip(values, bad)]
+    return np.array(clean, dtype=dtype), np.array(bad, dtype=bool)
+
+
 def json_member(doc, obj, key, kind, where):
     """obj[key], checked by json_value; CmcError when obj is no object or lacks key."""
     if not isinstance(obj, dict) or key not in obj:
@@ -532,6 +543,19 @@ def json_edge(doc, key):
     return edge_key(int(match[1]), int(match[2]))
 
 
+def json_keyed(doc, by_id, by_edge, id_value, edge_value):
+    """Two JSON objects, one keyed by str(id) and one by edge_to_str, as
+    dicts keyed by candidate id and by canonical edge.  Each value goes
+    through id_value(key, value) or edge_value(key, value), with the key
+    as in the file; two keys that name the same candidate or edge raise
+    CmcError once every key and value has been read."""
+    ids = {json_id(doc, k): id_value(k, v) for k, v in by_id.items()}
+    edges = {json_edge(doc, k): edge_value(k, v) for k, v in by_edge.items()}
+    if len(ids) < len(by_id) or len(edges) < len(by_edge):
+        raise CmcError(f"{doc}: two keys name the same candidate or edge")
+    return ids, edges
+
+
 def _named(doc, exc):
     """exc with its message prefixed by doc, its class and fields kept."""
     exc.args = (f"{doc}: {exc}",)
@@ -543,31 +567,6 @@ def spans(starts, stops):
     lengths = stops - starts
     shift = starts - np.cumsum(lengths) + lengths
     return np.repeat(shift, lengths) + np.arange(lengths.sum())
-
-
-_RUN_KEYS = ("row", "col_start", "col_end")
-_run_values = operator.itemgetter(*_RUN_KEYS)
-
-
-def _run_array(doc, leaves):
-    """(n, 3) int64 array of the (row, col_start, col_end) of every run of
-    `leaves`, a list of (leaf id, its pixels list), in order.
-
-    One type pass over all runs; only when it fails are the runs checked
-    one by one, so that the CmcError names the first bad run's member.
-    """
-    try:
-        values = [v for _, runs in leaves for v in map(_run_values, runs)]
-        if set(map(type, itertools.chain.from_iterable(values))) <= {int}:
-            return np.array(values, dtype=np.int64).reshape(-1, 3)
-    except (KeyError, TypeError, OverflowError):  # no object, no key, > int64
-        pass
-    values = [
-        [json_member(doc, run, k, int, f"run of candidate {cid}") for k in _RUN_KEYS]
-        for cid, runs in leaves
-        for run in runs
-    ]
-    return np.array(values, dtype=np.int64).reshape(-1, 3)
 
 
 def _overlap(runs):
@@ -626,11 +625,15 @@ def _paint_runs(doc, labels, owners, runs):
 def crag_from_json(obj, doc="crag.json"):
     """Crag from its JSON form; malformed input raises CmcError naming `doc`.
 
-    Leaf runs are painted straight into the label image, all at once
+    Each leaf's runs are checked for a length that is a multiple of 3,
+    then every run entry of the file in one int pass (json_column), and
+    then painted straight into the label image, all at once
     (_paint_runs): a run outside the image raises LeavesDoNotCoverImage,
     a run over pixels already painted raises OverlappingLeaves naming
     their owner and the new leaf.  An input with one fault raises what
-    checking and painting the runs one by one in file order would.
+    checking and painting the runs one by one in file order would.  A
+    file of an older release, whose leaves hold run objects under
+    'pixels', is rejected by name.
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
@@ -639,25 +642,43 @@ def crag_from_json(obj, doc="crag.json"):
         labels = np.full((height, width), UNCOVERED, dtype=np.int64)
     except ValueError as exc:  # numpy refuses the shape before allocating
         raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
-    candidates, leaves = [], []
+    candidates, leaves, entries = [], [], []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
         level = json_member(doc, entry, "level", int, where)
+        if "pixels" in entry:
+            raise CmcError(
+                f"{doc}: {where} holds 'pixels', the run objects of an older "
+                "release; run build-crag again"
+            )
         if "children" in entry:
-            if "pixels" in entry:
-                raise CmcError(f"{doc}: {where} has both children and pixels")
+            if "runs" in entry:
+                raise CmcError(f"{doc}: {where} has both children and runs")
             kids = json_member(doc, entry, "children", list, where)
             kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
             candidates.append(Candidate(cid, level, kids))
-        else:
-            leaves.append((cid, json_member(doc, entry, "pixels", list, where)))
-            candidates.append(Candidate(cid, level))
+            continue
+        runs = json_member(doc, entry, "runs", list, where)
+        if len(runs) % 3:
+            raise CmcError(
+                f"{doc}: runs of {where} has length {len(runs)}, not a multiple of 3"
+            )
+        leaves.append((cid, runs))
+        entries += runs
+        candidates.append(Candidate(cid, level))
+    values, bad = json_column(entries, int)
+    if bad.any():
+        at = int(bad.argmax())
+        for cid, runs in leaves:  # the leaf holding entry `at`
+            if at < len(runs):
+                json_value(doc, runs[at], int, f"runs[{at}] of candidate {cid}")
+            at -= len(runs)
     owners = np.repeat(
         np.array([cid for cid, _ in leaves], dtype=np.int64),
-        [len(runs) for _, runs in leaves],
+        [len(runs) // 3 for _, runs in leaves],
     )
-    _paint_runs(doc, labels, owners, _run_array(doc, leaves))
+    _paint_runs(doc, labels, owners, values.reshape(-1, 3))
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")
@@ -679,12 +700,10 @@ def solution_to_json(solution):
 def solution_from_json(obj):
     """Solution from its JSON form; malformed input raises CmcError."""
     doc = "solution.json"
-    y, m = (json_member(doc, obj, key, dict, "solution") for key in ("y", "m"))
-    solution = Solution(
-        y={json_id(doc, i): json_value(doc, v, int, f"y[{i}]") for i, v in y.items()},
-        m={json_edge(doc, k): json_value(doc, v, int, f"m[{k}]") for k, v in m.items()},
-        objective=json_member(doc, obj, "objective", float, "solution"),
+    y, m = json_keyed(
+        doc,
+        *(json_member(doc, obj, key, dict, "solution") for key in ("y", "m")),
+        lambda i, v: json_value(doc, v, int, f"y[{i}]"),
+        lambda k, v: json_value(doc, v, int, f"m[{k}]"),
     )
-    if len(solution.y) < len(y) or len(solution.m) < len(m):
-        raise CmcError(f"{doc}: two keys name the same candidate or edge")
-    return solution
+    return Solution(y, m, json_member(doc, obj, "objective", float, "solution"))

@@ -86,8 +86,7 @@ from scipy import ndimage
 from .crag import (
     UNCOVERED,
     edge_to_str,
-    json_edge,
-    json_id,
+    json_keyed,
     json_member,
     pixel_pairs,
     row_runs,
@@ -630,13 +629,10 @@ def features_from_json(obj):
         json_member(doc, obj, key, dict, "features") for key in ("nodes", "edges")
     )
     n_node, n_edge = len(node_names), len(edge_names)
-    node_feats = {
-        json_id(doc, i): _json_vector(v, n_node, f"node {i}") for i, v in nodes.items()
-    }
-    edge_feats = {
-        json_edge(doc, k): _json_vector(v, n_edge, f"edge {k}")
-        for k, v in edges.items()
-    }
-    if len(node_feats) < len(nodes) or len(edge_feats) < len(edges):
-        raise CmcError(f"{doc}: two keys name the same candidate or edge")
-    return node_feats, edge_feats
+    return json_keyed(
+        doc,
+        nodes,
+        edges,
+        lambda i, v: _json_vector(v, n_node, f"node {i}"),
+        lambda k, v: _json_vector(v, n_edge, f"edge {k}"),
+    )

@@ -1,13 +1,14 @@
 """End-to-end orchestration: boundary map in, segmentation out.
 
-Single-image flow plus cross-image training.  All randomness comes from
-the explicit seed in PipelineConfig; the node forest draws tree seeds
+Single-image flow plus cross-image training, the JSON forms of the
+config and the model, and dump_json, the one writer of every JSON file
+the CLI and the pipeline write.  All randomness comes from the explicit
+seed in PipelineConfig; the node forest draws tree seeds
 rng_seed .. rng_seed+n_trees-1 and the edge forest continues at
 rng_seed+n_trees, so the two never share a per-tree stream.
 """
 
 import contextlib
-import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -168,77 +169,17 @@ def model_from_json(obj):
     }
 
 
-# types that one pass of the C encoder writes as json.dumps does
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _flat_encoder(depth):
-    """Encoder of a value whose items, if it holds any, sit at `depth`:
-    json.dumps' text for a scalar, and for a list or dict of scalars the
-    items joined by ",\n" plus the depth's indent, with no newline after
-    the opening bracket or before the closing one.  Without indent, json
-    encodes in C where it can, so the item separator carries the indent."""
-    return json.JSONEncoder(
-        separators=(",\n" + "  " * depth, ": "), sort_keys=True, check_circular=False
-    ).encode
-
-
-def _key_text(key):
-    """A dict key as json.dumps writes it: str, int, float, bool or None."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        key = _flat_encoder(0)(key)
-    return _flat_encoder(0)(key)
-
-
-def _encode(obj, depth, open_ids):
-    """Text of obj as json.dumps(obj, indent=2, sort_keys=True) writes it
-    at nesting `depth`; open_ids holds the ids of its enclosing containers."""
-    if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, brackets = obj, "[]"
-    else:
-        return _flat_encoder(depth)(obj)  # a scalar, or a TypeError
-    if not obj:
-        return brackets
-    pad = "  " * (depth + 1)
-    if set(map(type, values)) <= _SCALARS:
-        body = _flat_encoder(depth + 1)(obj)[1:-1]
-    else:
-        if id(obj) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(obj))
-        if brackets == "{}":
-            items = (
-                f"{_key_text(key)}: {_encode(value, depth + 1, open_ids)}"
-                for key, value in sorted(obj.items())
-            )
-        else:
-            items = (_encode(value, depth + 1, open_ids) for value in obj)
-        body = f",\n{pad}".join(items)
-        open_ids.remove(id(obj))
-    return f"{brackets[0]}\n{pad}{body}\n{'  ' * depth}{brackets[1]}"
-
-
 def dump_json(path, obj):
-    """Write exactly json.dumps(obj, indent=2, sort_keys=True) + "\n" to path.
+    """Write json.dumps(obj, indent=2, sort_keys=True) + "\n" to path.
 
     Every JSON file the CLI and the pipeline write goes through here,
-    and its bytes are this contract.  Python's json module runs every
-    indented dump in its pure-Python encoder, so the text is built here
-    instead: each list or dict that holds only scalars goes through the
-    C encoder in one pass, with the indent carried by its item
-    separator, and only containers of containers are walked in Python.
-    The whole text is encoded before the file is opened, so a value
-    json.dumps rejects (a set, a numpy integer, a circular reference)
-    raises as it would there, and leaves no file or a truncated one.
+    and its bytes are this contract.  The text is built in full before
+    the file is opened, so a value json cannot encode (a set, a numpy
+    integer, a circular reference) raises as json.dumps does and leaves
+    the target untouched; an OS error during the write can still leave
+    it truncated.
     """
-    text = _encode(obj, 0, set()) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -447,12 +447,8 @@ def test_rle_roundtrip_random():
 def test_rle_is_compact():
     pixels = {(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)}
     crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 5, 2))
-    runs = crag_to_json(crag)["candidates"][0]["pixels"]
-    assert runs == [
-        {"row": 0, "col_start": 0, "col_end": 3},
-        {"row": 0, "col_start": 4, "col_end": 5},
-        {"row": 1, "col_start": 0, "col_end": 1},
-    ]
+    runs = crag_to_json(crag)["candidates"][0]["runs"]
+    assert runs == [0, 0, 3, 0, 4, 5, 1, 0, 1]
 
 
 def test_crag_json_roundtrip():
@@ -488,10 +484,10 @@ def test_leaf_labels_json_roundtrip():
         labels = crag.leaf_labels()
         assert labels.shape == (crag.height, crag.width)
         obj = crag_to_json(crag)
-        leaves = [e for e in obj["candidates"] if "pixels" in e]
+        leaves = [e for e in obj["candidates"] if "runs" in e]
         assert [e["id"] for e in leaves] == crag.leaves()
         for entry in leaves:
-            assert ref_decode_pixels(entry["pixels"]) == {
+            assert ref_decode_pixels(entry["runs"]) == {
                 tuple(p) for p in np.argwhere(labels == entry["id"]).tolist()
             }
         back = crag_from_json(json.loads(json.dumps(obj)))
@@ -529,30 +525,36 @@ def _edited(edit):
 
 
 # quad_crag's crag.json, broken one way each; candidates[0] is leaf 1,
-# whose first run is {"row": 0, "col_start": 0, "col_end": 2}
+# whose runs begin with (row 0, col_start 0, col_end 2)
 MALFORMED_CRAG_JSON = {
     "missing width": _edited(lambda obj: obj.pop("width")),
     "float col_end": _edited(
-        lambda obj: obj["candidates"][0]["pixels"][0].update(col_end=2.0)
+        lambda obj: obj["candidates"][0]["runs"].__setitem__(2, 2.0)
     ),
     "3-element adjacency entry": _edited(lambda obj: obj["adjacency"][0].append(7)),
     "negative width": _edited(lambda obj: obj.update(width=-4)),
     "col_start == col_end": _edited(
-        lambda obj: obj["candidates"][0]["pixels"].append(
-            {"row": 3, "col_start": 2, "col_end": 2}
-        )
+        lambda obj: obj["candidates"][0]["runs"].extend([3, 2, 2])
     ),
     "col_start > col_end": _edited(
-        lambda obj: obj["candidates"][0]["pixels"].append(
-            {"row": 3, "col_start": 3, "col_end": 1}
-        )
+        lambda obj: obj["candidates"][0]["runs"].extend([3, 3, 1])
     ),
     "string row": _edited(
-        lambda obj: obj["candidates"][0]["pixels"][0].update(row="0")
+        lambda obj: obj["candidates"][0]["runs"].__setitem__(0, "0")
+    ),
+    "runs length not a multiple of 3": _edited(
+        lambda obj: obj["candidates"][0]["runs"].append(3)
+    ),
+    "nested list in runs": _edited(
+        lambda obj: obj["candidates"][0]["runs"].__setitem__(3, [1, 0, 1])
     ),
     "boolean id": _edited(lambda obj: obj["candidates"][0].update(id=True)),
-    # candidate 5's pixels, even a run at row 5 of the 4-row image, used
+    # candidate 5's runs, even a run at row 5 of the 4-row image, used
     # to be dropped without a word
+    "inner node with runs": _edited(
+        lambda obj: obj["candidates"][4].update(runs=[5, 0, 1])
+    ),
+    # the run objects of an older release, rejected by name
     "inner node with pixels": _edited(
         lambda obj: obj["candidates"][4].update(
             pixels=[{"row": 5, "col_start": 0, "col_end": 1}]
@@ -564,9 +566,7 @@ MALFORMED_CRAG_JSON = {
         lambda obj: obj["candidates"][4].update(children=[1, 1, 2])
     ),
     "leaf run over another leaf's pixel": _edited(
-        lambda obj: obj["candidates"][0]["pixels"].append(
-            {"row": 0, "col_start": 2, "col_end": 3}
-        )
+        lambda obj: obj["candidates"][0]["runs"].extend([0, 2, 3])
     ),
     "unknown adjacency id": _edited(lambda obj: obj["adjacency"].append([1, 99])),
 }
@@ -701,80 +701,77 @@ def test_build_crag_matches_pixel_set_reference():
 
 
 def _with_runs(edits):
-    """quad_crag's crag.json with runs appended to its leaf entries, or
-    changed in them: {(entry, run index or None to append): run}; a dict
-    changes the run's members, anything else takes the run's place."""
+    """quad_crag's crag.json with entries appended to the runs of its leaf
+    entries, or put in them: {(entry, index or None to append): values},
+    the values taking the places from the index on."""
     obj = crag_to_json(quad_crag())
-    for (entry, at), run in edits.items():
-        runs = obj["candidates"][entry]["pixels"]
-        if at is None:
-            runs.append(run)
-        elif isinstance(run, dict):
-            runs[at] = {**runs[at], **run}
-        else:
-            runs[at] = run
+    for (entry, at), values in edits.items():
+        runs = obj["candidates"][entry]["runs"]
+        at = len(runs) if at is None else at
+        runs[at:at + len(values)] = values
     return obj
 
 
 # one fault each in the runs of quad_crag (entries 0-3 are leaves 1-4,
-# painted in that order), and the error painting run by run gives
+# painted in that order), and the error painting run by run gives; the
+# runs are leaf 1 (0, 0:2) (1, 0:1) (2, 0:1), leaf 2 (0, 2:4) (1, 3:4),
+# leaf 3 (1, 1:3) (2, 1:3), leaf 4 (2, 3:4) (3, 0:4)
 RUN_FAULTS = {
     # leaf 3's extra row 3 run is painted first; leaf 4's own row 3 run,
-    # the eleventh run of the file, is the one that overlaps
+    # the tenth run of the file, is the one that overlaps
     "later leaf's run overlaps": (
-        {(2, None): {"row": 3, "col_start": 0, "col_end": 4}},
+        {(2, None): [3, 0, 4]},
         OverlappingLeaves, "crag.json: leaf candidates 3 and 4 share pixels",
     ),
     # over (1, 0) of leaf 1 and its own (1, 3); the first taken pixel names
     # the owner, here leaf 1
     "run over two owners": (
-        {(1, None): {"row": 1, "col_start": 0, "col_end": 4}},
+        {(1, None): [1, 0, 4]},
         OverlappingLeaves, "crag.json: leaf candidates 1 and 2 share pixels",
     ),
     # free at (1, 1) and (1, 2), its own leaf at (1, 3)
     "run over its own leaf": (
-        {(1, None): {"row": 1, "col_start": 1, "col_end": 4}},
+        {(1, None): [1, 1, 4]},
         OverlappingLeaves, "crag.json: leaf candidates 2 and 2 share pixels",
     ),
     "empty run after valid ones": (
-        {(3, 1): {"col_start": 4}},
+        {(3, 4): [4]},
         CmcError, "crag.json: empty run 4:4 of candidate 4",
     ),
     "run past the width": (
-        {(2, 0): {"col_end": 5}},
+        {(2, 2): [5]},
         LeavesDoNotCoverImage,
         "crag.json: leaf pixels do not match the image region: "
         "run (1, 1:5) of leaf 3 outside 4x4",
     ),
     "negative row": (
-        {(3, None): {"row": -1, "col_start": 0, "col_end": 1}},
+        {(3, None): [-1, 0, 1]},
         LeavesDoNotCoverImage,
         "crag.json: leaf pixels do not match the image region: "
         "run (-1, 0:1) of leaf 4 outside 4x4",
     ),
     "col_end at 2**63": (
-        {(1, 1): {"col_end": 2**63}},
+        {(1, 5): [2**63]},
         CmcError,
-        "crag.json: col_end of run of candidate 2 is not a valid int: "
-        "9223372036854775808",
+        "crag.json: runs[5] of candidate 2 is not a valid int: 9223372036854775808",
     ),
     "row below -2**63": (
-        {(0, 2): {"row": -(2**63) - 1}},
+        {(0, 6): [-(2**63) - 1]},
         CmcError,
-        "crag.json: row of run of candidate 1 is not a valid int: "
-        "-9223372036854775809",
+        "crag.json: runs[6] of candidate 1 is not a valid int: -9223372036854775809",
     ),
     "bool col_start": (
-        {(3, 0): {"col_start": True}},
-        CmcError, "crag.json: col_start of run of candidate 4 is not a valid int: True",
+        {(3, 1): [True]},
+        CmcError, "crag.json: runs[1] of candidate 4 is not a valid int: True",
     ),
     "run without col_end": (
-        {(2, None): {"row": 3, "col_start": 0}},
-        CmcError, "crag.json: run of candidate 3 has no 'col_end'",
+        {(2, None): [3, 0]},
+        CmcError, "crag.json: runs of candidate 3 has length 8, not a multiple of 3",
     ),
+    # a run, as a list, in place of one entry
     "run that is a list": (
-        {(2, 1): [2, 1, 3]},
-        CmcError, "crag.json: run of candidate 3 has no 'row'",
+        {(2, 3): [[2, 1, 3]]},
+        CmcError, "crag.json: runs[3] of candidate 3 is not a valid int: [2, 1, 3]",
     ),
 }
 
@@ -807,14 +804,15 @@ def test_bulk_decoder_matches_run_by_run_on_malformed_files():
 def test_bulk_decoder_matches_run_by_run_on_valid_graphs():
     """Equal Crags and equal leaf_labels() on random graphs, random
     sparse graphs with uncovered pixels, and synthetic images at 128 and
-    256 px."""
+    256 px, one at 256 px with no cap on merges."""
     rng = np.random.default_rng(61)
     crags = [quad_crag()]
     crags += [random_crag(rng) for _ in range(30)]
     crags += [random_sparse_crag(rng) for _ in range(30)]
-    for seed, cells, size in ((1, 4, 128), (2, 12, 256)):
+    graphs = ((1, 4, 128, 5), (2, 12, 256, 5), (3, 12, 256, None))
+    for seed, cells, size, merges in graphs:
         boundary = generate_synthetic(1, cells, 1.0, seed, image_size=size)[0][1]
-        crags.append(build_graph(boundary, PipelineConfig()))
+        crags.append(build_graph(boundary, PipelineConfig(max_merges=merges)))
     for crag in crags:
         obj = json.loads(json.dumps(crag_to_json(crag)))
         assert same_outcome(crag_from_json, ref_crag_from_json, obj) == crag
@@ -839,22 +837,43 @@ def test_bulk_decoder_matches_run_by_run_on_one_changed_coordinate():
     for crag, picks in graphs:
         obj = crag_to_json(crag)
         spots = [
-            (k, r, key)
+            (k, at)
             for k, entry in enumerate(obj["candidates"])
-            for r in range(len(entry.get("pixels", ())))
-            for key in ("row", "col_start", "col_end")
+            for at in range(len(entry.get("runs", ())))
         ]
         if picks is not None:
             spots = [spots[i] for i in rng.choice(len(spots), picks, replace=False)]
-        for k, r, key in spots:
+        for k, at in spots:
             for value in RUN_VALUES:
                 changed = json.loads(json.dumps(obj))
-                changed["candidates"][k]["pixels"][r][key] = value
+                changed["candidates"][k]["runs"][at] = value
                 outcome = same_outcome(crag_from_json, ref_crag_from_json, changed)
                 outcomes[type(outcome).__name__] += 1
     assert {
         "Crag", "CmcError", "LeavesDoNotCoverImage", "OverlappingLeaves",
     } <= set(outcomes)
+
+
+def test_old_pixels_leaf_rejected_by_name():
+    """A leaf of an older release's crag.json, run objects under
+    'pixels', is rejected by name, with or without new runs beside it."""
+    obj = crag_to_json(quad_crag())
+    leaf = obj["candidates"][0]
+    runs = leaf.pop("runs")
+    leaf["pixels"] = [
+        {"row": r, "col_start": a, "col_end": b}
+        for r, a, b in zip(runs[::3], runs[1::3], runs[2::3])
+    ]
+    message = (
+        "crag.json: candidate 1 holds 'pixels', the run objects of an older "
+        "release; run build-crag again"
+    )
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (CmcError, message)
+    leaf["runs"] = runs
+    with pytest.raises(CmcError) as got:
+        crag_from_json(obj)
+    assert str(got.value) == message
 
 
 def test_solution_json_roundtrip():

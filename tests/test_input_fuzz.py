@@ -226,11 +226,12 @@ def _broken_crag(draw):
     entries = obj["candidates"]
     leaf = entries[draw(st.integers(0, 3))]
     inner = entries[draw(st.integers(4, 6))]
-    run = leaf["pixels"][draw(st.integers(0, len(leaf["pixels"]) - 1))]
+    runs = leaf["runs"]
+    at = 3 * draw(st.integers(0, len(runs) // 3 - 1))  # where one run starts
     kids = inner["children"]
     defect = draw(st.sampled_from([
         "repeated child", "child of two parents", "unknown child", "cycle",
-        "children and pixels", "missing member", "mistyped member", "non-int id",
+        "children and runs", "missing member", "mistyped member", "non-int id",
     ]))
     if defect == "repeated child":
         kids.insert(draw(st.integers(0, len(kids))), draw(st.sampled_from(kids)))
@@ -241,18 +242,20 @@ def _broken_crag(draw):
         kids.append(draw(st.sampled_from([0, -1, 8, 99])))
     elif defect == "cycle":  # the candidate itself, or its ancestor 7
         kids.append(draw(st.sampled_from(sorted({inner["id"], 7}))))
-    elif defect == "children and pixels":
+    elif defect == "children and runs":
         if draw(st.booleans()):
             leaf["children"] = draw(st.lists(st.integers(1, 7), max_size=2))
         else:  # row 5 lies outside the 4x4 image
-            outside = [{"row": 5, "col_start": 0, "col_end": 1}]
-            inner["pixels"] = draw(st.sampled_from([[], outside, leaf["pixels"]]))
+            inner["runs"] = draw(st.sampled_from([[], [5, 0, 1], runs]))
     elif defect == "missing member":
-        owner = draw(st.sampled_from([obj, leaf, inner, run]))
-        del owner[draw(st.sampled_from(sorted(owner)))]
+        owner = draw(st.sampled_from([obj, leaf, inner, None]))
+        if owner is None:  # one coordinate of a run
+            del runs[at + draw(st.integers(0, 2))]
+        else:
+            del owner[draw(st.sampled_from(sorted(owner)))]
     elif defect == "mistyped member":
         where = draw(st.sampled_from([
-            "width", "candidates", "adjacency", "entry", "pixels", "children",
+            "width", "candidates", "adjacency", "entry", "runs", "children",
             "run", "adjacency pair",
         ]))
         if where == "width":
@@ -261,19 +264,19 @@ def _broken_crag(draw):
             obj[where] = draw(NOT_A_LIST)
         elif where == "entry":
             entries[draw(st.integers(0, 6))] = draw(NOT_AN_OBJECT)
-        elif where == "pixels":
-            leaf["pixels"] = draw(NOT_A_LIST)
+        elif where == "runs":
+            leaf["runs"] = draw(NOT_A_LIST)
         elif where == "children":
             inner["children"] = draw(NOT_A_LIST)
-        elif where == "run":
-            leaf["pixels"][0] = draw(NOT_AN_OBJECT)
+        elif where == "run":  # one value in place of a run's three
+            runs[at:at + 3] = [draw(NOT_AN_OBJECT)]
         else:
             pair = obj["adjacency"][draw(st.integers(0, len(obj["adjacency"]) - 1))]
             pair[:] = draw(st.sampled_from([[], pair[:1], pair + [7]]))
     else:
         owner, key = draw(st.sampled_from([
-            (leaf, "id"), (inner, "id"), (leaf, "level"), (run, "row"),
-            (run, "col_start"), (run, "col_end"), (kids, 0), (obj["adjacency"][0], 1),
+            (leaf, "id"), (inner, "id"), (leaf, "level"), (runs, at),
+            (runs, at + 1), (runs, at + 2), (kids, 0), (obj["adjacency"][0], 1),
         ]))
         owner[key] = draw(NOT_AN_INT)
     return obj

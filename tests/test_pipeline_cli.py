@@ -585,8 +585,52 @@ def test_cli_nan_score_threshold_fails(command, tmp_path, capsys):
     (out_dir / "crag.json").unlink()
     assert main([*argv, "--score-threshold", "nan"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "score_threshold must be finite" in err
+    assert err == "error: command line: score_threshold is not a valid float: nan\n"
     assert not (out_dir / "crag.json").exists()
+
+
+# a flag value that config_from_json rejects -> the error after "command
+# line: "; n_trees and rng_seed used to fail only at train-nodes, after
+# the watershed, merge tree and features, and time_limit only at solve
+BAD_FLAGS = {
+    "pipeline --n-trees 0": "n_trees 0 is below 1",
+    "pipeline --rng-seed -1": "rng_seed -1 is negative",
+    "pipeline --time-limit -1": "time_limit -1.0 is negative",
+    "pipeline --time-limit nan": "time_limit is not a valid float: nan",
+    "pipeline --seed-threshold 0": "seed_threshold 0.0 is not above 0",
+    "pipeline --max-merges -2": "max_merges -2 is negative",
+    "build-crag --seed-threshold -1": "seed_threshold -1.0 is not above 0",
+    "build-crag --max-merges -1": "max_merges -1 is negative",
+    "build-crag --score-threshold inf": "score_threshold is not a valid float: inf",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAGS))
+def test_cli_bad_flag_fails_before_any_stage(case, tmp_path, capsys, monkeypatch):
+    """Flags get the config file's checks: each bad one exits 1 naming the
+    command line, before the watershed runs and before any file is
+    written, also when a valid config file is given."""
+    command, flag, value = case.split()
+    images = write_easy_images(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_trees": 2}))
+    out_dir = tmp_path / "run"
+    argv = {
+        "build-crag": ["build-crag", "--boundary", images["boundary"],
+                       "--out", str(tmp_path / "crag.json")],
+        "pipeline": ["pipeline", "--boundary", images["boundary"],
+                     "--raw", images["raw"], "--gt", images["gt"],
+                     "--config", str(config), "--out-dir", str(out_dir)],
+    }[command]
+
+    def watershed(*args):
+        raise AssertionError("the watershed ran")
+
+    monkeypatch.setattr("cmc.pipeline.seeded_watershed", watershed)
+    assert main([*argv, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: command line: {BAD_FLAGS[case]}\n"
+    assert not out_dir.exists() and not (tmp_path / "crag.json").exists()
 
 
 def test_cli_empty_boundary_map_fails(tmp_path, capsys):
@@ -782,15 +826,6 @@ def test_dump_json_writes_json_dumps_bytes(obj):
         dump_json(path, obj)
         with open(path, "rb") as fh:
             assert fh.read() == _dumps(obj)
-
-
-def test_dump_json_without_the_c_encoder(monkeypatch, tmp_path):
-    """Where json has no C accelerator, the writer's fallback gives the
-    same bytes."""
-    obj = {"b": [1, [2.5, None], {"d": math.nan, "c": 1}, "é"], "a": {"x": [-0.0, 2**64]}}
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    dump_json(str(tmp_path / "out.json"), obj)
-    assert (tmp_path / "out.json").read_bytes() == _dumps(obj)
 
 
 @pytest.mark.parametrize("bad, kind", [

@@ -444,7 +444,8 @@ def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
 
 
 def ref_encode_pixels(pixels):
-    """Run-length encode a pixel set row by row; col_end is exclusive."""
+    """Run-length encode a pixel set row by row, as the flat list of
+    (row, col_start, col_end) triples; col_end is exclusive."""
     rows = {}
     for (r, c) in pixels:
         rows.setdefault(r, []).append(c)
@@ -456,17 +457,17 @@ def ref_encode_pixels(pixels):
             if c == prev + 1:
                 prev = c
                 continue
-            runs.append({"row": r, "col_start": start, "col_end": prev + 1})
+            runs += [r, start, prev + 1]
             start = prev = c
-        runs.append({"row": r, "col_start": start, "col_end": prev + 1})
+        runs += [r, start, prev + 1]
     return runs
 
 
 def ref_decode_pixels(runs):
     pixels = set()
-    for run in runs:
-        r = run["row"]
-        for c in range(run["col_start"], run["col_end"]):
+    for at in range(0, len(runs), 3):
+        r, start, end = runs[at:at + 3]
+        for c in range(start, end):
             pixels.add((r, c))
     return frozenset(pixels)
 
@@ -479,7 +480,7 @@ def ref_crag_json(pixels, candidates, adjacency, width, height):
         if cand.children:
             entry["children"] = sorted(cand.children)
         else:
-            entry["pixels"] = ref_encode_pixels(pixels[cand.id])
+            entry["runs"] = ref_encode_pixels(pixels[cand.id])
         entries.append(entry)
     return {
         "width": width,
@@ -491,7 +492,8 @@ def ref_crag_json(pixels, candidates, adjacency, width, height):
 
 def ref_crag_from_json(obj, doc="crag.json"):
     """crag_from_json checking and painting each leaf run on its own, in
-    file order: three json_member calls and one slice per run."""
+    file order: a length check per leaf, then three json_value calls
+    and one slice per run."""
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     if height < 0 or width < 0:
         raise CmcError(f"{doc}: negative image size {height}x{width}")
@@ -504,17 +506,27 @@ def ref_crag_from_json(obj, doc="crag.json"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
         level = json_member(doc, entry, "level", int, where)
+        if "pixels" in entry:
+            raise CmcError(
+                f"{doc}: {where} holds 'pixels', the run objects of an older "
+                "release; run build-crag again"
+            )
         if "children" in entry:
-            if "pixels" in entry:
-                raise CmcError(f"{doc}: {where} has both children and pixels")
+            if "runs" in entry:
+                raise CmcError(f"{doc}: {where} has both children and runs")
             kids = json_member(doc, entry, "children", list, where)
             kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
             candidates.append(Candidate(cid, level, kids))
             continue
-        for run in json_member(doc, entry, "pixels", list, where):
+        runs = json_member(doc, entry, "runs", list, where)
+        if len(runs) % 3:
+            raise CmcError(
+                f"{doc}: runs of {where} has length {len(runs)}, not a multiple of 3"
+            )
+        for at in range(0, len(runs), 3):
             row, start, end = (
-                json_member(doc, run, k, int, f"run of {where}")
-                for k in ("row", "col_start", "col_end")
+                json_value(doc, runs[k], int, f"runs[{k}] of {where}")
+                for k in range(at, at + 3)
             )
             if start >= end:
                 raise CmcError(f"{doc}: empty run {start}:{end} of {where}")
