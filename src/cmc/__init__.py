@@ -27,7 +27,7 @@ from .evaluate import detection_score, rand_index, segmentation_metrics, voi
 from .features import compute_features, edge_feature_names, node_feature_names
 from .hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from .pipeline import PipelineConfig, run_pipeline, train_model
-from .solver import brute_force, extract_segmentation, separate_path_constraints, solve
+from .solver import extract_segmentation, separate_path_constraints, solve
 from .synth import generate_synthetic
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "PipelineConfig",
     "Solution",
     "best_effort",
-    "brute_force",
     "build_crag",
     "build_merge_tree",
     "compute_features",

@@ -27,6 +27,7 @@ from .crag import (
     edge_to_str,
     json_column,
     json_keyed,
+    json_known,
     json_member,
     json_value,
     validate_solution,
@@ -444,9 +445,7 @@ def forest_from_json(obj, where="forest"):
             f"{doc}: {where} holds 'trees', the node lists of an older release; "
             "train the model again"
         )
-    unknown = sorted(set(obj) - _FOREST_KEYS)
-    if unknown:
-        raise CmcError(f"{doc}: {where} has unknown key {unknown[0]!r}")
+    json_known(doc, obj, _FOREST_KEYS, where)
     tree_sizes, *columns = (
         json_member(doc, obj, key, list, where) for key in _FOREST_LISTS
     )
@@ -538,9 +537,10 @@ def costs_to_json(costs):
 def costs_from_json(obj):
     """CostTable from its JSON form; malformed input raises CmcError."""
     doc = "costs.json"
+    f, g = (json_member(doc, obj, key, dict, "costs") for key in ("f", "g"))
+    json_known(doc, obj, ("f", "g"), "costs")
     return CostTable(*json_keyed(
-        doc,
-        *(json_member(doc, obj, key, dict, "costs") for key in ("f", "g")),
+        doc, f, g,
         lambda i, v: json_value(doc, v, float, f"f[{i}]"),
         lambda k, v: json_value(doc, v, float, f"g[{k}]"),
     ))

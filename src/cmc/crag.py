@@ -13,7 +13,8 @@ encodes each leaf: a crag.json entry has `runs` (a leaf), one flat list
 of (row, col_start, col_end) int triples, or `children` (a union), never
 both.  Helpers shared by every JSON loader live beside it: the
 json_value check, its one-pass json_column form for int and float
-lists, and json_keyed for objects keyed by candidate id and by edge.
+lists, json_known, which rejects members that no release writes, and
+json_keyed for objects keyed by candidate id and by edge.
 
 The graph facts are defined here once each: which pixels touch
 (pixel_pairs), which candidates are adjacent (candidate_adjacency) and
@@ -124,8 +125,8 @@ def objective_value(f, g, y, m):
     """Σ y_i f_i + Σ m_e g_e as a float, summed in one canonical order.
 
     Every reported objective comes from this function, so equal
-    assignments always produce bit-equal floats.  The solver and
-    brute_force rank assignments by exact sums instead, not by these.
+    assignments always produce bit-equal floats.  The solver ranks
+    assignments by exact sums instead, not by these.
     """
     total = 0.0
     for i in sorted(y):
@@ -528,6 +529,14 @@ def json_member(doc, obj, key, kind, where):
     return json_value(doc, obj[key], kind, f"{key} of {where}")
 
 
+def json_known(doc, obj, keys, where):
+    """CmcError naming doc, where and the first member of the JSON object
+    obj, in sorted order, that is not one of keys."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise CmcError(f"{doc}: {where} has unknown key {unknown[0]!r}")
+
+
 def json_id(doc, key):
     """Candidate id from a JSON object key written by str(id)."""
     if _ID_KEY.fullmatch(key) is None:
@@ -633,9 +642,10 @@ def crag_from_json(obj, doc="crag.json"):
     their owner and the new leaf.  An input with one fault raises what
     checking and painting the runs one by one in file order would.  A
     file of an older release, whose leaves hold run objects under
-    'pixels', is rejected by name.
+    'pixels', is rejected by name, as is any other unknown member.
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
+    json_known(doc, obj, ("width", "height", "candidates", "adjacency"), "crag")
     if height < 0 or width < 0:
         raise CmcError(f"{doc}: negative image size {height}x{width}")
     try:
@@ -652,6 +662,7 @@ def crag_from_json(obj, doc="crag.json"):
                 f"{doc}: {where} holds 'pixels', the run objects of an older "
                 "release; run build-crag again"
             )
+        json_known(doc, entry, ("id", "level", "children", "runs"), where)
         if "children" in entry:
             if "runs" in entry:
                 raise CmcError(f"{doc}: {where} has both children and runs")
@@ -700,9 +711,10 @@ def solution_to_json(solution):
 def solution_from_json(obj):
     """Solution from its JSON form; malformed input raises CmcError."""
     doc = "solution.json"
+    y, m = (json_member(doc, obj, key, dict, "solution") for key in ("y", "m"))
+    json_known(doc, obj, ("y", "m", "objective"), "solution")
     y, m = json_keyed(
-        doc,
-        *(json_member(doc, obj, key, dict, "solution") for key in ("y", "m")),
+        doc, y, m,
         lambda i, v: json_value(doc, v, int, f"y[{i}]"),
         lambda k, v: json_value(doc, v, int, f"m[{k}]"),
     )

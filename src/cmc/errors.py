@@ -66,11 +66,6 @@ class SchemaMismatch(CmcError):
 
 # solver
 
-class TooLarge(CmcError):
-    def __init__(self, n, limit):
-        super().__init__(f"instance with {n} variables exceeds enumeration budget {limit}")
-
-
 class InfeasibleSolution(CmcError):
     def __init__(self, violations):
         self.violations = list(violations)

@@ -87,6 +87,7 @@ from .crag import (
     UNCOVERED,
     edge_to_str,
     json_keyed,
+    json_known,
     json_member,
     pixel_pairs,
     row_runs,
@@ -628,6 +629,7 @@ def features_from_json(obj):
     nodes, edges = (
         json_member(doc, obj, key, dict, "features") for key in ("nodes", "edges")
     )
+    json_known(doc, obj, ("node_schema", "edge_schema", "nodes", "edges"), "features")
     n_node, n_edge = len(node_names), len(edge_names)
     return json_keyed(
         doc,

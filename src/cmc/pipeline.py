@@ -21,7 +21,7 @@ from .costmodel import (
     predict_costs,
     train_forest,
 )
-from .crag import crag_to_json, json_member, json_value, solution_to_json
+from .crag import crag_to_json, json_known, json_member, json_value, solution_to_json
 from .errors import CmcError, SingleClass, StageFailure
 from .evaluate import segmentation_metrics
 from .features import compute_features, features_to_json
@@ -54,9 +54,7 @@ def config_from_json(obj, doc="config.json"):
     """PipelineConfig from its JSON form; malformed input raises CmcError
     naming `doc`.  Fields left out keep their defaults."""
     json_value(doc, obj, dict, "config")
-    unknown = set(obj) - set(_CONFIG_KINDS)
-    if unknown:
-        raise CmcError(f"{doc}: unknown config keys: {sorted(unknown)}")
+    json_known(doc, obj, _CONFIG_KINDS, "config")
     values = {}
     for key, value in obj.items():
         if value is not None or key not in _CONFIG_NULLABLE:
@@ -159,14 +157,10 @@ def model_from_json(obj):
     """Model from its JSON form; malformed input raises CmcError.  The
     object holds the two forests and nothing else, as model_to_json
     writes it."""
-    if isinstance(obj, dict):
-        unknown = set(obj) - set(_MODEL_KEYS)
-        if unknown:
-            raise CmcError(f"model.json: unknown model keys: {sorted(unknown)}")
-    return {
-        key: forest_from_json(json_member("model.json", obj, key, dict, "model"), key)
-        for key in _MODEL_KEYS
-    }
+    doc = "model.json"
+    forests = {key: json_member(doc, obj, key, dict, "model") for key in _MODEL_KEYS}
+    json_known(doc, obj, _MODEL_KEYS, "model")
+    return {key: forest_from_json(forest, key) for key, forest in forests.items()}
 
 
 def dump_json(path, obj):

@@ -39,11 +39,8 @@ every assignment of the mode, so the lex order over the mode's variables
 is that of the full (y, m) vector.  Every incumbent is feasible, and
 clauses only ever cut off infeasible assignments, so the search is exact
 over the whole program.
-
-brute_force provides an independent oracle for small instances.
 """
 
-import itertools
 import math
 import time
 
@@ -57,10 +54,9 @@ from .crag import (
     path_violations,
     validate_solution,
 )
-from .errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
+from .errors import CmcError, InfeasibleSolution, KeyMismatch
 
 MODES = ("full", "merge_tree_only", "leaf_multicut_only")
-BRUTE_FORCE_LIMIT = 26
 
 
 class _Clock:
@@ -578,102 +574,6 @@ def _forest(crag, var_y, var_m, costs):
     return tuple(entries), tuple(k for r in roots for k in stands_for[r])
 
 
-def _connected_subsets(anchor, allowed, adj):
-    """All subsets containing `anchor`, within `allowed`, connected in adj."""
-    results = []
-
-    def grow(current, frontier, banned):
-        if not frontier:
-            results.append(frozenset(current))
-            return
-        v = frontier[0]
-        rest = frontier[1:]
-        grow(current, rest, banned | {v})
-        extra = sorted(
-            (adj[v] & allowed) - current - banned - set(rest) - {v}
-        )
-        grow(current | {v}, rest + extra, banned)
-
-    start_frontier = sorted(adj[anchor] & allowed)
-    grow({anchor}, start_frontier, set())
-    return results
-
-
-def _connected_partitions(vertices, edges):
-    """All partitions of `vertices` whose parts are connected under `edges`."""
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        anchor = remaining[0]
-        allowed = set(remaining[1:])
-        for part in _connected_subsets(anchor, allowed, adj):
-            rest = tuple(v for v in remaining if v not in part)
-            for tail in rec(rest):
-                yield [part] + tail
-
-    yield from rec(tuple(sorted(vertices)))
-
-
-def brute_force(crag, costs, mode="full"):
-    """Oracle: exhaustive minimum over all feasible assignments.
-
-    Selection vectors are enumerated directly (pruned by the conflict
-    cliques); for each one, the feasible merge assignments are exactly
-    the partitions of the selected subgraph into connected parts, with
-    every within-part edge merged.  The answer is the lexicographically
-    smallest (y, m) bit vector among those of least exact cost sum.
-    """
-    if mode not in MODES:
-        raise CmcError(f"unknown mode {mode!r}")
-    ids = crag.ids()
-    edges = list(crag.adjacency)
-    _check_costs(costs, ids, edges)
-    n = len(ids) + len(edges)
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLarge(n, BRUTE_FORCE_LIMIT)
-
-    exact = _exact_costs(costs, ids, edges)
-    cliques = [sorted(c) for c in conflict_cliques(crag) if len(c) > 1]
-    leaves = set(crag.leaves())
-    best = None  # (exact cost, bits, y, m)
-    for bits_y in itertools.product((0, 1), repeat=len(ids)):
-        y = dict(zip(ids, bits_y))
-        if mode == "leaf_multicut_only" and any(
-            y[i] for i in ids if i not in leaves
-        ):
-            continue
-        if any(sum(y[i] for i in cl) > 1 for cl in cliques):
-            continue
-        selected = [i for i in ids if y[i]]
-        live = [e for e in edges if y[e[0]] and y[e[1]]]
-        live_set = set(live)
-        if mode == "merge_tree_only":
-            partitions = [[frozenset([v]) for v in selected]]
-        else:
-            partitions = _connected_partitions(selected, live)
-        for parts in partitions:
-            part_of = {}
-            for k, part in enumerate(parts):
-                for v in part:
-                    part_of[v] = k
-            m = {
-                e: int(e in live_set and part_of[e[0]] == part_of[e[1]])
-                for e in edges
-            }
-            bits = bits_y + tuple(m[e] for e in edges)
-            cost = sum(c for c, bit in zip(exact, bits) if bit)
-            if best is None or (cost, bits) < (best[0], best[1]):
-                best = (cost, bits, dict(y), m)
-    _, _, y, m = best
-    return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
-
-
 def extract_segmentation(crag, solution):
     """Label image of the solution's connected selected groups.
 
@@ -686,16 +586,19 @@ def extract_segmentation(crag, solution):
         raise InfeasibleSolution(violations)
     group = solution.merged_groups([i for i in crag.ids() if solution.y[i]])
 
-    # component root + 1 per leaf id; the extra last slot (indexed by
-    # UNCOVERED) and unselected leaves stay 0
+    # rank k + 1 for crag.leaves()[k] and 0 for UNCOVERED, so no table is
+    # sized by an id; per rank its group's number from 1, or 0 if unselected
     leaf_labels = crag.leaf_labels()
-    root_of_leaf = np.zeros(max(crag.leaves(), default=-1) + 2, dtype=np.int64)
+    leaves = np.array(crag.leaves(), dtype=np.int64)
+    numbers = {}
+    group_of_rank = np.zeros(len(leaves) + 1, dtype=np.int64)
     for i, root in group.items():
-        root_of_leaf[list(crag.leaves_under(i))] = root + 1
-    roots = root_of_leaf[leaf_labels].ravel()
+        ranks = np.searchsorted(leaves, crag.leaves_under(i), side="right")
+        group_of_rank[ranks] = numbers.setdefault(root, len(numbers) + 1)
+    groups = group_of_rank[np.searchsorted(leaves, leaf_labels, side="right")].ravel()
     # number components by their first pixel in row-major order
-    found, first = np.unique(roots, return_index=True)
+    found, first = np.unique(groups, return_index=True)
     found, first = found[found > 0], first[found > 0]
-    relabel = np.zeros(int(found.max(initial=0)) + 1, dtype=np.int64)
+    relabel = np.zeros(len(numbers) + 1, dtype=np.int64)
     relabel[found[np.argsort(first)]] = np.arange(1, len(found) + 1)
-    return relabel[roots].reshape(leaf_labels.shape)
+    return relabel[groups].reshape(leaf_labels.shape)

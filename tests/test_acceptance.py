@@ -14,15 +14,11 @@ from cmc.costmodel import best_effort
 from cmc.crag import Solution, validate_solution
 from cmc.evaluate import rand_index, voi
 from cmc.pipeline import PipelineConfig, build_graph, run_pipeline, train_model
-from cmc.solver import (
-    brute_force,
-    extract_segmentation,
-    separate_path_constraints,
-    solve,
-)
+from cmc.solver import extract_segmentation, separate_path_constraints, solve
 from cmc.synth import generate_synthetic
 
 from util import (
+    brute_force,
     quad_costs,
     quad_crag,
     random_costs,

@@ -190,20 +190,27 @@ def _features_argv(tmp_path, obj):
 QUAD_SUBSET = [[1, 5], [2, 5], [3, 6], [4, 6], [5, 7], [6, 7]]
 
 
-def test_subset_member_not_read(tmp_path):
-    """A "subset" member, which older files carry, is not read: the
-    children alone state the nesting."""
+def test_subset_member_rejected(tmp_path, capsys):
+    """A "subset" member, which the releases that wrote leaves as
+    'pixels' carried, used to be skipped; no release wrote it beside
+    'runs', so it is now an unknown member, rejected by name whatever it
+    holds."""
     for subset in (QUAD_SUBSET, [[1, 7]], "junk"):
         obj = {**crag_to_json(quad_crag()), "subset": subset}
-        assert crag_from_json(obj) == quad_crag()
-    assert cli.main(["features", *_features_argv(tmp_path, obj)]) == 0
+        with pytest.raises(CmcError) as info:
+            crag_from_json(obj)
+        assert str(info.value) == "crag.json: crag has unknown key 'subset'"
+    assert cli.main(["features", *_features_argv(tmp_path, obj)]) == 1
+    assert "unknown key 'subset'" in capsys.readouterr().err
+    assert not (tmp_path / "features.json").exists()
     assert "subset" not in crag_to_json(quad_crag())
 
 
 def test_repeated_child_rejected(tmp_path, capsys):
-    """children [1, 1, 2] used to load next to a "subset" member naming
-    each child once, and then counted leaf 1 twice in candidate 5's size."""
-    obj = {**crag_to_json(quad_crag()), "subset": QUAD_SUBSET}
+    """children [1, 1, 2] used to load next to the "subset" member of
+    older files, which named each child once, and then counted leaf 1
+    twice in candidate 5's size."""
+    obj = crag_to_json(quad_crag())
     obj["candidates"][4]["children"] = [1, 1, 2]
     with pytest.raises(SubsetNotForest):
         crag_from_json(obj)
@@ -492,6 +499,21 @@ def test_leaf_labels_json_roundtrip():
             }
         back = crag_from_json(json.loads(json.dumps(obj)))
         assert np.array_equal(back.leaf_labels(), labels)
+
+
+def test_readme_crag_json_example():
+    """The crag.json example under "On disk" in README.md is what
+    crag_to_json writes for the 3x2 graph the text describes, and
+    crag_from_json loads it to that graph."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme[readme.index("On disk"):].split("```json\n", 1)[1].split("```", 1)[0]
+    want = build_crag(
+        [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))],
+        [(1, 2)],
+        np.array([[1, 1, 2], [1, 2, 2]]),
+    )
+    assert json.loads(block) == crag_to_json(want)
+    assert crag_from_json(json.loads(block)) == want
 
 
 def test_crag_to_json_matches_reference_encoder():

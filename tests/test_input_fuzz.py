@@ -22,7 +22,8 @@ raises a CmcError, and `cmc build-crag --boundary` and `cmc eval --gt`
 on a rejected one exit 1 with `error:`.  `cmc pipeline --config` on a
 config file with one field of the wrong kind, negative or non-finite,
 an unknown mode, or a key missing or added either runs or exits 1 with
-`error: <file>: `.
+`error: <file>: `.  A member that no release writes, at any level of
+any of these files, raises a CmcError naming it.
 """
 
 import contextlib
@@ -55,7 +56,12 @@ from cmc.features import (
     features_to_json,
 )
 from cmc.pgm import read_pgm, write_labels, write_probability
-from cmc.pipeline import model_from_json, model_to_json, train_from_instances
+from cmc.pipeline import (
+    config_from_json,
+    model_from_json,
+    model_to_json,
+    train_from_instances,
+)
 from cmc.synth import generate_synthetic
 from cmc.solver import solve
 
@@ -297,6 +303,34 @@ def test_valid_files_load():
     assert node_feats.keys() == _feats[0].keys() and edge_feats.keys() == _feats[1].keys()
 
 
+# each object of each file, as (file, loader, valid file, path to the
+# object); none may hold a member that its writer does not write
+UNKNOWN_MEMBER_SITES = {
+    "crag": ("crag.json", crag_from_json, CRAG_JSON, ()),
+    "crag leaf": ("crag.json", crag_from_json, CRAG_JSON, ("candidates", 0)),
+    "crag union": ("crag.json", crag_from_json, CRAG_JSON, ("candidates", 4)),
+    "costs": ("costs.json", costs_from_json, COSTS, ()),
+    "solution": ("solution.json", solution_from_json, SOLUTION, ()),
+    "features": ("features.json", features_from_json, FEATURES, ()),
+    "model": ("model.json", model_from_json, MODEL, ()),
+    "node forest": ("model.json", model_from_json, MODEL, ("node_forest",)),
+    "edge forest": ("model.json", model_from_json, MODEL, ("edge_forest",)),
+    "config": ("config.json", config_from_json, {"mode": "full"}, ()),
+}
+
+
+@pytest.mark.parametrize("site", sorted(UNKNOWN_MEMBER_SITES))
+def test_unknown_member_rejected_by_name(site):
+    """A "bogus" member beside the valid ones raises CmcError naming it
+    and the file; crag.json at both levels, costs.json, solution.json
+    and features.json used to load with it."""
+    doc, load, valid, path = UNKNOWN_MEMBER_SITES[site]
+    with pytest.raises(CmcError) as info:
+        load(json_with(valid, path + ("bogus",), 1))
+    assert str(info.value).startswith(f"{doc}: ")
+    assert str(info.value).endswith(" has unknown key 'bogus'")
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_broken_crag())
 def test_malformed_crag_raises_cmc_error(obj):
@@ -475,14 +509,14 @@ def test_mutated_model_loads_or_raises_cmc_error(obj):
 
 
 def _ref_model_from_json(obj):
-    if isinstance(obj, dict):
-        unknown = sorted(set(obj) - {"node_forest", "edge_forest"})
-        if unknown:
-            raise CmcError(f"model.json: unknown model keys: {unknown}")
-    return {
-        key: ref_forest_from_json(json_member("model.json", obj, key, dict, "model"), key)
+    forests = {
+        key: json_member("model.json", obj, key, dict, "model")
         for key in ("node_forest", "edge_forest")
     }
+    unknown = sorted(set(obj) - set(forests))
+    if unknown:
+        raise CmcError(f"model.json: model has unknown key {unknown[0]!r}")
+    return {key: ref_forest_from_json(forest, key) for key, forest in forests.items()}
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ multi-component candidates."""
 import numpy as np
 
 from cmc.costmodel import leaf_gt_labels
-from cmc.crag import Solution, validate_solution
+from cmc.crag import UNCOVERED, Candidate, Solution, build_crag, validate_solution
 from cmc.solver import extract_segmentation
 
 from util import pixels_of, random_sparse_crag
@@ -49,16 +49,33 @@ def random_feasible_solution(rng, crag):
     return Solution(y=y, m=m, objective=0.0)
 
 
+def shifted(crag, solution, by):
+    """crag and solution with every candidate id raised by `by`."""
+    cands = [
+        Candidate(i + by, c.level, tuple(k + by for k in c.children))
+        for i, c in crag.candidates.items()
+    ]
+    labels = crag.leaf_labels()
+    labels = np.where(labels == UNCOVERED, UNCOVERED, labels + by)
+    edges = [(i + by, j + by) for i, j in crag.adjacency]
+    y = {i + by: v for i, v in solution.y.items()}
+    m = {(i + by, j + by): v for (i, j), v in solution.m.items()}
+    return build_crag(cands, edges, labels), Solution(y, m, solution.objective)
+
+
 def test_extract_segmentation_matches_reference():
+    """Also with every id shifted by 2**62: ids that large are valid, and
+    no table may be sized by them."""
     rng = np.random.default_rng(53)
     multi = 0
     for _ in range(60):
         crag = random_sparse_crag(rng)
         sol = random_feasible_solution(rng, crag)
-        assert validate_solution(crag, sol) == []
-        seg = extract_segmentation(crag, sol)
-        assert seg.dtype == np.int64
-        assert np.array_equal(seg, ref_segmentation(crag, sol))
+        for graph, solution in ((crag, sol), shifted(crag, sol, 2**62)):
+            assert validate_solution(graph, solution) == []
+            seg = extract_segmentation(graph, solution)
+            assert seg.dtype == np.int64
+            assert np.array_equal(seg, ref_segmentation(graph, solution))
         multi += seg.max() > 1
     assert multi > 20
 

@@ -301,7 +301,7 @@ def test_unknown_model_keys_rejected(tmp_path, capsys, extra):
     obj = json.loads((tmp_path / "model.json").read_text())
     for key in extra:
         obj[key] = obj["edge_forest"]
-    message = f"model.json: unknown model keys: {sorted(extra)}"
+    message = f"model.json: model has unknown key {sorted(extra)[0]!r}"
     with pytest.raises(CmcError) as info:
         model_from_json(obj)
     assert str(info.value) == message

@@ -18,18 +18,16 @@ from cmc.crag import (
     build_crag,
     validate_solution,
 )
-from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch, TooLarge
+from cmc.errors import CmcError, InfeasibleSolution, KeyMismatch
 from cmc.features import compute_features
 from cmc.pipeline import PipelineConfig, build_graph, train_model
 from cmc.solver import (
-    BRUTE_FORCE_LIMIT,
     _build,
     _Clock,
     _dfs,
     _exact_costs,
     _path_rows,
     _State,
-    brute_force,
     extract_segmentation,
     separate_path_constraints,
     solve,
@@ -37,6 +35,8 @@ from cmc.solver import (
 from cmc.synth import generate_synthetic
 
 from util import (
+    BRUTE_FORCE_LIMIT,
+    brute_force,
     enumerate_minimum,
     explicit_rows,
     leaf_image,
@@ -409,8 +409,11 @@ def test_brute_force_size_guard():
     costs = CostTable(
         f={i: 0.0 for i in crag.ids()}, g={e: 0.0 for e in crag.adjacency}
     )
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError) as info:
         brute_force(crag, costs)
+    assert str(info.value) == (
+        f"instance with 29 variables exceeds enumeration budget {BRUTE_FORCE_LIMIT}"
+    )
 
 
 def test_cost_key_mismatch():

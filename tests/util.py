@@ -1,22 +1,25 @@
-"""Shared test helpers: a small hand-built CRAG, random instances, a
-literal enumeration oracle used to cross-check the solver, the integer
-program as explicit rows with unit propagation over them, and plain
-per-pixel references for the array-based watershed, CRAG checks and
-crag.json run-length encoding, a run-by-run crag.json decoder, a
-node-by-node model.json forest loader, a full-canvas reference for the
-windowed synthetic image drawer, a per-tree walk of a forest's node
-lists, the per-row forest grower, the merge tree over Python lists
-and np.median, and the 592-entry edge vectors as compute_features
-once assembled them.
+"""Shared test helpers: a small hand-built CRAG, random instances, two
+enumeration oracles that cross-check the solver (brute_force over
+selections and connected partitions, and a literal scan of every 0/1
+assignment), the integer program as explicit rows with unit
+propagation over them, and plain per-pixel references for the
+array-based watershed, CRAG checks and crag.json run-length encoding,
+a run-by-run crag.json decoder, a node-by-node model.json forest
+loader, a full-canvas reference for the windowed synthetic image
+drawer, a per-tree walk of a forest's node lists, the per-row forest
+grower, the merge tree over Python lists and np.median, and the
+592-entry edge vectors as compute_features once assembled them.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
 `Crag.leaf_labels()` with `pixels_of`.
 
-The random generator keeps instances inside the brute-force budget
-(candidates + edges <= 26) so every instance can be checked against the
-exhaustive oracle.  Costs are drawn as exact binary fractions k/1024 so
-objective comparisons need no tolerance.
+The random generator keeps instances inside brute_force's budget
+(candidates + edges <= BRUTE_FORCE_LIMIT) so every instance can be
+checked against it.  brute_force shares no cost code with the solver:
+it checks the costs and forms their exact sums itself.  Costs are drawn as
+exact binary fractions k/1024 so objective comparisons need no
+tolerance.
 """
 
 import heapq
@@ -56,6 +59,7 @@ from cmc.crag import (
 )
 from cmc.features import _Leaves, _moments
 from cmc.hierarchy import MergeEvent
+from cmc.solver import MODES
 
 # pass/fail lines collected by the acceptance tests; conftest prints them
 # in the terminal summary
@@ -169,7 +173,11 @@ def _neighbors4(p):
     return ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
 
 
-def random_crag(rng, budget=26):
+# the most variables (candidates + edges) that brute_force enumerates
+BRUTE_FORCE_LIMIT = 26
+
+
+def random_crag(rng, budget=BRUTE_FORCE_LIMIT):
     """Random CRAG: 2-5 leaves grown on a small grid, merge depth <= 3.
 
     Leaves are connected regions from multi-source random growth; a
@@ -739,6 +747,131 @@ def enumerate_minimum(crag, costs, mode="full"):
         if best is None or key < best[0]:
             best = (key, y, m)
     _, y, m = best
+    return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracle over selections and connected partitions
+
+
+def _connected_subsets(anchor, allowed, adj):
+    """All subsets containing `anchor`, within `allowed`, connected in adj."""
+    results = []
+
+    def grow(current, frontier, banned):
+        if not frontier:
+            results.append(frozenset(current))
+            return
+        v = frontier[0]
+        rest = frontier[1:]
+        grow(current, rest, banned | {v})
+        extra = sorted(
+            (adj[v] & allowed) - current - banned - set(rest) - {v}
+        )
+        grow(current | {v}, rest + extra, banned)
+
+    start_frontier = sorted(adj[anchor] & allowed)
+    grow({anchor}, start_frontier, set())
+    return results
+
+
+def _connected_partitions(vertices, edges):
+    """All partitions of `vertices` whose parts are connected under `edges`."""
+    adj = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def rec(remaining):
+        if not remaining:
+            yield []
+            return
+        anchor = remaining[0]
+        allowed = set(remaining[1:])
+        for part in _connected_subsets(anchor, allowed, adj):
+            rest = tuple(v for v in remaining if v not in part)
+            for tail in rec(rest):
+                yield [part] + tail
+
+    yield from rec(tuple(sorted(vertices)))
+
+
+def _scaled_costs(costs, ids, edges):
+    """The costs in variable order (ids, then edges) as ints: each cost's
+    Fraction times the largest denominator among them.  Every finite
+    float's denominator is a power of two, so that one is a multiple of
+    all the others, and sums and comparisons of the ints are those of
+    the real costs.  A cost that is no finite number raises CmcError
+    naming its key."""
+    for table in (costs.f, costs.g):
+        for key, cost in table.items():
+            try:
+                finite = math.isfinite(cost)
+            except (TypeError, OverflowError):  # no number, or an int past float
+                finite = False
+            if not finite:
+                raise CmcError(f"cost of {key} is not a finite number")
+    exact = [Fraction(float(costs.f[i])) for i in ids]
+    exact += [Fraction(float(costs.g[e])) for e in edges]
+    scale = max((c.denominator for c in exact), default=1)
+    return [int(c * scale) for c in exact]
+
+
+def brute_force(crag, costs, mode="full"):
+    """Exhaustive minimum over all feasible assignments, for instances of
+    at most BRUTE_FORCE_LIMIT variables.
+
+    Selection vectors are enumerated directly (pruned by the conflict
+    cliques); for each one, the feasible merge assignments are exactly
+    the partitions of the selected subgraph into connected parts, with
+    every within-part edge merged.  The answer is the lexicographically
+    smallest (y, m) bit vector among those of least exact cost sum
+    (_scaled_costs).  An unknown mode or a cost that is no finite number
+    raises CmcError, and a larger instance ValueError.
+    """
+    if mode not in MODES:
+        raise CmcError(f"unknown mode {mode!r}")
+    ids = crag.ids()
+    edges = list(crag.adjacency)
+    exact = _scaled_costs(costs, ids, edges)
+    n = len(ids) + len(edges)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"instance with {n} variables exceeds enumeration budget {BRUTE_FORCE_LIMIT}"
+        )
+
+    cliques = [sorted(c) for c in conflict_cliques(crag) if len(c) > 1]
+    leaves = set(crag.leaves())
+    best = None  # (exact cost, bits, y, m)
+    for bits_y in itertools.product((0, 1), repeat=len(ids)):
+        y = dict(zip(ids, bits_y))
+        if mode == "leaf_multicut_only" and any(
+            y[i] for i in ids if i not in leaves
+        ):
+            continue
+        if any(sum(y[i] for i in cl) > 1 for cl in cliques):
+            continue
+        selected = [i for i in ids if y[i]]
+        live = [e for e in edges if y[e[0]] and y[e[1]]]
+        live_set = set(live)
+        if mode == "merge_tree_only":
+            partitions = [[frozenset([v]) for v in selected]]
+        else:
+            partitions = _connected_partitions(selected, live)
+        for parts in partitions:
+            part_of = {}
+            for k, part in enumerate(parts):
+                for v in part:
+                    part_of[v] = k
+            m = {
+                e: int(e in live_set and part_of[e[0]] == part_of[e[1]])
+                for e in edges
+            }
+            bits = bits_y + tuple(m[e] for e in edges)
+            cost = sum(c for c, bit in zip(exact, bits) if bit)
+            if best is None or (cost, bits) < (best[0], best[1]):
+                best = (cost, bits, dict(y), m)
+    _, _, y, m = best
     return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
 
 
