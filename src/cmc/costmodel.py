@@ -30,6 +30,7 @@ from .crag import (
     json_known,
     json_member,
     json_value,
+    sorted_distinct,
     validate_solution,
 )
 from .errors import (
@@ -51,14 +52,24 @@ def leaf_gt_labels(crag, ground_truth):
     """Plurality ground-truth label per leaf; ties go to the smaller label.
 
     Background (0) takes part in the vote, so majority-background
-    leaves map to 0.
+    leaves map to 0.  The votes are counted in one sort of every pixel's
+    (leaf rank, label rank) key (Crag.leaf_ranks), so no table is sized
+    by a leaf id or a label value.
     """
-    gt = np.asarray(ground_truth)
-    leaf_labels = crag.leaf_labels()
-    return {
-        leaf: int(np.argmax(np.bincount(gt[leaf_labels == leaf])))
-        for leaf in crag.leaves()
-    }
+    labels = np.asarray(ground_truth).ravel()
+    values = sorted_distinct(labels)
+    ranks = crag.leaf_ranks().ravel()
+    key = np.sort(ranks * len(values) + np.searchsorted(values, labels))
+    # keys are >= 0, so each run of equal keys starts where the key changes
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    votes = np.diff(start, append=len(key))
+    rank, label = np.divmod(key[start], len(values))
+    # per leaf rank the most votes first, then the smaller label; rank 0
+    # holds the pixels no leaf covers
+    order = np.lexsort((label, -votes, rank))
+    first = order[np.flatnonzero(np.diff(rank[order], prepend=-1))]
+    first = first[rank[first] > 0]
+    return dict(zip(crag.leaves(), values[label[first]].tolist()))
 
 
 def best_effort(crag, ground_truth, mode="full"):

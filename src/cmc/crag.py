@@ -84,8 +84,9 @@ class Solution:
     `optimal` / `iterations` are solver bookkeeping; they do not take
     part in equality and are not serialized.  `optimal` is False when
     the solve stopped at its time limit.  `iterations` is 1 plus the
-    number of leaves that the solver's one search turned down because
-    they broke path constraints, whose cuts it then added.
+    number of leaves that the solver's searches, one per independent
+    part of the program, turned down because they broke path
+    constraints, whose cuts they then added.
     """
 
     y: dict
@@ -146,7 +147,8 @@ class Crag:
 
     `leaf_labels()` is the pixel representation: a read-only int64
     (height, width) image of leaf ids, UNCOVERED where no leaf lies
-    (leaves need not cover the image).
+    (leaves need not cover the image).  `leaf_ranks()` is the same image
+    in leaf ranks, so that tables over leaves are sized by their count.
     """
 
     def __init__(self, candidates, adjacency, subset, leaf_labels):
@@ -156,6 +158,7 @@ class Crag:
         self.height, self.width = leaf_labels.shape
         self._leaves_under = {}
         self._leaf_labels = leaf_labels
+        self._leaf_ranks = None
 
     def __eq__(self, other):
         if not isinstance(other, Crag):
@@ -206,6 +209,16 @@ class Crag:
     def leaf_labels(self):
         """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
         return self._leaf_labels
+
+    def leaf_ranks(self):
+        """Read-only int64 (height, width) image: k + 1 where leaves()[k]
+        lies, 0 where no leaf does.  Ranked once, on first use."""
+        if self._leaf_ranks is None:
+            leaves = np.array(self.leaves(), dtype=np.int64)
+            ranks = np.searchsorted(leaves, self._leaf_labels, side="right")
+            ranks.flags.writeable = False
+            self._leaf_ranks = ranks
+        return self._leaf_ranks
 
 
 def _chain(subset, cid):

@@ -163,18 +163,22 @@ def edge_row_names():
     return names
 
 
-def _moments(values):
+def _moments(values, equal=None):
     """sum, mean, population variance/skewness, excess kurtosis.
 
-    var, skew and kurt are exactly 0 when all values are equal.  The
-    deviations are recentred on their own mean, which is the rounding
-    error of `mean`: left in, it would shift skew and kurt by about
-    eps * mean / std, far beyond rounding when the values nearly agree.
+    var, skew and kurt are exactly 0 when all values are equal.  `equal`
+    says whether they are, where the caller knows it (the ends of a
+    sorted copy); otherwise the values are scanned.  The deviations are
+    recentred on their own mean, which is the rounding error of `mean`:
+    left in, it would shift skew and kurt by about eps * mean / std, far
+    beyond rounding when the values nearly agree.
     """
     n = len(values)
     total = float(values.sum())
     mean = total / n
-    if values.min() == values.max():
+    if equal is None:
+        equal = values.min() == values.max()
+    if equal:
         return total, mean, 0.0, 0.0, 0.0
     d = values - mean
     d -= d.sum() / n
@@ -208,15 +212,15 @@ def _bin_image(image, where):
     return bins
 
 
-def _quantiles(values):
-    """np.quantile(values, _QUANTILES), bit for bit, from one sort.
+def _quantiles(ordered):
+    """np.quantile(values, _QUANTILES), bit for bit, from the sorted
+    values `ordered`.
 
     The steps of numpy's default linear method: the virtual index is
     v = (n - 1) * q; its floor and the next index both become the last
     index once v >= n - 1; t is v minus that floor; and a + (b - a) * t
     is taken from the upper end, b - (b - a) * (1 - t), when t >= 0.5.
     """
-    ordered = np.sort(values)
     n = len(ordered)
     out = []
     for q in _QUANTILES:
@@ -233,8 +237,15 @@ def _quantiles(values):
 
 
 def _stats_block(values, hist):
-    """Moments, the given 20-bin histogram and quantiles of `values`."""
-    return np.concatenate([_moments(values), hist, _quantiles(values)])
+    """Moments, the given 20-bin histogram and quantiles of `values`.
+
+    One sort serves the quantiles and the moments' test for equal
+    values: the values are finite, so they are all equal when the ends
+    of the sorted copy are (-0.0 == 0.0, as for min and max).
+    """
+    ordered = np.sort(values)
+    moments = _moments(values, ordered[0] == ordered[-1])
+    return np.concatenate([moments, hist, _quantiles(ordered)])
 
 
 def _moore_walk(codes, start, width):
@@ -309,12 +320,11 @@ class _Leaves:
     """
 
     def __init__(self, crag, raw, boundary):
-        ids = crag.leaf_labels()
         leaf_ids = crag.leaves()
         self.number = {leaf: k for k, leaf in enumerate(leaf_ids)}
-        covered = ids != UNCOVERED
-        labels = np.searchsorted(leaf_ids, ids)
-        labels[~covered] = UNCOVERED
+        # the leaf ranks less one: k for leaf k, UNCOVERED (-1) elsewhere
+        labels = crag.leaf_ranks() - 1
+        covered = labels != UNCOVERED
         h, w = labels.shape
         self.labels, self.width = labels, w
         n = len(leaf_ids) + 1

@@ -30,7 +30,7 @@ leaf_multicut_only over the leaf selections and the merges of edges
 between two leaves.  Every other y and m is 0 in the mode, so no
 variable is pinned, and n below is the mode's variable count.
 
-The search returns the lexicographically smallest (y, m) bit vector
+The solve returns the lexicographically smallest (y, m) bit vector
 among the feasible assignments whose exact cost sum is minimal, which is
 the one feasible assignment of least lexed sum, the sum over its n
 variables of x_v * (c_v * 2**n + 2**(n - 1 - v)) (_lexed, _dfs).
@@ -39,6 +39,27 @@ every assignment of the mode, so the lex order over the mode's variables
 is that of the full (y, m) vector.  Every incumbent is feasible, and
 clauses only ever cut off infeasible assignments, so the search is exact
 over the whole program.
+
+Before searching, the solve reduces the program and splits it (_split).
+The rule: y_i is fixed to 0 while lexed f_i plus the lexed g of every
+attractive merge at i whose other end is not fixed is > 0.  Any
+assignment with y_i = 1 stays feasible with y_i and every merge at i
+set to 0 (no path row gains a merged path), and that lowers its lexed
+sum by at least this sum, so no optimum selects i.  (This is the
+simplest persistency criterion for multicut-like programs: Lange,
+Andres & Swoboda, CVPR 2019.)  The rest falls into
+parts: a candidate is linked to its nearest ancestor that is not fixed,
+which it overlaps, and the ends of every attractive merge are linked.
+A merge of g >= 0 between two parts is 0 in every optimum, since
+unmerging it keeps every merged group connected within its part and
+lowers the lexed sum.  So the lexed sum is a sum over parts, each
+part's rows hold its variables alone, and the answer is each part's
+own answer, 0 elsewhere.  One search runs per part (_part_state, _dfs)
+over the part's variables in their global order, with the lexed costs
+of the whole mode.  All parts share one _Clock, and a part that stops
+at it ends the solve: no later part is searched.  A solution's
+iterations is 1 plus the leaves that all the parts' searches turned
+down for the path cuts they break.
 """
 
 import math
@@ -49,7 +70,6 @@ import numpy as np
 from .crag import (
     PathConstraint,
     Solution,
-    conflict_cliques,
     objective_value,
     path_violations,
     validate_solution,
@@ -62,8 +82,9 @@ MODES = ("full", "merge_tree_only", "leaf_multicut_only")
 class _Clock:
     """One solve's deadline, read once every 1024 ticks.
 
-    The search ticks once when it starts and once per node, and stops
-    at the first tick that returns True.
+    Each part's search ticks once when it starts and once per node, and
+    stops at the first tick that returns True; the solve then searches
+    no later part.
     """
 
     def __init__(self, time_limit):
@@ -115,13 +136,16 @@ class _State:
         self.value = [None] * self.n
         self.bound = sum(c for c in costs if c < 0)
         # what setting a variable to 0 or to 1 adds to the bound
-        self.raise_by = ([max(-c, 0) for c in costs], [max(c, 0) for c in costs])
+        self.raise_by = (
+            [-c if c < 0 else 0 for c in costs],
+            [c if c > 0 else 0 for c in costs],
+        )
         self.trail = []
         self.forest, self.forest_roots = forest
         # the branching order: decreasing |cost|, in which no two lexed
         # costs tie.  Once the variable at order[gapless - 1] is set,
         # every selection in the forest is set and forest_gap is 0.
-        self.order = sorted(range(self.n), key=lambda v: -abs(costs[v]))
+        self.order = sorted(range(self.n), key=[-abs(c) for c in costs].__getitem__)
         at = {v: k for k, v in enumerate(self.order)}
         self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
 
@@ -359,23 +383,32 @@ def _exact_costs(costs, ids, edges):
     return [p << (top - q.bit_length()) for p, q in ratios]
 
 
-def _implications(crag, var_y, var_m):
+def _implications(crag, tops, var_y, var_m):
     """The overlap and incidence constraints as implied literals.
 
     implied[val][v] is (value, variables): v = val forces each of the
-    variables to value.  y_a = 1 forces 0 on every candidate that shares
-    a conflict clique with a (sum of y <= 1 over the clique); y_i = 0
+    variables to value.  y_a = 1 forces 0 on every candidate that
+    overlaps a, that is every ancestor and descendant of a, with which
+    it shares a conflict clique (sum of y <= 1 over the clique); y_i = 0
     forces 0 on the merge of every edge at i, and m_e = 1 forces 1 on
     both its ends (2 m_e <= y_i + y_j).  These are all the literals that
     the rows force, so y_i = 1 and m_e = 0 force nothing.  Candidates
-    without a variable are 0 in the mode and left out of the cliques.
+    without a variable are 0 and left out.  The walk covers the
+    subtrees of `tops`, which hold every candidate of var_y.
     """
     n = len(var_y) + len(var_m)
-    mates = {v: set() for v in var_y.values()}
-    for clique in conflict_cliques(crag):
-        clique = [var_y[i] for i in clique if i in var_y]
-        for v in clique:
-            mates[v].update(u for u in clique if u != v)
+    mates = {v: [] for v in var_y.values()}
+    # (candidate, the variables of its ancestors)
+    stack = [(r, ()) for r in tops]
+    while stack:
+        cid, above = stack.pop()
+        v = var_y.get(cid)
+        if v is not None:
+            for u in above:
+                mates[u].append(v)
+                mates[v].append(u)
+            above += (v,)
+        stack.extend((c, above) for c in crag.candidates[cid].children)
     merges_at = {v: [] for v in var_y.values()}
     implied = ([(0, ())] * n, [(0, ())] * n)
     for (i, j), m in var_m.items():
@@ -389,14 +422,14 @@ def _implications(crag, var_y, var_m):
 
 
 def _build(crag, costs, mode):
-    """The mode's variables and the search state over them.
+    """The mode's variables and their exact costs.
 
-    Returns (var_y, var_m, state).  var_y numbers the mode's selections
+    Returns (var_y, var_m, exact).  var_y numbers the mode's selections
     and var_m, after them, its merges, each in the order of crag.ids()
     and crag.adjacency: every selection and merge in full, every
     selection in merge_tree_only, and in leaf_multicut_only the leaf
-    selections and the merges of edges between two leaves.  The state
-    holds their lexed costs (_lexed) and is at its root.
+    selections and the merges of edges between two leaves.  exact holds
+    their costs as ints on one scale (_exact_costs), by variable.
     """
     ids, edges = crag.ids(), list(crag.adjacency)
     if mode == "merge_tree_only":
@@ -407,9 +440,109 @@ def _build(crag, costs, mode):
         edges = [e for e in edges if e[0] in leaves and e[1] in leaves]
     var_y = {i: k for k, i in enumerate(ids)}
     var_m = {e: len(ids) + k for k, e in enumerate(edges)}
-    lexed = _lexed(_exact_costs(costs, ids, edges))
-    forest = _forest(crag, var_y, var_m, lexed)
-    return var_y, var_m, _State(lexed, _implications(crag, var_y, var_m), forest)
+    return var_y, var_m, _exact_costs(costs, ids, edges)
+
+
+def _split(crag, var_y, var_m, exact):
+    """The parts of the mode's program that the rule leaves (module
+    docstring), each as (tops, ids, edges).
+
+    The rule runs to its fixpoint on the exact costs of the whole mode.
+    A lexed sum is (its cost sum << n) plus its tie weights, which sum
+    to more than 0 and less than 2**n (_lexed), so it is > 0 exactly
+    when its cost sum is >= 0, and a lexed merge cost is < 0 exactly
+    when the merge's cost is.  ids and edges are a part's candidates
+    and merges, in the
+    order of var_y and var_m; tops lists, in forest order, those of its
+    candidates that have no ancestor in it, and every other one lies
+    below one of them.  Parts come in the order of their first
+    candidate.  Every other variable, a fixed selection or a merge at a
+    fixed candidate or between two parts, is 0 in the answer.
+    """
+    n_y = len(var_y)
+    # per selection: its cost plus that of every attractive merge at it
+    # whose other end is not fixed, and its links, first (other end,
+    # cost) per attractive merge
+    total = exact[:n_y]
+    links = [[] for _ in range(n_y)]
+    for (i, j), m in var_m.items():
+        c = exact[m]
+        if c < 0:
+            a, b = var_y[i], var_y[j]
+            total[a] += c
+            total[b] += c
+            links[a].append((b, c))
+            links[b].append((a, c))
+    fixed = [False] * n_y
+    todo = [v for v in range(n_y) if total[v] >= 0]
+    while todo:
+        v = todo.pop()
+        if not fixed[v]:
+            fixed[v] = True
+            for u, c in links[v]:
+                if not fixed[u]:
+                    total[u] -= c
+                    if total[u] >= 0:
+                        todo.append(u)
+
+    # link each candidate to its nearest ancestor that is not fixed,
+    # from the roots down: (candidate, that ancestor's selection or None)
+    tops = []
+    stack = [(r, None) for r in reversed(crag.roots())]
+    while stack:
+        cid, above = stack.pop()
+        v = var_y.get(cid)
+        if v is not None and not fixed[v]:
+            if above is None:
+                tops.append(cid)
+            else:
+                links[v].append((above, 0))
+                links[above].append((v, 0))
+            above = v
+        stack.extend((c, above) for c in reversed(crag.candidates[cid].children))
+    # the parts: the linked components of the selections not fixed
+    part_of = [None] * n_y
+    parts = []
+    for v in range(n_y):
+        if not fixed[v] and part_of[v] is None:
+            part_of[v] = len(parts)
+            queue = [v]
+            for x in queue:
+                for u, _ in links[x]:
+                    if not fixed[u] and part_of[u] is None:
+                        part_of[u] = len(parts)
+                        queue.append(u)
+            parts.append(([], [], []))
+    for i, v in var_y.items():
+        if part_of[v] is not None:
+            parts[part_of[v]][1].append(i)
+    for cid in tops:
+        parts[part_of[var_y[cid]]][0].append(cid)
+    for e in var_m:
+        k = part_of[var_y[e[0]]]
+        if k is not None and k == part_of[var_y[e[1]]]:
+            parts[k][2].append(e)
+    return parts
+
+
+def _part_state(crag, var_y, var_m, exact, part):
+    """The search state of one part (tops, ids, edges), at its root.
+
+    Returns (state, part_y, part_m): part_y numbers the part's
+    selections and part_m, after them, its merges, in their order in
+    the mode.  The state holds their lexed costs under the tie weights
+    of the whole mode (_lexed), their implications (_implications) and
+    their merge forest (_forest), both from the subtrees of the part's
+    tops.
+    """
+    tops, ids, edges = part
+    part_y = {i: k for k, i in enumerate(ids)}
+    part_m = {e: len(ids) + k for k, e in enumerate(edges)}
+    variables = [var_y[i] for i in ids] + [var_m[e] for e in edges]
+    costs = _lexed(exact, variables)
+    implied = _implications(crag, tops, part_y, part_m)
+    forest = _forest(crag, tops, part_y, part_m, costs)
+    return _State(costs, implied, forest), part_y, part_m
 
 
 def _path_rows(cuts, var_m):
@@ -421,13 +554,13 @@ def _path_rows(cuts, var_m):
     ]
 
 
-def _lexed(costs):
-    """The exact int costs with the lex tie-break folded in (module
-    docstring): the weights 2**(n - 1 - v) sum to less than one unit of
-    c << n, so they only break ties, and a smaller weight sum is a
-    lex-smaller x."""
-    n = len(costs)
-    return [(c << n) + (1 << (n - 1 - v)) for v, c in enumerate(costs)]
+def _lexed(exact, variables):
+    """The exact int costs of `variables`, of the n in `exact`, with the
+    lex tie-break folded in (module docstring): the weights
+    2**(n - 1 - v) sum to less than one unit of c << n, so they only
+    break ties, and a smaller weight sum is a lex-smaller x."""
+    n = len(exact)
+    return [(exact[v] << n) + (1 << (n - 1 - v)) for v in variables]
 
 
 def _joins_an_unmerged_edge(value, ends):
@@ -463,8 +596,8 @@ def separate_path_constraints(crag, solution):
 
 
 def _assignment_to_solution(crag, costs, assign, var_y, var_m):
-    """The Solution of an assignment to the mode's variables, with 0 for
-    every candidate and edge that has no variable in the mode."""
+    """The Solution of an assignment to the variables of var_y and var_m
+    (a part's), with 0 for every other candidate and edge."""
     y = {i: assign[var_y[i]] if i in var_y else 0 for i in crag.ids()}
     m = {e: assign[var_m[e]] if e in var_m else 0 for e in crag.adjacency}
     return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
@@ -473,20 +606,26 @@ def _assignment_to_solution(crag, costs, assign, var_y, var_m):
 def solve(crag, costs, mode="full", time_limit=None):
     """Global optimum of the selection/clustering objective.
 
-    One branch-and-cut search (module docstring) over the mode's own
-    variables (_build), with path cuts separated at its leaves.  Every
-    y and m outside the mode is 0 in its answer without being a pinned
-    variable, and n is the mode's variable count.  Those are 0 in every
-    assignment of the mode and the rest keep their (y, m) order, so the
-    tie-break over the mode's variables is that over the full (y, m).
+    The mode's program (_build) is reduced and split into parts
+    (_split, module docstring), and each part gets one branch-and-cut
+    search over its own variables (_part_state, _dfs), with path cuts
+    separated at its leaves.  Every y and m outside the mode, fixed by
+    the rule or between two parts is 0 in the answer without being a
+    pinned variable.  Those are 0 in every optimum, each part keeps the
+    (y, m) order of its variables and the lexed costs of the whole mode,
+    so each part's lex-smallest optimum, put together, is the one over
+    the full (y, m).  A graph of one part with nothing fixed is searched
+    as one program.
 
     time_limit is None (no limit) or a finite number of seconds >= 0;
-    anything else raises CmcError.  On timeout the incumbent, the best
-    feasible assignment found, is returned with optimal=False, or the
-    empty assignment when there is none yet; an incumbent that fails
-    validate_solution raises InfeasibleSolution.  The solution's
-    iterations is 1 plus the number of leaves that the search turned
-    down for the path cuts they break.
+    anything else raises CmcError.  All parts share one clock.  Once a
+    part's search stops at the time limit, it keeps its incumbent, the
+    best feasible assignment it found (or its empty assignment), no
+    later part is searched and keeps 0, and the answer comes back with
+    optimal=False; an answer then that fails validate_solution raises
+    InfeasibleSolution.  The solution's iterations is 1 plus the number
+    of leaves that the parts' searches turned down for the path cuts
+    they break.
     """
     if mode not in MODES:
         raise CmcError(f"unknown mode {mode!r}")
@@ -506,23 +645,32 @@ def solve(crag, costs, mode="full", time_limit=None):
             raise CmcError(f"time limit must be a finite number >= 0, got {shown}")
         time_limit = limit
     _check_costs(costs, crag.ids(), list(crag.adjacency))
-    var_y, var_m, state = _build(crag, costs, mode)
-    ends = [(var_y[i], var_y[j]) for i, j in var_m]
-    turned_down = 0
+    var_y, var_m, exact = _build(crag, costs, mode)
+    clock = _Clock(time_limit)
+    y = dict.fromkeys(crag.ids(), 0)
+    m = dict.fromkeys(crag.adjacency, 0)
+    optimal, turned_down = True, 0
+    for part in _split(crag, var_y, var_m, exact):
+        state, part_y, part_m = _part_state(crag, var_y, var_m, exact, part)
+        ends = [(part_y[i], part_y[j]) for i, j in part_m]
 
-    def cuts(value):
-        nonlocal turned_down
-        if not _joins_an_unmerged_edge(value, ends):
-            return []
-        turned_down += 1
-        sol = _assignment_to_solution(crag, costs, value, var_y, var_m)
-        return _path_rows(separate_path_constraints(crag, sol), var_m)
+        def cuts(value):
+            nonlocal turned_down
+            if not _joins_an_unmerged_edge(value, ends):
+                return []
+            turned_down += 1
+            sol = _assignment_to_solution(crag, costs, value, part_y, part_m)
+            return _path_rows(separate_path_constraints(crag, sol), part_m)
 
-    assign, optimal = _dfs(state, _Clock(time_limit), cuts)
-    sol = _assignment_to_solution(crag, costs, assign, var_y, var_m)
+        assign, optimal = _dfs(state, clock, cuts)
+        y.update((i, assign[k]) for i, k in part_y.items())
+        m.update((e, assign[k]) for e, k in part_m.items())
+        if not optimal:
+            break
+    sol = Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
     sol.optimal, sol.iterations = optimal, 1 + turned_down
     if not optimal:
-        # the incumbent passed the same path check at its leaf; a stop
+        # each incumbent passed the same path check at its leaf; a stop
         # must not hand on an assignment that fails the full check
         violations = validate_solution(crag, sol)
         if violations:
@@ -530,14 +678,15 @@ def solve(crag, costs, mode="full", time_limit=None):
     return sol
 
 
-def _forest(crag, var_y, var_m, costs):
+def _forest(crag, tops, var_y, var_m, costs):
     """The merge forest for _State.forest_gap: (entries, roots).
 
-    entries lists (y, child entries, rewards) in post-order, where y is
-    a candidate's selection variable and rewards are the merges of
-    negative cost that it owns; roots indexes the root entries.  A
-    candidate without a variable hands its place in its parent to its
-    children's entries.
+    The walk covers the subtrees of `tops`, which hold every candidate
+    of var_y.  entries lists (y, child entries, rewards) in post-order,
+    where y is a candidate's selection variable and rewards are the
+    merges of negative cost that it owns; roots indexes the root
+    entries.  A candidate without a variable hands its place in its
+    parent to its children's entries.
 
     A merge is owned by the end of its edge whose lexed selection cost
     is larger.  Either end would give a valid bound, since the merge
@@ -549,9 +698,8 @@ def _forest(crag, var_y, var_m, costs):
         if costs[v] < 0:
             owned[i if costs[var_y[i]] > costs[var_y[j]] else j].append(v)
     entries, stands_for = [], {}
-    roots = crag.roots()
     # (candidate, its children done, an entry above it)
-    stack = [(r, False, False) for r in reversed(roots)]
+    stack = [(r, False, False) for r in reversed(tops)]
     while stack:
         cid, children_done, under = stack.pop()
         children = crag.candidates[cid].children
@@ -571,7 +719,7 @@ def _forest(crag, var_y, var_m, costs):
         else:
             entries.append((y, below, tuple(owned[cid])))
             stands_for[cid] = (len(entries) - 1,)
-    return tuple(entries), tuple(k for r in roots for k in stands_for[r])
+    return tuple(entries), tuple(k for r in tops for k in stands_for[r])
 
 
 def extract_segmentation(crag, solution):
@@ -586,19 +734,19 @@ def extract_segmentation(crag, solution):
         raise InfeasibleSolution(violations)
     group = solution.merged_groups([i for i in crag.ids() if solution.y[i]])
 
-    # rank k + 1 for crag.leaves()[k] and 0 for UNCOVERED, so no table is
-    # sized by an id; per rank its group's number from 1, or 0 if unselected
-    leaf_labels = crag.leaf_labels()
+    # per leaf rank (Crag.leaf_ranks) its group's number from 1, or 0 if
+    # unselected or UNCOVERED, so no table is sized by an id
     leaves = np.array(crag.leaves(), dtype=np.int64)
     numbers = {}
     group_of_rank = np.zeros(len(leaves) + 1, dtype=np.int64)
     for i, root in group.items():
         ranks = np.searchsorted(leaves, crag.leaves_under(i), side="right")
         group_of_rank[ranks] = numbers.setdefault(root, len(numbers) + 1)
-    groups = group_of_rank[np.searchsorted(leaves, leaf_labels, side="right")].ravel()
+    ranks = crag.leaf_ranks()
+    groups = group_of_rank[ranks].ravel()
     # number components by their first pixel in row-major order
     found, first = np.unique(groups, return_index=True)
     found, first = found[found > 0], first[found > 0]
     relabel = np.zeros(len(numbers) + 1, dtype=np.int64)
     relabel[found[np.argsort(first)]] = np.arange(1, len(found) + 1)
-    return relabel[groups].reshape(leaf_labels.shape)
+    return relabel[groups].reshape(ranks.shape)

@@ -45,10 +45,10 @@ from cmc.synth import generate_synthetic
 
 from util import (
     MALFORMED_FOREST,
+    frustrated_grid,
     leaf_image,
     malformed_forest,
     old_model_json,
-    pixel_grid_crag,
     quad_costs,
     quad_crag,
     quad_gt,
@@ -471,12 +471,7 @@ def test_cli_pipeline_deterministic(tmp_path, capsys):
 
 
 def test_cli_solve_timeout_exit_code(tmp_path, capsys):
-    rng = np.random.default_rng(5)
-    crag = pixel_grid_crag(6, 6)
-    costs = CostTable(
-        f={i: -1.0 for i in crag.ids()},
-        g={e: float(rng.choice((-1.0, 1.0))) for e in crag.adjacency},
-    )
+    crag, costs = frustrated_grid()
     crag_path = tmp_path / "crag.json"
     costs_path = tmp_path / "costs.json"
     crag_path.write_text(json.dumps(crag_to_json(crag)))

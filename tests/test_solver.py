@@ -26,6 +26,7 @@ from cmc.solver import (
     _Clock,
     _dfs,
     _exact_costs,
+    _part_state,
     _path_rows,
     _State,
     extract_segmentation,
@@ -39,6 +40,7 @@ from util import (
     brute_force,
     enumerate_minimum,
     explicit_rows,
+    frustrated_grid,
     leaf_image,
     pixel_grid_crag,
     quad_costs,
@@ -47,6 +49,8 @@ from util import (
     random_costs,
     random_crag,
     random_sparse_crag,
+    ref_lexed,
+    ref_parts,
     ref_slack,
     ref_unit_propagation,
 )
@@ -180,10 +184,20 @@ def _program(crag, costs):
     return var_y, var_m, cvec
 
 
+def _whole(crag, costs, mode="full"):
+    """The mode's variables and the search state of its whole program:
+    the state of one part (_part_state) that holds every variable, as
+    solve builds it for a graph of one part with nothing fixed."""
+    var_y, var_m, exact = _build(crag, costs, mode)
+    whole = (crag.roots(), list(var_y), list(var_m))
+    state, _, _ = _part_state(crag, var_y, var_m, exact, whole)
+    return var_y, var_m, state
+
+
 def _state(crag, costs, mode="full", cuts=()):
-    """The search state over the mode's lexed costs as solve builds it
-    (_build), with the clauses of `cuts` added at its root."""
-    _, var_m, state = _build(crag, costs, mode)
+    """The search state over the mode's whole program (_whole), with the
+    clauses of `cuts` added at its root."""
+    _, var_m, state = _whole(crag, costs, mode)
     state.add_rows(_path_rows(cuts, var_m))
     return state
 
@@ -227,7 +241,7 @@ def test_each_mode_is_built_over_its_own_variables(mode):
             for e in crag.adjacency
             if mode == "full" or (mode == "leaf_multicut_only" and set(e) <= leaves)
         ]
-        var_y, var_m, state = _build(crag, random_costs(rng, crag), mode)
+        var_y, var_m, state = _whole(crag, random_costs(rng, crag), mode)
         assert list(var_y) == ids and list(var_m) == edges
         assert [*var_y.values(), *var_m.values()] == list(range(state.n))
         assert state.n == len(state.costs) == len(ids) + len(edges)
@@ -293,7 +307,7 @@ def test_forest_gap_bounds_every_completion():
             continue
         checked += 1
         for mode in MODES:
-            var_y, var_m, root = _build(crag, costs, mode)
+            var_y, var_m, root = _whole(crag, costs, mode)
             n = root.n
             ends = {m: (var_y[i], var_y[j]) for (i, j), m in var_m.items()}
             for y, _, rewards in root.forest:
@@ -477,13 +491,11 @@ def test_extract_segmentation_rejects_infeasible():
 
 
 def test_timeout_returns_feasible_incumbent():
-    """A 96-variable clustering instance cannot finish in a microsecond."""
-    rng = np.random.default_rng(5)
-    crag = pixel_grid_crag(6, 6)
-    costs = CostTable(
-        f={i: -1.0 for i in crag.ids()},
-        g={e: float(rng.choice((-1.0, 1.0))) for e in crag.adjacency},
-    )
+    """A 96-variable clustering instance whose one large part cannot be
+    proved in a microsecond (frustrated_grid).  With g = +-1 drawn
+    evenly, the rule and the split leave parts of at most 17 pixels,
+    which prove in 184 ticks, before the clock first reads the time."""
+    crag, costs = frustrated_grid()
     sol = solve(crag, costs, time_limit=1e-6)
     assert sol.optimal is False
     assert sol.iterations >= 1
@@ -652,36 +664,122 @@ def test_costs_over_a_wide_exponent_range():
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(_crag_and_tie_costs(("unit", "k/1024", "pairs", "wide")))
 def test_bound_is_the_exact_sum_at_every_leaf(case):
-    """At every leaf that a search of the solve reaches, state.bound is
-    an int: the lexed sum of the selected variables, that is the common
+    """solve searches each part of ref_parts in turn, and at every leaf
+    that a part's search reaches, state.n is the part's variable count
+    and state.bound is an int: the part's lexed sum of the selected
+    variables under the weights of the whole mode, that is the common
     scale of the mode's costs times their exact sum times 2**n plus
-    2**(n - 1 - v) per selected v, where n is the mode's variable count,
-    recomputed here in Fractions."""
+    2**(n - 1 - v) per selected variable v of the mode, where n is the
+    mode's variable count, recomputed here in Fractions."""
     crag, costs = case
     dfs = solver._dfs
 
     for mode in MODES:
         var_y, var_m = _variables(crag, mode)
-        exact = [Fraction(costs.f[i]) for i in var_y]
-        exact += [Fraction(costs.g[e]) for e in var_m]
-        scale = max(c.denominator for c in exact)
-        n = len(exact)
+        lexed = ref_lexed(crag, costs, var_y, var_m)
+        parts = ref_parts(crag, costs, var_y, var_m)
+        searched = []
 
         def spy(state, clock, cuts):
+            part = parts[len(searched)]
+            searched.append(part)
+
             def checked(value):
-                assert state.n == n
+                assert state.n == len(part)
                 assert type(state.bound) is int and type(state.forest_gap()) is int
-                chosen = [v for v, x in enumerate(value) if x]
-                assert state.bound == (
-                    scale * sum(exact[v] for v in chosen) * 2**n
-                    + sum(Fraction(2) ** (n - 1 - v) for v in chosen)
-                )
+                chosen = [v for v, x in zip(part, value) if x]
+                assert state.bound == sum(lexed[v] for v in chosen)
                 return cuts(value)
 
             return dfs(state, clock, checked)
 
         with mock.patch.object(solver, "_dfs", spy):
             solve(crag, costs, mode=mode)
+        assert searched == parts
+
+
+def _split_variables(crag, costs, mode):
+    """_split's parts as each part's variables in the mode's numbering."""
+    var_y, var_m, exact = _build(crag, costs, mode)
+    return [
+        [var_y[i] for i in ids] + [var_m[e] for e in edges]
+        for _, ids, edges in solver._split(crag, var_y, var_m, exact)
+    ]
+
+
+def _zero_rule_sum(crag, costs, i):
+    """costs with f_i set so that its lexed rule sum, with no candidate
+    fixed yet, is exactly 0 in cost units in full mode: the tie bits
+    alone make it > 0."""
+    f = dict(costs.f)
+    f[i] = -sum(min(0.0, costs.g[e]) for e in crag.adjacency if i in e)
+    return CostTable(f, dict(costs.g))
+
+
+@st.composite
+def _tie_bit_cases(draw):
+    crag, costs = draw(_crag_and_tie_costs(("unit", "k/1024", "zero")))
+    i = draw(st.sampled_from(crag.ids()))
+    return crag, _zero_rule_sum(crag, costs, i), i
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_tie_bit_cases())
+def test_rule_fixed_by_the_tie_bit_alone_equals_brute_force(case):
+    """A candidate whose f cancels its attractive merges exactly: its
+    rule sum is 0 in cost units, so only the tie-break bit fixes it.
+    Deselecting it, with its merges, keeps the cost and gives a
+    lex-smaller (y, m), so brute_force selects it in no mode, and the
+    split parts are those of ref_parts."""
+    crag, costs, i = case
+    var_y, var_m, exact = _build(crag, costs, "full")
+    assert all(i not in ids for _, ids, _ in solver._split(crag, var_y, var_m, exact))
+    for mode in MODES:
+        var_y, var_m = _variables(crag, mode)
+        want = ref_parts(crag, costs, var_y, var_m)
+        assert _split_variables(crag, costs, mode) == want
+        got = solve(crag, costs, mode=mode)
+        assert got.optimal and got == brute_force(crag, costs, mode)
+        assert got.y[i] == 0
+
+
+def test_split_equals_brute_force():
+    """Random graphs with unit costs, k/1024 costs, and costs that are 0
+    or else quarters, one candidate's rule sum made exactly 0 in cost
+    units: _split's parts are ref_parts,
+    and solve is brute_force's answer in every mode.  The instances fall
+    into several parts, fix candidates, and cross parts with g = 0
+    edges, which no optimum merges."""
+    rng = np.random.default_rng(3232)
+    seen = {"several parts": 0, "fixed": 0, "zero edge between parts": 0}
+    for k in range(240):
+        crag = random_crag(rng)
+        ids, edges = crag.ids(), list(crag.adjacency)
+        n = len(ids) + len(edges)
+        values = [
+            rng.integers(-1, 2, size=n),
+            rng.integers(-1024, 1025, size=n) / 1024,
+            np.where(rng.random(n) < 0.5, 0, rng.integers(-4, 5, size=n) / 4),
+        ][k % 3].astype(float).tolist()
+        costs = CostTable(dict(zip(ids, values)), dict(zip(edges, values[len(ids):])))
+        costs = _zero_rule_sum(crag, costs, ids[int(rng.integers(len(ids)))])
+        for mode in MODES:
+            var_y, var_m = _variables(crag, mode)
+            parts = ref_parts(crag, costs, var_y, var_m)
+            assert _split_variables(crag, costs, mode) == parts
+            got = solve(crag, costs, mode=mode)
+            assert got.optimal and got == brute_force(crag, costs, mode)
+            part_of = {v: p for p, part in enumerate(parts) for v in part}
+            seen["several parts"] += len(parts) > 1
+            seen["fixed"] += any(v not in part_of for v in var_y.values())
+            seen["zero edge between parts"] += any(
+                costs.g[e] == 0
+                and var_y[e[0]] in part_of
+                and var_y[e[1]] in part_of
+                and part_of[var_y[e[0]]] != part_of[var_y[e[1]]]
+                for e in var_m
+            )
+    assert min(seen.values()) >= 25, seen
 
 
 def test_solve_equals_two_pass_reference_on_larger_instances():
@@ -691,8 +789,9 @@ def test_solve_equals_two_pass_reference_on_larger_instances():
     two-pass solver gave them, and as the cutting-plane loop that
     restarted the search each round gave them; no cost family here has
     ties to within rounding only, so exact sums keep every answer.  The
-    one search turns down 82 leaves in all (iterations less one per
-    solve), where the round loop ran 514 rounds."""
+    searches of the parts turn down 82 leaves in all (iterations less
+    one per solve), as the one search over each whole program did, where
+    the round loop ran 514 rounds."""
     digest = hashlib.sha256()
     iterations = 0
     for crag, costs in _larger_instances():
@@ -729,8 +828,12 @@ def _larger_instances():
 
 
 def test_search_tree_is_pinned(monkeypatch):
-    """The digest test's 441 solves visit 5295 clock ticks in all, one
-    search each with path cuts at its leaves.  They visited 5766 while
+    """The digest test's 441 solves visit 3785 clock ticks in all, one
+    search per part with path cuts at its leaves.  The rule fixes a
+    selection in 377 of them, and they fall into 777 parts; 35 are one
+    part with nothing fixed.  One search over each whole program, with
+    a tick at each part's start fewer but with its nodes over the fixed
+    selections and across parts, visited 5295.  They visited 5766 while
     the merge forest charged each attractive merge to its edge's first
     end rather than to the end of larger selection cost (_forest).  The
     cutting-plane loop that restarted the search each round visited
@@ -748,7 +851,7 @@ def test_search_tree_is_pinned(monkeypatch):
         for mode in MODES:
             solve(crag, costs, mode=mode)
     assert len(clocks) == 441
-    assert sum(clock.ticks for clock in clocks) == 5295
+    assert sum(clock.ticks for clock in clocks) == 3785
 
 
 # ---------------------------------------------------------------------------
@@ -1049,18 +1152,22 @@ def test_solver_hard_large_graph_is_solved_to_optimality():
     assert validate_solution(crag, sol) == []
 
 
-def test_timeout_at_the_first_incumbent(monkeypatch):
-    """A multicut with tied merge costs.  The spy on the search's leaf
-    check expires the solve's clock at the first leaf, which may become
-    the first incumbent, and makes the next tick read it, so the
-    deadline passes inside the search on any host, and the answer comes
-    back at once."""
+def _tied_multicut():
+    """A 7x8 pixel grid with f = -1 and g drawn from {-1, 0, 1}, so
+    many merge costs tie.  It falls into 23 parts."""
     rng = np.random.default_rng(76)
     crag = pixel_grid_crag(7, 8)
-    costs = CostTable(
-        f={i: -1.0 for i in crag.ids()},
-        g={e: float(rng.choice((-1.0, 0.0, 1.0))) for e in crag.adjacency},
-    )
+    g = [float(rng.choice((-1.0, 0.0, 1.0))) for _ in crag.adjacency]
+    return crag, CostTable({i: -1.0 for i in crag.ids()}, dict(zip(crag.adjacency, g)))
+
+
+def test_timeout_at_the_first_incumbent(monkeypatch):
+    """A multicut with tied merge costs (_tied_multicut).  The spy on the
+    search's leaf check expires the solve's clock at the first leaf,
+    which may become the first incumbent, and makes the next tick read
+    it, so the deadline passes inside a part's search on any host, and
+    the answer comes back at once."""
+    crag, costs = _tied_multicut()
     expired_at, expired_in_search = [], []
     dfs = solver._dfs
 
@@ -1106,22 +1213,68 @@ def _solve_within(crag, costs, mode, budget):
 
 
 def test_timeout_keeps_the_best_feasible_incumbent():
-    """The multicut of the test above, stopped after 1000 ticks, returns
-    the feasible incumbent it holds.  The cutting-plane loop that
-    restarted the search each round returned the empty segmentation
-    here at 1000, 5000 and 20000 ticks: its round's incumbent broke path
-    rows not yet in the pool, so the stop dropped it."""
+    """A multicut like the one of the test above, with half its merges
+    attractive, stopped after 1000 ticks, returns the feasible incumbent
+    it holds.  Its third of ten parts, of 34 pixels, is where the stop
+    falls, and no tick is spent after it.  The cutting-plane loop that
+    restarted the search each round returned the empty segmentation on
+    the multicut above at 1000, 5000 and 20000 ticks: its round's
+    incumbent broke path rows not yet in the pool, so the stop dropped
+    it.  The split proves that one in 172 ticks."""
     rng = np.random.default_rng(76)
     crag = pixel_grid_crag(7, 8)
-    costs = CostTable(
-        f={i: -1.0 for i in crag.ids()},
-        g={e: float(rng.choice((-1.0, 0.0, 1.0))) for e in crag.adjacency},
-    )
+    p = (0.5, 0.25, 0.25)
+    g = [float(rng.choice((-1.0, 0.0, 1.0), p=p)) for _ in crag.adjacency]
+    costs = CostTable({i: -1.0 for i in crag.ids()}, dict(zip(crag.adjacency, g)))
     sol, ticks = _solve_within(crag, costs, "full", 1000)
     assert ticks == 1001
     assert sol.optimal is False
     assert validate_solution(crag, sol) == []
     assert sol.objective < 0.0
+
+
+def test_a_stop_ends_the_solve(monkeypatch):
+    """_Clock reads the time once every 1024 ticks, so a part searched
+    after another part stopped would run on until the next read.  A
+    clock that reports the deadline at one tick alone stops the solve of
+    a graph of 23 parts at each tick in turn: no tick is spent after
+    the stop, no part after the one that stopped is searched, each of
+    them keeps 0, and the answer is feasible."""
+    crag, costs = _tied_multicut()
+    var_y, var_m, exact = _build(crag, costs, "full")
+    parts = solver._split(crag, var_y, var_m, exact)
+    assert len(parts) == 23
+    dfs, searched = solver._dfs, []
+
+    def spy(state, clock, cuts):
+        searched.append(state.n)
+        return dfs(state, clock, cuts)
+
+    monkeypatch.setattr(solver, "_dfs", spy)
+    whole, full = _solve_within(crag, costs, "full", math.inf)
+    assert whole.optimal and len(searched) == 23
+    stopped_in = set()
+    for budget in range(1, full + 1):
+        clocks = []
+
+        class Clock(solver._Clock):
+            def __init__(self, time_limit):
+                super().__init__(time_limit)
+                clocks.append(self)
+
+            def tick(self):
+                self.ticks += 1
+                return self.ticks == budget
+
+        searched.clear()
+        with mock.patch.object(solver, "_Clock", Clock):
+            sol = solve(crag, costs)
+        assert clocks[0].ticks == budget and sol.optimal is False
+        assert validate_solution(crag, sol) == []
+        for _, ids, edges in parts[len(searched):]:
+            assert not any(sol.y[i] for i in ids) and not any(sol.m[e] for e in edges)
+        stopped_in.add(len(searched))
+    assert stopped_in == set(range(1, 24))
 
 
 @pytest.fixture(scope="module")
@@ -1144,9 +1297,11 @@ def over_segmented():
 def test_over_segmented_images_prove(over_segmented, seed, image, ticks, objective):
     """The sweep's three chorded images that full mode failed to prove
     in 5 s while the merge forest charged each attractive merge to its
-    edge's first end.  With each merge charged to its costlier end they
-    prove in `ticks` ticks; each gets twice that.  Each objective is
-    HiGHS's optimum (perfbench/reference.py)."""
+    edge's first end.  With each merge charged to its costlier end, one
+    search over the whole program proved them in `ticks` ticks, and
+    each gets twice that; reduced and split into parts, they prove in
+    106, 78 and 105.  Each objective is HiGHS's optimum
+    (perfbench/reference.py)."""
     config, model = over_segmented
     raw, boundary, _ = generate_synthetic(
         image + 1, 12, 1.0, seed, image_size=256, chord_fraction=0.5
@@ -1165,9 +1320,11 @@ def test_over_segmented_images_prove(over_segmented, seed, image, ticks, objecti
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_every_stop_returns_a_feasible_answer(seed):
-    """Stopped after any number of ticks, solve returns a feasible answer
-    of objective <= 0 in every mode, and given all the ticks its search
-    needs, brute_force's answer."""
+    """Stopped after any number of ticks short of those its searches
+    need, solve returns a feasible answer of objective <= 0 in every
+    mode, having spent no tick after the stop; given all of them,
+    brute_force's answer.  A program that the rule fixes whole needs no
+    tick."""
     rng = np.random.default_rng(seed)
     while True:
         crag = random_crag(rng) if seed % 2 else random_sparse_crag(rng)
@@ -1175,13 +1332,13 @@ def test_every_stop_returns_a_feasible_answer(seed):
             break
     costs = random_costs(rng, crag)
     for mode in MODES:
-        _, full = _solve_within(crag, costs, mode, math.inf)
-        for budget in range(1, full + 1):
-            sol, _ = _solve_within(crag, costs, mode, budget)
+        sol, full = _solve_within(crag, costs, mode, math.inf)
+        assert sol.optimal and sol == brute_force(crag, costs, mode)
+        for budget in range(full):
+            sol, ticks = _solve_within(crag, costs, mode, budget)
             assert validate_solution(crag, sol) == []
             assert sol.objective <= 0.0
-            assert sol.optimal is (budget == full)
-        assert sol == brute_force(crag, costs, mode)
+            assert sol.optimal is False and ticks == budget + 1
 
 
 @pytest.mark.parametrize(

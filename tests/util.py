@@ -156,6 +156,19 @@ def pixel_grid_crag(h, w):
     return build_crag(candidates, adjacency, leaf_image(pixels, w, h))
 
 
+def frustrated_grid():
+    """A multicut that takes long to prove: a 6x6 pixel grid with f = -1
+    everywhere, g = -1 on about 60% of its edges and g = +1 on the rest.
+    The attractive edges join 33 of the 36 pixels into one part, which
+    takes the solver about 300,000 ticks to prove, so a solve of it
+    cannot finish in a microsecond, nor before its clock first reads
+    the time."""
+    rng = np.random.default_rng(5)
+    crag = pixel_grid_crag(6, 6)
+    g = {e: float(rng.choice((-1.0, 1.0), p=(0.6, 0.4))) for e in crag.adjacency}
+    return crag, CostTable({i: -1.0 for i in crag.ids()}, g)
+
+
 def zero_solution(crag):
     return Solution(
         y={i: 0 for i in crag.ids()},
@@ -873,6 +886,66 @@ def brute_force(crag, costs, mode="full"):
                 best = (cost, bits, dict(y), m)
     _, _, y, m = best
     return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
+
+
+def ref_lexed(crag, costs, var_y, var_m):
+    """The lexed cost of each variable of var_y and var_m (numbered 0..n-1
+    in that order), in Fractions: the cost times the largest denominator
+    among the variables' costs, times 2**n, plus 2**(n - 1 - v)."""
+    exact = [Fraction(costs.f[i]) for i in var_y]
+    exact += [Fraction(costs.g[e]) for e in var_m]
+    scale = max((c.denominator for c in exact), default=1)
+    n = len(exact)
+    return [
+        scale * c * 2**n + Fraction(2) ** (n - 1 - v) for v, c in enumerate(exact)
+    ]
+
+
+def ref_parts(crag, costs, var_y, var_m):
+    """The parts of the program over var_y and var_m that the solver's
+    rule and split leave (cmc.solver), from their definitions: each
+    part's variables in increasing order, the parts in the order of
+    their first variable.
+
+    The rule fixes a selection while its lexed cost (ref_lexed) plus
+    the lexed costs of the negative merges at it whose other end is not
+    fixed is > 0, in sweeps over all selections until one fixes nothing.
+    Two selections that are not fixed share a part when one candidate
+    is an ancestor of the other or a negative merge joins them; a merge
+    whose ends are not fixed and share a part belongs to it."""
+    lexed = ref_lexed(crag, costs, var_y, var_m)
+    fixed = set()
+    changed = True
+    while changed:
+        changed = False
+        for i, v in var_y.items():
+            if i in fixed:
+                continue
+            total = lexed[v] + sum(
+                lexed[m]
+                for e, m in var_m.items()
+                if i in e and lexed[m] < 0 and e[0 if e[1] == i else 1] not in fixed
+            )
+            if total > 0:
+                fixed.add(i)
+                changed = True
+    live = [i for i in var_y if i not in fixed]
+    links = [e for e, m in var_m.items() if lexed[m] < 0]
+    links += [(i, a) for i in live for a in crag.ancestors(i)]
+    part_of = {i: {i} for i in live}
+    for i, j in links:
+        if i in part_of and j in part_of and part_of[i] is not part_of[j]:
+            joined = part_of[i] | part_of[j]
+            for k in joined:
+                part_of[k] = joined
+    parts = []
+    for i in live:
+        members = part_of[i]
+        if min(members) == i:
+            variables = [var_y[k] for k in members]
+            variables += [m for e, m in var_m.items() if set(e) <= members]
+            parts.append(sorted(variables))
+    return sorted(parts)
 
 
 # ---------------------------------------------------------------------------
