@@ -86,7 +86,7 @@ def best_effort(crag, ground_truth, mode="full"):
     gt = np.asarray(ground_truth)
     if gt.shape != (crag.height, crag.width):
         raise DimensionMismatch((crag.height, crag.width), gt.shape)
-    if gt.min() < 0:
+    if gt.size and gt.min() < 0:
         raise DegenerateInput("ground-truth labels must be non-negative")
     if mode not in ("full", "merge_tree_only"):
         raise CmcError(f"unsupported best-effort mode {mode!r}")

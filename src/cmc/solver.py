@@ -12,12 +12,11 @@ power-of-two scale (_exact_costs), so every bound, leaf objective and
 comparison below is exact and independent of the order of summation.
 The program is solved by depth-first branch-and-bound with unit
 propagation (_dfs).  Its bound is the partial objective plus every
-negative cost still open, less what the merge forest rules out
-(_State.forest_gap).  That bound charges each attractive merge (g < 0)
-to one end of its edge, its owner: the end of larger selection cost
-(_forest).  A merge needs both ends selected (m_e <= y_i, m_e <= y_j),
-so either end is a valid owner; only an end of positive cost can absorb
-the reward, so the costlier one is chosen.
+negative cost still open.  The search branches first on the variables
+whose decision weighs most: by decreasing |cost| times one plus the
+number of variables that setting it to 1 forces (_State), so a
+selection that deselects a large subtree, or a merge that selects both
+its ends, is decided early and the plain bound tightens fast.
 
 The overlap and incidence constraints only ever force one literal from
 another, so they propagate as implication lists (_implications) with no
@@ -119,12 +118,13 @@ class _State:
 
     The objective bound (partial objective plus sum of negative costs of
     unassigned variables) is saved and restored at decision points.
-    `forest` (from _forest) lets forest_gap tighten that bound.  `order`
-    is the branching order of the search (_dfs), which appends the
-    clauses it separates wherever it stands (add_rows).
+    `order` is the branching order of the search (_dfs): decreasing
+    |cost| * (1 + the count of variables that v = 1 forces), ties by
+    variable number.  The search appends the clauses it separates
+    wherever it stands (add_rows).
     """
 
-    def __init__(self, costs, implied, forest):
+    def __init__(self, costs, implied):
         self.costs = costs
         self.n = len(costs)
         self.implied = implied
@@ -141,13 +141,8 @@ class _State:
             [c if c > 0 else 0 for c in costs],
         )
         self.trail = []
-        self.forest, self.forest_roots = forest
-        # the branching order: decreasing |cost|, in which no two lexed
-        # costs tie.  Once the variable at order[gapless - 1] is set,
-        # every selection in the forest is set and forest_gap is 0.
-        self.order = sorted(range(self.n), key=[-abs(c) for c in costs].__getitem__)
-        at = {v: k for k, v in enumerate(self.order)}
-        self.gapless = 1 + max((at[entry[0]] for entry in self.forest), default=-1)
+        weight = [-abs(c) * (1 + len(implied[1][v][1])) for v, c in enumerate(costs)]
+        self.order = sorted(range(self.n), key=weight.__getitem__)
 
     def add_rows(self, clauses):
         """Append clauses where the state stands.
@@ -222,39 +217,6 @@ class _State:
         queue = []
         return self._set(v, val, queue) and self._drain(queue)
 
-    def forest_gap(self):
-        """How far `bound` lies below a bound that respects the forest.
-
-        `bound` counts every negative cost of an unassigned variable as
-        taken.  But at most one selection per root-to-leaf path of the
-        merge forest holds, and a merge needs both ends of its edge
-        selected, so also the end that owns it (_forest): the free
-        selections can gain at most the best antichain of
-        max(0, -(c_y + their owned negative merge costs)).
-        The gap is what `bound` takes beyond that antichain; it is >= 0.
-        """
-        value, costs = self.value, self.costs
-        best = []
-        taken = 0
-        for y, below, rewards in self.forest:
-            kids = 0
-            for k in below:
-                kids += best[k]
-            if value[y] is None:
-                c = costs[y]
-                gain = -c if c < 0 else 0
-                for v in rewards:
-                    if value[v] is None:
-                        c += costs[v]
-                        gain -= costs[v]
-                taken += gain
-                best.append(-c if -c > kids else kids)
-            else:
-                best.append(kids)
-        for k in self.forest_roots:
-            taken -= best[k]
-        return taken
-
     def undo_to(self, mark, saved_bound):
         value, slack, charges = self.value, self.slack, self.charges
         trail = self.trail
@@ -271,10 +233,10 @@ def _dfs(state, clock, cuts):
     docstring), by iterative DFS branch-and-bound below the state.
 
     `state` holds the lexed costs (_lexed).  The search branches in
-    state.order, on each variable's cost-reducing value first, and cuts
-    a subtree when its bound, or its bound plus forest gap, exceeds the
-    limit: one below the incumbent's lexed sum, and -1 before the first,
-    whose place the empty assignment of sum 0 holds.  At every leaf it
+    state.order (_State), on each variable's cost-reducing value first,
+    and cuts a subtree when its bound exceeds the limit: one below the
+    incumbent's lexed sum, and -1 before the first, whose place the
+    empty assignment of sum 0 holds.  At every leaf it
     reaches, cuts(state.value) returns the clauses that the leaf breaks
     (_path_rows).  With none the leaf becomes the incumbent.  Otherwise
     the clauses join the state (_State.add_rows), the leaf is turned
@@ -288,7 +250,7 @@ def _dfs(state, clock, cuts):
     the first clock.tick() that reports the deadline passed, which
     leaves the state where the search stood.
     """
-    n, order, gapless = state.n, state.order, state.gapless
+    n, order = state.n, state.order
     slack = state.slack
     best = [0] * n
     limit = -1
@@ -296,13 +258,6 @@ def _dfs(state, clock, cuts):
     pos = 0
     # the clauses the last leaf added, until every one of them holds again
     broken = ()
-
-    def over_budget(fpos):
-        if state.bound > limit:
-            return True
-        if fpos + 1 >= gapless:
-            return False
-        return state.bound + state.forest_gap() > limit
 
     def advance():
         nonlocal pos, broken
@@ -316,7 +271,7 @@ def _dfs(state, clock, cuts):
                 broken = ()
             if vals:
                 val = vals.pop(0)
-                if state.propagate(v, val) and not over_budget(fpos):
+                if state.propagate(v, val) and state.bound <= limit:
                     pos = fpos
                     return True
                 state.undo_to(mark, saved_bound)
@@ -326,7 +281,7 @@ def _dfs(state, clock, cuts):
 
     if clock.tick():
         return best, False
-    if over_budget(-1):
+    if state.bound > limit:
         return best, True
     while True:
         if clock.tick():
@@ -452,12 +407,13 @@ def _split(crag, var_y, var_m, exact):
     to more than 0 and less than 2**n (_lexed), so it is > 0 exactly
     when its cost sum is >= 0, and a lexed merge cost is < 0 exactly
     when the merge's cost is.  ids and edges are a part's candidates
-    and merges, in the
-    order of var_y and var_m; tops lists, in forest order, those of its
-    candidates that have no ancestor in it, and every other one lies
-    below one of them.  Parts come in the order of their first
-    candidate.  Every other variable, a fixed selection or a merge at a
-    fixed candidate or between two parts, is 0 in the answer.
+    and merges, in the order of var_y and var_m; tops lists, in
+    depth-first order from the roots, those of its candidates that have
+    no ancestor in it, and every other one lies below one of them.
+    Parts come in the order of their first candidate.  Every other
+    variable, a fixed selection or a merge at a fixed candidate or
+    between two parts, is 0 in the answer.  Each part's search then
+    branches in the order of _State.
     """
     n_y = len(var_y)
     # per selection: its cost plus that of every attractive merge at it
@@ -531,18 +487,15 @@ def _part_state(crag, var_y, var_m, exact, part):
     Returns (state, part_y, part_m): part_y numbers the part's
     selections and part_m, after them, its merges, in their order in
     the mode.  The state holds their lexed costs under the tie weights
-    of the whole mode (_lexed), their implications (_implications) and
-    their merge forest (_forest), both from the subtrees of the part's
-    tops.
+    of the whole mode (_lexed) and their implications (_implications),
+    from the subtrees of the part's tops.
     """
     tops, ids, edges = part
     part_y = {i: k for k, i in enumerate(ids)}
     part_m = {e: len(ids) + k for k, e in enumerate(edges)}
     variables = [var_y[i] for i in ids] + [var_m[e] for e in edges]
     costs = _lexed(exact, variables)
-    implied = _implications(crag, tops, part_y, part_m)
-    forest = _forest(crag, tops, part_y, part_m, costs)
-    return _State(costs, implied, forest), part_y, part_m
+    return _State(costs, _implications(crag, tops, part_y, part_m)), part_y, part_m
 
 
 def _path_rows(cuts, var_m):
@@ -593,14 +546,6 @@ def separate_path_constraints(crag, solution):
         PathConstraint(path=path, bypassed_edge=e)
         for e, path in path_violations(crag, solution)
     ]
-
-
-def _assignment_to_solution(crag, costs, assign, var_y, var_m):
-    """The Solution of an assignment to the variables of var_y and var_m
-    (a part's), with 0 for every other candidate and edge."""
-    y = {i: assign[var_y[i]] if i in var_y else 0 for i in crag.ids()}
-    m = {e: assign[var_m[e]] if e in var_m else 0 for e in crag.adjacency}
-    return Solution(y=y, m=m, objective=objective_value(costs.f, costs.g, y, m))
 
 
 def solve(crag, costs, mode="full", time_limit=None):
@@ -659,8 +604,14 @@ def solve(crag, costs, mode="full", time_limit=None):
             if not _joins_an_unmerged_edge(value, ends):
                 return []
             turned_down += 1
-            sol = _assignment_to_solution(crag, costs, value, part_y, part_m)
-            return _path_rows(separate_path_constraints(crag, sol), part_m)
+            # the leaf with 0 for every candidate and edge outside the
+            # part; separation reads the ids and m alone, so no objective
+            leaf = Solution(
+                y={i: value[part_y[i]] if i in part_y else 0 for i in crag.ids()},
+                m={e: value[part_m[e]] if e in part_m else 0 for e in crag.adjacency},
+                objective=0.0,
+            )
+            return _path_rows(separate_path_constraints(crag, leaf), part_m)
 
         assign, optimal = _dfs(state, clock, cuts)
         y.update((i, assign[k]) for i, k in part_y.items())
@@ -676,50 +627,6 @@ def solve(crag, costs, mode="full", time_limit=None):
         if violations:
             raise InfeasibleSolution(violations)
     return sol
-
-
-def _forest(crag, tops, var_y, var_m, costs):
-    """The merge forest for _State.forest_gap: (entries, roots).
-
-    The walk covers the subtrees of `tops`, which hold every candidate
-    of var_y.  entries lists (y, child entries, rewards) in post-order,
-    where y is a candidate's selection variable and rewards are the
-    merges of negative cost that it owns; roots indexes the root
-    entries.  A candidate without a variable hands its place in its
-    parent to its children's entries.
-
-    A merge is owned by the end of its edge whose lexed selection cost
-    is larger.  Either end would give a valid bound, since the merge
-    needs both selected; the costlier end is the one whose cost can
-    absorb the reward.  Lexed costs are distinct, so no two ends tie.
-    """
-    owned = {i: [] for i in var_y}
-    for (i, j), v in var_m.items():
-        if costs[v] < 0:
-            owned[i if costs[var_y[i]] > costs[var_y[j]] else j].append(v)
-    entries, stands_for = [], {}
-    # (candidate, its children done, an entry above it)
-    stack = [(r, False, False) for r in reversed(tops)]
-    while stack:
-        cid, children_done, under = stack.pop()
-        children = crag.candidates[cid].children
-        if not children_done:
-            stack.append((cid, True, under))
-            under = under or cid in var_y
-            stack.extend((c, False, under) for c in reversed(children))
-            continue
-        below = tuple(k for c in children for k in stands_for[c])
-        y = var_y.get(cid)
-        if y is None:
-            stands_for[cid] = below
-        elif not under and not below and (costs[y] < 0 or not owned[cid]):
-            # a childless root adds nothing: with c_y < 0 it takes as
-            # much as it gains, and with c_y >= 0 and no rewards nothing
-            stands_for[cid] = ()
-        else:
-            entries.append((y, below, tuple(owned[cid])))
-            stands_for[cid] = (len(entries) - 1,)
-    return tuple(entries), tuple(k for r in tops for k in stands_for[r])
 
 
 def extract_segmentation(crag, solution):

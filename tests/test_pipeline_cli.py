@@ -448,6 +448,31 @@ def test_cli_best_effort(tmp_path):
     assert sol["objective"] == 0.0 and any(sol["y"].values())
 
 
+def test_cli_best_effort_and_train_on_an_empty_image(tmp_path, capsys):
+    """A valid 2x0 graph and ground truth, which features and solve
+    accept: best-effort writes the empty assignment, and train fails by
+    name on its training samples, where both used to end in numpy's
+    zero-size reduction traceback."""
+    crag = tmp_path / "crag.json"
+    crag.write_text(json.dumps({"width": 0, "height": 2, "candidates": [], "adjacency": []}))
+    features = tmp_path / "features.json"
+    features.write_text(json.dumps(features_to_json({}, {})))
+    gt = str(tmp_path / "gt.pgm")
+    write_labels(gt, np.zeros((2, 0), dtype=np.int64))
+    out = tmp_path / "be.json"
+    assert main(["best-effort", "--crag", str(crag), "--gt", gt, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"m": {}, "objective": 0.0, "y": {}}
+    model = tmp_path / "model.json"
+    code = main(
+        ["train", "--crag", str(crag), "--features", str(features), "--gt", gt,
+         "--out", str(model)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: train-nodes: training samples contain only one class\n"
+    assert not model.exists()
+
+
 def test_cli_pipeline_deterministic(tmp_path, capsys):
     data = tmp_path / "data"
     main(["synth", "--n-images", "1", "--n-cells", "3", "--noise-level", "0.1",
