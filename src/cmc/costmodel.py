@@ -30,7 +30,6 @@ from .crag import (
     json_known,
     json_member,
     json_value,
-    sorted_distinct,
     validate_solution,
 )
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
     SchemaMismatch,
     SingleClass,
 )
+from .evaluate import contingency_table
 from .features import edge_feature_names, edge_rows, node_feature_names
 
 PROB_CLAMP = 1e-6
@@ -52,24 +52,22 @@ def leaf_gt_labels(crag, ground_truth):
     """Plurality ground-truth label per leaf; ties go to the smaller label.
 
     Background (0) takes part in the vote, so majority-background
-    leaves map to 0.  The votes are counted in one sort of every pixel's
-    (leaf rank, label rank) key (Crag.leaf_ranks), so no table is sized
-    by a leaf id or a label value.
+    leaves map to 0.  The votes are the contingency table of the leaf
+    ranks (Crag.leaf_ranks) against the ground truth, so no table is
+    sized by a leaf id or a label value.
     """
-    labels = np.asarray(ground_truth).ravel()
-    values = sorted_distinct(labels)
-    ranks = crag.leaf_ranks().ravel()
-    key = np.sort(ranks * len(values) + np.searchsorted(values, labels))
-    # keys are >= 0, so each run of equal keys starts where the key changes
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    votes = np.diff(start, append=len(key))
-    rank, label = np.divmod(key[start], len(values))
-    # per leaf rank the most votes first, then the smaller label; rank 0
-    # holds the pixels no leaf covers
-    order = np.lexsort((label, -votes, rank))
-    first = order[np.flatnonzero(np.diff(rank[order], prepend=-1))]
-    first = first[rank[first] > 0]
-    return dict(zip(crag.leaves(), values[label[first]].tolist()))
+    ranks = crag.leaf_ranks()
+    if not ranks.size:
+        return {}
+    table = contingency_table(ranks, ground_truth)
+    # in ascending (label, rank) order, so a larger label wins only with
+    # more votes; rank 0 holds the pixels no leaf covers
+    best = {}
+    for (label, rank), votes in table.counts.items():
+        if rank and votes > best.get(rank, (0, 0))[0]:
+            best[rank] = (votes, label)
+    leaves = crag.leaves()
+    return {leaves[rank - 1]: label for rank, (_, label) in sorted(best.items())}
 
 
 def best_effort(crag, ground_truth, mode="full"):

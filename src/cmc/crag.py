@@ -8,10 +8,11 @@ image, `Crag.leaf_labels()`: each pixel holds the id of the leaf
 (superpixel) covering it, and an inner node covers the pixels of its
 leaves.  The module also provides conflict-clique enumeration,
 validation of binary assignments against the overlap / incidence / path
-constraint families, and JSON (de)serialization, which run-length
-encodes each leaf: a crag.json entry has `runs` (a leaf), one flat list
-of (row, col_start, col_end) int triples, or `children` (a union), never
-both.  Helpers shared by every JSON loader live beside it: the
+constraint families, and JSON (de)serialization.  crag.json holds the
+label image itself, run-length encoded in row-major order as one flat
+list `leaf_labels` of (leaf id or UNCOVERED, run length) int pairs; a
+candidate entry holds `id`, `level` and, for a union, its `children`.
+Helpers shared by every JSON loader live beside it: the
 json_value check, its one-pass json_column form for int and float
 lists, json_known, which rejects members that no release writes, and
 json_keyed for objects keyed by candidate id and by edge.
@@ -37,7 +38,6 @@ from .errors import (
     KeyMismatch,
     LeavesDoNotCoverImage,
     NotAdjacent,
-    OverlappingLeaves,
     SubsetNotForest,
 )
 
@@ -475,21 +475,22 @@ def row_runs(labels):
 
 
 def crag_to_json(crag):
-    runs = {}
-    for leaf, *run in zip(*(a.tolist() for a in row_runs(crag.leaf_labels()))):
-        runs.setdefault(leaf, []).extend(run)
+    flat = crag.leaf_labels().ravel()
+    change = np.ones(flat.size, dtype=bool)  # a run starts where the label changes
+    change[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(change)
+    lengths = np.diff(starts, append=flat.size)
     cands = []
     for cid in crag.ids():
         cand = crag.candidates[cid]
         entry = {"id": cid, "level": cand.level}
         if cand.children:
             entry["children"] = sorted(cand.children)
-        else:
-            entry["runs"] = runs[cid]
         cands.append(entry)
     return {
         "width": crag.width,
         "height": crag.height,
+        "leaf_labels": np.stack((flat[starts], lengths), axis=1).ravel().tolist(),
         "candidates": cands,
         "adjacency": [list(e) for e in crag.adjacency],
     }
@@ -591,118 +592,60 @@ def spans(starts, stops):
     return np.repeat(shift, lengths) + np.arange(lengths.sum())
 
 
-def _overlap(runs):
-    """Whether two of these non-empty runs share a pixel.  Ordered by
-    row and start, any overlap shows between neighbours: a run that
-    starts inside an earlier one of its row starts inside the run
-    just before it."""
-    rows, starts, ends = runs[np.lexsort((runs[:, 1], runs[:, 0]))].T
-    return bool(np.any((rows[1:] == rows[:-1]) & (starts[1:] < ends[:-1])))
-
-
-def _paint_runs(doc, labels, owners, runs):
-    """Paint each run (row, col_start, col_end) of `runs` with its leaf id
-    in `owners`, as if one after another in order, into the UNCOVERED
-    image `labels`.
-
-    The first run, in order, that is empty raises CmcError, one outside
-    the image LeavesDoNotCoverImage, and one over pixels an earlier run
-    painted OverlappingLeaves naming the owner of its first such pixel
-    and its own leaf.  Which comes first decides; the runs before it
-    are disjoint.
-    """
-    height, width = labels.shape
-    rows, starts, ends = runs.T
-    bad = (starts >= ends) | (rows < 0) | (rows >= height) | (starts < 0)
-    bad |= ends > width
-    first_bad = int(bad.argmax()) if bad.any() else len(runs)
-    # the longest prefix of the runs before first_bad that is pairwise
-    # disjoint: all of them, or found by bisection
-    disjoint = first_bad
-    if _overlap(runs[:first_bad]):
-        disjoint, stop = 0, first_bad
-        while disjoint + 1 < stop:
-            mid = (disjoint + stop) // 2
-            if _overlap(runs[:mid]):
-                stop = mid
-            else:
-                disjoint = mid
-    rows, starts, ends = runs[:disjoint].T  # in the image, so no int64 wraps
-    pixels = spans(rows * width + starts, rows * width + ends)
-    labels.ravel()[pixels] = np.repeat(owners[:disjoint], ends - starts)
-    if disjoint == len(runs):
-        return
-    (row, start, end), cid = runs[disjoint].tolist(), int(owners[disjoint])
-    if disjoint < first_bad:
-        segment = labels[row, start:end]
-        owner = int(segment[(segment != UNCOVERED).argmax()])
-        raise _named(doc, OverlappingLeaves(owner, cid))
-    if start >= end:
-        raise CmcError(f"{doc}: empty run {start}:{end} of candidate {cid}")
-    raise _named(doc, LeavesDoNotCoverImage(
-        f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
-    ))
-
-
 def crag_from_json(obj, doc="crag.json"):
     """Crag from its JSON form; malformed input raises CmcError naming `doc`.
 
-    Each leaf's runs are checked for a length that is a multiple of 3,
-    then every run entry of the file in one int pass (json_column), and
-    then painted straight into the label image, all at once
-    (_paint_runs): a run outside the image raises LeavesDoNotCoverImage,
-    a run over pixels already painted raises OverlappingLeaves naming
-    their owner and the new leaf.  An input with one fault raises what
-    checking and painting the runs one by one in file order would.  A
-    file of an older release, whose leaves hold run objects under
-    'pixels', is rejected by name, as is any other unknown member.
+    `leaf_labels` is checked for an even length, then every entry in one
+    int pass (json_column), then for run lengths of at least 1 that sum
+    to height * width, and expanded into the label image; build_crag
+    rejects a label that is no leaf id and a leaf with no pixel.  An
+    image numpy cannot hold raises CmcError, "too large".  A leaf of an
+    older release, its pixels under 'runs' or 'pixels', is rejected by
+    name, as is any other unknown member.
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
-    json_known(doc, obj, ("width", "height", "candidates", "adjacency"), "crag")
+    keys = ("width", "height", "leaf_labels", "candidates", "adjacency")
+    json_known(doc, obj, keys, "crag")
     if height < 0 or width < 0:
         raise CmcError(f"{doc}: negative image size {height}x{width}")
-    try:
-        labels = np.full((height, width), UNCOVERED, dtype=np.int64)
-    except ValueError as exc:  # numpy refuses the shape before allocating
-        raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
-    candidates, leaves, entries = [], [], []
+    too_large = CmcError(f"{doc}: image size {height}x{width} too large")
+    if height * width >= 2**63:  # no int64 flat index reaches every pixel
+        raise too_large
+    candidates = []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
         level = json_member(doc, entry, "level", int, where)
-        if "pixels" in entry:
-            raise CmcError(
-                f"{doc}: {where} holds 'pixels', the run objects of an older "
-                "release; run build-crag again"
-            )
-        json_known(doc, entry, ("id", "level", "children", "runs"), where)
-        if "children" in entry:
-            if "runs" in entry:
-                raise CmcError(f"{doc}: {where} has both children and runs")
-            kids = json_member(doc, entry, "children", list, where)
-            kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
-            candidates.append(Candidate(cid, level, kids))
-            continue
-        runs = json_member(doc, entry, "runs", list, where)
-        if len(runs) % 3:
-            raise CmcError(
-                f"{doc}: runs of {where} has length {len(runs)}, not a multiple of 3"
-            )
-        leaves.append((cid, runs))
-        entries += runs
-        candidates.append(Candidate(cid, level))
-    values, bad = json_column(entries, int)
+        for old in ("runs", "pixels"):
+            if old in entry:
+                raise CmcError(
+                    f"{doc}: {where} holds {old!r}, the leaf form of an older "
+                    "release; run build-crag again"
+                )
+        json_known(doc, entry, ("id", "level", "children"), where)
+        kids = json_value(doc, entry.get("children", []), list, f"children of {where}")
+        kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
+        candidates.append(Candidate(cid, level, kids))
+    runs = json_member(doc, obj, "leaf_labels", list, "crag")
+    if len(runs) % 2:
+        raise CmcError(f"{doc}: leaf_labels has odd length {len(runs)}")
+    values, bad = json_column(runs, int)
     if bad.any():
         at = int(bad.argmax())
-        for cid, runs in leaves:  # the leaf holding entry `at`
-            if at < len(runs):
-                json_value(doc, runs[at], int, f"runs[{at}] of candidate {cid}")
-            at -= len(runs)
-    owners = np.repeat(
-        np.array([cid for cid, _ in leaves], dtype=np.int64),
-        [len(runs) // 3 for _, runs in leaves],
-    )
-    _paint_runs(doc, labels, owners, values.reshape(-1, 3))
+        json_value(doc, runs[at], int, f"leaf_labels[{at}]")
+    labels, lengths = values.reshape(-1, 2).T
+    if (lengths < 1).any():
+        at = 2 * int((lengths < 1).argmax()) + 1
+        raise CmcError(f"{doc}: run length leaf_labels[{at}] is {runs[at]}, below 1")
+    covered = sum(runs[1::2])
+    if covered != height * width:
+        raise CmcError(
+            f"{doc}: leaf_labels covers {covered} pixels, not {height}x{width}"
+        )
+    try:
+        labels = np.repeat(labels, lengths).reshape(height, width)
+    except (ValueError, MemoryError) as exc:  # numpy refuses or fails to allocate
+        raise too_large from exc
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")

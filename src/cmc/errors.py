@@ -7,12 +7,6 @@ class CmcError(Exception):
 
 # candidate graph construction / validation
 
-class OverlappingLeaves(CmcError):
-    def __init__(self, id_a, id_b):
-        self.ids = (id_a, id_b)
-        super().__init__(f"leaf candidates {id_a} and {id_b} share pixels")
-
-
 class LeavesDoNotCoverImage(CmcError):
     def __init__(self, detail):
         super().__init__(f"leaf pixels do not match the image region: {detail}")

@@ -1,10 +1,13 @@
 import itertools
 import json
 import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmc.crag import (
     UNCOVERED,
@@ -32,16 +35,17 @@ from cmc.errors import (
     KeyMismatch,
     LeavesDoNotCoverImage,
     NotAdjacent,
-    OverlappingLeaves,
     SubsetNotForest,
 )
 from cmc import cli
 from cmc.features import compute_features, edge_feature_names, features_to_json
 from cmc.pgm import write_labels, write_probability
-from cmc.pipeline import PipelineConfig, build_graph
+from cmc.pipeline import PipelineConfig, build_graph, dump_json
 from cmc.synth import generate_synthetic
 from util import (
     leaf_image,
+    old_crag_json,
+    pixel_owners,
     pixels_of,
     quad_crag,
     quad_gt,
@@ -50,7 +54,6 @@ from util import (
     ref_check_leaves_and_edges,
     ref_crag_from_json,
     ref_crag_json,
-    ref_decode_pixels,
     ref_regions_touch,
     same_outcome,
     zero_solution,
@@ -219,30 +222,18 @@ def test_repeated_child_rejected(tmp_path, capsys):
     assert not (tmp_path / "features.json").exists()
 
 
-def test_out_of_bounds_pixel_rejected():
-    """A crag.json run that leaves the 2x2 image, in each direction."""
-    for pixel in [(0, 5), (0, 2), (2, 0), (-1, 0), (0, -1)]:
-        obj = ref_crag_json({1: [pixel]}, [Candidate(1, 0)], [], 2, 2)
-        with pytest.raises(LeavesDoNotCoverImage):
-            crag_from_json(obj)
-
-
 def test_image_size_numpy_refuses_rejected():
     """Image sizes whose label image numpy refuses before allocating it
-    used to end in numpy's ValueError."""
-    for height, width in [(2**40, 2**40), (1, 2**62), (0, 2**62)]:
-        obj = {"height": height, "width": width, "candidates": [], "adjacency": []}
+    used to end in numpy's ValueError, and 10**6 x 10**6, whose 8 TB it
+    fails to allocate, in its MemoryError; each a small file."""
+    for height, width, leaf_labels in [
+        (2**40, 2**40, []), (1, 2**62, [UNCOVERED, 2**62]), (0, 2**62, []),
+        (10**6, 10**6, [UNCOVERED, 10**12]),
+    ]:
+        obj = {"height": height, "width": width, "leaf_labels": leaf_labels,
+               "candidates": [], "adjacency": []}
         with pytest.raises(CmcError, match="too large"):
             crag_from_json(obj)
-
-
-def test_overlapping_leaves_rejected():
-    """Runs (0, 0:2) of leaf 1 and (0, 1:2) of leaf 2 share pixel (0, 1)."""
-    pixels = {1: [(0, 0), (0, 1)], 2: [(0, 1)]}
-    obj = ref_crag_json(pixels, [Candidate(1, 0), Candidate(2, 0)], [], 2, 1)
-    with pytest.raises(OverlappingLeaves) as got:
-        crag_from_json(obj)
-    assert got.value.ids == (1, 2)
 
 
 def test_bad_adjacency_rejected():
@@ -452,10 +443,13 @@ def test_rle_roundtrip_random():
 
 
 def test_rle_is_compact():
+    """One (label, length) pair per run of the row-major image; runs go
+    on across rows."""
     pixels = {(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)}
     crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 5, 2))
-    runs = crag_to_json(crag)["candidates"][0]["runs"]
-    assert runs == [0, 0, 3, 0, 4, 5, 1, 0, 1]
+    assert crag_to_json(crag)["leaf_labels"] == [1, 3, -1, 1, 1, 2, -1, 4]
+    empty = build_crag([], [], np.zeros((0, 3), dtype=np.int64))
+    assert crag_to_json(empty)["leaf_labels"] == []
 
 
 def test_crag_json_roundtrip():
@@ -470,6 +464,40 @@ def test_crag_json_roundtrip():
     labels[1, 1] = 1
     moved = build_crag(quad.candidates.values(), quad.adjacency, labels)
     assert moved != quad and moved.candidates == quad.candidates
+
+
+@st.composite
+def _label_crags(draw):
+    """A Crag over a random label image of at most 6x6 pixels, 0 rows or
+    0 columns included: up to four leaf ids anywhere in int64's range,
+    UNCOVERED pixels, a root over the leaves when there are two or
+    more, and every adjacency."""
+    height, width = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    palette = draw(st.lists(st.integers(0, 2**63 - 2), min_size=1, max_size=4,
+                            unique=True))
+    picks = draw(st.lists(st.integers(-1, len(palette) - 1),
+                          min_size=height * width, max_size=height * width))
+    labels = np.array([palette[k] if k >= 0 else UNCOVERED for k in picks],
+                      dtype=np.int64).reshape(height, width)
+    leaves = sorted(set(labels.ravel().tolist()) - {UNCOVERED})
+    candidates = [Candidate(leaf, 0) for leaf in leaves]
+    if len(leaves) > 1:
+        candidates.append(Candidate(2**63 - 1, 1, tuple(leaves)))
+    return build_crag(candidates, None, labels)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_label_crags())
+def test_crag_json_roundtrip_on_label_images(crag):
+    """load(dump(crag)) == crag, and dumping it again gives the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "crag.json")
+        dump_json(path, crag_to_json(crag))
+        text = open(path).read()
+        back = crag_from_json(cli._load_json(path))
+        dump_json(path, crag_to_json(back))
+        assert open(path).read() == text
+    assert back == crag and back.leaf_labels().shape == (crag.height, crag.width)
 
 
 def test_leaf_labels_quad_and_uncovered():
@@ -491,12 +519,10 @@ def test_leaf_labels_json_roundtrip():
         labels = crag.leaf_labels()
         assert labels.shape == (crag.height, crag.width)
         obj = crag_to_json(crag)
-        leaves = [e for e in obj["candidates"] if "runs" in e]
-        assert [e["id"] for e in leaves] == crag.leaves()
-        for entry in leaves:
-            assert ref_decode_pixels(entry["runs"]) == {
-                tuple(p) for p in np.argwhere(labels == entry["id"]).tolist()
-            }
+        flat = [v for v, n in zip(obj["leaf_labels"][::2], obj["leaf_labels"][1::2])
+                for _ in range(n)]
+        assert flat == labels.ravel().tolist()
+        assert all(set(e) <= {"id", "level", "children"} for e in obj["candidates"])
         back = crag_from_json(json.loads(json.dumps(obj)))
         assert np.array_equal(back.leaf_labels(), labels)
 
@@ -517,9 +543,9 @@ def test_readme_crag_json_example():
 
 
 def test_crag_to_json_matches_reference_encoder():
-    """crag_to_json splits label-image rows into the same runs, in the
-    same order, as the per-leaf pixel-set encoder, on quad_crag, 60
-    random sparse graphs and 6 synthetic graphs at 256 px."""
+    """crag_to_json writes the leaf_labels that the pixel-by-pixel
+    encoder writes, on quad_crag, 60 random sparse graphs and 6
+    synthetic graphs at 256 px."""
     rng = np.random.default_rng(29)
     crags = [quad_crag()] + [random_sparse_crag(rng) for _ in range(60)]
     for seed in (1, 2, 3):
@@ -527,9 +553,8 @@ def test_crag_to_json_matches_reference_encoder():
             boundary = generate_synthetic(1, 12, noise, seed, image_size=256)[0][1]
             crags.append(build_graph(boundary, PipelineConfig()))
     for crag in crags:
-        pixels = {leaf: pixels_of(crag, leaf) for leaf in crag.leaves()}
         want = ref_crag_json(
-            pixels,
+            pixel_owners(crag),
             crag.candidates.values(),
             crag.adjacency,
             crag.width,
@@ -546,50 +571,39 @@ def _edited(edit):
     return text
 
 
-# quad_crag's crag.json, broken one way each; candidates[0] is leaf 1,
-# whose runs begin with (row 0, col_start 0, col_end 2)
+# quad_crag's crag.json, broken one way each; its leaf_labels begins
+# 1, 2 (leaf 1 for two pixels), 2, 2, and candidates[4] is 5 = {1, 2}
 MALFORMED_CRAG_JSON = {
     "missing width": _edited(lambda obj: obj.pop("width")),
-    "float col_end": _edited(
-        lambda obj: obj["candidates"][0]["runs"].__setitem__(2, 2.0)
-    ),
+    "float run length": _edited(lambda obj: obj["leaf_labels"].__setitem__(1, 2.0)),
     "3-element adjacency entry": _edited(lambda obj: obj["adjacency"][0].append(7)),
     "negative width": _edited(lambda obj: obj.update(width=-4)),
-    "col_start == col_end": _edited(
-        lambda obj: obj["candidates"][0]["runs"].extend([3, 2, 2])
+    "zero run length": _edited(lambda obj: obj["leaf_labels"].extend([3, 0])),
+    "negative run length": _edited(lambda obj: obj["leaf_labels"].extend([3, -1])),
+    "string label": _edited(lambda obj: obj["leaf_labels"].__setitem__(0, "1")),
+    "odd leaf_labels length": _edited(lambda obj: obj["leaf_labels"].append(3)),
+    "nested list in leaf_labels": _edited(
+        lambda obj: obj["leaf_labels"].__setitem__(2, [2, 2])
     ),
-    "col_start > col_end": _edited(
-        lambda obj: obj["candidates"][0]["runs"].extend([3, 3, 1])
-    ),
-    "string row": _edited(
-        lambda obj: obj["candidates"][0]["runs"].__setitem__(0, "0")
-    ),
-    "runs length not a multiple of 3": _edited(
-        lambda obj: obj["candidates"][0]["runs"].append(3)
-    ),
-    "nested list in runs": _edited(
-        lambda obj: obj["candidates"][0]["runs"].__setitem__(3, [1, 0, 1])
-    ),
+    "runs past the image": _edited(lambda obj: obj["leaf_labels"].extend([4, 1])),
+    "runs short of the image": _edited(lambda obj: obj["leaf_labels"].__setitem__(1, 1)),
+    "missing leaf_labels": _edited(lambda obj: obj.pop("leaf_labels")),
     "boolean id": _edited(lambda obj: obj["candidates"][0].update(id=True)),
-    # candidate 5's runs, even a run at row 5 of the 4-row image, used
-    # to be dropped without a word
+    # the leaf forms of older releases, rejected by name on any entry
     "inner node with runs": _edited(
         lambda obj: obj["candidates"][4].update(runs=[5, 0, 1])
     ),
-    # the run objects of an older release, rejected by name
     "inner node with pixels": _edited(
         lambda obj: obj["candidates"][4].update(
             pixels=[{"row": 5, "col_start": 0, "col_end": 1}]
         )
     ),
     "invalid JSON text": lambda obj: json.dumps(obj)[:-1],
-    # faults found by build_crag and by run painting, which named no file
+    # faults found by build_crag, which named no file
     "child listed twice": _edited(
         lambda obj: obj["candidates"][4].update(children=[1, 1, 2])
     ),
-    "leaf run over another leaf's pixel": _edited(
-        lambda obj: obj["candidates"][0]["runs"].extend([0, 2, 3])
-    ),
+    "pixel of an inner node": _edited(lambda obj: obj["leaf_labels"].__setitem__(0, 5)),
     "unknown adjacency id": _edited(lambda obj: obj["adjacency"].append([1, 99])),
 }
 
@@ -611,12 +625,12 @@ def test_malformed_crag_json_rejected(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case, kind", [
     ("child listed twice", SubsetNotForest),
-    ("leaf run over another leaf's pixel", OverlappingLeaves),
+    ("pixel of an inner node", LeavesDoNotCoverImage),
     ("unknown adjacency id", CmcError),
 ])
 def test_crag_json_graph_errors_name_the_file(case, kind, tmp_path, capsys):
-    """Errors from build_crag and run painting name the file first and
-    keep their class; cmc train names the broken one of its --crag files."""
+    """Errors from build_crag name the file first and keep their class;
+    cmc train names the broken one of its --crag files."""
     text = MALFORMED_CRAG_JSON[case](crag_to_json(quad_crag()))
     with pytest.raises(kind) as caught:
         crag_from_json(json.loads(text), "b.json")
@@ -640,30 +654,24 @@ def test_crag_json_graph_errors_name_the_file(case, kind, tmp_path, capsys):
 
 
 def one_fault_variants(rng, crag):
-    """(fault, leaf pixels, adjacency): the crag's own, then copies with
+    """(fault, pixel owners, adjacency): the crag's own, then copies with
     one fault each where the crag allows it."""
-    pixels = {leaf: pixels_of(crag, leaf) for leaf in crag.leaves()}
+    owner = pixel_owners(crag)
     adjacency = list(crag.adjacency)
-    leaves = crag.leaves()
-    yield "none", pixels, adjacency
-
-    def with_pixel(leaf, pixel):
-        return {**pixels, leaf: pixels[leaf] | {pixel}}
+    yield "none", owner, adjacency
 
     def with_edge(edge):
         changed = list(adjacency)
         changed.insert(int(rng.integers(len(changed) + 1)), edge)
         return changed
 
-    if len(leaves) > 1:
-        a, b = (int(v) for v in rng.choice(leaves, size=2, replace=False))
-        shared = sorted(pixels[b])[int(rng.integers(len(pixels[b])))]
-        yield "duplicate pixel", with_pixel(a, shared), adjacency
-    h, w = crag.height, crag.width
-    r, c = int(rng.integers(h)), int(rng.integers(w))
-    outside = [(-1, c), (h, c), (r, -1), (r, w)][int(rng.integers(4))]
-    leaf = leaves[int(rng.integers(len(leaves)))]
-    yield "outside pixel", with_pixel(leaf, outside), adjacency
+    pixel = sorted(owner)[int(rng.integers(len(owner)))]
+    inner = sorted(crag.subset.values())
+    labels = [*inner, max(crag.ids()) + 1, UNCOVERED - 1]
+    label = labels[int(rng.integers(len(labels)))]
+    yield "label no leaf", {**owner, pixel: label}, adjacency
+    leaf = crag.leaves()[int(rng.integers(len(crag.leaves())))]
+    yield "leaf without pixels", {p: i for p, i in owner.items() if i != leaf}, adjacency
     region = {i: pixels_of(crag, i) for i in crag.ids()}
     apart = [
         (i, j)
@@ -672,20 +680,20 @@ def one_fault_variants(rng, crag):
         and not ref_regions_touch(region[i], region[j])
     ]
     if apart:
-        yield "non-touching edge", pixels, with_edge(
+        yield "non-touching edge", owner, with_edge(
             apart[int(rng.integers(len(apart)))]
         )
     if crag.subset:
         pair = sorted(crag.subset.items())[int(rng.integers(len(crag.subset)))]
-        yield "child-parent edge", pixels, with_edge(
+        yield "child-parent edge", owner, with_edge(
             pair if rng.random() < 0.5 else pair[::-1]
         )
 
 
 def test_build_crag_matches_pixel_set_reference():
-    """crag_from_json (run painting, then build_crag's checks on the label
-    image) raises what the per-pixel checks raise and paints the same
-    leaf_labels(); OverlappingLeaves names two leaves that share a pixel."""
+    """crag_from_json (the label image expanded from leaf_labels, then
+    build_crag's checks on it) raises what the per-pixel checks raise and
+    gives the same leaf_labels()."""
     rng = np.random.default_rng(44)
     crags = [quad_crag()]
     crags += [random_crag(rng) for _ in range(60)]
@@ -693,18 +701,15 @@ def test_build_crag_matches_pixel_set_reference():
     outcomes = Counter()
     for crag in crags:
         cands = [crag.candidates[i] for i in crag.ids()]
-        for fault, pixels, adjacency in one_fault_variants(rng, crag):
+        for fault, owner, adjacency in one_fault_variants(rng, crag):
             size = (crag.width, crag.height)
-            obj = ref_crag_json(pixels, cands, adjacency, *size)
+            obj = ref_crag_json(owner, cands, adjacency, *size)
             try:
-                want = ref_check_leaves_and_edges(pixels, cands, adjacency, *size)
+                want = ref_check_leaves_and_edges(owner, cands, adjacency, *size)
             except CmcError as exc:
                 with pytest.raises(CmcError) as got:
                     crag_from_json(obj)
                 assert type(got.value) is type(exc), fault
-                if isinstance(exc, OverlappingLeaves):
-                    a, b = got.value.ids
-                    assert a != b and not pixels[a].isdisjoint(pixels[b])
                 outcomes[fault, type(exc).__name__] += 1
                 continue
             labels = crag_from_json(obj).leaf_labels()
@@ -714,104 +719,18 @@ def test_build_crag_matches_pixel_set_reference():
     # every variant got the fault's own outcome, and each fault was tried
     assert set(outcomes) == {
         ("none", "accepted"),
-        ("duplicate pixel", "OverlappingLeaves"),
-        ("outside pixel", "LeavesDoNotCoverImage"),
+        ("label no leaf", "LeavesDoNotCoverImage"),
+        ("leaf without pixels", "LeavesDoNotCoverImage"),
         ("non-touching edge", "NotAdjacent"),
         ("child-parent edge", "AdjacencyBetweenOverlapping"),
     }
     assert min(outcomes.values()) > 50
 
 
-def _with_runs(edits):
-    """quad_crag's crag.json with entries appended to the runs of its leaf
-    entries, or put in them: {(entry, index or None to append): values},
-    the values taking the places from the index on."""
-    obj = crag_to_json(quad_crag())
-    for (entry, at), values in edits.items():
-        runs = obj["candidates"][entry]["runs"]
-        at = len(runs) if at is None else at
-        runs[at:at + len(values)] = values
-    return obj
-
-
-# one fault each in the runs of quad_crag (entries 0-3 are leaves 1-4,
-# painted in that order), and the error painting run by run gives; the
-# runs are leaf 1 (0, 0:2) (1, 0:1) (2, 0:1), leaf 2 (0, 2:4) (1, 3:4),
-# leaf 3 (1, 1:3) (2, 1:3), leaf 4 (2, 3:4) (3, 0:4)
-RUN_FAULTS = {
-    # leaf 3's extra row 3 run is painted first; leaf 4's own row 3 run,
-    # the tenth run of the file, is the one that overlaps
-    "later leaf's run overlaps": (
-        {(2, None): [3, 0, 4]},
-        OverlappingLeaves, "crag.json: leaf candidates 3 and 4 share pixels",
-    ),
-    # over (1, 0) of leaf 1 and its own (1, 3); the first taken pixel names
-    # the owner, here leaf 1
-    "run over two owners": (
-        {(1, None): [1, 0, 4]},
-        OverlappingLeaves, "crag.json: leaf candidates 1 and 2 share pixels",
-    ),
-    # free at (1, 1) and (1, 2), its own leaf at (1, 3)
-    "run over its own leaf": (
-        {(1, None): [1, 1, 4]},
-        OverlappingLeaves, "crag.json: leaf candidates 2 and 2 share pixels",
-    ),
-    "empty run after valid ones": (
-        {(3, 4): [4]},
-        CmcError, "crag.json: empty run 4:4 of candidate 4",
-    ),
-    "run past the width": (
-        {(2, 2): [5]},
-        LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: "
-        "run (1, 1:5) of leaf 3 outside 4x4",
-    ),
-    "negative row": (
-        {(3, None): [-1, 0, 1]},
-        LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: "
-        "run (-1, 0:1) of leaf 4 outside 4x4",
-    ),
-    "col_end at 2**63": (
-        {(1, 5): [2**63]},
-        CmcError,
-        "crag.json: runs[5] of candidate 2 is not a valid int: 9223372036854775808",
-    ),
-    "row below -2**63": (
-        {(0, 6): [-(2**63) - 1]},
-        CmcError,
-        "crag.json: runs[6] of candidate 1 is not a valid int: -9223372036854775809",
-    ),
-    "bool col_start": (
-        {(3, 1): [True]},
-        CmcError, "crag.json: runs[1] of candidate 4 is not a valid int: True",
-    ),
-    "run without col_end": (
-        {(2, None): [3, 0]},
-        CmcError, "crag.json: runs of candidate 3 has length 8, not a multiple of 3",
-    ),
-    # a run, as a list, in place of one entry
-    "run that is a list": (
-        {(2, 3): [[2, 1, 3]]},
-        CmcError, "crag.json: runs[3] of candidate 3 is not a valid int: [2, 1, 3]",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(RUN_FAULTS))
-def test_bulk_run_painting_raises_as_run_by_run(case):
-    """crag_from_json raises the class and message that checking and
-    painting the runs one by one gives, whichever run is at fault."""
-    edits, kind, message = RUN_FAULTS[case]
-    obj = _with_runs(edits)
-    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
-    assert (type(error), str(error)) == (kind, message)
-
-
 def test_bulk_decoder_matches_run_by_run_on_malformed_files():
     """Every MALFORMED_CRAG_JSON case that parses as JSON raises the
     same class and message through crag_from_json as through the
-    run-by-run reference."""
+    pixel-by-pixel reference."""
     seen = 0
     for case, text_of in MALFORMED_CRAG_JSON.items():
         try:
@@ -840,59 +759,148 @@ def test_bulk_decoder_matches_run_by_run_on_valid_graphs():
         assert same_outcome(crag_from_json, ref_crag_from_json, obj) == crag
 
 
-# values put in place of one run coordinate: in and out of the image,
-# the int64 limits and past them, bools and other JSON types
+def _with_leaf_labels(edits):
+    """quad_crag's crag.json with entries of its leaf_labels replaced:
+    {index: value}, index None to append."""
+    obj = crag_to_json(quad_crag())
+    for at, value in edits.items():
+        if at is None:
+            obj["leaf_labels"].append(value)
+        else:
+            obj["leaf_labels"][at] = value
+    return obj
+
+
+# one fault each in quad_crag's leaf_labels, (label, length) pairs
+# (1, 2) (2, 2) (1, 1) (3, 2) (2, 1) (1, 1) (3, 2) (4, 5), and the
+# error it raises
+LEAF_LABEL_FAULTS = {
+    "odd length": ({None: 4}, CmcError, "crag.json: leaf_labels has odd length 17"),
+    "length at 2**63": (
+        {15: 2**63}, CmcError,
+        "crag.json: leaf_labels[15] is not a valid int: 9223372036854775808",
+    ),
+    "label below -2**63": (
+        {0: -(2**63) - 1}, CmcError,
+        "crag.json: leaf_labels[0] is not a valid int: -9223372036854775809",
+    ),
+    "bool length": (
+        {3: True}, CmcError, "crag.json: leaf_labels[3] is not a valid int: True",
+    ),
+    "float label": (
+        {2: 2.0}, CmcError, "crag.json: leaf_labels[2] is not a valid int: 2.0",
+    ),
+    "pair as one entry": (
+        {3: [2]}, CmcError, "crag.json: leaf_labels[3] is not a valid int: [2]",
+    ),
+    "zero length": (
+        {5: 0}, CmcError, "crag.json: run length leaf_labels[5] is 0, below 1",
+    ),
+    "negative last length": (
+        {15: -1}, CmcError, "crag.json: run length leaf_labels[15] is -1, below 1",
+    ),
+    "one pixel short": (
+        {15: 4}, CmcError, "crag.json: leaf_labels covers 15 pixels, not 4x4",
+    ),
+    "one pixel past": (
+        {15: 6}, CmcError, "crag.json: leaf_labels covers 17 pixels, not 4x4",
+    ),
+    "label of an inner node": (
+        {0: 5}, LeavesDoNotCoverImage,
+        "crag.json: leaf pixels do not match the image region: label 5 is not a leaf id",
+    ),
+    "label below UNCOVERED": (
+        {14: -2}, LeavesDoNotCoverImage,
+        "crag.json: leaf pixels do not match the image region: "
+        "label -2 is not a leaf id",
+    ),
+    "leaf without pixels": (
+        {6: 1, 12: 1}, LeavesDoNotCoverImage,
+        "crag.json: leaf pixels do not match the image region: "
+        "leaf candidate 3 has no pixels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LEAF_LABEL_FAULTS))
+def test_leaf_labels_fault_names_the_entry(case):
+    """crag_from_json raises this class and message, naming the entry at
+    fault, as the pixel-by-pixel reference does."""
+    edits, kind, message = LEAF_LABEL_FAULTS[case]
+    error = same_outcome(crag_from_json, ref_crag_from_json, _with_leaf_labels(edits))
+    assert (type(error), str(error)) == (kind, message)
+
+
+# values put in place of one leaf_labels entry: labels and lengths in
+# and out of range, the int64 limits and past them, bools and other
+# JSON types
 RUN_VALUES = [
-    -1, 0, 1, 2, 3, 4, 5, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
-    True, False, 1.0, None, "1",
+    -2, -1, 0, 1, 2, 3, 4, 5, 16, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+    True, False, 1.0, None, "1", [1, 1],
 ]
 
 
 def test_bulk_decoder_matches_run_by_run_on_one_changed_coordinate():
-    """One coordinate of one run replaced, on quad_crag (every coordinate)
-    and on random sparse graphs (six coordinates each): the same outcome
-    as run by run, and each outcome of run painting is met."""
+    """One entry of leaf_labels replaced, on quad_crag (every entry) and
+    on random sparse graphs (six entries each): the same outcome as the
+    pixel-by-pixel reference, and each outcome is met."""
     rng = np.random.default_rng(62)
     graphs = [(quad_crag(), None)]
     graphs += [(random_sparse_crag(rng), 6) for _ in range(20)]
     outcomes = Counter()
     for crag, picks in graphs:
         obj = crag_to_json(crag)
-        spots = [
-            (k, at)
-            for k, entry in enumerate(obj["candidates"])
-            for at in range(len(entry.get("runs", ())))
-        ]
+        spots = range(len(obj["leaf_labels"]))
         if picks is not None:
-            spots = [spots[i] for i in rng.choice(len(spots), picks, replace=False)]
-        for k, at in spots:
+            spots = rng.choice(len(spots), picks, replace=False).tolist()
+        for at in spots:
             for value in RUN_VALUES:
                 changed = json.loads(json.dumps(obj))
-                changed["candidates"][k]["runs"][at] = value
+                changed["leaf_labels"][at] = value
                 outcome = same_outcome(crag_from_json, ref_crag_from_json, changed)
                 outcomes[type(outcome).__name__] += 1
-    assert {
-        "Crag", "CmcError", "LeavesDoNotCoverImage", "OverlappingLeaves",
-    } <= set(outcomes)
+    assert {"Crag", "CmcError", "LeavesDoNotCoverImage"} <= set(outcomes)
 
 
-def test_old_pixels_leaf_rejected_by_name():
-    """A leaf of an older release's crag.json, run objects under
-    'pixels', is rejected by name, with or without new runs beside it."""
-    obj = crag_to_json(quad_crag())
-    leaf = obj["candidates"][0]
-    runs = leaf.pop("runs")
-    leaf["pixels"] = [
-        {"row": r, "col_start": a, "col_end": b}
-        for r, a, b in zip(runs[::3], runs[1::3], runs[2::3])
-    ]
+def test_old_runs_leaf_rejected_by_name(tmp_path, capsys):
+    """A crag.json of the last release, leaves under 'runs', is rejected
+    by name, with or without a leaf_labels beside it; cmc solve exits 1
+    naming the file."""
+    obj = old_crag_json(quad_crag())
     message = (
-        "crag.json: candidate 1 holds 'pixels', the run objects of an older "
+        "crag.json: candidate 1 holds 'runs', the leaf form of an older "
         "release; run build-crag again"
     )
     error = same_outcome(crag_from_json, ref_crag_from_json, obj)
     assert (type(error), str(error)) == (CmcError, message)
-    leaf["runs"] = runs
+    obj["leaf_labels"] = crag_to_json(quad_crag())["leaf_labels"]
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (CmcError, message)
+    path = tmp_path / "crag.json"
+    path.write_text(json.dumps(old_crag_json(quad_crag())))
+    argv = ["solve", "--crag", path, "--costs", tmp_path / "costs.json",
+            "--out", tmp_path / "solution.json"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message[len('crag.json: '):]}\n"
+
+
+def test_old_pixels_leaf_rejected_by_name():
+    """A leaf of an older release's crag.json, run objects under
+    'pixels', is rejected by name, with or without leaf_labels beside it."""
+    obj = old_crag_json(quad_crag())
+    for leaf in obj["candidates"][:4]:
+        runs = leaf.pop("runs")
+        leaf["pixels"] = [
+            {"row": r, "col_start": a, "col_end": b}
+            for r, a, b in zip(runs[::3], runs[1::3], runs[2::3])
+        ]
+    message = (
+        "crag.json: candidate 1 holds 'pixels', the leaf form of an older "
+        "release; run build-crag again"
+    )
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (CmcError, message)
+    obj["leaf_labels"] = crag_to_json(quad_crag())["leaf_labels"]
     with pytest.raises(CmcError) as got:
         crag_from_json(obj)
     assert str(got.value) == message

@@ -999,7 +999,9 @@ def test_cli_features_of_empty_image(tmp_path, capsys):
     and `cmc solve` on it exit 0 with empty costs and an empty solution
     (the rows of no key have the forests' widths)."""
     crag = tmp_path / "crag.json"
-    crag.write_text(json.dumps({"width": 0, "height": 2, "candidates": [], "adjacency": []}))
+    crag.write_text(json.dumps(
+        {"width": 0, "height": 2, "leaf_labels": [], "candidates": [], "adjacency": []}
+    ))
     raw, boundary = str(tmp_path / "raw.pgm"), str(tmp_path / "boundary.pgm")
     for path in (raw, boundary):
         write_probability(path, np.zeros((2, 0)))

@@ -15,7 +15,7 @@ and write nothing, never a traceback.  A model.json with one value
 replaced, deleted, added or copied anywhere in it either loads or
 raises a CmcError, the same as the node-by-node reference loader's in
 class and message, and `cmc costs` on a rejected one exits 1 the same
-way.  crag_from_json raises what the run-by-run reference decoder
+way.  crag_from_json raises what the pixel-by-pixel reference decoder
 raises, class and message, on every broken crag.json.  A PGM file with
 one header token or byte replaced, deleted or inserted either loads or
 raises a CmcError, and `cmc build-crag --boundary` and `cmc eval --gt`
@@ -227,17 +227,19 @@ NOT_A_LIST = st.one_of(
 
 @st.composite
 def _broken_crag(draw):
-    """CRAG_JSON with one defect in its nesting, its entries or its members."""
+    """CRAG_JSON with one defect in its nesting, its entries, its
+    leaf_labels or its members."""
     obj = json.loads(json.dumps(CRAG_JSON))
     entries = obj["candidates"]
     leaf = entries[draw(st.integers(0, 3))]
     inner = entries[draw(st.integers(4, 6))]
-    runs = leaf["runs"]
-    at = 3 * draw(st.integers(0, len(runs) // 3 - 1))  # where one run starts
+    runs = obj["leaf_labels"]
+    at = 2 * draw(st.integers(0, len(runs) // 2 - 1))  # where one run starts
     kids = inner["children"]
     defect = draw(st.sampled_from([
         "repeated child", "child of two parents", "unknown child", "cycle",
-        "children and runs", "missing member", "mistyped member", "non-int id",
+        "leaf with children", "old leaf form", "bad run", "missing member",
+        "mistyped member", "non-int id",
     ]))
     if defect == "repeated child":
         kids.insert(draw(st.integers(0, len(kids))), draw(st.sampled_from(kids)))
@@ -248,41 +250,49 @@ def _broken_crag(draw):
         kids.append(draw(st.sampled_from([0, -1, 8, 99])))
     elif defect == "cycle":  # the candidate itself, or its ancestor 7
         kids.append(draw(st.sampled_from(sorted({inner["id"], 7}))))
-    elif defect == "children and runs":
-        if draw(st.booleans()):
-            leaf["children"] = draw(st.lists(st.integers(1, 7), max_size=2))
-        else:  # row 5 lies outside the 4x4 image
-            inner["runs"] = draw(st.sampled_from([[], [5, 0, 1], runs]))
+    elif defect == "leaf with children":
+        leaf["children"] = draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))
+    elif defect == "old leaf form":  # row 5 lies outside the 4x4 image
+        owner = draw(st.sampled_from([leaf, inner]))
+        owner[draw(st.sampled_from(["runs", "pixels"]))] = draw(
+            st.sampled_from([[], [5, 0, 1], [0, 0, 2]])
+        )
+    elif defect == "bad run":
+        where = draw(st.sampled_from(["label", "length", "coverage"]))
+        if where == "label":  # an inner id, no id, or below UNCOVERED
+            runs[at] = draw(st.sampled_from([0, 5, 6, 7, 99, -2]))
+        elif where == "length":
+            runs[at + 1] = draw(st.integers(-2, 0))
+        else:
+            runs[at + 1] += draw(st.sampled_from([-1, 1]))
     elif defect == "missing member":
         owner = draw(st.sampled_from([obj, leaf, inner, None]))
-        if owner is None:  # one coordinate of a run
-            del runs[at + draw(st.integers(0, 2))]
+        if owner is None:  # one entry of leaf_labels
+            del runs[at + draw(st.integers(0, 1))]
         else:
             del owner[draw(st.sampled_from(sorted(owner)))]
     elif defect == "mistyped member":
         where = draw(st.sampled_from([
-            "width", "candidates", "adjacency", "entry", "runs", "children",
+            "width", "candidates", "adjacency", "entry", "leaf_labels", "children",
             "run", "adjacency pair",
         ]))
         if where == "width":
             obj[draw(st.sampled_from(["width", "height"]))] = draw(NOT_AN_INT)
-        elif where in ("candidates", "adjacency"):
+        elif where in ("candidates", "adjacency", "leaf_labels"):
             obj[where] = draw(NOT_A_LIST)
         elif where == "entry":
             entries[draw(st.integers(0, 6))] = draw(NOT_AN_OBJECT)
-        elif where == "runs":
-            leaf["runs"] = draw(NOT_A_LIST)
         elif where == "children":
             inner["children"] = draw(NOT_A_LIST)
-        elif where == "run":  # one value in place of a run's three
-            runs[at:at + 3] = [draw(NOT_AN_OBJECT)]
+        elif where == "run":  # one value in place of a run's two
+            runs[at:at + 2] = [draw(NOT_AN_OBJECT)]
         else:
             pair = obj["adjacency"][draw(st.integers(0, len(obj["adjacency"]) - 1))]
             pair[:] = draw(st.sampled_from([[], pair[:1], pair + [7]]))
     else:
         owner, key = draw(st.sampled_from([
             (leaf, "id"), (inner, "id"), (leaf, "level"), (runs, at),
-            (runs, at + 1), (runs, at + 2), (kids, 0), (obj["adjacency"][0], 1),
+            (runs, at + 1), (kids, 0), (obj["adjacency"][0], 1),
         ]))
         owner[key] = draw(NOT_AN_INT)
     return obj
@@ -341,7 +351,8 @@ def test_malformed_crag_raises_cmc_error(obj):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_broken_crag())
 def test_malformed_crag_raises_as_run_by_run(obj):
-    """The bulk run painter raises the reference's class and message."""
+    """The bulk decoder raises the pixel-by-pixel reference's class and
+    message."""
     assert isinstance(
         same_outcome(crag_from_json, ref_crag_from_json, json.loads(_text(obj))),
         CmcError,

@@ -454,7 +454,9 @@ def test_cli_best_effort_and_train_on_an_empty_image(tmp_path, capsys):
     name on its training samples, where both used to end in numpy's
     zero-size reduction traceback."""
     crag = tmp_path / "crag.json"
-    crag.write_text(json.dumps({"width": 0, "height": 2, "candidates": [], "adjacency": []}))
+    crag.write_text(json.dumps(
+        {"width": 0, "height": 2, "leaf_labels": [], "candidates": [], "adjacency": []}
+    ))
     features = tmp_path / "features.json"
     features.write_text(json.dumps(features_to_json({}, {})))
     gt = str(tmp_path / "gt.pgm")
@@ -542,7 +544,9 @@ def test_cli_bad_time_limit_fails(limit, tmp_path, capsys):
 def test_cli_solve_without_candidates(height, width, tmp_path):
     crag_path = tmp_path / "crag.json"
     costs_path = tmp_path / "costs.json"
-    crag = {"width": width, "height": height, "candidates": [], "adjacency": []}
+    leaf_labels = [-1, height * width] if height * width else []
+    crag = {"width": width, "height": height, "leaf_labels": leaf_labels,
+            "candidates": [], "adjacency": []}
     crag_path.write_text(json.dumps(crag))
     costs_path.write_text(json.dumps({"f": {}, "g": {}}))
     seg = tmp_path / "seg.pgm"

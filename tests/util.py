@@ -3,8 +3,8 @@ enumeration oracles that cross-check the solver (brute_force over
 selections and connected partitions, and a literal scan of every 0/1
 assignment), the integer program as explicit rows with unit
 propagation over them, and plain per-pixel references for the
-array-based watershed, CRAG checks and crag.json run-length encoding,
-a run-by-run crag.json decoder, a node-by-node model.json forest
+array-based watershed, CRAG checks and crag.json's run-length list,
+encoded and decoded pixel by pixel, a node-by-node model.json forest
 loader, a full-canvas reference for the windowed synthetic image
 drawer, a per-tree walk of a forest's node lists, the per-row forest
 grower, the merge tree over Python lists and np.median, and the
@@ -38,7 +38,6 @@ from cmc.errors import (
     CmcError,
     LeavesDoNotCoverImage,
     NotAdjacent,
-    OverlappingLeaves,
     PlacementFailure,
 )
 from cmc.crag import (
@@ -49,11 +48,14 @@ from cmc.crag import (
     _named,
     build_crag,
     conflict_cliques,
+    crag_to_json,
     edge_key,
+    json_known,
     json_member,
     json_value,
     objective_value,
     pixel_pairs,
+    row_runs,
     spans,
     validate_solution,
 )
@@ -91,6 +93,11 @@ def pixels_of(crag, cid):
     """(row, col) set of a candidate, read from crag.leaf_labels()."""
     rows, cols = np.nonzero(np.isin(crag.leaf_labels(), crag.leaves_under(cid)))
     return frozenset(zip(rows.tolist(), cols.tolist()))
+
+
+def pixel_owners(crag):
+    """{(row, col): leaf id} over the pixels that a leaf of crag covers."""
+    return {p: leaf for leaf in crag.leaves() for p in pixels_of(crag, leaf)}
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +427,27 @@ def ref_make_image(rng, n_cells, noise_level, size, chord_fraction):
     return raw, boundary, gt
 
 
-def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
-    """crag_from_json's leaf and build_crag's edge checks, done on pixel sets.
+def ref_check_leaves_and_edges(owner, candidates, adjacency, width, height):
+    """build_crag's leaf and edge checks, done on pixel sets.
 
-    `pixels` maps each leaf id to its (row, col) pairs.  Leaves in
-    sorted id order, pixels one at a time: a pixel outside the image
-    raises LeavesDoNotCoverImage, a pixel already owned raises
-    OverlappingLeaves.  Each edge, in the given order: an unknown id
+    `owner` maps each covered (row, col) pixel to its label.  Pixels in
+    row-major order: a label that is no leaf id raises
+    LeavesDoNotCoverImage; then, leaves in id order, a leaf that owns no
+    pixel raises it.  Each edge, in the given order: an unknown id
     raises CmcError, a self-loop or a shared pixel between the two
     candidates' pixel unions raises AdjacencyBetweenOverlapping, no
     4-neighbor pair between them raises NotAdjacent.  Assumes the id and
     children checks pass.  Returns the leaf label image.
     """
     cand_map = {c.id: c for c in candidates}
+    pixels = {i: set() for i, c in cand_map.items() if not c.children}
+    for (r, c), label in sorted(owner.items()):
+        if label not in pixels:
+            raise LeavesDoNotCoverImage(f"pixel ({r}, {c}) holds {label}, no leaf id")
+        pixels[label].add((r, c))
+    for leaf in sorted(pixels):
+        if not pixels[leaf]:
+            raise LeavesDoNotCoverImage(f"leaf {leaf} owns no pixel")
 
     def region(cid):
         cand = cand_map[cid]
@@ -440,14 +455,6 @@ def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
             return frozenset(pixels[cid])
         return frozenset().union(*(region(k) for k in cand.children))
 
-    owner = {}
-    for cid in sorted(i for i, c in cand_map.items() if not c.children):
-        for (r, c) in pixels[cid]:
-            if not (0 <= r < height and 0 <= c < width):
-                raise LeavesDoNotCoverImage(f"pixel ({r}, {c}) of leaf {cid}")
-            if (r, c) in owner:
-                raise OverlappingLeaves(owner[(r, c)], cid)
-            owner[(r, c)] = cid
     for i, j in adjacency:
         if i not in cand_map or j not in cand_map:
             raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
@@ -459,108 +466,89 @@ def ref_check_leaves_and_edges(pixels, candidates, adjacency, width, height):
         if not ref_regions_touch(pa, pb):
             raise NotAdjacent()
     labels = np.full((height, width), UNCOVERED, dtype=np.int64)
-    for (r, c), cid in owner.items():
-        labels[r, c] = cid
+    for (r, c), label in owner.items():
+        labels[r, c] = label
     return labels
 
 
-def ref_encode_pixels(pixels):
-    """Run-length encode a pixel set row by row, as the flat list of
-    (row, col_start, col_end) triples; col_end is exclusive."""
-    rows = {}
-    for (r, c) in pixels:
-        rows.setdefault(r, []).append(c)
-    runs = []
-    for r in sorted(rows):
-        cols = sorted(rows[r])
-        start = prev = cols[0]
-        for c in cols[1:]:
-            if c == prev + 1:
-                prev = c
-                continue
-            runs += [r, start, prev + 1]
-            start = prev = c
-        runs += [r, start, prev + 1]
-    return runs
-
-
-def ref_decode_pixels(runs):
-    pixels = set()
-    for at in range(0, len(runs), 3):
-        r, start, end = runs[at:at + 3]
-        for c in range(start, end):
-            pixels.add((r, c))
-    return frozenset(pixels)
-
-
-def ref_crag_json(pixels, candidates, adjacency, width, height):
-    """crag.json object with each leaf's pixels encoded by ref_encode_pixels."""
+def ref_crag_json(owner, candidates, adjacency, width, height):
+    """crag.json object whose leaf_labels is encoded pixel by pixel in
+    row-major order from `owner`, a {(row, col): label} dict of the
+    covered pixels."""
+    leaf_labels = []
+    for r in range(height):
+        for c in range(width):
+            label = owner.get((r, c), UNCOVERED)
+            if leaf_labels and leaf_labels[-2] == label:
+                leaf_labels[-1] += 1
+            else:
+                leaf_labels += [label, 1]
     entries = []
     for cand in sorted(candidates, key=lambda c: c.id):
         entry = {"id": cand.id, "level": cand.level}
         if cand.children:
             entry["children"] = sorted(cand.children)
-        else:
-            entry["runs"] = ref_encode_pixels(pixels[cand.id])
         entries.append(entry)
     return {
         "width": width,
         "height": height,
+        "leaf_labels": leaf_labels,
         "candidates": entries,
         "adjacency": [list(e) for e in adjacency],
     }
 
 
 def ref_crag_from_json(obj, doc="crag.json"):
-    """crag_from_json checking and painting each leaf run on its own, in
-    file order: a length check per leaf, then three json_value calls
-    and one slice per run."""
+    """crag_from_json checking each (label, run length) pair of
+    leaf_labels on its own, in file order, and laying its pixels out one
+    by one."""
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
+    keys = ("width", "height", "leaf_labels", "candidates", "adjacency")
+    json_known(doc, obj, keys, "crag")
     if height < 0 or width < 0:
         raise CmcError(f"{doc}: negative image size {height}x{width}")
-    try:
-        labels = np.full((height, width), UNCOVERED, dtype=np.int64)
-    except ValueError as exc:
-        raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
+    if height * width >= 2**63:
+        raise CmcError(f"{doc}: image size {height}x{width} too large")
     candidates = []
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
         level = json_member(doc, entry, "level", int, where)
-        if "pixels" in entry:
-            raise CmcError(
-                f"{doc}: {where} holds 'pixels', the run objects of an older "
-                "release; run build-crag again"
-            )
+        for old in ("runs", "pixels"):
+            if old in entry:
+                raise CmcError(
+                    f"{doc}: {where} holds {old!r}, the leaf form of an older "
+                    "release; run build-crag again"
+                )
+        json_known(doc, entry, ("id", "level", "children"), where)
+        kids = []
         if "children" in entry:
-            if "runs" in entry:
-                raise CmcError(f"{doc}: {where} has both children and runs")
             kids = json_member(doc, entry, "children", list, where)
-            kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
-            candidates.append(Candidate(cid, level, kids))
-            continue
-        runs = json_member(doc, entry, "runs", list, where)
-        if len(runs) % 3:
+        kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
+        candidates.append(Candidate(cid, level, kids))
+    runs = json_member(doc, obj, "leaf_labels", list, "crag")
+    if len(runs) % 2:
+        raise CmcError(f"{doc}: leaf_labels has odd length {len(runs)}")
+    pixels, covered = [], 0
+    for at in range(0, len(runs), 2):
+        label = json_value(doc, runs[at], int, f"leaf_labels[{at}]")
+        length = json_value(doc, runs[at + 1], int, f"leaf_labels[{at + 1}]")
+        if length < 1:
             raise CmcError(
-                f"{doc}: runs of {where} has length {len(runs)}, not a multiple of 3"
+                f"{doc}: run length leaf_labels[{at + 1}] is {length}, below 1"
             )
-        for at in range(0, len(runs), 3):
-            row, start, end = (
-                json_value(doc, runs[k], int, f"runs[{k}] of {where}")
-                for k in range(at, at + 3)
-            )
-            if start >= end:
-                raise CmcError(f"{doc}: empty run {start}:{end} of {where}")
-            if not (0 <= row < height and 0 <= start and end <= width):
-                raise _named(doc, LeavesDoNotCoverImage(
-                    f"run ({row}, {start}:{end}) of leaf {cid} outside {height}x{width}"
-                ))
-            segment = labels[row, start:end]
-            taken = segment != UNCOVERED
-            if taken.any():
-                raise _named(doc, OverlappingLeaves(int(segment[taken.argmax()]), cid))
-            segment[:] = cid
-        candidates.append(Candidate(cid, level))
+        covered += length
+        if covered <= height * width:
+            for _ in range(length):
+                pixels.append(label)
+    if covered != height * width:
+        raise CmcError(
+            f"{doc}: leaf_labels covers {covered} pixels, not {height}x{width}"
+        )
+    try:
+        labels = np.array(pixels, dtype=np.int64).reshape(height, width)
+    except ValueError as exc:
+        raise CmcError(f"{doc}: image size {height}x{width} too large") from exc
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")
@@ -606,6 +594,20 @@ def old_model_json(model):
         }
         for key, forest in model.items()
     }
+
+
+def old_crag_json(crag):
+    """crag as the crag.json that releases before leaf_labels wrote: each
+    leaf's pixels under 'runs', flat (row, col_start, col_end) triples."""
+    obj = crag_to_json(crag)
+    del obj["leaf_labels"]
+    runs = {}
+    for leaf, *run in zip(*(a.tolist() for a in row_runs(crag.leaf_labels()))):
+        runs.setdefault(leaf, []).extend(run)
+    for entry in obj["candidates"]:
+        if "children" not in entry:
+            entry["runs"] = runs[entry["id"]]
+    return obj
 
 
 def _ref_is_int(value):
