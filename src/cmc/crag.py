@@ -25,6 +25,7 @@ candidates with a 4-neighbour pixel pair between them, and
 extract_candidates emits all of them.
 """
 
+import itertools
 import math
 import re
 from collections import deque
@@ -601,7 +602,8 @@ def crag_from_json(obj, doc="crag.json"):
     rejects a label that is no leaf id and a leaf with no pixel.  An
     image numpy cannot hold raises CmcError, "too large".  A leaf of an
     older release, its pixels under 'runs' or 'pixels', is rejected by
-    name, as is any other unknown member.
+    name, as is any other unknown member.  The adjacency is checked for
+    pairs, then every end in one int pass (json_column).
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     keys = ("width", "height", "leaf_labels", "candidates", "adjacency")
@@ -649,7 +651,11 @@ def crag_from_json(obj, doc="crag.json"):
     pairs = json_member(doc, obj, "adjacency", list, "crag")
     if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise CmcError(f"{doc}: an entry of adjacency is not a pair")
-    adjacency = [tuple(json_value(doc, v, int, "adjacency") for v in p) for p in pairs]
+    ends = list(itertools.chain.from_iterable(pairs))
+    bad = json_column(ends, int)[1]
+    if bad.any():
+        json_value(doc, ends[int(bad.argmax())], int, "adjacency")
+    adjacency = list(zip(ends[::2], ends[1::2]))
     try:
         return build_crag(candidates, adjacency, labels)
     except CmcError as exc:

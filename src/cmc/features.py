@@ -23,9 +23,11 @@ them.  What the leaves fix is computed once per image, per leaf
 by the leaf count, not by the ids), and each candidate combines its
 leaves' facts:
 - Size, perimeter (4-neighbor pixel sides to anything outside the
-  leaf) and the 20-bin raw and boundary histograms.  A candidate's are
-  integer sums over its leaves, less 2 sides per 4-neighbor pixel pair
-  between two of its leaves for the perimeter: exact.
+  leaf, counted on the rim below: the N, E, S and W neighbors of its
+  rim pixels that lie outside it) and the 20-bin raw and boundary
+  histograms.  A candidate's are integer sums over its leaves, less 2
+  sides per 4-neighbor pixel pair between two of its leaves for the
+  perimeter: exact.
 - The coordinate moments: the sums of r, c, r*r, c*c and r*c over the
   leaf's pixels, taken in int64 from its row runs.  A candidate's are
   integer sums over its leaves, and give its eccentricity (Hu's
@@ -47,8 +49,25 @@ leaves' facts:
   edge gathers the groups between its candidates' leaves and sorts its
   interface values by pixel pair, a key no two pairs share, so the
   order of gathering does not matter.
-Only the all-pixel moments and quantiles scan the candidate's bounding
-box (the union of its leaves' boxes), in row-major order.
+Only the all-pixel moments scan the candidate's bounding box (the union
+of its leaves' boxes), in row-major order.
+
+Candidates are visited children first, and an inner candidate takes
+from its children what they already hold (_Held), dropping it once it
+is done; the records held at any time are of disjoint candidates, so
+they hold at most one image of values per plane:
+- Sorted values.  Its sorted raw and boundary values are its children's
+  merged: each smaller child's inserted into the largest child's at
+  their searchsorted positions, instead of a sort of all its pixels.
+  Sorted finite values are unique up to the order of -0.0 and 0.0, and
+  the quantiles do not depend on that order (_quantiles), so they and
+  the equal-values test keep every bit.
+- The contour walk.  The child that holds its first pixel walked from
+  that pixel too.  Where no other child's leaf is an 8-neighbor of a
+  pixel that walk visited, the candidate's codes at those pixels are
+  the child's, and the walk, which reads codes only where it goes, is
+  the same walk; it is taken over with its angle histogram.  Otherwise
+  the candidate walks afresh.
 
 Each statistics block costs a few multiply-adds per pixel.  Moments come
 from the deviations d about the mean, recentred on their own mean, with
@@ -58,18 +77,18 @@ over the covered pixels, that reproduces np.histogram(v, 20, (0, 1))
 exactly.  Eccentricity is sqrt(2 s / (a + b + s)), with a, b and c n**2
 times the covariance entries, formed exactly from the integer moments,
 and s = sqrt((a - b)**2 + 4 c**2) (_eccentricity).  Quantiles come from
-one sort, with np.quantile's linear interpolation applied by hand.  The
-Moore contour walk looks up its next step in a table, by backtrack
-direction and an 8-bit code of the pixel's neighbors; each of the 8
-step directions has one fixed angle bin (taken at import with atan2),
-so the angle histogram counts step directions.
+the sorted values, with np.quantile's linear interpolation applied by
+hand.  The Moore contour walk looks up its next step in a table, by
+backtrack direction and an 8-bit code of the pixel's neighbors; each of
+the 8 step directions has one fixed angle bin (taken at import with
+atan2), so the angle histogram counts step directions.
 
 Tolerance: the moments agree with exact rational arithmetic to within
 1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  The
 eccentricity lies within 1 ulp of its exact value (tested on masks
 shifted by up to 2**14 pixels).  The sorted quantiles are bit-identical
-to np.quantile, and the counted step directions to a walk that takes
-atan2 of every step.
+to np.quantile, except that a zero quantile is always 0.0, and the
+counted step directions to a walk that takes atan2 of every step.
 
 Digests: a change inside these tolerances can still move a feature's
 bits across a forest split, and with it a cost.  So the contract is on
@@ -79,6 +98,7 @@ feature's bits move, and each move is reported with its cause.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy import ndimage
@@ -214,12 +234,17 @@ def _bin_image(image, where):
 
 def _quantiles(ordered):
     """np.quantile(values, _QUANTILES), bit for bit, from the sorted
-    values `ordered`.
+    values `ordered`, except that a zero comes out as 0.0, never -0.0.
 
     The steps of numpy's default linear method: the virtual index is
     v = (n - 1) * q; its floor and the next index both become the last
     index once v >= n - 1; t is v minus that floor; and a + (b - a) * t
     is taken from the upper end, b - (b - a) * (1 - t), when t >= 0.5.
+    Sorted finite values are unique up to the order of -0.0 and 0.0,
+    and that order only decides the sign of a zero result (-0.0 between
+    two -0.0 at t >= 0.5, 0.0 between -0.0 and 0.0), so adding 0.0,
+    which turns -0.0 into 0.0 and leaves every other value alone, makes
+    the result the same for every sorted order of the same values.
     """
     n = len(ordered)
     out = []
@@ -232,20 +257,34 @@ def _quantiles(ordered):
         t = v - lo
         a, b = float(ordered[lo]), float(ordered[hi])
         diff = b - a
-        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+        out.append((b - diff * (1 - t) if t >= 0.5 else a + diff * t) + 0.0)
     return out
 
 
-def _stats_block(values, hist):
-    """Moments, the given 20-bin histogram and quantiles of `values`.
+def _stats_block(values, parts, hist):
+    """Moments, the given 20-bin histogram and quantiles of `values`,
+    and their sorted copy: the merge of `parts`, sorted arrays that
+    hold the values between them.
 
-    One sort serves the quantiles and the moments' test for equal
-    values: the values are finite, so they are all equal when the ends
-    of the sorted copy are (-0.0 == 0.0, as for min and max).
+    The ends of the parts serve the moments' test for equal values: the
+    values are finite, so they are all equal when the least and the
+    greatest are (-0.0 == 0.0, as for min and max).  The moments come
+    before the merge, while the values are still in cache.
     """
-    ordered = np.sort(values)
-    moments = _moments(values, ordered[0] == ordered[-1])
-    return np.concatenate([moments, hist, _quantiles(ordered)])
+    moments = _moments(values, min(p[0] for p in parts) == max(p[-1] for p in parts))
+    ordered = _merge_sorted(parts)
+    return np.concatenate([moments, hist, _quantiles(ordered)]), ordered
+
+
+def _merge_sorted(parts):
+    """The sorted concatenation of the sorted arrays `parts`, equal (==)
+    to np.sort of it: each smaller part is inserted into the largest at
+    its searchsorted positions, a pass over the largest per part."""
+    parts = sorted(parts, key=len)
+    merged = parts.pop()
+    for part in parts:
+        merged = np.insert(merged, np.searchsorted(merged, part), part)
+    return merged
 
 
 def _moore_walk(codes, start, width):
@@ -359,13 +398,6 @@ class _Leaves:
             hist = np.bincount(leaf_of * 20 + bins[covered], minlength=20 * n)
             planes = image, image.ravel(), bins.ravel(), hist.reshape(n, 20)
             self.planes.append(planes)
-        # 4 sides per pixel, less 2 per 4-neighbor pixel pair inside the leaf
-        inner = [
-            a[(a == b) & (a != UNCOVERED)]
-            for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:]))
-        ]
-        inner = np.bincount(np.concatenate(inner), minlength=n)
-        self.perimeter = 4 * self.size - 2 * inner
         # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
         for k, box in enumerate(self.boxes):
@@ -387,6 +419,10 @@ class _Leaves:
             rr, cc = r + dr, c + dc
             inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
             self.rim_around[inside, d] = labels[rr[inside], cc[inside]]
+        # the sides of a rim pixel's N, E, S and W neighbors outside its
+        # leaf; a pixel off the rim has all 8 neighbors in its leaf
+        sides = (self.rim_around[:, ::2] != self.rim_leaf[:, None]).sum(axis=1)
+        self.perimeter = np.bincount(np.repeat(self.rim_leaf, sides), minlength=n)
         # neighbor codes by flat position; each walk fills the rim it reads
         self.code_table = np.zeros(h * w, dtype=np.uint8)
         # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q)
@@ -455,9 +491,32 @@ class _Leaves:
         return _moore_walk(memoryview(self.code_table), int(rim[0]), self.width)
 
 
-def _node_vector(facts, leaves, lut):
+# what a candidate hands its parent: the flat position of its row-major
+# first pixel, its lookup table, its sorted raw and boundary values, and
+# its walk (positions, angle histogram), None unless it was walked
+_Held = namedtuple("_Held", "first lut ordered walk")
+
+
+def _reused_walk(facts, lut, first, kids):
+    """The walk of the child in `kids` that holds the candidate's first
+    pixel `first`, where it is the candidate's own walk, else None.
+
+    It is when no other child's leaf is an 8-neighbor of a pixel that
+    walk visited: the walk reads codes only at the pixels it visits,
+    from the same start, and those codes are then the same."""
+    kid = next((kid for kid in kids if kid.first == first), None)
+    if kid is None or kid.walk is None:
+        return None
+    rows = np.searchsorted(facts.rim, kid.walk[0])
+    if (lut & ~kid.lut)[facts.rim_around[rows]].any():
+        return None
+    return kid.walk
+
+
+def _node_vector(facts, leaves, lut, kids):
     """147-entry feature vector of the candidate that is the union of
-    the list `leaves`, with lookup table `lut`."""
+    the list `leaves`, with lookup table `lut`, and its _Held record.
+    `kids` holds its children's _Held records (none for a leaf)."""
     rows, cols = zip(*(facts.boxes[k] for k in leaves))
     r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
     box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
@@ -469,26 +528,35 @@ def _node_vector(facts, leaves, lut):
     eccentricity = _eccentricity(count, *facts.moments[leaves].sum(axis=0).tolist())
 
     rim, codes = facts.rim_of(lut)
+    first = int(rim[0])
     # the angle histogram is all-zero unless the candidate is one
     # 8-connected component; a lone pixel makes no step
     if len(leaves) == 1:
         whole = facts.components[leaves[0]] == 1
     else:
         whole = facts.one_component(leaves) or ndimage.label(mask, _SQUARE)[1] == 1
+    walk = None
     if whole:
-        _, steps = facts.walk(rim, codes)
-        angles = np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
-    else:
-        angles = np.zeros(16)
+        walk = _reused_walk(facts, lut, first, kids)
+        if walk is None:
+            positions, steps = facts.walk(rim, codes)
+            angles = np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
+            walk = positions, angles
+    angles = np.zeros(16) if walk is None else walk[1]
 
     contour = rim[(codes & _NESW) != _NESW]
-    blocks = []
-    for image, flat, bins, hist in facts.planes:
-        blocks.append(_stats_block(image[box][mask], hist[leaves].sum(axis=0)))
-        blocks.append(
-            _stats_block(flat[contour], np.bincount(bins[contour], minlength=20))
-        )
-    return np.concatenate([[size, circularity, eccentricity], angles] + blocks)
+    blocks, ordered = [], []
+    for plane, (image, flat, bins, hist) in enumerate(facts.planes):
+        values = image[box][mask]
+        parts = [kid.ordered[plane] for kid in kids] or [np.sort(values)]
+        block, merged = _stats_block(values, parts, hist[leaves].sum(axis=0))
+        blocks.append(block)
+        ordered.append(merged)
+        values = flat[contour]
+        hist = np.bincount(bins[contour], minlength=20)
+        blocks.append(_stats_block(values, [np.sort(values)], hist)[0])
+    vector = np.concatenate([[size, circularity, eccentricity], angles] + blocks)
+    return vector, _Held(first, lut, ordered, walk)
 
 
 def _checked_images(labels, raw, boundary):
@@ -557,11 +625,19 @@ def compute_features(crag, raw, boundary):
     """
     raw, boundary = _checked_images(crag.leaf_labels(), raw, boundary)
     facts = _Leaves(crag, raw, boundary)
-    node_feats, luts = {}, {}
-    for cid in crag.ids():
+    # children first: the reverse of a walk down from the roots
+    order = crag.roots()
+    for cid in order:
+        order.extend(crag.candidates[cid].children)
+    node_feats, luts, held = {}, {}, {}
+    for cid in reversed(order):
         leaves = facts.renumber(crag.leaves_under(cid))
         luts[cid] = facts.lookup(leaves)
-        node_feats[cid] = _node_vector(facts, leaves, luts[cid])
+        kids = [held.pop(kid) for kid in crag.candidates[cid].children]
+        node_feats[cid], record = _node_vector(facts, leaves, luts[cid], kids)
+        if cid in crag.subset:
+            held[cid] = record
+    node_feats = {cid: node_feats[cid] for cid in crag.ids()}
     if not crag.adjacency:
         return node_feats, {}
     stats = _edge_stats(facts, crag.adjacency, luts, node_feats)

@@ -831,6 +831,33 @@ def test_leaf_labels_fault_names_the_entry(case):
     assert (type(error), str(error)) == (kind, message)
 
 
+# values put in place of ends of quad_crag's adjacency pairs, {(pair,
+# end): value}, and the message, which names the first in file order
+ADJACENCY_FAULTS = {
+    "bool": ({(0, 1): True}, "True"),
+    "float, then string": ({(1, 0): 1.0, (2, 1): "2"}, "1.0"),
+    "string, then float": ({(1, 0): "2", (2, 1): 1.0}, "'2'"),
+    "past int64, then null": ({(3, 1): 2**63, (5, 0): None}, "9223372036854775808"),
+    "below int64": ({(4, 0): -(2**63) - 1}, "-9223372036854775809"),
+    "list in the last pair": ({(10, 1): [1]}, "[1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(ADJACENCY_FAULTS))
+def test_adjacency_fault_names_the_first_bad_end(case):
+    """One int pass checks every end of the adjacency pairs; the first
+    bad end in file order is named, as the value-by-value reference
+    does."""
+    edits, shown = ADJACENCY_FAULTS[case]
+    obj = crag_to_json(quad_crag())
+    for (pair, end), value in edits.items():
+        obj["adjacency"][pair][end] = value
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (
+        CmcError, f"crag.json: adjacency is not a valid int: {shown}"
+    )
+
+
 # values put in place of one leaf_labels entry: labels and lengths in
 # and out of range, the int64 limits and past them, bools and other
 # JSON types

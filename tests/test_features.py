@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from decimal import Decimal, localcontext
@@ -9,15 +10,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from cmc import costmodel
+from cmc import costmodel, features
 from cmc.cli import main
 from cmc.crag import UNCOVERED, Candidate, build_crag, crag_to_json
 from cmc.errors import CmcError, DegenerateInput, DimensionMismatch
 from cmc.features import (
     _QUANTILES,
+    _SQUARE,
     _bin_image,
     _eccentricity,
     _Leaves,
+    _merge_sorted,
     _moments,
     _quantiles,
     compute_features,
@@ -92,16 +95,16 @@ def walk_positions(pixels):
     return crag_walk(crag, 0)
 
 
-def count_labels(monkeypatch):
-    """Count the ndimage.label calls from here on: a one-item list."""
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on: a one-item list."""
     calls = [0]
-    label = ndimage.label
+    function = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return label(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(ndimage, "label", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -339,6 +342,68 @@ _INTEGRAL_INDEX = st.sampled_from([21, 101]).flatmap(
 def test_quantiles_bit_equal_to_np_quantile(levels):
     values = np.array(levels) / 65535.0
     assert np.array_equal(_quantiles(np.sort(values)), np.quantile(values, _QUANTILES))
+
+
+def bits(values):
+    """The float64 values as their bit patterns, so -0.0 != 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# one child's values: 16-bit levels k/65535, levels near the middle for
+# duplicates, and the values where signs and ends matter
+_CHILD_VALUES = st.lists(
+    st.one_of(
+        _LEVELS.map(lambda k: k / 65535.0),
+        st.integers(32766, 32769).map(lambda k: k / 65535.0),
+        st.sampled_from([0.0, -0.0, 1.0]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(_CHILD_VALUES, min_size=1, max_size=5))
+@example([[0.0]])
+@example([[-0.0, 0.0], [0.0], [-0.0]])
+@example([[1.0] * 7, [1.0], [0.5, 1.0]])
+@example([[0.0, -0.0, -0.0, 0.25], [-0.0, 0.0, 1.0], [-0.0], [0.0, 0.0], [1.0]])
+def test_merged_children_equal_np_sort(children):
+    """An inner candidate's sorted values, merged from its children's,
+    equal np.sort of their concatenation elementwise; they can differ
+    from it only in the order of -0.0 and 0.0, so the quantiles and the
+    equal-ends test read the same bits."""
+    parts = [np.sort(np.array(child)) for child in children]
+    merged = _merge_sorted(parts)
+    want = np.sort(np.concatenate(parts))
+    assert merged.shape == want.shape and (merged == want).all()
+    assert bits(_quantiles(merged)) == bits(_quantiles(want))
+    assert (merged[0] == merged[-1]) == (want[0] == want[-1])
+
+
+def test_quantiles_ignore_the_order_of_signed_zeros():
+    """Every order of the signs in a sorted run of zeros gives the same
+    quantile bits.  The interpolation alone would not: between two -0.0
+    at weight t >= 0.5 it gives -0.0, between -0.0 and 0.0 it gives 0.0
+    (n = 3, q = 0.25, below); _quantiles turns a zero result into 0.0."""
+    first = np.array([-0.0, -0.0, 0.0])
+    assert bits(_quantiles(first)) == bits(_quantiles(np.array([-0.0, 0.0, -0.0])))
+    assert bits(_quantiles(first))[2] == bits([0.0])[0]
+    for zeros in range(1, 9):
+        for n_neg in range(zeros + 1):
+            for tail in ([], [0.5], [0.25, 1.0]):
+                got = set()
+                for negative in itertools.combinations(range(zeros), n_neg):
+                    run = np.zeros(zeros)
+                    run[list(negative)] = -0.0
+                    got.add(tuple(bits(_quantiles(np.concatenate([run, tail])))))
+                assert len(got) == 1
 
 
 def test_bin_image_matches_np_histogram():
@@ -870,7 +935,7 @@ def test_trace_contour_on_random_masks():
 def test_angle_histogram_on_random_masks(monkeypatch):
     """Bit-equal to the flood-fill oracle, with the one-component verdict
     taken from the leaves for some unions and by labelling for others."""
-    calls = count_labels(monkeypatch)
+    calls = count_calls(monkeypatch, ndimage, "label")
     walked = derived = labelled = 0
     for crag in random_crags(73, 2500):
         blank = np.zeros((crag.height, crag.width))
@@ -911,9 +976,119 @@ def test_pipeline_crag_labels_each_leaf_once(monkeypatch):
     raw, boundary, _ = generate_synthetic(1, 4, 1.0, 5, image_size=128)[0]
     crag = build_graph(boundary, PipelineConfig())
     assert len(crag.ids()) > len(crag.leaves())
-    calls = count_labels(monkeypatch)
+    calls = count_calls(monkeypatch, ndimage, "label")
     compute_features(crag, raw, boundary)
     assert calls[0] <= len(crag.leaves())
+
+
+def one_piece(crag, cid):
+    """Whether the candidate is one 8-connected component."""
+    mask = np.isin(crag.leaf_labels(), crag.leaves_under(cid))
+    return ndimage.label(mask, _SQUARE)[1] == 1
+
+
+def test_inner_walks_reused_and_fresh_on_nested_crags(monkeypatch):
+    """Merge-tree crags at 128 and 256 px and random sparse crags: every
+    candidate's angle histogram is bit-equal to the per-pixel oracle's,
+    while some inner candidates take a child's walk and others walk
+    afresh.  One walk runs per leaf that is one piece; the walks beyond
+    those are inner candidates' fresh walks."""
+    calls = count_calls(monkeypatch, features, "_moore_walk")
+    crags = []
+    for cells, size, seed in ((3, 128, 7), (3, 128, 8), (12, 256, 8)):
+        raw, boundary, _ = generate_synthetic(1, cells, 1.0, seed, image_size=size)[0]
+        crags.append((build_graph(boundary, PipelineConfig()), raw, boundary))
+    crags += list(sparse_instances(41, 60))
+    reused = fresh = 0
+    for crag, raw, boundary in crags:
+        before = calls[0]
+        nf, _ = compute_features(crag, raw, boundary)
+        whole = {cid for cid in crag.ids() if one_piece(crag, cid)}
+        for cid in crag.ids():
+            got = nf[cid][ANGLES]
+            assert np.array_equal(got, ref_angle_histogram(pixels_of(crag, cid)))
+        inner_fresh = calls[0] - before - len(whole & set(crag.leaves()))
+        inner_whole = len(whole - set(crag.leaves()))
+        assert 0 <= inner_fresh <= inner_whole
+        fresh += inner_fresh
+        reused += inner_whole - inner_fresh
+    assert reused > 10 and fresh > 40
+
+
+# hand-built unions of two leaves, 0 then 1, whose parent 2 must walk
+# afresh: (i) leaf 1 touches the contour that leaf 0's walk visits only
+# diagonally; (ii) leaf 1, a pixel, holds the parent's first pixel
+FRESH_WALK_CASES = {
+    "diagonal touch": [[0, 0, -1], [0, 0, -1], [-1, -1, 1]],
+    "other child first": [[-1, 1, -1], [0, 0, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRESH_WALK_CASES))
+def test_parent_walks_afresh(monkeypatch, case):
+    labels = np.array(FRESH_WALK_CASES[case])
+    crag = build_crag(
+        [Candidate(0, 0), Candidate(1, 0), Candidate(2, 1, (0, 1))], [], labels
+    )
+    calls = count_calls(monkeypatch, features, "_moore_walk")
+    blank = np.zeros(labels.shape)
+    nf, _ = compute_features(crag, blank, blank)
+    assert calls[0] == 3
+    for cid in crag.ids():
+        assert np.array_equal(nf[cid][ANGLES], ref_angle_histogram(pixels_of(crag, cid)))
+
+
+def test_parent_reuses_the_walk_of_a_ring_around_its_sibling(monkeypatch):
+    """Leaf 1 fills the hole of leaf 0, a ring two pixels thick: the walk
+    around the ring's outside never meets leaf 1, so the parent takes it."""
+    labels = np.zeros((6, 6), dtype=np.int64)
+    labels[2:4, 2:4] = 1
+    crag = build_crag(
+        [Candidate(0, 0), Candidate(1, 0), Candidate(2, 1, (0, 1))], [], labels
+    )
+    calls = count_calls(monkeypatch, features, "_moore_walk")
+    blank = np.zeros(labels.shape)
+    nf, _ = compute_features(crag, blank, blank)
+    assert calls[0] == 2
+    assert np.array_equal(nf[2][ANGLES], nf[0][ANGLES])
+    for cid in crag.ids():
+        assert np.array_equal(nf[cid][ANGLES], ref_angle_histogram(pixels_of(crag, cid)))
+
+
+def ref_leaf_perimeters(labels, n):
+    """4 sides per pixel of each leaf 0..n-1, less 2 per 4-neighbor pixel
+    pair inside the leaf; 0 in slot n."""
+    covered = labels[labels != UNCOVERED]
+    inner = [
+        a[(a == b) & (a != UNCOVERED)]
+        for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1], labels[1:]))
+    ]
+    size = np.bincount(covered, minlength=n + 1)
+    return 4 * size - 2 * np.bincount(np.concatenate(inner), minlength=n + 1)
+
+
+def test_leaf_perimeters_from_the_rim():
+    """_Leaves counts each leaf's sides from its rim; they equal the
+    pixel-pair count on random sparse crags (UNCOVERED pixels, leaves on
+    the border), on one-pixel leaves and on 1 x n and n x 1 images."""
+    rng = np.random.default_rng(43)
+    crags = [random_sparse_crag(rng) for _ in range(60)]
+    crags += [labels_crag(labels) for labels in SPLIT_CASES]
+    crags.append(labels_crag([[0, 1], [2, 3]]))  # four one-pixel leaves
+    for shape in ((1, 9), (9, 1), (1, 1)):
+        for _ in range(10):
+            labels = rng.integers(-1, 3, size=shape)
+            if (labels == UNCOVERED).all():
+                labels[0, 0] = 0
+            crags.append(labels_crag(labels))
+    one_pixel = 0
+    for crag in crags:
+        blank = np.zeros((crag.height, crag.width))
+        facts = _Leaves(crag, blank, blank)
+        n = len(crag.leaves())
+        assert np.array_equal(facts.perimeter, ref_leaf_perimeters(facts.labels, n))
+        one_pixel += int((facts.size[:n] == 1).sum())
+    assert one_pixel > 20
 
 
 def test_compute_features_matches_per_pixel_reference():
