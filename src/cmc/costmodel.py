@@ -152,13 +152,7 @@ def label_instances(crag, solution, node_feats, edge_feats):
     if violations:
         raise InfeasibleSolution(violations)
     selected = [i for i in crag.ids() if solution.y[i]]
-    owner = {}
-    for s in selected:
-        stack = [s]
-        while stack:
-            node = stack.pop()
-            owner[node] = s
-            stack.extend(crag.candidates[node].children)
+    owner = {i: s for i in crag.ids() for s in [i] + crag.ancestors(i) if solution.y[s]}
 
     group = solution.merged_groups(selected)
     node_x, edge_x = _forest_rows(crag, node_feats, edge_feats)

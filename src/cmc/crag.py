@@ -18,17 +18,17 @@ lists, json_known, which rejects members that no release writes, and
 json_keyed for objects keyed by candidate id and by edge.
 
 The graph facts are defined here once each: which pixels touch
-(pixel_pairs), which candidates are adjacent (candidate_adjacency) and
-which candidates a merge assignment joins (Solution.merged_groups).  The
-adjacency rule: a Crag's adjacency is a subset of the pairs of disjoint
-candidates with a 4-neighbour pixel pair between them, and
-extract_candidates emits all of them.
+(pixel_pairs), which candidates are adjacent and through which leaf
+pairs (_lift) and which candidates a merge assignment joins
+(Solution.merged_groups).  The adjacency rule: a Crag's adjacency is a
+subset of the pairs of disjoint candidates with a 4-neighbour pixel
+pair between them, and extract_candidates emits all of them.
 """
 
 import itertools
 import math
 import re
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +142,8 @@ def objective_value(f, g, y, m):
 
 UNCOVERED = -1  # leaf_labels() value of pixels no leaf covers; never an id
 
+LeafPairs = namedtuple("LeafPairs", "p q a b start stop")
+
 
 class Crag:
     """Immutable after construction; build via build_crag().
@@ -150,16 +152,39 @@ class Crag:
     (height, width) image of leaf ids, UNCOVERED where no leaf lies
     (leaves need not cover the image).  `leaf_ranks()` is the same image
     in leaf ranks, so that tables over leaves are sized by their count.
+
+    Ancestry is one depth-first order of the leaves from the roots, in
+    which each candidate's leaves are a contiguous range.  `leaf_pairs`
+    groups the 4-neighbour pixel pairs between leaves: group g holds the
+    pairs p[start[g]:stop[g]], q[start[g]:stop[g]] (flat positions) from
+    leaf rank a[g] + 1 to b[g] + 1, in order of the key a * (L + 1) + b,
+    L leaves.  `edge_groups` has one row per (adjacency edge, group)
+    incidence, as arrays (edge, group, forward): forward when the
+    group's p pixels lie in the edge's first candidate.
     """
 
-    def __init__(self, candidates, adjacency, subset, leaf_labels):
-        self.candidates = dict(candidates)  # id -> Candidate
-        self.adjacency = tuple(sorted(adjacency))
-        self.subset = dict(subset)  # child id -> parent id
+    def __init__(self, candidates, subset, order, leaf_labels):
+        self.candidates = candidates  # id -> Candidate
+        self.subset = subset  # child id -> parent id
         self.height, self.width = leaf_labels.shape
-        self._leaves_under = {}
         self._leaf_labels = leaf_labels
         self._leaf_ranks = None
+        # the leaves in the depth-first `order`, and each candidate's
+        # range (lo, hi) of them: the first child's lo, the last one's hi
+        self._leaf_order = [cid for cid in order if not candidates[cid].children]
+        self._span = {cid: (t, t + 1) for t, cid in enumerate(self._leaf_order)}
+        for cid in reversed(order):
+            if kids := candidates[cid].children:
+                self._span[cid] = self._span[kids[0]][0], self._span[kids[-1]][1]
+        leaves = np.array(self.leaves(), dtype=np.int64)
+        n = len(leaves) + 1
+        label_p, label_q, p, q = pixel_pairs(leaf_labels)
+        key = np.searchsorted(leaves, label_p) * n + np.searchsorted(leaves, label_q)
+        by_key = np.argsort(key)
+        groups, start, size = np.unique(key[by_key], return_index=True,
+                                        return_counts=True)
+        a, b = np.divmod(groups, n)
+        self.leaf_pairs = LeafPairs(p[by_key], q[by_key], a, b, start, start + size)
 
     def __eq__(self, other):
         if not isinstance(other, Crag):
@@ -180,7 +205,7 @@ class Crag:
         return sorted(self.candidates)
 
     def leaves(self):
-        return sorted(i for i, c in self.candidates.items() if not c.children)
+        return sorted(self._leaf_order)
 
     def roots(self):
         return sorted(i for i in self.candidates if i not in self.subset)
@@ -190,22 +215,15 @@ class Crag:
 
     def ancestors(self, cid):
         """Strict ancestors, bottom-up."""
-        return _chain(self.subset, cid)[1:]
+        above = []
+        while (cid := self.subset.get(cid)) is not None:
+            above.append(cid)
+        return above
 
     def leaves_under(self, cid):
         """Sorted leaf ids of the subtree rooted at cid (cid itself if leaf)."""
-        if cid not in self._leaves_under:
-            found = []
-            stack = [cid]
-            while stack:
-                node = stack.pop()
-                kids = self.candidates[node].children
-                if kids:
-                    stack.extend(kids)
-                else:
-                    found.append(node)
-            self._leaves_under[cid] = tuple(sorted(found))
-        return self._leaves_under[cid]
+        lo, hi = self._span[cid]
+        return tuple(sorted(self._leaf_order[lo:hi]))
 
     def leaf_labels(self):
         """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
@@ -220,14 +238,6 @@ class Crag:
             ranks.flags.writeable = False
             self._leaf_ranks = ranks
         return self._leaf_ranks
-
-
-def _chain(subset, cid):
-    """cid and its ancestors in the child -> parent map `subset`, bottom-up."""
-    chain = [cid]
-    while chain[-1] in subset:
-        chain.append(subset[chain[-1]])
-    return chain
 
 
 def pixel_pairs(labels):
@@ -259,27 +269,37 @@ def sorted_distinct(values):
     return s[keep]
 
 
-def candidate_adjacency(subset, leaf_labels):
-    """Sorted pairs of disjoint candidates with a 4-neighbour pixel pair between them.
+def spans(starts, stops):
+    """Concatenated np.arange(starts[k], stops[k]) over all k."""
+    lengths = stops - starts
+    shift = starts - np.cumsum(lengths) + lengths
+    return np.repeat(shift, lengths) + np.arange(lengths.sum())
 
-    Each touching leaf pair (a, b) lifts to the ancestors-or-self A of a
-    and B of b in the forest `subset` (child -> parent); A and B overlap
-    iff A or B is an ancestor of both leaves.  Overlap is tested against
-    each chain's set, so a test takes constant time however deep the
-    forest.
+
+def _lift(crag):
+    """The sorted pairs of disjoint candidates with a 4-neighbour pixel
+    pair between them, as arrays of first and second ids, and their
+    Crag.edge_groups rows: group (a, b) lies under each pair of an A
+    that holds leaf a and not b and a B that holds b and not a (one that
+    holds both overlaps the other), forward when A is the first id.
     """
-    label_p, label_q, _, _ = pixel_pairs(leaf_labels)
-    pairs = set(zip(label_p.tolist(), label_q.tolist()))
-    chains = {leaf: _chain(subset, leaf) for pair in pairs for leaf in pair}
-    above = {leaf: set(chain) for leaf, chain in chains.items()}
-    return {
-        edge_key(big_a, big_b)
-        for a, b in pairs
-        for big_a in chains[a]
-        if big_a not in above[b]
-        for big_b in chains[b]
-        if big_b not in above[a]
-    }
+    ids = crag.ids()
+    lo, hi = np.array([crag._span[i] for i in ids], dtype=np.int64).reshape(-1, 2).T
+    leaf_at = np.argsort(crag._leaf_order)  # by leaf rank - 1: depth-first position
+    pa, pb = leaf_at[crag.leaf_pairs.a, None], leaf_at[crag.leaf_pairs.b, None]
+    holds_a, holds_b = (lo <= pa) & (pa < hi), (lo <= pb) & (pb < hi)
+    group_a, big_a = np.nonzero(holds_a & ~holds_b)
+    group_b, big_b = np.nonzero(holds_b & ~holds_a)
+    # each A of a group with each B of it; nonzero sorts by group
+    b_lo, b_hi = (np.searchsorted(group_b, group_a, side=s) for s in ("left", "right"))
+    group, big_a = np.repeat(group_a, b_hi - b_lo), np.repeat(big_a, b_hi - b_lo)
+    big_b = big_b[spans(b_lo, b_hi)]
+    # A and B are id ranks, so the sorted codes are the sorted edges
+    ids, n = np.array(ids, dtype=np.int64), len(ids)
+    codes, edge = np.unique(
+        np.minimum(big_a, big_b) * n + np.maximum(big_a, big_b), return_inverse=True
+    )
+    return (ids[codes // n], ids[codes % n]), (edge, group, big_a < big_b)
 
 
 def build_crag(candidates, adjacency, leaf_labels):
@@ -293,13 +313,13 @@ def build_crag(candidates, adjacency, leaf_labels):
     ids, every child a known id listed once (SubsetNotForest for a
     second listing) and every candidate reachable from a root
     (SubsetNotForest for a cycle), every label is a leaf id or UNCOVERED
-    and every leaf has a pixel, and the adjacency is a subset of
-    candidate_adjacency.  The first edge outside it, in input order,
-    raises CmcError for an unknown id, AdjacencyBetweenOverlapping when
-    one end is an ancestor-or-self of the other (leaves are non-empty
-    and disjoint, so that is overlap), and NotAdjacent otherwise.
-    An adjacency of None stands for all of candidate_adjacency, which
-    is then lifted once and needs no check.
+    and every leaf has a pixel, and the adjacency is a subset of the
+    lift (_lift) with no edge listed twice, in either order.  The first
+    edge that breaks this, in input order, raises CmcError for an
+    unknown id, AdjacencyBetweenOverlapping when the two candidates
+    overlap (one is an ancestor-or-self of the other), NotAdjacent for
+    any other pair outside the lift, and CmcError for a second listing.
+    An adjacency of None stands for all of the lift.
     """
     labels = np.asarray(leaf_labels)
     if labels.ndim != 2 or labels.dtype.kind not in "iu":
@@ -326,12 +346,13 @@ def build_crag(candidates, adjacency, leaf_labels):
                 raise SubsetNotForest([child], "child listed twice")
             subset[child] = cid
     # with one parent per child, a candidate is on or under a cycle iff no
-    # root reaches it; `reached` grows while it is walked
-    reached = [i for i in cand_map if i not in subset]
-    for node in reached:
-        reached.extend(cand_map[node].children)
-    if len(reached) < len(cand_map):
-        raise SubsetNotForest(sorted(set(cand_map) - set(reached)), "cycle")
+    # root reaches it; the walk from the roots numbers them depth-first
+    order, todo = [], sorted((i for i in cand_map if i not in subset), reverse=True)
+    while todo:
+        order.append(todo.pop())
+        todo.extend(reversed(cand_map[order[-1]].children))
+    if len(order) < len(cand_map):
+        raise SubsetNotForest(sorted(set(cand_map) - set(order)), "cycle")
 
     leaf_ids = {i for i, c in cand_map.items() if not c.children}
     present = set(sorted_distinct(labels).tolist()) - {UNCOVERED}
@@ -343,23 +364,32 @@ def build_crag(candidates, adjacency, leaf_labels):
         )
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
-    allowed = candidate_adjacency(subset, labels)
-    if adjacency is None:
-        return Crag(cand_map, allowed, subset, labels)
-
-    edges = set()
-    for i, j in adjacency:
-        i, j = int(i), int(j)
-        edge = edge_key(i, j)
-        if edge not in allowed:
-            if i not in cand_map or j not in cand_map:
-                raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
-            if i in _chain(subset, j) or j in _chain(subset, i):
-                raise AdjacencyBetweenOverlapping(i, j)
-            raise NotAdjacent()
-        edges.add(edge)
-
-    return Crag(cand_map, edges, subset, labels)
+    crag = Crag(cand_map, subset, order, labels)
+    (first, second), (edge, group, forward) = _lift(crag)
+    edges = list(zip(first.tolist(), second.tolist()))
+    if adjacency is not None:
+        index = dict(zip(edges, range(len(edges))))
+        keep = set()
+        for i, j in adjacency:
+            i, j = int(i), int(j)
+            k = index.get(edge_key(i, j))
+            if k is None:
+                if i not in cand_map or j not in cand_map:
+                    raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
+                (lo_i, hi_i), (lo_j, hi_j) = crag._span[i], crag._span[j]
+                if lo_i < hi_j and lo_j < hi_i:  # the leaf ranges meet
+                    raise AdjacencyBetweenOverlapping(i, j)
+                raise NotAdjacent()
+            if k in keep:
+                raise CmcError(f"adjacency lists edge {edge_to_str(edges[k])} twice")
+            keep.add(k)
+        keep = np.array(sorted(keep), dtype=np.int64)
+        edges, rows = [edges[k] for k in keep], np.isin(edge, keep)
+        edge, group = np.searchsorted(keep, edge[rows]), group[rows]
+        forward = forward[rows]
+    crag.adjacency = tuple(edges)
+    crag.edge_groups = edge, group, forward
+    return crag
 
 
 def conflict_cliques(crag):
@@ -584,13 +614,6 @@ def _named(doc, exc):
     """exc with its message prefixed by doc, its class and fields kept."""
     exc.args = (f"{doc}: {exc}",)
     return exc
-
-
-def spans(starts, stops):
-    """Concatenated np.arange(starts[k], stops[k]) over all k."""
-    lengths = stops - starts
-    shift = starts - np.cumsum(lengths) + lengths
-    return np.repeat(shift, lengths) + np.arange(lengths.sum())
 
 
 def crag_from_json(obj, doc="crag.json"):

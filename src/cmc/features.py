@@ -45,10 +45,10 @@ leaves' facts:
   are the rows whose N, E, S and W bits are not all set.  The rim is
   row-major, so contour statistics see the same values in the same
   order as a scan of the candidate's mask.
-- The 4-neighbor pixel pairs between leaves, grouped by leaf pair.  An
-  edge gathers the groups between its candidates' leaves and sorts its
-  interface values by pixel pair, a key no two pairs share, so the
-  order of gathering does not matter.
+- The 4-neighbor pixel pairs between leaves by leaf pair, and each
+  edge's groups, as the Crag holds them (leaf_pairs, edge_groups).  An
+  edge sorts its interface values by pixel pair, a key no two pairs
+  share, so the order of gathering does not matter.
 Only the all-pixel moments scan the candidate's bounding box (the union
 of its leaves' boxes), in row-major order.
 
@@ -109,7 +109,6 @@ from .crag import (
     json_keyed,
     json_known,
     json_member,
-    pixel_pairs,
     row_runs,
     spans,
 )
@@ -426,19 +425,10 @@ class _Leaves:
         # neighbor codes by flat position; each walk fills the rim it reads
         self.code_table = np.zeros(h * w, dtype=np.uint8)
         # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q)
-        leaf_p, leaf_q, p, q = pixel_pairs(labels)
-        key = leaf_p * n + leaf_q
-        order = np.argsort(key)
-        flat = boundary.ravel()
-        self.p, self.q = p[order], q[order]
-        self.value = np.maximum(flat[self.p], flat[self.q])
-        groups, self.group_start, size = np.unique(
-            key[order], return_index=True, return_counts=True
-        )
-        self.group_stop = self.group_start + size
-        self.group_a, self.group_b = np.divmod(groups, n)
+        self.pairs = pairs = crag.leaf_pairs
+        self.value = np.maximum(boundary.ravel()[pairs.p], boundary.ravel()[pairs.q])
         self.touching = {}  # leaf -> the leaves it shares a pixel pair with
-        for a, b in zip(self.group_a.tolist(), self.group_b.tolist()):
+        for a, b in zip(pairs.a.tolist(), pairs.b.tolist()):
             self.touching.setdefault(a, set()).add(b)
             self.touching.setdefault(b, set()).add(a)
 
@@ -458,8 +448,8 @@ class _Leaves:
 
     def perimeter_of(self, leaves, lut):
         """4-neighbor pixel sides between the candidate and the rest."""
-        inside = lut[self.group_a] & lut[self.group_b]
-        inner = self.group_stop[inside] - self.group_start[inside]
+        inside = lut[self.pairs.a] & lut[self.pairs.b]
+        inner = self.pairs.stop[inside] - self.pairs.start[inside]
         return int(self.perimeter[leaves].sum() - 2 * inner.sum())
 
     def one_component(self, leaves):
@@ -581,33 +571,25 @@ def _checked_images(labels, raw, boundary):
     return images
 
 
-def _edge_stats(facts, adjacency, luts, node_feats):
-    """(len(adjacency), 4) block of the edges' own vectors, one per row:
-    contact area, interface mean, variance and skew.
+def _edge_stats(facts, crag, node_feats):
+    """(len(crag.adjacency), 4) block of the edges' own vectors, one per
+    row: contact area, interface mean, variance and skew.
 
-    An edge's interface is every pixel pair between its candidates,
-    gathered by leaf pair; its values are sorted by (pixel in the
-    smaller candidate, pixel in the larger), a key no two pairs share.
+    An edge's interface is every pixel pair of its leaf-pair groups
+    (Crag.edge_groups); its values are sorted by (pixel in the smaller
+    candidate, pixel in the larger), a key no two pairs share.
     """
-    lut_i = np.array([luts[i] for i, _ in adjacency])
-    lut_j = np.array([luts[j] for _, j in adjacency])
-    # (edge, group) pairs whose leaf_p lies in candidate i (forward) or j
-    ends = []
-    for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i)):
-        edge, group = np.nonzero(lut_p[:, facts.group_a] & lut_q[:, facts.group_b])
-        start, stop = facts.group_start[group], facts.group_stop[group]
-        ends.append((np.repeat(edge, stop - start), spans(start, stop)))
-    (edge_f, fwd), (edge_r, rev) = ends
-    edge = np.concatenate([edge_f, edge_r])
-    in_i = np.concatenate([facts.p[fwd], facts.q[rev]])
-    in_j = np.concatenate([facts.q[fwd], facts.p[rev]])
-    # entry 0 of a node vector is the size
+    adjacency, pairs = crag.adjacency, facts.pairs
+    edge, group, forward = crag.edge_groups
+    # entry 0 of a node vector is the size; p_small: p in the smaller end
     i_smaller = np.array([node_feats[i][0] <= node_feats[j][0] for i, j in adjacency])
-    i_smaller = i_smaller[edge]
-    order = np.lexsort(
-        (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
-    )
-    values = np.concatenate([facts.value[fwd], facts.value[rev]])[order]
+    start, stop = pairs.start[group], pairs.stop[group]
+    p_small = np.repeat(forward == i_smaller[edge], stop - start)
+    edge = np.repeat(edge, stop - start)
+    pair = spans(start, stop)
+    p, q = pairs.p[pair], pairs.q[pair]
+    order = np.lexsort((np.where(p_small, q, p), np.where(p_small, p, q), edge))
+    values = facts.value[pair][order]
     bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
     out = np.empty((len(adjacency), 4))
     for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
@@ -629,18 +611,18 @@ def compute_features(crag, raw, boundary):
     order = crag.roots()
     for cid in order:
         order.extend(crag.candidates[cid].children)
-    node_feats, luts, held = {}, {}, {}
+    node_feats, held = {}, {}
     for cid in reversed(order):
         leaves = facts.renumber(crag.leaves_under(cid))
-        luts[cid] = facts.lookup(leaves)
         kids = [held.pop(kid) for kid in crag.candidates[cid].children]
-        node_feats[cid], record = _node_vector(facts, leaves, luts[cid], kids)
+        lut = facts.lookup(leaves)
+        node_feats[cid], record = _node_vector(facts, leaves, lut, kids)
         if cid in crag.subset:
             held[cid] = record
     node_feats = {cid: node_feats[cid] for cid in crag.ids()}
     if not crag.adjacency:
         return node_feats, {}
-    stats = _edge_stats(facts, crag.adjacency, luts, node_feats)
+    stats = _edge_stats(facts, crag, node_feats)
     return node_feats, dict(zip(crag.adjacency, stats))
 
 

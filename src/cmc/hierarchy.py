@@ -238,10 +238,10 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     whose creation score is >= the threshold are dropped too; surviving
     nodes then re-attach to their nearest surviving ancestor, which
     keeps every inner node the exact disjoint union of its children.
-    Adjacency edges join every disjoint touching pair across all levels,
-    as crag.candidate_adjacency defines them; build_crag lifts them
-    once.  The superpixel array becomes the Crag's leaf label image, so
-    every superpixel stays a candidate and max_merges must be >= 0.
+    Adjacency edges join every disjoint touching pair across all levels:
+    the adjacency None asks build_crag for all of its lift.  The
+    superpixel array becomes the Crag's leaf label image, so every
+    superpixel stays a candidate and max_merges must be >= 0.
     """
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")

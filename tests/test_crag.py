@@ -16,7 +16,6 @@ from cmc.crag import (
     _selected_neighbors,
     _shortest_path,
     build_crag,
-    candidate_adjacency,
     conflict_cliques,
     crag_from_json,
     crag_to_json,
@@ -43,6 +42,7 @@ from cmc.pgm import write_labels, write_probability
 from cmc.pipeline import PipelineConfig, build_graph, dump_json
 from cmc.synth import generate_synthetic
 from util import (
+    check_lift,
     leaf_image,
     old_crag_json,
     pixel_owners,
@@ -51,11 +51,14 @@ from util import (
     quad_gt,
     random_crag,
     random_sparse_crag,
+    ref_candidate_adjacency,
     ref_check_leaves_and_edges,
     ref_crag_from_json,
     ref_crag_json,
+    ref_leaves_under,
     ref_regions_touch,
     same_outcome,
+    strip_crag,
     zero_solution,
 )
 
@@ -255,18 +258,101 @@ def test_bad_adjacency_rejected():
 
 
 def test_adjacency_none_is_every_touching_pair():
-    """An adjacency of None gives all of candidate_adjacency, the graph
-    that lists it gives; the other checks still run."""
+    """An adjacency of None gives every disjoint touching pair
+    (ref_candidate_adjacency), the graph that lists it gives; the other
+    checks still run."""
     rng = np.random.default_rng(47)
     for crag in [quad_crag()] + [random_sparse_crag(rng) for _ in range(30)]:
         cands, labels = list(crag.candidates.values()), crag.leaf_labels()
         full = build_crag(cands, None, labels)
-        assert set(full.adjacency) == candidate_adjacency(crag.subset, labels)
+        assert set(full.adjacency) == ref_candidate_adjacency(crag.subset, labels)
         assert full == build_crag(cands, full.adjacency, labels)
     with pytest.raises(LeavesDoNotCoverImage):
         build_crag([Candidate(1, 0)], None, np.array([[1, 2]]))
     with pytest.raises(SubsetNotForest):
         build_crag([Candidate(1, 0), Candidate(2, 1, (1, 1))], None, np.array([[1]]))
+
+
+def test_duplicate_edge_rejected():
+    """An edge listed twice, in either order, used to be kept once, in
+    build_crag and in crag_from_json alike."""
+    cands = [Candidate(1, 0), Candidate(2, 0)]
+    labels = np.array([[1, 2]])
+    for adjacency in ([(1, 2), (2, 1), (1, 2)], [(2, 1), (2, 1)]):
+        with pytest.raises(CmcError) as info:
+            build_crag(cands, adjacency, labels)
+        assert str(info.value) == "adjacency lists edge 1-2 twice"
+    obj = crag_to_json(build_crag(cands, None, labels))
+    obj["adjacency"] = [[1, 2], [2, 1]]
+    with pytest.raises(CmcError) as info:
+        crag_from_json(obj)
+    assert str(info.value) == "crag.json: adjacency lists edge 1-2 twice"
+
+
+def test_lift_matches_references():
+    """The adjacency and each edge's leaf-pair groups equal the chain
+    lift and the dense-lookup incidences (check_lift): on random graphs,
+    with UNCOVERED pixels, on a strip 300 levels deep, and on a
+    crag.json that keeps a strict subset of the lift, whose incidences
+    are those of the edges it keeps."""
+    rng = np.random.default_rng(53)
+    crags = [random_crag(rng) for _ in range(40)]
+    crags += [random_sparse_crag(rng) for _ in range(40)]
+    crags.append(strip_crag(301))
+    assert max(c.level for c in crags[-1].candidates.values()) == 300
+    for crag in crags:
+        check_lift(crag)
+    for crag in crags[40:]:
+        obj = crag_to_json(crag)
+        if len(obj["adjacency"]) < 2:
+            continue
+        kept = sorted(rng.choice(len(obj["adjacency"]), len(obj["adjacency"]) // 2,
+                             replace=False).tolist())
+        part = crag_from_json({**obj, "adjacency": [obj["adjacency"][k] for k in kept]})
+        assert part.adjacency == tuple(crag.adjacency[k] for k in kept)
+        check_lift(part)
+
+
+def test_bad_edge_classified_at_depth():
+    """A given edge between a candidate and any of its ancestors, or
+    itself, is AdjacencyBetweenOverlapping; a disjoint pair with no
+    pixel pair between them is NotAdjacent; an unknown id is CmcError;
+    the first bad edge in input order is the one reported."""
+    rng = np.random.default_rng(59)
+    crags = [strip_crag(301)] + [random_sparse_crag(rng) for _ in range(40)]
+    for crag in crags:
+        cands, labels = list(crag.candidates.values()), crag.leaf_labels()
+        good = list(crag.adjacency)
+        ids = crag.ids()
+        overlapping = [(i, a) for i in ids for a in [i] + crag.ancestors(i)]
+        leaves = {i: ref_leaves_under(crag, i) for i in ids}
+        pairs = [rng.choice(ids, 2, replace=False).tolist() for _ in range(200)]
+        apart = [
+            (i, j) for i, j in pairs
+            if leaves[i].isdisjoint(leaves[j]) and edge_key(i, j) not in crag.adjacency
+        ]
+        for k in rng.choice(len(overlapping), min(len(overlapping), 30), replace=False):
+            i, j = overlapping[k]
+            bad = (i, j) if rng.random() < 0.5 else (j, i)
+            with pytest.raises(AdjacencyBetweenOverlapping) as info:
+                build_crag(cands, good + [bad] + good[:1] * 2, labels)
+            assert info.value.ids == bad
+        for k in rng.choice(len(apart), min(len(apart), 30), replace=False):
+            i, j = apart[k]
+            with pytest.raises(NotAdjacent):
+                build_crag(cands, good + [(j, i), (i, i)], labels)
+        unknown = max(ids) + 1
+        with pytest.raises(CmcError) as info:
+            build_crag(cands, good + [(ids[0], unknown), (ids[0], ids[0])], labels)
+        assert str(info.value) == (
+            f"adjacency edge ({ids[0]}, {unknown}) references unknown id"
+        )
+        if good:
+            with pytest.raises(CmcError) as info:
+                build_crag(cands, good + good[::-1] + [(unknown, unknown)], labels)
+            assert str(info.value) == (
+                f"adjacency lists edge {edge_to_str(good[-1])} twice"
+            )
 
 
 def test_conflict_cliques_quad():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmc.crag import _chain, candidate_adjacency, edge_key, pixel_pairs
 from cmc.errors import CmcError, DegenerateInput, NoSeeds, NotAdjacent
 from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from cmc.synth import generate_synthetic
 
 from util import (
     brute_merge_score,
+    check_lift,
     pixels_of,
     ref_build_merge_tree,
     ref_regions_touch,
@@ -429,22 +429,6 @@ def ref_adjacency(crag):
     }
 
 
-def ref_candidate_adjacency(subset, leaf_labels):
-    """candidate_adjacency as it was, testing overlap against the chain
-    lists themselves."""
-    label_p, label_q, _, _ = pixel_pairs(leaf_labels)
-    pairs = set(zip(label_p.tolist(), label_q.tolist()))
-    chains = {leaf: _chain(subset, leaf) for pair in pairs for leaf in pair}
-    return {
-        edge_key(big_a, big_b)
-        for a, b in pairs
-        for big_a in chains[a]
-        if big_a not in chains[b]
-        for big_b in chains[b]
-        if big_b not in chains[a]
-    }
-
-
 @pytest.mark.parametrize(
     "max_merges, score_threshold", [(0, None), (3, None), (None, None), (None, 1.0)]
 )
@@ -461,9 +445,7 @@ def test_extract_adjacency_is_complete(max_merges, score_threshold):
         tree = build_merge_tree(superpixels, boundary)
         crag = extract_candidates(tree, max_merges, score_threshold)
         assert set(crag.adjacency) == ref_adjacency(crag)
-        assert candidate_adjacency(crag.subset, crag.leaf_labels()) == (
-            ref_candidate_adjacency(crag.subset, crag.leaf_labels())
-        )
+        check_lift(crag)
         inner_edges += sum(1 for i, j in crag.adjacency if crag.candidates[j].children)
     # the graphs hold edges above the leaves wherever merges are kept
     assert (inner_edges > 0) == (max_merges != 0)

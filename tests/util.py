@@ -7,8 +7,10 @@ array-based watershed, CRAG checks and crag.json's run-length list,
 encoded and decoded pixel by pixel, a node-by-node model.json forest
 loader, a full-canvas reference for the windowed synthetic image
 drawer, a per-tree walk of a forest's node lists, the per-row forest
-grower, the merge tree over Python lists and np.median, and the
-592-entry edge vectors as compute_features once assembled them.
+grower, the merge tree over Python lists and np.median, the 592-entry
+edge vectors as compute_features once assembled them, and the
+candidate adjacency and each edge's leaf-pair groups as the library
+once formed them, through ancestor chains and dense lookup tables.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, and read a candidate's pixel set back from
@@ -1181,6 +1183,103 @@ def ref_build_merge_tree(superpixels, boundary):
     return events
 
 
+def ref_chain(subset, cid):
+    """cid and its ancestors in the child -> parent map `subset`, bottom-up."""
+    chain = [cid]
+    while chain[-1] in subset:
+        chain.append(subset[chain[-1]])
+    return chain
+
+
+def ref_candidate_adjacency(subset, leaf_labels):
+    """Every pair of disjoint candidates with a 4-neighbour pixel pair
+    between them, lifted leaf pair by leaf pair through the ancestor
+    chains (ref_chain): a and b's ancestors-or-self overlap iff one of
+    them holds both leaves."""
+    label_p, label_q, _, _ = pixel_pairs(leaf_labels)
+    pairs = set(zip(label_p.tolist(), label_q.tolist()))
+    chains = {leaf: ref_chain(subset, leaf) for pair in pairs for leaf in pair}
+    above = {leaf: set(chain) for leaf, chain in chains.items()}
+    return {
+        edge_key(big_a, big_b)
+        for a, b in pairs
+        for big_a in chains[a]
+        if big_a not in above[b]
+        for big_b in chains[b]
+        if big_b not in above[a]
+    }
+
+
+def ref_leaves_under(crag, cid):
+    """The leaf ids under cid, by a walk down the children."""
+    found, todo = set(), [cid]
+    while todo:
+        kids = crag.candidates[todo[-1]].children
+        if kids:
+            todo.pop()
+            todo.extend(kids)
+        else:
+            found.add(todo.pop())
+    return found
+
+
+def ref_edge_groups(crag):
+    """The (edge, group) incidences of crag.adjacency over the groups of
+    crag.leaf_pairs, by dense (edges x leaves) lookup tables: for forward
+    and then backward, the (edge, group) pairs, as np.nonzero gives
+    them, whose group's p pixels lie in the edge's first candidate
+    (forward) or its second, and its q pixels in the other."""
+    number = {leaf: k for k, leaf in enumerate(crag.leaves())}
+    luts = {}
+    for cid in crag.ids():
+        luts[cid] = np.zeros(len(number), dtype=bool)
+        luts[cid][[number[leaf] for leaf in ref_leaves_under(crag, cid)]] = True
+    lut_i, lut_j = (
+        np.array([luts[e[k]] for e in crag.adjacency], dtype=bool).reshape(-1, len(number))
+        for k in (0, 1)
+    )
+    a, b = crag.leaf_pairs.a, crag.leaf_pairs.b
+    return [
+        np.nonzero(lut_p[:, a] & lut_q[:, b]) for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i))
+    ]
+
+
+def check_lift(crag):
+    """Assert that crag's leaf-pair groups hold every 4-neighbour pixel
+    pair between leaves once, grouped by directed leaf pair in key
+    order; that its adjacency lies in ref_candidate_adjacency and that
+    adjacency None gives all of it; and that its edge_groups rows are
+    the ref_edge_groups incidences, each once."""
+    pairs, ranks = crag.leaf_pairs, crag.leaf_ranks()
+    n = len(crag.leaves()) + 1
+    group = np.repeat(np.arange(len(pairs.a)), pairs.stop - pairs.start)
+    assert (ranks.ravel()[pairs.p] == pairs.a[group] + 1).all()
+    assert (ranks.ravel()[pairs.q] == pairs.b[group] + 1).all()
+    assert (np.diff(pairs.a * n + pairs.b) > 0).all()
+    assert (pairs.start[1:] == pairs.stop[:-1]).all()
+    assert len(pairs.p) == len(pixel_pairs(crag.leaf_labels())[0])
+    full = ref_candidate_adjacency(crag.subset, crag.leaf_labels())
+    assert set(crag.adjacency) <= full
+    cands = list(crag.candidates.values())
+    assert build_crag(cands, None, crag.leaf_labels()).adjacency == tuple(sorted(full))
+    edge, group, forward = (x.tolist() for x in crag.edge_groups)
+    rows = list(zip(edge, group, forward))
+    (edge_f, group_f), (edge_r, group_r) = ref_edge_groups(crag)
+    want = list(zip(edge_f.tolist(), group_f.tolist(), [True] * len(edge_f)))
+    want += zip(edge_r.tolist(), group_r.tolist(), [False] * len(edge_r))
+    assert len(rows) == len(set(rows)) and set(rows) == set(want)
+
+
+def strip_crag(n):
+    """1 x n strip of one-pixel leaves 1..n, merged left to right: leaf
+    k joins the union of leaves 1..k-1, so the last union sits n - 1
+    levels above leaf 1.  Its adjacency is all of the lift."""
+    cands = [Candidate(k, 0) for k in range(1, n + 1)]
+    for k in range(2, n + 1):
+        cands.append(Candidate(n + k - 1, k - 1, (1 if k == 2 else n + k - 2, k)))
+    return build_crag(cands, None, np.arange(1, n + 1).reshape(1, n))
+
+
 def ref_edge_block(crag, raw, boundary, node_feats):
     """The (edges, 592) block of edge vectors, one per adjacency edge in
     order, as compute_features assembled it when each edge carried the
@@ -1188,23 +1287,18 @@ def ref_edge_block(crag, raw, boundary, node_feats):
     variance and skew, then |u-v|, min, max and u+v per node feature.
     """
     facts = _Leaves(crag, raw, boundary)
-    luts = {
-        cid: facts.lookup(facts.renumber(crag.leaves_under(cid))) for cid in crag.ids()
-    }
     adjacency = crag.adjacency
     u = np.array([node_feats[i] for i, _ in adjacency])
     v = np.array([node_feats[j] for _, j in adjacency])
-    lut_i = np.array([luts[i] for i, _ in adjacency])
-    lut_j = np.array([luts[j] for _, j in adjacency])
+    pairs = crag.leaf_pairs
     ends = []
-    for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i)):
-        edge, group = np.nonzero(lut_p[:, facts.group_a] & lut_q[:, facts.group_b])
-        start, stop = facts.group_start[group], facts.group_stop[group]
+    for edge, group in ref_edge_groups(crag):
+        start, stop = pairs.start[group], pairs.stop[group]
         ends.append((np.repeat(edge, stop - start), spans(start, stop)))
     (edge_f, fwd), (edge_r, rev) = ends
     edge = np.concatenate([edge_f, edge_r])
-    in_i = np.concatenate([facts.p[fwd], facts.q[rev]])
-    in_j = np.concatenate([facts.q[fwd], facts.p[rev]])
+    in_i = np.concatenate([pairs.p[fwd], pairs.q[rev]])
+    in_j = np.concatenate([pairs.q[fwd], pairs.p[rev]])
     i_smaller = (u[:, 0] <= v[:, 0])[edge]
     order = np.lexsort(
         (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
