@@ -288,8 +288,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CmcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CmcError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

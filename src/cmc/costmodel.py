@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crag import (
+    UNCOVERED,
     Solution,
     edge_to_str,
     json_column,
@@ -54,20 +55,20 @@ def leaf_gt_labels(crag, ground_truth):
     Background (0) takes part in the vote, so majority-background
     leaves map to 0.  The votes are the contingency table of the leaf
     ranks (Crag.leaf_ranks) against the ground truth, so no table is
-    sized by a leaf id or a label value.
+    sized by a leaf id or a label value; a rank names its leaf through
+    Crag.leaf_order.
     """
     ranks = crag.leaf_ranks()
     if not ranks.size:
         return {}
     table = contingency_table(ranks, ground_truth)
     # in ascending (label, rank) order, so a larger label wins only with
-    # more votes; rank 0 holds the pixels no leaf covers
+    # more votes; UNCOVERED holds the pixels no leaf covers
     best = {}
     for (label, rank), votes in table.counts.items():
-        if rank and votes > best.get(rank, (0, 0))[0]:
+        if rank != UNCOVERED and votes > best.get(rank, (0, 0))[0]:
             best[rank] = (votes, label)
-    leaves = crag.leaves()
-    return {leaves[rank - 1]: label for rank, (_, label) in sorted(best.items())}
+    return {crag.leaf_order[rank]: label for rank, (_, label) in best.items()}
 
 
 def best_effort(crag, ground_truth, mode="full"):

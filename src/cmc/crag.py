@@ -6,16 +6,18 @@ statement of nesting: they form the subset forest, whose child -> parent
 map build_crag derives as `Crag.subset`.  The pixels live in one label
 image, `Crag.leaf_labels()`: each pixel holds the id of the leaf
 (superpixel) covering it, and an inner node covers the pixels of its
-leaves.  The module also provides conflict-clique enumeration,
-validation of binary assignments against the overlap / incidence / path
-constraint families, and JSON (de)serialization.  crag.json holds the
-label image itself, run-length encoded in row-major order as one flat
-list `leaf_labels` of (leaf id or UNCOVERED, run length) int pairs; a
-candidate entry holds `id`, `level` and, for a union, its `children`.
-Helpers shared by every JSON loader live beside it: the
-json_value check, its one-pass json_column form for int and float
-lists, json_known, which rejects members that no release writes, and
-json_keyed for objects keyed by candidate id and by edge.
+leaves.  The leaves are numbered once, by their ranks in one depth-first
+order (`Crag.leaf_order`), in which each candidate's leaves are one
+range (`Crag.leaf_range`).  The module also provides conflict-clique
+enumeration, validation of binary assignments against the overlap /
+incidence / path constraint families, and JSON (de)serialization.
+crag.json holds the label image itself, run-length encoded in row-major
+order as one flat list `leaf_labels` of (leaf id or UNCOVERED, run
+length) int pairs; a candidate entry holds `id`, `level` and, for a
+union, its `children`.  Helpers shared by every JSON loader live beside
+it: the json_value check, its one-pass json_column form for int and
+float lists, json_known, which rejects members that no release writes,
+and json_keyed for objects keyed by candidate id and by edge.
 
 The graph facts are defined here once each: which pixels touch
 (pixel_pairs), which candidates are adjacent and through which leaf
@@ -150,17 +152,18 @@ class Crag:
 
     `leaf_labels()` is the pixel representation: a read-only int64
     (height, width) image of leaf ids, UNCOVERED where no leaf lies
-    (leaves need not cover the image).  `leaf_ranks()` is the same image
-    in leaf ranks, so that tables over leaves are sized by their count.
+    (leaves need not cover the image).  Children are held in id order.
 
-    Ancestry is one depth-first order of the leaves from the roots, in
-    which each candidate's leaves are a contiguous range.  `leaf_pairs`
-    groups the 4-neighbour pixel pairs between leaves: group g holds the
-    pairs p[start[g]:stop[g]], q[start[g]:stop[g]] (flat positions) from
-    leaf rank a[g] + 1 to b[g] + 1, in order of the key a * (L + 1) + b,
-    L leaves.  `edge_groups` has one row per (adjacency edge, group)
-    incidence, as arrays (edge, group, forward): forward when the
-    group's p pixels lie in the edge's first candidate.
+    The leaves have one numbering: their ranks in `leaf_order`, the leaf
+    ids depth-first from the roots.  A candidate's leaves are
+    leaf_order[lo:hi], (lo, hi) = `leaf_range(id)`, and `leaf_ranks()`
+    is the label image in ranks, UNCOVERED kept.  `leaf_pairs` groups
+    the 4-neighbour pixel pairs between leaves: group g holds the pairs
+    p[start[g]:stop[g]], q[start[g]:stop[g]] (flat positions) from leaf
+    rank a[g] to b[g], in order of the key a * L + b, L leaves.
+    `edge_groups` has one row per (adjacency edge, group) incidence, as
+    arrays (edge, group, forward): forward when the group's p pixels lie
+    in the edge's first candidate.
     """
 
     def __init__(self, candidates, subset, order, leaf_labels):
@@ -171,15 +174,18 @@ class Crag:
         self._leaf_ranks = None
         # the leaves in the depth-first `order`, and each candidate's
         # range (lo, hi) of them: the first child's lo, the last one's hi
-        self._leaf_order = [cid for cid in order if not candidates[cid].children]
-        self._span = {cid: (t, t + 1) for t, cid in enumerate(self._leaf_order)}
+        self.leaf_order = tuple(cid for cid in order if not candidates[cid].children)
+        self._range = {cid: (t, t + 1) for t, cid in enumerate(self.leaf_order)}
         for cid in reversed(order):
             if kids := candidates[cid].children:
-                self._span[cid] = self._span[kids[0]][0], self._span[kids[-1]][1]
-        leaves = np.array(self.leaves(), dtype=np.int64)
-        n = len(leaves) + 1
+                self._range[cid] = self._range[kids[0]][0], self._range[kids[-1]][1]
+        # sorted keys, UNCOVERED then the leaf ids, and the rank of each
+        ids = np.array(self.leaf_order, dtype=np.int64)
+        by_id = np.argsort(ids)
+        self._rank_of = np.r_[UNCOVERED, ids[by_id]], np.r_[UNCOVERED, by_id]
         label_p, label_q, p, q = pixel_pairs(leaf_labels)
-        key = np.searchsorted(leaves, label_p) * n + np.searchsorted(leaves, label_q)
+        n = len(self.leaf_order)
+        key = self._ranked(label_p) * n + self._ranked(label_q)
         by_key = np.argsort(key)
         groups, start, size = np.unique(key[by_key], return_index=True,
                                         return_counts=True)
@@ -205,7 +211,7 @@ class Crag:
         return sorted(self.candidates)
 
     def leaves(self):
-        return sorted(self._leaf_order)
+        return sorted(self.leaf_order)
 
     def roots(self):
         return sorted(i for i in self.candidates if i not in self.subset)
@@ -222,22 +228,29 @@ class Crag:
 
     def leaves_under(self, cid):
         """Sorted leaf ids of the subtree rooted at cid (cid itself if leaf)."""
-        lo, hi = self._span[cid]
-        return tuple(sorted(self._leaf_order[lo:hi]))
+        lo, hi = self._range[cid]
+        return tuple(sorted(self.leaf_order[lo:hi]))
+
+    def leaf_range(self, cid):
+        """(lo, hi): the ranks of the leaves under cid, leaf_order[lo:hi]."""
+        return self._range[cid]
 
     def leaf_labels(self):
         """Read-only int64 (height, width) image: leaf id per pixel, else UNCOVERED."""
         return self._leaf_labels
 
     def leaf_ranks(self):
-        """Read-only int64 (height, width) image: k + 1 where leaves()[k]
-        lies, 0 where no leaf does.  Ranked once, on first use."""
+        """Read-only int64 (height, width) image: the rank of the leaf
+        per pixel, else UNCOVERED.  Ranked once, on first use."""
         if self._leaf_ranks is None:
-            leaves = np.array(self.leaves(), dtype=np.int64)
-            ranks = np.searchsorted(leaves, self._leaf_labels, side="right")
-            ranks.flags.writeable = False
-            self._leaf_ranks = ranks
+            self._leaf_ranks = self._ranked(self._leaf_labels)
+            self._leaf_ranks.flags.writeable = False
         return self._leaf_ranks
+
+    def _ranked(self, labels):
+        """The rank of each leaf id in the array `labels`, UNCOVERED kept."""
+        keys, ranks = self._rank_of
+        return ranks[np.searchsorted(keys, labels)]
 
 
 def pixel_pairs(labels):
@@ -284,9 +297,9 @@ def _lift(crag):
     holds both overlaps the other), forward when A is the first id.
     """
     ids = crag.ids()
-    lo, hi = np.array([crag._span[i] for i in ids], dtype=np.int64).reshape(-1, 2).T
-    leaf_at = np.argsort(crag._leaf_order)  # by leaf rank - 1: depth-first position
-    pa, pb = leaf_at[crag.leaf_pairs.a, None], leaf_at[crag.leaf_pairs.b, None]
+    ranges = np.array([crag.leaf_range(i) for i in ids], dtype=np.int64)
+    lo, hi = ranges.reshape(-1, 2).T
+    pa, pb = crag.leaf_pairs.a[:, None], crag.leaf_pairs.b[:, None]
     holds_a, holds_b = (lo <= pa) & (pa < hi), (lo <= pb) & (pb < hi)
     group_a, big_a = np.nonzero(holds_a & ~holds_b)
     group_b, big_b = np.nonzero(holds_b & ~holds_a)
@@ -306,7 +319,8 @@ def build_crag(candidates, adjacency, leaf_labels):
     """Validating constructor for Crag.
 
     The candidates' `children` are the one statement of nesting: the
-    Crag's `subset` (child -> parent) is derived from them.
+    Crag's `subset` (child -> parent) is derived from them, and the Crag
+    holds each candidate's children in id order.
     `leaf_labels` is the 2-d integer image of leaf ids (UNCOVERED where
     no leaf lies); it fixes the Crag's height and width, and a read-only
     int64 copy becomes its leaf_labels().  Checks: unique non-negative
@@ -345,6 +359,9 @@ def build_crag(candidates, adjacency, leaf_labels):
             if child in subset:
                 raise SubsetNotForest([child], "child listed twice")
             subset[child] = cid
+        # held in id order, so the depth-first order depends on the nesting alone
+        if (kids := tuple(sorted(cand.children))) != cand.children:
+            cand_map[cid] = Candidate(cid, cand.level, kids)
     # with one parent per child, a candidate is on or under a cycle iff no
     # root reaches it; the walk from the roots numbers them depth-first
     order, todo = [], sorted((i for i in cand_map if i not in subset), reverse=True)
@@ -376,7 +393,7 @@ def build_crag(candidates, adjacency, leaf_labels):
             if k is None:
                 if i not in cand_map or j not in cand_map:
                     raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
-                (lo_i, hi_i), (lo_j, hi_j) = crag._span[i], crag._span[j]
+                (lo_i, hi_i), (lo_j, hi_j) = crag.leaf_range(i), crag.leaf_range(j)
                 if lo_i < hi_j and lo_j < hi_i:  # the leaf ranges meet
                     raise AdjacencyBetweenOverlapping(i, j)
                 raise NotAdjacent()
@@ -516,7 +533,7 @@ def crag_to_json(crag):
         cand = crag.candidates[cid]
         entry = {"id": cid, "level": cand.level}
         if cand.children:
-            entry["children"] = sorted(cand.children)
+            entry["children"] = list(cand.children)
         cands.append(entry)
     return {
         "width": crag.width,

@@ -93,4 +93,4 @@ class StageFailure(CmcError):
     def __init__(self, stage, cause):
         self.stage = stage
         self.cause = cause
-        super().__init__(f"{stage}: {cause}")
+        super().__init__(f"{stage}: {str(cause) or type(cause).__name__}")

@@ -19,9 +19,10 @@ candidate counting as the smaller one on equal sizes.
 
 The merge tree nests the candidates, so each pixel lies in several of
 them.  What the leaves fix is computed once per image, per leaf
-(_Leaves, which numbers the leaves 0..L-1 so that its tables are sized
-by the leaf count, not by the ids), and each candidate combines its
-leaves' facts:
+(_Leaves, whose tables are indexed by the Crag's depth-first leaf ranks,
+so they are sized by the leaf count, not by the ids), and each
+candidate, whose leaves are one range of ranks (Crag.leaf_range),
+combines its leaves' facts by slices of those tables:
 - Size, perimeter (4-neighbor pixel sides to anything outside the
   leaf, counted on the rim below: the N, E, S and W neighbors of its
   rim pixels that lie outside it) and the 20-bin raw and boundary
@@ -37,14 +38,14 @@ leaves' facts:
   component; only other unions are labelled.  The angle histogram is
   all-zero unless the candidate is one component.
 - The rim: every pixel with an 8-neighbor in another leaf, in
-  UNCOVERED or outside the image, with its 8 neighbors' leaf ids.  A
+  UNCOVERED or outside the image, with its 8 neighbors' leaf ranks.  A
   candidate's pixel with a neighbor outside the candidate is on its
-  leaf's rim, so the candidate's rim rows, through its leaf lookup,
-  give every neighbor code the contour walk reads (its backtrack pixel
-  is always outside), and its contour pixels (a 4-neighbor outside)
-  are the rows whose N, E, S and W bits are not all set.  The rim is
-  row-major, so contour statistics see the same values in the same
-  order as a scan of the candidate's mask.
+  leaf's rim, so the candidate's rim rows, each rank compared with its
+  range, give every neighbor code the contour walk reads (its backtrack
+  pixel is always outside), and its contour pixels (a 4-neighbor
+  outside) are the rows whose N, E, S and W bits are not all set.  The
+  rim is row-major, so contour statistics see the same values in the
+  same order as a scan of the candidate's mask.
 - The 4-neighbor pixel pairs between leaves by leaf pair, and each
   edge's groups, as the Crag holds them (leaf_pairs, edge_groups).  An
   edge sorts its interface values by pixel pair, a key no two pairs
@@ -349,38 +350,30 @@ def _eccentricity(n, sr, sc, srr, scc, src):
 class _Leaves:
     """What the leaves of a Crag fix, computed once.
 
-    The leaves are renumbered 0..L-1 in id order (renumber()), so every
+    The leaves are numbered by their ranks (Crag.leaf_ranks), so every
     table is sized by the leaf count, whatever the ids; `labels` is the
-    leaf label image in these numbers.  Arrays over leaves have one slot
-    past the last, which UNCOVERED (-1) indexes, as it indexes a
-    lookup() table.  Methods take a candidate as the list of its leaves'
-    numbers and its lookup() table.
+    rank image, UNCOVERED kept.  Methods take a candidate as its range
+    (lo, hi) of ranks (Crag.leaf_range): its leaves are lo..hi-1, and a
+    label x lies in it iff lo <= x < hi, never for UNCOVERED.
     """
 
     def __init__(self, crag, raw, boundary):
-        leaf_ids = crag.leaves()
-        self.number = {leaf: k for k, leaf in enumerate(leaf_ids)}
-        # the leaf ranks less one: k for leaf k, UNCOVERED (-1) elsewhere
-        labels = crag.leaf_ranks() - 1
+        labels = crag.leaf_ranks()
         covered = labels != UNCOVERED
         h, w = labels.shape
         self.labels, self.width = labels, w
-        n = len(leaf_ids) + 1
+        n = len(crag.leaf_order)
         leaf_of = labels[covered]
         self.size = np.bincount(leaf_of, minlength=n)
         leaf, r, c0, c1 = row_runs(labels)
-        # leaf k -> boxes[k], from its runs (every leaf has one): the
-        # least and greatest run row, least col_start, greatest col_end
-        r_lo, r_hi = np.full(n, h), np.zeros(n, dtype=np.int64)
-        c_lo, c_hi = np.full(n, w), np.zeros(n, dtype=np.int64)
-        np.minimum.at(r_lo, leaf, r)
-        np.maximum.at(r_hi, leaf, r + 1)
-        np.minimum.at(c_lo, leaf, c0)
-        np.maximum.at(c_hi, leaf, c1)
-        self.boxes = [
-            (slice(a, b), slice(c, d))
-            for a, b, c, d in zip(*(x[:-1].tolist() for x in (r_lo, r_hi, c_lo, c_hi)))
-        ]
+        # leaf k -> boxes[k] = (r0, r1, c0, c1), from its runs (every leaf
+        # has one): the least and greatest run row, least col_start,
+        # greatest col_end
+        self.boxes = np.tile(np.array([h, 0, w, 0]), (n, 1))
+        np.minimum.at(self.boxes[:, 0], leaf, r)
+        np.maximum.at(self.boxes[:, 1], leaf, r + 1)
+        np.minimum.at(self.boxes[:, 2], leaf, c0)
+        np.maximum.at(self.boxes[:, 3], leaf, c1)
         # sums of r, c, r*r, c*c and r*c per leaf, from its row runs
         # (c0 <= c < c1 in row r): int64 per run, each term below
         # 2 * max(h, w)**3, and summed per leaf as Python ints, so exact
@@ -399,8 +392,8 @@ class _Leaves:
             self.planes.append(planes)
         # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
-        for k, box in enumerate(self.boxes):
-            self.components[k] = ndimage.label(labels[box] == k, _SQUARE)[1]
+        for k, (r0, r1, c0, c1) in enumerate(self.boxes.tolist()):
+            self.components[k] = ndimage.label(labels[r0:r1, c0:c1] == k, _SQUARE)[1]
         # the rim: pixels with an 8-neighbor in another leaf, in UNCOVERED
         # or outside the image, row-major, with their neighbors' labels
         on_rim = np.ones((h, w), dtype=bool)  # the border has one outside
@@ -432,46 +425,33 @@ class _Leaves:
             self.touching.setdefault(a, set()).add(b)
             self.touching.setdefault(b, set()).add(a)
 
-    def renumber(self, leaf_ids):
-        """The numbers of the leaves with these ids, in order."""
-        return [self.number[leaf] for leaf in leaf_ids]
-
-    def lookup(self, leaves):
-        """Boolean table over leaf numbers, True on `leaves`.
-
-        Indexing it with the leaf label image masks the candidate; its
-        last slot stays False for UNCOVERED.
-        """
-        lut = np.zeros(len(self.size), dtype=bool)
-        lut[leaves] = True
-        return lut
-
-    def perimeter_of(self, leaves, lut):
+    def perimeter_of(self, lo, hi):
         """4-neighbor pixel sides between the candidate and the rest."""
-        inside = lut[self.pairs.a] & lut[self.pairs.b]
+        a, b = self.pairs.a, self.pairs.b
+        inside = (lo <= a) & (a < hi) & (lo <= b) & (b < hi)
         inner = self.pairs.stop[inside] - self.pairs.start[inside]
-        return int(self.perimeter[leaves].sum() - 2 * inner.sum())
+        return int(self.perimeter[lo:hi].sum() - 2 * inner.sum())
 
-    def one_component(self, leaves):
-        """Whether each of `leaves` is one 8-connected component and the
+    def one_component(self, lo, hi):
+        """Whether each leaf lo..hi-1 is one 8-connected component and the
         leaves are connected through 4-neighbor pixel pairs, which makes
         their union one 8-connected component."""
-        if (self.components[leaves] != 1).any():
+        if (self.components[lo:hi] != 1).any():
             return False
-        members = set(leaves)
-        todo, reached = [leaves[0]], {leaves[0]}
+        todo, reached = [lo], {lo}
         while todo:
             for b in self.touching.get(todo.pop(), ()):
-                if b in members and b not in reached:
+                if lo <= b < hi and b not in reached:
                     reached.add(b)
                     todo.append(b)
-        return len(reached) == len(members)
+        return len(reached) == hi - lo
 
-    def rim_of(self, lut):
+    def rim_of(self, lo, hi):
         """Flat positions (row-major) of the candidate's pixels on its
         leaves' rims, and their 8-bit codes of neighbors in the candidate."""
-        rows = lut[self.rim_leaf]
-        inside = lut[self.rim_around[rows]]
+        rows = (lo <= self.rim_leaf) & (self.rim_leaf < hi)
+        around = self.rim_around[rows]
+        inside = (lo <= around) & (around < hi)
         return self.rim[rows], np.packbits(inside, axis=1, bitorder="little")[:, 0]
 
     def walk(self, rim, codes):
@@ -482,12 +462,12 @@ class _Leaves:
 
 
 # what a candidate hands its parent: the flat position of its row-major
-# first pixel, its lookup table, its sorted raw and boundary values, and
+# first pixel, its leaf range, its sorted raw and boundary values, and
 # its walk (positions, angle histogram), None unless it was walked
-_Held = namedtuple("_Held", "first lut ordered walk")
+_Held = namedtuple("_Held", "first span ordered walk")
 
 
-def _reused_walk(facts, lut, first, kids):
+def _reused_walk(facts, span, first, kids):
     """The walk of the child in `kids` that holds the candidate's first
     pixel `first`, where it is the candidate's own walk, else None.
 
@@ -497,37 +477,41 @@ def _reused_walk(facts, lut, first, kids):
     kid = next((kid for kid in kids if kid.first == first), None)
     if kid is None or kid.walk is None:
         return None
-    rows = np.searchsorted(facts.rim, kid.walk[0])
-    if (lut & ~kid.lut)[facts.rim_around[rows]].any():
+    around = facts.rim_around[np.searchsorted(facts.rim, kid.walk[0])]
+    (lo, hi), (kid_lo, kid_hi) = span, kid.span
+    inside = (lo <= around) & (around < hi)
+    if (inside & ((around < kid_lo) | (kid_hi <= around))).any():
         return None
     return kid.walk
 
 
-def _node_vector(facts, leaves, lut, kids):
-    """147-entry feature vector of the candidate that is the union of
-    the list `leaves`, with lookup table `lut`, and its _Held record.
-    `kids` holds its children's _Held records (none for a leaf)."""
-    rows, cols = zip(*(facts.boxes[k] for k in leaves))
-    r0, c0 = min(s.start for s in rows), min(s.start for s in cols)
-    box = np.s_[r0 : max(s.stop for s in rows), c0 : max(s.stop for s in cols)]
-    mask = lut[facts.labels[box]]
-    count = int(facts.size[leaves].sum())
+def _node_vector(facts, span, kids):
+    """147-entry feature vector of the candidate whose leaves are the
+    ranks span = (lo, hi), and its _Held record.  `kids` holds its
+    children's _Held records (none for a leaf)."""
+    lo, hi = span
+    boxes = facts.boxes[lo:hi]
+    low, high = boxes[:, ::2].min(axis=0), boxes[:, 1::2].max(axis=0)
+    box = np.s_[low[0] : high[0], low[1] : high[1]]
+    ranks = facts.labels[box]
+    mask = (lo <= ranks) & (ranks < hi)
+    count = int(facts.size[lo:hi].sum())
     size = float(count)
-    perimeter = facts.perimeter_of(leaves, lut)
+    perimeter = facts.perimeter_of(lo, hi)
     circularity = 4.0 * math.pi * size / (perimeter * perimeter)
-    eccentricity = _eccentricity(count, *facts.moments[leaves].sum(axis=0).tolist())
+    eccentricity = _eccentricity(count, *facts.moments[lo:hi].sum(axis=0).tolist())
 
-    rim, codes = facts.rim_of(lut)
+    rim, codes = facts.rim_of(lo, hi)
     first = int(rim[0])
     # the angle histogram is all-zero unless the candidate is one
     # 8-connected component; a lone pixel makes no step
-    if len(leaves) == 1:
-        whole = facts.components[leaves[0]] == 1
+    if hi - lo == 1:
+        whole = facts.components[lo] == 1
     else:
-        whole = facts.one_component(leaves) or ndimage.label(mask, _SQUARE)[1] == 1
+        whole = facts.one_component(lo, hi) or ndimage.label(mask, _SQUARE)[1] == 1
     walk = None
     if whole:
-        walk = _reused_walk(facts, lut, first, kids)
+        walk = _reused_walk(facts, span, first, kids)
         if walk is None:
             positions, steps = facts.walk(rim, codes)
             angles = np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
@@ -539,14 +523,14 @@ def _node_vector(facts, leaves, lut, kids):
     for plane, (image, flat, bins, hist) in enumerate(facts.planes):
         values = image[box][mask]
         parts = [kid.ordered[plane] for kid in kids] or [np.sort(values)]
-        block, merged = _stats_block(values, parts, hist[leaves].sum(axis=0))
+        block, merged = _stats_block(values, parts, hist[lo:hi].sum(axis=0))
         blocks.append(block)
         ordered.append(merged)
         values = flat[contour]
         hist = np.bincount(bins[contour], minlength=20)
         blocks.append(_stats_block(values, [np.sort(values)], hist)[0])
     vector = np.concatenate([[size, circularity, eccentricity], angles] + blocks)
-    return vector, _Held(first, lut, ordered, walk)
+    return vector, _Held(first, span, ordered, walk)
 
 
 def _checked_images(labels, raw, boundary):
@@ -613,10 +597,8 @@ def compute_features(crag, raw, boundary):
         order.extend(crag.candidates[cid].children)
     node_feats, held = {}, {}
     for cid in reversed(order):
-        leaves = facts.renumber(crag.leaves_under(cid))
         kids = [held.pop(kid) for kid in crag.candidates[cid].children]
-        lut = facts.lookup(leaves)
-        node_feats[cid], record = _node_vector(facts, leaves, lut, kids)
+        node_feats[cid], record = _node_vector(facts, crag.leaf_range(cid), kids)
         if cid in crag.subset:
             held[cid] = record
     node_feats = {cid: node_feats[cid] for cid in crag.ids()}

@@ -84,7 +84,7 @@ def _stage(name):
         yield
     except StageFailure:
         raise
-    except (CmcError, OSError) as exc:
+    except (CmcError, OSError, MemoryError) as exc:
         raise StageFailure(name, exc) from exc
 
 

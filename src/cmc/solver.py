@@ -642,13 +642,12 @@ def extract_segmentation(crag, solution):
     group = solution.merged_groups([i for i in crag.ids() if solution.y[i]])
 
     # per leaf rank (Crag.leaf_ranks) its group's number from 1, or 0 if
-    # unselected or UNCOVERED, so no table is sized by an id
-    leaves = np.array(crag.leaves(), dtype=np.int64)
+    # unselected; the last slot, which UNCOVERED (-1) indexes, stays 0
     numbers = {}
-    group_of_rank = np.zeros(len(leaves) + 1, dtype=np.int64)
+    group_of_rank = np.zeros(len(crag.leaf_order) + 1, dtype=np.int64)
     for i, root in group.items():
-        ranks = np.searchsorted(leaves, crag.leaves_under(i), side="right")
-        group_of_rank[ranks] = numbers.setdefault(root, len(numbers) + 1)
+        lo, hi = crag.leaf_range(i)
+        group_of_rank[lo:hi] = numbers.setdefault(root, len(numbers) + 1)
     ranks = crag.leaf_ranks()
     groups = group_of_rank[ranks].ravel()
     # number components by their first pixel in row-major order

@@ -289,18 +289,35 @@ def test_duplicate_edge_rejected():
     assert str(info.value) == "crag.json: adjacency lists edge 1-2 twice"
 
 
+def check_leaf_numbering(crag):
+    """Assert that the rank image names each covered pixel's leaf through
+    leaf_order and holds UNCOVERED elsewhere, and that each candidate's
+    range of leaf_order holds its leaves (ref_leaves_under)."""
+    labels, ranks = crag.leaf_labels(), crag.leaf_ranks()
+    covered = labels != UNCOVERED
+    assert (ranks[~covered] == UNCOVERED).all()
+    order = np.array(crag.leaf_order, dtype=np.int64)
+    assert (order[ranks[covered]] == labels[covered]).all()
+    for cid in crag.ids():
+        lo, hi = crag.leaf_range(cid)
+        assert sorted(crag.leaf_order[lo:hi]) == sorted(ref_leaves_under(crag, cid))
+
+
 def test_lift_matches_references():
-    """The adjacency and each edge's leaf-pair groups equal the chain
-    lift and the dense-lookup incidences (check_lift): on random graphs,
-    with UNCOVERED pixels, on a strip 300 levels deep, and on a
-    crag.json that keeps a strict subset of the lift, whose incidences
-    are those of the edges it keeps."""
+    """The leaf numbering (check_leaf_numbering), the adjacency and each
+    edge's leaf-pair groups equal the references: the chain lift and the
+    dense-lookup incidences (check_lift).  On random graphs, with
+    UNCOVERED pixels, on a strip 300 levels deep, and on a crag.json
+    that keeps a strict subset of the lift, whose incidences are those
+    of the edges it keeps."""
     rng = np.random.default_rng(53)
     crags = [random_crag(rng) for _ in range(40)]
     crags += [random_sparse_crag(rng) for _ in range(40)]
+    assert any((c.leaf_labels() == UNCOVERED).any() for c in crags[40:])
     crags.append(strip_crag(301))
     assert max(c.level for c in crags[-1].candidates.values()) == 300
     for crag in crags:
+        check_leaf_numbering(crag)
         check_lift(crag)
     for crag in crags[40:]:
         obj = crag_to_json(crag)
@@ -311,6 +328,21 @@ def test_lift_matches_references():
         part = crag_from_json({**obj, "adjacency": [obj["adjacency"][k] for k in kept]})
         assert part.adjacency == tuple(crag.adjacency[k] for k in kept)
         check_lift(part)
+
+
+def test_children_held_in_id_order():
+    """build_crag holds children in id order, so children listed out of
+    it give the same Crag and leaf order, and it survives crag.json."""
+    labels = np.array([[1, 2, 3, 4]])
+    leaves = [Candidate(k, 0) for k in (1, 2, 3, 4)]
+    listed = build_crag(leaves + [Candidate(5, 1, (3, 2)), Candidate(6, 1, (4, 1))],
+                        None, labels)
+    ordered = build_crag(leaves + [Candidate(5, 1, (2, 3)), Candidate(6, 1, (1, 4))],
+                         None, labels)
+    back = crag_from_json(json.loads(json.dumps(crag_to_json(listed))))
+    assert back == listed and back.leaf_order == listed.leaf_order
+    assert listed == ordered and listed.leaf_order == ordered.leaf_order == (2, 3, 1, 4)
+    assert listed.candidates[5].children == (2, 3)
 
 
 def test_bad_edge_classified_at_depth():
@@ -575,7 +607,9 @@ def _label_crags(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_label_crags())
 def test_crag_json_roundtrip_on_label_images(crag):
-    """load(dump(crag)) == crag, and dumping it again gives the same bytes."""
+    """load(dump(crag)) == crag, and dumping it again gives the same
+    bytes; its leaf numbering passes check_leaf_numbering."""
+    check_leaf_numbering(crag)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "crag.json")
         dump_json(path, crag_to_json(crag))

@@ -101,6 +101,34 @@ def test_build_graph_wraps_stage_errors():
     assert info.value.stage == "watershed"
 
 
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 3.10 GiB for an array")
+
+
+def test_run_pipeline_names_an_allocation_failure(monkeypatch):
+    raw, boundary, gt = easy_triple()
+    monkeypatch.setattr("cmc.pipeline.compute_features", out_of_memory)
+    with pytest.raises(StageFailure) as info:
+        run_pipeline(small_config(), boundary, raw, gt=gt)
+    assert info.value.stage == "features"
+    assert isinstance(info.value.cause, MemoryError)
+    assert str(info.value) == "features: Unable to allocate 3.10 GiB for an array"
+
+
+def test_cli_features_allocation_failure_exits_1(tmp_path, capsys, monkeypatch):
+    crag, _, _, _ = edgeless_instance()
+    (tmp_path / "crag.json").write_text(json.dumps(crag_to_json(crag)))
+    write_probability(str(tmp_path / "image.pgm"), np.zeros((1, 3)))
+    monkeypatch.setattr(cli, "compute_features", out_of_memory)
+    image = str(tmp_path / "image.pgm")
+    rc = main(["features", "--crag", str(tmp_path / "crag.json"), "--raw", image,
+               "--boundary", image, "--out", str(tmp_path / "features.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not (tmp_path / "features.json").exists()
+
+
 def test_run_pipeline_self_train_perfect_on_clean_image():
     raw, boundary, gt = easy_triple()
     sol, seg, metrics = run_pipeline(small_config(), boundary, raw, gt=gt)

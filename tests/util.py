@@ -1229,7 +1229,7 @@ def ref_edge_groups(crag):
     and then backward, the (edge, group) pairs, as np.nonzero gives
     them, whose group's p pixels lie in the edge's first candidate
     (forward) or its second, and its q pixels in the other."""
-    number = {leaf: k for k, leaf in enumerate(crag.leaves())}
+    number = {leaf: k for k, leaf in enumerate(crag.leaf_order)}
     luts = {}
     for cid in crag.ids():
         luts[cid] = np.zeros(len(number), dtype=bool)
@@ -1251,10 +1251,10 @@ def check_lift(crag):
     adjacency None gives all of it; and that its edge_groups rows are
     the ref_edge_groups incidences, each once."""
     pairs, ranks = crag.leaf_pairs, crag.leaf_ranks()
-    n = len(crag.leaves()) + 1
+    n = len(crag.leaf_order)
     group = np.repeat(np.arange(len(pairs.a)), pairs.stop - pairs.start)
-    assert (ranks.ravel()[pairs.p] == pairs.a[group] + 1).all()
-    assert (ranks.ravel()[pairs.q] == pairs.b[group] + 1).all()
+    assert (ranks.ravel()[pairs.p] == pairs.a[group]).all()
+    assert (ranks.ravel()[pairs.q] == pairs.b[group]).all()
     assert (np.diff(pairs.a * n + pairs.b) > 0).all()
     assert (pairs.start[1:] == pairs.stop[:-1]).all()
     assert len(pairs.p) == len(pixel_pairs(crag.leaf_labels())[0])
