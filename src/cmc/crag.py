@@ -1,20 +1,21 @@
 """Candidate region adjacency graph.
 
 A Crag holds a pool of candidate regions and adjacency edges between
-disjoint touching candidates.  Each candidate's children are the one
-statement of nesting: they form the subset forest, whose child -> parent
-map build_crag derives as `Crag.subset`.  The pixels live in one label
-image, `Crag.leaf_labels()`: each pixel holds the id of the leaf
-(superpixel) covering it, and an inner node covers the pixels of its
-leaves.  The leaves are numbered once, by their ranks in one depth-first
-order (`Crag.leaf_order`), in which each candidate's leaves are one
-range (`Crag.leaf_range`).  The module also provides conflict-clique
-enumeration, validation of binary assignments against the overlap /
-incidence / path constraint families, and JSON (de)serialization.
-crag.json holds the label image itself, run-length encoded in row-major
-order as one flat list `leaf_labels` of (leaf id or UNCOVERED, run
-length) int pairs; a candidate entry holds `id`, `level` and, for a
-union, its `children`.  Helpers shared by every JSON loader live beside
+disjoint touching candidates.  The pixels live in one label image,
+`Crag.leaf_labels()`, the one statement of the leaves: each pixel holds
+the id of the leaf (superpixel) covering it, and each distinct label is
+one leaf.  Each inner candidate's children are the one statement of
+nesting: they form the subset forest, whose child -> parent map
+build_crag derives as `Crag.subset`, and an inner node covers the pixels
+of its leaves.  The leaves are numbered once, by their ranks in one
+depth-first order (`Crag.leaf_order`), in which each candidate's leaves
+are one range (`Crag.leaf_range`).  The module also provides
+conflict-clique enumeration, validation of binary assignments against
+the overlap / incidence / path constraint families, and JSON
+(de)serialization.  crag.json holds the label image itself, run-length
+encoded in row-major order as one flat list `leaf_labels` of (leaf id or
+UNCOVERED, run length) int pairs, and one entry per inner candidate, its
+`id` and `children`.  Helpers shared by every JSON loader live beside
 it: the json_value check, its one-pass json_column form for int and
 float lists, json_known, which rejects members that no release writes,
 and json_keyed for objects keyed by candidate id and by edge.
@@ -49,13 +50,14 @@ from .errors import (
 class Candidate:
     """One region: a superpixel (a leaf, no children) or a merge result.
 
-    Ids are non-negative.  A leaf's pixels are those where the owning
-    Crag's `leaf_labels()` image holds its id; an inner node's pixels are
-    those whose label is one of `Crag.leaves_under(id)`.
+    Ids are non-negative and below 2**63.  build_crag makes the leaves,
+    one per label of the leaf label image, and takes the inner
+    candidates.  A leaf's pixels are those where the owning Crag's
+    `leaf_labels()` image holds its id; an inner node's pixels are those
+    whose label is one of `Crag.leaves_under(id)`.
     """
 
     id: int
-    level: int
     children: tuple = ()
 
 
@@ -152,7 +154,8 @@ class Crag:
 
     `leaf_labels()` is the pixel representation: a read-only int64
     (height, width) image of leaf ids, UNCOVERED where no leaf lies
-    (leaves need not cover the image).  Children are held in id order.
+    (leaves need not cover the image).  Each distinct label is a leaf,
+    Candidate(label) in `candidates`.  Children are held in id order.
 
     The leaves have one numbering: their ranks in `leaf_order`, the leaf
     ids depth-first from the roots.  A candidate's leaves are
@@ -318,22 +321,26 @@ def _lift(crag):
 def build_crag(candidates, adjacency, leaf_labels):
     """Validating constructor for Crag.
 
-    The candidates' `children` are the one statement of nesting: the
-    Crag's `subset` (child -> parent) is derived from them, and the Crag
-    holds each candidate's children in id order.
     `leaf_labels` is the 2-d integer image of leaf ids (UNCOVERED where
-    no leaf lies); it fixes the Crag's height and width, and a read-only
-    int64 copy becomes its leaf_labels().  Checks: unique non-negative
-    ids, every child a known id listed once (SubsetNotForest for a
-    second listing) and every candidate reachable from a root
-    (SubsetNotForest for a cycle), every label is a leaf id or UNCOVERED
-    and every leaf has a pixel, and the adjacency is a subset of the
-    lift (_lift) with no edge listed twice, in either order.  The first
-    edge that breaks this, in input order, raises CmcError for an
-    unknown id, AdjacencyBetweenOverlapping when the two candidates
-    overlap (one is an ancestor-or-self of the other), NotAdjacent for
-    any other pair outside the lift, and CmcError for a second listing.
-    An adjacency of None stands for all of the lift.
+    no leaf lies) and the one statement of the leaves: the Crag has one
+    leaf, Candidate(label), per distinct label other than UNCOVERED.  It
+    fixes the Crag's height and width, and a read-only int64 copy
+    becomes its leaf_labels().  `candidates` are the inner candidates;
+    their `children` are the one statement of nesting: the Crag's
+    `subset` (child -> parent) is derived from them, and the Crag holds
+    each candidate's children in id order.  Checks: every label at least
+    UNCOVERED and below 2**63 (LeavesDoNotCoverImage), then each
+    candidate in input order: it has children, its id is unique,
+    non-negative, below 2**63 and no label (LeavesDoNotCoverImage);
+    every child a known id listed once (SubsetNotForest for a second
+    listing) and every candidate reachable from a root (SubsetNotForest
+    for a cycle), and the adjacency is a subset of the lift (_lift) with
+    no edge listed twice, in either order.  The first edge that breaks
+    this, in input order, raises CmcError for an unknown id,
+    AdjacencyBetweenOverlapping when the two candidates overlap (one is
+    an ancestor-or-self of the other), NotAdjacent for any other pair
+    outside the lift, and CmcError for a second listing.  An adjacency
+    of None stands for all of the lift.
     """
     labels = np.asarray(leaf_labels)
     if labels.ndim != 2 or labels.dtype.kind not in "iu":
@@ -341,14 +348,22 @@ def build_crag(candidates, adjacency, leaf_labels):
             f"leaf label image must be a 2-d integer array, got "
             f"{labels.ndim}-d {labels.dtype}"
         )
-    cand_map = {}
+    present = sorted_distinct(labels)
+    if present.size and present[0] < UNCOVERED:
+        raise LeavesDoNotCoverImage(f"label {present[0]} is below {UNCOVERED}")
+    if present.size and present[-1] >= 2**63:  # it would wrap in int64
+        raise LeavesDoNotCoverImage(f"label {present[-1]} is not below 2**63")
+    present = present.astype(np.int64)
+    cand_map = {i: Candidate(i) for i in present[present != UNCOVERED].tolist()}
     for cand in candidates:
+        if not cand.children:
+            raise CmcError(f"candidate {cand.id} has no children; a leaf is a label")
         if cand.id in cand_map:
+            if not cand_map[cand.id].children:
+                raise LeavesDoNotCoverImage(f"inner candidate {cand.id} is also a label")
             raise CmcError(f"duplicate candidate id {cand.id}")
-        if cand.id < 0:
-            raise CmcError(f"candidate id {cand.id} is negative")
-        if cand.level < 0:
-            raise CmcError(f"candidate {cand.id} has negative level")
+        if not 0 <= cand.id < 2**63:
+            raise CmcError(f"candidate id {cand.id} is outside [0, 2**63)")
         cand_map[cand.id] = cand
 
     subset = {}
@@ -361,7 +376,7 @@ def build_crag(candidates, adjacency, leaf_labels):
             subset[child] = cid
         # held in id order, so the depth-first order depends on the nesting alone
         if (kids := tuple(sorted(cand.children))) != cand.children:
-            cand_map[cid] = Candidate(cid, cand.level, kids)
+            cand_map[cid] = Candidate(cid, kids)
     # with one parent per child, a candidate is on or under a cycle iff no
     # root reaches it; the walk from the roots numbers them depth-first
     order, todo = [], sorted((i for i in cand_map if i not in subset), reverse=True)
@@ -371,14 +386,6 @@ def build_crag(candidates, adjacency, leaf_labels):
     if len(order) < len(cand_map):
         raise SubsetNotForest(sorted(set(cand_map) - set(order)), "cycle")
 
-    leaf_ids = {i for i, c in cand_map.items() if not c.children}
-    present = set(sorted_distinct(labels).tolist()) - {UNCOVERED}
-    if present - leaf_ids:
-        raise LeavesDoNotCoverImage(f"label {min(present - leaf_ids)} is not a leaf id")
-    if leaf_ids - present:
-        raise LeavesDoNotCoverImage(
-            f"leaf candidate {min(leaf_ids - present)} has no pixels"
-        )
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
     crag = Crag(cand_map, subset, order, labels)
@@ -528,18 +535,12 @@ def crag_to_json(crag):
     change[1:] = flat[1:] != flat[:-1]
     starts = np.flatnonzero(change)
     lengths = np.diff(starts, append=flat.size)
-    cands = []
-    for cid in crag.ids():
-        cand = crag.candidates[cid]
-        entry = {"id": cid, "level": cand.level}
-        if cand.children:
-            entry["children"] = list(cand.children)
-        cands.append(entry)
+    inner = [c for c in map(crag.candidates.get, crag.ids()) if c.children]
     return {
         "width": crag.width,
         "height": crag.height,
         "leaf_labels": np.stack((flat[starts], lengths), axis=1).ravel().tolist(),
-        "candidates": cands,
+        "candidates": [{"id": c.id, "children": list(c.children)} for c in inner],
         "adjacency": [list(e) for e in crag.adjacency],
     }
 
@@ -638,12 +639,14 @@ def crag_from_json(obj, doc="crag.json"):
 
     `leaf_labels` is checked for an even length, then every entry in one
     int pass (json_column), then for run lengths of at least 1 that sum
-    to height * width, and expanded into the label image; build_crag
-    rejects a label that is no leaf id and a leaf with no pixel.  An
-    image numpy cannot hold raises CmcError, "too large".  A leaf of an
-    older release, its pixels under 'runs' or 'pixels', is rejected by
-    name, as is any other unknown member.  The adjacency is checked for
-    pairs, then every end in one int pass (json_column).
+    to height * width, and expanded into the label image, whose labels
+    build_crag makes the leaves.  An image numpy cannot hold raises
+    CmcError, "too large".  `candidates` lists the inner candidates,
+    each as its `id` and `children`.  An entry of an older release, one
+    that holds 'level' (or a leaf's pixels under 'runs' or 'pixels') or
+    has no 'children', is rejected by name, as is any other unknown
+    member.  The adjacency is checked for pairs, then every end in one
+    int pass (json_column).
     """
     height, width = (json_member(doc, obj, k, int, "crag") for k in ("height", "width"))
     keys = ("width", "height", "leaf_labels", "candidates", "adjacency")
@@ -657,17 +660,17 @@ def crag_from_json(obj, doc="crag.json"):
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
-        level = json_member(doc, entry, "level", int, where)
-        for old in ("runs", "pixels"):
-            if old in entry:
-                raise CmcError(
-                    f"{doc}: {where} holds {old!r}, the leaf form of an older "
-                    "release; run build-crag again"
-                )
-        json_known(doc, entry, ("id", "level", "children"), where)
-        kids = json_value(doc, entry.get("children", []), list, f"children of {where}")
+        old = [k for k in ("runs", "pixels", "level") if k in entry]
+        if old or "children" not in entry:
+            what = f"holds {old[0]!r}" if old else "has no 'children'"
+            raise CmcError(
+                f"{doc}: {where} {what}, the form of an older release; "
+                "run build-crag again"
+            )
+        json_known(doc, entry, ("id", "children"), where)
+        kids = json_member(doc, entry, "children", list, where)
         kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
-        candidates.append(Candidate(cid, level, kids))
+        candidates.append(Candidate(cid, kids))
     runs = json_member(doc, obj, "leaf_labels", list, "crag")
     if len(runs) % 2:
         raise CmcError(f"{doc}: leaf_labels has odd length {len(runs)}")

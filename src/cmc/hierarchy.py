@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .crag import (
-    Candidate,
-    build_crag,
-    edge_key,
-    pixel_pairs,
-    sorted_distinct,
-)
+from .crag import Candidate, build_crag, pixel_pairs, sorted_distinct
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 
 
@@ -137,11 +131,17 @@ def build_merge_tree(superpixels, boundary):
     existing label.  Returns K-1 events for K superpixels; labels must
     be non-negative.
 
-    Each interface is one sorted float64 array.  The pixel pairs are
-    sorted once by (min label, max label, value) and split where the
-    label pair changes.  When two regions merge, a neighbour of both
-    gets their two arrays concatenated and sorted; a neighbour of one
-    keeps its array.  The median of a sorted v of n values is
+    The live regions are the keys of one map, region -> {neighbour:
+    interface}, and each interface is one sorted float64 array.  The
+    pixel pairs are sorted once by (min label, max label, value) and
+    split where the label pair changes.  When two regions merge, a
+    neighbour of both gets their two arrays concatenated and sorted; a
+    neighbour of one keeps its array.  Each pair of live regions has one
+    heap entry, pushed when the younger of the two was made, and its
+    score changes only when one side merges, which retires the pair: an
+    entry is current iff both its regions are alive.
+
+    The median of a sorted v of n values is
     (0.0 + v[(n-1)//2] + v[n//2]) / 2, equal to np.median bit for bit:
     for even n, np.median sums the two central values from 0.0 and
     halves; for odd n both indices name one x in [0, 1], and
@@ -170,62 +170,45 @@ def build_merge_tree(superpixels, boundary):
     new_pair = np.ones(len(vals), dtype=bool)
     new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     first = np.flatnonzero(new_pair)
-    keys = list(zip(lo[first].tolist(), hi[first].tolist()))
-    iface = dict(zip(keys, np.split(vals, first[1:])))
 
-    def score(e):
-        v = iface[e]
+    def score(a, b, v):
         median = (0.0 + float(v[(len(v) - 1) // 2]) + float(v[len(v) // 2])) / 2
-        return min(sizes[e[0]], sizes[e[1]]) * median
+        return min(sizes[a], sizes[b]) * median
 
-    edge_score = {e: score(e) for e in keys}
-
-    nbrs = {i: set() for i in sizes}
-    for a, b in keys:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-
-    heap = [(s, e[0], e[1]) for e, s in edge_score.items()]
+    adj = {i: {} for i in sizes}
+    heap = []
+    for a, b, v in zip(lo[first].tolist(), hi[first].tolist(), np.split(vals, first[1:])):
+        adj[a][b] = adj[b][a] = v
+        heap.append((score(a, b, v), a, b))
     heapq.heapify(heap)
 
-    alive = set(sizes)
     next_id = int(ids.max()) + 1
     events = []
-    while len(alive) > 1:
+    while len(adj) > 1:
         if not heap:
             raise DegenerateInput("superpixel adjacency graph is disconnected")
         s, a, b = heapq.heappop(heap)
-        if a not in alive or b not in alive or edge_score.get((a, b)) != s:
+        if a not in adj or b not in adj:
             continue
         new = next_id
         next_id += 1
         events.append(MergeEvent(a, b, new, s))
-        alive.discard(a)
-        alive.discard(b)
         sizes[new] = sizes[a] + sizes[b]
-        iface.pop((a, b), None)
-        edge_score.pop((a, b), None)
-        merged_nbrs = (nbrs.pop(a) | nbrs.pop(b)) - {a, b}
-        for n in merged_nbrs:
-            va = iface.pop(edge_key(a, n), None)
-            vb = iface.pop(edge_key(b, n), None)
+        near_a, near_b = adj.pop(a), adj.pop(b)
+        del near_a[b], near_b[a]
+        merged = adj[new] = {}
+        for n in near_a.keys() | near_b.keys():
+            va, vb = near_a.get(n), near_b.get(n)
             if va is None or vb is None:
                 v = vb if va is None else va
             else:
                 v = np.concatenate((va, vb))
                 v.sort()
-            edge_score.pop(edge_key(a, n), None)
-            edge_score.pop(edge_key(b, n), None)
-            key = edge_key(new, n)
-            iface[key] = v
-            sc = score(key)
-            edge_score[key] = sc
-            heapq.heappush(heap, (sc, key[0], key[1]))
-            nbrs[n].discard(a)
-            nbrs[n].discard(b)
-            nbrs[n].add(new)
-        nbrs[new] = merged_nbrs
-        alive.add(new)
+            near_n = adj[n]
+            near_n.pop(a, None)
+            near_n.pop(b, None)
+            near_n[new] = merged[n] = v
+            heapq.heappush(heap, (score(n, new, v), n, new))
     return MergeTree(superpixels, events)
 
 
@@ -240,8 +223,11 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     keeps every inner node the exact disjoint union of its children.
     Adjacency edges join every disjoint touching pair across all levels:
     the adjacency None asks build_crag for all of its lift.  The
-    superpixel array becomes the Crag's leaf label image, so every
-    superpixel stays a candidate and max_merges must be >= 0.
+    superpixel array becomes the Crag's leaf label image and so states
+    the leaves: every superpixel stays a candidate, max_merges must be
+    >= 0, and build_crag gets only the surviving merge results, each
+    with its children.  The levels serve the cap alone; the Crag keeps
+    none.
     """
     if max_merges is not None and max_merges < 0:
         raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
@@ -279,5 +265,5 @@ def extract_candidates(tree, max_merges, score_threshold=None):
         if p is not None:
             children[p].append(n)
 
-    cands = [Candidate(n, level[n], tuple(children[n])) for n in sorted(inc)]
+    cands = [Candidate(n, tuple(kids)) for n, kids in sorted(children.items()) if kids]
     return build_crag(cands, None, sp)

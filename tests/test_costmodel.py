@@ -29,7 +29,7 @@ from cmc.errors import (
     SchemaMismatch,
     SingleClass,
 )
-from cmc.crag import Candidate, Solution, build_crag, validate_solution
+from cmc.crag import Solution, build_crag, validate_solution
 from cmc.features import compute_features
 from cmc.pipeline import PipelineConfig, model_to_json, train_model
 from cmc.synth import generate_synthetic
@@ -533,7 +533,7 @@ def test_graph_without_candidates_costs_nothing():
     costs = predict_costs(node_forest, edge_forest, empty, {}, {})
     assert costs.f == {} and costs.g == {}
     # a candidate but no edge: the edge rows still have 592 columns
-    lone = build_crag([Candidate(1, 0)], [], leaf_image({1: [(0, 0)]}, 1, 1))
+    lone = build_crag([], [], leaf_image({1: [(0, 0)]}, 1, 1))
     lone_nf, lone_ef = compute_features(lone, np.zeros((1, 1)), np.zeros((1, 1)))
     assert costmodel._forest_rows(lone, lone_nf, lone_ef)[1].shape == (0, 592)
     assert predict_costs(node_forest, edge_forest, lone, lone_nf, lone_ef).g == {}

@@ -43,6 +43,7 @@ from cmc.pipeline import PipelineConfig, build_graph, dump_json
 from cmc.synth import generate_synthetic
 from util import (
     check_lift,
+    inner,
     leaf_image,
     old_crag_json,
     pixel_owners,
@@ -59,6 +60,7 @@ from util import (
     ref_regions_touch,
     same_outcome,
     strip_crag,
+    subtree_heights,
     zero_solution,
 )
 
@@ -85,62 +87,92 @@ def test_quad_structure():
 
 def test_single_leaf_whole_image():
     pixels = frozenset((r, c) for r in range(3) for c in range(3))
-    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 3, 3))
+    crag = build_crag([], [], leaf_image({1: pixels}, 3, 3))
     assert crag.ids() == [1]
     assert conflict_cliques(crag) == [frozenset([1])]
 
 
 def test_duplicate_id_rejected():
-    cands = [Candidate(1, 0), Candidate(1, 0)]
-    with pytest.raises(CmcError):
-        build_crag(cands, [], leaf_image({1: [(0, 0), (0, 1)]}, 2, 1))
+    cands = [Candidate(3, (1,)), Candidate(3, (2,))]
+    with pytest.raises(CmcError, match="duplicate candidate id 3"):
+        build_crag(cands, [], leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1))
 
 
 def test_negative_id_rejected():
     # negative ids would collide with the UNCOVERED label
     with pytest.raises(CmcError):
-        build_crag([Candidate(-1, 0)], [], leaf_image({-1: [(0, 0)]}, 1, 1))
+        build_crag([Candidate(-1, (1,))], [], leaf_image({1: [(0, 0)]}, 1, 1))
 
 
-def test_negative_level_rejected():
-    with pytest.raises(CmcError):
-        build_crag([Candidate(1, -1)], [], leaf_image({1: [(0, 0)]}, 1, 1))
+def test_labels_are_the_leaves():
+    """An image and no candidates give a Crag whose leaves are the
+    image's labels, UNCOVERED left out, each a root without children."""
+    crag = build_crag([], None, np.array([[3, UNCOVERED, 7], [7, 0, 3]]))
+    assert crag.leaves() == crag.ids() == crag.roots() == [0, 3, 7]
+    assert crag.candidates == {i: Candidate(i) for i in (0, 3, 7)}
+    assert crag.adjacency == ((0, 3), (0, 7), (3, 7))
+
+
+def test_childless_candidate_rejected():
+    """A leaf is stated by its label alone: a candidate without children
+    is rejected, whether or not its id is a label."""
+    for cid in (1, 2):
+        with pytest.raises(CmcError) as info:
+            build_crag([Candidate(cid)], [], leaf_image({1: [(0, 0)]}, 1, 1))
+        assert str(info.value) == f"candidate {cid} has no children; a leaf is a label"
+    with pytest.raises(CmcError, match="candidate 3 has no children"):
+        build_crag([Candidate(2, (1,)), Candidate(3, ())], [], np.array([[1]]))
 
 
 def test_children_and_pixels_rejected():
     # an inner node's id painted into the label image
-    cands = [Candidate(1, 0), Candidate(2, 1, children=(1,))]
+    cands = [Candidate(2, children=(1,))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
-    with pytest.raises(CmcError):
+    with pytest.raises(LeavesDoNotCoverImage) as info:
         build_crag(cands, [], labels)
+    assert str(info.value).endswith(": inner candidate 2 is also a label")
 
 
-def test_pixelless_leaf_rejected():
-    with pytest.raises(LeavesDoNotCoverImage):
-        build_crag([Candidate(1, 0)], [], leaf_image({}, 1, 1))
+def test_child_without_pixels_rejected():
+    """A child with no pixel is no label, so it is an unknown id."""
+    with pytest.raises(CmcError, match="candidate 2 has unknown child 1"):
+        build_crag([Candidate(2, (1,))], [], leaf_image({}, 1, 1))
+
+
+def test_ids_beyond_int64_rejected():
+    """An inner id or an unsigned label at or above 2**63 used to end in
+    a bare OverflowError; a label of 2**64 - 1 must not wrap to
+    UNCOVERED."""
+    with pytest.raises(CmcError) as info:
+        build_crag([Candidate(2**63, (1, 2))], None, np.array([[1, 2]]))
+    assert str(info.value) == f"candidate id {2**63} is outside [0, 2**63)"
+    for label in (2**63, 2**64 - 1):
+        with pytest.raises(LeavesDoNotCoverImage) as info:
+            build_crag([], [], np.array([[1, label]], dtype=np.uint64))
+        assert str(info.value).endswith(f": label {label} is not below 2**63")
 
 
 def test_leaf_label_image_checked():
     """A 2-d integer image of leaf ids and UNCOVERED; the Crag keeps a
     read-only int64 copy."""
-    cands = [Candidate(1, 0)]
-    with pytest.raises(LeavesDoNotCoverImage):  # 9 is not a leaf id
-        build_crag(cands, [], np.array([[1, 9]]))
+    with pytest.raises(LeavesDoNotCoverImage) as info:  # below UNCOVERED
+        build_crag([], [], np.array([[1, -2]]))
+    assert str(info.value).endswith(": label -2 is below -1")
     with pytest.raises(CmcError):
-        build_crag(cands, [], np.array([1, UNCOVERED]))
+        build_crag([], [], np.array([1, UNCOVERED]))
     with pytest.raises(CmcError):
-        build_crag(cands, [], np.array([[1.0]]))
+        build_crag([], [], np.array([[1.0]]))
     with pytest.raises(CmcError):
-        build_crag(cands, [], np.array([[True]]))
+        build_crag([], [], np.array([[True]]))
     image = np.array([[1, 1]], dtype=np.uint8)
-    labels = build_crag(cands, [], image).leaf_labels()
+    labels = build_crag([], [], image).leaf_labels()
     image[0, 0] = 2
     assert labels.dtype == np.int64 and labels.tolist() == [[1, 1]]
     assert not labels.flags.writeable
 
 
 def test_unknown_child_id_rejected():
-    cands = [Candidate(1, 0), Candidate(2, 1, children=(1, 9))]
+    cands = [Candidate(2, children=(1, 9))]
     with pytest.raises(CmcError, match="unknown child 9"):
         build_crag(cands, [], leaf_image({1: [(0, 0)]}, 1, 1))
 
@@ -148,17 +180,11 @@ def test_unknown_child_id_rejected():
 def test_two_parents_rejected():
     """A child listed under two parents, or twice under one: a repeated
     child would count its pixels twice in the parent's size."""
-    cands = [
-        Candidate(1, 0),
-        Candidate(2, 0),
-        Candidate(3, 0),
-        Candidate(4, 1, children=(1, 2)),
-        Candidate(5, 1, children=(1, 3)),
-    ]
+    cands = [Candidate(4, children=(1, 2)), Candidate(5, children=(1, 3))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 2)]}, 3, 1)
     with pytest.raises(SubsetNotForest):
         build_crag(cands, [], labels)
-    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, children=(1, 1, 2))]
+    cands = [Candidate(3, children=(1, 1, 2))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
     with pytest.raises(SubsetNotForest) as got:
         build_crag(cands, [], labels)
@@ -167,17 +193,12 @@ def test_two_parents_rejected():
 
 def test_cycle_rejected():
     """No root reaches a cycle, nor the candidates hanging below it."""
-    cands = [
-        Candidate(1, 0),
-        Candidate(2, 1, children=(1, 3)),
-        Candidate(3, 1, children=(2,)),
-        Candidate(4, 0),
-    ]
+    cands = [Candidate(2, children=(1, 3)), Candidate(3, children=(2,))]
     with pytest.raises(SubsetNotForest) as got:
         build_crag(cands, [], leaf_image({1: [(0, 0)], 4: [(0, 1)]}, 2, 1))
     assert got.value.ids == (1, 2, 3)
     with pytest.raises(SubsetNotForest):  # a candidate that is its own child
-        build_crag([Candidate(1, 1, children=(1,))], [], leaf_image({}, 1, 1))
+        build_crag([Candidate(1, children=(1,))], [], leaf_image({}, 1, 1))
 
 
 def _features_argv(tmp_path, obj):
@@ -217,7 +238,7 @@ def test_repeated_child_rejected(tmp_path, capsys):
     older files, which named each child once, and then counted leaf 1
     twice in candidate 5's size."""
     obj = crag_to_json(quad_crag())
-    obj["candidates"][4]["children"] = [1, 1, 2]
+    obj["candidates"][0]["children"] = [1, 1, 2]
     with pytest.raises(SubsetNotForest):
         crag_from_json(obj)
     assert cli.main(["features", *_features_argv(tmp_path, obj)]) == 1
@@ -240,12 +261,7 @@ def test_image_size_numpy_refuses_rejected():
 
 
 def test_bad_adjacency_rejected():
-    base = [
-        Candidate(1, 0),
-        Candidate(2, 0),
-        Candidate(3, 0),
-        Candidate(4, 1, children=(1, 2)),
-    ]
+    base = [Candidate(4, children=(1, 2))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)], 3: [(0, 3)]}, 4, 1)
     with pytest.raises(CmcError):
         build_crag(base, [(1, 9)], labels)
@@ -263,26 +279,25 @@ def test_adjacency_none_is_every_touching_pair():
     checks still run."""
     rng = np.random.default_rng(47)
     for crag in [quad_crag()] + [random_sparse_crag(rng) for _ in range(30)]:
-        cands, labels = list(crag.candidates.values()), crag.leaf_labels()
+        cands, labels = inner(crag), crag.leaf_labels()
         full = build_crag(cands, None, labels)
         assert set(full.adjacency) == ref_candidate_adjacency(crag.subset, labels)
         assert full == build_crag(cands, full.adjacency, labels)
     with pytest.raises(LeavesDoNotCoverImage):
-        build_crag([Candidate(1, 0)], None, np.array([[1, 2]]))
+        build_crag([Candidate(2, (1,))], None, np.array([[1, 2]]))
     with pytest.raises(SubsetNotForest):
-        build_crag([Candidate(1, 0), Candidate(2, 1, (1, 1))], None, np.array([[1]]))
+        build_crag([Candidate(2, (1, 1))], None, np.array([[1]]))
 
 
 def test_duplicate_edge_rejected():
     """An edge listed twice, in either order, used to be kept once, in
     build_crag and in crag_from_json alike."""
-    cands = [Candidate(1, 0), Candidate(2, 0)]
     labels = np.array([[1, 2]])
     for adjacency in ([(1, 2), (2, 1), (1, 2)], [(2, 1), (2, 1)]):
         with pytest.raises(CmcError) as info:
-            build_crag(cands, adjacency, labels)
+            build_crag([], adjacency, labels)
         assert str(info.value) == "adjacency lists edge 1-2 twice"
-    obj = crag_to_json(build_crag(cands, None, labels))
+    obj = crag_to_json(build_crag([], None, labels))
     obj["adjacency"] = [[1, 2], [2, 1]]
     with pytest.raises(CmcError) as info:
         crag_from_json(obj)
@@ -315,7 +330,7 @@ def test_lift_matches_references():
     crags += [random_sparse_crag(rng) for _ in range(40)]
     assert any((c.leaf_labels() == UNCOVERED).any() for c in crags[40:])
     crags.append(strip_crag(301))
-    assert max(c.level for c in crags[-1].candidates.values()) == 300
+    assert max(subtree_heights(crags[-1]).values()) == 300
     for crag in crags:
         check_leaf_numbering(crag)
         check_lift(crag)
@@ -334,11 +349,8 @@ def test_children_held_in_id_order():
     """build_crag holds children in id order, so children listed out of
     it give the same Crag and leaf order, and it survives crag.json."""
     labels = np.array([[1, 2, 3, 4]])
-    leaves = [Candidate(k, 0) for k in (1, 2, 3, 4)]
-    listed = build_crag(leaves + [Candidate(5, 1, (3, 2)), Candidate(6, 1, (4, 1))],
-                        None, labels)
-    ordered = build_crag(leaves + [Candidate(5, 1, (2, 3)), Candidate(6, 1, (1, 4))],
-                         None, labels)
+    listed = build_crag([Candidate(5, (3, 2)), Candidate(6, (4, 1))], None, labels)
+    ordered = build_crag([Candidate(5, (2, 3)), Candidate(6, (1, 4))], None, labels)
     back = crag_from_json(json.loads(json.dumps(crag_to_json(listed))))
     assert back == listed and back.leaf_order == listed.leaf_order
     assert listed == ordered and listed.leaf_order == ordered.leaf_order == (2, 3, 1, 4)
@@ -353,7 +365,7 @@ def test_bad_edge_classified_at_depth():
     rng = np.random.default_rng(59)
     crags = [strip_crag(301)] + [random_sparse_crag(rng) for _ in range(40)]
     for crag in crags:
-        cands, labels = list(crag.candidates.values()), crag.leaf_labels()
+        cands, labels = inner(crag), crag.leaf_labels()
         good = list(crag.adjacency)
         ids = crag.ids()
         overlapping = [(i, a) for i in ids for a in [i] + crag.ancestors(i)]
@@ -399,9 +411,8 @@ def test_conflict_cliques_quad():
 
 
 def test_conflict_cliques_flat():
-    cands = [Candidate(i, 0) for i in (1, 2, 3)]
     labels = leaf_image({i: [(0, i - 1)] for i in (1, 2, 3)}, 3, 1)
-    crag = build_crag(cands, [], labels)
+    crag = build_crag([], [], labels)
     assert conflict_cliques(crag) == [
         frozenset([1]),
         frozenset([2]),
@@ -411,12 +422,7 @@ def test_conflict_cliques_flat():
 
 def test_conflict_cliques_chain_with_lone_leaf():
     # chain 1 -> 3 -> 4 plus a parentless leaf 2
-    cands = [
-        Candidate(1, 0),
-        Candidate(2, 0),
-        Candidate(3, 1, children=(1,)),
-        Candidate(4, 2, children=(3,)),
-    ]
+    cands = [Candidate(3, children=(1,)), Candidate(4, children=(3,))]
     labels = leaf_image({1: [(0, 0)], 2: [(0, 1)]}, 2, 1)
     crag = build_crag(cands, [], labels)
     assert set(conflict_cliques(crag)) == {frozenset([1, 3, 4]), frozenset([2])}
@@ -519,8 +525,7 @@ def test_interface_pairs_and_touch():
     ((1,0),(1,1)); the edge features see exactly those pairs."""
     a = {(0, 0), (1, 0)}
     b = {(0, 1), (1, 1)}
-    leaves = [Candidate(1, 0), Candidate(2, 0)]
-    crag = build_crag(leaves, [(1, 2)], leaf_image({1: a, 2: b}, 2, 2))
+    crag = build_crag([], [(1, 2)], leaf_image({1: a, 2: b}, 2, 2))
     boundary = np.array([[0.1, 0.5], [0.3, 0.2]])
     f = compute_features(crag, np.zeros((2, 2)), boundary)[1][(1, 2)]
     names = edge_feature_names()
@@ -534,10 +539,10 @@ def test_interface_pairs_and_touch():
     assert ref_regions_touch(a, b)  # build_crag accepted (1, 2) above
     assert not ref_regions_touch(a, {(0, 2)})
     with pytest.raises(NotAdjacent):
-        build_crag(leaves, [(1, 2)], leaf_image({1: a, 2: {(0, 2)}}, 3, 2))
+        build_crag([], [(1, 2)], leaf_image({1: a, 2: {(0, 2)}}, 3, 2))
     assert not ref_regions_touch({(0, 0)}, {(1, 1)})  # diagonals do not touch
     with pytest.raises(NotAdjacent):
-        build_crag(leaves, [(1, 2)], leaf_image({1: {(0, 0)}, 2: {(1, 1)}}, 2, 2))
+        build_crag([], [(1, 2)], leaf_image({1: {(0, 0)}, 2: {(1, 1)}}, 2, 2))
 
 
 def test_objective_value():
@@ -555,7 +560,7 @@ def test_rle_roundtrip_random():
             (int(r), int(c))
             for r, c in rng.integers(0, 9, size=(rng.integers(1, 30), 2))
         )
-        crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 9, 9))
+        crag = build_crag([], [], leaf_image({1: pixels}, 9, 9))
         back = crag_from_json(json.loads(json.dumps(crag_to_json(crag))))
         assert pixels_of(back, 1) == pixels
 
@@ -564,7 +569,7 @@ def test_rle_is_compact():
     """One (label, length) pair per run of the row-major image; runs go
     on across rows."""
     pixels = {(0, 0), (0, 1), (0, 2), (0, 4), (1, 0)}
-    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: pixels}, 5, 2))
+    crag = build_crag([], [], leaf_image({1: pixels}, 5, 2))
     assert crag_to_json(crag)["leaf_labels"] == [1, 3, -1, 1, 1, 2, -1, 4]
     empty = build_crag([], [], np.zeros((0, 3), dtype=np.int64))
     assert crag_to_json(empty)["leaf_labels"] == []
@@ -580,7 +585,7 @@ def test_crag_json_roundtrip():
     quad = quad_crag()
     labels = quad.leaf_labels().copy()
     labels[1, 1] = 1
-    moved = build_crag(quad.candidates.values(), quad.adjacency, labels)
+    moved = build_crag(inner(quad), quad.adjacency, labels)
     assert moved != quad and moved.candidates == quad.candidates
 
 
@@ -598,9 +603,7 @@ def _label_crags(draw):
     labels = np.array([palette[k] if k >= 0 else UNCOVERED for k in picks],
                       dtype=np.int64).reshape(height, width)
     leaves = sorted(set(labels.ravel().tolist()) - {UNCOVERED})
-    candidates = [Candidate(leaf, 0) for leaf in leaves]
-    if len(leaves) > 1:
-        candidates.append(Candidate(2**63 - 1, 1, tuple(leaves)))
+    candidates = [Candidate(2**63 - 1, tuple(leaves))] if len(leaves) > 1 else []
     return build_crag(candidates, None, labels)
 
 
@@ -627,7 +630,7 @@ def test_leaf_labels_quad_and_uncovered():
     assert labels.tolist() == [[1, 1, 2, 2], [1, 3, 3, 2], [1, 3, 3, 4], [4, 4, 4, 4]]
     assert not labels.flags.writeable
     assert crag.leaf_labels() is labels
-    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: [(0, 1)]}, 3, 1))
+    crag = build_crag([], [], leaf_image({1: [(0, 1)]}, 3, 1))
     assert crag.leaf_labels().tolist() == [[UNCOVERED, 1, UNCOVERED]]
 
 
@@ -642,7 +645,8 @@ def test_leaf_labels_json_roundtrip():
         flat = [v for v, n in zip(obj["leaf_labels"][::2], obj["leaf_labels"][1::2])
                 for _ in range(n)]
         assert flat == labels.ravel().tolist()
-        assert all(set(e) <= {"id", "level", "children"} for e in obj["candidates"])
+        assert all(set(e) == {"id", "children"} and e["children"]
+                   for e in obj["candidates"])
         back = crag_from_json(json.loads(json.dumps(obj)))
         assert np.array_equal(back.leaf_labels(), labels)
 
@@ -654,7 +658,7 @@ def test_readme_crag_json_example():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     block = readme[readme.index("On disk"):].split("```json\n", 1)[1].split("```", 1)[0]
     want = build_crag(
-        [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))],
+        [Candidate(3, (1, 2))],
         [(1, 2)],
         np.array([[1, 1, 2], [1, 2, 2]]),
     )
@@ -675,7 +679,7 @@ def test_crag_to_json_matches_reference_encoder():
     for crag in crags:
         want = ref_crag_json(
             pixel_owners(crag),
-            crag.candidates.values(),
+            inner(crag),
             crag.adjacency,
             crag.width,
             crag.height,
@@ -692,7 +696,7 @@ def _edited(edit):
 
 
 # quad_crag's crag.json, broken one way each; its leaf_labels begins
-# 1, 2 (leaf 1 for two pixels), 2, 2, and candidates[4] is 5 = {1, 2}
+# 1, 2 (leaf 1 for two pixels), 2, 2, and candidates[0] is 5 = {1, 2}
 MALFORMED_CRAG_JSON = {
     "missing width": _edited(lambda obj: obj.pop("width")),
     "float run length": _edited(lambda obj: obj["leaf_labels"].__setitem__(1, 2.0)),
@@ -709,21 +713,26 @@ MALFORMED_CRAG_JSON = {
     "runs short of the image": _edited(lambda obj: obj["leaf_labels"].__setitem__(1, 1)),
     "missing leaf_labels": _edited(lambda obj: obj.pop("leaf_labels")),
     "boolean id": _edited(lambda obj: obj["candidates"][0].update(id=True)),
-    # the leaf forms of older releases, rejected by name on any entry
+    # the entry forms of older releases, rejected by name on any entry
     "inner node with runs": _edited(
-        lambda obj: obj["candidates"][4].update(runs=[5, 0, 1])
+        lambda obj: obj["candidates"][0].update(runs=[5, 0, 1])
     ),
     "inner node with pixels": _edited(
-        lambda obj: obj["candidates"][4].update(
+        lambda obj: obj["candidates"][0].update(
             pixels=[{"row": 5, "col_start": 0, "col_end": 1}]
         )
     ),
+    "inner node with level": _edited(lambda obj: obj["candidates"][0].update(level=1)),
+    "leaf entry": _edited(lambda obj: obj["candidates"].insert(0, {"id": 1, "level": 0})),
+    "entry without children": _edited(lambda obj: obj["candidates"][0].pop("children")),
+    "entry with no child": _edited(lambda obj: obj["candidates"][0].update(children=[])),
     "invalid JSON text": lambda obj: json.dumps(obj)[:-1],
     # faults found by build_crag, which named no file
     "child listed twice": _edited(
-        lambda obj: obj["candidates"][4].update(children=[1, 1, 2])
+        lambda obj: obj["candidates"][0].update(children=[1, 1, 2])
     ),
     "pixel of an inner node": _edited(lambda obj: obj["leaf_labels"].__setitem__(0, 5)),
+    "label below UNCOVERED": _edited(lambda obj: obj["leaf_labels"].__setitem__(0, -2)),
     "unknown adjacency id": _edited(lambda obj: obj["adjacency"].append([1, 99])),
 }
 
@@ -786,12 +795,13 @@ def one_fault_variants(rng, crag):
         return changed
 
     pixel = sorted(owner)[int(rng.integers(len(owner)))]
-    inner = sorted(crag.subset.values())
-    labels = [*inner, max(crag.ids()) + 1, UNCOVERED - 1]
+    labels = [*sorted(set(crag.subset.values())), UNCOVERED - 1]
     label = labels[int(rng.integers(len(labels)))]
     yield "label no leaf", {**owner, pixel: label}, adjacency
-    leaf = crag.leaves()[int(rng.integers(len(crag.leaves())))]
-    yield "leaf without pixels", {p: i for p, i in owner.items() if i != leaf}, adjacency
+    children = [leaf for leaf in crag.leaves() if leaf in crag.subset]
+    if children:
+        leaf = children[int(rng.integers(len(children)))]
+        yield "leaf without pixels", {p: i for p, i in owner.items() if i != leaf}, adjacency
     region = {i: pixels_of(crag, i) for i in crag.ids()}
     apart = [
         (i, j)
@@ -820,7 +830,7 @@ def test_build_crag_matches_pixel_set_reference():
     crags += [random_sparse_crag(rng) for _ in range(60)]
     outcomes = Counter()
     for crag in crags:
-        cands = [crag.candidates[i] for i in crag.ids()]
+        cands = inner(crag)
         for fault, owner, adjacency in one_fault_variants(rng, crag):
             size = (crag.width, crag.height)
             obj = ref_crag_json(owner, cands, adjacency, *size)
@@ -840,7 +850,7 @@ def test_build_crag_matches_pixel_set_reference():
     assert set(outcomes) == {
         ("none", "accepted"),
         ("label no leaf", "LeavesDoNotCoverImage"),
-        ("leaf without pixels", "LeavesDoNotCoverImage"),
+        ("leaf without pixels", "CmcError"),
         ("non-touching edge", "NotAdjacent"),
         ("child-parent edge", "AdjacencyBetweenOverlapping"),
     }
@@ -927,17 +937,16 @@ LEAF_LABEL_FAULTS = {
     ),
     "label of an inner node": (
         {0: 5}, LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: label 5 is not a leaf id",
+        "crag.json: leaf pixels do not match the image region: "
+        "inner candidate 5 is also a label",
     ),
     "label below UNCOVERED": (
         {14: -2}, LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: "
-        "label -2 is not a leaf id",
+        "crag.json: leaf pixels do not match the image region: label -2 is below -1",
     ),
+    # a leaf is a label, so leaf 3 without pixels is no id at all
     "leaf without pixels": (
-        {6: 1, 12: 1}, LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: "
-        "leaf candidate 3 has no pixels",
+        {6: 1, 12: 1}, CmcError, "crag.json: candidate 6 has unknown child 3",
     ),
 }
 
@@ -1015,7 +1024,7 @@ def test_old_runs_leaf_rejected_by_name(tmp_path, capsys):
     naming the file."""
     obj = old_crag_json(quad_crag())
     message = (
-        "crag.json: candidate 1 holds 'runs', the leaf form of an older "
+        "crag.json: candidate 1 holds 'runs', the form of an older "
         "release; run build-crag again"
     )
     error = same_outcome(crag_from_json, ref_crag_from_json, obj)
@@ -1042,7 +1051,7 @@ def test_old_pixels_leaf_rejected_by_name():
             for r, a, b in zip(runs[::3], runs[1::3], runs[2::3])
         ]
     message = (
-        "crag.json: candidate 1 holds 'pixels', the leaf form of an older "
+        "crag.json: candidate 1 holds 'pixels', the form of an older "
         "release; run build-crag again"
     )
     error = same_outcome(crag_from_json, ref_crag_from_json, obj)
@@ -1051,6 +1060,38 @@ def test_old_pixels_leaf_rejected_by_name():
     with pytest.raises(CmcError) as got:
         crag_from_json(obj)
     assert str(got.value) == message
+
+
+def test_previous_release_rejected_by_name(tmp_path, capsys):
+    """A crag.json of the previous release, which listed the leaves as
+    entries and every entry's 'level', is rejected by name, as is an
+    entry without 'children'; cmc solve exits 1 naming the file, with no
+    traceback."""
+    obj = old_crag_json(quad_crag())
+    obj["leaf_labels"] = crag_to_json(quad_crag())["leaf_labels"]
+    for entry in obj["candidates"]:
+        entry.pop("runs", None)
+    assert obj["candidates"][0] == {"id": 1, "level": 0}
+    assert obj["candidates"][4] == {"id": 5, "level": 1, "children": [1, 2]}
+    tail = "the form of an older release; run build-crag again"
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert (type(error), str(error)) == (
+        CmcError, f"crag.json: candidate 1 holds 'level', {tail}"
+    )
+    path = tmp_path / "crag.json"
+    path.write_text(json.dumps(obj))
+    argv = ["solve", "--crag", path, "--costs", tmp_path / "costs.json",
+            "--out", tmp_path / "solution.json"]
+    assert cli.main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {path}: candidate 1 holds 'level', {tail}\n"
+    assert not (tmp_path / "solution.json").exists()
+    del obj["candidates"][:4]
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert str(error) == f"crag.json: candidate 5 holds 'level', {tail}"
+    obj = crag_to_json(quad_crag())
+    del obj["candidates"][1]["children"]
+    error = same_outcome(crag_from_json, ref_crag_from_json, obj)
+    assert str(error) == f"crag.json: candidate 6 has no 'children', {tail}"
 
 
 def test_solution_json_roundtrip():

@@ -36,6 +36,7 @@ from cmc.solver import extract_segmentation
 from cmc.synth import generate_synthetic
 
 from util import (
+    inner,
     leaf_image,
     pixels_of,
     quad_crag,
@@ -66,7 +67,7 @@ def region_features(pixels, raw, boundary):
     """compute_features' vector of the one candidate of a one-leaf Crag
     whose leaf is `pixels`, over images of raw's shape."""
     height, width = np.shape(raw)
-    crag = build_crag([Candidate(0, 0)], [], leaf_image({0: pixels}, width, height))
+    crag = build_crag([], [], leaf_image({0: pixels}, width, height))
     return compute_features(crag, raw, boundary)[0][0]
 
 
@@ -91,7 +92,7 @@ def crag_walk(crag, cid):
 def walk_positions(pixels):
     """crag_walk over the one candidate of a one-leaf Crag."""
     height, width = (max(p[k] for p in pixels) + 1 for k in (0, 1))
-    crag = build_crag([Candidate(0, 0)], [], leaf_image({0: pixels}, width, height))
+    crag = build_crag([], [], leaf_image({0: pixels}, width, height))
     return crag_walk(crag, 0)
 
 
@@ -649,9 +650,8 @@ def test_node_features_deterministic():
 
 def test_interface_stats_oracle():
     """Two stacked strips, three interface pairs with intensities .2/.4/.6."""
-    leaves = [Candidate(1, 0), Candidate(2, 0)]
     pixels = {1: {(0, 0), (0, 1), (0, 2)}, 2: {(1, 0), (1, 1), (1, 2)}}
-    crag = build_crag(leaves, [(1, 2)], leaf_image(pixels, 3, 2))
+    crag = build_crag([], [(1, 2)], leaf_image(pixels, 3, 2))
     boundary = np.array([[0.2, 0.4, 0.6], [0.0, 0.0, 0.0]])
     raw = np.zeros((2, 3))
     nf, ef = compute_features(crag, raw, boundary)
@@ -894,10 +894,9 @@ def labels_crag(labels):
     them all when there are two or more."""
     labels = np.asarray(labels, dtype=np.int64)
     leaves = np.unique(labels[labels != UNCOVERED]).tolist()
-    candidates = [Candidate(k, 0) for k in leaves]
+    candidates = []
     if len(leaves) > 1:
-        root = leaves[-1] + 1
-        candidates.append(Candidate(root, 1, children=tuple(leaves)))
+        candidates.append(Candidate(leaves[-1] + 1, children=tuple(leaves)))
     return build_crag(candidates, [], labels)
 
 
@@ -987,9 +986,7 @@ def test_children_listed_in_reverse_change_nothing():
     segmentation of its best-effort assignment."""
     raw, boundary, gt = generate_synthetic(1, 12, 1.0, 5, image_size=256)[0]
     crag = build_graph(boundary, PipelineConfig(max_merges=None))
-    reversed_kids = [
-        Candidate(c.id, c.level, c.children[::-1]) for c in crag.candidates.values()
-    ]
+    reversed_kids = [Candidate(c.id, c.children[::-1]) for c in inner(crag)]
     assert any(len(c.children) > 1 for c in reversed_kids)
     flipped = build_crag(reversed_kids, crag.adjacency, crag.leaf_labels())
     assert flipped.leaf_order == crag.leaf_order
@@ -1049,9 +1046,7 @@ FRESH_WALK_CASES = {
 @pytest.mark.parametrize("case", sorted(FRESH_WALK_CASES))
 def test_parent_walks_afresh(monkeypatch, case):
     labels = np.array(FRESH_WALK_CASES[case])
-    crag = build_crag(
-        [Candidate(0, 0), Candidate(1, 0), Candidate(2, 1, (0, 1))], [], labels
-    )
+    crag = build_crag([Candidate(2, (0, 1))], [], labels)
     calls = count_calls(monkeypatch, features, "_moore_walk")
     blank = np.zeros(labels.shape)
     nf, _ = compute_features(crag, blank, blank)
@@ -1065,9 +1060,7 @@ def test_parent_reuses_the_walk_of_a_ring_around_its_sibling(monkeypatch):
     around the ring's outside never meets leaf 1, so the parent takes it."""
     labels = np.zeros((6, 6), dtype=np.int64)
     labels[2:4, 2:4] = 1
-    crag = build_crag(
-        [Candidate(0, 0), Candidate(1, 0), Candidate(2, 1, (0, 1))], [], labels
-    )
+    crag = build_crag([Candidate(2, (0, 1))], [], labels)
     calls = count_calls(monkeypatch, features, "_moore_walk")
     blank = np.zeros(labels.shape)
     nf, _ = compute_features(crag, blank, blank)
@@ -1270,7 +1263,7 @@ def test_non_finite_image_rejected():
             compute_features(crag, half, boundary)
     # pixels no leaf covers are not looked at
     leaf = leaf_image({1: {(0, 0), (0, 1)}}, 3, 1)
-    crag = build_crag([Candidate(1, 0)], [], leaf)
+    crag = build_crag([], [], leaf)
     raw = np.array([[0.5, 0.5, np.nan]])
     nf, _ = compute_features(crag, raw, np.array([[0.5, 0.5, np.inf]]))
     assert np.isfinite(nf[1]).all()

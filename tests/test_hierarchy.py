@@ -16,6 +16,7 @@ from util import (
     ref_build_merge_tree,
     ref_regions_touch,
     ref_seeded_watershed,
+    subtree_heights,
 )
 
 
@@ -325,8 +326,8 @@ def test_extract_all_levels():
     tree, _ = strip_tree()
     crag = extract_candidates(tree, None)
     assert crag.ids() == list(range(1, 8))  # 2K-1 candidates
-    assert crag.candidates[5].level == 1
-    assert crag.candidates[7].level == 2
+    heights = subtree_heights(crag)
+    assert heights[5] == 1 and heights[7] == 2
     assert crag.roots() == [7]
 
 

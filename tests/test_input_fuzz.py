@@ -78,7 +78,7 @@ from util import (
 )
 
 CRAG = quad_crag()
-# entries 0-3 are leaves 1-4; 4, 5 and 6 are 5 = {1, 2}, 6 = {3, 4}, 7 = {5, 6}
+# leaves 1-4 are labels; entries 0, 1 and 2 are 5 = {1, 2}, 6 = {3, 4}, 7 = {5, 6}
 CRAG_JSON = crag_to_json(CRAG)
 COSTS = costs_to_json(quad_costs(CRAG))
 SOLUTION = solution_to_json(solve(CRAG, quad_costs(CRAG)))
@@ -231,14 +231,13 @@ def _broken_crag(draw):
     leaf_labels or its members."""
     obj = json.loads(json.dumps(CRAG_JSON))
     entries = obj["candidates"]
-    leaf = entries[draw(st.integers(0, 3))]
-    inner = entries[draw(st.integers(4, 6))]
+    inner = entries[draw(st.integers(0, 2))]
     runs = obj["leaf_labels"]
     at = 2 * draw(st.integers(0, len(runs) // 2 - 1))  # where one run starts
     kids = inner["children"]
     defect = draw(st.sampled_from([
         "repeated child", "child of two parents", "unknown child", "cycle",
-        "leaf with children", "old leaf form", "bad run", "missing member",
+        "label as entry", "no child", "old form", "bad run", "missing member",
         "mistyped member", "non-int id",
     ]))
     if defect == "repeated child":
@@ -250,23 +249,32 @@ def _broken_crag(draw):
         kids.append(draw(st.sampled_from([0, -1, 8, 99])))
     elif defect == "cycle":  # the candidate itself, or its ancestor 7
         kids.append(draw(st.sampled_from(sorted({inner["id"], 7}))))
-    elif defect == "leaf with children":
-        leaf["children"] = draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))
-    elif defect == "old leaf form":  # row 5 lies outside the 4x4 image
-        owner = draw(st.sampled_from([leaf, inner]))
-        owner[draw(st.sampled_from(["runs", "pixels"]))] = draw(
-            st.sampled_from([[], [5, 0, 1], [0, 0, 2]])
-        )
+    elif defect == "label as entry":  # a leaf is its label, never an entry
+        entries.insert(draw(st.integers(0, 3)), {
+            "id": draw(st.integers(1, 4)),
+            "children": draw(st.lists(st.integers(1, 7), min_size=1, max_size=2)),
+        })
+    elif defect == "no child":
+        inner["children"] = []
+    elif defect == "old form":  # row 5 lies outside the 4x4 image
+        old = draw(st.sampled_from(["runs", "pixels", "level", "leaf entry", "no children"]))
+        if old == "leaf entry":
+            leaf = {"id": draw(st.integers(1, 4)), "level": 0}
+            entries.insert(draw(st.integers(0, 3)), leaf)
+        elif old == "no children":
+            del inner["children"]
+        else:
+            inner[old] = draw(st.sampled_from([[], [5, 0, 1], [0, 0, 2], 0, 1]))
     elif defect == "bad run":
         where = draw(st.sampled_from(["label", "length", "coverage"]))
-        if where == "label":  # an inner id, no id, or below UNCOVERED
-            runs[at] = draw(st.sampled_from([0, 5, 6, 7, 99, -2]))
+        if where == "label":  # an inner id, or below UNCOVERED
+            runs[at] = draw(st.sampled_from([5, 6, 7, -2]))
         elif where == "length":
             runs[at + 1] = draw(st.integers(-2, 0))
         else:
             runs[at + 1] += draw(st.sampled_from([-1, 1]))
     elif defect == "missing member":
-        owner = draw(st.sampled_from([obj, leaf, inner, None]))
+        owner = draw(st.sampled_from([obj, inner, None]))
         if owner is None:  # one entry of leaf_labels
             del runs[at + draw(st.integers(0, 1))]
         else:
@@ -281,7 +289,7 @@ def _broken_crag(draw):
         elif where in ("candidates", "adjacency", "leaf_labels"):
             obj[where] = draw(NOT_A_LIST)
         elif where == "entry":
-            entries[draw(st.integers(0, 6))] = draw(NOT_AN_OBJECT)
+            entries[draw(st.integers(0, 2))] = draw(NOT_AN_OBJECT)
         elif where == "children":
             inner["children"] = draw(NOT_A_LIST)
         elif where == "run":  # one value in place of a run's two
@@ -291,8 +299,8 @@ def _broken_crag(draw):
             pair[:] = draw(st.sampled_from([[], pair[:1], pair + [7]]))
     else:
         owner, key = draw(st.sampled_from([
-            (leaf, "id"), (inner, "id"), (leaf, "level"), (runs, at),
-            (runs, at + 1), (kids, 0), (obj["adjacency"][0], 1),
+            (inner, "id"), (runs, at), (runs, at + 1), (kids, 0),
+            (obj["adjacency"][0], 1),
         ]))
         owner[key] = draw(NOT_AN_INT)
     return obj
@@ -317,8 +325,7 @@ def test_valid_files_load():
 # object); none may hold a member that its writer does not write
 UNKNOWN_MEMBER_SITES = {
     "crag": ("crag.json", crag_from_json, CRAG_JSON, ()),
-    "crag leaf": ("crag.json", crag_from_json, CRAG_JSON, ("candidates", 0)),
-    "crag union": ("crag.json", crag_from_json, CRAG_JSON, ("candidates", 4)),
+    "crag union": ("crag.json", crag_from_json, CRAG_JSON, ("candidates", 0)),
     "costs": ("costs.json", costs_from_json, COSTS, ()),
     "solution": ("solution.json", solution_from_json, SOLUTION, ()),
     "features": ("features.json", features_from_json, FEATURES, ()),

@@ -52,8 +52,8 @@ def random_feasible_solution(rng, crag):
 def shifted(crag, solution, by):
     """crag and solution with every candidate id raised by `by`."""
     cands = [
-        Candidate(i + by, c.level, tuple(k + by for k in c.children))
-        for i, c in crag.candidates.items()
+        Candidate(i + by, tuple(k + by for k in c.children))
+        for i, c in crag.candidates.items() if c.children
     ]
     labels = crag.leaf_labels()
     labels = np.where(labels == UNCOVERED, UNCOVERED, labels + by)

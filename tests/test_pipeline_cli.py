@@ -52,6 +52,7 @@ from util import (
     quad_costs,
     quad_crag,
     quad_gt,
+    subtree_heights,
 )
 
 
@@ -87,9 +88,7 @@ def test_build_graph_stages():
     crag = build_graph(boundary, cfg)
     superpixels = seeded_watershed(boundary, cfg.seed_threshold)
     assert len(crag.leaves()) == superpixels.max()
-    assert all(
-        crag.candidates[i].level <= cfg.max_merges for i in crag.ids()
-    )
+    assert max(subtree_heights(crag).values()) <= cfg.max_merges
     # a precomputed oversegmentation replaces the watershed stage verbatim
     assert build_graph(boundary, cfg, superpixels=superpixels) == crag
 
@@ -159,7 +158,7 @@ def test_train_model_and_json_roundtrip():
 def edgeless_instance():
     """Two leaves that do not touch: both node classes, no edge at all."""
     labels = leaf_image({1: [(0, 0)], 2: [(0, 2)]}, 3, 1)
-    crag = build_crag([Candidate(1, 0), Candidate(2, 0)], [], labels)
+    crag = build_crag([], [], labels)
     node_feats, edge_feats = compute_features(crag, np.zeros((1, 3)), np.zeros((1, 3)))
     return crag, node_feats, edge_feats, np.array([[1, 0, 0]])
 
@@ -393,6 +392,10 @@ def test_cli_stage_chain(tmp_path, capsys):
     metrics = str(tmp_path / "metrics.json")
 
     assert main(["build-crag", "--boundary", boundary, "--out", crag]) == 0
+    # the labels state the leaves: every entry is an inner candidate
+    entries = json.loads(open(crag).read())["candidates"]
+    assert entries and all(set(e) == {"id", "children"} and e["children"]
+                           for e in entries)
     assert main(
         ["features", "--crag", crag, "--raw", raw, "--boundary", boundary,
          "--out", feats]
@@ -443,8 +446,7 @@ def test_cli_features_of_large_leaf_ids(tmp_path):
     vectors = []
     for big in (2, 2**40):
         labels = np.array([[1, 1, big, big], [1, big, big, big]])
-        root = Candidate(big + 1, 1, (1, big))
-        crag = build_crag([Candidate(1, 0), Candidate(big, 0), root], [(1, big)], labels)
+        crag = build_crag([Candidate(big + 1, (1, big))], [(1, big)], labels)
         crag_path, out = tmp_path / f"crag{big}.json", str(tmp_path / f"f{big}.json")
         crag_path.write_text(json.dumps(crag_to_json(crag)))
         assert main(

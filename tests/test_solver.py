@@ -41,6 +41,7 @@ from util import (
     enumerate_minimum,
     explicit_rows,
     frustrated_grid,
+    inner,
     leaf_image,
     pixel_grid_crag,
     quad_costs,
@@ -62,9 +63,8 @@ WIDE_COSTS = (5e-324, 2.0**-60, 1.0, 2.0**40)
 
 def triangle_crag():
     """Three mutually adjacent regions on a 2x2 canvas."""
-    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 0)]
     labels = leaf_image({1: {(0, 0)}, 2: {(0, 1)}, 3: {(1, 0), (1, 1)}}, 2, 2)
-    return build_crag(cands, [(1, 2), (1, 3), (2, 3)], labels)
+    return build_crag([], [(1, 2), (1, 3), (2, 3)], labels)
 
 
 def test_solve_quad():
@@ -103,7 +103,7 @@ def test_all_zero_costs_tie_break_to_empty():
 
 
 def test_single_candidate():
-    crag = build_crag([Candidate(1, 0)], [], leaf_image({1: {(0, 0)}}, 1, 1))
+    crag = build_crag([], [], leaf_image({1: {(0, 0)}}, 1, 1))
     sol = solve(crag, CostTable(f={1: -1.0}, g={}))
     assert sol.y == {1: 1} and sol.objective == -1.0
 
@@ -252,12 +252,12 @@ def _without_a_kind_of_variable():
     no edge between them (no merge in leaf_multicut_only), a graph
     without edges, and a one-candidate graph."""
     quad = quad_crag()
-    cands = list(quad.candidates.values())
+    cands = inner(quad)
     leaves = set(quad.leaves())
     cross = [e for e in quad.adjacency if not set(e) <= leaves]
     yield build_crag(cands, cross, quad.leaf_labels())
     yield build_crag(cands, [], quad.leaf_labels())
-    yield build_crag([Candidate(1, 0)], [], leaf_image({1: {(0, 0)}}, 1, 1))
+    yield build_crag([], [], leaf_image({1: {(0, 0)}}, 1, 1))
 
 
 def test_solve_equals_brute_force_without_a_kind_of_variable():
@@ -580,8 +580,7 @@ def test_solve_equals_brute_force_on_rounding_ties(case):
 def test_near_tie_picked_by_summation_order():
     """Two assignments whose costs differ only by rounding: their float
     sums depend on the order of summation, their exact sums do not."""
-    cands = [Candidate(i, 0) for i in (1, 2, 3)]
-    cands += [Candidate(4, 1, (1, 2)), Candidate(5, 2, (3, 4))]
+    cands = [Candidate(4, (1, 2)), Candidate(5, (3, 4))]
     labels = np.array([[2, 2], [3, 1], [3, 1]])
     crag = build_crag(
         cands,
@@ -967,7 +966,7 @@ def _unique_optimum():
 
 def _tied_optima():
     """y1 alone and the root 3 alone both cost -1; y1 is lex-smaller."""
-    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 1, (1, 2))]
+    cands = [Candidate(3, (1, 2))]
     labels = np.array([[1, 1, 1, 1], [1, 1, 2, 2]])
     crag = build_crag(cands, [(1, 2)], labels)
     return crag, CostTable({1: -1.0, 2: 1.0, 3: -1.0}, {(1, 2): 1.0})
@@ -1032,7 +1031,7 @@ def test_first_round_is_the_lex_smallest_optimum(case):
 
 
 def _x_star_rounded_above_z_tied():
-    cands = [Candidate(i, 0) for i in range(1, 6)] + [Candidate(6, 1, (3, 5))]
+    cands = [Candidate(6, (3, 5))]
     labels = np.array([[3, 1], [5, 2], [4, 4]])
     crag = build_crag(
         cands,
@@ -1048,8 +1047,7 @@ def _x_star_rounded_above_z_tied():
 
 
 def _x_star_rounded_above_z_alone():
-    cands = [Candidate(1, 0), Candidate(2, 0), Candidate(3, 0)]
-    cands.append(Candidate(4, 1, (2, 3)))
+    cands = [Candidate(4, (2, 3))]
     labels = np.array([[2, 2, 2], [1, 2, 2], [1, 3, 2], [1, 1, 2]])
     crag = build_crag(
         cands, [(1, 2), (1, 3), (1, 4), (2, 3)], labels

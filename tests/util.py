@@ -13,8 +13,9 @@ candidate adjacency and each edge's leaf-pair groups as the library
 once formed them, through ancestor chains and dense lookup tables.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
-a label image by `leaf_image`, and read a candidate's pixel set back from
-`Crag.leaf_labels()` with `pixels_of`.
+a label image by `leaf_image`, whose labels are the leaves, and the inner
+candidates beside it (`inner` lists a Crag's), and read a candidate's
+pixel set back from `Crag.leaf_labels()` with `pixels_of`.
 
 The random generator keeps instances inside brute_force's budget
 (candidates + edges <= BRUTE_FORCE_LIMIT) so every instance can be
@@ -102,6 +103,25 @@ def pixel_owners(crag):
     return {p: leaf for leaf in crag.leaves() for p in pixels_of(crag, leaf)}
 
 
+def inner(crag):
+    """crag's inner candidates in id order: what build_crag takes beside
+    the leaf label image."""
+    return [c for c in map(crag.candidates.get, crag.ids()) if c.children]
+
+
+def subtree_heights(crag):
+    """{id: height of its subtree}: 0 for a leaf, else 1 + the largest of
+    its children's, by a walk down from the roots."""
+    height, todo = {}, list(crag.roots())
+    while todo:
+        kids = crag.candidates[todo[-1]].children
+        if all(k in height for k in kids):
+            height[todo.pop()] = max((height[k] + 1 for k in kids), default=0)
+        else:
+            todo.extend(k for k in kids if k not in height)
+    return height
+
+
 # ---------------------------------------------------------------------------
 # hand-built fixture: 4x4 image, four leaves, two inner merges, one root
 
@@ -117,11 +137,10 @@ def quad_crag():
     for r, line in enumerate(rows):
         for c, ch in enumerate(line):
             pix[int(ch)].add((r, c))
-    candidates = [Candidate(k, 0) for k in (1, 2, 3, 4)]
-    candidates += [
-        Candidate(5, 1, children=(1, 2)),
-        Candidate(6, 1, children=(3, 4)),
-        Candidate(7, 2, children=(5, 6)),
+    candidates = [
+        Candidate(5, children=(1, 2)),
+        Candidate(6, children=(3, 4)),
+        Candidate(7, children=(5, 6)),
     ]
     adjacency = [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -154,7 +173,6 @@ def pixel_grid_crag(h, w):
         return r * w + c + 1
 
     pixels = {cid(r, c): [(r, c)] for r in range(h) for c in range(w)}
-    candidates = [Candidate(k, 0) for k in pixels]
     adjacency = []
     for r in range(h):
         for c in range(w):
@@ -162,7 +180,7 @@ def pixel_grid_crag(h, w):
                 adjacency.append((cid(r, c), cid(r, c + 1)))
             if r + 1 < h:
                 adjacency.append((cid(r, c), cid(r + 1, c)))
-    return build_crag(candidates, adjacency, leaf_image(pixels, w, h))
+    return build_crag([], adjacency, leaf_image(pixels, w, h))
 
 
 def frustrated_grid():
@@ -203,7 +221,8 @@ def random_crag(rng, budget=BRUTE_FORCE_LIMIT):
     """Random CRAG: 2-5 leaves grown on a small grid, merge depth <= 3.
 
     Leaves are connected regions from multi-source random growth; a
-    random number of root pairs merge (bottom-up, level capped at 3);
+    random number of root pairs merge (bottom-up, subtree height capped
+    at 3);
     adjacency is a random subset of the valid disjoint touching pairs,
     trimmed so that candidates + edges <= budget.
     """
@@ -217,8 +236,7 @@ def random_crag(rng, budget=BRUTE_FORCE_LIMIT):
     for p, lab in owner.items():
         pixels[lab].add(p)
 
-    candidates = [Candidate(lab, 0) for lab in range(1, n_leaves + 1)]
-    level = {lab: 0 for lab in range(1, n_leaves + 1)}
+    height = {lab: 0 for lab in range(1, n_leaves + 1)}
     roots = {lab: frozenset(pixels[lab]) for lab in range(1, n_leaves + 1)}
     children = {}
     next_id = n_leaves + 1
@@ -226,20 +244,18 @@ def random_crag(rng, budget=BRUTE_FORCE_LIMIT):
         pairs = [
             (a, b)
             for a, b in itertools.combinations(sorted(roots), 2)
-            if max(level[a], level[b]) + 1 <= 3
+            if max(height[a], height[b]) + 1 <= 3
             and ref_regions_touch(roots[a], roots[b])
         ]
         if not pairs:
             break
         a, b = pairs[int(rng.integers(len(pairs)))]
-        level[next_id] = max(level[a], level[b]) + 1
+        height[next_id] = max(height[a], height[b]) + 1
         children[next_id] = (a, b)
         roots[next_id] = roots.pop(a) | roots.pop(b)
         next_id += 1
 
-    for cid, kids in children.items():
-        candidates.append(Candidate(cid, level[cid], children=kids))
-
+    candidates = [Candidate(cid, kids) for cid, kids in children.items()]
     labels = leaf_image(pixels, w, h)
     crag0 = build_crag(candidates, [], labels)
     valid = []
@@ -248,7 +264,7 @@ def random_crag(rng, budget=BRUTE_FORCE_LIMIT):
         if pa.isdisjoint(pb) and ref_regions_touch(pa, pb):
             valid.append((i, j))
     rng.shuffle(valid)
-    keep = min(len(valid), budget - len(candidates))
+    keep = min(len(valid), budget - len(crag0.candidates))
     if keep and rng.random() < 0.3:
         keep = int(rng.integers(0, keep + 1))
     return build_crag(candidates, valid[:keep], labels)
@@ -288,16 +304,11 @@ def random_sparse_crag(rng):
     for p, lab in sorted(owner.items()):
         if rng.random() >= 0.2 or not pixels:
             pixels.setdefault(lab, set()).add(p)
-    candidates = [Candidate(lab, 0) for lab in sorted(pixels)]
-    roots = sorted(pixels)
-    level = dict.fromkeys(roots, 0)
+    candidates, roots = [], sorted(pixels)
     next_id = max(roots) + 1
     for _ in range(int(rng.integers(0, len(roots)))):
         a, b = (roots.pop(int(rng.integers(len(roots)))) for _ in range(2))
-        level[next_id] = 1 + max(level[a], level[b])
-        candidates.append(
-            Candidate(next_id, level[next_id], children=tuple(sorted((a, b))))
-        )
+        candidates.append(Candidate(next_id, children=tuple(sorted((a, b)))))
         roots.append(next_id)
         next_id += 1
     labels = leaf_image(pixels, w, h)
@@ -430,35 +441,38 @@ def ref_make_image(rng, n_cells, noise_level, size, chord_fraction):
 
 
 def ref_check_leaves_and_edges(owner, candidates, adjacency, width, height):
-    """build_crag's leaf and edge checks, done on pixel sets.
+    """build_crag's label, child and edge checks, done on pixel sets.
 
-    `owner` maps each covered (row, col) pixel to its label.  Pixels in
-    row-major order: a label that is no leaf id raises
-    LeavesDoNotCoverImage; then, leaves in id order, a leaf that owns no
-    pixel raises it.  Each edge, in the given order: an unknown id
-    raises CmcError, a self-loop or a shared pixel between the two
-    candidates' pixel unions raises AdjacencyBetweenOverlapping, no
-    4-neighbor pair between them raises NotAdjacent.  Assumes the id and
-    children checks pass.  Returns the leaf label image.
+    `owner` maps each covered (row, col) pixel to its label, and
+    `candidates` are the inner candidates.  Pixels in row-major order: a
+    label below UNCOVERED, or one that is an inner candidate's id,
+    raises LeavesDoNotCoverImage; each label is a leaf.  Then, inner
+    candidates in the given order, a child that is neither a leaf nor an
+    inner candidate raises CmcError.  Each edge, in the given order: an
+    unknown id raises CmcError, a self-loop or a shared pixel between
+    the two candidates' pixel unions raises AdjacencyBetweenOverlapping,
+    no 4-neighbor pair between them raises NotAdjacent.  Assumes the
+    candidates' own checks and the forest checks pass.  Returns the leaf
+    label image.
     """
     cand_map = {c.id: c for c in candidates}
-    pixels = {i: set() for i, c in cand_map.items() if not c.children}
+    pixels = {}
     for (r, c), label in sorted(owner.items()):
-        if label not in pixels:
+        if label < UNCOVERED or label in cand_map:
             raise LeavesDoNotCoverImage(f"pixel ({r}, {c}) holds {label}, no leaf id")
-        pixels[label].add((r, c))
-    for leaf in sorted(pixels):
-        if not pixels[leaf]:
-            raise LeavesDoNotCoverImage(f"leaf {leaf} owns no pixel")
+        pixels.setdefault(label, set()).add((r, c))
+    for cand in candidates:
+        for child in cand.children:
+            if child not in pixels and child not in cand_map:
+                raise CmcError(f"candidate {cand.id} has unknown child {child}")
 
     def region(cid):
-        cand = cand_map[cid]
-        if not cand.children:
+        if cid in pixels:
             return frozenset(pixels[cid])
-        return frozenset().union(*(region(k) for k in cand.children))
+        return frozenset().union(*(region(k) for k in cand_map[cid].children))
 
     for i, j in adjacency:
-        if i not in cand_map or j not in cand_map:
+        if not {i, j} <= pixels.keys() | cand_map.keys():
             raise CmcError(f"adjacency edge ({i}, {j}) references unknown id")
         if i == j:
             raise AdjacencyBetweenOverlapping(i, j)
@@ -476,7 +490,7 @@ def ref_check_leaves_and_edges(owner, candidates, adjacency, width, height):
 def ref_crag_json(owner, candidates, adjacency, width, height):
     """crag.json object whose leaf_labels is encoded pixel by pixel in
     row-major order from `owner`, a {(row, col): label} dict of the
-    covered pixels."""
+    covered pixels, and whose candidates are the inner `candidates`."""
     leaf_labels = []
     for r in range(height):
         for c in range(width):
@@ -485,12 +499,10 @@ def ref_crag_json(owner, candidates, adjacency, width, height):
                 leaf_labels[-1] += 1
             else:
                 leaf_labels += [label, 1]
-    entries = []
-    for cand in sorted(candidates, key=lambda c: c.id):
-        entry = {"id": cand.id, "level": cand.level}
-        if cand.children:
-            entry["children"] = sorted(cand.children)
-        entries.append(entry)
+    entries = [
+        {"id": cand.id, "children": sorted(cand.children)}
+        for cand in sorted(candidates, key=lambda c: c.id)
+    ]
     return {
         "width": width,
         "height": height,
@@ -515,19 +527,21 @@ def ref_crag_from_json(obj, doc="crag.json"):
     for entry in json_member(doc, obj, "candidates", list, "crag"):
         cid = json_member(doc, entry, "id", int, "candidate")
         where = f"candidate {cid}"
-        level = json_member(doc, entry, "level", int, where)
-        for old in ("runs", "pixels"):
+        for old in ("runs", "pixels", "level"):
             if old in entry:
                 raise CmcError(
-                    f"{doc}: {where} holds {old!r}, the leaf form of an older "
+                    f"{doc}: {where} holds {old!r}, the form of an older "
                     "release; run build-crag again"
                 )
-        json_known(doc, entry, ("id", "level", "children"), where)
-        kids = []
-        if "children" in entry:
-            kids = json_member(doc, entry, "children", list, where)
+        if "children" not in entry:
+            raise CmcError(
+                f"{doc}: {where} has no 'children', the form of an older "
+                "release; run build-crag again"
+            )
+        json_known(doc, entry, ("id", "children"), where)
+        kids = json_member(doc, entry, "children", list, where)
         kids = tuple(json_value(doc, k, int, f"child of {where}") for k in kids)
-        candidates.append(Candidate(cid, level, kids))
+        candidates.append(Candidate(cid, kids))
     runs = json_member(doc, obj, "leaf_labels", list, "crag")
     if len(runs) % 2:
         raise CmcError(f"{doc}: leaf_labels has odd length {len(runs)}")
@@ -599,16 +613,20 @@ def old_model_json(model):
 
 
 def old_crag_json(crag):
-    """crag as the crag.json that releases before leaf_labels wrote: each
-    leaf's pixels under 'runs', flat (row, col_start, col_end) triples."""
+    """crag as the crag.json that releases before leaf_labels wrote: an
+    entry per candidate with its subtree height as 'level', each leaf's
+    pixels under 'runs', flat (row, col_start, col_end) triples."""
     obj = crag_to_json(crag)
     del obj["leaf_labels"]
     runs = {}
     for leaf, *run in zip(*(a.tolist() for a in row_runs(crag.leaf_labels()))):
         runs.setdefault(leaf, []).extend(run)
-    for entry in obj["candidates"]:
-        if "children" not in entry:
-            entry["runs"] = runs[entry["id"]]
+    level = subtree_heights(crag)
+    obj["candidates"] = []
+    for cid in crag.ids():
+        kids = list(crag.candidates[cid].children)
+        entry = {"children": kids} if kids else {"runs": runs[cid]}
+        obj["candidates"].append({"id": cid, "level": level[cid], **entry})
     return obj
 
 
@@ -1260,8 +1278,7 @@ def check_lift(crag):
     assert len(pairs.p) == len(pixel_pairs(crag.leaf_labels())[0])
     full = ref_candidate_adjacency(crag.subset, crag.leaf_labels())
     assert set(crag.adjacency) <= full
-    cands = list(crag.candidates.values())
-    assert build_crag(cands, None, crag.leaf_labels()).adjacency == tuple(sorted(full))
+    assert build_crag(inner(crag), None, crag.leaf_labels()).adjacency == tuple(sorted(full))
     edge, group, forward = (x.tolist() for x in crag.edge_groups)
     rows = list(zip(edge, group, forward))
     (edge_f, group_f), (edge_r, group_r) = ref_edge_groups(crag)
@@ -1274,9 +1291,7 @@ def strip_crag(n):
     """1 x n strip of one-pixel leaves 1..n, merged left to right: leaf
     k joins the union of leaves 1..k-1, so the last union sits n - 1
     levels above leaf 1.  Its adjacency is all of the lift."""
-    cands = [Candidate(k, 0) for k in range(1, n + 1)]
-    for k in range(2, n + 1):
-        cands.append(Candidate(n + k - 1, k - 1, (1 if k == 2 else n + k - 2, k)))
+    cands = [Candidate(n + k - 1, (1 if k == 2 else n + k - 2, k)) for k in range(2, n + 1)]
     return build_crag(cands, None, np.arange(1, n + 1).reshape(1, n))
 
 
