@@ -164,9 +164,9 @@ class Crag:
     the 4-neighbour pixel pairs between leaves: group g holds the pairs
     p[start[g]:stop[g]], q[start[g]:stop[g]] (flat positions) from leaf
     rank a[g] to b[g], in order of the key a * L + b, L leaves.
-    `edge_groups` has one row per (adjacency edge, group) incidence, as
-    arrays (edge, group, forward): forward when the group's p pixels lie
-    in the edge's first candidate.
+    `edge_groups` has one entry per (adjacency edge, group) incidence, as
+    two arrays (edge, group): the interface of edge k is the pairs of the
+    groups of its entries, whichever way each group's pairs point.
     """
 
     def __init__(self, candidates, subset, order, leaf_labels):
@@ -295,9 +295,9 @@ def spans(starts, stops):
 def _lift(crag):
     """The sorted pairs of disjoint candidates with a 4-neighbour pixel
     pair between them, as arrays of first and second ids, and their
-    Crag.edge_groups rows: group (a, b) lies under each pair of an A
+    Crag.edge_groups entries: group (a, b) lies under each pair of an A
     that holds leaf a and not b and a B that holds b and not a (one that
-    holds both overlaps the other), forward when A is the first id.
+    holds both overlaps the other).
     """
     ids = crag.ids()
     ranges = np.array([crag.leaf_range(i) for i in ids], dtype=np.int64)
@@ -315,7 +315,7 @@ def _lift(crag):
     codes, edge = np.unique(
         np.minimum(big_a, big_b) * n + np.maximum(big_a, big_b), return_inverse=True
     )
-    return (ids[codes // n], ids[codes % n]), (edge, group, big_a < big_b)
+    return (ids[codes // n], ids[codes % n]), (edge, group)
 
 
 def build_crag(candidates, adjacency, leaf_labels):
@@ -389,7 +389,7 @@ def build_crag(candidates, adjacency, leaf_labels):
     labels = labels.astype(np.int64)
     labels.flags.writeable = False
     crag = Crag(cand_map, subset, order, labels)
-    (first, second), (edge, group, forward) = _lift(crag)
+    (first, second), (edge, group) = _lift(crag)
     edges = list(zip(first.tolist(), second.tolist()))
     if adjacency is not None:
         index = dict(zip(edges, range(len(edges))))
@@ -410,9 +410,8 @@ def build_crag(candidates, adjacency, leaf_labels):
         keep = np.array(sorted(keep), dtype=np.int64)
         edges, rows = [edges[k] for k in keep], np.isin(edge, keep)
         edge, group = np.searchsorted(keep, edge[rows]), group[rows]
-        forward = forward[rows]
     crag.adjacency = tuple(edges)
-    crag.edge_groups = edge, group, forward
+    crag.edge_groups = edge, group
     return crag
 
 

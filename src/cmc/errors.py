@@ -9,7 +9,7 @@ class CmcError(Exception):
 
 class LeavesDoNotCoverImage(CmcError):
     def __init__(self, detail):
-        super().__init__(f"leaf pixels do not match the image region: {detail}")
+        super().__init__(f"invalid leaf label image: {detail}")
 
 
 class SubsetNotForest(CmcError):

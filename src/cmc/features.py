@@ -11,11 +11,7 @@ The edge forest reads wider rows, formed where it reads them
 compute_features(crag, raw, boundary) is the one entry point: it
 computes the vectors of every candidate and every adjacency edge of a
 Crag at once.  Pixels come from the Crag's leaf label image, and raw
-and boundary are checked once, over every pixel a leaf covers.  All
-pixel statistics are taken in row-major pixel order; interface values
-are taken in the order of their (pixel in the smaller region, pixel in
-the larger region) pairs, sorted row-major, with the edge's first
-candidate counting as the smaller one on equal sizes.
+and boundary are checked once, over every pixel a leaf covers.
 
 The merge tree nests the candidates, so each pixel lies in several of
 them.  What the leaves fix is computed once per image, per leaf
@@ -33,6 +29,9 @@ combines its leaves' facts by slices of those tables:
   leaf's pixels, taken in int64 from its row runs.  A candidate's are
   integer sums over its leaves, and give its eccentricity (Hu's
   second-order moments) with no pass over its pixels.
+- The raw and boundary moments: the count, the sum and the central
+  sums of the leaf's values (_part_sums).  A candidate's combine its
+  leaves' (_combined).
 - The 8-connected component count.  A candidate whose leaves are each
   one component and connected by 4-neighbor pixel pairs is one
   component; only other unions are labelled.  The angle histogram is
@@ -46,12 +45,10 @@ combines its leaves' facts by slices of those tables:
   outside) are the rows whose N, E, S and W bits are not all set.  The
   rim is row-major, so contour statistics see the same values in the
   same order as a scan of the candidate's mask.
-- The 4-neighbor pixel pairs between leaves by leaf pair, and each
-  edge's groups, as the Crag holds them (leaf_pairs, edge_groups).  An
-  edge sorts its interface values by pixel pair, a key no two pairs
-  share, so the order of gathering does not matter.
-Only the all-pixel moments scan the candidate's bounding box (the union
-of its leaves' boxes), in row-major order.
+- The 4-neighbor pixel pairs between leaves by leaf pair, as the Crag
+  groups them (leaf_pairs), and the _part_sums of each group's interface
+  values, max(boundary) over each pair.  An edge's moments combine its
+  groups' (Crag.edge_groups).
 
 Candidates are visited children first, and an inner candidate takes
 from its children what they already hold (_Held), dropping it once it
@@ -61,8 +58,8 @@ they hold at most one image of values per plane:
   merged: each smaller child's inserted into the largest child's at
   their searchsorted positions, instead of a sort of all its pixels.
   Sorted finite values are unique up to the order of -0.0 and 0.0, and
-  the quantiles do not depend on that order (_quantiles), so they and
-  the equal-values test keep every bit.
+  the quantiles do not depend on that order (_quantiles), so they keep
+  every bit.
 - The contour walk.  The child that holds its first pixel walked from
   that pixel too.  Where no other child's leaf is an 8-neighbor of a
   pixel that walk visited, the candidate's codes at those pixels are
@@ -70,10 +67,13 @@ they hold at most one image of values per plane:
   the same walk; it is taken over with its angle histogram.  Otherwise
   the candidate walks afresh.
 
-Each statistics block costs a few multiply-adds per pixel.  Moments come
-from the deviations d about the mean, recentred on their own mean, with
-d*d formed once and reused in place for d**3 and d**4.  Histograms count
-a uint8 image of bin indices, built once per image for raw and boundary
+Moments come from the deviations d about the mean, recentred on their
+own mean, with d*d formed once and reused for d**3 and d**4, and every
+sum over values is pairwise.  A union's central sums combine its parts'
+(Chan, Golub & LeVeque, 1979; Pebay, SAND2008-6212), so no pixel is
+visited per candidate or per edge.  var, skew and kurt are exactly 0
+when the least and the greatest value are equal.  Histograms count a
+uint8 image of bin indices, built once per image for raw and boundary
 over the covered pixels, that reproduces np.histogram(v, 20, (0, 1))
 exactly.  Eccentricity is sqrt(2 s / (a + b + s)), with a, b and c n**2
 times the covariance entries, formed exactly from the integer moments,
@@ -85,11 +85,12 @@ the 8 step directions has one fixed angle bin (taken at import with
 atan2), so the angle histogram counts step directions.
 
 Tolerance: the moments agree with exact rational arithmetic to within
-1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535).  The
-eccentricity lies within 1 ulp of its exact value (tested on masks
-shifted by up to 2**14 pixels).  The sorted quantiles are bit-identical
-to np.quantile, except that a zero quantile is always 0.0, and the
-counted step directions to a walk that takes atan2 of every step.
+1e-12 * (1 + |v|) (tested on up to 500 16-bit levels k/65535 in up to 8
+parts, and on a 512 px image of such levels).  The eccentricity lies
+within 1 ulp of its exact value (tested on masks shifted by up to 2**14
+pixels).  The sorted quantiles are bit-identical to np.quantile, except
+that a zero quantile is always 0.0, and the counted step directions to
+a walk that takes atan2 of every step.
 
 Digests: a change inside these tolerances can still move a feature's
 bits across a forest split, and with it a cost.  So the contract is on
@@ -111,7 +112,6 @@ from .crag import (
     json_known,
     json_member,
     row_runs,
-    spans,
 )
 from .errors import (
     CmcError,
@@ -183,21 +183,18 @@ def edge_row_names():
     return names
 
 
-def _moments(values, equal=None):
+def _moments(values, equal):
     """sum, mean, population variance/skewness, excess kurtosis.
 
-    var, skew and kurt are exactly 0 when all values are equal.  `equal`
-    says whether they are, where the caller knows it (the ends of a
-    sorted copy); otherwise the values are scanned.  The deviations are
-    recentred on their own mean, which is the rounding error of `mean`:
-    left in, it would shift skew and kurt by about eps * mean / std, far
-    beyond rounding when the values nearly agree.
+    var, skew and kurt are exactly 0 when all values are equal, which
+    the caller says in `equal` (it knows the ends of a sorted copy).  The
+    deviations are recentred on their own mean, which is the rounding
+    error of `mean`: left in, it would shift skew and kurt by about
+    eps * mean / std, far beyond rounding when the values nearly agree.
     """
     n = len(values)
     total = float(values.sum())
     mean = total / n
-    if equal is None:
-        equal = values.min() == values.max()
     if equal:
         return total, mean, 0.0, 0.0, 0.0
     d = values - mean
@@ -211,6 +208,48 @@ def _moments(values, equal=None):
     skew = float(d.sum()) / n / m2**1.5
     kurt = float(d2.sum()) / n / (m2 * m2) - 3.0
     return total, mean, m2, skew, kurt
+
+
+def _part_sums(values, starts):
+    """One column per part values[starts[k]:starts[k + 1]] (the last to
+    the end; none empty): its count, sum and shift, the central sums of
+    the 2nd to 4th powers of its deviations, and its least and greatest
+    value.  The deviations are recentred as in _moments, by the shift:
+    the part's centre is sum / count + shift.  Every sum is pairwise."""
+    count = np.diff(np.append(starts, len(values)))
+    total = np.add.reduceat(values, starts)
+    d = values - np.repeat(total / count, count)
+    shift = np.add.reduceat(d, starts) / count
+    d -= np.repeat(shift, count)
+    d2 = d * d
+    sums = [np.add.reduceat(x, starts) for x in (d2, d2 * d, d2 * d2)]
+    ends = [f.reduceat(values, starts) for f in (np.minimum, np.maximum)]
+    return np.array([count, total, shift, *sums, *ends])
+
+
+def _combined(parts, owner, count):
+    """Size, then _moments' five values, of each union 0..count-1 of the
+    parts (columns of a _part_sums array) that `owner` assigns to it.
+    e_k, part k's centre less its union's mean, is (sum_k / n_k - mean)
+    + shift_k, recentred on its weighted mean, the rounding error of
+    `mean`, as _moments recentres the deviations.  var, skew and kurt are
+    0 where the least and greatest values are equal or var underflows."""
+    n, total, shift, m2, m3, m4, low, high = parts
+    size, union_total = (np.bincount(owner, x, count) for x in (n, total))
+    mean = union_total / size
+    e = total / n - mean[owner] + shift
+    e -= (np.bincount(owner, n * e, count) / size)[owner]
+    ne2 = n * e * e
+    sums = (m2 + ne2, m3 + e * (3.0 * m2 + ne2),
+            m4 + e * (4.0 * m3 + e * (6.0 * m2 + ne2)))
+    var, third, fourth = (np.bincount(owner, x, count) / size for x in sums)
+    least, most = np.full(count, np.inf), np.full(count, -np.inf)
+    np.minimum.at(least, owner, low)
+    np.maximum.at(most, owner, high)
+    flat = (least == most) | (var == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # var is 0 only where flat
+        spread = np.where(flat, 0.0, [var, third / var**1.5, fourth / (var * var) - 3.0])
+    return np.column_stack([size, union_total, mean, *spread])
 
 
 def _bin_image(image, where):
@@ -259,21 +298,6 @@ def _quantiles(ordered):
         diff = b - a
         out.append((b - diff * (1 - t) if t >= 0.5 else a + diff * t) + 0.0)
     return out
-
-
-def _stats_block(values, parts, hist):
-    """Moments, the given 20-bin histogram and quantiles of `values`,
-    and their sorted copy: the merge of `parts`, sorted arrays that
-    hold the values between them.
-
-    The ends of the parts serve the moments' test for equal values: the
-    values are finite, so they are all equal when the least and the
-    greatest are (-0.0 == 0.0, as for min and max).  The moments come
-    before the merge, while the values are still in cache.
-    """
-    moments = _moments(values, min(p[0] for p in parts) == max(p[-1] for p in parts))
-    ordered = _merge_sorted(parts)
-    return np.concatenate([moments, hist, _quantiles(ordered)]), ordered
 
 
 def _merge_sorted(parts):
@@ -383,12 +407,23 @@ class _Leaves:
         per_run = np.stack([r * count, sum_c, r * r * count, sum_cc, r * sum_c], 1)
         self.moments = np.zeros((n, 5), dtype=object)
         np.add.at(self.moments, leaf, per_run.astype(object))
-        # per image: (image, flat image, flat bin image, histogram per leaf)
+        # the covered pixels leaf by leaf: leaf k's are by_leaf[start[k]:start[k + 1]]
+        uncovered = labels.size - len(leaf_of)  # sorted first
+        by_leaf = np.argsort(labels, axis=None, kind="stable")[uncovered:]
+        self.start = np.append(0, np.cumsum(self.size))
+        # per image, checked over every covered pixel (every candidate's):
+        # (flat image, flat bin image, histograms, values by leaf, _part_sums)
         self.planes = []
-        for image in (raw, boundary):
+        for name, image in (("raw", raw), ("boundary", boundary)):
+            values = image.ravel()[by_leaf]
+            if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
+                raise DegenerateInput(
+                    f"{name} values non-finite or outside [0, 1] under a candidate"
+                )
             bins = _bin_image(image, covered)
             hist = np.bincount(leaf_of * 20 + bins[covered], minlength=20 * n)
-            planes = image, image.ravel(), bins.ravel(), hist.reshape(n, 20)
+            sums = _part_sums(values, self.start[:-1])
+            planes = image.ravel(), bins.ravel(), hist.reshape(n, 20), values, sums
             self.planes.append(planes)
         # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
@@ -417,34 +452,44 @@ class _Leaves:
         self.perimeter = np.bincount(np.repeat(self.rim_leaf, sides), minlength=n)
         # neighbor codes by flat position; each walk fills the rim it reads
         self.code_table = np.zeros(h * w, dtype=np.uint8)
-        # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q)
+        # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q),
+        # and the _part_sums of each group's interface values
         self.pairs = pairs = crag.leaf_pairs
-        self.value = np.maximum(boundary.ravel()[pairs.p], boundary.ravel()[pairs.q])
+        value = np.maximum(boundary.ravel()[pairs.p], boundary.ravel()[pairs.q])
+        self.group_sums = _part_sums(value, pairs.start)
+        self.pair_count = pairs.stop - pairs.start
         self.touching = {}  # leaf -> the leaves it shares a pixel pair with
         for a, b in zip(pairs.a.tolist(), pairs.b.tolist()):
             self.touching.setdefault(a, set()).add(b)
             self.touching.setdefault(b, set()).add(a)
 
     def perimeter_of(self, lo, hi):
-        """4-neighbor pixel sides between the candidate and the rest."""
-        a, b = self.pairs.a, self.pairs.b
-        inside = (lo <= a) & (a < hi) & (lo <= b) & (b < hi)
-        inner = self.pairs.stop[inside] - self.pairs.start[inside]
-        return int(self.perimeter[lo:hi].sum() - 2 * inner.sum())
+        """4-neighbor pixel sides between the candidate and the rest.  The
+        groups are sorted by a, so those with a in [lo, hi) are one block."""
+        i, j = self.pairs.a.searchsorted(lo), self.pairs.a.searchsorted(hi)
+        b = self.pairs.b[i:j]
+        inner = self.pair_count[i:j][(lo <= b) & (b < hi)].sum()
+        return int(self.perimeter[lo:hi].sum() - 2 * inner)
 
     def one_component(self, lo, hi):
-        """Whether each leaf lo..hi-1 is one 8-connected component and the
-        leaves are connected through 4-neighbor pixel pairs, which makes
-        their union one 8-connected component."""
-        if (self.components[lo:hi] != 1).any():
-            return False
+        """Whether the union of the leaves lo..hi-1 is one 8-connected
+        component.  It is when each leaf is one and the leaves are
+        connected through 4-neighbor pixel pairs; only a union of several
+        leaves that this does not decide is labelled, over its box."""
+        if hi - lo == 1:
+            return self.components[lo] == 1
         todo, reached = [lo], {lo}
         while todo:
             for b in self.touching.get(todo.pop(), ()):
                 if lo <= b < hi and b not in reached:
                     reached.add(b)
                     todo.append(b)
-        return len(reached) == hi - lo
+        if len(reached) == hi - lo and (self.components[lo:hi] == 1).all():
+            return True
+        boxes = self.boxes[lo:hi]
+        (r0, c0), (r1, c1) = boxes[:, ::2].min(axis=0), boxes[:, 1::2].max(axis=0)
+        ranks = self.labels[r0:r1, c0:c1]
+        return ndimage.label((lo <= ranks) & (ranks < hi), _SQUARE)[1] == 1
 
     def rim_of(self, lo, hi):
         """Flat positions (row-major) of the candidate's pixels on its
@@ -490,11 +535,6 @@ def _node_vector(facts, span, kids):
     ranks span = (lo, hi), and its _Held record.  `kids` holds its
     children's _Held records (none for a leaf)."""
     lo, hi = span
-    boxes = facts.boxes[lo:hi]
-    low, high = boxes[:, ::2].min(axis=0), boxes[:, 1::2].max(axis=0)
-    box = np.s_[low[0] : high[0], low[1] : high[1]]
-    ranks = facts.labels[box]
-    mask = (lo <= ranks) & (ranks < hi)
     count = int(facts.size[lo:hi].sum())
     size = float(count)
     perimeter = facts.perimeter_of(lo, hi)
@@ -505,12 +545,8 @@ def _node_vector(facts, span, kids):
     first = int(rim[0])
     # the angle histogram is all-zero unless the candidate is one
     # 8-connected component; a lone pixel makes no step
-    if hi - lo == 1:
-        whole = facts.components[lo] == 1
-    else:
-        whole = facts.one_component(lo, hi) or ndimage.label(mask, _SQUARE)[1] == 1
     walk = None
-    if whole:
+    if facts.one_component(lo, hi):
         walk = _reused_walk(facts, span, first, kids)
         if walk is None:
             positions, steps = facts.walk(rim, codes)
@@ -519,67 +555,22 @@ def _node_vector(facts, span, kids):
     angles = np.zeros(16) if walk is None else walk[1]
 
     contour = rim[(codes & _NESW) != _NESW]
+    start, stop = facts.start[lo], facts.start[hi]
     blocks, ordered = [], []
-    for plane, (image, flat, bins, hist) in enumerate(facts.planes):
-        values = image[box][mask]
-        parts = [kid.ordered[plane] for kid in kids] or [np.sort(values)]
-        block, merged = _stats_block(values, parts, hist[lo:hi].sum(axis=0))
-        blocks.append(block)
+    for plane, (flat, bins, hist, values, sums) in enumerate(facts.planes):
+        parts = [kid.ordered[plane] for kid in kids] or [np.sort(values[start:stop])]
+        merged = _merge_sorted(parts)
+        moments = _combined(sums[:, lo:hi], np.zeros(hi - lo, np.intp), 1)[0, 1:]
+        hist = hist[lo:hi].sum(axis=0)
+        blocks.append(np.concatenate([moments, hist, _quantiles(merged)]))
         ordered.append(merged)
         values = flat[contour]
+        merged = np.sort(values)
+        moments = _moments(values, merged[0] == merged[-1])
         hist = np.bincount(bins[contour], minlength=20)
-        blocks.append(_stats_block(values, [np.sort(values)], hist)[0])
+        blocks.append(np.concatenate([moments, hist, _quantiles(merged)]))
     vector = np.concatenate([[size, circularity, eccentricity], angles] + blocks)
     return vector, _Held(first, span, ordered, walk)
-
-
-def _checked_images(labels, raw, boundary):
-    """raw and boundary as float64, checked over every pixel a leaf covers.
-
-    Every candidate is a union of leaves, so this is the range check
-    of every candidate at once.
-    """
-    covered = labels != UNCOVERED
-    images = []
-    for name, image in (("raw", raw), ("boundary", boundary)):
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != labels.shape:
-            raise DimensionMismatch(labels.shape, image.shape)
-        values = image[covered]
-        # written so that NaN fails too
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise DegenerateInput(
-                f"{name} values non-finite or outside [0, 1] under a candidate"
-            )
-        images.append(image)
-    return images
-
-
-def _edge_stats(facts, crag, node_feats):
-    """(len(crag.adjacency), 4) block of the edges' own vectors, one per
-    row: contact area, interface mean, variance and skew.
-
-    An edge's interface is every pixel pair of its leaf-pair groups
-    (Crag.edge_groups); its values are sorted by (pixel in the smaller
-    candidate, pixel in the larger), a key no two pairs share.
-    """
-    adjacency, pairs = crag.adjacency, facts.pairs
-    edge, group, forward = crag.edge_groups
-    # entry 0 of a node vector is the size; p_small: p in the smaller end
-    i_smaller = np.array([node_feats[i][0] <= node_feats[j][0] for i, j in adjacency])
-    start, stop = pairs.start[group], pairs.stop[group]
-    p_small = np.repeat(forward == i_smaller[edge], stop - start)
-    edge = np.repeat(edge, stop - start)
-    pair = spans(start, stop)
-    p, q = pairs.p[pair], pairs.q[pair]
-    order = np.lexsort((np.where(p_small, q, p), np.where(p_small, p, q), edge))
-    values = facts.value[pair][order]
-    bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
-    out = np.empty((len(adjacency), 4))
-    for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
-        _, mean, var, skew, _ = _moments(values[lo:hi])
-        row[:] = float(hi - lo), mean, var, skew
-    return out
 
 
 def compute_features(crag, raw, boundary):
@@ -589,7 +580,11 @@ def compute_features(crag, raw, boundary):
     rows that the edge forest reads are formed from them and the node
     vectors by edge_rows.
     """
-    raw, boundary = _checked_images(crag.leaf_labels(), raw, boundary)
+    shape = crag.height, crag.width
+    raw, boundary = (np.asarray(image, dtype=np.float64) for image in (raw, boundary))
+    for image in (raw, boundary):
+        if image.shape != shape:
+            raise DimensionMismatch(shape, image.shape)
     facts = _Leaves(crag, raw, boundary)
     # children first: the reverse of a walk down from the roots
     order = crag.roots()
@@ -602,10 +597,10 @@ def compute_features(crag, raw, boundary):
         if cid in crag.subset:
             held[cid] = record
     node_feats = {cid: node_feats[cid] for cid in crag.ids()}
-    if not crag.adjacency:
-        return node_feats, {}
-    stats = _edge_stats(facts, crag, node_feats)
-    return node_feats, dict(zip(crag.adjacency, stats))
+    # an edge's own vector: contact area, interface mean, var and skew
+    edge, group = crag.edge_groups
+    stats = _combined(facts.group_sums[:, group], edge, len(crag.adjacency))
+    return node_feats, dict(zip(crag.adjacency, stats[:, [0, 2, 3, 4]]))
 
 
 def edge_rows(node_rows, ends, edge_stats):

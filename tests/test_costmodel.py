@@ -347,10 +347,10 @@ def test_pipeline_256_model_is_pinned():
     train = generate_synthetic(2, 12, 1.0, 1002, image_size=256)
     model = train_model(train, PipelineConfig())
     assert _sha256_of_json(old_model_json(model)) == (
-        "5535bed5060cb96869df2aeb47f82c3cf21305986afb8f87b95a9281f8e5735a"
+        "127f2b02fb80327beb4ec536255e067d7c605dc1bfbc9358c6472899cd367de0"
     )
     assert _sha256_of_json(model_to_json(model)) == (
-        "902ea3efb99eef15482ca0a0f0b0989bf56db141ce1abd581ac4763ed8d0af19"
+        "d0642f20cd3e01457c038674739706fe48343e7b1f9bf8262df646c3e0dad8f5"
     )
 
 

@@ -937,12 +937,12 @@ LEAF_LABEL_FAULTS = {
     ),
     "label of an inner node": (
         {0: 5}, LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: "
+        "crag.json: invalid leaf label image: "
         "inner candidate 5 is also a label",
     ),
     "label below UNCOVERED": (
         {14: -2}, LeavesDoNotCoverImage,
-        "crag.json: leaf pixels do not match the image region: label -2 is below -1",
+        "crag.json: invalid leaf label image: label -2 is below -1",
     ),
     # a leaf is a label, so leaf 3 without pixels is no id at all
     "leaf without pixels": (

@@ -18,10 +18,12 @@ from cmc.features import (
     _QUANTILES,
     _SQUARE,
     _bin_image,
+    _combined,
     _eccentricity,
     _Leaves,
     _merge_sorted,
     _moments,
+    _part_sums,
     _quantiles,
     compute_features,
     edge_feature_names,
@@ -43,6 +45,7 @@ from util import (
     quad_gt,
     random_sparse_crag,
     ref_edge_block,
+    ref_interface_values,
 )
 
 NODE_NAMES = node_feature_names()
@@ -199,7 +202,7 @@ def ref_stats_block(values):
     """Moments, np.histogram's 20 bins over [0, 1] and the quantiles."""
     hist = np.histogram(values, bins=20, range=(0.0, 1.0))[0]
     quant = np.quantile(values, (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95))
-    return np.concatenate([_moments(values), hist, quant])
+    return np.concatenate([_moments(values, values.min() == values.max()), hist, quant])
 
 
 def ref_node_vector(pixels, raw, boundary):
@@ -235,19 +238,23 @@ def ref_edge_vector(pixels_i, pixels_j, boundary, u, v):
         if (r + dr, c + dc) in large
     )
     vals = np.array([max(float(boundary[p]), float(boundary[q])) for p, q in pairs])
-    _, mean, var, skew, _ = _moments(vals)
+    _, mean, var, skew, _ = _moments(vals, vals.min() == vals.max())
     combo = np.stack([np.abs(u - v), np.minimum(u, v), np.maximum(u, v), u + v], axis=1)
     return np.concatenate([[float(len(vals)), mean, var, skew], combo.ravel()])
 
 
 # node entries whose order of summation changed (contour pixels used to be
-# summed in hash-set order, now row-major), and the edge entries built from them
-CONTOUR_MOMENTS = [
-    NODE_NAMES.index(f"{image}_contour_{stat}")
+# summed in hash-set order, now row-major; all pixels are combined from
+# per-leaf sums), the edge entries built from them, and the interface
+# moments, combined from per-group sums
+MOMENTS = [
+    NODE_NAMES.index(f"{image}_{part}_{stat}")
     for image in ("raw", "boundary")
+    for part in ("all", "contour")
     for stat in ("sum", "mean", "var", "skew", "kurt")
 ]
-CONTOUR_COMBOS = [4 + 4 * k + d for k in CONTOUR_MOMENTS for d in range(4)]
+MOMENT_COMBOS = [4 + 4 * k + d for k in MOMENTS for d in range(4)]
+INTERFACE_MOMENTS = [EDGE_NAMES.index(f"interface_{stat}") for stat in ("mean", "var", "skew")]
 # the eccentricity, against an exact value, and the edge entries built from it
 ECCENTRICITY = NODE_NAMES.index("eccentricity")
 ECCENTRICITY_COMBOS = [4 + 4 * ECCENTRICITY + d for d in range(4)]
@@ -296,19 +303,122 @@ _NEARLY_EQUAL = st.tuples(
 @example([65534] * 200 + [65535] * 3)
 def test_moments_match_exact_reference(levels):
     values = np.array(levels) / 65535.0
-    got, want = _moments(values), exact_moments(values)
-    for g, w in zip(got, want):
+    got = _moments(values, values.min() == values.max())
+    for g, w in zip(got, exact_moments(values)):
         assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+
+
+_ALL_EQUAL = st.tuples(_LEVELS, st.integers(1, 500)).map(lambda t: [t[0]] * t[1])
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.one_of(_ARBITRARY, _NEAR_SYMMETRIC, _NEARLY_EQUAL, _ALL_EQUAL),
+    st.sets(st.integers(1, 499), max_size=7),
+)
+@example([32768] * 499 + [32769], {1, 250, 499})
+@example([65534] * 200 + [65535] * 3, {100, 201})
+# nearly equal: a part's centre taken without its shift moves skew past the bound
+@example((57527 + np.random.default_rng(25).integers(0, 4, 200)).tolist(), {25, 100, 175})
+def test_combined_moments_match_exact_reference(levels, cuts):
+    """The values, cut into 1-8 parts (at the cuts below their length),
+    the parts taken in turn by two unions (one if there is one part):
+    each union's combined moments agree with exact arithmetic, and var,
+    skew and kurt are exactly 0 when its values are all equal."""
+    values = np.array(levels) / 65535.0
+    starts = np.array([0, *sorted(c for c in cuts if c < len(values))], dtype=np.intp)
+    owner = np.arange(len(starts)) % 2
+    unions = [np.concatenate(np.split(values, starts[1:])[k::2]) for k in range(owner.max() + 1)]
+    got = _combined(_part_sums(values, starts), owner, len(unions))
+    for row, union in zip(got, unions):
+        assert row[0] == len(union)
+        for g, w in zip(row[1:], exact_moments(union)):
+            assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+        if union.min() == union.max():
+            assert tuple(row[3:]) == (0.0, 0.0, 0.0)
+
+
+def exact_level_moments(levels):
+    """exact_moments of the values levels / 65535 taken as exact
+    rationals, from the integer power sums of the levels."""
+    counts = np.bincount(levels)
+    k = np.flatnonzero(counts)
+    c, k = counts[k].astype(object), k.astype(object)
+    n = int(c.sum())
+    s1, s2, s3, s4 = (int((c * k**p).sum()) for p in range(1, 5))
+    mean = Fraction(s1, n)
+    m2 = Fraction(s2, n) - mean**2
+    m3 = Fraction(s3, n) - 3 * mean * Fraction(s2, n) + 2 * mean**3
+    m4 = Fraction(s4, n) - 4 * mean * Fraction(s3, n) + 6 * mean**2 * Fraction(s2, n) - 3 * mean**4
+    total, mean = float(Fraction(s1, 65535)), float(mean / 65535)
+    if m2 == 0:
+        return total, mean, 0.0, 0.0, 0.0
+    skew = math.copysign(math.sqrt(m3 * m3 / m2**3), m3)
+    return total, mean, float(m2 / 65535**2), skew, float(m4 / (m2 * m2) - 3)
+
+
+def test_moments_of_large_unions_match_exact_integers():
+    """On a 512 px no-cap image of 16-bit levels k/65535, the all-pixel
+    moments of the 12 largest candidates, each over 250,000 pixels and
+    70 leaves, and the interface moments of 300 sampled edges agree with
+    exact integer arithmetic within 1e-12 * (1 + |v|)."""
+    images = generate_synthetic(1, 48, 1.0, 7, image_size=512)[0][:2]
+    levels = [np.round(image * 65535).astype(np.int64) for image in images]
+    raw, boundary = (level / 65535.0 for level in levels)
+    crag = build_graph(boundary, PipelineConfig(max_merges=None))
+    nf, ef = compute_features(crag, raw, boundary)
+    ranks = crag.leaf_ranks()
+    largest = sorted(crag.ids(), key=lambda cid: -nf[cid][0])[:12]
+    assert all(nf[cid][0] > 250_000 and np.diff(crag.leaf_range(cid)) > 70 for cid in largest)
+    for cid in largest:
+        lo, hi = crag.leaf_range(cid)
+        inside = (lo <= ranks) & (ranks < hi)
+        for name, level in zip(("raw", "boundary"), levels):
+            got = nf[cid][idx(f"{name}_all_sum") : idx(f"{name}_all_kurt") + 1]
+            for g, w in zip(got, exact_level_moments(level[inside])):
+                assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+    interface = ref_interface_values(crag, boundary)
+    rng = np.random.default_rng(97)
+    for k in rng.choice(len(crag.adjacency), 300, replace=False).tolist():
+        got = ef[crag.adjacency[k]]
+        values = np.round(interface[k] * 65535).astype(np.int64)
+        _, mean, var, skew, _ = exact_level_moments(values)
+        assert got[0] == len(values)
+        for g, w in zip(got[1:], (mean, var, skew)):
+            assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
 
 
 def test_moments_of_equal_values_are_zero():
     """The mean of equal values can be an ulp off them; var, skew and
-    kurt must still be exactly 0."""
+    kurt must still be exactly 0, from _moments, from _combined over
+    parts, and in every moment entry of constant images, where the
+    nodes' test reads their sorted values and the edges' their groups'
+    least and greatest values."""
     for n in (2, 3, 7, 100):
         for value in (0.1, 0.3, 1.0 / 3.0, 0.7, 32768 / 65535):
-            total, mean, var, skew, kurt = _moments(np.full(n, value))
+            values = np.full(n, value)
+            total, mean, var, skew, kurt = _moments(values, True)
             assert (var, skew, kurt) == (0.0, 0.0, 0.0)
             assert mean == pytest.approx(value, rel=1e-15)
+            parts = _part_sums(values, np.array([0, n // 2]))
+            _, _, mean, var, skew, kurt = _combined(parts, np.zeros(2, np.intp), 1)[0]
+            assert (var, skew, kurt) == (0.0, 0.0, 0.0)
+            assert mean == pytest.approx(value, rel=1e-15)
+    spread = [NODE_NAMES.index(name) for name in NODE_NAMES
+              if name.endswith(("_var", "_skew", "_kurt"))]
+    rng = np.random.default_rng(29)
+    for value in (0.1, 1.0 / 3.0, 32768 / 65535):
+        crag = random_sparse_crag(rng)
+        image = np.full((crag.height, crag.width), value)
+        nf, ef = compute_features(crag, image, image)
+        assert all(not nf[cid][spread].any() for cid in crag.ids())
+        assert all(not ef[e][2:].any() for e in crag.adjacency)
 
 
 # quantiles of 16-bit levels k/65535: one or two values; any length;
@@ -688,7 +798,9 @@ def test_formed_rows_equal_the_old_edge_block():
     """The rows formed from the edges' 4 statistics and the node vectors
     are bit-equal to the 592-entry edge vectors compute_features once
     returned, on 60 random sparse graphs and on synthetic 256 px graphs
-    with and without a merge cap."""
+    with and without a merge cap, except the interface moments: those
+    combine per-group sums, and lie within 1e-12 * (1 + |v|) of the
+    moments of the values formed from the pixel pairs."""
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(60):
@@ -702,9 +814,14 @@ def test_formed_rows_equal_the_old_edge_block():
     edges = 0
     for crag, raw, boundary in cases:
         nf, ef = compute_features(crag, raw, boundary)
-        want = ref_edge_block(crag, raw, boundary, nf)
-        assert np.array_equal(formed_rows(crag, nf, ef), want)
-        assert all(np.array_equal(ef[e], row[:4]) for e, row in zip(crag.adjacency, want))
+        want = ref_edge_block(crag, boundary, nf)
+        got = formed_rows(crag, nf, ef)
+        exact = np.ones(want.shape[1], dtype=bool)
+        exact[INTERFACE_MOMENTS] = False
+        assert np.array_equal(got[:, exact], want[:, exact])
+        err = np.abs(got[:, INTERFACE_MOMENTS] - want[:, INTERFACE_MOMENTS])
+        assert (err <= 1e-12 * (1.0 + np.abs(want[:, INTERFACE_MOMENTS]))).all()
+        assert np.array_equal(np.array([ef[e] for e in crag.adjacency]), got[:, :4])
         edges += len(crag.adjacency)
     assert edges > 900
 
@@ -1108,15 +1225,15 @@ def test_leaf_perimeters_from_the_rim():
 
 def test_compute_features_matches_per_pixel_reference():
     """Label-image kernel against the frozenset reference: bit-identical
-    except the contour moments, whose summation order changed, and the
+    except the moments, whose summation order changed, and the
     eccentricity, which must lie within 1 ulp of its exact value.  Its
     edge combinators then lie within 2**-51 of the reference's: an ulp
     of each operand, at most 2**-53 below 1 (and 0 at 1, which is
     exact), plus half an ulp of a sum below 2 on each side."""
     other = np.ones(len(NODE_NAMES), dtype=bool)
-    other[CONTOUR_MOMENTS + [ECCENTRICITY]] = False
+    other[MOMENTS + [ECCENTRICITY]] = False
     edge_other = np.ones(len(ROW_NAMES), dtype=bool)
-    edge_other[CONTOUR_COMBOS + ECCENTRICITY_COMBOS] = False
+    edge_other[INTERFACE_MOMENTS + MOMENT_COMBOS + ECCENTRICITY_COMBOS] = False
     seen = {"uncovered": 0, "disconnected": 0, "edges": 0}
     for crag, raw, boundary in sparse_instances(37, 60):
         seen["uncovered"] += int((crag.leaf_labels() < 0).any())
@@ -1131,8 +1248,8 @@ def test_compute_features_matches_per_pixel_reference():
             seen["disconnected"] += len(pixels_of(crag, cid)) > 1 and not angles.any()
             assert np.array_equal(nf[cid][other], ref[cid][other])
             assert np.allclose(
-                nf[cid][CONTOUR_MOMENTS],
-                ref[cid][CONTOUR_MOMENTS],
+                nf[cid][MOMENTS],
+                ref[cid][MOMENTS],
                 rtol=1e-12,
                 atol=1e-12,
             )
@@ -1145,11 +1262,13 @@ def test_compute_features_matches_per_pixel_reference():
             got = rows[(i, j)]
             seen["edges"] += 1
             assert np.array_equal(got[edge_other], want[edge_other])
+            err = np.abs(got[INTERFACE_MOMENTS] - want[INTERFACE_MOMENTS])
+            assert np.all(err <= 1e-12 * (1.0 + np.abs(want[INTERFACE_MOMENTS])))
             # |u - v| cancels, so bound the error by the operands' size
             scale = np.repeat(np.abs(ref[i]) + np.abs(ref[j]), 4)[
-                np.array(CONTOUR_COMBOS) - 4
+                np.array(MOMENT_COMBOS) - 4
             ]
-            err = np.abs(got[CONTOUR_COMBOS] - want[CONTOUR_COMBOS])
+            err = np.abs(got[MOMENT_COMBOS] - want[MOMENT_COMBOS])
             assert np.all(err <= 1e-12 * (1.0 + scale))
             err = np.abs(got[ECCENTRICITY_COMBOS] - want[ECCENTRICITY_COMBOS])
             assert np.all(err <= 2.0**-51)
@@ -1219,7 +1338,7 @@ def old_form_features(crag, raw, boundary):
     nf, _ = compute_features(crag, raw, boundary)
     obj = features_to_json(nf, {})
     obj["edge_schema"] = ROW_NAMES
-    rows = ref_edge_block(crag, raw, boundary, nf)
+    rows = ref_edge_block(crag, boundary, nf)
     obj["edges"] = {f"{i}-{j}": row.tolist() for (i, j), row in zip(crag.adjacency, rows)}
     return json.loads(json.dumps(obj))
 
@@ -1267,6 +1386,14 @@ def test_non_finite_image_rejected():
     raw = np.array([[0.5, 0.5, np.nan]])
     nf, _ = compute_features(crag, raw, np.array([[0.5, 0.5, np.inf]]))
     assert np.isfinite(nf[1]).all()
+
+
+def test_image_without_leaves_has_no_features():
+    """An image that no leaf covers, or that has no pixels, gives no
+    vectors; its pixels are not looked at."""
+    for labels in (np.full((3, 4), UNCOVERED), np.zeros((0, 5), dtype=np.int64)):
+        raw, boundary = np.full(labels.shape, np.nan), np.zeros(labels.shape)
+        assert compute_features(build_crag([], None, labels), raw, boundary) == ({}, {})
 
 
 def test_image_shape_must_match_crag():

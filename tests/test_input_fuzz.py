@@ -91,7 +91,7 @@ FEATURES = features_to_json(*_feats)
 # edge forest reads
 OLD_EDGES = {
     edge_to_str(e): row.tolist()
-    for e, row in zip(CRAG.adjacency, ref_edge_block(CRAG, _raw, _boundary, _feats[0]))
+    for e, row in zip(CRAG.adjacency, ref_edge_block(CRAG, _boundary, _feats[0]))
 }
 MODEL = model_to_json(train_from_instances([(CRAG, *_feats, quad_gt())], 3, 0))
 # stands for the number 1e400 (inf once parsed) until _text writes it

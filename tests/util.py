@@ -59,10 +59,9 @@ from cmc.crag import (
     objective_value,
     pixel_pairs,
     row_runs,
-    spans,
     validate_solution,
 )
-from cmc.features import _Leaves, _moments
+from cmc.features import _moments
 from cmc.hierarchy import MergeEvent
 from cmc.solver import MODES
 
@@ -1243,10 +1242,9 @@ def ref_leaves_under(crag, cid):
 
 def ref_edge_groups(crag):
     """The (edge, group) incidences of crag.adjacency over the groups of
-    crag.leaf_pairs, by dense (edges x leaves) lookup tables: for forward
-    and then backward, the (edge, group) pairs, as np.nonzero gives
-    them, whose group's p pixels lie in the edge's first candidate
-    (forward) or its second, and its q pixels in the other."""
+    crag.leaf_pairs, by dense (edges x leaves) lookup tables: the pairs,
+    as np.nonzero gives them, whose group's p pixels lie in one of the
+    edge's candidates and its q pixels in the other."""
     number = {leaf: k for k, leaf in enumerate(crag.leaf_order)}
     luts = {}
     for cid in crag.ids():
@@ -1257,16 +1255,14 @@ def ref_edge_groups(crag):
         for k in (0, 1)
     )
     a, b = crag.leaf_pairs.a, crag.leaf_pairs.b
-    return [
-        np.nonzero(lut_p[:, a] & lut_q[:, b]) for lut_p, lut_q in ((lut_i, lut_j), (lut_j, lut_i))
-    ]
+    return np.nonzero((lut_i[:, a] & lut_j[:, b]) | (lut_j[:, a] & lut_i[:, b]))
 
 
 def check_lift(crag):
     """Assert that crag's leaf-pair groups hold every 4-neighbour pixel
     pair between leaves once, grouped by directed leaf pair in key
     order; that its adjacency lies in ref_candidate_adjacency and that
-    adjacency None gives all of it; and that its edge_groups rows are
+    adjacency None gives all of it; and that its edge_groups entries are
     the ref_edge_groups incidences, each once."""
     pairs, ranks = crag.leaf_pairs, crag.leaf_ranks()
     n = len(crag.leaf_order)
@@ -1279,12 +1275,10 @@ def check_lift(crag):
     full = ref_candidate_adjacency(crag.subset, crag.leaf_labels())
     assert set(crag.adjacency) <= full
     assert build_crag(inner(crag), None, crag.leaf_labels()).adjacency == tuple(sorted(full))
-    edge, group, forward = (x.tolist() for x in crag.edge_groups)
-    rows = list(zip(edge, group, forward))
-    (edge_f, group_f), (edge_r, group_r) = ref_edge_groups(crag)
-    want = list(zip(edge_f.tolist(), group_f.tolist(), [True] * len(edge_f)))
-    want += zip(edge_r.tolist(), group_r.tolist(), [False] * len(edge_r))
-    assert len(rows) == len(set(rows)) and set(rows) == set(want)
+    assert len(crag.edge_groups) == 2
+    rows = list(zip(*(x.tolist() for x in crag.edge_groups)))
+    want = set(zip(*(x.tolist() for x in ref_edge_groups(crag))))
+    assert len(rows) == len(set(rows)) and set(rows) == want
 
 
 def strip_crag(n):
@@ -1295,35 +1289,41 @@ def strip_crag(n):
     return build_crag(cands, None, np.arange(1, n + 1).reshape(1, n))
 
 
-def ref_edge_block(crag, raw, boundary, node_feats):
+def ref_interface_values(crag, boundary):
+    """Each adjacency edge's interface values, one array per edge in
+    order: max(boundary[p], boundary[q]) over the 4-neighbour pixel pairs
+    (pixel_pairs) with one pixel in each of its candidates, by a dense
+    (candidates x leaves) lookup table of the leaves under each one."""
+    label_p, label_q, p, q = pixel_pairs(crag.leaf_labels())
+    leaves = {leaf: k for k, leaf in enumerate(crag.leaves())}
+    lut = np.zeros((len(crag.candidates), len(leaves)), dtype=bool)
+    row = {cid: k for k, cid in enumerate(crag.ids())}
+    for cid in crag.ids():
+        lut[row[cid], [leaves[leaf] for leaf in ref_leaves_under(crag, cid)]] = True
+    at_p = np.array([leaves[x] for x in label_p.tolist()], dtype=np.int64)
+    at_q = np.array([leaves[x] for x in label_q.tolist()], dtype=np.int64)
+    value = np.maximum(boundary.ravel()[p], boundary.ravel()[q])
+    out = []
+    for i, j in crag.adjacency:
+        in_i, in_j = lut[row[i]], lut[row[j]]
+        out.append(value[(in_i[at_p] & in_j[at_q]) | (in_j[at_p] & in_i[at_q])])
+    return out
+
+
+def ref_edge_block(crag, boundary, node_feats):
     """The (edges, 592) block of edge vectors, one per adjacency edge in
     order, as compute_features assembled it when each edge carried the
     combinators of its two node vectors: contact area, interface mean,
-    variance and skew, then |u-v|, min, max and u+v per node feature.
+    variance and skew (_moments of ref_interface_values), then |u-v|,
+    min, max and u+v per node feature.
     """
-    facts = _Leaves(crag, raw, boundary)
     adjacency = crag.adjacency
     u = np.array([node_feats[i] for i, _ in adjacency])
     v = np.array([node_feats[j] for _, j in adjacency])
-    pairs = crag.leaf_pairs
-    ends = []
-    for edge, group in ref_edge_groups(crag):
-        start, stop = pairs.start[group], pairs.stop[group]
-        ends.append((np.repeat(edge, stop - start), spans(start, stop)))
-    (edge_f, fwd), (edge_r, rev) = ends
-    edge = np.concatenate([edge_f, edge_r])
-    in_i = np.concatenate([pairs.p[fwd], pairs.q[rev]])
-    in_j = np.concatenate([pairs.q[fwd], pairs.p[rev]])
-    i_smaller = (u[:, 0] <= v[:, 0])[edge]
-    order = np.lexsort(
-        (np.where(i_smaller, in_j, in_i), np.where(i_smaller, in_i, in_j), edge)
-    )
-    values = np.concatenate([facts.value[fwd], facts.value[rev]])[order]
-    bounds = np.cumsum(np.bincount(edge, minlength=len(adjacency)))
     out = np.empty((len(adjacency), 4 + 4 * u.shape[1]))
-    for row, lo, hi in zip(out, np.r_[0, bounds[:-1]].tolist(), bounds.tolist()):
-        _, mean, var, skew, _ = _moments(values[lo:hi])
-        row[:4] = float(hi - lo), mean, var, skew
+    for row, values in zip(out, ref_interface_values(crag, boundary)):
+        _, mean, var, skew, _ = _moments(values, values.min() == values.max())
+        row[:4] = float(len(values)), mean, var, skew
     out[:, 4::4] = np.abs(u - v)
     out[:, 5::4] = np.minimum(u, v)
     out[:, 6::4] = np.maximum(u, v)
