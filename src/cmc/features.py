@@ -16,22 +16,20 @@ and boundary are checked once, over every pixel a leaf covers.
 The merge tree nests the candidates, so each pixel lies in several of
 them.  What the leaves fix is computed once per image, per leaf
 (_Leaves, whose tables are indexed by the Crag's depth-first leaf ranks,
-so they are sized by the leaf count, not by the ids), and each
-candidate, whose leaves are one range of ranks (Crag.leaf_range),
-combines its leaves' facts by slices of those tables:
+so they are sized by the leaf count, not by the ids).  A candidate's
+leaves are one range [lo, hi) of ranks (Crag.leaf_range), so the sums
+over its leaves are table[hi] - table[lo] of prefix tables, formed for
+every candidate at once (node_matrix):
 - Size, perimeter (4-neighbor pixel sides to anything outside the
   leaf, counted on the rim below: the N, E, S and W neighbors of its
-  rim pixels that lie outside it) and the 20-bin raw and boundary
-  histograms.  A candidate's are integer sums over its leaves, less 2
-  sides per 4-neighbor pixel pair between two of its leaves for the
-  perimeter: exact.
-- The coordinate moments: the sums of r, c, r*r, c*c and r*c over the
-  leaf's pixels, taken in int64 from its row runs.  A candidate's are
-  integer sums over its leaves, and give its eccentricity (Hu's
-  second-order moments) with no pass over its pixels.
-- The raw and boundary moments: the count, the sum and the central
-  sums of the leaf's values (_part_sums).  A candidate's combine its
-  leaves' (_combined).
+  rim pixels that lie outside it) less 2 sides per 4-neighbor pixel pair
+  inside, and the 20-bin raw and boundary histograms: exact integers.
+- The count and the sums of r, c, r*r, c*c and r*c, from the row runs,
+  as Python ints: the eccentricity (Hu's second-order moments), exact.
+- The raw and boundary moments: each leaf's count, sum and central sums
+  (_part_sums), combined (_combined) in one call over every (candidate,
+  leaf) incidence of both planes.  Each union's parts are added in input
+  order, so the bits are those of a call per candidate.
 - The 8-connected component count.  A candidate whose leaves are each
   one component and connected by 4-neighbor pixel pairs is one
   component; only other unions are labelled.  The angle histogram is
@@ -39,27 +37,27 @@ combines its leaves' facts by slices of those tables:
 - The rim: every pixel with an 8-neighbor in another leaf, in
   UNCOVERED or outside the image, with its 8 neighbors' leaf ranks.  A
   candidate's pixel with a neighbor outside the candidate is on its
-  leaf's rim, so the candidate's rim rows, each rank compared with its
-  range, give every neighbor code the contour walk reads (its backtrack
-  pixel is always outside), and its contour pixels (a 4-neighbor
-  outside) are the rows whose N, E, S and W bits are not all set.  The
-  rim is row-major, so contour statistics see the same values in the
-  same order as a scan of the candidate's mask.
+  leaf's rim, so the candidate's rim rows (a block of the rows sorted by
+  leaf, sorted back to row-major), each rank compared with its range,
+  give every neighbor code the contour walk reads (its backtrack pixel
+  is always outside), and its contour pixels (a 4-neighbor outside) are
+  the rows whose N, E, S and W bits are not all set.  Contour statistics
+  see the same values in the same order as a scan of the candidate's mask.
 - The 4-neighbor pixel pairs between leaves by leaf pair, as the Crag
   groups them (leaf_pairs), and the _part_sums of each group's interface
   values, max(boundary) over each pair.  An edge's moments combine its
   groups' (Crag.edge_groups).
 
-Candidates are visited children first, and an inner candidate takes
-from its children what they already hold (_Held), dropping it once it
-is done; the records held at any time are of disjoint candidates, so
-they hold at most one image of values per plane:
+What needs a candidate's pixels in order, its walk, contour statistics
+and quantiles, is taken children first.  An inner candidate takes from
+its children what they already hold (_Held), dropping it once it is
+done; the records held at any time are of disjoint candidates, so they
+hold at most one image of values per plane:
 - Sorted values.  Its sorted raw and boundary values are its children's
   merged: each smaller child's inserted into the largest child's at
   their searchsorted positions, instead of a sort of all its pixels.
   Sorted finite values are unique up to the order of -0.0 and 0.0, and
-  the quantiles do not depend on that order (_quantiles), so they keep
-  every bit.
+  the quantiles do not depend on that order (_quantiles): every bit kept.
 - The contour walk.  The child that holds its first pixel walked from
   that pixel too.  Where no other child's leaf is an 8-neighbor of a
   pixel that walk visited, the candidate's codes at those pixels are
@@ -112,6 +110,7 @@ from .crag import (
     json_known,
     json_member,
     row_runs,
+    spans,
 )
 from .errors import (
     CmcError,
@@ -388,7 +387,6 @@ class _Leaves:
         self.labels, self.width = labels, w
         n = len(crag.leaf_order)
         leaf_of = labels[covered]
-        self.size = np.bincount(leaf_of, minlength=n)
         leaf, r, c0, c1 = row_runs(labels)
         # leaf k -> boxes[k] = (r0, r1, c0, c1), from its runs (every leaf
         # has one): the least and greatest run row, least col_start,
@@ -398,21 +396,23 @@ class _Leaves:
         np.maximum.at(self.boxes[:, 1], leaf, r + 1)
         np.minimum.at(self.boxes[:, 2], leaf, c0)
         np.maximum.at(self.boxes[:, 3], leaf, c1)
-        # sums of r, c, r*r, c*c and r*c per leaf, from its row runs
-        # (c0 <= c < c1 in row r): int64 per run, each term below
-        # 2 * max(h, w)**3, and summed per leaf as Python ints, so exact
+        # prefix tables: row k sums the leaves below rank k.  The count and
+        # sums of r, c, r*r, c*c and r*c from the row runs (c0 <= c < c1 in
+        # row r): int64 per run, each term below 2 * max(h, w)**3, then
+        # summed as Python ints, so exact
         count = c1 - c0
         sum_c = (c0 + c1 - 1) * count // 2
         sum_cc = _squares_below(c1) - _squares_below(c0)
-        per_run = np.stack([r * count, sum_c, r * r * count, sum_cc, r * sum_c], 1)
-        self.moments = np.zeros((n, 5), dtype=object)
-        np.add.at(self.moments, leaf, per_run.astype(object))
+        per_run = np.stack([count, r * count, sum_c, r * r * count, sum_cc, r * sum_c], 1)
+        self.moments = np.zeros((n + 1, 6), dtype=object)
+        np.add.at(self.moments, leaf + 1, per_run.astype(object))
+        self.moments = self.moments.cumsum(axis=0)
         # the covered pixels leaf by leaf: leaf k's are by_leaf[start[k]:start[k + 1]]
         uncovered = labels.size - len(leaf_of)  # sorted first
         by_leaf = np.argsort(labels, axis=None, kind="stable")[uncovered:]
-        self.start = np.append(0, np.cumsum(self.size))
+        self.start = np.bincount(leaf_of + 1, minlength=n + 1).cumsum()
         # per image, checked over every covered pixel (every candidate's):
-        # (flat image, flat bin image, histograms, values by leaf, _part_sums)
+        # (flat image, flat bin image, prefix histograms, values by leaf, _part_sums)
         self.planes = []
         for name, image in (("raw", raw), ("boundary", boundary)):
             values = image.ravel()[by_leaf]
@@ -421,10 +421,10 @@ class _Leaves:
                     f"{name} values non-finite or outside [0, 1] under a candidate"
                 )
             bins = _bin_image(image, covered)
-            hist = np.bincount(leaf_of * 20 + bins[covered], minlength=20 * n)
+            hist = np.bincount((leaf_of + 1) * 20 + bins[covered], minlength=20 * (n + 1))
             sums = _part_sums(values, self.start[:-1])
-            planes = image.ravel(), bins.ravel(), hist.reshape(n, 20), values, sums
-            self.planes.append(planes)
+            hist = hist.reshape(n + 1, 20).cumsum(axis=0)
+            self.planes.append((image.ravel(), bins.ravel(), hist, values, sums))
         # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
         for k, (r0, r1, c0, c1) in enumerate(self.boxes.tolist()):
@@ -440,6 +440,9 @@ class _Leaves:
         on_rim &= covered
         self.rim = np.flatnonzero(on_rim)
         self.rim_leaf = labels[on_rim]
+        # the rim rows by leaf (stably, so row-major in each), leaf k's from rim_start[k]
+        self.rim_by_leaf = np.argsort(self.rim_leaf, kind="stable")
+        self.rim_start = np.bincount(self.rim_leaf + 1, minlength=n + 1).cumsum()
         r, c = np.divmod(self.rim, w)
         self.rim_around = np.full((len(self.rim), 8), UNCOVERED, dtype=labels.dtype)
         for d, (dr, dc) in enumerate(_MOORE):
@@ -449,7 +452,7 @@ class _Leaves:
         # the sides of a rim pixel's N, E, S and W neighbors outside its
         # leaf; a pixel off the rim has all 8 neighbors in its leaf
         sides = (self.rim_around[:, ::2] != self.rim_leaf[:, None]).sum(axis=1)
-        self.perimeter = np.bincount(np.repeat(self.rim_leaf, sides), minlength=n)
+        self.perimeter = np.bincount(self.rim_leaf + 1, sides, n + 1).cumsum().astype(int)
         # neighbor codes by flat position; each walk fills the rim it reads
         self.code_table = np.zeros(h * w, dtype=np.uint8)
         # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q),
@@ -463,13 +466,33 @@ class _Leaves:
             self.touching.setdefault(a, set()).add(b)
             self.touching.setdefault(b, set()).add(a)
 
-    def perimeter_of(self, lo, hi):
-        """4-neighbor pixel sides between the candidate and the rest.  The
-        groups are sorted by a, so those with a in [lo, hi) are one block."""
+    def node_matrix(self, lo, hi):
+        """The node vectors of the candidates whose leaves are the ranks
+        lo[k]..hi[k]-1, one row each, with what sums over their leaves
+        filled in: size, circularity, eccentricity, and per plane the
+        all-pixel moments and histogram.  Every other entry is 0."""
+        n, nodes = len(lo), np.zeros((len(lo), 147))
+        # perimeter: the leaves' sides less 2 per pixel pair inside; groups
+        # are sorted by a, so those with a in [lo, hi) are one block
         i, j = self.pairs.a.searchsorted(lo), self.pairs.a.searchsorted(hi)
-        b = self.pairs.b[i:j]
-        inner = self.pair_count[i:j][(lo <= b) & (b < hi)].sum()
-        return int(self.perimeter[lo:hi].sum() - 2 * inner)
+        group, row = spans(i, j), np.repeat(np.arange(n), j - i)
+        b = self.pairs.b[group]
+        inside = (lo[row] <= b) & (b < hi[row])
+        inner = np.bincount(row[inside], self.pair_count[group[inside]], n).astype(np.int64)
+        perimeter = self.perimeter[hi] - self.perimeter[lo] - 2 * inner
+        nodes[:, 0] = self.start[hi] - self.start[lo]
+        nodes[:, 1] = 4.0 * math.pi * nodes[:, 0] / (perimeter * perimeter)
+        moments = (self.moments[hi] - self.moments[lo]).tolist()
+        nodes[:, 2] = [_eccentricity(*sums) for sums in moments]
+        # both planes' moments in one _combined call: owner plane * n + row
+        leaf, row = spans(lo, hi), np.repeat(np.arange(n), hi - lo)
+        parts = np.concatenate([plane[-1][:, leaf] for plane in self.planes], axis=1)
+        moments = _combined(parts, np.append(row, row + n), 2 * n)[:, 1:]
+        for plane, (_, _, hist, _, _) in enumerate(self.planes):
+            at = 19 + 64 * plane  # the plane's all-pixel block
+            nodes[:, at : at + 5] = moments[plane * n : (plane + 1) * n]
+            nodes[:, at + 5 : at + 25] = hist[hi] - hist[lo]
+        return nodes
 
     def one_component(self, lo, hi):
         """Whether the union of the leaves lo..hi-1 is one 8-connected
@@ -494,7 +517,7 @@ class _Leaves:
     def rim_of(self, lo, hi):
         """Flat positions (row-major) of the candidate's pixels on its
         leaves' rims, and their 8-bit codes of neighbors in the candidate."""
-        rows = (lo <= self.rim_leaf) & (self.rim_leaf < hi)
+        rows = np.sort(self.rim_by_leaf[self.rim_start[lo] : self.rim_start[hi]])
         around = self.rim_around[rows]
         inside = (lo <= around) & (around < hi)
         return self.rim[rows], np.packbits(inside, axis=1, bitorder="little")[:, 0]
@@ -530,17 +553,11 @@ def _reused_walk(facts, span, first, kids):
     return kid.walk
 
 
-def _node_vector(facts, span, kids):
-    """147-entry feature vector of the candidate whose leaves are the
-    ranks span = (lo, hi), and its _Held record.  `kids` holds its
-    children's _Held records (none for a leaf)."""
+def _node_vector(facts, vector, span, kids):
+    """Fill in the angle histogram, all-pixel quantiles and contour blocks
+    of `vector`, the node_matrix row of the candidate of ranks span = (lo,
+    hi), and return its _Held record; `kids` holds its children's."""
     lo, hi = span
-    count = int(facts.size[lo:hi].sum())
-    size = float(count)
-    perimeter = facts.perimeter_of(lo, hi)
-    circularity = 4.0 * math.pi * size / (perimeter * perimeter)
-    eccentricity = _eccentricity(count, *facts.moments[lo:hi].sum(axis=0).tolist())
-
     rim, codes = facts.rim_of(lo, hi)
     first = int(rim[0])
     # the angle histogram is all-zero unless the candidate is one
@@ -550,27 +567,23 @@ def _node_vector(facts, span, kids):
         walk = _reused_walk(facts, span, first, kids)
         if walk is None:
             positions, steps = facts.walk(rim, codes)
-            angles = np.bincount(_STEP_BIN[steps], minlength=16).astype(np.float64)
-            walk = positions, angles
-    angles = np.zeros(16) if walk is None else walk[1]
+            walk = positions, np.bincount(_STEP_BIN[steps], minlength=16)
+        vector[3:19] = walk[1]
 
     contour = rim[(codes & _NESW) != _NESW]
     start, stop = facts.start[lo], facts.start[hi]
-    blocks, ordered = [], []
-    for plane, (flat, bins, hist, values, sums) in enumerate(facts.planes):
+    ordered = []
+    for plane, (flat, bins, _, values, _) in enumerate(facts.planes):
         parts = [kid.ordered[plane] for kid in kids] or [np.sort(values[start:stop])]
-        merged = _merge_sorted(parts)
-        moments = _combined(sums[:, lo:hi], np.zeros(hi - lo, np.intp), 1)[0, 1:]
-        hist = hist[lo:hi].sum(axis=0)
-        blocks.append(np.concatenate([moments, hist, _quantiles(merged)]))
-        ordered.append(merged)
+        ordered.append(_merge_sorted(parts))
         values = flat[contour]
         merged = np.sort(values)
         moments = _moments(values, merged[0] == merged[-1])
         hist = np.bincount(bins[contour], minlength=20)
-        blocks.append(np.concatenate([moments, hist, _quantiles(merged)]))
-    vector = np.concatenate([[size, circularity, eccentricity], angles] + blocks)
-    return vector, _Held(first, span, ordered, walk)
+        at = 19 + 64 * plane  # the plane's all-pixel block, then its contour block
+        vector[at + 25 : at + 32] = _quantiles(ordered[plane])
+        vector[at + 32 : at + 64] = np.concatenate([moments, hist, _quantiles(merged)])
+    return _Held(first, span, ordered, walk)
 
 
 def compute_features(crag, raw, boundary):
@@ -586,17 +599,19 @@ def compute_features(crag, raw, boundary):
         if image.shape != shape:
             raise DimensionMismatch(shape, image.shape)
     facts = _Leaves(crag, raw, boundary)
+    ids = crag.ids()
+    lo, hi = np.array([crag.leaf_range(cid) for cid in ids], np.int64).reshape(-1, 2).T
+    node_feats = dict(zip(ids, facts.node_matrix(lo, hi)))
     # children first: the reverse of a walk down from the roots
     order = crag.roots()
     for cid in order:
         order.extend(crag.candidates[cid].children)
-    node_feats, held = {}, {}
+    held = {}
     for cid in reversed(order):
         kids = [held.pop(kid) for kid in crag.candidates[cid].children]
-        node_feats[cid], record = _node_vector(facts, crag.leaf_range(cid), kids)
+        record = _node_vector(facts, node_feats[cid], crag.leaf_range(cid), kids)
         if cid in crag.subset:
             held[cid] = record
-    node_feats = {cid: node_feats[cid] for cid in crag.ids()}
     # an edge's own vector: contact area, interface mean, var and skew
     edge, group = crag.edge_groups
     stats = _combined(facts.group_sums[:, group], edge, len(crag.adjacency))

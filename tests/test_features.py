@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -342,6 +343,42 @@ def test_combined_moments_match_exact_reference(levels, cuts):
             assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
         if union.min() == union.max():
             assert tuple(row[3:]) == (0.0, 0.0, 0.0)
+
+
+_PARTS = st.lists(st.lists(_LEVELS, min_size=1, max_size=20), min_size=1, max_size=4)
+# a union's parts: arbitrary levels; all one level; or values whose
+# squared deviations underflow, so var is 0 while its ends differ
+_UNION = st.one_of(
+    _PARTS.map(lambda parts: [np.array(p) / 65535.0 for p in parts]),
+    st.tuples(_LEVELS, _PARTS).map(lambda t: [np.full(len(p), t[0] / 65535.0) for p in t[1]]),
+    st.lists(
+        st.lists(st.sampled_from([0.0, 5e-324, 1e-310]), min_size=1, max_size=20),
+        min_size=1,
+        max_size=4,
+    ).map(lambda parts: [np.array(p) for p in parts]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_UNION, min_size=1, max_size=8), st.randoms(use_true_random=False))
+@example([[np.array([0.25])]], None)  # one union of one part of one value
+@example([[np.array([0.0, 5e-324])], [np.full(3, 0.1), np.full(2, 0.1)]], None)
+def test_combined_in_one_call_equals_one_call_per_union(unions, random):
+    """_combined over many unions in one call, their parts interleaved,
+    each union's in its own order, is bit-equal to one call per union:
+    np.bincount and np.minimum.at / np.maximum.at take each union's
+    parts in input order, as a call of that union alone does."""
+    owner = [u for u, parts in enumerate(unions) for _ in parts]
+    if random is not None:
+        random.shuffle(owner)
+    queues = [list(parts) for parts in unions]
+    values = [queues[u].pop(0) for u in owner]
+    starts = np.cumsum([0] + [len(v) for v in values[:-1]])
+    parts, owner = _part_sums(np.concatenate(values), starts), np.array(owner)
+    got = _combined(parts, owner, len(unions))
+    alone = [_combined(parts[:, owner == u], np.zeros((owner == u).sum(), np.intp), 1)
+             for u in range(len(unions))]
+    assert np.array_equal(got.view(np.int64), np.concatenate(alone).view(np.int64))
 
 
 def exact_level_moments(levels):
@@ -1117,6 +1154,41 @@ def test_children_listed_in_reverse_change_nothing():
     assert np.array_equal(*segmentations)
 
 
+def feature_digest(feats):
+    """sha256 over the keys and vector bytes of a features dict, in key order."""
+    digest = hashlib.sha256()
+    for key in sorted(feats):
+        digest.update(repr(key).encode())
+        digest.update(feats[key].tobytes())
+    return digest.hexdigest()
+
+
+# (count, cells, noise, seed, size, merge cap) -> digests of the node and
+# the edge vectors of the first image, recorded while every candidate's
+# sums were still taken over its own leaves, one candidate at a time
+FEATURE_DIGESTS = {
+    (6, 12, 1.0, 1003, 256, 5): (  # pipeline-256 at seed 1, image0
+        "920844dacb1e126c8838fe7a20b83bdcbe2dc9063f365dc9c05aadf2f6f6db15",
+        "d3a027d01d4e68cc0c1cd073ead28140145b1ff7472670f43752be65e0fb09e7",
+    ),
+    (2, 48, 1.0, 7, 512, None): (  # 512 px, no merge cap
+        "b1da343e74f94a9cdb5c5cc034bf6d7a37e1a4481e7589ed8724b6af48109378",
+        "3511b38199229d905a3d21e959daa68058e29fee6f0769b6ff94747113a606d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FEATURE_DIGESTS, key=str))
+def test_feature_bits_pinned(case):
+    """Every bit of every node and edge vector on two images: any moved
+    bit changes a digest."""
+    count, cells, noise, seed, size, cap = case
+    raw, boundary, _ = generate_synthetic(count, cells, noise, seed, image_size=size)[0]
+    crag = build_graph(boundary, PipelineConfig(max_merges=cap))
+    nf, ef = compute_features(crag, raw, boundary)
+    assert (feature_digest(nf), feature_digest(ef)) == FEATURE_DIGESTS[case]
+
+
 def one_piece(crag, cid):
     """Whether the candidate is one 8-connected component."""
     mask = np.isin(crag.leaf_labels(), crag.leaves_under(cid))
@@ -1218,8 +1290,9 @@ def test_leaf_perimeters_from_the_rim():
         blank = np.zeros((crag.height, crag.width))
         facts = _Leaves(crag, blank, blank)
         n = len(crag.leaves())
-        assert np.array_equal(facts.perimeter, ref_leaf_perimeters(facts.labels, n))
-        one_pixel += int((facts.size == 1).sum())
+        perimeters = np.diff(facts.perimeter)
+        assert np.array_equal(perimeters, ref_leaf_perimeters(facts.labels, n))
+        one_pixel += int((np.diff(facts.start) == 1).sum())
     assert one_pixel > 20
 
 
