@@ -347,10 +347,10 @@ def test_pipeline_256_model_is_pinned():
     train = generate_synthetic(2, 12, 1.0, 1002, image_size=256)
     model = train_model(train, PipelineConfig())
     assert _sha256_of_json(old_model_json(model)) == (
-        "127f2b02fb80327beb4ec536255e067d7c605dc1bfbc9358c6472899cd367de0"
+        "4fdfbc8ec62ca064ec25dbfec7feff4742b538aaf605f9fae6ba9a041b53ac3d"
     )
     assert _sha256_of_json(model_to_json(model)) == (
-        "d0642f20cd3e01457c038674739706fe48343e7b1f9bf8262df646c3e0dad8f5"
+        "e3ede83ebcaf26d911cdb4a7f77d96df1b0da47c621a97793fd5d5e9d3815566"
     )
 
 

@@ -23,7 +23,6 @@ from cmc.features import (
     _eccentricity,
     _Leaves,
     _merge_sorted,
-    _moments,
     _part_sums,
     _quantiles,
     compute_features,
@@ -47,6 +46,7 @@ from util import (
     random_sparse_crag,
     ref_edge_block,
     ref_interface_values,
+    ref_moments,
 )
 
 NODE_NAMES = node_feature_names()
@@ -86,10 +86,12 @@ def angle_histogram(pixels):
 def crag_walk(crag, cid):
     """(row, col) positions of one cycle of the Moore walk over a
     candidate, from the codes compute_features reads: its leaves' rim
-    rows, their neighbors' ranks compared with its range."""
+    rows, their neighbors' ranks compared with its range, from the least
+    flat position of those rows."""
     blank = np.zeros(crag.leaf_labels().shape)
     facts = _Leaves(crag, blank, blank)
-    positions, _ = facts.walk(*facts.rim_of(*crag.leaf_range(cid)))
+    rim, codes = facts.rim_of(*crag.leaf_range(cid))
+    positions, _ = facts.walk(rim, codes, int(rim.min()))
     return [divmod(p, crag.width) for p in positions]
 
 
@@ -203,7 +205,7 @@ def ref_stats_block(values):
     """Moments, np.histogram's 20 bins over [0, 1] and the quantiles."""
     hist = np.histogram(values, bins=20, range=(0.0, 1.0))[0]
     quant = np.quantile(values, (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95))
-    return np.concatenate([_moments(values, values.min() == values.max()), hist, quant])
+    return np.concatenate([ref_moments(values, values.min() == values.max()), hist, quant])
 
 
 def ref_node_vector(pixels, raw, boundary):
@@ -239,13 +241,13 @@ def ref_edge_vector(pixels_i, pixels_j, boundary, u, v):
         if (r + dr, c + dc) in large
     )
     vals = np.array([max(float(boundary[p]), float(boundary[q])) for p, q in pairs])
-    _, mean, var, skew, _ = _moments(vals, vals.min() == vals.max())
+    _, mean, var, skew, _ = ref_moments(vals, vals.min() == vals.max())
     combo = np.stack([np.abs(u - v), np.minimum(u, v), np.maximum(u, v), u + v], axis=1)
     return np.concatenate([[float(len(vals)), mean, var, skew], combo.ravel()])
 
 
 # node entries whose order of summation changed (contour pixels used to be
-# summed in hash-set order, now row-major; all pixels are combined from
+# summed in hash-set order, now sorted; all pixels are combined from
 # per-leaf sums), the edge entries built from them, and the interface
 # moments, combined from per-group sums
 MOMENTS = [
@@ -262,7 +264,7 @@ ECCENTRICITY_COMBOS = [4 + 4 * ECCENTRICITY + d for d in range(4)]
 
 
 def exact_moments(values):
-    """_moments in exact rational arithmetic; one rounding per output
+    """ref_moments in exact rational arithmetic; one rounding per output
     (skew: of its square, then one square root)."""
     xs = [Fraction(float(v)) for v in values]
     n = len(xs)
@@ -304,7 +306,7 @@ _NEARLY_EQUAL = st.tuples(
 @example([65534] * 200 + [65535] * 3)
 def test_moments_match_exact_reference(levels):
     values = np.array(levels) / 65535.0
-    got = _moments(values, values.min() == values.max())
+    got = ref_moments(values, values.min() == values.max())
     for g, w in zip(got, exact_moments(values)):
         assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
 
@@ -433,16 +435,12 @@ def test_moments_of_large_unions_match_exact_integers():
 
 def test_moments_of_equal_values_are_zero():
     """The mean of equal values can be an ulp off them; var, skew and
-    kurt must still be exactly 0, from _moments, from _combined over
-    parts, and in every moment entry of constant images, where the
-    nodes' test reads their sorted values and the edges' their groups'
-    least and greatest values."""
+    kurt must still be exactly 0, from _combined over parts, and in
+    every moment entry of constant images, where the nodes' and the
+    edges' test reads their parts' least and greatest values."""
     for n in (2, 3, 7, 100):
         for value in (0.1, 0.3, 1.0 / 3.0, 0.7, 32768 / 65535):
             values = np.full(n, value)
-            total, mean, var, skew, kurt = _moments(values, True)
-            assert (var, skew, kurt) == (0.0, 0.0, 0.0)
-            assert mean == pytest.approx(value, rel=1e-15)
             parts = _part_sums(values, np.array([0, n // 2]))
             _, _, mean, var, skew, kurt = _combined(parts, np.zeros(2, np.intp), 1)[0]
             assert (var, skew, kurt) == (0.0, 0.0, 0.0)
@@ -1109,8 +1107,9 @@ def test_angle_histogram_on_random_masks(monkeypatch):
 
 
 def test_contour_slices_on_random_masks():
-    """Contour statistics bit-equal to those of the pixels that 4-erosion
-    removes, taken in row-major order."""
+    """Contour statistics of the pixels that 4-erosion removes: the
+    histogram and quantiles bit-equal to the reference's, the moments
+    (summed there in row-major order) within 1e-12 * (1 + |v|)."""
     cross = ndimage.generate_binary_structure(2, 1)
     contour = np.s_[idx("raw_contour_sum") : idx("boundary_all_sum")]
     rng = np.random.default_rng(83)
@@ -1119,8 +1118,31 @@ def test_contour_slices_on_random_masks():
         nf, _ = compute_features(crag, raw, np.zeros(raw.shape))
         for cid in crag.ids():
             mask = np.isin(crag.leaf_labels(), crag.leaves_under(cid))
-            want = mask & ~ndimage.binary_erosion(mask, cross)
-            assert np.array_equal(nf[cid][contour], ref_stats_block(raw[want]))
+            want = ref_stats_block(raw[mask & ~ndimage.binary_erosion(mask, cross)])
+            got = nf[cid][contour]
+            assert np.array_equal(got[5:], want[5:])  # histogram and quantiles
+            assert np.all(np.abs(got[:5] - want[:5]) <= 1e-12 * (1.0 + np.abs(want[:5])))
+
+
+def test_contour_blocks_do_not_change_when_transposed():
+    """A contour is the same set of values in the transposed image, seen
+    in another order; every contour statistic (moments, histogram and
+    quantiles, both planes) depends on the values alone, so each
+    candidate's contour blocks keep every bit."""
+    images = generate_synthetic(3, 12, 1.0, 1003, image_size=256)
+    instances = [
+        (build_graph(boundary, PipelineConfig(max_merges=None)), raw, boundary)
+        for raw, boundary, _ in images
+    ]
+    instances += list(sparse_instances(89, 20))
+    contour = np.concatenate([np.arange(at + 32, at + 64) for at in (19, 19 + 64)])
+    for crag, raw, boundary in instances:
+        flipped = build_crag(inner(crag), None, crag.leaf_labels().T)
+        nf, _ = compute_features(crag, raw, boundary)
+        flipped_nf, _ = compute_features(flipped, raw.T, boundary.T)
+        assert sorted(flipped_nf) == sorted(nf)
+        for cid in nf:
+            assert nf[cid][contour].tobytes() == flipped_nf[cid][contour].tobytes()
 
 
 def test_pipeline_crag_labels_each_leaf_once(monkeypatch):
@@ -1164,15 +1186,17 @@ def feature_digest(feats):
 
 
 # (count, cells, noise, seed, size, merge cap) -> digests of the node and
-# the edge vectors of the first image, recorded while every candidate's
-# sums were still taken over its own leaves, one candidate at a time
+# the edge vectors of the first image.  The edge digests were recorded
+# while every candidate's sums were still taken over its own leaves, one
+# candidate at a time; the node digests since the contour moments come
+# from the sorted contour values
 FEATURE_DIGESTS = {
     (6, 12, 1.0, 1003, 256, 5): (  # pipeline-256 at seed 1, image0
-        "920844dacb1e126c8838fe7a20b83bdcbe2dc9063f365dc9c05aadf2f6f6db15",
+        "10cc6658736aedcc1cdcab37332fbbdd2765f3dafc141cce7e04d1c39e668c68",
         "d3a027d01d4e68cc0c1cd073ead28140145b1ff7472670f43752be65e0fb09e7",
     ),
     (2, 48, 1.0, 7, 512, None): (  # 512 px, no merge cap
-        "b1da343e74f94a9cdb5c5cc034bf6d7a37e1a4481e7589ed8724b6af48109378",
+        "1df68bffcc76b0ba77843d7056d8548145cbf55917fd2c491a228b2b1aa34bb6",
         "3511b38199229d905a3d21e959daa68058e29fee6f0769b6ff94747113a606d8",
     ),
 }

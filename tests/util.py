@@ -61,7 +61,6 @@ from cmc.crag import (
     row_runs,
     validate_solution,
 )
-from cmc.features import _moments
 from cmc.hierarchy import MergeEvent
 from cmc.solver import MODES
 
@@ -1310,11 +1309,40 @@ def ref_interface_values(crag, boundary):
     return out
 
 
+def ref_moments(values, equal):
+    """sum, mean, population variance/skewness, excess kurtosis, over the
+    values in their own order: the per-pixel reference the combined
+    moments of features._part_sums and _combined must match.
+
+    var, skew and kurt are exactly 0 when all values are equal, which
+    the caller says in `equal`.  The deviations are recentred on their
+    own mean, which is the rounding error of `mean`: left in, it would
+    shift skew and kurt by about eps * mean / std, far beyond rounding
+    when the values nearly agree.
+    """
+    n = len(values)
+    total = float(values.sum())
+    mean = total / n
+    if equal:
+        return total, mean, 0.0, 0.0, 0.0
+    d = values - mean
+    d -= d.sum() / n
+    d2 = d * d
+    m2 = float(d2.sum()) / n
+    if m2 == 0.0:  # the squared deviations underflow
+        return total, mean, 0.0, 0.0, 0.0
+    d *= d2  # cubed deviations
+    d2 *= d2  # fourth powers
+    skew = float(d.sum()) / n / m2**1.5
+    kurt = float(d2.sum()) / n / (m2 * m2) - 3.0
+    return total, mean, m2, skew, kurt
+
+
 def ref_edge_block(crag, boundary, node_feats):
     """The (edges, 592) block of edge vectors, one per adjacency edge in
     order, as compute_features assembled it when each edge carried the
     combinators of its two node vectors: contact area, interface mean,
-    variance and skew (_moments of ref_interface_values), then |u-v|,
+    variance and skew (ref_moments of ref_interface_values), then |u-v|,
     min, max and u+v per node feature.
     """
     adjacency = crag.adjacency
@@ -1322,7 +1350,7 @@ def ref_edge_block(crag, boundary, node_feats):
     v = np.array([node_feats[j] for _, j in adjacency])
     out = np.empty((len(adjacency), 4 + 4 * u.shape[1]))
     for row, values in zip(out, ref_interface_values(crag, boundary)):
-        _, mean, var, skew, _ = _moments(values, values.min() == values.max())
+        _, mean, var, skew, _ = ref_moments(values, values.min() == values.max())
         row[:4] = float(len(values)), mean, var, skew
     out[:, 4::4] = np.abs(u - v)
     out[:, 5::4] = np.minimum(u, v)
