@@ -31,6 +31,7 @@ from .crag import (
     json_known,
     json_member,
     json_value,
+    real_array,
     validate_solution,
 )
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     SchemaMismatch,
     SingleClass,
 )
-from .evaluate import contingency_table
+from .evaluate import contingency_table, int_labels
 from .features import edge_feature_names, edge_rows, node_feature_names
 
 PROB_CLAMP = 1e-6
@@ -82,7 +83,7 @@ def best_effort(crag, ground_truth, mode="full"):
     best pure candidate selection.  The objective is reported as 0.0:
     no cost table is involved here.
     """
-    gt = np.asarray(ground_truth)
+    gt = int_labels(np.asarray(ground_truth), "ground-truth")
     if gt.shape != (crag.height, crag.width):
         raise DimensionMismatch((crag.height, crag.width), gt.shape)
     if gt.size and gt.min() < 0:
@@ -90,7 +91,7 @@ def best_effort(crag, ground_truth, mode="full"):
     if mode not in ("full", "merge_tree_only"):
         raise CmcError(f"unsupported best-effort mode {mode!r}")
 
-    leaf_label = leaf_gt_labels(crag, gt.astype(np.int64))
+    leaf_label = leaf_gt_labels(crag, gt)
     eligible = {}
     for cid in crag.ids():
         labs = {leaf_label[leaf] for leaf in crag.leaves_under(cid)}
@@ -311,12 +312,8 @@ class Forest:
 
 
 def _finite(X):
-    """Features as float64; CmcError on NaN or infinity, which no split
-    threshold orders, and on rows of unequal length or non-numbers."""
-    try:
-        X = np.asarray(X, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CmcError(f"features must be a matrix of numbers: {exc}") from exc
+    """Features as float64; CmcError on NaN or infinity (no split orders them)."""
+    X = real_array(X, "feature matrix")
     if not np.isfinite(X).all():
         raise CmcError("features must be finite")
     return X

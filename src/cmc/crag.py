@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     AdjacencyBetweenOverlapping,
     CmcError,
+    DegenerateInput,
     KeyMismatch,
     LeavesDoNotCoverImage,
     NotAdjacent,
@@ -270,6 +271,18 @@ def pixel_pairs(labels):
         cross = (lp != lq) & (lp != UNCOVERED) & (lq != UNCOVERED)
         parts.append((lp[cross], lq[cross], flat[sl_p][cross], flat[sl_q][cross]))
     return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+def real_array(values, what):
+    """`values` as float64; DegenerateInput unless an array (or even nested
+    lists) of bools, ints or floats: not ragged, no strings, no complex."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # ragged rows
+        raise DegenerateInput(f"{what} must be an array of real numbers: {exc}") from exc
+    if array.dtype.kind not in "biuf":
+        raise DegenerateInput(f"{what} must be an array of real numbers, got {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 def sorted_distinct(values):

@@ -37,14 +37,12 @@ def _full_table(pred, gt):
     searchsorted), so any int64 labels work and sorted keys are sorted
     pairs.
     """
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
+    pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise DimensionMismatch(gt.shape, pred.shape)
     if gt.size == 0:
         raise EmptyOverlap()
-    pred = _labels(pred, "predicted")
-    gt = _labels(gt, "ground-truth")
+    pred, gt = int_labels(pred, "predicted"), int_labels(gt, "ground-truth")
     gu, pu = sorted_distinct(gt), sorted_distinct(pred)
     gi = np.searchsorted(gu, gt.ravel())
     pi = np.searchsorted(pu, pred.ravel())
@@ -54,7 +52,7 @@ def _full_table(pred, gt):
     )
 
 
-def _labels(labels, side):
+def int_labels(labels, side):
     """Labels as int64; DegenerateInput for a dtype that would not cast
     exactly (floats, NaN, uint64 above the int64 maximum, objects)."""
     kind = labels.dtype.kind

@@ -34,15 +34,16 @@ every candidate at once (node_matrix):
   one component and connected by 4-neighbor pixel pairs is one
   component; only other unions are labelled.  The angle histogram is
   all-zero unless the candidate is one component.
-- The rim: every pixel with an 8-neighbor in another leaf, in
-  UNCOVERED or outside the image, with its 8 neighbors' leaf ranks.  A
-  candidate's pixel with a neighbor outside the candidate is on its
-  leaf's rim, so the candidate's rim rows (one block of the rows sorted
-  by leaf), each rank compared with its range, give every neighbor code
-  the contour walk reads (its backtrack pixel is always outside; it
-  starts at the block's least flat position, the candidate's row-major
-  first pixel), and its contour pixels (a 4-neighbor outside) are the
-  rows whose N, E, S and W bits are not all set.
+- The rim: every pixel with an 8-neighbor in another leaf or UNCOVERED,
+  in the rank image framed by one pixel of UNCOVERED, leaf by leaf and
+  row-major in each.  A candidate's pixel with a neighbor outside it is
+  on its leaf's rim, so its rim rows are one slice.  A row keeps the
+  least and greatest rank of its N, E, S and W neighbors; as UNCOVERED
+  (-1) lies below every range, it is on the contour of ranks [lo, hi)
+  (a 4-neighbor outside) iff low < lo or high >= hi.  Only a candidate
+  that walks afresh forms its slice's neighbor codes, every code the
+  walk reads (its backtrack pixel is always outside; it starts at the
+  slice's least position, the candidate's row-major first pixel).
 - The 4-neighbor pixel pairs between leaves by leaf pair, as the Crag
   groups them (leaf_pairs), and the _part_sums of each group's interface
   values, max(boundary) over each pair.  An edge's moments combine its
@@ -116,6 +117,7 @@ from .crag import (
     json_keyed,
     json_known,
     json_member,
+    real_array,
     row_runs,
     spans,
 )
@@ -134,7 +136,6 @@ _HIST_EDGES = np.linspace(0.0, 1.0, 21)
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 _SQUARE = ndimage.generate_binary_structure(2, 2)
-_NESW = 0b01010101  # neighbor-code bits of the 4-neighbors
 
 
 def _first_inside(back, code):
@@ -292,11 +293,12 @@ def _merge_sorted(parts):
     return merged
 
 
-def _moore_walk(codes, start, width):
-    """Moore boundary walk over a region of an image `width` pixels
-    wide, from `start`, the flat position of its row-major first pixel:
-    one full cycle of flat positions in the region (may repeat pixels),
-    and the _MOORE direction of the step out of each.
+def _moore_walk(codes, start, moves):
+    """Moore boundary walk over a region of an image, from `start`, the
+    flat position of its row-major first pixel, where a step in _MOORE
+    direction d moves moves[d] flat: one full cycle of flat positions in
+    the region (may repeat pixels), and the direction of the step out of
+    each.
 
     codes[p] is the 8-bit code of pixel p's neighbors (bit d: the
     neighbor in direction d is in the region).  The backtrack pixel lies
@@ -308,7 +310,6 @@ def _moore_walk(codes, start, width):
     only ever re-entered from directions other than the initial
     backtrack.)  A lone pixel gives itself and no step.
     """
-    moves = [dr * width + dc for dr, dc in _MOORE]
     cur, back = start, 6  # row-major first pixel: west is out
     if not codes[cur]:
         return [cur], []
@@ -357,16 +358,17 @@ class _Leaves:
 
     The leaves are numbered by their ranks (Crag.leaf_ranks), so every
     table is sized by the leaf count, whatever the ids; `labels` is the
-    rank image, UNCOVERED kept.  Methods take a candidate as its range
-    (lo, hi) of ranks (Crag.leaf_range): its leaves are lo..hi-1, and a
-    label x lies in it iff lo <= x < hi, never for UNCOVERED.
+    rank image, UNCOVERED kept (`framed`, where rim positions and walks
+    live, is it framed).  Methods take a candidate as its range (lo, hi)
+    of ranks (Crag.leaf_range): its leaves are lo..hi-1, and a label x
+    lies in it iff lo <= x < hi, never for UNCOVERED.
     """
 
     def __init__(self, crag, raw, boundary):
         labels = crag.leaf_ranks()
         covered = labels != UNCOVERED
         h, w = labels.shape
-        self.labels, self.width = labels, w
+        self.labels = labels
         n = len(crag.leaf_order)
         leaf_of = labels[covered]
         leaf, r, c0, c1 = row_runs(labels)
@@ -393,9 +395,31 @@ class _Leaves:
         uncovered = labels.size - len(leaf_of)  # sorted first
         by_leaf = np.argsort(labels, axis=None, kind="stable")[uncovered:]
         self.start = np.bincount(leaf_of + 1, minlength=n + 1).cumsum()
+        # the rank image framed by one pixel of UNCOVERED, so that each
+        # covered pixel's 8 neighbors lie a fixed flat move away in it, and
+        # neighbor codes by framed position, filled by each walk where it reads
+        framed = np.pad(labels, 1, constant_values=UNCOVERED)
+        self.framed, self.width = framed.ravel(), w + 2
+        self.moves = np.array([dr * (w + 2) + dc for dr, dc in _MOORE])
+        self.code_table = np.zeros(len(self.framed), dtype=np.uint8)
+        # the rim: pixels with an 8-neighbor in another leaf or UNCOVERED,
+        # leaf by leaf (row-major in each), leaf k's from row rim_start[k]
+        on_rim = np.zeros((h, w), dtype=bool)
+        for dr, dc in _MOORE:
+            on_rim |= framed[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc] != labels
+        on_rim = on_rim.ravel()[by_leaf]
+        at = by_leaf[on_rim]  # flat in the image; (r, c) is (r + 1, c + 1) framed
+        self.rim = at + 2 * (at // w) + self.width + 1
+        self.rim_start = np.append(0, on_rim.cumsum())[self.start]
+        # the sides of a rim pixel's N, E, S and W neighbors outside its leaf
+        # (off the rim, all 8 are in it), and their least and greatest rank
+        nesw = self.framed[self.rim[:, None] + self.moves[::2]]
+        sides = (nesw != self.framed[self.rim, None]).sum(axis=1)
+        self.perimeter = np.append(0, sides.cumsum())[self.rim_start]
+        self.low, self.high = nesw.min(axis=1), nesw.max(axis=1)
         # per image, checked over every covered pixel (every candidate's):
-        # (flat image, flat bin image, prefix histograms, values by leaf),
-        # and each leaf's _part_sums, sums[:, plane, leaf]
+        # (rim values, rim bins, prefix histograms, values by leaf), and
+        # each leaf's _part_sums, sums[:, plane, leaf]
         self.planes, sums = [], []
         for name, image in (("raw", raw), ("boundary", boundary)):
             values = image.ravel()[by_leaf]
@@ -407,38 +431,12 @@ class _Leaves:
             hist = np.bincount((leaf_of + 1) * 20 + bins[covered], minlength=20 * (n + 1))
             sums.append(_part_sums(values, self.start[:-1]))
             hist = hist.reshape(n + 1, 20).cumsum(axis=0)
-            self.planes.append((image.ravel(), bins.ravel(), hist, values))
+            self.planes.append((values[on_rim], bins.ravel()[at], hist, values))
         self.sums = np.stack(sums, axis=1)
         # 8-connected components per leaf
         self.components = np.zeros(n, dtype=np.int64)
         for k, (r0, r1, c0, c1) in enumerate(self.boxes.tolist()):
             self.components[k] = ndimage.label(labels[r0:r1, c0:c1] == k, _SQUARE)[1]
-        # the rim: pixels with an 8-neighbor in another leaf, in UNCOVERED
-        # or outside the image, row-major, with their neighbors' labels
-        on_rim = np.ones((h, w), dtype=bool)  # the border has one outside
-        on_rim[1:-1, 1:-1] = False
-        for dr, dc in _MOORE:
-            here = np.s_[max(-dr, 0) : h - max(dr, 0), max(-dc, 0) : w - max(dc, 0)]
-            there = np.s_[max(dr, 0) : h + min(dr, 0), max(dc, 0) : w + min(dc, 0)]
-            on_rim[here] |= labels[here] != labels[there]
-        on_rim &= covered
-        self.rim = np.flatnonzero(on_rim)
-        self.rim_leaf = labels[on_rim]
-        # the rim rows by leaf (stably, so row-major in each), leaf k's from rim_start[k]
-        self.rim_by_leaf = np.argsort(self.rim_leaf, kind="stable")
-        self.rim_start = np.bincount(self.rim_leaf + 1, minlength=n + 1).cumsum()
-        r, c = np.divmod(self.rim, w)
-        self.rim_around = np.full((len(self.rim), 8), UNCOVERED, dtype=labels.dtype)
-        for d, (dr, dc) in enumerate(_MOORE):
-            rr, cc = r + dr, c + dc
-            inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            self.rim_around[inside, d] = labels[rr[inside], cc[inside]]
-        # the sides of a rim pixel's N, E, S and W neighbors outside its
-        # leaf; a pixel off the rim has all 8 neighbors in its leaf
-        sides = (self.rim_around[:, ::2] != self.rim_leaf[:, None]).sum(axis=1)
-        self.perimeter = np.bincount(self.rim_leaf + 1, sides, n + 1).cumsum().astype(int)
-        # neighbor codes by flat position; each walk fills the rim it reads
-        self.code_table = np.zeros(h * w, dtype=np.uint8)
         # 4-neighbor pixel pairs across leaves, grouped by (leaf_p, leaf_q),
         # and the _part_sums of each group's interface values
         self.pairs = pairs = crag.leaf_pairs
@@ -499,22 +497,18 @@ class _Leaves:
         ranks = self.labels[r0:r1, c0:c1]
         return ndimage.label((lo <= ranks) & (ranks < hi), _SQUARE)[1] == 1
 
-    def rim_of(self, lo, hi):
-        """Flat positions of the candidate's pixels on its leaves' rims,
-        leaf by leaf, and their 8-bit codes of neighbors in the candidate."""
-        rows = self.rim_by_leaf[self.rim_start[lo] : self.rim_start[hi]]
-        around = self.rim_around[rows]
+    def walk(self, lo, hi, first):
+        """_moore_walk over the candidate of ranks lo..hi-1 from `first`,
+        the framed position of its row-major first pixel.  Its leaves'
+        rim rows get their codes of neighbors in the candidate first."""
+        rim = self.rim[self.rim_start[lo] : self.rim_start[hi]]
+        around = self.framed[rim[:, None] + self.moves]
         inside = (lo <= around) & (around < hi)
-        return self.rim[rows], np.packbits(inside, axis=1, bitorder="little")[:, 0]
-
-    def walk(self, rim, codes, start):
-        """_moore_walk from `start`, rim.min(), over the candidate whose
-        rim pixels and codes these are (a rim_of result)."""
-        self.code_table[rim] = codes
-        return _moore_walk(memoryview(self.code_table), start, self.width)
+        self.code_table[rim] = np.packbits(inside, axis=1, bitorder="little")[:, 0]
+        return _moore_walk(memoryview(self.code_table), first, self.moves.tolist())
 
 
-# what a candidate hands its parent: the flat position of its row-major
+# what a candidate hands its parent: the framed position of its row-major
 # first pixel, its leaf range, its sorted raw and boundary values, and
 # its walk (positions, angle histogram), None unless it was walked
 _Held = namedtuple("_Held", "first span ordered walk")
@@ -530,12 +524,10 @@ def _reused_walk(facts, span, first, kids):
     kid = next((kid for kid in kids if kid.first == first), None)
     if kid is None or kid.walk is None:
         return None
-    around = facts.rim_around[np.searchsorted(facts.rim, kid.walk[0])]
+    around = facts.framed[np.add.outer(kid.walk[0], facts.moves)]
     (lo, hi), (kid_lo, kid_hi) = span, kid.span
-    inside = (lo <= around) & (around < hi)
-    if (inside & ((around < kid_lo) | (kid_hi <= around))).any():
-        return None
-    return kid.walk
+    other = (lo <= around) & (around < hi) & ((around < kid_lo) | (kid_hi <= around))
+    return None if other.any() else kid.walk
 
 
 def _node_vector(facts, vector, contour_sums, span, kids):
@@ -545,30 +537,31 @@ def _node_vector(facts, vector, contour_sums, span, kids):
     contour values, one column per plane, into `contour_sums`; return its
     _Held record.  `kids` holds its children's."""
     lo, hi = span
-    rim, codes = facts.rim_of(lo, hi)
-    first = int(rim.min())  # the row-major first pixel is on a leaf's rim
+    rows = np.s_[facts.rim_start[lo] : facts.rim_start[hi]]
+    first = int(facts.rim[rows].min())  # the row-major first pixel is on a leaf's rim
     # the angle histogram is all-zero unless the candidate is one
     # 8-connected component; a lone pixel makes no step
     walk = None
     if facts.one_component(lo, hi):
         walk = _reused_walk(facts, span, first, kids)
         if walk is None:
-            positions, steps = facts.walk(rim, codes, first)
+            positions, steps = facts.walk(lo, hi, first)
             walk = positions, np.bincount(_STEP_BIN[steps], minlength=16)
         vector[3:19] = walk[1]
 
-    contour = rim[(codes & _NESW) != _NESW]
+    # a rim row is on the contour iff a 4-neighbor's rank is outside [lo, hi)
+    contour = (facts.low[rows] < lo) | (facts.high[rows] >= hi)
     start, stop = facts.start[lo], facts.start[hi]
     ordered, merged = [], []
-    for plane, (flat, bins, _, values) in enumerate(facts.planes):
+    for plane, (rim_values, rim_bins, _, values) in enumerate(facts.planes):
         parts = [kid.ordered[plane] for kid in kids] or [np.sort(values[start:stop])]
         ordered.append(_merge_sorted(parts))
-        merged.append(np.sort(flat[contour]))
+        merged.append(np.sort(rim_values[rows][contour]))
         at = 19 + 64 * plane  # the plane's all-pixel block, then its contour block
         vector[at + 25 : at + 32] = _quantiles(ordered[plane])
-        vector[at + 37 : at + 57] = np.bincount(bins[contour], minlength=20)
+        vector[at + 37 : at + 57] = np.bincount(rim_bins[rows][contour], minlength=20)
         vector[at + 57 : at + 64] = _quantiles(merged[plane])
-    contour_sums[:] = _part_sums(np.concatenate(merged), np.array([0, len(contour)]))
+    contour_sums[:] = _part_sums(np.concatenate(merged), np.array([0, len(merged[0])]))
     return _Held(first, span, ordered, walk)
 
 
@@ -580,7 +573,7 @@ def compute_features(crag, raw, boundary):
     vectors by edge_rows.
     """
     shape = crag.height, crag.width
-    raw, boundary = (np.asarray(image, dtype=np.float64) for image in (raw, boundary))
+    raw, boundary = real_array(raw, "raw image"), real_array(boundary, "boundary map")
     for image in (raw, boundary):
         if image.shape != shape:
             raise DimensionMismatch(shape, image.shape)

@@ -17,20 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .crag import Candidate, build_crag, pixel_pairs, sorted_distinct
+from .crag import Candidate, build_crag, pixel_pairs, real_array, sorted_distinct
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 
 
 def _check_boundary(boundary):
-    boundary = np.asarray(boundary, dtype=np.float64)
+    boundary = real_array(boundary, "boundary map")
     if boundary.ndim != 2:
         raise DegenerateInput(f"boundary map must be 2-d, got shape {boundary.shape}")
     if boundary.size == 0:
         raise DegenerateInput(f"boundary map is empty, shape {boundary.shape}")
-    if not np.all(np.isfinite(boundary)):
-        raise DegenerateInput("boundary map contains non-finite values")
-    if boundary.min() < 0.0 or boundary.max() > 1.0:
-        raise DegenerateInput("boundary values outside [0, 1]")
+    if not np.all((boundary >= 0.0) & (boundary <= 1.0)):  # NaN fails too
+        raise DegenerateInput("boundary values non-finite or outside [0, 1]")
     return boundary
 
 

@@ -30,8 +30,9 @@ from cmc.errors import (
     SingleClass,
 )
 from cmc.crag import Solution, build_crag, validate_solution
+from cmc.evaluate import segmentation_metrics
 from cmc.features import compute_features
-from cmc.pipeline import PipelineConfig, model_to_json, train_model
+from cmc.pipeline import PipelineConfig, build_graph, model_to_json, train_model
 from cmc.synth import generate_synthetic
 
 from util import (
@@ -150,6 +151,39 @@ def test_best_effort_input_checks():
         best_effort(crag, np.full((4, 4), -1))
     with pytest.raises(CmcError):
         best_effort(crag, quad_gt(), mode="nope")
+
+
+def synth_crag_and_gt():
+    """The 128 px crag and ground truth of one synthetic image."""
+    _, boundary, gt = generate_synthetic(1, 3, 0.1, 1003)[0]
+    return build_graph(boundary, PipelineConfig()), gt
+
+
+# ground truth that int64 cannot hold exactly: truncated, turned into
+# label -2**63, or wrapped to negative labels by a bare cast
+INEXACT_GT = {
+    "fractional": lambda gt: gt + 0.5,
+    "nan": lambda gt: np.where(gt == 0, np.nan, gt),
+    "uint64 from 2**63": lambda gt: gt.astype(np.uint64) + np.uint64(2**63),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INEXACT_GT))
+def test_best_effort_rejects_ground_truth_that_metrics_reject(case):
+    crag, gt = synth_crag_and_gt()
+    bad = INEXACT_GT[case](gt)
+    with pytest.raises(DegenerateInput, match="ground-truth labels"):
+        best_effort(crag, bad)
+    with pytest.raises(DegenerateInput, match="ground-truth labels"):
+        segmentation_metrics(gt, bad)
+
+
+def test_best_effort_same_for_every_integer_and_bool_dtype():
+    crag, gt = synth_crag_and_gt()
+    want = best_effort(crag, gt)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert best_effort(crag, gt.astype(dtype)) == want
+    assert best_effort(crag, gt > 0) == best_effort(crag, (gt > 0).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

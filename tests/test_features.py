@@ -32,6 +32,7 @@ from cmc.features import (
     features_to_json,
     node_feature_names,
 )
+from cmc.hierarchy import build_merge_tree, seeded_watershed
 from cmc.pgm import write_probability
 from cmc.pipeline import PipelineConfig, build_graph, model_to_json, train_from_instances
 from cmc.solver import extract_segmentation
@@ -85,14 +86,15 @@ def angle_histogram(pixels):
 
 def crag_walk(crag, cid):
     """(row, col) positions of one cycle of the Moore walk over a
-    candidate, from the codes compute_features reads: its leaves' rim
-    rows, their neighbors' ranks compared with its range, from the least
-    flat position of those rows."""
+    candidate, as compute_features walks it afresh: from the codes of its
+    leaves' rim rows, their neighbors' ranks in the framed rank image
+    compared with its range, from the least framed position of those rows."""
     blank = np.zeros(crag.leaf_labels().shape)
     facts = _Leaves(crag, blank, blank)
-    rim, codes = facts.rim_of(*crag.leaf_range(cid))
-    positions, _ = facts.walk(rim, codes, int(rim.min()))
-    return [divmod(p, crag.width) for p in positions]
+    lo, hi = crag.leaf_range(cid)
+    first = int(facts.rim[facts.rim_start[lo] : facts.rim_start[hi]].min())
+    positions, _ = facts.walk(lo, hi, first)
+    return [(r - 1, c - 1) for r, c in (divmod(p, facts.width) for p in positions)]
 
 
 def walk_positions(pixels):
@@ -869,6 +871,29 @@ def test_out_of_range_image_rejected():
         region_features({(1, 1)}, np.zeros((4, 4)), np.full((4, 4), -0.1))
 
 
+# images that a float64 cast takes badly: a bare numpy ValueError
+# (strings, ragged rows) or a silently dropped imaginary part
+HALF = np.full((4, 4), 0.5)
+BAD_IMAGES = {
+    "string": np.full((4, 4), "a"),
+    "ragged": [[0.5] * 4] * 3 + [[0.5] * 3],
+    "complex": HALF + 0.25j,
+}
+IMAGE_ENTRY_POINTS = {
+    "compute_features raw": lambda image: compute_features(quad_crag(), image, HALF),
+    "compute_features boundary": lambda image: compute_features(quad_crag(), HALF, image),
+    "seeded_watershed": lambda image: seeded_watershed(image, 0.75),
+    "build_merge_tree": lambda image: build_merge_tree(np.arange(16).reshape(4, 4) // 8, image),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IMAGES))
+@pytest.mark.parametrize("entry", sorted(IMAGE_ENTRY_POINTS))
+def test_images_of_no_real_numbers_rejected(entry, case):
+    with pytest.raises(DegenerateInput, match="raw image|boundary map"):
+        IMAGE_ENTRY_POINTS[entry](BAD_IMAGES[case])
+
+
 def test_parent_size_is_sum_of_children():
     crag = quad_crag()
     rng = np.random.default_rng(13)
@@ -1077,8 +1102,26 @@ def random_crags(seed, count):
         yield labels_crag(labels)
 
 
+def border_crags(seed):
+    """Crags whose leaves lie on the image border: 60 random_sparse_crag
+    graphs (UNCOVERED pixels, leaves on the border), four one-pixel
+    leaves, and 1 x 9, 9 x 1 and 1 x 1 images of random ranks."""
+    rng = np.random.default_rng(seed)
+    crags = [random_sparse_crag(rng) for _ in range(60)]
+    crags.append(labels_crag([[0, 1], [2, 3]]))  # four one-pixel leaves
+    for shape in ((1, 9), (9, 1), (1, 1)):
+        for _ in range(10):
+            labels = rng.integers(-1, 3, size=shape)
+            if (labels == UNCOVERED).all():
+                labels[0, 0] = 0
+            crags.append(labels_crag(labels))
+    return crags
+
+
 def test_trace_contour_on_random_masks():
-    for crag in random_crags(71, 2500):
+    """The walk over every candidate of random_crags and border_crags
+    equals the per-pixel reference's."""
+    for crag in itertools.chain(random_crags(71, 2500), border_crags(43)):
         for cid in crag.ids():
             assert crag_walk(crag, cid) == ref_moore_trace(pixels_of(crag, cid))
 
@@ -1109,11 +1152,12 @@ def test_angle_histogram_on_random_masks(monkeypatch):
 def test_contour_slices_on_random_masks():
     """Contour statistics of the pixels that 4-erosion removes: the
     histogram and quantiles bit-equal to the reference's, the moments
-    (summed there in row-major order) within 1e-12 * (1 + |v|)."""
+    (summed there in row-major order) within 1e-12 * (1 + |v|).  The
+    border_crags put leaves on the frame, where the image ends."""
     cross = ndimage.generate_binary_structure(2, 1)
     contour = np.s_[idx("raw_contour_sum") : idx("boundary_all_sum")]
     rng = np.random.default_rng(83)
-    for crag in random_crags(79, 1200):
+    for crag in itertools.chain(random_crags(79, 1200), border_crags(43)):
         raw = rng.random((crag.height, crag.width))
         nf, _ = compute_features(crag, raw, np.zeros(raw.shape))
         for cid in crag.ids():
@@ -1299,16 +1343,7 @@ def test_leaf_perimeters_from_the_rim():
     """_Leaves counts each leaf's sides from its rim; they equal the
     pixel-pair count on random sparse crags (UNCOVERED pixels, leaves on
     the border), on one-pixel leaves and on 1 x n and n x 1 images."""
-    rng = np.random.default_rng(43)
-    crags = [random_sparse_crag(rng) for _ in range(60)]
-    crags += [labels_crag(labels) for labels in SPLIT_CASES]
-    crags.append(labels_crag([[0, 1], [2, 3]]))  # four one-pixel leaves
-    for shape in ((1, 9), (9, 1), (1, 1)):
-        for _ in range(10):
-            labels = rng.integers(-1, 3, size=shape)
-            if (labels == UNCOVERED).all():
-                labels[0, 0] = 0
-            crags.append(labels_crag(labels))
+    crags = border_crags(43) + [labels_crag(labels) for labels in SPLIT_CASES]
     one_pixel = 0
     for crag in crags:
         blank = np.zeros((crag.height, crag.width))
