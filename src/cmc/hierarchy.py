@@ -7,6 +7,15 @@ extract_candidates cuts the tree down to the candidates within a merge
 budget and wires up the candidate region adjacency graph.  The merge
 tree keeps each interface as one sorted float64 array and reads its
 median off the two central entries, with np.median's arithmetic.
+
+The watershed is Meyer's priority flood (Meyer, "Topographic distance
+and watershed lines", Signal Processing 1994) with a FIFO tie order.
+Every seed lies below the threshold and every other pixel at or above
+it, so all seeds pop before any claimed pixel: their pops and claims
+are one array pass, not heap operations.  A pixel with no unclaimed
+neighbour would claim nothing when popped, so it is never pushed.  Only
+the rest of the flood runs as a heap loop, with the same pops in the
+same order.
 """
 
 import heapq
@@ -19,6 +28,7 @@ from scipy import ndimage
 
 from .crag import Candidate, build_crag, pixel_pairs, real_array, sorted_distinct
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
+from .evaluate import int_labels
 
 
 def _check_boundary(boundary):
@@ -40,20 +50,28 @@ def seeded_watershed(boundary, seed_threshold):
     value; ties fall back to insertion order (FIFO), so the result is
     deterministic.  Labels are 1..K with no background.
 
-    The queue holds one integer per pushed pixel, rank * (h*w) + push
-    index, where rank orders the distinct boundary values of the
-    pushable pixels (np.unique, so -0.0 and 0.0 share a rank) and the
-    push index counts pushes: seeds first in row-major order, then each
-    pixel as it is claimed.  Keys are distinct and sort like (value,
-    push index), so pixels pop in the same FIFO tie order as a heap of
-    (value, counter) tuples.  A seed whose in-image neighbours are all
-    seeds would claim nothing when popped, so it is never pushed; it
-    still uses up its push index.  Only the other pixels are pushable:
-    the seeds that touch a non-seed, and the non-seeds, each pushed
-    when claimed.  Ranks over that subset order its values as ranks over
-    the whole image would, so the pop order is the same; on the usual
-    maps most pixels are interior seeds, and the rank skips them.
-    Neighbours are visited up, down, left, right.
+    The flood pops pixels by (value, push index), where the push index
+    counts pushes: seeds first in row-major order, then each pixel as
+    it is claimed.  A popped pixel claims its unclaimed neighbours, up,
+    down, left, right, and pushes them.  Most of it skips the heap:
+
+    - Seeds first.  Every seed is below the threshold and every other
+      pixel at or above it, so all seeds pop first, in the order of one
+      stable argsort of their values in push order (-0.0 and 0.0 tie).
+      Their claims are one array pass over the popped seeds' neighbours
+      in pop and direction order: each unclaimed pixel goes to its
+      first occurrence and takes the next push index.
+    - No unclaimed neighbour, no push.  Such a pixel would claim nothing
+      when popped, and claims are never undone, so leaving it off the
+      heap changes no other pop.  Seeds whose neighbours are all seeds,
+      and the pixels that the seeds' pass closes in, are never pushed;
+      each still uses up its push index.
+
+    The heap loop runs the rest, pushing every pixel it claims.  It
+    holds one integer per pushed pixel, rank * (h*w) + push index, with
+    rank over the distinct values of the non-seeds (np.unique, so -0.0
+    and 0.0 share a rank): keys are distinct and sort like (value, push
+    index), the FIFO tie order of a heap of (value, counter) tuples.
     """
     boundary = _check_boundary(boundary)
     seeds, n_seeds = ndimage.label(boundary < seed_threshold)
@@ -64,8 +82,10 @@ def seeded_watershed(boundary, seed_threshold):
     # flat images padded by one pixel, so neighbours need no bounds test;
     # the padding carries label -1 and is never claimed
     stride = w + 2
+    moves = np.array([-stride, stride, -1, 1])
     padded = np.full((h + 2, stride), -1, dtype=np.int64)
     padded[1:-1, 1:-1] = seeds
+    labels = padded.reshape(-1)
     seeded = padded != 0
     interior = (
         seeded[1:-1, 1:-1]
@@ -74,21 +94,36 @@ def seeded_watershed(boundary, seed_threshold):
         & seeded[1:-1, :-2]
         & seeded[1:-1, 2:]
     )
-    pushable = ~interior
-    _, rank = np.unique(boundary[pushable], return_inverse=True)
+
+    # the seeds' pops: those with a non-seed neighbour, by (value, push
+    # index); each unclaimed neighbour goes to its first claimer
+    flat = np.flatnonzero(seeds)
+    at = flat + stride + 1 + 2 * (flat // w)
+    front = np.flatnonzero(~interior.ravel()[flat])
+    popped = at[front[np.argsort(boundary.ravel()[flat[front]], kind="stable")]]
+    near = (popped[:, None] + moves).ravel()
+    free = np.flatnonzero(labels[near] == 0)
+    _, first = np.unique(near[free], return_index=True)
+    claim = free[np.sort(first)]
+    claimed = near[claim]
+    labels[claimed] = labels[popped[claim // 4]]
+
+    nonseed = ~seeded[1:-1, 1:-1]
+    _, rank = np.unique(boundary[nonseed], return_inverse=True)
     key_base = np.zeros((h + 2, stride), dtype=np.int64)
-    key_base[1:-1, 1:-1][pushable] = rank * n
+    key_base[1:-1, 1:-1][nonseed] = rank * n
+    base = key_base.reshape(-1)
+    # claimed pixel k has push index len(flat) + k; only those with an
+    # unclaimed neighbour go on the heap
+    still_open = np.flatnonzero((labels[claimed[:, None] + moves] == 0).any(axis=1))
+    heap = (base[claimed[still_open]] + (len(flat) + still_open)).tolist()
+    heapq.heapify(heap)
 
     # the flood reads and writes the images through memoryviews and grows
-    # `order` as an int64 array, so it makes no Python int per pixel
-    labels = memoryview(padded.reshape(-1))
-    base = memoryview(key_base.reshape(-1))
+    # `order` as an int64 array, so it makes no Python int per pixel;
     # order[k] is the padded flat index of the pixel with push index k
-    flat = np.flatnonzero(seeds)
-    order = array("q", (flat + stride + 1 + 2 * (flat // w)).tobytes())
-    pushed = np.flatnonzero(pushable.ravel()[flat]).tolist()
-    heap = [base[order[k]] + k for k in pushed]
-    heapq.heapify(heap)
+    order = array("q", np.concatenate((at, claimed)).tobytes())
+    labels, base = memoryview(labels), memoryview(base)
     heappush, heappop = heapq.heappush, heapq.heappop
     while heap:
         p = order[heappop(heap) % n]
@@ -127,7 +162,9 @@ def build_merge_tree(superpixels, boundary):
     recomputed (sizes change and interfaces concatenate); ties pick the
     smallest (min_id, max_id) pair.  New ids continue above the largest
     existing label.  Returns K-1 events for K superpixels; labels must
-    be non-negative.
+    be non-negative integers or bools (evaluate.int_labels: floats,
+    strings and uint64 above the int64 maximum raise DegenerateInput),
+    and the tree keeps them as int64.
 
     The live regions are the keys of one map, region -> {neighbour:
     interface}, and each interface is one sorted float64 array.  The
@@ -147,7 +184,7 @@ def build_merge_tree(superpixels, boundary):
     np.median does, so the order a sort gives equal zeros of either sign
     does not matter.
     """
-    superpixels = np.asarray(superpixels)
+    superpixels = int_labels(np.asarray(superpixels), "superpixel")
     boundary = _check_boundary(boundary)
     if superpixels.shape != boundary.shape:
         raise DimensionMismatch(boundary.shape, superpixels.shape)

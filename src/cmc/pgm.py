@@ -7,6 +7,7 @@ range; ground-truth label images store their integer labels directly.
 
 import numpy as np
 
+from .crag import real_array
 from .errors import DegenerateInput
 
 MAXVAL = 65535
@@ -87,8 +88,10 @@ def read_probability(path):
 
 
 def write_probability(path, values):
-    """Scale [0, 1] floats to 16-bit and write as PGM."""
-    values = np.asarray(values, dtype=np.float64)
+    """Scale [0, 1] floats to 16-bit and write as PGM.  The values go
+    through crag.real_array, so strings, ragged rows and complex values
+    raise DegenerateInput."""
+    values = real_array(values, "probability map")
     # written so that NaN fails too
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise DegenerateInput("probability values non-finite or outside [0, 1]")

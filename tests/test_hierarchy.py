@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmc.errors import CmcError, DegenerateInput, NoSeeds, NotAdjacent
-from cmc.hierarchy import build_merge_tree, extract_candidates, seeded_watershed
+from cmc.hierarchy import MergeEvent, build_merge_tree, extract_candidates, seeded_watershed
 from cmc.synth import generate_synthetic
 
 from util import (
@@ -150,6 +150,98 @@ def test_watershed_matches_reference_on_synthetic(size, n_cells, seed):
     _, boundary, _ = generate_synthetic(1, n_cells, 1.0, seed, image_size=size)[0]
     for threshold in (0.3, 0.5, 0.7):
         assert_same_flood(boundary, threshold)
+
+
+# The seeds pop first, in one array pass; the pixels they claim go on the
+# heap only if they still have an unclaimed neighbour.
+
+
+def test_watershed_seeds_of_equal_value_meet_at_one_pixel():
+    """Four one-pixel seeds around a non-seed centre: the seed with the
+    least (value, push index) claims it, whichever side it is on; -0.0
+    and 0.0 tie and fall back to the push order."""
+    sides = [(0, 1), (1, 0), (1, 2), (2, 1)]  # push order = label order
+    for values in itertools.product([0.0, -0.0, 0.25], repeat=4):
+        boundary = np.ones((3, 3))
+        for side, value in zip(sides, values):
+            boundary[side] = value
+        labels = seeded_watershed(boundary, 0.5)
+        assert_same_flood(boundary, 0.5)
+        first = min(range(4), key=lambda k: (values[k], k))
+        assert labels[1, 1] == first + 1
+
+
+def test_watershed_seed_claims_in_four_directions():
+    """Seed 2 claims up, down, left and right at once; seed 1, of the
+    same value and pushed first, pops first and takes what it reaches."""
+    boundary = np.full((3, 5), 0.5)
+    boundary[0, 4] = 0.0
+    boundary[1, 2] = -0.0
+    labels = seeded_watershed(boundary, 0.25)
+    assert_same_flood(boundary, 0.25)
+    assert labels.tolist() == [[2, 2, 2, 1, 1], [2, 2, 2, 2, 1], [2, 2, 2, 2, 1]]
+
+
+def test_watershed_claimed_pixels_closed_at_once():
+    """A checkerboard: every seed is its own region and every non-seed is
+    closed in once the seeds have claimed, so nothing is left for the
+    heap.  A solid block of seeds beside it has closed seeds inside."""
+    rng = np.random.default_rng(44)
+    rows, cols = np.indices((7, 9))
+    for _ in range(20):
+        seed_values = rng.choice([0.0, -0.0, 0.1, 0.2], size=(7, 9))
+        boundary = np.where((rows + cols) % 2 == 0, seed_values, 0.75)
+        assert_same_flood(boundary, 0.5)
+        boundary[1:6, :4] = seed_values[1:6, :4]  # a block with closed seeds
+        assert_same_flood(boundary, 0.5)
+    # seeds of one value pop in push order, which is label order, so each
+    # non-seed goes to its least neighbouring seed label
+    boundary = np.where((rows + cols) % 2 == 0, 0.0, 1.0)
+    labels = seeded_watershed(boundary, 0.5)
+    assert_same_flood(boundary, 0.5)
+    framed = np.pad(labels, 1, constant_values=labels.max() + 1)
+    least = np.minimum.reduce(
+        [framed[:-2, 1:-1], framed[2:, 1:-1], framed[1:-1, :-2], framed[1:-1, 2:]]
+    )
+    odd = (rows + cols) % 2 == 1
+    assert np.array_equal(labels[odd], least[odd])
+
+
+def test_watershed_all_seeds_and_single_seeds():
+    rng = np.random.default_rng(45)
+    for shape in [(1, 1), (1, 6), (6, 1), (4, 5)]:
+        # all seeds, signed zeros among them: nothing is claimed
+        boundary = rng.choice([0.0, -0.0, 0.25, 0.5], size=shape)
+        assert_same_flood(boundary, 1.5)
+        # one seed at every position: at a corner, an edge or inside
+        for k in range(boundary.size):
+            boundary = 0.5 + rng.choice([0.0, 0.25, 0.5], size=shape)
+            boundary.flat[k] = rng.choice([0.0, -0.0])
+            assert_same_flood(boundary, 0.5)
+            assert np.all(seeded_watershed(boundary, 0.5) == 1)
+
+
+QUANTIZED_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def quantized_maps(draw):
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = draw(st.lists(QUANTIZED_VALUES, min_size=h * w, max_size=h * w))
+    threshold = draw(st.floats(0.0, 1.5, exclude_min=True))
+    return np.array(values).reshape(h, w), threshold
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(quantized_maps())
+@example((np.array([[0.5, 0.0, 0.5], [-0.0, 0.5, 0.0]]), 0.25))
+def test_watershed_matches_reference_on_quantized_maps(case):
+    boundary, threshold = case
+    if (boundary < threshold).any():
+        assert_same_flood(boundary, threshold)
+    else:
+        with pytest.raises(NoSeeds):
+            seeded_watershed(boundary, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +509,47 @@ def test_merge_tree_rejects_negative_labels():
     boundary = np.zeros((1, 4))
     with pytest.raises(CmcError):
         build_merge_tree(np.array([[1, 1, -1, 2]]), boundary)
+
+
+@pytest.mark.parametrize(
+    "superpixels",
+    [
+        np.full((4, 4), "a"),
+        np.full((4, 4), 0.5),
+        np.arange(16.0).reshape(4, 4),
+        np.full((4, 4), 2**63, dtype=np.uint64),
+        np.full((4, 4), None),
+    ],
+    ids=["string", "half", "whole-floats", "uint64-past-int64", "object"],
+)
+def test_merge_tree_rejects_labels_that_are_not_integers(superpixels):
+    """The rule of evaluate.int_labels: a string image ended in a bare
+    TypeError, and floats were taken as labels."""
+    with pytest.raises(DegenerateInput, match="superpixel labels"):
+        build_merge_tree(superpixels, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+def test_merge_tree_same_for_every_integer_dtype(dtype):
+    _, boundary, _ = generate_synthetic(1, 3, 1.0, 0, image_size=96)[0]
+    superpixels = seeded_watershed(boundary, 0.5)
+    assert superpixels.max() < 128
+    want = build_merge_tree(superpixels, boundary)
+    got = build_merge_tree(superpixels.astype(dtype), boundary)
+    assert got.events == want.events
+    assert got.superpixels.dtype == np.int64
+    assert np.array_equal(got.superpixels, superpixels)
+    same_events(superpixels.astype(dtype), boundary)
+
+
+def test_merge_tree_same_for_bool_labels():
+    boundary = np.array([[0.0, 0.25, 0.5], [1.0, 0.5, 0.25]])
+    superpixels = np.array([[True, True, False], [True, False, False]])
+    got = build_merge_tree(superpixels, boundary)
+    assert got.events == build_merge_tree(superpixels.astype(np.int64), boundary).events
+    assert got.events == [MergeEvent(0, 1, 2, 3 * 0.5)]
 
 
 def ref_adjacency(crag):

@@ -104,6 +104,18 @@ def test_probability_rejects_out_of_range(tmp_path):
     assert not (tmp_path / "p.pgm").exists()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.full((2, 2), 0.5 + 0.25j), np.full((2, 2), "a"), [[0.5, 0.5], [0.5]]],
+    ids=["complex", "string", "ragged"],
+)
+def test_probability_rejects_values_that_are_not_real(values, tmp_path):
+    # a complex map was written as its real part, with only a ComplexWarning
+    with pytest.raises(DegenerateInput, match="probability map"):
+        write_probability(tmp_path / "p.pgm", values)
+    assert not (tmp_path / "p.pgm").exists()
+
+
 def test_labels_roundtrip(tmp_path):
     labels = np.array([[0, 1], [2, 40000]])
     path = tmp_path / "l.pgm"
