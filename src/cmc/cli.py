@@ -162,9 +162,7 @@ def _cmd_synth(args):
 
 def _cmd_pipeline(args):
     args.mode = MODE_NAMES.get(args.mode)
-    keys = ("seed_threshold", "max_merges", "score_threshold", "n_trees", "rng_seed")
-    keys += ("mode", "time_limit", "ignore_background")
-    config = _config(args, keys, args.config)
+    config = _config(args, vars(PipelineConfig()), args.config)  # a flag per field
 
     boundary = read_probability(args.boundary)
     raw = read_probability(args.raw)

@@ -31,6 +31,7 @@ from .crag import (
     json_known,
     json_member,
     json_value,
+    param_value,
     real_array,
     validate_solution,
 )
@@ -336,12 +337,8 @@ def train_forest(samples, n_trees, rng_seed):
     and threshold is the one that growing on the draws one by one,
     sorted stably, gives: the trees are the same, bit for bit.
     """
-    # predict_proba averages over the trees: none would give NaN costs
-    if n_trees < 1:
-        raise CmcError(f"n_trees must be >= 1, got {n_trees}")
-    # numpy seeds only non-negative ints
-    if rng_seed < 0:
-        raise CmcError(f"rng_seed must be >= 0, got {rng_seed}")
+    n_trees = param_value("n_trees", n_trees)
+    rng_seed = param_value("rng_seed", rng_seed)
     X, y = samples
     X = _finite(X)
     if X.ndim != 2:

@@ -18,7 +18,9 @@ UNCOVERED, run length) int pairs, and one entry per inner candidate, its
 `id` and `children`.  Helpers shared by every JSON loader live beside
 it: the json_value check, its one-pass json_column form for int and
 float lists, json_known, which rejects members that no release writes,
-and json_keyed for objects keyed by candidate id and by edge.
+and json_keyed for objects keyed by candidate id and by edge.  PARAMS
+states each run parameter's rule once, and param_value checks a value
+by it for config.json, the command line and every library call.
 
 The graph facts are defined here once each: which pixels touch
 (pixel_pairs), which candidates are adjacent and through which leaf
@@ -562,7 +564,8 @@ _EDGE_KEY = re.compile(r"(-?[0-9]+)-(-?[0-9]+)")
 
 
 def json_value(doc, value, kind, where):
-    """value if it is a valid JSON `kind`, else CmcError naming doc and where.
+    """value if it is a valid JSON `kind`, else CmcError naming doc (if any)
+    and where.
 
     int: 64-bit, not bool; float: a finite int or float, not bool,
     returned as float; bool, str, list, dict: that type.
@@ -576,8 +579,55 @@ def json_value(doc, value, kind, where):
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise CmcError(f"{doc}: {where} is not a valid {kind.__name__}: {value!r}")
+        # repr of an int past 4300 digits would raise
+        big = isinstance(value, int) and value.bit_length() > 1024
+        shown = "an int past float" if big else repr(value)
+        _fail(doc, f"{where} is not a valid {kind.__name__}: {shown}")
     return float(value) if kind is float else value
+
+
+def _fail(doc, text):
+    raise CmcError(text if doc is None else f"{doc}: {text}")
+
+
+MODES = ("full", "merge_tree_only", "leaf_multicut_only")
+
+# name -> (JSON kind, None allowed, test, the words for a value failing it)
+_NOT_NEGATIVE = (lambda v: v >= 0, "is negative")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "is outside [0, 1]")
+PARAMS = {
+    # no boundary value lies below a threshold of 0
+    "seed_threshold": (float, False, lambda v: v > 0, "is not above 0"),
+    "max_merges": (int, True, *_NOT_NEGATIVE),  # None: no level cap
+    "score_threshold": (float, True, None, None),
+    # predict_proba averages over the trees: none would give NaN costs
+    "n_trees": (int, False, lambda v: v >= 1, "is below 1"),
+    "rng_seed": (int, False, *_NOT_NEGATIVE),  # numpy's seeds are >= 0
+    "mode": (str, False, lambda v: v in MODES, f"is not one of {MODES}"),
+    "ignore_background": (bool, False, None, None),
+    "time_limit": (float, True, *_NOT_NEGATIVE),  # a NaN deadline never comes
+    "n_images": (int, False, *_NOT_NEGATIVE),
+    "n_cells": (int, False, *_NOT_NEGATIVE),
+    "image_size": (int, False, *_NOT_NEGATIVE),
+    "noise_level": (float, False, *_UNIT),
+    "chord_fraction": (float, False, *_UNIT),
+}
+
+
+def param_value(name, value, doc=None):
+    """value of run parameter `name` by its rule in PARAMS: None where
+    allowed, else a valid JSON `kind` (json_value) that passes the test;
+    numpy scalars read as the Python values they hold.  CmcError names
+    the parameter and, unless None, doc (a file or "command line")."""
+    kind, nullable, test, fault = PARAMS[name]
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        value = value.item()
+    if value is None and nullable:
+        return None
+    value = json_value(doc, value, kind, name)
+    if test is not None and not test(value):
+        _fail(doc, f"{name} {value!r} {fault}")
+    return value
 
 
 def json_column(values, kind):
@@ -605,9 +655,9 @@ def json_member(doc, obj, key, kind, where):
 
 
 def json_known(doc, obj, keys, where):
-    """CmcError naming doc, where and the first member of the JSON object
-    obj, in sorted order, that is not one of keys."""
-    unknown = sorted(set(obj) - set(keys))
+    """CmcError naming doc and where if obj is no JSON object (a dict),
+    or else its first member, in sorted order, that is not one of keys."""
+    unknown = sorted(set(json_value(doc, obj, dict, where)) - set(keys))
     if unknown:
         raise CmcError(f"{doc}: {where} has unknown key {unknown[0]!r}")
 

@@ -3,7 +3,7 @@
 All three measures are computed from one joint label-count table:
 variation of information (split/merge conditional entropies, in bits),
 Rand index (pairwise agreement in closed form), and a detection score
-(greedy one-to-one object matching at IoU > 0.5).
+(one-to-one object matching at IoU > 0.5).
 """
 
 import math
@@ -124,7 +124,7 @@ def _rand_index(t):
 
 
 def detection_score(pred, gt):
-    """(precision, recall, f_score) under greedy IoU > 0.5 matching.
+    """(precision, recall, f_score) under one-to-one IoU > 0.5 matching.
 
     Label 0 is background on both sides and never an object.  When one
     side has objects and the other has none, the empty side's ratio is
@@ -137,24 +137,16 @@ def _detection_score(t):
     n_gt = sum(1 for l in t.gt_marginals if l != 0)
     n_pred = sum(1 for l in t.pred_marginals if l != 0)
 
-    candidates = []
+    # a pair with IoU > 0.5 holds more than half of both its objects, so
+    # it is the only such pair of each: every one is a match
+    tp = 0
     for (gl, pl), inter in t.counts.items():
         if gl == 0 or pl == 0:
             continue
         union = t.gt_marginals[gl] + t.pred_marginals[pl] - inter
         iou = inter / union
         if iou > 0.5:
-            candidates.append((-iou, gl, pl))
-    candidates.sort()
-
-    matched_gt = set()
-    matched_pred = set()
-    for _, gl, pl in candidates:
-        if gl in matched_gt or pl in matched_pred:
-            continue
-        matched_gt.add(gl)
-        matched_pred.add(pl)
-    tp = len(matched_gt)
+            tp += 1
 
     if n_pred:
         precision = tp / n_pred

@@ -19,14 +19,20 @@ same order.
 """
 
 import heapq
-import math
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .crag import Candidate, build_crag, pixel_pairs, real_array, sorted_distinct
+from .crag import (
+    Candidate,
+    build_crag,
+    param_value,
+    pixel_pairs,
+    real_array,
+    sorted_distinct,
+)
 from .errors import CmcError, DegenerateInput, DimensionMismatch, NoSeeds
 from .evaluate import int_labels
 
@@ -73,6 +79,7 @@ def seeded_watershed(boundary, seed_threshold):
     and 0.0 share a rank): keys are distinct and sort like (value, push
     index), the FIFO tie order of a heap of (value, counter) tuples.
     """
+    seed_threshold = param_value("seed_threshold", seed_threshold)
     boundary = _check_boundary(boundary)
     seeds, n_seeds = ndimage.label(boundary < seed_threshold)
     if n_seeds == 0:
@@ -259,15 +266,12 @@ def extract_candidates(tree, max_merges, score_threshold=None):
     Adjacency edges join every disjoint touching pair across all levels:
     the adjacency None asks build_crag for all of its lift.  The
     superpixel array becomes the Crag's leaf label image and so states
-    the leaves: every superpixel stays a candidate, max_merges must be
-    >= 0, and build_crag gets only the surviving merge results, each
-    with its children.  The levels serve the cap alone; the Crag keeps
-    none.
+    the leaves: every superpixel stays a candidate, and build_crag gets
+    only the surviving merge results, each with its children.  The
+    levels serve the cap alone; the Crag keeps none.
     """
-    if max_merges is not None and max_merges < 0:
-        raise CmcError(f"max_merges must be >= 0 or None, got {max_merges}")
-    if score_threshold is not None and not math.isfinite(score_threshold):
-        raise CmcError(f"score_threshold must be finite or None, got {score_threshold}")
+    max_merges = param_value("max_merges", max_merges)
+    score_threshold = param_value("score_threshold", score_threshold)
     sp = np.asarray(tree.superpixels)
     level = {int(i): 0 for i in sorted_distinct(sp)}
     parent = {}

@@ -10,7 +10,7 @@ rng_seed+n_trees, so the two never share a per-tree stream.
 
 import contextlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .costmodel import (
     best_effort,
@@ -21,13 +21,13 @@ from .costmodel import (
     predict_costs,
     train_forest,
 )
-from .crag import crag_to_json, json_known, json_member, json_value, solution_to_json
-from .errors import CmcError, SingleClass, StageFailure
+from .crag import crag_to_json, json_known, json_member, param_value, solution_to_json
+from .errors import CmcError, StageFailure
 from .evaluate import segmentation_metrics
 from .features import compute_features, features_to_json
 from .hierarchy import build_merge_tree, extract_candidates, seeded_watershed
 from .pgm import write_labels
-from .solver import MODES, extract_segmentation, solve
+from .solver import extract_segmentation, solve
 
 import numpy as np
 
@@ -44,38 +44,13 @@ class PipelineConfig:
     time_limit: float = None
 
 
-# JSON kind of each config field, and the fields that may be null because
-# the library takes None for them (max_merges None means no level cap)
-_CONFIG_KINDS = {f.name: f.type for f in fields(PipelineConfig)}
-_CONFIG_NULLABLE = {"max_merges", "score_threshold", "time_limit"}
-
-
 def config_from_json(obj, doc="config.json"):
     """PipelineConfig from its JSON form; malformed input raises CmcError
-    naming `doc`.  Fields left out keep their defaults."""
-    json_value(doc, obj, dict, "config")
-    json_known(doc, obj, _CONFIG_KINDS, "config")
-    values = {}
-    for key, value in obj.items():
-        if value is not None or key not in _CONFIG_NULLABLE:
-            value = json_value(doc, value, _CONFIG_KINDS[key], key)
-        values[key] = value
-    if values.get("mode", "full") not in MODES:
-        raise CmcError(f"{doc}: mode {values['mode']!r} is not one of {MODES}")
-    # boundary values are at least 0, so none lies below such a threshold
-    if values.get("seed_threshold", 1.0) <= 0:
-        raise CmcError(
-            f"{doc}: seed_threshold {values['seed_threshold']!r} is not above 0"
-        )
-    if values.get("time_limit") is not None and values["time_limit"] < 0:
-        raise CmcError(f"{doc}: time_limit {values['time_limit']!r} is negative")
-    if values.get("max_merges") is not None and values["max_merges"] < 0:
-        raise CmcError(f"{doc}: max_merges {values['max_merges']!r} is negative")
-    if values.get("n_trees", 1) < 1:
-        raise CmcError(f"{doc}: n_trees {values['n_trees']!r} is below 1")
-    if values.get("rng_seed", 0) < 0:
-        raise CmcError(f"{doc}: rng_seed {values['rng_seed']!r} is negative")
-    return PipelineConfig(**values)
+    naming `doc`.  Fields left out keep their defaults; each field given
+    is checked by its rule in crag.PARAMS.  run_pipeline and train_model
+    check their config here, as vars(config) with doc None."""
+    json_known(doc, obj, vars(PipelineConfig()), "config")
+    return PipelineConfig(**{k: param_value(k, v, doc) for k, v in obj.items()})
 
 
 @contextlib.contextmanager
@@ -108,7 +83,7 @@ def train_from_instances(instances, n_trees, rng_seed):
     Supervision comes from the best-effort assignment on each candidate
     graph; samples are pooled across all images.  Graphs without edges
     add no edge samples; with no edge sample at all the edge forest has
-    no class to learn, and the train-edges stage raises SingleClass.
+    no class to learn: train_forest raises SingleClass at train-edges.
     """
     node_x, node_y, edge_x, edge_y = [], [], [], []
     for k, (crag, node_feats, edge_feats, gt) in enumerate(instances):
@@ -117,16 +92,13 @@ def train_from_instances(instances, n_trees, rng_seed):
         (nx, ny), (ex, ey) = label_instances(crag, target, node_feats, edge_feats)
         node_x.append(nx)
         node_y.append(ny)
-        if ex.size:
-            edge_x.append(ex)
-            edge_y.append(ey)
+        edge_x.append(ex)
+        edge_y.append(ey)
     with _stage("train-nodes"):
         node_forest = train_forest(
             (np.concatenate(node_x), np.concatenate(node_y)), n_trees, rng_seed
         )
     with _stage("train-edges"):
-        if not edge_x:
-            raise SingleClass()
         edge_forest = train_forest(
             (np.concatenate(edge_x), np.concatenate(edge_y)),
             n_trees,
@@ -136,7 +108,9 @@ def train_from_instances(instances, n_trees, rng_seed):
 
 
 def train_model(triples, config):
-    """Train node and edge forests from (raw, boundary, gt) image triples."""
+    """Train node and edge forests from (raw, boundary, gt) image triples;
+    the config is checked before any stage."""
+    config = config_from_json(vars(config), None)
     instances = []
     for k, (raw, boundary, gt) in enumerate(triples):
         crag = build_graph(boundary, config)
@@ -184,10 +158,11 @@ def run_pipeline(config, boundary, raw, gt=None, model=None, save_dir=None):
     With a model, ground truth is only used for metrics; without one,
     ground truth is required and a model is trained on this image
     alone (train_from_instances on this one graph).  save_dir persists
-    every intermediate product.
+    every intermediate product.  The config is checked before any stage.
     """
     if model is None and gt is None:
         raise CmcError("need either a trained model or ground truth")
+    config = config_from_json(vars(config), None)
     crag = build_graph(boundary, config)
     with _stage("features"):
         node_feats, edge_feats = compute_features(crag, raw, boundary)

@@ -66,16 +66,16 @@ import time
 
 import numpy as np
 
-from .crag import (
+from .crag import (  # MODES stays importable from here, as cmc.solver.MODES
+    MODES,
     PathConstraint,
     Solution,
     objective_value,
+    param_value,
     path_violations,
     validate_solution,
 )
 from .errors import CmcError, InfeasibleSolution, KeyMismatch
-
-MODES = ("full", "merge_tree_only", "leaf_multicut_only")
 
 
 class _Clock:
@@ -562,8 +562,8 @@ def solve(crag, costs, mode="full", time_limit=None):
     the full (y, m).  A graph of one part with nothing fixed is searched
     as one program.
 
-    time_limit is None (no limit) or a finite number of seconds >= 0;
-    anything else raises CmcError.  All parts share one clock.  Once a
+    mode and time_limit (None: no limit) are checked by their rules in
+    crag.PARAMS (param_value).  All parts share one clock.  Once a
     part's search stops at the time limit, it keeps its incumbent, the
     best feasible assignment it found (or its empty assignment), no
     later part is searched and keeps 0, and the answer comes back with
@@ -572,23 +572,8 @@ def solve(crag, costs, mode="full", time_limit=None):
     of leaves that the parts' searches turned down for the path cuts
     they break.
     """
-    if mode not in MODES:
-        raise CmcError(f"unknown mode {mode!r}")
-    if time_limit is not None:
-        # a NaN deadline would never pass; float() would also take "5",
-        # b"5" and True
-        limit = math.nan
-        if not isinstance(time_limit, (str, bytes, bytearray, bool, np.bool_)):
-            try:
-                limit = float(time_limit)
-            except (TypeError, ValueError, OverflowError):  # or an int past float
-                pass
-        if not 0.0 <= limit < math.inf:
-            # repr of an int past 4300 digits would raise
-            big = isinstance(time_limit, int) and time_limit.bit_length() > 1024
-            shown = "an int past float" if big else repr(time_limit)
-            raise CmcError(f"time limit must be a finite number >= 0, got {shown}")
-        time_limit = limit
+    mode = param_value("mode", mode)
+    time_limit = param_value("time_limit", time_limit)
     _check_costs(costs, crag.ids(), list(crag.adjacency))
     var_y, var_m, exact = _build(crag, costs, mode)
     clock = _Clock(time_limit)

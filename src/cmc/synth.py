@@ -31,11 +31,11 @@ clipping work on the whole canvas.
 """
 
 import math
-import numbers
 
 import numpy as np
 from scipy import ndimage
 
+from .crag import param_value
 from .errors import CmcError, PlacementFailure
 
 CANVAS = 128
@@ -178,24 +178,21 @@ def generate_synthetic(
     """List of (raw, boundary, gt) triples, deterministic per seed.
 
     Image k draws from its own generator seeded with (rng_seed, k), so
-    the content of image k does not depend on n_images.
+    the content of image k does not depend on n_images.  Each argument
+    is checked by its rule in crag.PARAMS (param_value), and with cells
+    to place, image_size must leave BORDER_CLEAR px clear of each edge.
     """
-    counts = {"n_images": n_images, "n_cells": n_cells,
-              "image_size": image_size, "rng_seed": rng_seed}
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise CmcError(f"{name} must be an int, got {value!r}")
-        if value < 0:
-            raise CmcError(f"{name} must be >= 0, got {value}")
+    n_images = param_value("n_images", n_images)
+    n_cells = param_value("n_cells", n_cells)
+    noise_level = param_value("noise_level", noise_level)
+    rng_seed = param_value("rng_seed", rng_seed)
+    image_size = param_value("image_size", image_size)
+    chord_fraction = param_value("chord_fraction", chord_fraction)
     if n_cells > 0 and image_size < 2 * BORDER_CLEAR:
         raise CmcError(
             f"image_size {image_size} is below {2 * BORDER_CLEAR}: no cell "
             f"fits {BORDER_CLEAR} px clear of each edge"
         )
-    if not 0.0 <= noise_level <= 1.0:
-        raise CmcError("noise_level must be within [0, 1]")
-    if not 0.0 <= chord_fraction <= 1.0:
-        raise CmcError("chord_fraction must be within [0, 1]")
     triples = []
     for k in range(n_images):
         rng = np.random.default_rng((rng_seed, k))

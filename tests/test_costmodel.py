@@ -272,6 +272,18 @@ def test_forest_input_checks():
 
 
 @pytest.mark.parametrize(
+    "n_trees, rng_seed, named",
+    [(2.0, 0, "n_trees"), (True, 0, "n_trees"), (2, 1.5, "rng_seed"),
+     (2, -0.0, "rng_seed"), (0, 0, "n_trees"), (2, 2**63, "rng_seed")],
+)
+def test_forest_parameters_follow_their_rules(n_trees, rng_seed, named):
+    """The rules of crag.PARAMS.  2.0 used to end in a TypeError, and
+    True, 1.5 and -0.0 gave a forest that model.json cannot hold."""
+    with pytest.raises(CmcError, match=f"^{named} "):
+        train_forest(([[0.1], [0.9]], [0, 1]), n_trees, rng_seed)
+
+
+@pytest.mark.parametrize(
     "X, y",
     [
         (np.zeros((5, 4)), [0, 1]),

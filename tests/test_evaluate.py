@@ -3,12 +3,15 @@ import pytest
 
 from cmc.errors import DegenerateInput, DimensionMismatch, EmptyOverlap
 from cmc.evaluate import (
+    _detection_score,
     contingency_table,
     detection_score,
     rand_index,
     segmentation_metrics,
     voi,
 )
+
+from util import ref_detection_score
 
 
 def random_labels(rng, shape=(8, 8), n_labels=3):
@@ -149,6 +152,24 @@ def test_detection_one_to_one_matching():
     p, r, f = detection_score(pred, gt)
     assert p == 0.5 and r == 1.0
     assert f == pytest.approx(2 / 3)
+
+
+def test_detection_counts_what_greedy_matching_matches():
+    """Each pair of IoU > 0.5 is the only such pair of both its objects,
+    so counting them scores as the greedy matching did: on random label
+    images with background, tied overlaps and sides without objects."""
+    rng = np.random.default_rng(44)
+    for _ in range(2000):
+        shape = tuple(rng.integers(1, 7, size=2))
+        pred, gt = (random_labels(rng, shape, int(rng.integers(0, 5))) for _ in "pg")
+        t = contingency_table(pred, gt)
+        assert _detection_score(t) == ref_detection_score(t)
+    # two tied IoU pairs, two objects left unmatched, and empty sides
+    pred = np.array([[1, 1, 2, 2, 3, 0, 4, 4]])
+    gt = np.array([[5, 5, 6, 6, 6, 0, 0, 7]])
+    for p, g in ((pred, gt), (gt, pred), (pred * 0, gt), (pred, gt * 0)):
+        t = contingency_table(p, g)
+        assert _detection_score(t) == ref_detection_score(t)
 
 
 def test_segmentation_metrics_dict():

@@ -90,6 +90,23 @@ def test_watershed_rejects_bad_boundary():
         seeded_watershed(np.zeros((0, 3)), 0.5)
 
 
+@pytest.mark.parametrize(
+    "threshold", ["0.5", None, True, 0.5 + 0j, 0.0, np.float64(-1)]
+)
+def test_watershed_rejects_bad_threshold(threshold):
+    """Its rule in crag.PARAMS, as config.json states it.  "0.5" and None
+    used to end in a bare TypeError, True and 0.5+0j to flood as 1 and
+    as 0.5, and 0 to find no seed."""
+    with pytest.raises(CmcError, match="^seed_threshold "):
+        seeded_watershed(np.zeros((2, 2)), threshold)
+
+
+def test_watershed_takes_numpy_threshold():
+    boundary = np.array([[0.0, 1.0, 0.0]])
+    for threshold in (np.float32(0.5), np.int64(1), 1):
+        assert seeded_watershed(boundary, threshold).tolist() == [[1, 1, 2]]
+
+
 def assert_same_flood(boundary, seed_threshold):
     got = seeded_watershed(boundary, seed_threshold)
     want = ref_seeded_watershed(boundary, seed_threshold)
@@ -484,8 +501,17 @@ def test_extract_reattaches_across_dropped_nodes():
 def test_extract_negative_max_merges_rejected():
     """Every superpixel is a leaf, so no level cap may drop the leaves."""
     tree, _ = strip_tree()
-    with pytest.raises(CmcError):
+    with pytest.raises(CmcError, match="^max_merges -1 is negative$"):
         extract_candidates(tree, -1)
+
+
+@pytest.mark.parametrize("max_merges", [1.5, True, "3"])
+def test_extract_max_merges_must_be_an_int(max_merges):
+    """1.5 and True used to be taken as caps, "3" to end in a TypeError."""
+    tree, _ = strip_tree()
+    with pytest.raises(CmcError, match="^max_merges is not a valid int: "):
+        extract_candidates(tree, max_merges)
+    assert extract_candidates(tree, np.int64(1)) == extract_candidates(tree, 1)
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])

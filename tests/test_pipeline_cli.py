@@ -170,6 +170,40 @@ def test_train_without_edges_is_single_class():
     assert isinstance(info.value.cause, SingleClass)
 
 
+@pytest.mark.parametrize("entry", ["run_pipeline", "train_model"])
+def test_library_config_checked_before_any_stage(entry, monkeypatch):
+    """A PipelineConfig gets config.json's checks before the watershed
+    runs; n_trees 2.0 used to end in a TypeError at train-nodes."""
+    raw, boundary, gt = easy_triple()
+
+    def watershed(*args):
+        raise AssertionError("the watershed ran")
+
+    monkeypatch.setattr("cmc.pipeline.seeded_watershed", watershed)
+    config = PipelineConfig(n_trees=2.0)
+    with pytest.raises(CmcError, match="^n_trees is not a valid int: 2.0$"):
+        if entry == "run_pipeline":
+            run_pipeline(config, boundary, raw, gt=gt)
+        else:
+            train_model([(raw, boundary, gt)], config)
+
+
+def test_numpy_forest_parameters_round_trip(tmp_path):
+    """numpy ints for n_trees and rng_seed used to stay in the forest,
+    where dump_json cannot write them."""
+    raw, boundary, gt = easy_triple()
+    config = PipelineConfig(n_trees=np.int64(2), rng_seed=np.int64(3))
+    model = train_model([(raw, boundary, gt)], config)
+    for forest in model.values():
+        assert type(forest.n_trees) is int and type(forest.rng_seed) is int
+    assert model["edge_forest"].rng_seed == 5
+    dump_json(tmp_path / "model.json", model_to_json(model))
+    loaded = model_from_json(json.loads((tmp_path / "model.json").read_text()))
+    assert model_to_json(loaded) == model_to_json(model)
+    plain = train_model([(raw, boundary, gt)], PipelineConfig(n_trees=2, rng_seed=3))
+    assert model_to_json(plain) == model_to_json(model)
+
+
 def test_cli_train_without_edges_fails_by_name(tmp_path, capsys):
     crag, node_feats, edge_feats, gt = edgeless_instance()
     (tmp_path / "crag.json").write_text(json.dumps(crag_to_json(crag)))

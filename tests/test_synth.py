@@ -93,6 +93,12 @@ def test_parameter_validation():
             generate_synthetic(1, 1, 0.0, bad)
     with pytest.raises(CmcError, match="n_cells"):
         generate_synthetic(1, -1, 0.0, 0)
+    # "0.5" and None used to end in a TypeError, True to draw noise 1
+    for bad in ("0.5", True, None):
+        with pytest.raises(CmcError, match="^noise_level is not a valid float: "):
+            generate_synthetic(1, 1, bad, 0)
+    with pytest.raises(CmcError, match="^chord_fraction is not a valid float: '1'$"):
+        generate_synthetic(1, 1, 0.0, 0, chord_fraction="1")
     assert len(generate_synthetic(np.int64(2), np.int64(1), 0.0, np.int64(3))) == 2
     for size in (-1, 0, 15, 2 * BORDER_CLEAR - 1):
         with pytest.raises(CmcError, match="image_size"):

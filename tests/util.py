@@ -8,9 +8,10 @@ encoded and decoded pixel by pixel, a node-by-node model.json forest
 loader, a full-canvas reference for the windowed synthetic image
 drawer, a per-tree walk of a forest's node lists, the per-row forest
 grower, the merge tree over Python lists and np.median, the 592-entry
-edge vectors as compute_features once assembled them, and the
-candidate adjacency and each edge's leaf-pair groups as the library
-once formed them, through ancestor chains and dense lookup tables.
+edge vectors as compute_features once assembled them, the candidate
+adjacency and each edge's leaf-pair groups as the library once formed
+them, through ancestor chains and dense lookup tables, and the greedy
+matching of the detection score.
 
 Tests build CRAGs from `{leaf id: (row, col) pixels}` dicts painted into
 a label image by `leaf_image`, whose labels are the leaves, and the inner
@@ -1357,6 +1358,45 @@ def ref_edge_block(crag, boundary, node_feats):
     out[:, 6::4] = np.maximum(u, v)
     out[:, 7::4] = u + v
     return out
+
+
+def ref_detection_score(t):
+    """(precision, recall, f_score) of a ContingencyTable by greedy
+    matching, as evaluate once scored it: the object pairs of IoU > 0.5,
+    by decreasing IoU, each matched unless one of its objects already
+    is.  Label 0 is background on both sides."""
+    n_gt = sum(1 for l in t.gt_marginals if l != 0)
+    n_pred = sum(1 for l in t.pred_marginals if l != 0)
+    candidates = []
+    for (gl, pl), inter in t.counts.items():
+        if gl == 0 or pl == 0:
+            continue
+        union = t.gt_marginals[gl] + t.pred_marginals[pl] - inter
+        iou = inter / union
+        if iou > 0.5:
+            candidates.append((-iou, gl, pl))
+    candidates.sort()
+    matched_gt = set()
+    matched_pred = set()
+    for _, gl, pl in candidates:
+        if gl in matched_gt or pl in matched_pred:
+            continue
+        matched_gt.add(gl)
+        matched_pred.add(pl)
+    tp = len(matched_gt)
+    if n_pred:
+        precision = tp / n_pred
+    else:
+        precision = 1.0 if n_gt == 0 else 0.0
+    if n_gt:
+        recall = tp / n_gt
+    else:
+        recall = 1.0 if n_pred == 0 else 0.0
+    if precision + recall > 0:
+        f_score = 2 * precision * recall / (precision + recall)
+    else:
+        f_score = 0.0
+    return precision, recall, f_score
 
 
 DELETE = object()
