@@ -50,21 +50,25 @@ def _load_json(path):
             raise CmcError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _config(args, keys, path=None):
-    """PipelineConfig from the config file at `path`, if any, with the
-    flags `keys` of args that are not None laid over it.  The file and
-    then the merged values go through config_from_json, so a bad value
-    fails before any stage runs, named by the file or the command line."""
-    values = {}
-    if path:
-        values = _load_json(path)
-        config_from_json(values, path)
-    values.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
-    return config_from_json(values, "command line")
+def _read(path, loader):
+    """loader's value of the JSON file at path; a fault names the path."""
+    return loader(_load_json(path), path)
+
+
+def _config(args, path=None):
+    """PipelineConfig from the config file at `path`, if any, with each of
+    its fields given as a flag laid over it (a --mode short name mapped by
+    MODE_NAMES), checked by config_from_json as the file's, then as the
+    command line's.  Flags default to None: PipelineConfig holds the
+    defaults.  Called before a subcommand opens any input."""
+    given = ((k, getattr(args, k, None)) for k in vars(PipelineConfig()))
+    flags = {k: MODE_NAMES[v] if k == "mode" else v for k, v in given if v is not None}
+    values = vars(_read(path, config_from_json)) if path else {}
+    return config_from_json({**values, **flags}, "command line")
 
 
 def _cmd_build_crag(args):
-    config = _config(args, ("seed_threshold", "max_merges", "score_threshold"))
+    config = _config(args)
     boundary = read_probability(args.boundary)
     superpixels = read_labels(args.superpixels) if args.superpixels else None
     crag = build_graph(boundary, config, superpixels=superpixels)
@@ -73,7 +77,7 @@ def _cmd_build_crag(args):
 
 
 def _cmd_features(args):
-    crag = crag_from_json(_load_json(args.crag), args.crag)
+    crag = _read(args.crag, crag_from_json)
     raw = read_probability(args.raw)
     boundary = read_probability(args.boundary)
     node_feats, edge_feats = compute_features(crag, raw, boundary)
@@ -82,23 +86,24 @@ def _cmd_features(args):
 
 
 def _cmd_train(args):
+    config = _config(args)
     if not (len(args.crag) == len(args.features) == len(args.gt)):
         raise CmcError("--crag, --features and --gt must be given equally often")
     instances = []
     for crag_path, feat_path, gt_path in zip(args.crag, args.features, args.gt):
-        crag = crag_from_json(_load_json(crag_path), crag_path)
-        node_feats, edge_feats = features_from_json(_load_json(feat_path))
+        crag = _read(crag_path, crag_from_json)
+        node_feats, edge_feats = _read(feat_path, features_from_json)
         gt = read_labels(gt_path)
         instances.append((crag, node_feats, edge_feats, gt))
-    model = train_from_instances(instances, args.n_trees, args.rng_seed)
+    model = train_from_instances(instances, config.n_trees, config.rng_seed)
     dump_json(args.out, model_to_json(model))
     return 0
 
 
 def _cmd_costs(args):
-    model = model_from_json(_load_json(args.model))
-    crag = crag_from_json(_load_json(args.crag), args.crag)
-    node_feats, edge_feats = features_from_json(_load_json(args.features))
+    model = _read(args.model, model_from_json)
+    crag = _read(args.crag, crag_from_json)
+    node_feats, edge_feats = _read(args.features, features_from_json)
     costs = predict_costs(
         model["node_forest"], model["edge_forest"], crag, node_feats, edge_feats
     )
@@ -107,11 +112,10 @@ def _cmd_costs(args):
 
 
 def _cmd_solve(args):
-    crag = crag_from_json(_load_json(args.crag), args.crag)
-    costs = costs_from_json(_load_json(args.costs))
-    solution = solve(
-        crag, costs, mode=MODE_NAMES[args.mode], time_limit=args.time_limit
-    )
+    config = _config(args)
+    crag = _read(args.crag, crag_from_json)
+    costs = _read(args.costs, costs_from_json)
+    solution = solve(crag, costs, mode=config.mode, time_limit=config.time_limit)
     dump_json(args.out, solution_to_json(solution))
     if args.seg:
         write_labels(args.seg, extract_segmentation(crag, solution))
@@ -135,9 +139,10 @@ def _cmd_eval(args):
 
 
 def _cmd_best_effort(args):
-    crag = crag_from_json(_load_json(args.crag), args.crag)
+    config = _config(args)
+    crag = _read(args.crag, crag_from_json)
     gt = read_labels(args.gt)
-    solution = best_effort(crag, gt, mode=MODE_NAMES[args.mode])
+    solution = best_effort(crag, gt, mode=config.mode)
     dump_json(args.out, solution_to_json(solution))
     return 0
 
@@ -161,13 +166,12 @@ def _cmd_synth(args):
 
 
 def _cmd_pipeline(args):
-    args.mode = MODE_NAMES.get(args.mode)
-    config = _config(args, vars(PipelineConfig()), args.config)  # a flag per field
+    config = _config(args, args.config)
 
     boundary = read_probability(args.boundary)
     raw = read_probability(args.raw)
     gt = read_labels(args.gt) if args.gt else None
-    model = model_from_json(_load_json(args.model)) if args.model else None
+    model = _read(args.model, model_from_json) if args.model else None
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     solution, _, metrics = run_pipeline(
@@ -190,15 +194,14 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="cmc", description="candidate-graph cell segmentation tools"
     )
-    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-crag", help="watershed + merge tree + candidates")
     p.add_argument("--boundary", required=True)
     p.add_argument("--superpixels", default=None)
-    p.add_argument("--seed-threshold", type=float, default=defaults.seed_threshold)
-    p.add_argument("--max-merges", type=int, default=defaults.max_merges)
-    p.add_argument("--score-threshold", type=float, default=defaults.score_threshold)
+    p.add_argument("--seed-threshold", type=float, default=None)
+    p.add_argument("--max-merges", type=int, default=None)
+    p.add_argument("--score-threshold", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_crag)
 
@@ -213,10 +216,8 @@ def build_parser():
     p.add_argument("--crag", action="append", required=True)
     p.add_argument("--features", action="append", required=True)
     p.add_argument("--gt", action="append", required=True)
-    p.add_argument("--n-trees", type=int, default=defaults.n_trees)
-    p.add_argument(
-        "--seed", "--rng-seed", dest="rng_seed", type=int, default=defaults.rng_seed
-    )
+    p.add_argument("--n-trees", type=int, default=None)
+    p.add_argument("--seed", "--rng-seed", dest="rng_seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -230,7 +231,7 @@ def build_parser():
     p = sub.add_parser("solve", help="optimize selection and merges")
     p.add_argument("--crag", required=True)
     p.add_argument("--costs", required=True)
-    p.add_argument("--mode", choices=sorted(MODE_NAMES), default="full")
+    p.add_argument("--mode", choices=sorted(MODE_NAMES), default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seg", default=None)
@@ -246,7 +247,7 @@ def build_parser():
     p = sub.add_parser("best-effort", help="ground-truth-optimal assignment")
     p.add_argument("--crag", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--mode", choices=["full", "mt"], default="full")
+    p.add_argument("--mode", choices=["full", "mt"], default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_best_effort)
 
@@ -273,9 +274,7 @@ def build_parser():
     p.add_argument("--rng-seed", type=int, default=None)
     p.add_argument("--mode", choices=sorted(MODE_NAMES), default=None)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument(
-        "--ignore-background", action=argparse.BooleanOptionalAction, default=None
-    )
+    p.add_argument("--ignore-background", action=argparse.BooleanOptionalAction)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -419,25 +419,25 @@ def forest_to_json(forest):
     }
 
 
-def forest_from_json(obj, where="forest"):
-    """Forest from its JSON form; malformed input raises CmcError.
+def forest_from_json(obj, doc="model.json", where="forest"):
+    """Forest from its JSON form; malformed input raises CmcError naming
+    `doc` and `where`, the forest's member in it.
 
-    Every rule is one array pass over all nodes.  The fault named is the
-    first that a check node by node, in tree and slot order, meets: its
-    tree t, node s, and the first rule the node breaks.  A node's rules
-    read only its own entries and the splits before it, so a fault can
-    hide no earlier one.  Only the file forest_to_json writes is
-    accepted: ints where ints belong, floats as floats, and a leaf in one
-    form.  A forest of an older release, as node lists under 'trees', is
-    rejected by name.
+    n_trees and rng_seed follow their rules in crag.PARAMS (param_value),
+    and n_trees is the length of sizes.  Every other rule is one array
+    pass over all nodes.  The fault named is the first that a check node
+    by node, in tree and slot order, meets: its tree t, node s, and the
+    first rule the node breaks.  A node's rules read only its own entries
+    and the splits before it, so a fault can hide no earlier one.  Only
+    the file forest_to_json writes is accepted: ints where ints belong,
+    floats as floats, and a leaf in one form.  A forest of an older
+    release, as node lists under 'trees', is rejected by name.
     """
-    doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
-    n_trees = json_member(doc, obj, "n_trees", int, where)
-    # train_forest seeds numpy with it, which takes no negative seed
-    rng_seed = json_member(doc, obj, "rng_seed", int, where)
-    if rng_seed < 0:
-        raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
+    n_trees, rng_seed = (
+        param_value(key, json_member(doc, obj, key, int, where), f"{doc}: {where}")
+        for key in ("n_trees", "rng_seed")
+    )
     if "trees" in obj:
         raise CmcError(
             f"{doc}: {where} holds 'trees', the node lists of an older release; "
@@ -447,9 +447,6 @@ def forest_from_json(obj, where="forest"):
     tree_sizes, *columns = (
         json_member(doc, obj, key, list, where) for key in _FOREST_LISTS
     )
-    # predict_proba averages over the trees: none would give NaN costs
-    if not tree_sizes:
-        raise CmcError(f"{doc}: {where} has no tree")
     if len(tree_sizes) != n_trees:
         raise CmcError(
             f"{doc}: {where} has {len(tree_sizes)} trees, not n_trees {n_trees}"
@@ -532,9 +529,8 @@ def costs_to_json(costs):
     }
 
 
-def costs_from_json(obj):
-    """CostTable from its JSON form; malformed input raises CmcError."""
-    doc = "costs.json"
+def costs_from_json(obj, doc="costs.json"):
+    """CostTable from its JSON form; malformed input raises CmcError naming `doc`."""
     f, g = (json_member(doc, obj, key, dict, "costs") for key in ("f", "g"))
     json_known(doc, obj, ("f", "g"), "costs")
     return CostTable(*json_keyed(

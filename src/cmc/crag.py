@@ -775,9 +775,8 @@ def solution_to_json(solution):
     }
 
 
-def solution_from_json(obj):
-    """Solution from its JSON form; malformed input raises CmcError."""
-    doc = "solution.json"
+def solution_from_json(obj, doc="solution.json"):
+    """Solution from its JSON form; malformed input raises CmcError naming `doc`."""
     y, m = (json_member(doc, obj, key, dict, "solution") for key in ("y", "m"))
     json_known(doc, obj, ("y", "m", "objective"), "solution")
     y, m = json_keyed(

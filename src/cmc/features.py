@@ -637,43 +637,45 @@ def features_to_json(node_feats, edge_feats):
     }
 
 
-def _json_vector(values, length, where):
-    """float64 array of a JSON list of `length` finite numbers, else CmcError."""
+def _json_vector(doc, values, length, where):
+    """float64 array of a JSON list of `length` finite numbers, else
+    CmcError naming doc and where."""
     if not (
         isinstance(values, list)
         and len(values) == length
         and set(map(type, values)) <= {float, int}  # bool is no number here
     ):
-        raise CmcError(f"features.json: {where} is not a list of {length} numbers")
+        raise CmcError(f"{doc}: {where} is not a list of {length} numbers")
     try:
         vector = np.array(values, dtype=np.float64)
     except OverflowError:  # a JSON integer beyond the float range
         vector = None
     if vector is None or not np.isfinite(vector).all():
-        raise CmcError(f"features.json: {where} holds a non-finite value")
+        raise CmcError(f"{doc}: {where} holds a non-finite value")
     return vector
 
 
-def _check_schema(obj, key, names):
-    """CmcError unless obj[key] lists `names`, naming the first entry that differs."""
-    schema = json_member("features.json", obj, key, list, "features")
+def _check_schema(doc, obj, key, names):
+    """CmcError naming doc unless obj[key] lists `names`, naming the
+    first entry that differs."""
+    schema = json_member(doc, obj, key, list, "features")
     if schema != names:
         at = next(
             (k for k, (got, want) in enumerate(zip(schema, names)) if got != want),
             min(len(schema), len(names)),
         )
         got, want = (repr(s[at]) if at < len(s) else "missing" for s in (schema, names))
-        raise CmcError(f"features.json: {key} entry {at} is {got}, expected {want}")
+        raise CmcError(f"{doc}: {key} entry {at} is {got}, expected {want}")
 
 
-def features_from_json(obj):
+def features_from_json(obj, doc="features.json"):
     """Node and edge features from their JSON form; malformed input
     (a schema other than this release's feature names, or vector
-    lengths other than the schema's, included) raises CmcError."""
-    doc = "features.json"
+    lengths other than the schema's, included) raises CmcError naming
+    `doc`."""
     node_names, edge_names = node_feature_names(), edge_feature_names()
-    _check_schema(obj, "node_schema", node_names)
-    _check_schema(obj, "edge_schema", edge_names)
+    _check_schema(doc, obj, "node_schema", node_names)
+    _check_schema(doc, obj, "edge_schema", edge_names)
     nodes, edges = (
         json_member(doc, obj, key, dict, "features") for key in ("nodes", "edges")
     )
@@ -683,6 +685,6 @@ def features_from_json(obj):
         doc,
         nodes,
         edges,
-        lambda i, v: _json_vector(v, n_node, f"node {i}"),
-        lambda k, v: _json_vector(v, n_edge, f"edge {k}"),
+        lambda i, v: _json_vector(doc, v, n_node, f"node {i}"),
+        lambda k, v: _json_vector(doc, v, n_edge, f"edge {k}"),
     )

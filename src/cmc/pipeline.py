@@ -47,10 +47,20 @@ class PipelineConfig:
 def config_from_json(obj, doc="config.json"):
     """PipelineConfig from its JSON form; malformed input raises CmcError
     naming `doc`.  Fields left out keep their defaults; each field given
-    is checked by its rule in crag.PARAMS.  run_pipeline and train_model
-    check their config here, as vars(config) with doc None."""
+    is checked by its rule in crag.PARAMS.  One rule spans two fields:
+    the edge forest's seed, rng_seed + n_trees, is below 2**63 as every
+    seed is.  run_pipeline, train_model and train_from_instances check
+    their parameters here with doc None; the CLI checks its flags here
+    as the "command line"."""
     json_known(doc, obj, vars(PipelineConfig()), "config")
-    return PipelineConfig(**{k: param_value(k, v, doc) for k, v in obj.items()})
+    config = PipelineConfig(**{k: param_value(k, v, doc) for k, v in obj.items()})
+    if config.rng_seed + config.n_trees >= 2**63:
+        prefix = "" if doc is None else f"{doc}: "
+        raise CmcError(
+            f"{prefix}rng_seed {config.rng_seed} + n_trees {config.n_trees}, "
+            "the edge forest's seed, is not below 2**63"
+        )
+    return config
 
 
 @contextlib.contextmanager
@@ -84,7 +94,10 @@ def train_from_instances(instances, n_trees, rng_seed):
     graph; samples are pooled across all images.  Graphs without edges
     add no edge samples; with no edge sample at all the edge forest has
     no class to learn: train_forest raises SingleClass at train-edges.
+    n_trees and rng_seed are checked (config_from_json) before any stage.
     """
+    config = config_from_json({"n_trees": n_trees, "rng_seed": rng_seed}, None)
+    n_trees, rng_seed = config.n_trees, config.rng_seed
     node_x, node_y, edge_x, edge_y = [], [], [], []
     for k, (crag, node_feats, edge_feats, gt) in enumerate(instances):
         with _stage(f"best-effort[{k}]"):
@@ -127,14 +140,13 @@ def model_to_json(model):
     return {key: forest_to_json(model[key]) for key in _MODEL_KEYS}
 
 
-def model_from_json(obj):
-    """Model from its JSON form; malformed input raises CmcError.  The
-    object holds the two forests and nothing else, as model_to_json
-    writes it."""
-    doc = "model.json"
+def model_from_json(obj, doc="model.json"):
+    """Model from its JSON form; malformed input raises CmcError naming
+    `doc`.  The object holds the two forests and nothing else, as
+    model_to_json writes it."""
     forests = {key: json_member(doc, obj, key, dict, "model") for key in _MODEL_KEYS}
     json_known(doc, obj, _MODEL_KEYS, "model")
-    return {key: forest_from_json(forest, key) for key, forest in forests.items()}
+    return {key: forest_from_json(forest, doc, key) for key, forest in forests.items()}
 
 
 def dump_json(path, obj):

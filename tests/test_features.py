@@ -1494,7 +1494,7 @@ def test_old_form_features_json_rejected(tmp_path, capsys):
     code = main(["costs", "--model", str(paths["model"]), "--crag", str(paths["crag"]),
                  "--features", str(paths["features"]), "--out", str(paths["costs"])])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: features.json: edge_schema")
+    assert capsys.readouterr().err.startswith(f"error: {paths['features']}: edge_schema")
     assert not paths["costs"].exists()
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -188,6 +189,39 @@ def test_library_config_checked_before_any_stage(entry, monkeypatch):
             train_model([(raw, boundary, gt)], config)
 
 
+# the edge forest's seed past int64, named by both parameters
+SEED_PAIR = (
+    "rng_seed 9223372036854775807 + n_trees 2, the edge forest's seed, is not below 2**63"
+)
+
+
+@pytest.mark.parametrize("entry", ["run_pipeline", "train_model", "train_from_instances"])
+def test_library_seed_pair_checked_before_any_stage(entry, monkeypatch):
+    """rng_seed + n_trees seeds the edge forest, so it must fit as every
+    seed does; the pair used to fail only at train-edges, after the
+    watershed, the features, best-effort and the node forest."""
+    raw, boundary, gt = easy_triple()
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr("cmc.pipeline.seeded_watershed", stage)
+    monkeypatch.setattr("cmc.pipeline.best_effort", stage)
+    config = PipelineConfig(n_trees=2, rng_seed=2**63 - 1)
+    with pytest.raises(CmcError) as info:
+        if entry == "run_pipeline":
+            run_pipeline(config, boundary, raw, gt=gt)
+        elif entry == "train_model":
+            train_model([(raw, boundary, gt)], config)
+        else:
+            train_from_instances([edgeless_instance()], 2, 2**63 - 1)
+    assert str(info.value) == SEED_PAIR
+    # the largest seed whose edge forest seed still fits
+    assert config_from_json({"n_trees": 2, "rng_seed": 2**63 - 3}).rng_seed == 2**63 - 3
+    with pytest.raises(CmcError, match=r"^config\.json: rng_seed 9223372036854775806 \+"):
+        config_from_json({"n_trees": 2, "rng_seed": 2**63 - 2})
+
+
 def test_numpy_forest_parameters_round_trip(tmp_path):
     """numpy ints for n_trees and rng_seed used to stay in the forest,
     where dump_json cannot write them."""
@@ -274,7 +308,7 @@ MALFORMED_STAGE_INPUT = {
                "feature": [], "value": [], "left": [], "right": []}
          for key in ("node_forest", "edge_forest")},
         "costs",
-        "no tree",
+        "model.json: node_forest: n_trees 0 is below 1",
     ),
     "feature beyond float range": (
         "features.json", {**SCHEMA, "nodes": {"1": [10**400] * 147}, "edges": {}},
@@ -348,7 +382,8 @@ def test_old_node_list_model_rejected(tmp_path, capsys):
     out.unlink()
     assert main(["costs", "--model", files["model.json"], "--crag", files["crag.json"],
                  "--features", files["features.json"], "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: model.json: node_forest holds 'trees'")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files['model.json']}: node_forest holds 'trees'")
     assert not out.exists()
 
 
@@ -362,17 +397,133 @@ def test_unknown_model_keys_rejected(tmp_path, capsys, extra):
     obj = json.loads((tmp_path / "model.json").read_text())
     for key in extra:
         obj[key] = obj["edge_forest"]
-    message = f"model.json: model has unknown key {sorted(extra)[0]!r}"
+    message = f"model has unknown key {sorted(extra)[0]!r}"
     with pytest.raises(CmcError) as info:
         model_from_json(obj)
-    assert str(info.value) == message
+    assert str(info.value) == f"model.json: {message}"
     (tmp_path / "model.json").write_text(json.dumps(obj))
     out = tmp_path / "costs.json"
     out.unlink()
     assert main(["costs", "--model", files["model.json"], "--crag", files["crag.json"],
                  "--features", files["features.json"], "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {files['model.json']}: {message}\n"
     assert not out.exists()
+
+
+# a flag and its command, where the flag's only file (the second, for
+# train) is a broken copy -> the copy's content and the fault named after
+# its path; each but the crag's used to be named by a fixed file name
+BROKEN_FILE = {
+    "train --features": (
+        {**SCHEMA, "nodes": {"1": [0.0]}, "edges": {}},
+        "node 1 is not a list of 147 numbers",
+    ),
+    "train --crag": ({}, "crag has no 'height'"),
+    "costs --model": ({"node_forest": {}}, "model has no 'edge_forest'"),
+    "solve --costs": ({"f": {"1": "x"}, "g": {}}, "f[1] is not a valid float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_FILE))
+def test_cli_names_a_broken_file_by_its_path(case, tmp_path, capsys):
+    command, flag = case.split()
+    content, fault = BROKEN_FILE[case]
+    files = staged_quad_files(tmp_path)
+    name = f"{flag[2:]}.json"
+    (tmp_path / "copy").mkdir()
+    broken = tmp_path / "copy" / name
+    broken.write_text((tmp_path / name).read_text())
+    good = {f"--{key}": files[f"{key}.json"] for key in ("crag", "features", "model", "costs")}
+    bad = {**good, flag: str(broken)}
+
+    def flags(paths, *names):
+        return [item for name in names for item in (name, paths[name])]
+
+    gt = ["--gt", files["gt.pgm"]]
+    argv = {
+        "train": ["train", *flags(good, "--crag", "--features"), *gt,
+                  *flags(bad, "--crag", "--features"), *gt, "--n-trees", "3"],
+        "costs": ["costs", *flags(bad, "--model", "--crag", "--features")],
+        "solve": ["solve", *flags(bad, "--crag", "--costs")],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    out.unlink()
+    broken.write_text(json.dumps(content))
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {broken}: {fault}\n"
+    assert not out.exists()
+
+
+def test_cli_seed_pair_fails_before_any_input(tmp_path, capsys, monkeypatch):
+    """A seed and tree count whose edge forest seed is past int64 fail
+    before any input is read, named by the command line or the config
+    file; cmc train used to fail only at train-edges."""
+    images = write_easy_images(tmp_path)
+    missing = str(tmp_path / "missing.json")
+
+    def watershed(*args):
+        raise AssertionError("the watershed ran")
+
+    monkeypatch.setattr("cmc.pipeline.seeded_watershed", watershed)
+    out = tmp_path / "model.json"
+    assert main(["train", "--crag", missing, "--features", missing, "--gt", images["gt"],
+                 "--n-trees", "2", "--seed", str(2**63 - 1), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: command line: {SEED_PAIR}\n"
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_trees": 2, "rng_seed": 2**63 - 1}))
+    out_dir = tmp_path / "run"
+    assert main(["pipeline", "--boundary", images["boundary"], "--raw", images["raw"],
+                 "--gt", images["gt"], "--config", str(config),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {SEED_PAIR}\n"
+    assert not out.exists() and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "best-effort", "pipeline"])
+def test_cli_mode_short_names(command, tmp_path, monkeypatch, capsys):
+    """--mode takes the short names of cli.MODE_NAMES and hands on the
+    library's names; not given, the mode is PipelineConfig's."""
+    files = staged_quad_files(tmp_path)
+    images = write_easy_images(tmp_path)
+    seen = []
+
+    def recording(*args, mode=None, **kwargs):
+        seen.append(args[0].mode if command == "pipeline" else mode)
+        raise CmcError("recorded")
+
+    attr = {"solve": "solve", "best-effort": "best_effort", "pipeline": "run_pipeline"}
+    monkeypatch.setattr(cli, attr[command], recording)
+    argv, names = {
+        "solve": (["--crag", files["crag.json"], "--costs", files["costs.json"],
+                   "--out", str(tmp_path / "out.json")], ["full", "mc", "mt"]),
+        "best-effort": (["--crag", files["crag.json"], "--gt", files["gt.pgm"],
+                         "--out", str(tmp_path / "out.json")], ["full", "mt"]),
+        "pipeline": (["--boundary", images["boundary"], "--raw", images["raw"],
+                      "--gt", images["gt"]], ["full", "mc", "mt"]),
+    }[command]
+    assert main([command, *argv]) == 1
+    for name in names:
+        assert main([command, *argv, "--mode", name]) == 1
+    capsys.readouterr()
+    want = [PipelineConfig().mode] + [cli.MODE_NAMES[name] for name in names]
+    assert seen == want
+
+
+def test_run_parameter_flags_default_to_none():
+    """PipelineConfig holds every default: each flag of one of its fields
+    reads None when not given.  eval takes no PipelineConfig; its
+    --ignore-background is a switch, off unless given."""
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    fields = set(vars(PipelineConfig()))
+    seen = set()
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest in fields and name != "eval":
+                assert action.default is None, (name, action.dest)
+                seen.add(action.dest)
+    assert seen == fields
 
 
 def test_run_pipeline_persists_intermediates(tmp_path):
@@ -679,7 +830,9 @@ def test_cli_nan_score_threshold_fails(command, tmp_path, capsys):
 
 # a flag value that config_from_json rejects -> the error after "command
 # line: "; n_trees and rng_seed used to fail only at train-nodes, after
-# the watershed, merge tree and features, and time_limit only at solve
+# the watershed, merge tree and features, and time_limit only at solve;
+# train and solve used to read every input first, and named no command
+# line
 BAD_FLAGS = {
     "pipeline --n-trees 0": "n_trees 0 is below 1",
     "pipeline --rng-seed -1": "rng_seed -1 is negative",
@@ -690,6 +843,10 @@ BAD_FLAGS = {
     "build-crag --seed-threshold -1": "seed_threshold -1.0 is not above 0",
     "build-crag --max-merges -1": "max_merges -1 is negative",
     "build-crag --score-threshold inf": "score_threshold is not a valid float: inf",
+    "train --n-trees 0": "n_trees 0 is below 1",
+    "train --seed -1": "rng_seed -1 is negative",
+    "solve --time-limit nan": "time_limit is not a valid float: nan",
+    "solve --time-limit -1": "time_limit -1.0 is negative",
 }
 
 
@@ -697,18 +854,24 @@ BAD_FLAGS = {
 def test_cli_bad_flag_fails_before_any_stage(case, tmp_path, capsys, monkeypatch):
     """Flags get the config file's checks: each bad one exits 1 naming the
     command line, before the watershed runs and before any file is
-    written, also when a valid config file is given."""
+    written, also when a valid config file is given; train and solve,
+    given an input that does not exist, fail on the flag before they
+    open any input."""
     command, flag, value = case.split()
     images = write_easy_images(tmp_path)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"n_trees": 2}))
     out_dir = tmp_path / "run"
+    missing = str(tmp_path / "missing.json")
+    out = ["--out", str(tmp_path / "crag.json")]
     argv = {
-        "build-crag": ["build-crag", "--boundary", images["boundary"],
-                       "--out", str(tmp_path / "crag.json")],
+        "build-crag": ["build-crag", "--boundary", images["boundary"], *out],
         "pipeline": ["pipeline", "--boundary", images["boundary"],
                      "--raw", images["raw"], "--gt", images["gt"],
                      "--config", str(config), "--out-dir", str(out_dir)],
+        "train": ["train", "--crag", missing, "--features", missing,
+                  "--gt", images["gt"], *out],
+        "solve": ["solve", "--crag", missing, "--costs", missing, *out],
     }[command]
 
     def watershed(*args):

@@ -641,9 +641,11 @@ def ref_forest_from_json(obj, where="forest"):
     doc = "model.json"
     n_features = json_member(doc, obj, "n_features", int, where)
     n_trees = json_member(doc, obj, "n_trees", int, where)
+    if n_trees < 1:
+        raise CmcError(f"{doc}: {where}: n_trees {n_trees} is below 1")
     rng_seed = json_member(doc, obj, "rng_seed", int, where)
     if rng_seed < 0:
-        raise CmcError(f"{doc}: {where} has rng_seed {rng_seed} < 0")
+        raise CmcError(f"{doc}: {where}: rng_seed {rng_seed} is negative")
     if "trees" in obj:
         raise CmcError(
             f"{doc}: {where} holds 'trees', the node lists of an older release; "
@@ -656,8 +658,6 @@ def ref_forest_from_json(obj, where="forest"):
     sizes, feature, value, left, right = (
         json_member(doc, obj, key, list, where) for key in keys[3:]
     )
-    if not sizes:
-        raise CmcError(f"{doc}: {where} has no tree")
     if len(sizes) != n_trees:
         raise CmcError(f"{doc}: {where} has {len(sizes)} trees, not n_trees {n_trees}")
     if not len(feature) == len(value) == len(left) == len(right):
@@ -1434,6 +1434,7 @@ MALFORMED_FOREST = {
     "trees not a list": [(("sizes",), {})],
     "empty tree": _hand_forest([], [], [], []),
     "no tree at all": [(("sizes",), [])],
+    "zero n_trees": [(("n_trees",), 0)],
     "fewer trees than n_trees": [(("n_trees",), 3)],
     "more trees than n_trees": [(("n_trees",), 1)],
     "string n_features": [(("n_features",), "5")],
